@@ -6,7 +6,7 @@ plane (``repro.nn.training_plane``) stacks the K models into one
 ``(K, P)`` weight matrix and advances every client's batch in one fused
 forward/backward/update superstep.
 
-Enforced floor, recorded to ``BENCH_training.json`` for CI:
+Enforced floors, recorded to ``BENCH_training.json`` for CI:
 
 - **Lockstep local training**: a round's worth of local SGD — 10
   clients x the paper's fmnist schedule (10 batches of 10) — on the
@@ -14,13 +14,19 @@ Enforced floor, recorded to ``BENCH_training.json`` for CI:
   >= 2x faster fused than the sequential per-client loop, with
   **bit-identical** float64 trained weights and mean losses (the fused
   kernels perform the same per-model numpy products).
+- **Lockstep conv training**: the same schedule on the
+  simulation-profile CNN (fmnist-cnn-small, 10x10 inputs) must not be
+  slower fused than the per-client loop (floor 1x), bit-identical.
+  Both paths run the same im2col/BLAS kernels and a 10-image conv
+  batch is already throughput-bound in them, so stacking K models
+  saves only the dispatch overhead and the lowest conv's input
+  gradient (~1.2x); the conv stack's gain over the old kernels is an
+  end-to-end number (``benchmarks/e2e``, ``rounds_cnn``).
 
 Also recorded (no floor): the same comparison at the round level — full
 ``TangleLearning`` rounds with ``training_plane`` on vs off, asserted
 bit-identical down to post-round tangle weights (the acceptance oracle),
-with walks/evaluations diluting the measured win honestly — and the conv
-fallback, where the plane routes through the per-model loop (parity is
-the claim).
+with walks/evaluations diluting the measured win honestly.
 
 Timings are best-of-N so a noisy-neighbor stall on a shared CI runner
 cannot flake the comparison.
@@ -40,6 +46,7 @@ from repro.nn.model import plan_local_batches
 from repro.nn.training_plane import LockstepTrainer, TrainJob
 
 TRAINING_FLOOR = 2.0
+CONV_TRAINING_FLOOR = 1.0
 CLIENTS = 10
 BATCHES = 10
 BATCH_SIZE = 10
@@ -191,27 +198,29 @@ def test_round_level_training_plane_recorded():
     }
 
 
-def test_conv_fallback_parity_recorded():
-    """Conv models have no fused training kernels: the plane's entry
-    point falls back to the per-model loop.  Parity (not speed) is the
-    claim — recorded so the trajectory documents the fused/fallback
-    split."""
+def test_conv_fused_training_speedup_and_equivalence():
+    """The same 10 clients x 10 batches of 10 on the simulation-profile
+    CNN: Conv2D/MaxPool2D run the fused supersteps like every other
+    layer, bit-identical to the per-client loop."""
     builder = lambda: zoo.build_fmnist_cnn(
         np.random.default_rng(0), image_size=10, size="small"
     )
-    assert not builder().supports_fused_train
-    loop_time, fused_time = _measure(
-        builder, feature_shape=(1, 10, 10), classes=10, repeats=2
-    )
-    _RESULTS["conv_fallback"] = {
+    assert builder().supports_fused_train
+    loop_time, fused_time = _measure(builder, feature_shape=(1, 10, 10), classes=10)
+    speedup = loop_time / fused_time
+    _RESULTS["conv_fused"] = {
         "workload": f"{CLIENTS} clients x {BATCHES} batches of {BATCH_SIZE}, "
-        "fmnist-cnn-small (conv: per-model fallback)",
+        f"fmnist-cnn-small 10x10 ({builder().flat_spec.total} params)",
         "per_client_ms": loop_time * 1e3,
-        "via_plane_ms": fused_time * 1e3,
-        "ratio": loop_time / fused_time,
+        "lockstep_ms": fused_time * 1e3,
+        "speedup": speedup,
+        "floor": CONV_TRAINING_FLOOR,
         "bit_identical_float64": True,
-        "note": "no floor: conv layers have no fused kernel, parity is the claim",
     }
+    assert speedup >= CONV_TRAINING_FLOOR, (
+        f"lockstep conv training {speedup:.2f}x of the per-client loop "
+        f"(floor {CONV_TRAINING_FLOOR}x)"
+    )
 
 
 def test_zzz_emit_bench_training_json():

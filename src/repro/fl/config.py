@@ -127,9 +127,9 @@ class DagConfig:
       supersteps over one ``(K, P)`` weight stack — one batched
       forward/backward per global batch index instead of K Python
       loops.  Results are **bit-identical** to the per-client loop (and
-      therefore across executors); models with unfused layers (conv,
-      LSTM, embedding, pooling) and mixed batch schedules fall back to
-      the per-model loop automatically.  In the async simulator each
+      therefore across executors); models with unfused layers (LSTM,
+      embedding) fall back to the per-model loop automatically, and
+      mixed batch schedules train as separate fused groups.  In the async simulator each
       training cycle is a single client, so the knob routes
       ``Client.train`` through the same fused kernels with ``K = 1``.
     """

@@ -187,8 +187,8 @@ class Classifier:
         """True when every layer has a fused multi-model *training* kernel.
 
         The gate for the lockstep training plane
-        (:mod:`repro.nn.training_plane`): Dense/activation/reshape/
-        dropout stacks qualify; conv, LSTM, embedding, and pooling
+        (:mod:`repro.nn.training_plane`): Dense/conv/pooling/
+        activation/reshape/dropout stacks qualify; LSTM and embedding
         layers do not, and models containing them train through the
         automatic per-model fallback instead.
         """
@@ -210,8 +210,8 @@ class Classifier:
         the same per-model numpy products as the sequential path, so in
         float64 the result is bit-identical to calling :meth:`load_flat`
         + :meth:`accuracy` per row — which remains the automatic
-        fallback whenever a layer lacks a fused kernel (conv, LSTM,
-        embedding, pooling).
+        fallback whenever a layer lacks a fused kernel (LSTM,
+        embedding).
 
         Note the fused path never touches the model's own parameter
         buffers; the fallback (like any :meth:`load_flat`) leaves the

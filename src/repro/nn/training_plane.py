@@ -22,10 +22,10 @@ shared layer stream would have been when that model's training began
 own stream is advanced past all of them afterwards, so subsequent
 rounds continue from the same state either way.
 
-Models whose layers lack fused training kernels (conv, LSTM, embedding,
-pooling), and jobs whose batch schedules disagree, fall back to the
-sequential per-model loop automatically — same entry point, same
-results, no fusion.
+Models whose layers lack fused training kernels (LSTM, embedding) fall
+back to the sequential per-model loop automatically — same entry
+point, same results, no fusion; jobs whose batch schedules disagree
+train in separate fused groups.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,53 @@ from repro.data import make_fmnist_clustered
 from repro.fl import DagConfig, TangleLearning, TrainingConfig
 from repro.nn import zoo
 from repro.utils import shm as shm_registry
+
+
+# --------------------------------------------------------- stall guard
+# pyproject.toml sets ``timeout = 300`` for pytest-timeout.  Without the
+# plugin pytest would ignore the key (with a warning) and hang protection
+# would depend on the environment; this fallback owns the key instead
+# and enforces it with a SIGALRM alarm around each test phase (main
+# thread, POSIX only — the same reach as pytest-timeout's default
+# signal method).
+def pytest_addoption(parser, pluginmanager):
+    if not pluginmanager.hasplugin("timeout"):
+        parser.addini(
+            "timeout",
+            "per-test stall guard in seconds (SIGALRM fallback for pytest-timeout)",
+            default="0",
+        )
+
+
+def _stall_guard(item):
+    config = item.config
+    seconds = (
+        0.0
+        if config.pluginmanager.hasplugin("timeout")
+        else float(config.getini("timeout") or 0)
+    )
+    if (
+        seconds <= 0
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        return (yield)
+
+    def on_alarm(signum, frame):
+        pytest.fail(f"Timeout >{seconds:g}s (tests/conftest.py SIGALRM guard)")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+pytest_runtest_setup = pytest.hookimpl(wrapper=True)(_stall_guard)
+pytest_runtest_call = pytest.hookimpl(wrapper=True)(_stall_guard)
+pytest_runtest_teardown = pytest.hookimpl(wrapper=True)(_stall_guard)
 
 
 def _shm_dir_segments() -> set[str]:

@@ -171,33 +171,60 @@ def test_tx_accuracies_fused_populates_cache_for_tx_accuracy(client):
     assert client.evaluations == count
 
 
-def test_tx_accuracies_unfused_model_falls_back(tiny_fmnist):
-    """A conv model has no fused kernels; the batched entry point must
-    route through the per-model loop with identical results."""
-    model = zoo.build_fmnist_cnn(
-        np.random.default_rng(0), image_size=10, size="small"
-    )
-    assert not model.supports_fused_eval
-    data = tiny_fmnist.clients[0]
-    # Conv models consume (N, C, H, W); reshape the flat client data.
-    x = data.x_test.reshape(-1, 1, 10, 10)
+class _ReshapedData:
+    """One client's data with the feature arrays swapped out."""
 
-    class ConvData:
-        client_id = data.client_id
-        x_train = data.x_train.reshape(-1, 1, 10, 10)
-        y_train = data.y_train
-        x_test = x
-        y_test = data.y_test
-        metadata = data.metadata
+    def __init__(self, data, x_train, x_test):
+        self.client_id = data.client_id
+        self.x_train, self.y_train = x_train, data.y_train
+        self.x_test, self.y_test = x_test, data.y_test
+        self.metadata = data.metadata
 
+
+def _assert_batched_matches_sequential(data, model):
     config = TrainingConfig(local_epochs=1, local_batches=2, batch_size=8)
-    client = Client(ConvData(), model, config, rng=1)
+    client = Client(data, model, config, rng=1)
     tangle, ids = _grown_tangle(client, n=3)
     batched = client.tx_accuracies(tangle, ids)
     client.reset_cache()
     np.testing.assert_array_equal(
         batched, _sequential_reference(client, tangle, ids)
     )
+
+
+def test_tx_accuracies_conv_model_is_fused(tiny_fmnist):
+    """The CNN evaluates all of a step's candidates in one fused pass,
+    bit-identical to the per-model loop."""
+    model = zoo.build_fmnist_cnn(
+        np.random.default_rng(0), image_size=10, size="small"
+    )
+    assert model.supports_fused_eval
+    data = tiny_fmnist.clients[0]
+    # Conv models consume (N, C, H, W); reshape the flat client data.
+    conv_data = _ReshapedData(
+        data,
+        data.x_train.reshape(-1, 1, 10, 10),
+        data.x_test.reshape(-1, 1, 10, 10),
+    )
+    _assert_batched_matches_sequential(conv_data, model)
+
+
+def test_tx_accuracies_unfused_model_falls_back(tiny_fmnist):
+    """An LSTM model has no fused kernels; the batched entry point must
+    route through the per-model loop with identical results."""
+    model = zoo.build_poets_lstm(
+        np.random.default_rng(0), vocab_size=10, embedding_dim=4
+    )
+    assert not model.supports_fused_eval
+    data = tiny_fmnist.clients[0]
+    # Token sequences over the label alphabet stand in for text.
+    rng = np.random.default_rng(5)
+    token_data = _ReshapedData(
+        data,
+        rng.integers(0, 10, size=(len(data.y_train), 6)),
+        rng.integers(0, 10, size=(len(data.y_test), 6)),
+    )
+    _assert_batched_matches_sequential(token_data, model)
 
 
 def test_tx_accuracies_personalization_falls_back(client):

@@ -4,8 +4,8 @@ The plane's contract is exact: for any jobs, ``LockstepTrainer.train``
 produces the same float64 weights and the same mean batch losses as
 loading each job's start weights and running ``Classifier.train_local``
 over the same schedule — through the fused superstep kernels where every
-layer supports them, and through the automatic per-model fallback
-everywhere else (conv, LSTM).  Dropout must agree too: the fused pass
+layer supports them (MLP, CNN), and through the automatic per-model
+fallback everywhere else (LSTM).  Dropout must agree too: the fused pass
 draws each model's masks from a forked stream, and afterwards the
 layer's own generator must sit exactly where the sequential run would
 have left it.
@@ -205,16 +205,11 @@ def test_mixed_batch_schedules_split_into_groups():
         assert loss == expected_loss
 
 
-def test_float32_start_rows_match_sequential_cast():
-    """Float32 rows (e.g. out of a float32 weight arena) widen to float64
-    exactly as ``set_weights``/``load_flat`` cast them."""
-    builder = lambda: zoo.build_mlp(
-        np.random.default_rng(3), in_features=20, hidden=(8,), num_classes=5
-    )
+def assert_float32_start_rows_match(builder, feature_shape, classes):
     reference_model = builder()
     lockstep_model = builder()
     start32 = reference_model.get_flat().astype(np.float32)
-    datasets = make_datasets(3, 16, (20,), 5)
+    datasets = make_datasets(3, 16, feature_shape, classes)
     seeds = [300, 301, 302]
     sched = dict(epochs=1, batch_size=8, max_batches=2)
     rows, losses = [], []
@@ -243,44 +238,66 @@ def test_float32_start_rows_match_sequential_cast():
         assert loss == expected_loss
 
 
-@pytest.mark.parametrize(
-    "builder, feature_shape, classes",
-    [
-        (
-            lambda: zoo.build_fmnist_cnn(
-                np.random.default_rng(2), image_size=8, size="small"
-            ),
-            (1, 8, 8),
-            10,
+def test_float32_start_rows_match_sequential_cast():
+    """Float32 rows (e.g. out of a float32 weight arena) widen to float64
+    exactly as ``set_weights``/``load_flat`` cast them."""
+    builder = lambda: zoo.build_mlp(
+        np.random.default_rng(3), in_features=20, hidden=(8,), num_classes=5
+    )
+    assert_float32_start_rows_match(builder, (20,), 5)
+
+
+CNN_BUILDERS = {
+    "fmnist_cnn": (
+        lambda: zoo.build_fmnist_cnn(
+            np.random.default_rng(2), image_size=8, size="small"
         ),
-        (
-            lambda: zoo.build_poets_lstm(
-                np.random.default_rng(2), vocab_size=11, embedding_dim=4
-            ),
-            None,  # token data, built below
-            11,
+        (1, 8, 8),
+    ),
+    "cifar_cnn": (
+        lambda: zoo.build_cifar_cnn(
+            np.random.default_rng(2), image_size=8, num_classes=10, size="small"
+        ),
+        (3, 8, 8),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CNN_BUILDERS))
+@pytest.mark.parametrize("k, momentum", [(1, 0.0), (4, 0.0), (3, 0.9)])
+def test_conv_lockstep_bit_identical(name, k, momentum):
+    """Conv2D/MaxPool2D train through the fused supersteps — K = 1
+    included — with the sequential loop's weights and losses."""
+    builder, feature_shape = CNN_BUILDERS[name]
+    assert builder().supports_fused_train
+    assert_lockstep_matches(
+        builder, k, feature_shape=feature_shape, classes=10, momentum=momentum
+    )
+
+
+def test_conv_float32_start_rows_match_sequential_cast():
+    builder, feature_shape = CNN_BUILDERS["fmnist_cnn"]
+    assert_float32_start_rows_match(builder, feature_shape, 10)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: zoo.build_poets_lstm(
+            np.random.default_rng(2), vocab_size=11, embedding_dim=4
         ),
     ],
-    ids=["conv", "lstm"],
+    ids=["lstm"],
 )
-def test_unfused_zoo_models_fall_back_per_model(builder, feature_shape, classes):
+def test_unfused_zoo_models_fall_back_per_model(builder):
     reference_model = builder()
     assert not reference_model.supports_fused_train
     lockstep_model = builder()
     rng = np.random.default_rng(5)
-    if feature_shape is None:
-        datasets = [
-            (rng.integers(0, 11, size=(10, 6)), rng.integers(0, 11, size=10))
-            for _ in range(2)
-        ]
-    else:
-        datasets = [
-            (
-                rng.normal(size=(10,) + feature_shape),
-                rng.integers(0, classes, size=10),
-            )
-            for _ in range(2)
-        ]
+    datasets = [
+        (rng.integers(0, 11, size=(10, 6)), rng.integers(0, 11, size=10))
+        for _ in range(2)
+    ]
     start = reference_model.get_flat()
     seeds = [400, 401]
     sched = dict(epochs=1, batch_size=5, max_batches=2)
@@ -300,7 +317,10 @@ def test_supports_fused_train_flags():
         np.random.default_rng(0), in_features=8, hidden=(4,), num_classes=3
     ).supports_fused_train
     assert build_dropout_mlp().supports_fused_train
-    assert not zoo.build_fmnist_cnn(
+    assert zoo.build_fmnist_cnn(
+        np.random.default_rng(0), image_size=8, size="small"
+    ).supports_fused_train
+    assert zoo.build_cifar_cnn(
         np.random.default_rng(0), image_size=8, size="small"
     ).supports_fused_train
     assert not zoo.build_poets_lstm(

@@ -4,8 +4,8 @@ The plane's core contract: for any model the zoo can build,
 ``Classifier.accuracy_many`` over a ``(k, P)`` stack of flat rows equals
 the sequential ``load_flat`` + ``accuracy`` loop **bit for bit** in
 float64 — through the fused kernels where every layer supports them
-(MLP, logistic regression) and through the automatic per-model fallback
-everywhere else (conv, LSTM).
+(MLP, logistic regression, both CNNs) and through the automatic
+per-model fallback everywhere else (LSTM).
 """
 
 import numpy as np
@@ -47,14 +47,14 @@ BUILDERS = {
     "fmnist_cnn": (
         lambda rng: zoo.build_fmnist_cnn(rng, image_size=8, size="small"),
         lambda rng: _image_data(rng, 4, 1, 8, 10),
-        False,
+        True,
     ),
     "cifar_cnn": (
         lambda rng: zoo.build_cifar_cnn(
             rng, image_size=8, num_classes=10, size="small"
         ),
         lambda rng: _image_data(rng, 3, 3, 8, 10),
-        False,
+        True,
     ),
     "poets_lstm": (
         lambda rng: zoo.build_poets_lstm(rng, vocab_size=11, embedding_dim=4),
@@ -84,6 +84,26 @@ def test_accuracy_many_equals_sequential_loop_bit_for_bit(name, seed, k):
 
     assert batched.dtype == np.float64
     np.testing.assert_array_equal(batched, sequential)
+
+
+@pytest.mark.parametrize("name", ["cifar_cnn", "fmnist_cnn"])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 5))
+def test_cnn_logits_bit_identical_from_float32_rows(name, seed, k):
+    """Stronger than accuracies: the conv/pool kernels reproduce every
+    logit of the per-model forward, from float32 rows widened the way
+    ``load_flat`` widens them."""
+    builder, make_data, _ = BUILDERS[name]
+    rng = np.random.default_rng(seed)
+    model = builder(rng)
+    x, _ = make_data(rng)
+    rows = rng.normal(size=(k, model.flat_spec.total)).astype(np.float32)
+    params = model.flat_spec.unflatten_many(rows.astype(np.float64))
+    logits, batched = model.net.forward_many(x, params)
+    assert batched and logits.shape[0] == k
+    for i in range(k):
+        model.load_flat(rows[i])
+        np.testing.assert_array_equal(logits[i], model.logits(x))
 
 
 @settings(max_examples=6, deadline=None)

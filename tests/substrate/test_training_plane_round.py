@@ -6,9 +6,11 @@ lockstep local-SGD pass, per-client finalization.  Because the lockstep
 kernels are bit-identical to the sequential loop, every record field,
 the tangle, and all carried client state must match the plain
 ``execute_unit`` path exactly, for any executor and any protocol
-configuration — including the configurations that exercise the plane's
-fallbacks (conv models) and its dropout stream reconciliation.
+configuration — including conv models (fused like the MLP) and the
+plane's dropout stream reconciliation.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -120,12 +122,10 @@ def test_training_plane_parallel_identical_to_serial(
     assert_histories_identical(baseline, plane_parallel)
 
 
-def test_training_plane_conv_round_falls_back_identically(
-    tiny_fmnist, fast_train_config
-):
-    """Conv layers have no fused training kernels: with the plane on,
-    the trainer's per-model fallback must reproduce the per-client loop
-    exactly at the round level too."""
+def test_training_plane_conv_round_identical(tiny_fmnist, fast_train_config):
+    """Conv models train through the fused supersteps: with the plane
+    on, rounds must reproduce the per-client loop exactly, as they do
+    for the MLP."""
     builder = lambda rng: zoo.build_fmnist_cnn(rng, image_size=10, size="small")
 
     def reshaped(sim):
@@ -135,13 +135,11 @@ def test_training_plane_conv_round_falls_back_identically(
             client.data.x_test = client.data.x_test.reshape(-1, 1, 10, 10)
         return sim
 
-    import copy
-
     data_a = copy.deepcopy(tiny_fmnist)
     data_b = copy.deepcopy(tiny_fmnist)
     baseline = reshaped(make_sim(data_a, builder, fast_train_config))
     plane = reshaped(make_sim(data_b, builder, fast_train_config, training_plane=True))
-    assert not baseline.model.supports_fused_train
+    assert plane.model.supports_fused_train
     try:
         baseline.run(2)
         plane.run(2)
