@@ -15,22 +15,25 @@ from collections import Counter
 
 from repro.data import make_fmnist_clustered
 from repro.dag import tangle_statistics
-from repro.fl import AsyncTangleLearning, DagConfig, TrainingConfig
+from repro.fl import DagConfig, TrainingConfig
 from repro.metrics import analyze_specialization
 from repro.nn import zoo
+from repro.sim import EventDrivenTangleLearning, SimConfig
 
 
 def main() -> None:
     dataset = make_fmnist_clustered(num_clients=9, samples_per_client=40, seed=7)
-    sim = AsyncTangleLearning(
+    sim = EventDrivenTangleLearning(
         dataset,
         lambda rng: zoo.build_fmnist_cnn(rng, image_size=14, size="small"),
         TrainingConfig(local_epochs=1, local_batches=4, batch_size=10, learning_rate=0.1),
         DagConfig(alpha=10.0),
         seed=0,
-        mean_think_time=1.0,        # avg idle between training cycles
-        mean_train_time=1.0,        # avg cycle duration (clients overlap!)
-        mean_propagation_delay=0.3, # network delay before a tx is seen
+        sim_config=SimConfig.async_compat(
+            mean_think_time=1.0,        # avg idle between training cycles
+            mean_train_time=1.0,        # avg cycle duration (clients overlap!)
+            mean_propagation_delay=0.3, # network delay before a tx is seen
+        ),
     )
 
     events = sim.run_until(30.0)

@@ -7,12 +7,14 @@ Public API tour:
 - :mod:`repro.data` — the paper's datasets (offline procedural stand-ins);
 - :mod:`repro.dag` — the tangle: transactions, tips, biased random walks;
 - :mod:`repro.fl` — :class:`~repro.fl.TangleLearning` (the specializing
-  DAG) plus FedAvg / FedProx / gossip baselines;
+  DAG on its round schedule; a thin constructor over :mod:`repro.sim`)
+  plus FedAvg / FedProx / gossip baselines;
 - :mod:`repro.substrate` — the round-execution layer: serial or
   process-pool executors over per-client work units (the
   ``DagConfig.parallelism`` knob);
-- :mod:`repro.sim` — the event-driven simulator: latency models,
-  stragglers, churn, staleness policies, quantum-batched supersteps;
+- :mod:`repro.sim` — the one simulator, an event-driven engine running
+  both rounds and asynchronous cycles: latency models, stragglers,
+  churn, staleness policies, quantum-batched supersteps;
 - :mod:`repro.metrics` — modularity, Louvain, pureness, misclassification;
 - :mod:`repro.poisoning` — label-flip attacks and robustness metrics;
 - :mod:`repro.experiments` — one runner per table/figure of the paper.

@@ -48,7 +48,7 @@ endpoints are visible, matching ``view.approvers`` — and matching the
 sequential start sampler, which filters its descent to visible parents
 for the same reason (on a delay-bounded view a transaction can
 propagate before its parent; the issuer exemption makes that reachable
-in the async simulator).
+under the event engine's timed views).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.dag.tangle import Tangle
-from repro.dag.view import TangleView
+from repro.dag.view import TangleView, TimedTangleView
 
 __all__ = [
     "TangleSnapshot",
@@ -693,23 +693,21 @@ def _fingerprint(view) -> tuple[object | None, tuple | None]:
             view.max_round,
             getattr(tangle, "compaction_epoch", 0),
         )
-    # TimedTangleView lives in repro.fl (a layer above); duck-type it to
-    # keep the dependency pointing downward.  Visibility times are set
-    # once at publish and never mutated, so (len, now, observer) pins
-    # the visible set.
-    if hasattr(view, "_visible_from") and hasattr(view, "now"):
+    # Visibility times are set once at publish and never mutated, so
+    # (len, now, observer) pins the visible set.
+    if isinstance(view, TimedTangleView):
         tangle = view._tangle
         return tangle, (
             "timed",
             id(tangle),
             len(tangle),
             view.now,
-            getattr(view, "_observer", None),
+            view._observer,
             # Distinct visibility maps over the same tangle are distinct
             # views even at the same `now` (map identity; entries for
             # existing transactions are set once at publish).
             id(view._visible_from),
-            id(getattr(view, "_published_at", None)),
+            id(view._published_at),
             getattr(tangle, "compaction_epoch", 0),
         )
     return None, None

@@ -24,6 +24,7 @@ from repro.experiments.runner import (
 from repro.experiments.scale import Scale, resolve_scale
 from repro.fl import DagConfig, TangleLearning
 from repro.metrics import approval_pureness
+from repro.sim import EventDrivenTangleLearning, SimConfig
 
 __all__ = [
     "run_personalization",
@@ -153,8 +154,6 @@ def run_async_convergence(
     compare the performance of the DAG with centralized approaches"; this
     experiment verifies the protocol behaves equivalently without them.
     """
-    from repro.fl import AsyncTangleLearning
-
     scale = scale or resolve_scale()
     dataset = build_dataset("fmnist-clustered", scale, seed=seed)
     builder = model_builder_for("fmnist-clustered", scale, dataset)
@@ -171,9 +170,11 @@ def run_async_convergence(
     # Each client cycles every (think + train) ~ 2.0 time units on average.
     if horizon is None:
         horizon = 2.0 * total_cycles / dataset.num_clients
-    asynchronous = AsyncTangleLearning(
+    asynchronous = EventDrivenTangleLearning(
         dataset, builder, train_config, DagConfig(alpha=10.0), seed=seed,
-        mean_think_time=1.0, mean_train_time=1.0, mean_propagation_delay=0.1,
+        sim_config=SimConfig.async_compat(
+            mean_think_time=1.0, mean_train_time=1.0, mean_propagation_delay=0.1
+        ),
     )
     events = asynchronous.run_until(horizon)
 

@@ -1,9 +1,12 @@
 """Federated-learning algorithms.
 
 :class:`TangleLearning` is the paper's contribution (the specializing
-DAG); :class:`FedAvgServer` and :class:`FedProxServer` are the centralized
-baselines of Section 5; :class:`GossipLearning` is the decentralized
-gossip baseline discussed in related work.
+DAG) on its round schedule — a thin constructor over the one simulator,
+:class:`repro.sim.EventDrivenTangleLearning`, which also runs the
+paper's asynchronous deployment model; :class:`FedAvgServer` and
+:class:`FedProxServer` are the centralized baselines of Section 5;
+:class:`GossipLearning` is the decentralized gossip baseline discussed in
+related work.
 """
 
 from repro.fl.config import (
@@ -15,7 +18,6 @@ from repro.fl.config import (
 from repro.fl.client import Client
 from repro.fl.records import RoundRecord
 from repro.fl.dag_learning import TangleLearning
-from repro.fl.async_learning import AsyncTangleLearning, PublishEvent
 from repro.fl.fedavg import FedAvgServer
 from repro.fl.fedprox import FedProxServer
 from repro.fl.gossip import GossipLearning
@@ -35,8 +37,6 @@ __all__ = [
     "Client",
     "RoundRecord",
     "TangleLearning",
-    "AsyncTangleLearning",
-    "PublishEvent",
     "FedAvgServer",
     "FedProxServer",
     "GossipLearning",

@@ -1,349 +1,14 @@
-"""Asynchronous (continuous-time, event-driven) DAG learning.
+"""Compatibility re-export of :class:`repro.dag.view.TimedTangleView`.
 
-The paper's protocol is inherently asynchronous — "each client
-continuously runs the training process as often as its resources permit,
-independent from all other clients"; rounds exist only to compare against
-centralized baselines.  This module simulates that deployment model
-directly:
-
-- every client alternates *think time* (exponentially distributed idle
-  periods) and *training cycles* (lognormally distributed durations);
-- a training cycle snapshots the tangle as visible at its **start** (the
-  client works on stale state while training);
-- published transactions become visible to each other client only after
-  a per-transaction network propagation delay.
-
-Events are processed from a priority queue, so arbitrarily interleaved
-client activity — the thing discrete rounds cannot express — emerges
-naturally: two clients training simultaneously both extend the same tips,
-creating the DAG width the protocol is designed to reconcile.
+The asynchronous simulator that lived here is gone — the event engine
+(:class:`repro.sim.EventDrivenTangleLearning`) is the only cycle
+implementation — and the view moved down beside ``TangleView``.  This
+module survives **only because** the frozen end-to-end benchmark
+(``benchmarks/e2e/layers.py``) imports the view from this path; a later
+benchmark PR that switches that import to ``repro.dag.view`` can delete
+the file.
 """
 
-from __future__ import annotations
+from repro.dag.view import TimedTangleView
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
-
-from repro.dag.tangle import Tangle
-from repro.dag.transaction import Transaction
-from repro.dag.view import visible_tips
-from repro.data.base import FederatedDataset
-from repro.fl.aggregation import get_aggregator
-from repro.fl.client import Client
-from repro.fl.config import DagConfig, TrainingConfig
-from repro.nn.model import Classifier
-from repro.utils.rng import RngFactory
-
-__all__ = ["AsyncTangleLearning", "PublishEvent", "TimedTangleView"]
-
-ModelBuilder = Callable[[np.random.Generator], Classifier]
-
-
-class TimedTangleView:
-    """Tangle view filtered by per-transaction visibility times.
-
-    ``visible_from`` gives the time each transaction becomes visible to
-    the *network* (publication plus propagation delay).  ``observer``
-    and ``published_at`` implement the issuer exemption: a real client's
-    local tangle always contains its own publications, so transactions
-    the observer itself issued are visible from their publication time —
-    the propagation delay only governs everyone else.
-    """
-
-    def __init__(
-        self,
-        tangle: Tangle,
-        visible_from: dict[str, float],
-        now: float,
-        *,
-        observer: int | None = None,
-        published_at: dict[str, float] | None = None,
-    ):
-        self._tangle = tangle
-        self._visible_from = visible_from
-        self._observer = observer
-        self._published_at = {} if published_at is None else published_at
-        self.now = now
-
-    def _visible(self, tx_id: str) -> bool:
-        if self._visible_from.get(tx_id, float("inf")) <= self.now:
-            return True
-        if self._observer is None:
-            return False
-        published = self._published_at.get(tx_id)
-        return (
-            published is not None
-            and published <= self.now
-            and self._tangle.get(tx_id).issuer == self._observer
-        )
-
-    def __contains__(self, tx_id: str) -> bool:
-        return tx_id in self._tangle and self._visible(tx_id)
-
-    def get(self, tx_id: str) -> Transaction:
-        if not self._visible(tx_id):
-            raise KeyError(f"transaction {tx_id!r} not visible at t={self.now}")
-        return self._tangle.get(tx_id)
-
-    def transactions(self) -> list[Transaction]:
-        return [
-            tx for tx in self._tangle.transactions() if self._visible(tx.tx_id)
-        ]
-
-    def approvers(self, tx_id: str) -> list[str]:
-        self.get(tx_id)
-        return [a for a in self._tangle.approvers(tx_id) if self._visible(a)]
-
-    def tips(self) -> list[str]:
-        return visible_tips(self._tangle, lambda tx: self._visible(tx.tx_id))
-
-    def is_tip(self, tx_id: str) -> bool:
-        return tx_id in self and not self.approvers(tx_id)
-
-    def cumulative_weight(self, tx_id: str) -> int:
-        from collections import deque
-
-        self.get(tx_id)
-        seen: set[str] = set()
-        queue = deque(self.approvers(tx_id))
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self.approvers(current))
-        return 1 + len(seen)
-
-    def cumulative_weights(self, tx_ids) -> np.ndarray:
-        """Batched :meth:`cumulative_weight` (the walk's per-step query).
-
-        Per-id filtered BFS under the hood — delayed visibility means
-        the tangle's incremental index does not apply; the lockstep
-        engine's snapshot computes all visible weights in one pass
-        instead (:meth:`repro.dag.walk_engine.TangleSnapshot.cumulative_weights`).
-        """
-        return np.array(
-            [self.cumulative_weight(tx_id) for tx_id in tx_ids], dtype=np.float64
-        )
-
-
-@dataclass(frozen=True)
-class PublishEvent:
-    """One completed training cycle."""
-
-    time: float
-    client_id: int
-    published: bool
-    accuracy: float
-    reference_accuracy: float
-    tx_id: str | None
-
-
-@dataclass(order=True)
-class _ScheduledCycle:
-    """A queued training cycle; heap order is its declaration order.
-
-    Ties at equal ``finish_time`` break by **client id first**, then by
-    scheduling sequence number: two clients colliding on a timestamp
-    must pop in an order that depends only on *who* they are, never on
-    the incidental order their cycles were pushed — the same discipline
-    the event engine (:mod:`repro.sim`) applies to its whole queue, and
-    the reason round-style schedules (every client finishing at the
-    same instant) process clients in id order.
-    """
-
-    finish_time: float
-    client_id: int
-    seq: int
-    start_time: float = field(compare=False)
-
-
-class AsyncTangleLearning:
-    """Event-driven simulator of the specializing DAG.
-
-    Parameters beyond the round-based simulator: ``mean_think_time``
-    (exponential idle between cycles), ``mean_train_time`` /
-    ``train_time_sigma`` (lognormal cycle duration), and
-    ``mean_propagation_delay`` (exponential per-transaction network
-    delay).  All times are in abstract simulation units.
-    """
-
-    def __init__(
-        self,
-        dataset: FederatedDataset,
-        model_builder: ModelBuilder,
-        train_config: TrainingConfig,
-        dag_config: DagConfig = DagConfig(),
-        *,
-        seed: int = 0,
-        mean_think_time: float = 1.0,
-        mean_train_time: float = 1.0,
-        train_time_sigma: float = 0.3,
-        mean_propagation_delay: float = 0.1,
-    ):
-        if min(mean_think_time, mean_train_time) <= 0:
-            raise ValueError("think and train times must be positive")
-        if mean_propagation_delay < 0:
-            raise ValueError("propagation delay must be >= 0")
-        self.dataset = dataset
-        self.dag_config = dag_config
-        self._rngs = RngFactory(seed)
-        self.model = model_builder(self._rngs.get("model-init"))
-        genesis_weights = self.model.get_weights()
-        self.tangle = Tangle(genesis_weights)
-        self.clients: dict[int, Client] = {
-            cd.client_id: Client(
-                cd, self.model, train_config, self._rngs.get("client", cd.client_id)
-            )
-            for cd in dataset.clients
-        }
-        if dag_config.personal_params > 0:
-            for client in self.clients.values():
-                client.enable_personalization(
-                    dag_config.personal_params, genesis_weights
-                )
-        self._aggregate = get_aggregator(dag_config.aggregator)
-        self.mean_think_time = mean_think_time
-        self.mean_train_time = mean_train_time
-        self.train_time_sigma = train_time_sigma
-        self.mean_propagation_delay = mean_propagation_delay
-
-        self._time_rng = self._rngs.get("times")
-        self._queue: list[_ScheduledCycle] = []
-        self._seq = itertools.count()
-        self.now = 0.0
-        self.events: list[PublishEvent] = []
-        # Genesis is visible to everyone from the start.
-        self._visible_from: dict[str, float] = {self.tangle.genesis.tx_id: 0.0}
-        # Publication times back the issuer exemption: a client always
-        # sees its own transactions from the moment it published them.
-        self._published_at: dict[str, float] = {self.tangle.genesis.tx_id: 0.0}
-        for client_id in sorted(self.clients):
-            self._schedule_cycle(client_id, self._think_delay())
-
-    # ----------------------------------------------------------- scheduling
-    def _think_delay(self) -> float:
-        return float(self._time_rng.exponential(self.mean_think_time))
-
-    def _train_duration(self) -> float:
-        return float(
-            self.mean_train_time
-            * self._time_rng.lognormal(0.0, self.train_time_sigma)
-        )
-
-    def _schedule_cycle(self, client_id: int, start_delay: float) -> None:
-        start = self.now + start_delay
-        finish = start + self._train_duration()
-        heapq.heappush(
-            self._queue,
-            _ScheduledCycle(finish, client_id, next(self._seq), start),
-        )
-
-    # ------------------------------------------------------------- stepping
-    def step(self) -> PublishEvent:
-        """Process the next completed training cycle."""
-        if not self._queue:
-            raise RuntimeError("no scheduled events")
-        cycle = heapq.heappop(self._queue)
-        self.now = cycle.finish_time
-        client = self.clients[cycle.client_id]
-        cfg = self.dag_config
-
-        # The client worked on the tangle as it saw it when it STARTED —
-        # network-delayed for everyone else's transactions, but its own
-        # publications are local state and visible immediately.
-        view = TimedTangleView(
-            self.tangle,
-            self._visible_from,
-            cycle.start_time,
-            observer=cycle.client_id,
-            published_at=self._published_at,
-        )
-        walk_rng = self._rngs.get("walk", cycle.seq)
-        selector = self._make_selector(client)
-        tips = selector.select_tips(view, cfg.num_tips, walk_rng)
-
-        parent_models = [self.tangle.get(t).model_weights for t in tips]
-        reference = client.apply_personalization(self._aggregate(parent_models))
-        # The publish gate needs accuracies only — take the loss-free path.
-        reference_accuracy = client.accuracy_of_weights(reference)
-        # An async cycle trains one client, so the training plane
-        # degenerates to a K=1 fused group — same kernels, same bits,
-        # batched numpy instead of the per-layer Python loop.
-        trained, _loss = client.train(reference, fused=cfg.training_plane)
-        client.update_personal_tail(trained)
-        accuracy = client.accuracy_of_weights(trained)
-
-        tx_id = None
-        published = (not cfg.publish_gate) or accuracy >= reference_accuracy
-        if published:
-            # Publish through the flat plane, exactly like the round
-            # simulator: one contiguous vector that Tangle.add interns
-            # as an arena row — never a per-layer list.
-            tx = Transaction.from_flat(
-                tx_id=self.tangle.next_tx_id(cycle.client_id),
-                parents=tuple(dict.fromkeys(tips)),
-                flat=self.tangle.spec.flatten(trained),
-                spec=self.tangle.spec,
-                issuer=cycle.client_id,
-                round_index=int(self.now),  # coarse time bucket for analysis
-                tags=dict(client.data.metadata.get("tags", {})),
-            )
-            self.tangle.add(tx)
-            tx_id = tx.tx_id
-            delay = (
-                float(self._time_rng.exponential(self.mean_propagation_delay))
-                if self.mean_propagation_delay > 0
-                else 0.0
-            )
-            self._published_at[tx.tx_id] = self.now
-            self._visible_from[tx.tx_id] = self.now + delay
-
-        event = PublishEvent(
-            time=self.now,
-            client_id=cycle.client_id,
-            published=published,
-            accuracy=accuracy,
-            reference_accuracy=reference_accuracy,
-            tx_id=tx_id,
-        )
-        self.events.append(event)
-        self._schedule_cycle(cycle.client_id, self._think_delay())
-        return event
-
-    def run_until(self, end_time: float) -> list[PublishEvent]:
-        """Process events until simulated time exceeds ``end_time``."""
-        processed: list[PublishEvent] = []
-        while self._queue and self._queue[0].finish_time <= end_time:
-            processed.append(self.step())
-        self.now = max(self.now, end_time)
-        return processed
-
-    def run_cycles(self, count: int) -> list[PublishEvent]:
-        """Process exactly ``count`` training cycles."""
-        return [self.step() for _ in range(count)]
-
-    # -------------------------------------------------------------- queries
-    def _make_selector(self, client: Client):
-        """Delegates to the substrate's shared selector wiring, so the
-        async simulator gets the same batched, cached accuracy path as
-        the round-based one."""
-        from repro.substrate import build_selector
-
-        return build_selector(client, self.tangle, self.dag_config)
-
-    def accuracy_timeline(self, bucket: float = 1.0) -> list[tuple[float, float]]:
-        """Mean published-model accuracy per time bucket."""
-        if bucket <= 0:
-            raise ValueError("bucket must be positive")
-        buckets: dict[int, list[float]] = {}
-        for event in self.events:
-            buckets.setdefault(int(event.time // bucket), []).append(event.accuracy)
-        return [
-            (index * bucket, float(np.mean(values)))
-            for index, values in sorted(buckets.items())
-        ]
+__all__ = ["TimedTangleView"]

@@ -116,10 +116,11 @@ class DagConfig:
       generator is consumed in blocks), so records are not
       bit-comparable across the two settings of this knob.  The
       snapshot amortizes across a *round* (one build serves every
-      client); the async simulator's per-event views each see a unique
-      point in time, so there the engine rebuilds the snapshot per
-      training cycle — worthwhile when model evaluation dominates a
-      walk, pure overhead for toy models on large tangles.
+      client); the event engine's per-cycle views (:mod:`repro.sim`,
+      ``quantum = 0``) each see a unique point in time, so there the
+      snapshot is rebuilt per training cycle — worthwhile when model
+      evaluation dominates a walk, pure overhead for toy models on
+      large tangles.
     - ``training_plane`` switches a round's local training to the
       lockstep plane (:mod:`repro.nn.training_plane`): the walk/
       aggregation phase still runs per client (and still parallelizes),
@@ -129,9 +130,10 @@ class DagConfig:
       loops.  Results are **bit-identical** to the per-client loop (and
       therefore across executors); models with unfused layers (LSTM,
       embedding) fall back to the per-model loop automatically, and
-      mixed batch schedules train as separate fused groups.  In the async simulator each
-      training cycle is a single client, so the knob routes
-      ``Client.train`` through the same fused kernels with ``K = 1``.
+      mixed batch schedules train as separate fused groups.  An
+      event-at-a-time training cycle is a single client, so there the
+      knob routes ``Client.train`` through the same fused kernels with
+      ``K = 1``.
     """
 
     alpha: float = 10.0

@@ -6,60 +6,33 @@ tip models, (3) trains the average on local data, and (4) publishes the
 result as a new transaction approving the two tips — if it beats the
 reference (consensus) model on local test data.
 
-Visibility model (**freeze at round end**): every client in round *r*
-reads the tangle exactly as it stood at the end of round *r - 1* — new
-transactions are collected while the round runs and appended only at the
-round barrier, which models concurrent publication.  Because the view is
-frozen, the per-client work of a round is embarrassingly parallel; the
-simulator expresses it as :mod:`repro.substrate` work units and hands
-them to an executor chosen by ``DagConfig.parallelism`` (serial by
-default, process pool for ``parallelism > 1`` — bit-identical results
-either way for a fixed seed).
+:class:`TangleLearning` has no round body of its own: it is the event
+engine (:class:`repro.sim.engine.EventDrivenTangleLearning`) constructed
+for its round regime.  The visibility model (**freeze at round end**:
+every client in round *r* reads the tangle as it stood at the end of
+round *r - 1*) and the executor choice (``DagConfig.parallelism``) are
+documented on :meth:`~repro.sim.engine.EventDrivenTangleLearning.run_rounds`;
+``docs/substrate.md`` walks one round through the execution substrate.
 
-Walk-evaluation contract: each client's accuracy lookups go through its
-per-transaction cache (:meth:`repro.fl.client.Client.tx_accuracies`, the
-batched API the accuracy selector prefers); caching is sound because a
-transaction's model never changes once published.  With
-``DagConfig(walk_engine=True)`` each selection's particles run in
-lockstep over a per-round CSR snapshot of the frozen view
-(:mod:`repro.dag.walk_engine`) — the snapshot is built once per round
-and shared by every client's walks (per worker process under the
-parallel executor), and each superstep's union frontier reaches
-``tx_accuracies`` as one batch.
+Import direction: this module imports ``repro.sim.engine``, which imports
+the ``repro.fl.{client,config,aggregation,records}`` *submodules* — a
+package-level cycle but a module-level DAG.  ``repro/sim/__init__`` loads
+``repro.fl`` first, so the chain is always entered from this side.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
-from repro.dag.tangle import Tangle
-from repro.dag.tip_selection import TipSelector
-from repro.dag.transaction import Transaction
-from repro.dag.view import TangleView
 from repro.data.base import FederatedDataset
-from repro.fl.aggregation import get_aggregator
-from repro.fl.client import Client
 from repro.fl.config import DagConfig, TrainingConfig
 from repro.fl.records import RoundRecord
-from repro.nn.model import Classifier
-from repro.substrate import (
-    ClientWorkUnit,
-    Executor,
-    apply_result,
-    build_selector,
-    execute_round,
-    make_executor,
-)
-from repro.utils.rng import RngFactory
+from repro.sim.config import SimConfig
+from repro.sim.engine import EventDrivenTangleLearning, ModelBuilder
+from repro.substrate import Executor
 
 __all__ = ["TangleLearning"]
 
-ModelBuilder = Callable[[np.random.Generator], Classifier]
 
-
-class TangleLearning:
+class TangleLearning(EventDrivenTangleLearning):
     """End-to-end simulator for DAG-based decentralized federated learning."""
 
     def __init__(
@@ -84,167 +57,33 @@ class TangleLearning:
         ``executor`` overrides the round-execution strategy; by default
         one is built from ``dag_config.parallelism`` via
         :func:`repro.substrate.make_executor`."""
-        self.dataset = dataset
-        self.dag_config = dag_config
-        self.clients_per_round = min(clients_per_round, dataset.num_clients)
-        self._rngs = RngFactory(seed)
-
-        self.model = model_builder(self._rngs.get("model-init"))
-        genesis_weights = self.model.get_weights()
-        self.tangle = Tangle(genesis_weights)
-        self.clients: dict[int, Client] = {
-            cd.client_id: Client(
-                cd, self.model, train_config, self._rngs.get("client", cd.client_id)
-            )
-            for cd in dataset.clients
-        }
-        if dag_config.personal_params > 0:
-            for client in self.clients.values():
-                client.enable_personalization(
-                    dag_config.personal_params, genesis_weights
-                )
-        self.attackers: dict[int, str] = dict(attackers or {})
-        for client_id, attack in self.attackers.items():
-            if client_id not in self.clients:
+        attackers = attackers or {}
+        client_ids = {cd.client_id for cd in dataset.clients}
+        for client_id, attack in attackers.items():
+            if client_id not in client_ids:
                 raise ValueError(f"attacker {client_id} is not a client")
             if attack != "random_weights":
                 raise ValueError(f"unknown attack type {attack!r}")
-        self._sampler = self._rngs.get("round-sampler")
-        self._aggregate = get_aggregator(dag_config.aggregator)
-        self.executor: Executor = executor or make_executor(dag_config.parallelism)
-        self.round_index = 0
-        self.history: list[RoundRecord] = []
-
-    def close(self) -> None:
-        """Release executor resources (worker processes) and any
-        shared-memory segments the round state exported (idempotent)."""
-        self.executor.close()
-        self.tangle.close()
-        self.dataset.close_shared()
-
-    def __enter__(self) -> "TangleLearning":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------ selectors
-    def make_selector(
-        self, client: Client, evaluation_counter: Callable[[int], None] | None = None
-    ) -> TipSelector:
-        """Tip selector for ``client`` according to the protocol config.
-
-        Delegates to :func:`repro.substrate.build_selector`, the single
-        place that wires the protocol config to a selector (used both
-        here and inside executor work units).
-        """
-        return build_selector(
-            client, self.tangle, self.dag_config, evaluation_counter
+        super().__init__(
+            dataset,
+            model_builder,
+            train_config,
+            dag_config,
+            sim_config=SimConfig(attackers=frozenset(attackers)),
+            seed=seed,
+            executor=executor,
         )
+        self.clients_per_round = min(clients_per_round, dataset.num_clients)
 
-    # -------------------------------------------------------------- rounds
-    def _selection_view(self):
-        """What clients can see this round.
-
-        Transactions of the current round are never visible (they are
-        published concurrently); a positive ``visibility_delay``
-        additionally hides the most recent rounds, modelling propagation
-        delay.
-        """
-        delay = self.dag_config.visibility_delay
-        if delay <= 0:
-            return self.tangle
-        return TangleView(self.tangle, self.round_index - 1 - delay)
+    @property
+    def history(self) -> list[RoundRecord]:
+        """Records of every round run so far."""
+        return self.round_history
 
     def run_round(self) -> RoundRecord:
-        """Simulate one discrete round; returns its record.
-
-        The round is planned as one work unit per active client over the
-        frozen :meth:`_selection_view`, evaluated by the configured
-        executor, and committed at the barrier: state deltas fold back
-        into the canonical clients, then transaction ids are assigned and
-        pending transactions appended in active-client order — the same
-        order the historical serial loop produced, so records and tangles
-        are identical regardless of executor.
-        """
-        active_ids = sorted(
-            self._sampler.choice(
-                sorted(self.clients),
-                size=self.clients_per_round,
-                replace=False,
-            ).tolist()
-        )
-        record = RoundRecord(round_index=self.round_index, active_clients=active_ids)
-        units = [
-            ClientWorkUnit(
-                client_id=client_id,
-                round_index=self.round_index,
-                attack=self.attackers.get(client_id),
-            )
-            for client_id in active_ids
-        ]
-        # The substrate's shared coordinator half: exports the tangle
-        # arena and active clients' data to shared memory when the
-        # executor can fan out, probes the route (serial-routed rounds
-        # skip state capture), and dispatches through the training plane
-        # or plain unit mapping — bit-identical results on every path,
-        # so the commit loop below does not care which one ran.
-        results = execute_round(
-            self.executor,
-            tangle=self.tangle,
-            view=self._selection_view(),
-            config=self.dag_config,
-            rng_factory=self._rngs,
-            units=units,
-            clients=self.clients,
-        )
-
-        for unit, result in zip(units, results):
-            client_id = result.client_id
-            if unit.attack is None:  # honest client bookkeeping
-                apply_result(self.clients[client_id], result)
-                record.walk_duration[client_id] = result.walk_duration
-                record.walk_evaluations[client_id] = result.walk_evaluations
-                record.reference_accuracy[client_id] = result.reference_accuracy
-                record.client_accuracy[client_id] = result.test_accuracy
-                record.client_loss[client_id] = result.test_loss
-            if result.publish:
-                # Results carry one flat vector per model; the tangle
-                # interns it as an arena row on add.
-                tx = Transaction.from_flat(
-                    tx_id=self.tangle.next_tx_id(client_id),
-                    parents=result.parents,
-                    flat=result.flat_weights,
-                    spec=self.tangle.spec,
-                    issuer=client_id,
-                    round_index=self.round_index,
-                    tags=result.tags,
-                )
-                self.tangle.add(tx)
-                record.published.append(tx.tx_id)
-
-        self.round_index += 1
-        self.history.append(record)
-        return record
+        """Simulate one discrete round; returns its record."""
+        return self.run_rounds(1, self.clients_per_round)[0]
 
     def run(self, rounds: int) -> list[RoundRecord]:
         """Run ``rounds`` rounds; returns the records of this call."""
-        return [self.run_round() for _ in range(rounds)]
-
-    # ------------------------------------------------------------ consensus
-    def reference_tip(self, client_id: int, *, key: str = "reference") -> str:
-        """The transaction a client currently considers its consensus.
-
-        One extra biased walk (not counted in round bookkeeping); used by
-        evaluation code, e.g. the poisoning metrics, which measure "the
-        reference model that the clients selected from the DAG".
-        """
-        client = self.clients[client_id]
-        selector = self.make_selector(client)
-        rng = self._rngs.get(key, self.round_index, client_id)
-        return selector.select_tips(self._selection_view(), 1, rng)[0]
-
-    def consensus_accuracy(self, client_id: int) -> float:
-        """Accuracy of the client's current reference model on local test."""
-        tip = self.reference_tip(client_id)
-        return self.clients[client_id].tx_accuracy(self.tangle, tip)
+        return self.run_rounds(rounds, self.clients_per_round)

@@ -1,25 +1,29 @@
 """repro.sim — the event-driven tangle simulator.
 
-One discrete-event engine (:class:`EventDrivenTangleLearning`) covers
-the spectrum between the repo's two fixed-schedule simulators:
+One discrete-event engine (:class:`EventDrivenTangleLearning`) is the
+repo's only implementation of a training cycle and of a round:
 
-- at ``quantum = 0`` it *is* the asynchronous simulator — same rng
-  streams, same draw order, bit-identical publish traces under
-  :meth:`SimConfig.async_compat` (the parity suite pins this);
+- at ``quantum = 0`` it runs the paper's asynchronous deployment model
+  one cycle at a time (:meth:`SimConfig.async_compat`);
 - at ``quantum > 0`` cycles completing close together run as fused
   supersteps (shared walk snapshots, one lockstep-training pass), the
   shape that makes 1000-client scenarios a sequence of wide batches;
-- :meth:`EventDrivenTangleLearning.run_rounds` drives the round
-  substrate directly, reproducing ``TangleLearning`` records bit for
-  bit without churn.
+- :meth:`EventDrivenTangleLearning.run_rounds` runs the paper's
+  discrete comparison schedule through the round substrate —
+  :class:`repro.fl.TangleLearning` is a thin constructor over it.
 
 On top of the schedule the engine adds what a deployment study needs
 and rounds cannot express: per-client latency laws and compute rates
 (:class:`LatencyModel`, stragglers), mid-run membership churn
 (:class:`ChurnEvent`, :func:`random_churn`), and staleness-aware
-reference aggregation (:class:`StalenessPolicy`).  See
-``docs/architecture.md`` for the event lifecycle.
+reference aggregation (:class:`StalenessPolicy`).  See ``docs/sim.md``
+for the event lifecycle.
 """
+
+# ``repro.fl.dag_learning`` subclasses the engine and the engine imports
+# ``repro.fl`` submodules: loading ``repro.fl`` first enters that chain
+# from the one side that resolves, whatever the caller imported first.
+import repro.fl  # noqa: F401  (import order, see above)
 
 from repro.sim.config import (
     ChurnEvent,

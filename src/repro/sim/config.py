@@ -33,10 +33,10 @@ class LatencyModel:
     """Distribution spec for a nonnegative duration.
 
     - ``"exponential"`` — mean ``mean`` (one draw; a zero mean draws
-      nothing and yields 0.0, matching the historical async simulator's
-      skip of the propagation draw at zero delay);
-    - ``"lognormal"`` — ``mean * lognormal(0, sigma)`` (the async
-      simulator's training-time law; the median is ``mean``);
+      nothing and yields 0.0, so a zero propagation delay skips its
+      draw — the parity digests pin this);
+    - ``"lognormal"`` — ``mean * lognormal(0, sigma)`` (the default
+      training-time law; the median is ``mean``);
     - ``"uniform"`` — uniform on ``[0, 2 * mean]``;
     - ``"constant"`` — exactly ``mean``, **no draw consumed** (the
       degenerate/uniform-schedule building block: a constant model
@@ -158,14 +158,14 @@ class SimConfig:
 
     - ``think`` / ``train`` / ``propagation`` — the per-cycle idle,
       training-duration, and per-transaction network-delay laws.  The
-      defaults reproduce :class:`repro.fl.async_learning.AsyncTangleLearning`
-      exactly (same distributions, same draw order).
+      defaults are the paper's asynchronous deployment model
+      (:meth:`async_compat` with its default means).
     - ``quantum`` — the scheduling quantum.  ``0`` processes events one
       at a time (pure discrete-event semantics); ``q > 0`` collects
       every training cycle completing within ``q`` of the next one and
       runs them as **one fused superstep** (shared walk snapshots, one
       lockstep-training pass), with intra-batch publications deferred to
-      the batch barrier — the same freeze semantics the round simulator
+      the batch barrier — the same freeze semantics round mode
       applies at round boundaries.
     - ``rate_spread`` — lognormal sigma of per-client compute rates
       (0 = homogeneous); ``straggler_fraction`` / ``straggler_slowdown``
@@ -185,8 +185,8 @@ class SimConfig:
       (random parents, random payload tagged malicious) instead of
       honest training, in every regime: cycles under churn/stragglers
       and :meth:`~repro.sim.engine.EventDrivenTangleLearning.run_rounds`
-      (where the round substrate's attack path makes the records
-      bit-identical to ``TangleLearning(attackers=...)``).  Label-flip
+      (the round substrate's attack path; what
+      ``TangleLearning(attackers=...)`` maps onto).  Label-flip
       attackers need no hook — they are data-level
       (:func:`repro.poisoning.poison_dataset_label_flip`).
     """
@@ -235,9 +235,14 @@ class SimConfig:
         train_time_sigma: float = 0.3,
         mean_propagation_delay: float = 0.1,
     ) -> "SimConfig":
-        """The configuration under which the engine reproduces
-        :class:`~repro.fl.async_learning.AsyncTangleLearning` draw for
-        draw — the parity suite's anchor."""
+        """The paper's asynchronous deployment model: every client
+        alternates exponential think time and lognormal training
+        cycles, and publications reach other clients after an
+        exponential propagation delay.  The parity suite's anchor: its
+        traces are pinned to digests recorded from the retired
+        standalone asynchronous simulator."""
+        if min(mean_think_time, mean_train_time) <= 0:
+            raise ValueError("think and train times must be positive")
         return cls(
             think=LatencyModel("exponential", mean_think_time),
             train=LatencyModel("lognormal", mean_train_time, train_time_sigma),

@@ -1,7 +1,8 @@
-"""The event-driven tangle simulator (the tentpole of :mod:`repro.sim`).
+"""The event-driven tangle simulator — the repo's one implementation of
+a training cycle and of a round.
 
-:class:`EventDrivenTangleLearning` generalizes both existing simulators
-into one discrete-event engine over a priority queue of events:
+:class:`EventDrivenTangleLearning` is a discrete-event engine over a
+priority queue of events:
 
 - **cycle** — a client's training cycle completes: tip selection over
   the tangle as visible at the cycle's *start*, reference aggregation
@@ -21,10 +22,10 @@ Three operating regimes, selected by configuration rather than by
 separate code paths at the call sites:
 
 1. **Sequential** (``quantum = 0``) — pure discrete-event semantics,
-   one cycle at a time.  Under :meth:`SimConfig.async_compat` this
-   reproduces :class:`repro.fl.async_learning.AsyncTangleLearning`
-   draw for draw: same rng keys, same draw order, bit-identical
-   publish traces (the parity suite pins it).
+   one cycle at a time: the paper's asynchronous deployment model
+   (:meth:`SimConfig.async_compat`).  The parity suite pins its publish
+   traces to digests recorded from the retired standalone asynchronous
+   simulator.
 2. **Quantum-batched** (``quantum > 0``) — every cycle completing
    within ``quantum`` of the next pending one is collected into a
    superstep: the batch freezes one shared view (at the *earliest*
@@ -36,15 +37,16 @@ separate code paths at the call sites:
    on the selecting client's own test data), local training runs as
    **one** fused training-plane pass over the stacked references, and
    publications commit at the batch barrier in event order.  This is
-   the same freeze-at-barrier semantics the round simulator applies at
+   the same freeze-at-barrier semantics round mode applies at
    round boundaries, with the quantum as a fidelity dial: as
    ``quantum -> 0`` every batch is a single cycle and the semantics
    degrade gracefully into regime 1.
-3. **Round-compat** (:meth:`run_rounds`) — drives the round substrate
-   (:func:`repro.substrate.execute_unit` /
-   :func:`repro.substrate.run_training_plane_round`) through the
-   engine's state, reproducing :class:`repro.fl.dag_learning.TangleLearning`
-   round records bit for bit when no churn is configured.
+3. **Rounds** (:meth:`run_rounds`) — the paper's comparison schedule:
+   a sample of clients works over one frozen view per round through
+   the round substrate (:func:`repro.substrate.execute_round`), and
+   publications commit at the round barrier.
+   :class:`repro.fl.dag_learning.TangleLearning` is a thin constructor
+   over this regime.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ import numpy as np
 
 from repro.dag import walk_engine
 from repro.dag.tangle import Tangle
-from repro.dag.tip_selection import RandomTipSelector
+from repro.dag.tip_selection import RandomTipSelector, TipSelector
 from repro.dag.transaction import Transaction, payload_error
-from repro.dag.view import TangleView
+from repro.dag.view import TangleView, TimedTangleView
 from repro.data.base import FederatedDataset
 from repro.fl.aggregation import get_aggregator
-from repro.fl.async_learning import TimedTangleView
 from repro.fl.client import Client
 from repro.fl.config import DagConfig, TrainingConfig
 from repro.fl.records import RoundRecord
@@ -147,12 +148,15 @@ class SimEvent:
 class EventDrivenTangleLearning:
     """Event-driven simulator of the specializing DAG (see module doc).
 
-    Construction mirrors the other simulators exactly — same rng keys
+    Every stochastic component draws from its own keyed stream
     (``"model-init"``, ``("client", id)``, ``"times"``, ``("walk",
-    seq)``), same shared-model client wiring — so the engine's state is
-    interchangeable with theirs for a fixed seed.  Scenario knobs
-    (latency laws, quantum, heterogeneity, churn, staleness) live in
-    :class:`repro.sim.config.SimConfig`.
+    seq)``, ``"round-sampler"``, ...), so the trace is a pure function
+    of ``(seed, configs)``.  Scenario knobs (latency laws, quantum,
+    heterogeneity, churn, staleness) live in
+    :class:`repro.sim.config.SimConfig`; ``executor`` overrides the
+    round-execution strategy :meth:`run_rounds` uses (by default one is
+    built from ``dag_config.parallelism`` via
+    :func:`repro.substrate.make_executor`).
     """
 
     def __init__(
@@ -164,6 +168,7 @@ class EventDrivenTangleLearning:
         *,
         sim_config: SimConfig = SimConfig(),
         seed: int = 0,
+        executor: Executor | None = None,
     ):
         self.dataset = dataset
         self.dag_config = dag_config
@@ -185,9 +190,8 @@ class EventDrivenTangleLearning:
                 )
         self._aggregate = get_aggregator(dag_config.aggregator)
 
-        # Event times draw from the same dedicated stream as the async
-        # simulator; heterogeneity draws from its own "rates" stream so
-        # enabling it cannot shift event times.
+        # Event times draw from a dedicated stream; heterogeneity draws
+        # from its own "rates" stream so enabling it cannot shift them.
         self._time_rng = self._rngs.get("times")
         self._rate: dict[int, float] = {cid: 1.0 for cid in self.clients}
         rate_rng = self._rngs.get("rates")
@@ -289,8 +293,8 @@ class EventDrivenTangleLearning:
 
         self.round_index = 0
         self.round_history: list[RoundRecord] = []
-        self._sampler: np.random.Generator | None = None
-        self._round_executor: Executor | None = None
+        self._sampler = self._rngs.get("round-sampler")
+        self.executor: Executor = executor or make_executor(dag_config.parallelism)
 
     # --------------------------------------------------------------- queries
     @property
@@ -304,10 +308,9 @@ class EventDrivenTangleLearning:
         return sum(1 for event in self.events if event.kind == "train")
 
     def close(self) -> None:
-        """Release round-mode executor resources and any shared-memory
-        segments the round state exported (idempotent)."""
-        if self._round_executor is not None:
-            self._round_executor.close()
+        """Release executor resources (worker processes) and any
+        shared-memory segments the round state exported (idempotent)."""
+        self.executor.close()
         self.tangle.close()
         self.dataset.close_shared()
 
@@ -332,11 +335,55 @@ class EventDrivenTangleLearning:
             for index, values in sorted(buckets.items())
         ]
 
+    # ---------------------------------------------- selectors and consensus
+    def make_selector(
+        self, client: Client, evaluation_counter: Callable[[int], None] | None = None
+    ) -> TipSelector:
+        """Tip selector for ``client`` according to the protocol config.
+
+        Delegates to :func:`repro.substrate.build_selector`, the single
+        place that wires the protocol config to a selector (used both
+        here and inside executor work units).
+        """
+        return build_selector(
+            client, self.tangle, self.dag_config, evaluation_counter
+        )
+
+    def _selection_view(self) -> Tangle | TangleView:
+        """What a round's clients can see.
+
+        Transactions of the current round are never visible (they are
+        published concurrently, at the barrier); a positive
+        ``visibility_delay`` additionally hides the most recent rounds,
+        modelling propagation delay.
+        """
+        delay = self.dag_config.visibility_delay
+        if delay <= 0:
+            return self.tangle
+        return TangleView(self.tangle, self.round_index - 1 - delay)
+
+    def reference_tip(self, client_id: int, *, key: str = "reference") -> str:
+        """The transaction a client currently considers its consensus.
+
+        One extra biased walk over the selection view (not counted in
+        any bookkeeping); used by evaluation code, e.g. the poisoning
+        metrics, which measure "the reference model that the clients
+        selected from the DAG".
+        """
+        selector = self.make_selector(self.clients[client_id])
+        rng = self._rngs.get(key, self.round_index, client_id)
+        return selector.select_tips(self._selection_view(), 1, rng)[0]
+
+    def consensus_accuracy(self, client_id: int) -> float:
+        """Accuracy of the client's current reference model on local test."""
+        tip = self.reference_tip(client_id)
+        return self.clients[client_id].tx_accuracy(self.tangle, tip)
+
     # ------------------------------------------------------------ scheduling
     def _schedule_cycle(self, client_id: int) -> None:
         """Queue the client's next cycle: think delay, then training.
 
-        Draw order (think, then duration) matches the async simulator;
+        Draw order is think, then duration (the parity digests pin it);
         the per-client rate factor scales the duration outside the draw,
         so heterogeneity leaves the stream itself untouched.
         """
@@ -453,15 +500,24 @@ class EventDrivenTangleLearning:
             self._schedule_cycle(event.client_id)
         return record
 
+    def _apply_membership(self, event: _Event) -> SimEvent:
+        """Apply a non-cycle event; the caller appends the record."""
+        if event.kind == "join":
+            return self._apply_join(event)
+        if event.kind == "leave":
+            return self._apply_leave(event)
+        if event.kind == "crash":
+            return self._apply_crash(event)
+        return self._apply_recover(event)
+
     # ------------------------------------------------------------ publishing
     def _reference_weights(self, tips: list[str], at_time: float):
         """Aggregate the selected parent models into the reference.
 
         With staleness disabled this is exactly the configured
-        aggregator (the async simulator's arithmetic).  Otherwise each
-        parent's age at the cycle's *start* — when the client read the
-        tangle — maps through the policy to a normalized weight and the
-        reference is the weighted mean.
+        aggregator.  Otherwise each parent's age at the cycle's *start*
+        — when the client read the tangle — maps through the policy to
+        a normalized weight and the reference is the weighted mean.
         """
         models = [self.tangle.get(t).model_weights for t in tips]
         policy = self.sim_config.staleness
@@ -634,15 +690,15 @@ class EventDrivenTangleLearning:
         return record
 
     def _complete_cycle(self, event: _Event) -> SimEvent:
-        """One training cycle, the async simulator's exact sequence."""
+        """One training cycle: walk over the view frozen at the cycle's
+        start, aggregate, train, gate, publish."""
         if event.client_id in self.sim_config.attackers:
             return self._complete_attack_cycle(event)
         client = self.clients[event.client_id]
         cfg = self.dag_config
         view = self._view_for(event.client_id, event.start_time)
         walk_rng = self._rngs.get("walk", event.cycle_seq)
-        selector = build_selector(client, self.tangle, cfg)
-        tips = selector.select_tips(view, cfg.num_tips, walk_rng)
+        tips = self.make_selector(client).select_tips(view, cfg.num_tips, walk_rng)
 
         reference = client.apply_personalization(
             self._reference_weights(tips, event.start_time)
@@ -687,16 +743,9 @@ class EventDrivenTangleLearning:
             return None
         event = heapq.heappop(self._queue)
         self.now = event.time
-        if event.kind == "join":
-            record = self._apply_join(event)
-        elif event.kind == "leave":
-            record = self._apply_leave(event)
-        elif event.kind == "crash":
-            record = self._apply_crash(event)
-        elif event.kind == "recover":
-            record = self._apply_recover(event)
-        else:
+        if event.kind == "cycle":
             return self._complete_cycle(event)
+        record = self._apply_membership(event)
         self.events.append(record)
         return record
 
@@ -737,17 +786,8 @@ class EventDrivenTangleLearning:
                 break
             event = heapq.heappop(self._queue)
             self.now = event.time
-            if event.kind == "join":
-                ordered.append(self._apply_join(event))
-                continue
-            if event.kind == "leave":
-                ordered.append(self._apply_leave(event))
-                continue
-            if event.kind == "crash":
-                ordered.append(self._apply_crash(event))
-                continue
-            if event.kind == "recover":
-                ordered.append(self._apply_recover(event))
+            if event.kind != "cycle":
+                ordered.append(self._apply_membership(event))
                 continue
             if window_end is None:
                 window_end = event.time + self.sim_config.quantum
@@ -1047,40 +1087,52 @@ class EventDrivenTangleLearning:
             processed.extend(batch)
         return processed
 
-    # ---------------------------------------------------------- round compat
+    # ---------------------------------------------------------------- rounds
     def run_rounds(self, rounds: int, clients_per_round: int = 10) -> list[RoundRecord]:
-        """Drive ``rounds`` discrete rounds through the round substrate.
+        """Run ``rounds`` discrete rounds; returns the records of this call.
 
         The round schedule is the degenerate event schedule whose
         quantum spans a whole round and whose latency is the round
-        barrier, so the engine runs it with the exact machinery of
-        :class:`repro.fl.dag_learning.TangleLearning` —
-        :func:`~repro.substrate.execute_unit` /
-        :func:`~repro.substrate.run_training_plane_round` over a frozen
-        view, ids assigned at the barrier in active-client order.
-        Without churn the produced :class:`RoundRecord` sequence is
-        bit-identical to ``TangleLearning.run`` for the same seed.
+        barrier.  Each round is planned as one work unit per sampled
+        client over the frozen :meth:`_selection_view`, evaluated by
+        the configured executor, and committed at the barrier: state
+        deltas fold back into the canonical clients, then transaction
+        ids are assigned and pending transactions appended in
+        active-client order — so records and tangles are identical
+        regardless of executor.
 
         Each round advances ``now`` by one time unit; publications
         become network-visible at the barrier (no propagation draws, so
-        the ``"times"`` stream is untouched — exactly like the round
-        simulator, which has no such stream at all).  Churn events up
-        to the round's start apply before sampling; queued cycle events
+        the ``"times"`` stream is untouched).  Membership events due by
+        the round's start apply before sampling; queued cycle events
         are not consumed here (the regimes are not meant to interleave
         within one run).
         """
         return [self._run_round(clients_per_round) for _ in range(rounds)]
 
+    def _apply_due_membership(self) -> None:
+        """Apply every non-cycle event due by ``now``, in heap order.
+
+        Rounds never consume cycle events, and the constructor queues
+        one per client, so due joins and leaves sit *behind* cycles and
+        popping cannot reach them.  They are lifted out of the heap
+        instead; the queued cycles — and with them every ``"times"`` /
+        ``"walk"`` draw of an event-mode run — stay exactly as they
+        were.
+        """
+        while True:
+            due = [e for e in self._queue if e.kind != "cycle" and e.time <= self.now]
+            if not due:
+                return
+            event = min(due)
+            self._queue.remove(event)
+            heapq.heapify(self._queue)
+            if not self._stale(event):
+                self.events.append(self._apply_membership(event))
+
     def _run_round(self, clients_per_round: int) -> RoundRecord:
         self.now = float(self.round_index)
-        while (top := self._peek()) is not None and (
-            top.time <= self.now and top.kind != "cycle"
-        ):
-            self._advance_one()
-        if self._sampler is None:
-            self._sampler = self._rngs.get("round-sampler")
-        if self._round_executor is None:
-            self._round_executor = make_executor(self.dag_config.parallelism)
+        self._apply_due_membership()
 
         eligible = sorted(self._active)
         active_ids = sorted(
@@ -1089,12 +1141,6 @@ class EventDrivenTangleLearning:
             ).tolist()
         )
         record = RoundRecord(round_index=self.round_index, active_clients=active_ids)
-        delay = self.dag_config.visibility_delay
-        view = (
-            self.tangle
-            if delay <= 0
-            else TangleView(self.tangle, self.round_index - 1 - delay)
-        )
         attackers = self.sim_config.attackers
         units = [
             ClientWorkUnit(
@@ -1104,13 +1150,16 @@ class EventDrivenTangleLearning:
             )
             for client_id in active_ids
         ]
-        # Shared coordinator half (same call TangleLearning makes):
-        # shared-memory export when the executor fans out, route probe,
-        # dispatch — results are bit-identical on every path.
+        # The substrate's shared coordinator half: exports the tangle
+        # arena and active clients' data to shared memory when the
+        # executor can fan out, probes the route (serial-routed rounds
+        # skip state capture), and dispatches through the training plane
+        # or plain unit mapping — bit-identical results on every path,
+        # so the commit loop below does not care which one ran.
         results = execute_round(
-            self._round_executor,
+            self.executor,
             tangle=self.tangle,
-            view=view,
+            view=self._selection_view(),
             config=self.dag_config,
             rng_factory=self._rngs,
             units=units,
@@ -1130,6 +1179,8 @@ class EventDrivenTangleLearning:
                 record.client_loss[client_id] = result.test_loss
             tx_id = None
             if result.publish:
+                # Results carry one flat vector per model; the tangle
+                # interns it as an arena row on add.
                 tx = Transaction.from_flat(
                     tx_id=self.tangle.next_tx_id(client_id),
                     parents=result.parents,

@@ -2,7 +2,7 @@
 
 :class:`FaultModel` declares the systems-level failures a scenario
 injects under :class:`~repro.sim.engine.EventDrivenTangleLearning` — the
-messy network the Middleware setting assumes and the round simulators
+messy network the Middleware setting assumes and a round schedule
 cannot express:
 
 - **per-link message faults** — every publication is delivered per

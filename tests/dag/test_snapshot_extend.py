@@ -18,7 +18,7 @@ import pytest
 from repro.dag import walk_engine
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.dag.view import TangleView
+from repro.dag.view import TangleView, TimedTangleView
 from repro.dag.walk_engine import (
     TangleSnapshot,
     batched_walk_starts,
@@ -26,7 +26,6 @@ from repro.dag.walk_engine import (
     lockstep_walks,
     snapshot_for,
 )
-from repro.fl.async_learning import TimedTangleView
 
 
 def weights():

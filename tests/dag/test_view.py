@@ -5,7 +5,7 @@ import pytest
 
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.dag.view import TangleView
+from repro.dag.view import TangleView, TimedTangleView
 
 
 def w():
@@ -113,8 +113,6 @@ def test_one_pass_tips_equal_naive_on_random_dags(rng):
 def test_one_pass_tips_equal_naive_on_timed_views(rng):
     """Same pin for the async simulator's delay-bounded view, with and
     without an observer exemption."""
-    from repro.fl.async_learning import TimedTangleView
-
     dag_rng = np.random.default_rng(7)
     tangle = Tangle(w())
     ids = [GENESIS_ID]

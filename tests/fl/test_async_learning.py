@@ -1,15 +1,30 @@
-"""Asynchronous event-driven simulator."""
+"""The paper's asynchronous deployment model: the event engine, one cycle
+at a time, under :meth:`SimConfig.async_compat`."""
+
+import heapq
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.fl import AsyncTangleLearning, DagConfig, TrainingConfig
-from repro.fl.async_learning import TimedTangleView
+from repro.dag.view import TimedTangleView
+from repro.fl import DagConfig
+from repro.sim import EventDrivenTangleLearning, SimConfig
+from repro.sim.engine import _RANK, _Event
+
+
+def make_sim(
+    dataset, builder, train_config, dag_config=DagConfig(), *, seed=0, **latency
+):
+    return EventDrivenTangleLearning(
+        dataset, builder, train_config, dag_config,
+        sim_config=SimConfig.async_compat(**latency), seed=seed,
+    )
 
 
 @pytest.fixture
 def async_sim(tiny_fmnist, mlp_builder, fast_train_config):
-    return AsyncTangleLearning(
+    return make_sim(
         tiny_fmnist, mlp_builder, fast_train_config,
         DagConfig(alpha=10.0, depth_range=(2, 5)),
         seed=0,
@@ -51,7 +66,7 @@ def test_propagation_delay_hides_fresh_transactions(
     client's transactions: every approved parent is either genesis or an
     earlier transaction of the *same* issuer (a client's own
     publications are local state, exempt from network delay)."""
-    sim = AsyncTangleLearning(
+    sim = make_sim(
         tiny_fmnist, mlp_builder, fast_train_config,
         DagConfig(alpha=10.0, depth_range=(2, 5)),
         seed=0,
@@ -76,7 +91,7 @@ def test_issuer_sees_own_transactions_immediately(
     With an effectively infinite delay, clients that publish repeatedly
     therefore chain onto their own transactions instead of re-approving
     genesis forever."""
-    sim = AsyncTangleLearning(
+    sim = make_sim(
         tiny_fmnist, mlp_builder, fast_train_config,
         DagConfig(alpha=10.0, depth_range=(2, 5), publish_gate=False),
         seed=0,
@@ -156,7 +171,7 @@ def test_async_published_transactions_are_arena_bound(async_sim):
 
 
 def test_zero_delay_allows_chaining(tiny_fmnist, mlp_builder, fast_train_config):
-    sim = AsyncTangleLearning(
+    sim = make_sim(
         tiny_fmnist, mlp_builder, fast_train_config,
         DagConfig(alpha=10.0, depth_range=(2, 5)),
         seed=0,
@@ -194,7 +209,7 @@ def test_learning_progresses_asynchronously(async_sim):
 
 def test_deterministic_under_seed(tiny_fmnist, mlp_builder, fast_train_config):
     def run():
-        sim = AsyncTangleLearning(
+        sim = make_sim(
             tiny_fmnist, mlp_builder, fast_train_config,
             DagConfig(alpha=10.0, depth_range=(2, 5)), seed=42,
         )
@@ -206,11 +221,11 @@ def test_deterministic_under_seed(tiny_fmnist, mlp_builder, fast_train_config):
 
 def test_parameter_validation(tiny_fmnist, mlp_builder, fast_train_config):
     with pytest.raises(ValueError):
-        AsyncTangleLearning(
+        make_sim(
             tiny_fmnist, mlp_builder, fast_train_config, seed=0, mean_think_time=0.0
         )
     with pytest.raises(ValueError):
-        AsyncTangleLearning(
+        make_sim(
             tiny_fmnist, mlp_builder, fast_train_config, seed=0,
             mean_propagation_delay=-1.0,
         )
@@ -234,35 +249,28 @@ def test_timed_view_visibility(rng):
         early.get("a")
 
 
+def cycle_event(finish, client_id, seq, start):
+    return _Event(finish, _RANK["cycle"], client_id, seq, "cycle", start_time=start)
+
+
 def test_scheduled_cycle_ties_break_by_client_id_not_push_order():
-    """Regression: ties at equal finish_time must pop by client id.
-
-    The queue used to fall through to the seq field on a timestamp
-    collision, so pop order depended on the incidental push order —
-    here client 7 (pushed first, seq 0) would beat client 2.
-    """
-    import heapq
-
-    from repro.fl.async_learning import _ScheduledCycle
-
+    """Ties at equal finish time must pop by client id: the client id
+    outranks the push sequence, so pop order never depends on the
+    incidental push order — here client 7 (pushed first, seq 0) must
+    not beat client 2."""
     queue = []
-    heapq.heappush(queue, _ScheduledCycle(5.0, 7, 0, 4.0))
-    heapq.heappush(queue, _ScheduledCycle(5.0, 2, 1, 4.5))
+    heapq.heappush(queue, cycle_event(5.0, 7, 0, 4.0))
+    heapq.heappush(queue, cycle_event(5.0, 2, 1, 4.5))
     assert heapq.heappop(queue).client_id == 2
     assert heapq.heappop(queue).client_id == 7
 
 
 def test_scheduled_cycle_order_invariant_to_insertion_order():
-    import heapq
-    import itertools
-
-    from repro.fl.async_learning import _ScheduledCycle
-
     cycles = [
-        _ScheduledCycle(2.0, 3, 0, 1.0),
-        _ScheduledCycle(2.0, 1, 1, 1.5),
-        _ScheduledCycle(1.0, 5, 2, 0.5),
-        _ScheduledCycle(2.0, 4, 3, 1.2),
+        cycle_event(2.0, 3, 0, 1.0),
+        cycle_event(2.0, 1, 1, 1.5),
+        cycle_event(1.0, 5, 2, 0.5),
+        cycle_event(2.0, 4, 3, 1.2),
     ]
     expected = None
     for permutation in itertools.permutations(cycles):

@@ -26,6 +26,7 @@ from repro.dag.tip_selection import (
     normalize_standard,
 )
 from repro.dag.transaction import GENESIS_ID, Transaction
+from repro.dag.view import TimedTangleView
 from repro.dag.walk_engine import (
     batched_walk_starts,
     clear_snapshot_cache,
@@ -33,7 +34,6 @@ from repro.dag.walk_engine import (
     padded_normalize,
     snapshot_for,
 )
-from repro.fl.async_learning import TimedTangleView
 
 
 def weights():

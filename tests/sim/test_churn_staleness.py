@@ -98,6 +98,33 @@ def test_join_of_active_client_is_idempotent(
     assert times == [2.0]
 
 
+def test_round_mode_applies_due_churn(
+    sim_dataset, logistic_builder, sim_train_config, sim_dag_config
+):
+    """Rounds never consume the cycle events the constructor queues, so
+    a membership change scheduled after the first cycle's finish time
+    used to sit behind them forever.  Leaves due by a round's start
+    apply before that round samples, and a rejoin brings a client
+    back."""
+    churn = [ChurnEvent(2.0, "leave", c) for c in range(4)]
+    churn.append(ChurnEvent(4.0, "join", 0))
+    engine = make_engine(
+        sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
+        SimConfig(churn=churn),
+    )
+    try:
+        records = engine.run_rounds(6, clients_per_round=8)
+    finally:
+        engine.close()
+    everyone = sorted(engine.clients)
+    assert [r.active_clients for r in records[:2]] == [everyone, everyone]
+    assert [r.active_clients for r in records[2:4]] == [[4, 5, 6, 7]] * 2
+    assert [r.active_clients for r in records[4:]] == [[0, 4, 5, 6, 7]] * 2
+    assert engine.active_clients == {0, 4, 5, 6, 7}
+    membership = [(e.time, e.kind, e.client_id) for e in engine.events if e.kind != "train"]
+    assert membership == [(2.0, "leave", c) for c in range(4)] + [(4.0, "join", 0)]
+
+
 def test_random_churn_schedule_shape():
     rng = np.random.default_rng(17)
     schedule = random_churn(

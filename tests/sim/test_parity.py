@@ -1,23 +1,41 @@
-"""Parity: the event engine reproduces both fixed-schedule simulators.
+"""Parity: the event engine reproduces the retired fixed-schedule simulators.
 
-These tests pin the engine's degenerate configurations **bit for bit**:
+The engine is the repo's only cycle/round implementation; the two
+simulators it replaced stay the reference **as data**.  The digests
+below were recorded from ``AsyncTangleLearning`` / ``TangleLearning``
+themselves at the last commit that shipped them (the generating snippet
+and its output are quoted in CHANGES.md, PR 13):
 
 - sequential mode (``quantum = 0``) under :meth:`SimConfig.async_compat`
-  against :class:`AsyncTangleLearning` — same publish trace, same
-  transaction ids, same accuracies;
-- round mode (:meth:`run_rounds`) against :class:`TangleLearning` —
-  identical round records (modulo wall-clock walk timings) and tangles,
-  across the training-plane and walk-engine variants.
+  — same publish trace, same transaction ids, same accuracies;
+- round mode (:meth:`run_rounds`) — identical round records (modulo
+  wall-clock walk timings) and tangles, across the training-plane and
+  walk-engine variants.
 
 Everything the engine adds (latency models, churn, staleness, quantum
 batching) must therefore be strictly additive: inert knobs cannot shift
 a single rng draw.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from repro.fl import AsyncTangleLearning, DagConfig, TangleLearning
+from repro.fl import DagConfig
 from repro.sim import EventDrivenTangleLearning, LatencyModel, SimConfig
+
+#: sha256 over ``json.dumps([trace_or_records, tangle_ids])`` as produced
+#: by the legacy simulators (seeds and drives as in the tests below).
+LEGACY_DIGESTS = {
+    "cycles": "4b2a0c5d30d25420282cb1e35a8959e7885476c0a781f2dfb6df8e60d551711e",
+    "custom-latency": "3c5f9cb500abed0d4a9ee401b73cb38a506267136a828c439b9e96175cbfe240",
+    "zero-propagation": "a1fb59c79a8f293b0bee9b2a6edb2fcebbe5382e70bc2e8f69aa74867af2d411",
+    "accuracy": "206c5f0e385981fc82ab1b08148a0134be38545eb15dbac9c2247e368191ee12",
+    "training-plane": "206c5f0e385981fc82ab1b08148a0134be38545eb15dbac9c2247e368191ee12",
+    "weighted-engine": "9f0636ec9d240861c2381743f9ad8a99fa19fbf226c37dd38f7be4b25d059203",
+    "attacker": "46b25e554e6d9521382f8c89e94722ea48c280a65a883cb7fabfbfe0b9c14308",
+}
 
 
 def publish_trace(events):
@@ -44,15 +62,18 @@ def record_key(record):
     )
 
 
+def digest(*parts):
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("training_plane", [False, True])
 def test_sequential_mode_matches_async_simulator(
     sim_dataset, logistic_builder, sim_train_config, training_plane
 ):
+    """The training plane is bit-identical, so both variants hit the
+    one digest the legacy simulator produced for either."""
     dag_config = DagConfig(
         alpha=5.0, depth_range=(2, 5), training_plane=training_plane
-    )
-    reference = AsyncTangleLearning(
-        sim_dataset, logistic_builder, sim_train_config, dag_config, seed=11
     )
     engine = EventDrivenTangleLearning(
         sim_dataset,
@@ -62,21 +83,14 @@ def test_sequential_mode_matches_async_simulator(
         sim_config=SimConfig.async_compat(),
         seed=11,
     )
-    assert publish_trace(reference.run_cycles(25)) == publish_trace(
-        engine.run_cycles(25)
-    )
-    assert tangle_ids(reference.tangle) == tangle_ids(engine.tangle)
+    trace = publish_trace(engine.run_cycles(25))
+    assert digest(trace, tangle_ids(engine.tangle)) == LEGACY_DIGESTS["cycles"]
 
 
 def test_sequential_parity_with_custom_latency_means(
     sim_dataset, logistic_builder, sim_train_config, sim_dag_config
 ):
-    """Non-default means flow through identically on both sides."""
-    reference = AsyncTangleLearning(
-        sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
-        seed=4, mean_think_time=0.5, mean_train_time=2.0,
-        train_time_sigma=0.5, mean_propagation_delay=0.3,
-    )
+    """Non-default means flow through to the same draws."""
     engine = EventDrivenTangleLearning(
         sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
         sim_config=SimConfig.async_compat(
@@ -85,61 +99,55 @@ def test_sequential_parity_with_custom_latency_means(
         ),
         seed=4,
     )
-    assert publish_trace(reference.run_until(12.0)) == publish_trace(
-        engine.run_until(12.0)
+    trace = publish_trace(engine.run_until(12.0))
+    assert (
+        digest(trace, tangle_ids(engine.tangle)) == LEGACY_DIGESTS["custom-latency"]
     )
-    assert reference.now == engine.now
+    assert engine.now == 12.0
 
 
 def test_sequential_parity_with_zero_propagation_delay(
     sim_dataset, logistic_builder, sim_train_config, sim_dag_config
 ):
-    """The zero-delay case skips the propagation draw on both sides —
-    a stream-alignment trap the LatencyModel must reproduce."""
-    reference = AsyncTangleLearning(
-        sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
-        seed=8, mean_propagation_delay=0.0,
-    )
+    """The zero-delay case skips the propagation draw — a
+    stream-alignment trap the LatencyModel must reproduce."""
     engine = EventDrivenTangleLearning(
         sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
         sim_config=SimConfig.async_compat(mean_propagation_delay=0.0),
         seed=8,
     )
-    assert publish_trace(reference.run_cycles(20)) == publish_trace(
-        engine.run_cycles(20)
+    trace = publish_trace(engine.run_cycles(20))
+    assert (
+        digest(trace, tangle_ids(engine.tangle)) == LEGACY_DIGESTS["zero-propagation"]
     )
 
 
-@pytest.mark.parametrize(
-    "dag_config",
-    [
-        DagConfig(alpha=5.0, depth_range=(2, 5)),
-        DagConfig(alpha=5.0, depth_range=(2, 5), training_plane=True),
-        DagConfig(selector="weighted", depth_range=(2, 5), walk_engine=True),
-    ],
-    ids=["accuracy", "training-plane", "weighted-engine"],
-)
+ROUND_SCENARIOS = {
+    "accuracy": DagConfig(alpha=5.0, depth_range=(2, 5)),
+    "training-plane": DagConfig(alpha=5.0, depth_range=(2, 5), training_plane=True),
+    "weighted-engine": DagConfig(
+        selector="weighted", depth_range=(2, 5), walk_engine=True
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", list(ROUND_SCENARIOS))
 def test_round_mode_matches_round_simulator(
-    sim_dataset, logistic_builder, sim_train_config, dag_config
+    sim_dataset, logistic_builder, sim_train_config, scenario
 ):
-    reference = TangleLearning(
-        sim_dataset, logistic_builder, sim_train_config, dag_config,
-        clients_per_round=5, seed=7,
-    )
     engine = EventDrivenTangleLearning(
-        sim_dataset, logistic_builder, sim_train_config, dag_config, seed=7
+        sim_dataset, logistic_builder, sim_train_config, ROUND_SCENARIOS[scenario],
+        seed=7,
     )
     try:
-        reference_records = reference.run(4)
-        engine_records = engine.run_rounds(4, clients_per_round=5)
+        records = engine.run_rounds(4, clients_per_round=5)
     finally:
-        reference.close()
         engine.close()
-    assert [record_key(r) for r in reference_records] == [
-        record_key(r) for r in engine_records
-    ]
-    assert tangle_ids(reference.tangle) == tangle_ids(engine.tangle)
-    assert engine.round_history == engine_records
+    assert (
+        digest([record_key(r) for r in records], tangle_ids(engine.tangle))
+        == LEGACY_DIGESTS[scenario]
+    )
+    assert engine.round_history == records
 
 
 def test_round_mode_events_mirror_records(

@@ -242,18 +242,19 @@ def test_training_plane_mixed_model_instances_group_per_model(
 
 
 def test_training_plane_async_cycles_identical(tiny_fmnist, mlp_builder):
-    from repro.fl.async_learning import AsyncTangleLearning
+    from repro.sim import EventDrivenTangleLearning, SimConfig
 
     config = TrainingConfig(
         local_epochs=1, local_batches=3, batch_size=8, learning_rate=0.1
     )
 
     def run(plane):
-        sim = AsyncTangleLearning(
+        sim = EventDrivenTangleLearning(
             tiny_fmnist,
             mlp_builder,
             config,
             DagConfig(alpha=10.0, depth_range=(2, 5), training_plane=plane),
+            sim_config=SimConfig.async_compat(),
             seed=3,
         )
         sim.run_cycles(12)

@@ -1,0 +1,49 @@
+"""The package import graph: ``repro.fl.dag_learning`` subclasses the
+event engine while the engine imports ``repro.fl`` submodules (a
+package-level cycle that must stay a module-level DAG), and
+``repro.dag`` sits below both."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Bypasses ``repro/__init__`` (which imports every subpackage in a fixed
+# order) so the statement under test really is the first import.
+BARE_PACKAGE = (
+    "import sys, types\n"
+    "pkg = types.ModuleType('repro')\n"
+    f"pkg.__path__ = [{str(SRC / 'repro')!r}]\n"
+    "sys.modules['repro'] = pkg\n"
+)
+NO_UPWARD_IMPORTS = (
+    "import repro.dag\n"
+    "leaked = [m for m in sys.modules if m.startswith(('repro.fl', 'repro.sim'))]\n"
+    "assert not leaked, leaked\n"
+)
+
+
+def run(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+
+
+def test_every_entry_point_imports_first_and_dag_stays_below():
+    first_imports = [
+        "import repro.sim",
+        "import repro.fl",
+        "import repro.dag.walk_engine",
+        "from repro.fl.async_learning import TimedTangleView",
+    ]
+    scripts = first_imports + [
+        BARE_PACKAGE + "import repro.sim\nimport repro.fl",
+        BARE_PACKAGE + "import repro.fl\nimport repro.sim",
+        BARE_PACKAGE + NO_UPWARD_IMPORTS,
+    ]
+    for script in scripts:
+        result = run(script)
+        assert result.returncode == 0, f"{script}\n{result.stderr}"
