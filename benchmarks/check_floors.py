@@ -9,19 +9,10 @@ run, but this guard is the belt to those braces: it re-checks the
 stopped asserting (or a file produced by a stale run) cannot slip a
 regression through.
 
-Recognized floor conventions (matching the emitters):
-
-- ``{"speedup": s, "floor": f}`` in one object
-  (``BENCH_walk.json``, ``BENCH_walk_engine.json``, ``BENCH_training.json``,
-  ``BENCH_weights.json`` round_loop, ``BENCH_substrate.json`` large
-  workload — the shared-memory substrate's parallel-beats-serial floor,
-  emitted only on multi-core runners where the win is physically
-  possible);
-- ``{"floor_<name>": f, "<name>": {"speedup": s}}`` — a floor naming a
-  sibling sub-object (``BENCH_weights.json`` aggregation);
-- ``{"<stem>_floor": f, "...<stem>_speedup": s}`` — a suffixed floor
-  naming a sibling metric (``BENCH_walk_engine.json`` end-to-end
-  throughput).
+The one floor convention every emitter follows: ``{"speedup": s,
+"floor": f}`` in one object (e.g. ``BENCH_substrate.json``'s large
+workload — the parallel-beats-serial floor, emitted only on multi-core
+runners where the win is physically possible).
 
 A floor with no matching speedup is itself a failure: it means the file
 format drifted and the guard would otherwise silently check nothing.
@@ -48,25 +39,9 @@ def iter_checks(node, path):
         for key, value in node.items():
             if isinstance(value, (dict, list)):
                 yield from iter_checks(value, f"{path}.{key}")
-        for key, floor in node.items():
-            if not isinstance(floor, NUMBER) or isinstance(floor, bool):
-                continue
-            if key == "floor":
-                speedup = node.get("speedup")
-                yield f"{path}.speedup", speedup, floor
-            elif key.startswith("floor_"):
-                sub = node.get(key[len("floor_") :])
-                speedup = sub.get("speedup") if isinstance(sub, dict) else None
-                yield f"{path}.{key[len('floor_'):]}.speedup", speedup, floor
-            elif key.endswith("_floor"):
-                stem = key[: -len("_floor")]
-                matches = [
-                    k
-                    for k in node
-                    if k != key and stem in k and k.endswith("speedup")
-                ]
-                speedup = node[matches[0]] if len(matches) == 1 else None
-                yield f"{path}.{stem}_speedup", speedup, floor
+        floor = node.get("floor")
+        if isinstance(floor, NUMBER) and not isinstance(floor, bool):
+            yield f"{path}.speedup", node.get("speedup"), floor
     elif isinstance(node, list):
         for index, value in enumerate(node):
             yield from iter_checks(value, f"{path}[{index}]")

@@ -8,10 +8,17 @@ qualitative shape the paper reports.  Set ``REPRO_SCALE=default`` or
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
-import pytest
+# One BLAS thread per process, set before numpy first loads: a pool of
+# fork workers that each start a full BLAS thread pool oversubscribes
+# the cores and the serial-vs-parallel floors measure the scheduler.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
+import pytest  # noqa: E402
 
 # Benchmark modules share helpers via ``benchmarks_shared``; under
 # --import-mode=importlib (the repo default) test directories are not put

@@ -74,7 +74,7 @@ def _build_engine(num_clients, *, quantum, horizon, churned=False, seed=0):
         TrainingConfig(
             local_epochs=1, local_batches=4, batch_size=10, learning_rate=0.05
         ),
-        DagConfig(selector="weighted", depth_range=(2, 5), training_plane=True),
+        DagConfig(selector="weighted", depth_range=(2, 5)),
         sim_config=SimConfig(
             quantum=quantum,
             straggler_fraction=0.1 if churned else 0.0,

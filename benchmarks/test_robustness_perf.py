@@ -56,7 +56,7 @@ def _build_engine(sim_config, *, num_clients=50, seed=0):
         TrainingConfig(
             local_epochs=1, local_batches=4, batch_size=10, learning_rate=0.05
         ),
-        DagConfig(alpha=5.0, depth_range=(2, 5), training_plane=True),
+        DagConfig(alpha=5.0, depth_range=(2, 5)),
         sim_config=sim_config,
         seed=seed,
     )

@@ -18,7 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.dag.random_walk import random_walk, sample_walk_start
+from repro.dag.random_walk import (
+    random_walk,
+    sample_walk_start,
+    sequential_select_tips,
+)
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import AccuracyTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
@@ -57,8 +61,9 @@ def test_lstm_forward_evaluation(benchmark):
 
 
 def test_biased_random_walk(benchmark):
-    """A full accuracy-biased walk over a 200-transaction tangle with a
-    cached (dict-lookup) accuracy function — isolates walk overhead."""
+    """A full accuracy-biased walk (the sequential reference walker)
+    over a 200-transaction tangle with a cached (dict-lookup) accuracy
+    function — isolates walk overhead."""
     rng = np.random.default_rng(4)
     tangle = Tangle([np.zeros(1)])
     ids = [GENESIS_ID]
@@ -75,7 +80,7 @@ def test_biased_random_walk(benchmark):
     selector = AccuracyTipSelector(accuracies.__getitem__, alpha=10.0)
 
     def walk():
-        return selector.select_tips(tangle, 2, rng)
+        return sequential_select_tips(selector, tangle, 2, rng)
 
     tips = benchmark(walk)
     assert len(tips) == 2
@@ -236,11 +241,17 @@ def test_round_throughput_serial_vs_parallel_emits_json():
         histories = {}
         infos = {}
         for parallelism in (1, 2, "auto"):
-            times[parallelism], histories[parallelism], infos[parallelism] = (
-                _run_workload(
-                    dataset, builder, train_config,
-                    rounds=rounds, clients_per_round=6, parallelism=parallelism,
-                )
+            # Best of two, like every other floored timing here: one
+            # noisy-neighbour stall must not decide a floor.
+            times[parallelism], histories[parallelism], infos[parallelism] = min(
+                (
+                    _run_workload(
+                        dataset, builder, train_config,
+                        rounds=rounds, clients_per_round=6, parallelism=parallelism,
+                    )
+                    for _ in range(2)
+                ),
+                key=lambda run: run[0],
             )
         # equivalence at bench scale, across all three routings
         for other in (2, "auto"):

@@ -94,7 +94,6 @@ def _selector(cache):
         batch_accuracy_fn=batch_scores,
         alpha=5.0,
         depth_range=(15, 25),
-        engine=True,
         score_cache_fn=lambda: cache,
         cache_epoch_fn=lambda: 0,
     )

@@ -24,9 +24,11 @@ Enforced floors, recorded to ``BENCH_training.json`` for CI:
   end-to-end number (``benchmarks/e2e``, ``rounds_cnn``).
 
 Also recorded (no floor): the same comparison at the round level — full
-``TangleLearning`` rounds with ``training_plane`` on vs off, asserted
-bit-identical down to post-round tangle weights (the acceptance oracle),
-with walks/evaluations diluting the measured win honestly.
+``TangleLearning`` rounds on each route of ``execute_round`` (in-process
+rounds train in lockstep; an executor that does not advertise being
+in-process gets whole per-client units), asserted bit-identical down to
+post-round tangle weights (the acceptance oracle), with
+walks/evaluations diluting the measured win honestly.
 
 Timings are best-of-N so a noisy-neighbor stall on a shared CI runner
 cannot flake the comparison.
@@ -44,6 +46,7 @@ from repro.fl import DagConfig, TangleLearning, TrainingConfig
 from repro.nn import SGD, zoo
 from repro.nn.model import plan_local_batches
 from repro.nn.training_plane import LockstepTrainer, TrainJob
+from repro.substrate import SerialExecutor
 
 TRAINING_FLOOR = 2.0
 CONV_TRAINING_FLOOR = 1.0
@@ -142,11 +145,18 @@ def test_lockstep_training_speedup_and_equivalence():
     )
 
 
+class _PerClientUnits(SerialExecutor):
+    """In-process, but not advertised: ``execute_round`` routes such an
+    executor whole ``execute_unit``s — the per-client training loop."""
+
+    shares_memory = False
+
+
 def test_round_level_training_plane_recorded():
-    """Full rounds with ``training_plane`` on vs off: walks and
-    evaluations dilute the training win, so no floor — but post-round
-    weights must be bit-identical (the acceptance oracle), which is
-    asserted over every transaction of both tangles."""
+    """Full rounds on the lockstep route vs the per-client route: walks
+    and evaluations dilute the training win, so no floor — but
+    post-round weights must be bit-identical (the acceptance oracle),
+    which is asserted over every transaction of both tangles."""
     data = make_fmnist_clustered(
         num_clients=10,
         samples_per_client=100,
@@ -167,9 +177,10 @@ def test_round_level_training_plane_recorded():
             data,
             builder,
             config,
-            DagConfig(alpha=10.0, depth_range=(2, 5), training_plane=plane),
+            DagConfig(alpha=10.0, depth_range=(2, 5)),
             clients_per_round=10,
             seed=0,
+            executor=None if plane else _PerClientUnits(),
         )
         try:
             sim.run(rounds)

@@ -79,12 +79,12 @@ def test_vectorized_aggregation_speedup_on_32_model_merge():
             "speedup": legacy_time / flat_time,
         }
 
+    report["mean"]["floor"] = AGGREGATION_FLOOR
     _RESULTS["aggregation"] = {
         "workload": f"{k}-model merge, fmnist-cnn-small ({spec.total} params, "
         f"{len(spec)} arrays)",
         "models": k,
         "parameters": spec.total,
-        "floor_mean": AGGREGATION_FLOOR,
         **report,
     }
     speedup = report["mean"]["speedup"]

@@ -4,6 +4,9 @@ A walk starts at a transaction sampled some depth behind the tips (the
 paper follows Popov and samples at depth 15-25) and repeatedly moves to
 one of the current transaction's approvers until it reaches a tip.  The
 transition rule is supplied by the tip selector.
+
+No configuration selects this walker: it is the reference the lockstep
+engine (:mod:`repro.dag.walk_engine`) is tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID
 
-__all__ = ["sample_walk_start", "random_walk"]
+__all__ = ["sample_walk_start", "random_walk", "sequential_select_tips"]
 
 Transition = Callable[[str, list[str], np.random.Generator], str]
 
@@ -74,3 +77,24 @@ def random_walk(
         if step_callback is not None:
             step_callback(current, approvers)
         current = transition(current, approvers, rng)
+
+
+def sequential_select_tips(
+    selector, tangle: Tangle, count: int, rng: np.random.Generator
+) -> list[str]:
+    """``selector.select_tips(tangle, count, rng)`` as the sequential
+    reference computes it: one walk per tip from a ``depth_range``
+    start, ``selector.transition`` at every step."""
+
+    def step(_node: str, approvers: list[str], step_rng: np.random.Generator) -> str:
+        return selector.transition(tangle, approvers, step_rng)
+
+    return [
+        random_walk(
+            tangle,
+            sample_walk_start(tangle, rng, depth_range=selector.depth_range),
+            step,
+            rng,
+        )
+        for _ in range(count)
+    ]

@@ -10,6 +10,12 @@ Three selectors are provided:
   biased by each candidate model's accuracy *on the selecting client's
   local test data* (Algorithm 1), with either the standard (Eq. 1-2) or
   the dynamic-spread (Eq. 3) normalization.
+
+Both walking selectors run on the lockstep engine
+(:mod:`repro.dag.walk_engine`): ``select_tips(view, ...)`` is
+``select_on_snapshot(snapshot_for(view), ...)``.  ``transition`` keeps
+each one's single-step law, which the test reference
+:func:`repro.dag.random_walk.sequential_select_tips` applies per step.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from repro.dag.random_walk import random_walk, sample_walk_start
+from repro.dag import walk_engine
 from repro.dag.tangle import Tangle
 
 __all__ = [
@@ -96,11 +102,12 @@ class TipSelector(Protocol):
 class RandomTipSelector:
     """Uniform choice among the current tips (no walk)."""
 
-    def select_tips(
-        self, tangle: Tangle, count: int, rng: np.random.Generator
+    @staticmethod
+    def select_among(
+        tips: list[str], count: int, rng: np.random.Generator
     ) -> list[str]:
-        """``count`` tips drawn uniformly (distinct while supply lasts)."""
-        tips = tangle.tips()
+        """``count`` of ``tips`` drawn uniformly (distinct while supply
+        lasts) — the draw itself, for callers holding a frozen tip list."""
         distinct = min(count, len(tips))
         chosen = list(rng.choice(len(tips), size=distinct, replace=False))
         selected = [tips[i] for i in chosen]
@@ -108,43 +115,43 @@ class RandomTipSelector:
             selected.append(tips[int(rng.integers(0, len(tips)))])
         return selected
 
+    def select_tips(
+        self, tangle: Tangle, count: int, rng: np.random.Generator
+    ) -> list[str]:
+        """``count`` tips drawn uniformly (distinct while supply lasts)."""
+        return self.select_among(tangle.tips(), count, rng)
+
 
 class WeightedTipSelector:
     """Classic cumulative-weight-biased walk (traditional tangle).
 
     Transition weights are ``exp(alpha * (w - max(w)))`` over the
     approvers' cumulative weights, the Markov-chain Monte Carlo rule of
-    Popov's tangle.  Weight queries hit the tangle's incremental index —
-    fetched for a whole step's approvers in **one** batched
-    ``cumulative_weights`` query where the store provides it — so a walk
-    is linear in its length rather than quadratic in tangle size.
-
-    ``engine=True`` runs all ``count`` walks in lockstep over a CSR
-    snapshot of the visible tangle (:mod:`repro.dag.walk_engine`), with
-    cumulative weights read from the snapshot's vectorized array —
-    distribution-identical to the sequential walk, deterministic for a
-    fixed seed, but consuming the generator in different blocks.
+    Popov's tangle.  All ``count`` walks advance in lockstep over a CSR
+    snapshot of the visible tangle, with cumulative weights read from
+    the snapshot's vectorized array.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        *,
-        depth_range: tuple[int, int] = (15, 25),
-        engine: bool = False,
-    ):
+    def __init__(self, alpha: float = 0.5, *, depth_range: tuple[int, int] = (15, 25)):
         if alpha < 0:
             raise ValueError("alpha must be >= 0")
         self.alpha = alpha
         self.depth_range = depth_range
-        self.engine = engine
 
-    def _select_tips_engine(
-        self, tangle: Tangle, count: int, rng: np.random.Generator
+    def transition(self, tangle: Tangle, approvers: list[str], rng: np.random.Generator) -> str:
+        """One sequential walk step (the reference single-step law)."""
+        weights = np.asarray(tangle.cumulative_weights(approvers), dtype=np.float64)
+        probs = np.exp(self.alpha * (weights - weights.max()))
+        probs /= probs.sum()
+        return approvers[int(rng.choice(len(approvers), p=probs))]
+
+    def select_on_snapshot(
+        self,
+        snapshot: walk_engine.TangleSnapshot,
+        count: int,
+        rng: np.random.Generator,
     ) -> list[str]:
-        from repro.dag import walk_engine
-
-        snapshot = walk_engine.snapshot_for(tangle)
+        """``count`` lockstep walks over ``snapshot``."""
         # The snapshot's weight array *is* a complete score table: pass
         # it as the memo so the scoring round-trip never runs.
         weights = snapshot.cumulative_weights_float()
@@ -165,31 +172,8 @@ class WeightedTipSelector:
     def select_tips(
         self, tangle: Tangle, count: int, rng: np.random.Generator
     ) -> list[str]:
-        """``count`` tips via weight-biased walks (lockstep when
-        ``engine`` is set, else one sequential walk per tip)."""
-        if self.engine:
-            return self._select_tips_engine(tangle, count, rng)
-        batch_weights = getattr(tangle, "cumulative_weights", None)
-
-        def transition(
-            _node: str, approvers: list[str], step_rng: np.random.Generator
-        ) -> str:
-            if batch_weights is not None:
-                weights = np.asarray(batch_weights(approvers), dtype=np.float64)
-            else:  # stores without the batched query (e.g. bare mappings)
-                weights = np.array(
-                    [tangle.cumulative_weight(a) for a in approvers],
-                    dtype=np.float64,
-                )
-            probs = np.exp(self.alpha * (weights - weights.max()))
-            probs /= probs.sum()
-            return approvers[int(step_rng.choice(len(approvers), p=probs))]
-
-        selected = []
-        for _ in range(count):
-            start = sample_walk_start(tangle, rng, depth_range=self.depth_range)
-            selected.append(random_walk(tangle, start, transition, rng))
-        return selected
+        """``count`` tips via weight-biased walks."""
+        return self.select_on_snapshot(walk_engine.snapshot_for(tangle), count, rng)
 
 
 class AccuracyTipSelector:
@@ -204,30 +188,25 @@ class AccuracyTipSelector:
       never changes, and an uncached function turns every walk step into
       a full model evaluation.
     - ``batch_accuracy_fn``, when given, is preferred over
-      ``accuracy_fn``: it receives all uncached-or-cached candidate ids
-      of a walk step at once and returns their accuracies as one array
+      ``accuracy_fn``: it receives all not-yet-scored candidate ids of a
+      superstep at once and returns their accuracies as one array
       (:meth:`repro.fl.client.Client.tx_accuracies`).  Beyond collapsing
       the per-candidate call overhead, this is the entry point of the
-      **fused evaluation plane**: the step's uncached candidates are
-      evaluated in one vectorized forward pass over a ``(k, P)`` stack
-      of their arena rows (:meth:`repro.nn.model.Classifier.accuracy_many`),
-      falling back per model for architectures without fused kernels.
-    - ``evaluation_counter`` (optional) is called once per walk step with
-      the number of candidates considered — the scalability experiment
-      (Figure 15) uses it to account walk cost independently of caching.
-      The lockstep engine preserves this accounting exactly: one call
-      per particle per superstep with that particle's candidate count.
+      **fused evaluation plane**: the candidates are evaluated in one
+      vectorized forward pass over a ``(k, P)`` stack of their arena rows
+      (:meth:`repro.nn.model.Classifier.accuracy_many`), falling back
+      per model for architectures without fused kernels.
+    - ``evaluation_counter`` (optional) is called once per particle per
+      superstep with that particle's candidate count — the scalability
+      experiment (Figure 15) uses it to account walk cost independently
+      of caching and batching.
 
-    ``engine=True`` switches :meth:`select_tips` to the lockstep
-    multi-walk engine (:mod:`repro.dag.walk_engine`): all ``count``
-    particles advance in supersteps over a cached CSR snapshot of the
-    visible tangle, and each superstep scores the **union** of the live
-    particles' candidate frontiers with one ``batch_accuracy_fn`` call —
-    wider fused ``accuracy_many`` batches than any single particle's
-    step.  The sequential per-particle walk remains the oracle:
-    distribution-identical (the engine samples by Gumbel-max over the
-    same softmax weights) but not draw-for-draw identical, since the
-    generator is consumed in blocks.
+    All ``count`` particles advance in supersteps over a cached CSR
+    snapshot of the visible tangle, each superstep scoring the **union**
+    of the live particles' frontiers with one ``batch_accuracy_fn``
+    call.  The engine samples by Gumbel-max over the softmax weights
+    :meth:`transition` feeds to ``rng.choice``: distribution-identical
+    to the sequential reference, not draw-for-draw identical.
 
     At least one of ``accuracy_fn`` / ``batch_accuracy_fn`` is required;
     both may be supplied (the batch function wins).
@@ -242,7 +221,6 @@ class AccuracyTipSelector:
         normalization: str = "standard",
         depth_range: tuple[int, int] = (15, 25),
         evaluation_counter: Callable[[int], None] | None = None,
-        engine: bool = False,
         score_cache_fn: Callable[[], dict] | None = None,
         cache_epoch_fn: Callable[[], int] | None = None,
     ):
@@ -260,8 +238,7 @@ class AccuracyTipSelector:
         self.normalization = normalization
         self.depth_range = depth_range
         self.evaluation_counter = evaluation_counter
-        self.engine = engine
-        # ``score_cache_fn`` (engine mode): returns the caller's
+        # ``score_cache_fn``: returns the caller's
         # transaction-accuracy cache (tx id -> accuracy), used to
         # prefill the engine's score memo so supersteps only round-trip
         # through ``batch_accuracy_fn`` for genuinely unevaluated
@@ -289,9 +266,8 @@ class AccuracyTipSelector:
             [self.accuracy_fn(a) for a in approvers], dtype=np.float64
         )
 
-    def _transition(
-        self, _node: str, approvers: list[str], rng: np.random.Generator
-    ) -> str:
+    def transition(self, _tangle: Tangle, approvers: list[str], rng: np.random.Generator) -> str:
+        """One sequential walk step (the reference single-step law)."""
         if self.evaluation_counter is not None:
             self.evaluation_counter(len(approvers))
         accuracies = self._candidate_accuracies(approvers)
@@ -300,17 +276,17 @@ class AccuracyTipSelector:
         )
         return approvers[int(rng.choice(len(approvers), p=probs))]
 
-    def _select_tips_engine(
-        self, tangle: Tangle, count: int, rng: np.random.Generator
+    def select_on_snapshot(
+        self,
+        snapshot: walk_engine.TangleSnapshot,
+        count: int,
+        rng: np.random.Generator,
     ) -> list[str]:
-        from repro.dag import walk_engine
-
-        snapshot = walk_engine.snapshot_for(tangle)
+        """``count`` lockstep walks over ``snapshot`` (Algorithm 1)."""
         # Without an epoch probe, freshness of mirrored scores can't be
-        # proven across calls — rebuild the memo every selection (the
-        # sequential path re-asks its accuracy function too).  With the
-        # probe (how build_selector wires clients), the memo persists
-        # until the cache's epoch bumps.
+        # proven across calls — rebuild the memo every selection.  With
+        # the probe (how build_selector wires clients), the memo
+        # persists until the cache's epoch bumps.
         epoch = object() if self.cache_epoch_fn is None else self.cache_epoch_fn()
         if self._engine_snapshot is not snapshot or self._engine_memo_epoch != epoch:
             self._engine_snapshot = snapshot
@@ -346,12 +322,5 @@ class AccuracyTipSelector:
     def select_tips(
         self, tangle: Tangle, count: int, rng: np.random.Generator
     ) -> list[str]:
-        """``count`` tips via accuracy-biased walks (Algorithm 1;
-        lockstep supersteps when ``engine`` is set)."""
-        if self.engine:
-            return self._select_tips_engine(tangle, count, rng)
-        selected = []
-        for _ in range(count):
-            start = sample_walk_start(tangle, rng, depth_range=self.depth_range)
-            selected.append(random_walk(tangle, start, self._transition, rng))
-        return selected
+        """``count`` tips via accuracy-biased walks (Algorithm 1)."""
+        return self.select_on_snapshot(walk_engine.snapshot_for(tangle), count, rng)

@@ -195,6 +195,10 @@ class TimedTangleView:
             and self._tangle.get(tx_id).issuer == self._observer
         )
 
+    @property
+    def genesis(self) -> Transaction:
+        return self._tangle.genesis
+
     def __contains__(self, tx_id: str) -> bool:
         return tx_id in self._tangle and self._visible(tx_id)
 

@@ -167,7 +167,6 @@ def run_dag_with_metrics(
     measure_every: int = 1,
     seed: int = 0,
     parallelism: int | str | None = None,
-    walk_engine: bool | None = None,
 ) -> dict:
     """Run the DAG simulator, tracking specialization metrics over time.
 
@@ -178,17 +177,9 @@ def run_dag_with_metrics(
     the round-execution substrate knob: 1 serial, n > 1 a pool of n
     worker processes, 0 machine-sized, ``"auto"`` decided per round.
     Results are identical across settings for a fixed seed.
-
-    ``walk_engine`` (when given) overrides ``dag_config.walk_engine`` —
-    the lockstep multi-walk engine knob.  Tip distributions and
-    evaluation accounting are unchanged, but individual draws differ
-    from the sequential walker, so series are deterministic per seed
-    yet not bit-comparable across the two settings.
     """
     if parallelism is not None:
         dag_config = replace(dag_config, parallelism=parallelism)
-    if walk_engine is not None:
-        dag_config = replace(dag_config, walk_engine=walk_engine)
     sim = TangleLearning(
         dataset,
         model_builder,

@@ -6,10 +6,9 @@ import numpy as np
 
 from repro.data.base import ClientData
 from repro.dag.tangle import Tangle
-from repro.nn.model import Classifier, plan_local_batches
+from repro.nn.model import Classifier
 from repro.nn.optimizers import SGD, ProximalSGD
 from repro.nn.serialization import Weights
-from repro.nn.training_plane import LockstepTrainer, TrainJob
 from repro.fl.config import TrainingConfig
 from repro.utils.rng import ensure_rng
 
@@ -327,7 +326,6 @@ class Client:
         *,
         proximal_mu: float | None = None,
         epochs_override: int | None = None,
-        fused: bool = False,
     ) -> tuple[Weights, float]:
         """Local training starting from ``weights``.
 
@@ -335,17 +333,13 @@ class Client:
         ``proximal_mu`` set, uses the FedProx proximal objective anchored
         at the incoming weights.
 
-        ``fused=True`` routes plain-SGD training through the lockstep
-        training plane's kernels (:mod:`repro.nn.training_plane`) as a
-        single-model group — bit-identical weights and loss, one batched
-        numpy pass per batch instead of a per-layer Python loop.  Models
-        with unfused layers, and proximal training, fall back to the
-        sequential path automatically.
+        The one-client path (event-at-a-time cycles, a pool worker's
+        unit, the FedAvg/FedProx baselines); in-process rounds train
+        their K clients in lockstep instead, bit-identically
+        (:func:`repro.substrate.run_training_plane_round`).
         """
         config = self.config
         epochs = epochs_override if epochs_override is not None else config.local_epochs
-        if fused and proximal_mu is None and self.model.supports_fused_train:
-            return self._train_fused(weights, epochs)
         self.model.set_weights(weights)
         if proximal_mu is not None:
             optimizer: SGD = ProximalSGD(
@@ -364,29 +358,4 @@ class Client:
             max_batches=config.local_batches,
         )
         # get_weights() already returns fresh copies — no defensive clone.
-        return self.model.get_weights(), loss
-
-    def _train_fused(self, weights: Weights, epochs: int) -> tuple[Weights, float]:
-        """Plain-SGD local training through the fused kernels (``K=1``)."""
-        config = self.config
-        batches = plan_local_batches(
-            self.data.x_train.shape[0],
-            self.rng,
-            epochs=epochs,
-            batch_size=config.batch_size,
-            max_batches=config.local_batches,
-        )
-        job = TrainJob(
-            x=self.data.x_train,
-            y=self.data.y_train,
-            batches=batches,
-            start_flat=self.model.flat_spec.flatten(weights),
-        )
-        trainer = LockstepTrainer(
-            lr=config.learning_rate, momentum=config.momentum
-        )
-        [(row, loss)] = trainer.train(self.model, [job])
-        # Leave the model holding the trained weights, exactly like the
-        # sequential loop does, then hand back fresh copies.
-        self.model.load_flat(row)
         return self.model.get_weights(), loss

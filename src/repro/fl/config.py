@@ -107,33 +107,8 @@ class DagConfig:
       stand for is too small to amortize the pool — a machine-sized
       pool otherwise.  Results are bit-identical across all settings
       for a fixed seed.
-    - ``walk_engine`` switches tip selection to the lockstep multi-walk
-      engine (:mod:`repro.dag.walk_engine`): all of a selection's walk
-      particles advance in frontier-batched supersteps over a cached
-      CSR snapshot of the visible tangle.  Tip *distributions*,
-      evaluation accounting, and determinism-per-seed are unchanged,
-      but individual draws differ from the sequential walker (the
-      generator is consumed in blocks), so records are not
-      bit-comparable across the two settings of this knob.  The
-      snapshot amortizes across a *round* (one build serves every
-      client); the event engine's per-cycle views (:mod:`repro.sim`,
-      ``quantum = 0``) each see a unique point in time, so there the
-      snapshot is rebuilt per training cycle — worthwhile when model
-      evaluation dominates a walk, pure overhead for toy models on
-      large tangles.
-    - ``training_plane`` switches a round's local training to the
-      lockstep plane (:mod:`repro.nn.training_plane`): the walk/
-      aggregation phase still runs per client (and still parallelizes),
-      but every participating client's SGD then advances in fused
-      supersteps over one ``(K, P)`` weight stack — one batched
-      forward/backward per global batch index instead of K Python
-      loops.  Results are **bit-identical** to the per-client loop (and
-      therefore across executors); models with unfused layers (LSTM,
-      embedding) fall back to the per-model loop automatically, and
-      mixed batch schedules train as separate fused groups.  An
-      event-at-a-time training cycle is a single client, so there the
-      knob routes ``Client.train`` through the same fused kernels with
-      ``K = 1``.
+    - ``walk_engine`` / ``training_plane`` are inert leftovers, ``True``
+      only, kept until the frozen benchmark stops passing them (ISSUE 16).
     """
 
     alpha: float = 10.0
@@ -147,10 +122,17 @@ class DagConfig:
     visibility_delay: int = 0
     aggregator: str = "mean"
     parallelism: int | str = 1
-    walk_engine: bool = False
-    training_plane: bool = False
+    walk_engine: bool = True
+    training_plane: bool = True
 
     def __post_init__(self) -> None:
+        if not (self.walk_engine is True and self.training_plane is True):
+            raise ValueError(
+                "walk_engine / training_plane are inert and accept only True "
+                "(ISSUE 16): there is one walker and rounds route training by "
+                "executor; the sequential walk is the test reference "
+                "repro.dag.random_walk.sequential_select_tips"
+            )
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.normalization not in ("standard", "dynamic"):

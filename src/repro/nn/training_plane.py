@@ -42,7 +42,16 @@ from repro.nn.optimizers import SGD
 if TYPE_CHECKING:  # only for annotations; no runtime import cycle
     from repro.nn.model import Classifier
 
-__all__ = ["TrainJob", "LockstepTrainer", "train_grouped"]
+__all__ = ["TrainJob", "LockstepTrainer", "train_grouped", "draws_dropout_masks"]
+
+
+def draws_dropout_masks(model: "Classifier") -> bool:
+    """Whether training ``model`` consumes a generator held on the model
+    itself (a train-active :class:`Dropout` layer's mask stream)."""
+    return any(
+        isinstance(layer, Dropout) and layer.train_active
+        for layer in model.net.layers
+    )
 
 
 def train_grouped(
@@ -238,10 +247,7 @@ class LockstepTrainer:
         generator itself is advanced past every job's draws so the next
         (sequential or fused) training run continues identically.
         """
-        if not any(
-            isinstance(layer, Dropout) and layer.train_active
-            for layer in model.net.layers
-        ):
+        if not draws_dropout_masks(model):
             return {}
         sample_shapes = self._probe_dropout_sample_shapes(model, jobs[0])
         streams: dict[int, list[np.random.Generator]] = {}

@@ -31,10 +31,10 @@ separate code paths at the call sites:
    superstep: the batch freezes one shared view (at the *earliest*
    member's start time, so nobody sees anything it could not have seen
    sequentially), all members' walk particles advance through **one**
-   :func:`repro.dag.walk_engine.lockstep_walks` call per view group
-   (weighted selector; the accuracy selector shares the CSR snapshot
-   but keeps per-client score tables, since its scores are evaluations
-   on the selecting client's own test data), local training runs as
+   lockstep selection per view group (weighted selector; the accuracy
+   selector shares the CSR snapshot but keeps per-client score tables,
+   since its scores are evaluations on the selecting client's own test
+   data), local training runs as
    **one** fused training-plane pass over the stacked references, and
    publications commit at the batch barrier in event order.  This is
    the same freeze-at-barrier semantics round mode applies at
@@ -80,6 +80,7 @@ from repro.substrate import (
     execute_round,
     make_executor,
     plan_client_job,
+    random_weights_attack,
 )
 from repro.utils.rng import RngFactory
 
@@ -636,10 +637,13 @@ class EventDrivenTangleLearning:
         )
         return tx.tx_id
 
-    def _view_for(self, client_id: int, at_time: float) -> TimedTangleView:
+    def _view_for(
+        self, client_id: int, at_time: float, *, exempt: bool = True
+    ) -> TimedTangleView:
         """The tangle as ``client_id`` sees it at ``at_time``: the
         client's own visibility map under link faults, the shared
-        network map (plus issuer exemption) otherwise."""
+        network map otherwise — plus, unless ``exempt`` is off, the
+        issuer exemption for its own publications."""
         visible_from = (
             self._obs_visible[client_id]
             if self._obs_visible is not None
@@ -649,40 +653,40 @@ class EventDrivenTangleLearning:
             self.tangle,
             visible_from,
             at_time,
-            observer=client_id,
+            observer=client_id if exempt else None,
             published_at=self._published_at,
         )
 
     # --------------------------------------------------- sequential stepping
-    def _attack_payload(
-        self, view: TimedTangleView, walk_rng: np.random.Generator
-    ) -> tuple[list[str], np.ndarray]:
-        """The random-weights attack, the round substrate's exact
-        arithmetic (:func:`repro.substrate.round_plan._execute_attack`):
-        uniform parents, one normal draw per parameter array."""
-        tips = RandomTipSelector().select_tips(
-            view, self.dag_config.num_tips, walk_rng
-        )
-        genesis = self.tangle.genesis.model_weights
-        payload = [walk_rng.normal(0.0, 1.0, size=w.shape) for w in genesis]
-        return tips, self.tangle.spec.flatten(payload)
-
-    def _complete_attack_cycle(self, event: _Event) -> SimEvent:
-        """An attacker's cycle: no training, a malicious publication."""
-        view = self._view_for(event.client_id, event.start_time)
-        walk_rng = self._rngs.get("walk", event.cycle_seq)
-        tips, flat = self._attack_payload(view, walk_rng)
-        tx_id = self._publish(
-            event.client_id, tuple(dict.fromkeys(tips)), flat, {"malicious": True}
-        )
+    def _commit_cycle(
+        self,
+        event: _Event,
+        tips: list[str],
+        flat: np.ndarray,
+        tags: dict,
+        accuracy: float | None = None,
+        reference_accuracy: float | None = None,
+    ) -> SimEvent:
+        """Gate, publish and record one finished cycle at ``self.now``,
+        then queue the client's next.  Attacker cycles carry no
+        accuracies and bypass the gate."""
+        tx_id = None
+        gated = accuracy is not None and self.dag_config.publish_gate
+        attempted = not gated or accuracy >= reference_accuracy
+        if attempted:
+            tx_id = self._publish(
+                event.client_id, tuple(dict.fromkeys(tips)), flat, tags
+            )
         record = SimEvent(
             time=self.now,
             kind="train",
             client_id=event.client_id,
             published=tx_id is not None,
+            accuracy=accuracy,
+            reference_accuracy=reference_accuracy,
             tx_id=tx_id,
             start_time=event.start_time,
-            quarantined=True if tx_id is None else None,
+            quarantined=True if attempted and tx_id is None else None,
         )
         self.events.append(record)
         if event.client_id in self._active:
@@ -692,50 +696,29 @@ class EventDrivenTangleLearning:
     def _complete_cycle(self, event: _Event) -> SimEvent:
         """One training cycle: walk over the view frozen at the cycle's
         start, aggregate, train, gate, publish."""
-        if event.client_id in self.sim_config.attackers:
-            return self._complete_attack_cycle(event)
-        client = self.clients[event.client_id]
         cfg = self.dag_config
         view = self._view_for(event.client_id, event.start_time)
         walk_rng = self._rngs.get("walk", event.cycle_seq)
+        if event.client_id in self.sim_config.attackers:
+            tips, flat = random_weights_attack(view, cfg.num_tips, walk_rng)
+            return self._commit_cycle(event, tips, flat, {"malicious": True})
+        client = self.clients[event.client_id]
         tips = self.make_selector(client).select_tips(view, cfg.num_tips, walk_rng)
 
         reference = client.apply_personalization(
             self._reference_weights(tips, event.start_time)
         )
         reference_accuracy = client.accuracy_of_weights(reference)
-        trained, _loss = client.train(reference, fused=cfg.training_plane)
+        trained, _loss = client.train(reference)
         client.update_personal_tail(trained)
-        accuracy = client.accuracy_of_weights(trained)
-
-        tx_id = None
-        quarantined = None
-        published = (not cfg.publish_gate) or accuracy >= reference_accuracy
-        if published:
-            tx_id = self._publish(
-                event.client_id,
-                tuple(dict.fromkeys(tips)),
-                self.tangle.spec.flatten(trained),
-                dict(client.data.metadata.get("tags", {})),
-            )
-            if tx_id is None:
-                published = False
-                quarantined = True
-        record = SimEvent(
-            time=self.now,
-            kind="train",
-            client_id=event.client_id,
-            published=published,
-            accuracy=accuracy,
-            reference_accuracy=reference_accuracy,
-            tx_id=tx_id,
-            start_time=event.start_time,
-            quarantined=quarantined,
+        return self._commit_cycle(
+            event,
+            tips,
+            self.tangle.spec.flatten(trained),
+            dict(client.data.metadata.get("tags", {})),
+            client.accuracy_of_weights(trained),
+            reference_accuracy,
         )
-        self.events.append(record)
-        if event.client_id in self._active:
-            self._schedule_cycle(event.client_id)
-        return record
 
     def _advance_one(self) -> SimEvent | None:
         """Process the single next event of any kind; None when idle."""
@@ -804,15 +787,16 @@ class EventDrivenTangleLearning:
         empty, so the common case is **one** shared group per batch.  A
         group freezes one view at its earliest member's start time (no
         member observes anything it could not have seen sequentially)
-        and shares one CSR snapshot:
+        and shares one CSR snapshot, which the configured selector walks
+        (``select_on_snapshot``):
 
         - *weighted*: cumulative weights are client-independent, so all
-          members' particles advance through a single fused
-          :func:`~repro.dag.walk_engine.lockstep_walks` call;
+          members' particles advance through a single selection of
+          ``num_tips * len(members)`` particles;
         - *accuracy*: scores are the candidates' accuracies on the
           selecting client's own test data — inherently per client — so
-          walks run per member over the shared snapshot, each seeded
-          from the client's evaluation cache;
+          each member's selector walks the shared snapshot, seeded from
+          the client's evaluation cache;
         - *random*: uniform draws over the shared tip list, per member.
 
         Under link faults every client sees its own tangle, so members
@@ -837,7 +821,7 @@ class EventDrivenTangleLearning:
             if event.client_id in attackers:
                 view = self._view_for(event.client_id, event.start_time)
                 rng = self._rngs.get("walk", event.cycle_seq)
-                tips, flat = self._attack_payload(view, rng)
+                tips, flat = random_weights_attack(view, cfg.num_tips, rng)
                 tips_for[event.cycle_seq] = tips
                 attack_flat[event.cycle_seq] = flat
                 continue
@@ -862,83 +846,38 @@ class EventDrivenTangleLearning:
 
         for ordinal, (key, members) in enumerate(groups.items()):
             exempt = key[0] if link else key
-            view_time = freeze_time[exempt]
             # A non-empty exemption set names one issuer's own
             # transactions, so such a group is necessarily
             # single-client.  The observer is granted only alongside a
             # non-empty exemption — the same early-self-visibility rule
             # in clean and link mode, so always_on batches replay the
             # clean grouping exactly.
-            observer = members[0].client_id if exempt else None
-            view = TimedTangleView(
-                self.tangle,
-                self._obs_visible[members[0].client_id]
-                if link
-                else self._visible_from,
-                view_time,
-                observer=observer,
-                published_at=self._published_at,
+            view = self._view_for(
+                members[0].client_id, freeze_time[exempt], exempt=bool(exempt)
             )
+            count = cfg.num_tips
             if cfg.selector == "random":
                 tip_ids = view.tips()
                 for member in members:
                     rng = self._rngs.get("walk", member.cycle_seq)
-                    distinct = min(cfg.num_tips, len(tip_ids))
-                    chosen = list(rng.choice(len(tip_ids), size=distinct, replace=False))
-                    selected = [tip_ids[i] for i in chosen]
-                    while len(selected) < cfg.num_tips:
-                        selected.append(tip_ids[int(rng.integers(0, len(tip_ids)))])
-                    tips_for[member.cycle_seq] = selected
+                    tips_for[member.cycle_seq] = RandomTipSelector.select_among(
+                        tip_ids, count, rng
+                    )
                 continue
             snapshot = walk_engine.TangleSnapshot.build(view)
             if cfg.selector == "weighted":
-                weights = snapshot.cumulative_weights_float()
                 rng = self._rngs.get("walk-group", batch, ordinal)
-                starts = walk_engine.batched_walk_starts(
-                    snapshot,
-                    cfg.num_tips * len(members),
-                    rng,
-                    depth_range=cfg.depth_range,
-                )
-                finals = walk_engine.lockstep_walks(
-                    snapshot,
-                    starts,
-                    lambda nodes, table=weights: table[nodes],
-                    alpha=cfg.weighted_alpha,
-                    normalization="standard",
-                    rng=rng,
-                    score_memo=weights,
-                )
+                selector = self.make_selector(self.clients[members[0].client_id])
+                drawn = selector.select_on_snapshot(snapshot, count * len(members), rng)
                 for i, member in enumerate(members):
-                    span = finals[i * cfg.num_tips : (i + 1) * cfg.num_tips]
-                    tips_for[member.cycle_seq] = [snapshot.ids[n] for n in span]
+                    tips_for[member.cycle_seq] = drawn[i * count : (i + 1) * count]
                 continue
             for member in members:
-                client = self.clients[member.client_id]
                 rng = self._rngs.get("walk", member.cycle_seq)
-                cache = client.tx_accuracy_cache()
-                memo = np.array(
-                    [cache.get(tx_id, np.nan) for tx_id in snapshot.ids]
+                selector = self.make_selector(self.clients[member.client_id])
+                tips_for[member.cycle_seq] = selector.select_on_snapshot(
+                    snapshot, count, rng
                 )
-                starts = walk_engine.batched_walk_starts(
-                    snapshot, cfg.num_tips, rng, depth_range=cfg.depth_range
-                )
-
-                def score_fn(nodes, client=client, snapshot=snapshot):
-                    return client.tx_accuracies(
-                        self.tangle, [snapshot.ids[n] for n in nodes]
-                    )
-
-                finals = walk_engine.lockstep_walks(
-                    snapshot,
-                    starts,
-                    score_fn,
-                    alpha=cfg.alpha,
-                    normalization=cfg.normalization,
-                    rng=rng,
-                    score_memo=memo,
-                )
-                tips_for[member.cycle_seq] = [snapshot.ids[n] for n in finals]
         return tips_for, attack_flat
 
     def _process_batch(
@@ -956,7 +895,6 @@ class EventDrivenTangleLearning:
                 self.now = entry.time
                 self.events.append(entry)
             return []
-        cfg = self.dag_config
         tips_for, attack_flat = self._batch_tips(ready)
 
         # Honest members plan one lockstep training job each, tagged by
@@ -987,62 +925,29 @@ class EventDrivenTangleLearning:
                 self.events.append(entry)
                 continue
             event = entry
-            client = self.clients[event.client_id]
-            parents = tuple(dict.fromkeys(tips_for[event.cycle_seq]))
+            tips = tips_for[event.cycle_seq]
             self.now = event.time
             if event.cycle_seq in attack_flat:
-                tx_id = self._publish(
-                    event.client_id, parents, attack_flat[event.cycle_seq],
-                    {"malicious": True},
+                records.append(
+                    self._commit_cycle(
+                        event, tips, attack_flat[event.cycle_seq], {"malicious": True}
+                    )
                 )
-                record = SimEvent(
-                    time=event.time,
-                    kind="train",
-                    client_id=event.client_id,
-                    published=tx_id is not None,
-                    tx_id=tx_id,
-                    start_time=event.start_time,
-                    quarantined=True if tx_id is None else None,
-                )
-                self.events.append(record)
-                records.append(record)
-                if event.client_id in self._active:
-                    self._schedule_cycle(event.client_id)
                 continue
+            client = self.clients[event.client_id]
             row, _loss = trained[event.cycle_seq]
             if client.personal_params:
                 client.update_personal_tail(client.model.flat_spec.unflatten(row))
-            accuracy = client.accuracy_of_flat(row)
-            published = (
-                not cfg.publish_gate
-            ) or accuracy >= reference_accuracy[event.cycle_seq]
-            tx_id = None
-            quarantined = None
-            if published:
-                tx_id = self._publish(
-                    event.client_id,
-                    parents,
+            records.append(
+                self._commit_cycle(
+                    event,
+                    tips,
                     row,
                     dict(client.data.metadata.get("tags", {})),
+                    client.accuracy_of_flat(row),
+                    reference_accuracy[event.cycle_seq],
                 )
-                if tx_id is None:
-                    published = False
-                    quarantined = True
-            record = SimEvent(
-                time=event.time,
-                kind="train",
-                client_id=event.client_id,
-                published=published,
-                accuracy=accuracy,
-                reference_accuracy=reference_accuracy[event.cycle_seq],
-                tx_id=tx_id,
-                start_time=event.start_time,
-                quarantined=quarantined,
             )
-            self.events.append(record)
-            records.append(record)
-            if event.client_id in self._active:
-                self._schedule_cycle(event.client_id)
         return records
 
     def _run_one_batch(self, end_time: float) -> list[SimEvent] | None:

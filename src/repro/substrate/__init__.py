@@ -49,6 +49,7 @@ from repro.substrate.round_plan import (
     execute_unit,
     plan_client_job,
     probe_in_process,
+    random_weights_attack,
     run_training_plane_round,
 )
 
@@ -72,5 +73,6 @@ __all__ = [
     "probe_in_process",
     "apply_result",
     "plan_client_job",
+    "random_weights_attack",
     "run_training_plane_round",
 ]

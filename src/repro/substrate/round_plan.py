@@ -33,7 +33,7 @@ order the serial loop produced historically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -48,7 +48,8 @@ from repro.fl.aggregation import FLAT_AGGREGATORS, get_aggregator
 from repro.fl.config import DagConfig
 from repro.nn.model import plan_local_batches
 from repro.nn.serialization import flatten_weights
-from repro.nn.training_plane import TrainJob, train_grouped
+from repro.nn.training_plane import TrainJob, draws_dropout_masks, train_grouped
+from repro.poisoning.attacks import random_weight_update
 from repro.utils.rng import RngFactory
 from repro.utils.timing import Stopwatch
 
@@ -68,6 +69,7 @@ __all__ = [
     "probe_in_process",
     "apply_result",
     "plan_client_job",
+    "random_weights_attack",
     "run_training_plane_round",
 ]
 
@@ -88,23 +90,18 @@ def build_selector(
     documents — which routes each walk step's cache misses through the
     fused multi-model forward pass
     (:meth:`~repro.nn.model.Classifier.accuracy_many`) whenever the
-    model's layers support it.  Both simulators (round-based and async)
-    and every executor therefore share one evaluation plane.
-
-    ``config.walk_engine`` switches both walking selectors to the
-    lockstep multi-walk engine (:mod:`repro.dag.walk_engine`): all of a
-    selection's particles advance in frontier-batched supersteps over a
-    per-epoch CSR snapshot of ``store``, and each superstep's union
-    frontier reaches ``tx_accuracies`` as **one** batch — wider fused
-    evaluation batches than any single particle's step.
+    model's layers support it.  Rounds, event-mode cycles and every
+    executor therefore share one evaluation plane, and one walker: both
+    walking selectors advance a selection's particles in lockstep
+    supersteps over a per-epoch CSR snapshot
+    (:mod:`repro.dag.walk_engine`), each superstep's union frontier
+    reaching ``tx_accuracies`` as **one** batch.
     """
     if config.selector == "random":
         return RandomTipSelector()
     if config.selector == "weighted":
         return WeightedTipSelector(
-            config.weighted_alpha,
-            depth_range=config.depth_range,
-            engine=config.walk_engine,
+            config.weighted_alpha, depth_range=config.depth_range
         )
     return AccuracyTipSelector(
         batch_accuracy_fn=lambda tx_ids: client.tx_accuracies(store, tx_ids),
@@ -112,7 +109,6 @@ def build_selector(
         normalization=config.normalization,
         depth_range=config.depth_range,
         evaluation_counter=evaluation_counter,
-        engine=config.walk_engine,
         score_cache_fn=client.tx_accuracy_cache,
         cache_epoch_fn=lambda: client.cache_epoch,
     )
@@ -237,22 +233,26 @@ def _aggregate_parents(
     return get_aggregator(config.aggregator)([tx.model_weights for tx in parents])
 
 
+def random_weights_attack(
+    view, num_tips: int, rng: np.random.Generator
+) -> tuple[list[str], np.ndarray]:
+    """The random-weights attack (round units and the event engine's
+    attacker cycles alike): uniform parents, a random flat payload."""
+    tips = RandomTipSelector().select_tips(view, num_tips, rng)
+    # One normal draw per parameter array (the historical per-layer rng
+    # stream); shipped as a single vector.
+    return tips, flatten_weights(random_weight_update(view.genesis.model_weights, rng))
+
+
 def _execute_attack(
     context: RoundContext, unit: ClientWorkUnit, rng: np.random.Generator
 ) -> ClientRoundResult:
-    """The random-weights attack: random tips, random payload."""
-    tips = RandomTipSelector().select_tips(
-        context.view, context.config.num_tips, rng
-    )
-    genesis = context.view.genesis.model_weights
-    # One normal draw per parameter array keeps the rng stream identical
-    # to the historical per-layer payload; shipped as a single vector.
-    payload = [rng.normal(0.0, 1.0, size=w.shape) for w in genesis]
+    tips, flat = random_weights_attack(context.view, context.config.num_tips, rng)
     return ClientRoundResult(
         client_id=unit.client_id,
         publish=True,
         parents=tuple(dict.fromkeys(tips)),
-        flat_weights=flatten_weights(payload),
+        flat_weights=flat,
         tags={"malicious": True},
     )
 
@@ -266,8 +266,8 @@ def _run_walk_phase(
     grafted on), and the reference (publish-gate baseline) evaluation.
     Returns ``(tips, reference_weights, reference_accuracy,
     walk_duration, walk_evaluations)``.  :func:`execute_unit` and
-    :func:`execute_prep_unit` both run exactly this code, so the
-    ``training_plane`` knob cannot drift the walk half of a round.
+    :func:`execute_prep_unit` both run exactly this code, so the two
+    routes of :func:`execute_round` cannot drift in the walk half.
     """
     config = context.config
     evaluations = 0
@@ -384,9 +384,8 @@ def execute_round(
     units: list[ClientWorkUnit],
     clients: dict[int, "Client"],
 ) -> list[ClientRoundResult]:
-    """Run one planned round through ``executor`` — the coordinator half
-    shared by both simulators (:class:`~repro.fl.dag_learning.
-    TangleLearning` and :class:`~repro.sim.engine.TangleSim`).
+    """Run one planned round through ``executor`` — the coordinator
+    half of :meth:`repro.sim.engine.EventDrivenTangleLearning.run_rounds`.
 
     When the executor can fan out (``parallelism > 1``), the round's
     heavyweight state is exported to shared memory *before* anything
@@ -399,12 +398,17 @@ def execute_round(
     otherwise an unshared tangle prices every round out of the pool and
     the segments would never pay off.
 
-    The executor is then probed (:func:`probe_in_process`) so
-    serial-routed rounds skip the state snapshot/capture round-trip,
-    and the units dispatch through the training plane or a plain
-    :func:`execute_unit` map.  The caller folds results back
-    (:func:`apply_result`) and commits publications; results arrive in
-    unit order either way.
+    The executor is then probed (:func:`probe_in_process`), and the
+    answer routes the round: **in-process** rounds skip the state
+    snapshot/capture round-trip and train in lockstep
+    (:func:`run_training_plane_round`); rounds that **cross to the
+    pool** map whole :func:`execute_unit`s, so training parallelizes
+    with the walks — unless a model draws dropout masks (that generator
+    lives on the model and a worker's copy never comes back, so only
+    the coordinator-side lockstep pass keeps such rounds identical to
+    serial ones).  The routes are bit-identical.  The caller folds
+    results back (:func:`apply_result`) and commits publications;
+    results arrive in unit order either way.
     """
     if getattr(executor, "parallelism", 1) > 1:
         share = getattr(tangle, "share_memory", None)
@@ -414,26 +418,18 @@ def execute_round(
             if unit.attack is None:
                 clients[unit.client_id].data.share_memory()
 
-    def build_payloads(context: RoundContext) -> list[tuple]:
-        return [
-            (
-                context,
-                None if unit.attack is not None else clients[unit.client_id],
-                unit,
-            )
-            for unit in units
-        ]
-
-    context = RoundContext(
-        view=view, config=config, rng_factory=rng_factory, capture_state=True
-    )
-    payloads = build_payloads(context)
-    if probe_in_process(executor, payloads):
-        context = RoundContext(
-            view=view, config=config, rng_factory=rng_factory, capture_state=False
-        )
-        payloads = build_payloads(context)
-    if config.training_plane:
+    context = RoundContext(view=view, config=config, rng_factory=rng_factory)
+    payloads = [
+        (context, None if unit.attack is not None else clients[unit.client_id], unit)
+        for unit in units
+    ]
+    in_process = probe_in_process(executor, payloads)
+    if in_process:
+        context = replace(context, capture_state=False)
+        payloads = [(context, client, unit) for _, client, unit in payloads]
+    if in_process or any(
+        draws_dropout_masks(client.model) for _, client, _ in payloads if client
+    ):
         return run_training_plane_round(executor, context, payloads, clients)
     return executor.map(execute_unit, payloads)
 

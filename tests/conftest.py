@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.dag.random_walk import sequential_select_tips
+from repro.dag.tip_selection import AccuracyTipSelector, WeightedTipSelector
 from repro.data import make_fmnist_clustered
 from repro.fl import DagConfig, TangleLearning, TrainingConfig
 from repro.nn import zoo
@@ -96,6 +98,14 @@ def shm_leak_guard():
         name for name in _shm_dir_segments() - before if name.startswith(mine)
     }
     assert not leaked, f"shared-memory segments leaked by this session: {sorted(leaked)}"
+
+
+@pytest.fixture
+def sequential_walks(monkeypatch):
+    """Both walking selectors select through the sequential reference —
+    the walker every legacy digest was recorded with."""
+    for selector in (AccuracyTipSelector, WeightedTipSelector):
+        monkeypatch.setattr(selector, "select_tips", sequential_select_tips)
 
 
 @pytest.fixture

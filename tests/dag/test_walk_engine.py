@@ -14,6 +14,7 @@ distribution.  (Distributional parity in the stochastic regime lives in
 import numpy as np
 import pytest
 
+from repro.dag.random_walk import sequential_select_tips
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import AccuracyTipSelector, WeightedTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
@@ -280,12 +281,9 @@ def test_deterministic_regime_equals_sequential_exactly():
     )
     eng_calls: list[int] = []
     engine = AccuracyTipSelector(
-        scores.__getitem__,
-        evaluation_counter=eng_calls.append,
-        engine=True,
-        **kwargs,
+        scores.__getitem__, evaluation_counter=eng_calls.append, **kwargs
     )
-    seq_tips = sequential.select_tips(tangle, 5, np.random.default_rng(13))
+    seq_tips = sequential_select_tips(sequential, tangle, 5, np.random.default_rng(13))
     eng_tips = engine.select_tips(tangle, 5, np.random.default_rng(14))
     assert seq_tips == eng_tips
     assert sum(seq_calls) == sum(eng_calls)
@@ -306,7 +304,7 @@ def test_weighted_engine_reaches_tips_and_prefers_heavy_branch():
         tangle.add(Transaction(f"h{i}", (previous,), weights(), 0, i + 1))
         previous = f"h{i}"
     counts = {"heavy": 0, "light": 0}
-    selector = WeightedTipSelector(alpha=2.0, depth_range=(30, 30), engine=True)
+    selector = WeightedTipSelector(alpha=2.0, depth_range=(30, 30))
     rng = np.random.default_rng(15)
     for tip in selector.select_tips(tangle, 400, rng):
         counts["heavy" if tip == previous else "light"] += 1
@@ -314,7 +312,7 @@ def test_weighted_engine_reaches_tips_and_prefers_heavy_branch():
 
 
 def test_weighted_sequential_uses_batched_weight_query(monkeypatch):
-    """The non-engine weighted walk must fetch a step's weights through
+    """The reference weighted walk must fetch a step's weights through
     one cumulative_weights call, not per-approver queries."""
     tangle, _ = grow_tangle(n=30)
     batched_calls = []
@@ -331,7 +329,7 @@ def test_weighted_sequential_uses_batched_weight_query(monkeypatch):
         lambda self, tx_id: pytest.fail("per-id weight query on the walk path"),
     )
     selector = WeightedTipSelector(alpha=0.5, depth_range=(2, 4))
-    tips = selector.select_tips(tangle, 3, np.random.default_rng(16))
+    tips = sequential_select_tips(selector, tangle, 3, np.random.default_rng(16))
     assert len(tips) == 3
     assert batched_calls  # the walk actually went through the batch query
 
@@ -349,7 +347,6 @@ def test_engine_memo_invalidated_by_cache_epoch():
         lambda tx_id: scores[tx_id],
         alpha=1e8,
         depth_range=(5, 5),
-        engine=True,
         cache_epoch_fn=lambda: epoch[0],
     )
     rng = np.random.default_rng(17)

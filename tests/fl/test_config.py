@@ -69,10 +69,14 @@ def test_dag_config_validation():
 
 
 def test_dag_config_walk_engine_and_auto_parallelism():
-    cfg = DagConfig(walk_engine=True, parallelism="auto")
-    assert cfg.walk_engine is True
+    cfg = DagConfig(parallelism="auto")
     assert cfg.parallelism == "auto"
-    assert DagConfig().walk_engine is False  # sequential walker by default
+    # The two retired knobs are inert: True only, and True by default, so
+    # passing them (as the frozen e2e benchmark does) changes nothing.
+    assert DagConfig(walk_engine=True, training_plane=True) == DagConfig()
+    for retired in ("walk_engine", "training_plane"):
+        with pytest.raises(ValueError, match="sequential_select_tips"):
+            DagConfig(**{retired: False})
     with pytest.raises(ValueError):
         DagConfig(parallelism="turbo")
     with pytest.raises(ValueError):

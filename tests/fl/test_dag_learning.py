@@ -75,12 +75,15 @@ def _force_evaluation_pattern(sim, reference_acc, trained_acc):
 
     run_round scores the reference (merged-parent) model through the
     loss-free ``accuracy_of_weights`` path and the freshly trained model
-    through ``evaluate_weights`` (the round record needs its loss); this
-    pins the gate's comparison seam as a behavioural contract.
+    through ``evaluate_flat`` (in-process rounds: the lockstep plane's
+    finalizer) or ``evaluate_weights`` (a pool worker's ``execute_unit``)
+    — the round record needs its loss; this pins the gate's comparison
+    seam as a behavioural contract on either route.
     """
     for client in sim.clients.values():
         client.accuracy_of_weights = lambda weights, _acc=reference_acc: _acc
         client.evaluate_weights = lambda weights, _acc=trained_acc: (0.0, _acc)
+        client.evaluate_flat = lambda flat, _acc=trained_acc: (0.0, _acc)
 
 
 def test_publish_gate_blocks_strictly_worse_models(
@@ -179,7 +182,7 @@ def test_walk_engine_rounds_run_and_account_evaluations(
         tiny_fmnist,
         mlp_builder,
         fast_train_config,
-        DagConfig(alpha=10.0, depth_range=(2, 5), walk_engine=True),
+        DagConfig(alpha=10.0, depth_range=(2, 5)),
         clients_per_round=4,
         seed=0,
     )
@@ -193,7 +196,7 @@ def test_walk_engine_rounds_run_and_account_evaluations(
         tiny_fmnist,
         mlp_builder,
         fast_train_config,
-        DagConfig(alpha=10.0, depth_range=(2, 5), walk_engine=True),
+        DagConfig(alpha=10.0, depth_range=(2, 5)),
         clients_per_round=4,
         seed=0,
     )

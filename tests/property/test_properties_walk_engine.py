@@ -18,6 +18,7 @@ Three layers of equivalence, from exact to statistical:
 
 import numpy as np
 
+from repro.dag.random_walk import sequential_select_tips
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import (
     AccuracyTipSelector,
@@ -136,23 +137,16 @@ def test_engine_tip_distribution_matches_sequential():
         for tx_id, v in zip(ids, np.random.default_rng(5).random(len(ids)))
     }
     for normalization in ("standard", "dynamic"):
-        sequential = AccuracyTipSelector(
+        selector = AccuracyTipSelector(
             accuracies.__getitem__,
             alpha=5.0,
             normalization=normalization,
             depth_range=(15, 25),
-        )
-        engine = AccuracyTipSelector(
-            accuracies.__getitem__,
-            alpha=5.0,
-            normalization=normalization,
-            depth_range=(15, 25),
-            engine=True,
         )
         clear_snapshot_cache()
         n = 3000
-        seq_tips = sequential.select_tips(tangle, n, np.random.default_rng(6))
-        eng_tips = engine.select_tips(tangle, n, np.random.default_rng(7))
+        seq_tips = sequential_select_tips(selector, tangle, n, np.random.default_rng(6))
+        eng_tips = selector.select_tips(tangle, n, np.random.default_rng(7))
         assert all(tangle.is_tip(t) for t in eng_tips)
         tv = total_variation(tip_distribution(seq_tips), tip_distribution(eng_tips))
         assert tv < 0.10, (
@@ -178,16 +172,13 @@ def test_engine_matches_sequential_on_timed_view():
         tx_id: float(v)
         for tx_id, v in zip(ids, np.random.default_rng(10).random(len(ids)))
     }
-    sequential = AccuracyTipSelector(
+    selector = AccuracyTipSelector(
         accuracies.__getitem__, alpha=5.0, depth_range=(10, 20)
-    )
-    engine = AccuracyTipSelector(
-        accuracies.__getitem__, alpha=5.0, depth_range=(10, 20), engine=True
     )
     clear_snapshot_cache()
     n = 1500
-    seq_tips = sequential.select_tips(view, n, np.random.default_rng(11))
-    eng_tips = engine.select_tips(view, n, np.random.default_rng(12))
+    seq_tips = sequential_select_tips(selector, view, n, np.random.default_rng(11))
+    eng_tips = selector.select_tips(view, n, np.random.default_rng(12))
     visible_tips = set(view.tips())
     assert set(eng_tips) <= visible_tips and set(seq_tips) <= visible_tips
     tv = total_variation(tip_distribution(seq_tips), tip_distribution(eng_tips))
@@ -207,12 +198,12 @@ def test_both_walkers_survive_visible_child_invisible_parent():
     view = TimedTangleView(tangle, visible_from, 3.0, observer=1)
     assert "fast-child" in view and "slow" not in view
     accuracies = {GENESIS_ID: 0.1, "slow": 0.5, "fast-child": 0.9}
-    for engine in (False, True):
+    selector = AccuracyTipSelector(
+        accuracies.__getitem__, alpha=5.0, depth_range=(5, 10)
+    )
+    for select in (sequential_select_tips, AccuracyTipSelector.select_tips):
         clear_snapshot_cache()
-        selector = AccuracyTipSelector(
-            accuracies.__getitem__, alpha=5.0, depth_range=(5, 10), engine=engine
-        )
-        tips = selector.select_tips(view, 20, np.random.default_rng(14))
+        tips = select(selector, view, 20, np.random.default_rng(14))
         assert set(tips) <= set(view.tips())
 
 
@@ -247,7 +238,7 @@ def test_engine_honours_own_publication_exemption():
         )
         clear_snapshot_cache()
         selector = AccuracyTipSelector(
-            accuracies.__getitem__, alpha=1e8, depth_range=(10, 10), engine=True
+            accuracies.__getitem__, alpha=1e8, depth_range=(10, 10)
         )
         return view, selector.select_tips(view, 20, np.random.default_rng(13))
 

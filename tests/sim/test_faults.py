@@ -371,22 +371,14 @@ def test_unknown_attacker_ids_are_rejected(
 
 
 def test_run_rounds_attacker_parity_with_round_simulator(
-    sim_dataset, logistic_builder, sim_train_config, sim_dag_config
+    sim_dataset, logistic_builder, sim_train_config, sequential_walks
 ):
     """The round path routes attackers through the round substrate's own
     attack units — records and tangle match the digest recorded from the
     legacy ``TangleLearning(attackers={3: "random_weights"})``."""
-    from .test_parity import LEGACY_DIGESTS, digest, record_key, tangle_ids
+    from .test_parity import LEGACY_DIGESTS, SCENARIOS
 
-    engine = make_engine(
-        sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
-        SimConfig(attackers={3}), seed=7,
-    )
-    try:
-        records = engine.run_rounds(4, clients_per_round=5)
-    finally:
-        engine.close()
     assert (
-        digest([record_key(r) for r in records], tangle_ids(engine.tangle))
+        SCENARIOS["attacker"](sim_dataset, logistic_builder, sim_train_config)
         == LEGACY_DIGESTS["attacker"]
     )

@@ -9,12 +9,17 @@ and its output are quoted in CHANGES.md, PR 13):
 - sequential mode (``quantum = 0``) under :meth:`SimConfig.async_compat`
   — same publish trace, same transaction ids, same accuracies;
 - round mode (:meth:`run_rounds`) — identical round records (modulo
-  wall-clock walk timings) and tangles, across the training-plane and
-  walk-engine variants.
+  wall-clock walk timings) and tangles.
 
 Everything the engine adds (latency models, churn, staleness, quantum
 batching) must therefore be strictly additive: inert knobs cannot shift
 a single rng draw.
+
+The legacy simulators walked sequentially (except ``weighted-engine``),
+so their digests hold under the ``sequential_walks`` fixture, unchanged
+— the proof that retiring the ``walk_engine`` knob moved the walker and
+no scheduler stream.  ``ENGINE_DIGESTS`` pins the same scenarios on the
+walker the library runs (snippet and output in CHANGES.md, PR 16).
 """
 
 import hashlib
@@ -35,6 +40,17 @@ LEGACY_DIGESTS = {
     "training-plane": "206c5f0e385981fc82ab1b08148a0134be38545eb15dbac9c2247e368191ee12",
     "weighted-engine": "9f0636ec9d240861c2381743f9ad8a99fa19fbf226c37dd38f7be4b25d059203",
     "attacker": "46b25e554e6d9521382f8c89e94722ea48c280a65a883cb7fabfbfe0b9c14308",
+}
+
+
+#: The same scenarios under the lockstep walker (``weighted-engine``
+#: always used it, so it has the one digest above).
+ENGINE_DIGESTS = {
+    "cycles": "d9b8c11de7cd28f7d39714823d2a5b62cdb709303340cb0dd519cec55830f666",
+    "custom-latency": "ac304dfa59f0846df4a3f1307795d9f136edfd3fd0310c5c428becd9e27df6f4",
+    "zero-propagation": "7bbbe68d4b9850ba1c732ab01588f3e3e2692b8de0ceb4abedbbb1bad4966fec",
+    "accuracy": "f121830607cedbfabb64ca62b0aebcabba1ccf91dbf322a358a70e893c60ac2e",
+    "attacker": "ffd80ade119215084be5f71f7bb001c52d48b2016aa87f5c940cec74ac2e0153",
 }
 
 
@@ -66,33 +82,23 @@ def digest(*parts):
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("training_plane", [False, True])
-def test_sequential_mode_matches_async_simulator(
-    sim_dataset, logistic_builder, sim_train_config, training_plane
-):
-    """The training plane is bit-identical, so both variants hit the
-    one digest the legacy simulator produced for either."""
-    dag_config = DagConfig(
-        alpha=5.0, depth_range=(2, 5), training_plane=training_plane
-    )
+def cycles_digest(dataset, builder, train_config):
     engine = EventDrivenTangleLearning(
-        sim_dataset,
-        logistic_builder,
-        sim_train_config,
-        dag_config,
+        dataset,
+        builder,
+        train_config,
+        DagConfig(alpha=5.0, depth_range=(2, 5)),
         sim_config=SimConfig.async_compat(),
         seed=11,
     )
     trace = publish_trace(engine.run_cycles(25))
-    assert digest(trace, tangle_ids(engine.tangle)) == LEGACY_DIGESTS["cycles"]
+    return digest(trace, tangle_ids(engine.tangle))
 
 
-def test_sequential_parity_with_custom_latency_means(
-    sim_dataset, logistic_builder, sim_train_config, sim_dag_config
-):
+def custom_latency_digest(dataset, builder, train_config):
     """Non-default means flow through to the same draws."""
     engine = EventDrivenTangleLearning(
-        sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
+        dataset, builder, train_config, DagConfig(alpha=5.0, depth_range=(2, 5)),
         sim_config=SimConfig.async_compat(
             mean_think_time=0.5, mean_train_time=2.0,
             train_time_sigma=0.5, mean_propagation_delay=0.3,
@@ -100,54 +106,131 @@ def test_sequential_parity_with_custom_latency_means(
         seed=4,
     )
     trace = publish_trace(engine.run_until(12.0))
-    assert (
-        digest(trace, tangle_ids(engine.tangle)) == LEGACY_DIGESTS["custom-latency"]
-    )
     assert engine.now == 12.0
+    return digest(trace, tangle_ids(engine.tangle))
 
 
-def test_sequential_parity_with_zero_propagation_delay(
-    sim_dataset, logistic_builder, sim_train_config, sim_dag_config
-):
+def zero_propagation_digest(dataset, builder, train_config):
     """The zero-delay case skips the propagation draw — a
     stream-alignment trap the LatencyModel must reproduce."""
     engine = EventDrivenTangleLearning(
-        sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
+        dataset, builder, train_config, DagConfig(alpha=5.0, depth_range=(2, 5)),
         sim_config=SimConfig.async_compat(mean_propagation_delay=0.0),
         seed=8,
     )
     trace = publish_trace(engine.run_cycles(20))
-    assert (
-        digest(trace, tangle_ids(engine.tangle)) == LEGACY_DIGESTS["zero-propagation"]
-    )
+    return digest(trace, tangle_ids(engine.tangle))
 
 
-ROUND_SCENARIOS = {
-    "accuracy": DagConfig(alpha=5.0, depth_range=(2, 5)),
-    "training-plane": DagConfig(alpha=5.0, depth_range=(2, 5), training_plane=True),
-    "weighted-engine": DagConfig(
-        selector="weighted", depth_range=(2, 5), walk_engine=True
-    ),
-}
-
-
-@pytest.mark.parametrize("scenario", list(ROUND_SCENARIOS))
-def test_round_mode_matches_round_simulator(
-    sim_dataset, logistic_builder, sim_train_config, scenario
-):
+def rounds_digest(dataset, builder, train_config, dag_config, sim_config=SimConfig()):
     engine = EventDrivenTangleLearning(
-        sim_dataset, logistic_builder, sim_train_config, ROUND_SCENARIOS[scenario],
-        seed=7,
+        dataset, builder, train_config, dag_config, sim_config=sim_config, seed=7
     )
     try:
         records = engine.run_rounds(4, clients_per_round=5)
     finally:
         engine.close()
+    assert engine.round_history == records
+    return digest([record_key(r) for r in records], tangle_ids(engine.tangle))
+
+
+#: The legacy simulator's two training paths are the two routes of
+#: ``execute_round`` now: its per-client loop ("accuracy") is what a
+#: round crossing to the pool runs in its workers, its lockstep plane
+#: ("training-plane") is what an in-process round runs.
+ROUND_SCENARIOS = {
+    "accuracy": DagConfig(alpha=5.0, depth_range=(2, 5), parallelism=2),
+    "training-plane": DagConfig(alpha=5.0, depth_range=(2, 5)),
+    "weighted-engine": DagConfig(selector="weighted", depth_range=(2, 5)),
+}
+
+#: Every scenario as a ``(dataset, builder, train_config) -> digest``
+#: callable; ``attacker`` is the round path through the substrate's own
+#: attack units (legacy ``TangleLearning(attackers={3: "random_weights"})``).
+SCENARIOS = {
+    "cycles": cycles_digest,
+    "custom-latency": custom_latency_digest,
+    "zero-propagation": zero_propagation_digest,
+    "accuracy": lambda *fixtures: rounds_digest(
+        *fixtures, ROUND_SCENARIOS["training-plane"]
+    ),
+    "attacker": lambda *fixtures: rounds_digest(
+        *fixtures, ROUND_SCENARIOS["training-plane"], SimConfig(attackers={3})
+    ),
+}
+
+
+def test_sequential_mode_matches_async_simulator(
+    sim_dataset, logistic_builder, sim_train_config, sequential_walks
+):
+    fixtures = (sim_dataset, logistic_builder, sim_train_config)
+    assert SCENARIOS["cycles"](*fixtures) == LEGACY_DIGESTS["cycles"]
+
+
+def test_sequential_parity_with_custom_latency_means(
+    sim_dataset, logistic_builder, sim_train_config, sequential_walks
+):
+    fixtures = (sim_dataset, logistic_builder, sim_train_config)
+    assert SCENARIOS["custom-latency"](*fixtures) == LEGACY_DIGESTS["custom-latency"]
+
+
+def test_sequential_parity_with_zero_propagation_delay(
+    sim_dataset, logistic_builder, sim_train_config, sequential_walks
+):
+    fixtures = (sim_dataset, logistic_builder, sim_train_config)
     assert (
-        digest([record_key(r) for r in records], tangle_ids(engine.tangle))
+        SCENARIOS["zero-propagation"](*fixtures) == LEGACY_DIGESTS["zero-propagation"]
+    )
+
+
+@pytest.mark.parametrize("scenario", list(ROUND_SCENARIOS))
+def test_round_mode_matches_round_simulator(
+    sim_dataset, logistic_builder, sim_train_config, scenario, request
+):
+    if scenario != "weighted-engine":  # that one was recorded on the engine
+        request.getfixturevalue("sequential_walks")
+    assert (
+        rounds_digest(
+            sim_dataset, logistic_builder, sim_train_config, ROUND_SCENARIOS[scenario]
+        )
         == LEGACY_DIGESTS[scenario]
     )
-    assert engine.round_history == records
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_engine_walker_digests(
+    sim_dataset, logistic_builder, sim_train_config, scenario
+):
+    """The same scenarios on the walker the library runs."""
+    fixtures = (sim_dataset, logistic_builder, sim_train_config)
+    assert SCENARIOS[scenario](*fixtures) == ENGINE_DIGESTS[scenario]
+
+
+#: Superstep walks (``quantum > 0``) never went through a sequential
+#: walker: recorded at PR 16's parent, where the engine still walked its
+#: batches inline, and unchanged by routing them through the selectors.
+QUANTUM_REPLAY_DIGESTS = {
+    "accuracy": "95fbcb8700d8a65013f5e3a547a5916cc7a16ea8a602899f9543e81ba89f652f",
+    "weighted": "bda9d8e09a8b8e7684856a313de1d383d3194cd22c297991039158311f8be071",
+    "random": "93029ccdde6bd58af1b60f5683ed36e131ab296eb323ef01b3b8cfa1c0f77cba",
+}
+
+
+@pytest.mark.parametrize("selector", list(QUANTUM_REPLAY_DIGESTS))
+def test_quantum_batches_replay_draw_for_draw(
+    sim_dataset, logistic_builder, sim_train_config, selector
+):
+    engine = EventDrivenTangleLearning(
+        sim_dataset, logistic_builder, sim_train_config,
+        DagConfig(alpha=5.0, depth_range=(2, 5), selector=selector),
+        sim_config=SimConfig(quantum=0.6, attackers={2}),
+        seed=5,
+    )
+    trace = publish_trace(engine.run_until(14.0))
+    assert any(e.client_id == 2 and e.published for e in engine.events)
+    assert (
+        digest(trace, tangle_ids(engine.tangle)) == QUANTUM_REPLAY_DIGESTS[selector]
+    )
 
 
 def test_round_mode_events_mirror_records(

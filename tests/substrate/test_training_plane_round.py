@@ -1,13 +1,15 @@
 """Training-plane rounds must be bit-identical to per-client rounds.
 
-``DagConfig(training_plane=True)`` reroutes a round through
-``run_training_plane_round`` — per-client walk/aggregation prep, one
-lockstep local-SGD pass, per-client finalization.  Because the lockstep
-kernels are bit-identical to the sequential loop, every record field,
-the tangle, and all carried client state must match the plain
-``execute_unit`` path exactly, for any executor and any protocol
-configuration — including conv models (fused like the MLP) and the
-plane's dropout stream reconciliation.
+``execute_round`` routes by what it observes: an in-process round goes
+through ``run_training_plane_round`` — per-client walk/aggregation prep,
+one lockstep local-SGD pass, per-client finalization — and a round that
+crosses to the pool maps whole ``execute_unit``s (each worker runs the
+per-client ``train_local`` loop).  Because the lockstep kernels are
+bit-identical to the sequential loop, every record field, the tangle,
+and all carried client state must match across the two routes exactly,
+for any protocol configuration — including conv models (fused like the
+MLP) and the plane's dropout stream reconciliation, which is why
+dropout models keep their training on the coordinator on either route.
 """
 
 import copy
@@ -15,11 +17,12 @@ import copy
 import numpy as np
 import pytest
 
-from repro.fl import DagConfig, TangleLearning, TrainingConfig
+from repro.fl import DagConfig, TangleLearning
 from repro.nn import zoo
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU
 from repro.nn.model import Classifier
 from repro.nn.module import Sequential
+from repro.substrate import SerialExecutor
 
 
 def make_sim(dataset, builder, train_config, **dag_overrides):
@@ -36,6 +39,64 @@ def make_sim(dataset, builder, train_config, **dag_overrides):
         seed=0,
         attackers=attackers,
     )
+
+
+def make_pair(dataset, builder, train_config, prepare=lambda sim: sim, **dag_overrides):
+    """The same simulation on each side of the routing: in-process
+    (lockstep plane) and through a 2-worker pool."""
+    return (
+        prepare(make_sim(dataset, builder, train_config, **dag_overrides)),
+        prepare(make_sim(dataset, builder, train_config, parallelism=2, **dag_overrides)),
+    )
+
+
+def mapped_functions(executor):
+    """Names of the unit functions ``executor`` is asked to map — the
+    coordinator-side trace of which route each round took."""
+    seen = []
+    original = executor.map
+
+    def spy(fn, items):
+        seen.append(fn.__name__)
+        return original(fn, items)
+
+    executor.map = spy
+    return seen
+
+
+def run_both(plane, pool, rounds, *, pool_route="execute_unit"):
+    plane_route = mapped_functions(plane.executor)
+    pooled_route = mapped_functions(pool.executor)
+    try:
+        plane.run(rounds)
+        pool.run(rounds)
+    finally:
+        plane.close()
+        pool.close()
+    assert plane_route == ["execute_prep_unit"] * rounds
+    assert pooled_route == [pool_route] * rounds
+    assert_histories_identical(plane, pool)
+
+
+class UnadvertisedSerial(SerialExecutor):
+    """Runs units in-process without saying so, so ``execute_round``
+    maps whole ``execute_unit``s through it."""
+
+    shares_memory = False
+
+
+@pytest.fixture
+def per_client_loop(monkeypatch):
+    """Put a sim on the sequential ``Client.train`` loop, dropout models
+    included: sound only because nothing here crosses a process."""
+    from repro.substrate import round_plan
+
+    def force(sim):
+        monkeypatch.setattr(round_plan, "draws_dropout_masks", lambda model: False)
+        sim.executor = UnadvertisedSerial()
+        return sim
+
+    return force
 
 
 def assert_histories_identical(a, b):
@@ -71,7 +132,7 @@ def assert_histories_identical(a, b):
         {"attackers": {2: "random_weights"}},
         {"personal_params": 2},
         {"visibility_delay": 1},
-        {"walk_engine": True},
+        {"selector": "weighted"},
         {"clients_per_round": 1},
         {"publish_gate": False},
     ],
@@ -80,7 +141,7 @@ def assert_histories_identical(a, b):
         "attacker",
         "personalized",
         "visibility-delay",
-        "walk-engine",
+        "weighted",
         "single-client-round",
         "no-gate",
     ],
@@ -88,44 +149,75 @@ def assert_histories_identical(a, b):
 def test_training_plane_rounds_identical_to_per_client_loop(
     tiny_fmnist, mlp_builder, fast_train_config, dag_overrides
 ):
-    baseline = make_sim(tiny_fmnist, mlp_builder, fast_train_config, **dag_overrides)
-    plane = make_sim(
-        tiny_fmnist, mlp_builder, fast_train_config,
-        training_plane=True, **dag_overrides,
-    )
-    try:
-        baseline.run(3)
-        plane.run(3)
-    finally:
-        baseline.close()
-        plane.close()
-    assert_histories_identical(baseline, plane)
+    run_both(*make_pair(tiny_fmnist, mlp_builder, fast_train_config, **dag_overrides), 3)
 
 
 def test_training_plane_parallel_identical_to_serial(
-    tiny_fmnist, mlp_builder, fast_train_config
+    tiny_fmnist, mlp_builder, fast_train_config, monkeypatch
 ):
-    """Prep units fan out over a process pool; lockstep training runs on
-    the coordinator.  Results must match the serial per-client loop bit
-    for bit."""
-    baseline = make_sim(tiny_fmnist, mlp_builder, fast_train_config)
-    plane_parallel = make_sim(
-        tiny_fmnist, mlp_builder, fast_train_config,
-        training_plane=True, parallelism=2,
+    """``execute_round`` itself: a ``SerialExecutor`` enters
+    ``run_training_plane_round``, a 2-worker pool maps ``execute_unit``,
+    and the two ``ClientRoundResult`` lists are bit-identical."""
+    from repro.substrate import (
+        ClientWorkUnit,
+        ParallelExecutor,
+        SerialExecutor,
+        round_plan,
     )
-    try:
-        baseline.run(3)
-        plane_parallel.run(3)
-    finally:
-        baseline.close()
-        plane_parallel.close()
-    assert_histories_identical(baseline, plane_parallel)
+
+    plane_rounds = []
+    original = round_plan.run_training_plane_round
+
+    def entering(executor, *args):
+        plane_rounds.append(type(executor).__name__)
+        return original(executor, *args)
+
+    monkeypatch.setattr(round_plan, "run_training_plane_round", entering)
+    results, routes = [], []
+    for executor in (SerialExecutor(), ParallelExecutor(workers=2)):
+        sim = make_sim(tiny_fmnist, mlp_builder, fast_train_config)
+        routes.append(mapped_functions(executor))
+        try:
+            sim.run(2)  # a tangle deep enough for the walks to matter
+            units = [
+                ClientWorkUnit(client_id, sim.round_index, attack)
+                for client_id, attack in zip(
+                    sorted(sim.clients)[:4], (None, None, "random_weights", None)
+                )
+            ]
+            with executor:
+                results.append(
+                    round_plan.execute_round(
+                        executor,
+                        tangle=sim.tangle,
+                        view=sim.tangle,
+                        config=sim.dag_config,
+                        rng_factory=sim._rngs,
+                        units=units,
+                        clients=sim.clients,
+                    )
+                )
+        finally:
+            sim.close()
+    assert routes == [["execute_prep_unit"], ["execute_unit"]]
+    # sim.run's own rounds are in-process too; the pool never enters.
+    assert set(plane_rounds) == {"SerialExecutor"}
+    for serial, pooled in zip(*results):
+        # Only what crossed a process boundary carries a state delta.
+        assert serial.state is None
+        assert (pooled.state is None) == (pooled.tags == {"malicious": True})
+        for name in (
+            "client_id", "publish", "parents", "tags", "reference_accuracy",
+            "test_accuracy", "test_loss", "walk_evaluations",
+        ):
+            assert getattr(serial, name) == getattr(pooled, name), name
+        if serial.publish:
+            np.testing.assert_array_equal(serial.flat_weights, pooled.flat_weights)
 
 
 def test_training_plane_conv_round_identical(tiny_fmnist, fast_train_config):
-    """Conv models train through the fused supersteps: with the plane
-    on, rounds must reproduce the per-client loop exactly, as they do
-    for the MLP."""
+    """Conv models train through the fused supersteps: plane rounds must
+    reproduce the per-client loop exactly, as they do for the MLP."""
     builder = lambda rng: zoo.build_fmnist_cnn(rng, image_size=10, size="small")
 
     def reshaped(sim):
@@ -135,18 +227,12 @@ def test_training_plane_conv_round_identical(tiny_fmnist, fast_train_config):
             client.data.x_test = client.data.x_test.reshape(-1, 1, 10, 10)
         return sim
 
-    data_a = copy.deepcopy(tiny_fmnist)
-    data_b = copy.deepcopy(tiny_fmnist)
-    baseline = reshaped(make_sim(data_a, builder, fast_train_config))
-    plane = reshaped(make_sim(data_b, builder, fast_train_config, training_plane=True))
+    plane = reshaped(make_sim(copy.deepcopy(tiny_fmnist), builder, fast_train_config))
+    pool = reshaped(
+        make_sim(copy.deepcopy(tiny_fmnist), builder, fast_train_config, parallelism=2)
+    )
     assert plane.model.supports_fused_train
-    try:
-        baseline.run(2)
-        plane.run(2)
-    finally:
-        baseline.close()
-        plane.close()
-    assert_histories_identical(baseline, plane)
+    run_both(plane, pool, 2)
 
 
 def dropout_mlp_builder(rng):
@@ -164,15 +250,15 @@ def dropout_mlp_builder(rng):
 
 
 def test_training_plane_dropout_round_identical(
-    tiny_fmnist, fast_train_config
+    tiny_fmnist, fast_train_config, per_client_loop
 ):
     """Dropout models: the lockstep pass forks per-client streams off
     the shared layer generator and reconciles it afterwards, so rounds
     (and the rounds after them) match the sequential loop exactly."""
-    baseline = make_sim(tiny_fmnist, dropout_mlp_builder, fast_train_config)
-    plane = make_sim(
-        tiny_fmnist, dropout_mlp_builder, fast_train_config, training_plane=True
+    baseline = per_client_loop(
+        make_sim(tiny_fmnist, dropout_mlp_builder, fast_train_config)
     )
+    plane = make_sim(tiny_fmnist, dropout_mlp_builder, fast_train_config)
     try:
         baseline.run(4)
         plane.run(4)
@@ -191,25 +277,17 @@ def test_training_plane_dropout_round_identical(
 def test_training_plane_dropout_round_parallel_matches_serial(
     tiny_fmnist, fast_train_config
 ):
-    """With the plane on, dropout draws happen on the *coordinator's*
-    canonical model even under the parallel executor (prep is eval-only;
-    training is lockstep) — so parallel rounds of dropout models match
-    the serial reference, which the per-client parallel path cannot
-    guarantee (worker model copies each hold their own stream)."""
-    serial = make_sim(
-        tiny_fmnist, dropout_mlp_builder, fast_train_config, training_plane=True
+    """A dropout model's mask generator lives on the model, so its
+    training stays on the *coordinator's* canonical model even when the
+    round crosses to the pool (prep is eval-only; training is lockstep)
+    — parallel rounds of dropout models match the serial reference,
+    which per-client units in workers cannot guarantee (worker model
+    copies each hold their own stream)."""
+    run_both(
+        *make_pair(tiny_fmnist, dropout_mlp_builder, fast_train_config),
+        3,
+        pool_route="execute_prep_unit",
     )
-    parallel = make_sim(
-        tiny_fmnist, dropout_mlp_builder, fast_train_config,
-        training_plane=True, parallelism=2,
-    )
-    try:
-        serial.run(3)
-        parallel.run(3)
-    finally:
-        serial.close()
-        parallel.close()
-    assert_histories_identical(serial, parallel)
 
 
 def test_training_plane_mixed_model_instances_group_per_model(
@@ -228,51 +306,13 @@ def test_training_plane_mixed_model_instances_group_per_model(
             sim.clients[client_id].model = second
         return sim
 
-    baseline = split_models(make_sim(tiny_fmnist, mlp_builder, fast_train_config))
-    plane = split_models(
-        make_sim(tiny_fmnist, mlp_builder, fast_train_config, training_plane=True)
+    run_both(
+        *make_pair(tiny_fmnist, mlp_builder, fast_train_config, prepare=split_models), 3
     )
-    try:
-        baseline.run(3)
-        plane.run(3)
-    finally:
-        baseline.close()
-        plane.close()
-    assert_histories_identical(baseline, plane)
-
-
-def test_training_plane_async_cycles_identical(tiny_fmnist, mlp_builder):
-    from repro.sim import EventDrivenTangleLearning, SimConfig
-
-    config = TrainingConfig(
-        local_epochs=1, local_batches=3, batch_size=8, learning_rate=0.1
-    )
-
-    def run(plane):
-        sim = EventDrivenTangleLearning(
-            tiny_fmnist,
-            mlp_builder,
-            config,
-            DagConfig(alpha=10.0, depth_range=(2, 5), training_plane=plane),
-            sim_config=SimConfig.async_compat(),
-            seed=3,
-        )
-        sim.run_cycles(12)
-        return sim
-
-    baseline, plane = run(False), run(True)
-    assert [e.accuracy for e in baseline.events] == [e.accuracy for e in plane.events]
-    assert [e.reference_accuracy for e in baseline.events] == [
-        e.reference_accuracy for e in plane.events
-    ]
-    assert [e.tx_id for e in baseline.events] == [e.tx_id for e in plane.events]
-    for t1, t2 in zip(baseline.tangle.transactions(), plane.tangle.transactions()):
-        for w1, w2 in zip(t1.model_weights, t2.model_weights):
-            np.testing.assert_array_equal(w1, w2)
 
 
 def test_training_plane_heterogeneous_client_configs_with_dropout(
-    tiny_fmnist, fast_train_config
+    tiny_fmnist, fast_train_config, per_client_loop
 ):
     """Clients with different TrainingConfigs share one dropout model:
     the plane must keep the layer stream client-major across the
@@ -285,14 +325,11 @@ def test_training_plane_heterogeneous_client_configs_with_dropout(
             sim.clients[client_id].config = fast_lr
         return sim
 
-    baseline = with_split_configs(
-        make_sim(tiny_fmnist, dropout_mlp_builder, fast_train_config)
+    baseline = per_client_loop(
+        with_split_configs(make_sim(tiny_fmnist, dropout_mlp_builder, fast_train_config))
     )
     plane = with_split_configs(
-        make_sim(
-            tiny_fmnist, dropout_mlp_builder, fast_train_config,
-            training_plane=True,
-        )
+        make_sim(tiny_fmnist, dropout_mlp_builder, fast_train_config)
     )
     try:
         baseline.run(3)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency guard for CI.
 
-Two checks, both cheap and dependency-free:
+Three checks, all cheap and dependency-free:
 
 1. **Dead relative links.** Every markdown link in ``README.md`` and
    ``docs/*.md`` whose target is a relative path must resolve to a file
@@ -14,6 +14,11 @@ Two checks, both cheap and dependency-free:
    be the same command README and ROADMAP tell a human to run.  Doc
    drift on the one command everyone copy-pastes is the most expensive
    kind.
+3. **Knob tables.** Every row of a docs "Knobs" table that names a
+   ``DagConfig`` knob — a table introduced as living on ``DagConfig``,
+   or a row whose "Where" column says so — must name a field of
+   ``DagConfig`` with the default the table states (read from
+   ``src/repro/fl/config.py`` with ``ast``, nothing is imported).
 
 Usage::
 
@@ -24,6 +29,7 @@ Exits 1 with one line per violation.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -80,15 +86,76 @@ def check_tier1_command() -> list[str]:
     return failures
 
 
+def dag_config_defaults(source: str) -> dict[str, object]:
+    """``DagConfig``'s fields and literal defaults, from its source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "DagConfig":
+            return {
+                field.target.id: ast.literal_eval(field.value)
+                for field in node.body
+                if isinstance(field, ast.AnnAssign) and field.value is not None
+            }
+    raise ValueError("no DagConfig class found")
+
+
+def _cells(line: str) -> list[str]:
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+
+def knob_table_failures(name: str, text: str, defaults: dict[str, object]) -> list[str]:
+    """Violations among the ``DagConfig`` rows of ``text``'s Knobs table."""
+    lines = text.partition("## Knobs")[2].splitlines()
+    start = next((i for i, line in enumerate(lines) if line.startswith("|")), None)
+    if start is None:
+        return []
+    # A table without a "Where" column belongs to the config class its
+    # introduction names ("... knobs live on `DagConfig`").
+    owner = re.search(r"`(\w+Config)`", " ".join(lines[:start]))
+    header = _cells(lines[start])
+    failures = []
+    for line in lines[start + 2 :]:  # past the header and its |---| rule
+        if not line.startswith("|"):
+            break
+        row = dict(zip(header, _cells(line)))
+        where = row.get("Where") or (owner and f"`{owner.group(1)}`")
+        if where != "`DagConfig`":
+            continue
+        knob, stated = row["Knob"].strip("`"), row["Default"].strip("`")
+        if knob not in defaults:
+            failures.append(f"{name}: knob table names `{knob}`, not a DagConfig field")
+        elif ast.literal_eval(stated) != defaults[knob]:
+            failures.append(
+                f"{name}: knob table says `{knob}` defaults to {stated}, "
+                f"DagConfig says {defaults[knob]!r}"
+            )
+    return failures
+
+
+def check_knob_tables() -> list[str]:
+    defaults = dag_config_defaults(
+        (ROOT / "src" / "repro" / "fl" / "config.py").read_text()
+    )
+    return [
+        failure
+        for doc in sorted((ROOT / "docs").glob("*.md"))
+        for failure in knob_table_failures(
+            str(doc.relative_to(ROOT)), doc.read_text(), defaults
+        )
+    ]
+
+
 def main() -> int:
-    failures = check_links() + check_tier1_command()
+    failures = check_links() + check_tier1_command() + check_knob_tables()
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if failures:
         print(f"\n{len(failures)} docs-consistency violation(s)", file=sys.stderr)
         return 1
     docs = list(iter_doc_files())
-    print(f"docs ok: {len(docs)} files, links resolve, tier-1 command consistent")
+    print(
+        f"docs ok: {len(docs)} files, links resolve, tier-1 command "
+        "consistent, knob tables match DagConfig"
+    )
     return 0
 
 
