@@ -66,8 +66,8 @@ def test_fault_plane_disabled_overhead_floor():
     """Clean trace vs the same trace with the delivery machinery forced
     on (``always_on``), event-at-a-time: both runs are bit-identical in
     behavior and build the same walk snapshots, so the wall-clock ratio
-    isolates the plane's pure bookkeeping (per-link arrival fan-out and
-    per-observer visibility maps).  A ``FaultModel()`` at its defaults
+    isolates the plane's pure bookkeeping (per-link arrival fan-out
+    into the arrival table, and views reading its rows).  A ``FaultModel()`` at its defaults
     skips even that, taking the exact pre-plane code path."""
     horizon, repeats = 4.0, 3
 
@@ -100,8 +100,9 @@ def test_fault_plane_disabled_overhead_floor():
 
 def test_batched_link_fidelity_cost_recorded():
     """Under quantum batching, per-link visibility is a real fidelity
-    feature with a real cost: every observer sees a different tangle, so
-    walk snapshots can no longer be shared across a batch.  Recorded
+    feature with a real cost: every observer sees its own tangle, so a
+    batch walks one snapshot restriction per distinct mask instead of
+    one per exemption group.  Recorded
     without a floor — it measures a feature's price, not overhead of the
     disabled plane — and the traces must still match bit for bit."""
     horizon = 4.0

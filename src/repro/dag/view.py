@@ -8,6 +8,13 @@ copying the DAG: :class:`TangleView` bounds visibility by round (round
 mode's ``visibility_delay``), :class:`TimedTangleView` by per-transaction
 visibility times (event mode's propagation delay).
 
+A view *is* a row mask over its tangle: ``mask(snapshot)`` says which
+nodes of the tangle's one whole-tangle snapshot it sees, and
+:func:`repro.dag.walk_engine.snapshot_for` serves the view the
+restriction of that snapshot — so walks over every view share one
+snapshot maintained by O(delta) extension instead of each view copying
+the DAG.
+
 The two classes deliberately share no base: each defines its own query
 methods, so tooling that wraps ``cls.__dict__[name]`` per class (the
 end-to-end benchmark's span recorder) sees every call exactly once.
@@ -16,34 +23,30 @@ end-to-end benchmark's span recorder) sees every call exactly once.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from itertools import compress
 
 import numpy as np
 
+from repro.dag import walk_engine
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import Transaction
 
-__all__ = ["TangleView", "TimedTangleView", "visible_tips"]
+__all__ = ["TangleView", "TimedTangleView"]
 
 
-def visible_tips(tangle: Tangle, visible: Callable[[Transaction], bool]) -> list[str]:
-    """Tips of the sub-DAG induced by a visibility predicate, in one pass.
+def _snapshot_tips(view) -> list[str]:
+    """The view's tips, sorted: its restricted snapshot's tip set."""
+    snapshot = walk_engine.snapshot_for(view)
+    return [snapshot.ids[node] for node in snapshot.tip_nodes]
 
-    A visible transaction is a tip when none of its approvers is
-    visible.  Computing the visible id set once and testing approver
-    membership against it costs O(transactions + edges); the naive
-    formulation — calling a view's ``approvers`` per transaction, each
-    call re-validating visibility through ``get`` — re-pays the
-    predicate per edge endpoint and degenerates quadratically on
-    delay-bounded views.  Shared by :meth:`TangleView.tips` and
-    :meth:`TimedTangleView.tips`.
-    """
-    visible_ids = [tx.tx_id for tx in tangle.transactions() if visible(tx)]
-    visible_set = set(visible_ids)
-    return sorted(
-        tx_id
-        for tx_id in visible_ids
-        if not any(a in visible_set for a in tangle.approvers(tx_id))
+
+def _column(times, ids: list[str], missing: float) -> np.ndarray:
+    """Per-node times for ``ids`` (the whole tangle in insertion order)
+    from an insertion-order column or an id-keyed map."""
+    if isinstance(times, np.ndarray):
+        return times[: len(ids)]
+    return np.fromiter(
+        (times.get(tx_id, missing) for tx_id in ids), dtype=np.float64, count=len(ids)
     )
 
 
@@ -73,45 +76,57 @@ class TangleView:
     """
 
     def __init__(self, tangle: Tangle, max_round: int):
-        self._tangle = tangle
+        self.tangle = tangle
         self.max_round = max_round
 
     def _visible(self, tx: Transaction) -> bool:
         return tx.is_genesis or tx.round_index <= self.max_round
 
+    def mask(self, snapshot) -> np.ndarray:
+        """Which nodes of ``snapshot`` — the tangle's whole-tangle
+        snapshot, node = insertion position — lie within the bound."""
+        rounds = np.fromiter(
+            (tx.round_index for tx in self.tangle.transactions()),
+            dtype=np.int64,
+            count=len(snapshot),
+        )
+        visible = rounds <= self.max_round
+        visible[0] = True  # genesis
+        return visible
+
     def __contains__(self, tx_id: str) -> bool:
-        return tx_id in self._tangle and self._visible(self._tangle.get(tx_id))
+        return tx_id in self.tangle and self._visible(self.tangle.get(tx_id))
 
     def __len__(self) -> int:
-        return sum(1 for tx in self._tangle.transactions() if self._visible(tx))
+        return sum(1 for tx in self.tangle.transactions() if self._visible(tx))
 
     @property
     def genesis(self) -> Transaction:
-        return self._tangle.genesis
+        return self.tangle.genesis
 
     def get(self, tx_id: str) -> Transaction:
         """The transaction under ``tx_id`` if visible (KeyError otherwise)."""
-        tx = self._tangle.get(tx_id)
+        tx = self.tangle.get(tx_id)
         if not self._visible(tx):
             raise KeyError(f"transaction {tx_id!r} not visible at round {self.max_round}")
         return tx
 
     def transactions(self) -> list[Transaction]:
         """Visible transactions in the tangle's insertion order."""
-        return [tx for tx in self._tangle.transactions() if self._visible(tx)]
+        return [tx for tx in self.tangle.transactions() if self._visible(tx)]
 
     def approvers(self, tx_id: str) -> list[str]:
         """Visible transactions that directly approve ``tx_id``."""
         self.get(tx_id)  # visibility check
         return [
             a
-            for a in self._tangle.approvers(tx_id)
-            if self._visible(self._tangle.get(a))
+            for a in self.tangle.approvers(tx_id)
+            if self._visible(self.tangle.get(a))
         ]
 
     def tips(self) -> list[str]:
-        """Visible transactions with no visible approvers (one pass)."""
-        return visible_tips(self._tangle, self._visible)
+        """Visible transactions with no visible approvers, sorted."""
+        return _snapshot_tips(self)
 
     def is_tip(self, tx_id: str) -> bool:
         """Whether ``tx_id`` is visible and has no visible approvers."""
@@ -125,9 +140,9 @@ class TangleView:
         weight index in O(1); only genuinely truncated views pay for a
         visibility-filtered BFS.
         """
-        if self.max_round >= self._tangle.last_round_index:
+        if self.max_round >= self.tangle.last_round_index:
             self.get(tx_id)
-            return self._tangle.cumulative_weight(tx_id)
+            return self.tangle.cumulative_weight(tx_id)
         return _visible_cumulative_weight(self, tx_id)
 
     def cumulative_weights(self, tx_ids) -> np.ndarray:
@@ -139,21 +154,21 @@ class TangleView:
         ``KeyError`` on unknown ids, so no per-id check is needed.
         Truncated views fall back to the per-id filtered BFS.
         """
-        if self.max_round >= self._tangle.last_round_index:
-            return self._tangle.cumulative_weights(tx_ids)
+        if self.max_round >= self.tangle.last_round_index:
+            return self.tangle.cumulative_weights(tx_ids)
         return np.array(
             [self.cumulative_weight(tx_id) for tx_id in tx_ids], dtype=np.float64
         )
 
     def approval_edges(self):
         """Visible (approving, approved) pairs, genesis excluded."""
-        for approving, approved in self._tangle.approval_edges():
+        for approving, approved in self.tangle.approval_edges():
             if self._visible(approving) and self._visible(approved):
                 yield approving, approved
 
     def _cost_footprint(self, walk) -> tuple[int, int]:
         """Views ship their whole tangle plus a bound — delegate."""
-        ipc, dense = walk(self._tangle)
+        ipc, dense = walk(self.tangle)
         return ipc + 64, dense + 64
 
 
@@ -166,58 +181,88 @@ class TimedTangleView:
     local tangle always contains its own publications, so transactions
     the observer itself issued are visible from their publication time —
     the propagation delay only governs everyone else.
+
+    Both time maps are either keyed by transaction id (a missing id is
+    never visible, never published) or insertion-order columns — row
+    ``i`` describes the tangle's ``i``-th transaction, the form the
+    event engine keeps, alongside an ``issuers`` column (read from the
+    tangle when omitted).  Either way visibility is one vectorized
+    :meth:`mask`, and every query below reads through it.  Times are
+    written once, when a transaction is published, and never changed.
     """
 
     def __init__(
         self,
         tangle: Tangle,
-        visible_from: dict[str, float],
+        visible_from,
         now: float,
         *,
         observer: int | None = None,
-        published_at: dict[str, float] | None = None,
+        published_at=None,
+        issuers: np.ndarray | None = None,
     ):
-        self._tangle = tangle
+        self.tangle = tangle
         self._visible_from = visible_from
         self._observer = observer
         self._published_at = {} if published_at is None else published_at
+        self._issuers = issuers
         self.now = now
+        # (whole-tangle snapshot, its mask) for the per-id queries.
+        self._masked: tuple = (None, None)
+
+    def mask(self, snapshot) -> np.ndarray:
+        """Which nodes of ``snapshot`` — the tangle's whole-tangle
+        snapshot, node = insertion position — are visible at ``now``:
+        network-visible, or the observer's own and already published."""
+        ids = snapshot.ids
+        visible = _column(self._visible_from, ids, np.inf) <= self.now
+        if self._observer is not None:
+            if self._issuers is not None:
+                issuers = self._issuers[: len(ids)]
+            else:
+                issuers = np.fromiter(
+                    (self.tangle.get(tx_id).issuer for tx_id in ids),
+                    dtype=np.int64,
+                    count=len(ids),
+                )
+            published = _column(self._published_at, ids, np.nan) <= self.now
+            visible |= published & (issuers == self._observer)
+        return visible
+
+    def _current_mask(self) -> tuple:
+        """(whole-tangle snapshot, this view's mask over it), the mask
+        recomputed only once the tangle has grown or been compacted."""
+        full = walk_engine.snapshot_for(self.tangle)
+        if self._masked[0] is not full:
+            self._masked = (full, self.mask(full))
+        return self._masked
 
     def _visible(self, tx_id: str) -> bool:
-        if self._visible_from.get(tx_id, float("inf")) <= self.now:
-            return True
-        if self._observer is None:
-            return False
-        published = self._published_at.get(tx_id)
-        return (
-            published is not None
-            and published <= self.now
-            and self._tangle.get(tx_id).issuer == self._observer
-        )
+        full, mask = self._current_mask()
+        node = full.index.get(tx_id)
+        return node is not None and bool(mask[node])
 
     @property
     def genesis(self) -> Transaction:
-        return self._tangle.genesis
+        return self.tangle.genesis
 
     def __contains__(self, tx_id: str) -> bool:
-        return tx_id in self._tangle and self._visible(tx_id)
+        return self._visible(tx_id)
 
     def get(self, tx_id: str) -> Transaction:
         if not self._visible(tx_id):
             raise KeyError(f"transaction {tx_id!r} not visible at t={self.now}")
-        return self._tangle.get(tx_id)
+        return self.tangle.get(tx_id)
 
     def transactions(self) -> list[Transaction]:
-        return [
-            tx for tx in self._tangle.transactions() if self._visible(tx.tx_id)
-        ]
+        return list(compress(self.tangle.transactions(), self._current_mask()[1]))
 
     def approvers(self, tx_id: str) -> list[str]:
         self.get(tx_id)
-        return [a for a in self._tangle.approvers(tx_id) if self._visible(a)]
+        return [a for a in self.tangle.approvers(tx_id) if self._visible(a)]
 
     def tips(self) -> list[str]:
-        return visible_tips(self._tangle, lambda tx: self._visible(tx.tx_id))
+        return _snapshot_tips(self)
 
     def is_tip(self, tx_id: str) -> bool:
         return tx_id in self and not self.approvers(tx_id)

@@ -10,15 +10,18 @@ tangle:
 
 - :class:`TangleSnapshot` flattens a tangle (or any visibility view)
   into CSR adjacency over dense int node ids: approver lists, parent
-  lists, the tip set, and (lazily) cumulative weights.  Built once per
-  publish epoch and reused by every walk against the same visible state
-  (:func:`snapshot_for` caches by an append-only fingerprint).  When an
-  epoch merely *grows* the previous one, :meth:`TangleSnapshot.extend`
-  derives the new snapshot from the cached one in O(delta) — CSR rows
-  appended, candidate matrices patched, bitset cumulative weights
-  extended by delta columns — bit-identical to a cold rebuild, so at
-  10^5+ transactions per-publish maintenance cost stays flat instead of
-  replaying the whole history (see ``docs/scaling.md``).
+  lists, the tip set, and (lazily) cumulative weights.  Each tangle has
+  **one** whole-tangle snapshot (:func:`snapshot_for` caches it per
+  tangle); when the tangle merely *grows*,
+  :meth:`TangleSnapshot.extend` derives the new snapshot from the
+  cached one in O(delta) — CSR rows appended, candidate matrices
+  patched, bitset cumulative weights extended by delta columns —
+  bit-identical to a cold rebuild, so at 10^5+ transactions
+  per-publish maintenance cost stays flat instead of replaying the
+  whole history (see ``docs/scaling.md``).  A view's snapshot is that
+  snapshot **restricted** by the view's boolean row mask
+  (:meth:`TangleSnapshot.restrict`): a handful of vector ops, equal to
+  a cold build of the view.
 - :func:`batched_walk_starts` vectorizes the Popov depth descent: all
   tip draws, all depths, then one gather per descent level.
 - :func:`lockstep_walks` advances every live particle one superstep at
@@ -59,7 +62,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.dag.tangle import Tangle
-from repro.dag.view import TangleView, TimedTangleView
 
 __all__ = [
     "TangleSnapshot",
@@ -137,11 +139,13 @@ class TangleSnapshot:
     transactions approving them.  ``ids[node]`` recovers the transaction
     id; ``index[tx_id]`` the node.  A snapshot's arrays never change
     once built: build it from a frozen view and reuse it for every walk
-    of the epoch.  When the epoch rolls over, :meth:`extend` produces
-    the *next* snapshot as a delta on this one (append-only growth keeps
-    node ids stable), so a long-running tangle pays O(new transactions)
-    per publish epoch rather than O(history) — the delta protocol
-    ``docs/scaling.md`` specifies.
+    of the epoch.  Only whole-tangle snapshots grow: when the tangle
+    does, :meth:`extend` produces the *next* snapshot as a delta on
+    this one (append-only growth keeps node ids stable), so a
+    long-running tangle pays O(new transactions) per publish epoch
+    rather than O(history) — the delta protocol ``docs/scaling.md``
+    specifies.  A view's snapshot is the whole-tangle one restricted by
+    the view's row mask (:meth:`restrict`).
     """
 
     def __init__(
@@ -150,8 +154,6 @@ class TangleSnapshot:
         parent_lists: list[list[int]],
         approver_lists: list[list[int]],
     ):
-        self.ids = ids
-        self.index = {tx_id: node for node, tx_id in enumerate(ids)}
         n = len(ids)
 
         def to_csr(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +169,33 @@ class TangleSnapshot:
             )
             return indptr, indices
 
-        self.parent_indptr, self.parent_indices = to_csr(parent_lists)
-        self.approver_indptr, self.approver_indices = to_csr(approver_lists)
-        self.parent_counts = np.diff(self.parent_indptr)
-        self.approver_counts = np.diff(self.approver_indptr)
+        self._adopt(
+            ids,
+            {tx_id: node for node, tx_id in enumerate(ids)},
+            *to_csr(parent_lists),
+            *to_csr(approver_lists),
+        )
+
+    def _adopt(
+        self,
+        ids: list[str],
+        index: dict[str, int],
+        parent_indptr: np.ndarray,
+        parent_indices: np.ndarray,
+        approver_indptr: np.ndarray,
+        approver_indices: np.ndarray,
+    ) -> None:
+        """Set every field from the two CSR adjacencies: lazy planes
+        unmaterialized, no weight authority, not extendable."""
+        self.ids = ids
+        self.index = index
+        self.parent_indptr, self.parent_indices = parent_indptr, parent_indices
+        self.approver_indptr, self.approver_indices = (
+            approver_indptr,
+            approver_indices,
+        )
+        self.parent_counts = np.diff(parent_indptr)
+        self.approver_counts = np.diff(approver_indptr)
         self.max_approvers = int(self.approver_counts.max(initial=0))
         # Shared arange scratch: supersteps slice prefixes instead of
         # re-allocating one arange per reduction.
@@ -181,13 +206,14 @@ class TangleSnapshot:
         # are invisible): where depth descents terminate early.
         self.sink_nodes = np.flatnonzero(self.parent_counts == 0)
         self._longest_past_path: np.ndarray | None = None
-        # Set by build() when the snapshot covers a whole tangle: a
-        # weakref to that tangle plus its length, so weight queries can
-        # be answered from its incremental index instead of the bitset
-        # pass (valid only while the tangle hasn't grown — new approvers
-        # outside the snapshot must not leak into snapshot weights).
+        # Set on whole-tangle snapshots: a weakref to the tangle plus
+        # its length, so weight queries can be answered from its
+        # incremental index instead of the bitset pass (valid only while
+        # the tangle hasn't grown — new approvers outside the snapshot
+        # must not leak into snapshot weights).
         self._weight_authority: "weakref.ref | None" = None
         self._weight_authority_len = -1
+        self._cumulative: np.ndarray | None = None
         self._cumulative_float: np.ndarray | None = None
         # Tips: visible nodes with no visible approver, in the sorted-id
         # order tangle.tips() / view.tips() produce.
@@ -195,21 +221,15 @@ class TangleSnapshot:
         self.tip_nodes = np.array(
             sorted(tip_nodes.tolist(), key=ids.__getitem__), dtype=np.int64
         )
-        self._cumulative: np.ndarray | None = None
-        # Delta-extension provenance (set by build()/extend(); directly
-        # constructed snapshots stay non-extendable): which tangle this
-        # snapshot was cut from, at what length and compaction epoch,
-        # under which visibility bound, and how many of the source's
-        # transactions the bound hid.  snapshot_for() consults these to
-        # route a grown view to extend() instead of a cold rebuild.
+        # Extension provenance (whole-tangle snapshots only, see
+        # _anchor_to): which tangle this snapshot covers, at what length
+        # and compaction epoch.  snapshot_for() consults these to route
+        # a grown tangle to extend() instead of a cold rebuild.
         self._anchor: "weakref.ref | None" = None
-        self._source_len = n
-        self._hidden = 0
-        self._view_kind: str | None = None
-        self._view_bound: object = None
-        self._view_maps: tuple | None = None
+        self._source_len = len(ids)
         self._epoch = 0
-        self._max_round_seen: int | None = None
+        # Memoized restrictions, keyed by the packed mask bytes.
+        self._restrictions: dict[bytes, TangleSnapshot] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -235,120 +255,51 @@ class TangleSnapshot:
                 parent_lists[node].append(parent_node)
                 approver_lists[parent_node].append(node)
         snapshot = cls(ids, parent_lists, approver_lists)
-        authority = None
         if isinstance(view, Tangle):
-            authority = view
-        elif isinstance(view, TangleView) and (
-            view.max_round >= view._tangle.last_round_index
-        ):
-            authority = view._tangle
-        if authority is not None:
-            snapshot._weight_authority = weakref.ref(authority)
-            snapshot._weight_authority_len = len(authority)
-        anchor, key = _fingerprint(view)
-        if key is not None:
-            snapshot._stamp_provenance(anchor, key, transactions)
+            snapshot._anchor_to(view)
         return snapshot
 
-    def _stamp_provenance(self, anchor, key: tuple, transactions) -> None:
-        """Record where this snapshot was cut from (see ``__init__``)."""
-        self._anchor = weakref.ref(anchor)
-        self._source_len = key[2]
-        self._hidden = key[2] - len(self.ids)
-        self._epoch = key[-1]
-        self._view_kind = key[0]
-        if key[0] == "view":
-            self._view_bound = key[3]
-        elif key[0] == "timed":
-            self._view_bound = key[3]
-            self._view_maps = (key[5], key[6], key[4])
-        self._max_round_seen = max(
-            (tx.round_index for tx in transactions), default=-1
+    def _anchor_to(self, tangle: Tangle) -> None:
+        """Mark this snapshot as covering all of ``tangle`` as it is now:
+        weight authority plus extension provenance."""
+        self._weight_authority = self._anchor = weakref.ref(tangle)
+        self._weight_authority_len = self._source_len = len(tangle)
+        self._epoch = tangle.compaction_epoch
+
+    def _can_extend_to(self, tangle: Tangle) -> bool:
+        """Whether ``tangle`` is this snapshot's tangle grown in place:
+        the same live object at the same compaction epoch, no shorter —
+        the condition under which its node ids extend this snapshot's."""
+        return (
+            self._anchor is not None
+            and self._anchor() is tangle
+            and tangle.compaction_epoch == self._epoch
+            and len(tangle) >= self._source_len
         )
 
-    def _can_extend_to(self, anchor, key: tuple) -> bool:
-        """Whether this snapshot's visible set is a prefix of ``key``'s.
-
-        True iff the target view is anchored to the same live tangle at
-        the same compaction epoch and every transaction visible here is
-        visible there, in the same insertion order — the condition under
-        which the target's node ids extend this snapshot's.  The rules
-        per target kind:
-
-        - a raw tangle sees everything, so any snapshot that hid
-          nothing (``_hidden == 0``) extends to it;
-        - a round-bounded view extends a same-bound snapshot (same
-          predicate, append-only growth), or any hole-free snapshot
-          whose highest seen round the new bound covers;
-        - a delay-bounded (timed) view extends only a timed snapshot
-          over the *same* visibility maps, at the same instant or — when
-          the snapshot hid nothing — any later one (visibility times
-          are written once at publish, so visibility is monotone in
-          ``now``).
-        """
-        if self._view_kind is None or anchor is None:
-            return False
-        if self._anchor is None or self._anchor() is not anchor:
-            return False
-        if key[-1] != self._epoch or key[2] < self._source_len:
-            return False
-        kind = key[0]
-        if kind == "tangle":
-            return self._hidden == 0
-        if kind == "view":
-            if self._view_kind == "view" and self._view_bound == key[3]:
-                return True
-            return self._hidden == 0 and key[3] >= self._max_round_seen
-        if kind == "timed":
-            if self._view_kind != "timed":
-                return False
-            if self._view_maps != (key[5], key[6], key[4]):
-                return False
-            if key[3] == self._view_bound:
-                return True
-            return self._hidden == 0 and key[3] >= self._view_bound
-        return False
-
-    def extend(self, view) -> "TangleSnapshot":
-        """A snapshot of ``view`` built as a delta on top of this one.
+    def extend(self, tangle: Tangle) -> "TangleSnapshot":
+        """A snapshot of ``tangle`` built as a delta on top of this one.
 
         The O(history) work of :meth:`build` — the Python pass over
-        every visible transaction and its edges — shrinks to
-        O(delta): only transactions the source tangle gained since this
-        snapshot was cut are scanned; everything else is appended or
-        patched at C speed (CSR row append, padded-matrix row stack,
-        and a delta-width bitset pass for materialized cumulative
-        weights).  The result is **bit-identical** to a cold
-        ``build(view)``: same arrays, same walk distributions, same
-        Gumbel stream consumption, same ``evaluation_counter`` calls —
-        the scale benchmark and the extension tests pin this.
+        every transaction and its edges — shrinks to O(delta): only
+        transactions the tangle gained since this snapshot was cut are
+        scanned; everything else is appended or patched at C speed (CSR
+        row append, padded-matrix row stack, and a delta-width bitset
+        pass for materialized cumulative weights).  The result is
+        **bit-identical** to a cold ``build(tangle)``: same arrays, same
+        walk distributions, same Gumbel stream consumption, same
+        ``evaluation_counter`` calls — the scale benchmark and the
+        extension tests pin this.
 
-        Returns a *new* snapshot when the delta is non-empty (callers
-        key memos by snapshot identity); returns ``self`` with its
-        source length advanced when the tangle grew but nothing new is
-        visible under ``view``'s bound.  Raises ``ValueError`` when the
-        target is not an extension of this snapshot — use
-        :meth:`_can_extend_to` (as :func:`snapshot_for` does) to route.
+        Returns a *new* snapshot when the tangle grew (callers key memos
+        by snapshot identity) and ``self`` when it did not.  Raises
+        ``ValueError`` when ``tangle`` is not this snapshot's tangle
+        grown in place (:meth:`_can_extend_to`).
         """
-        anchor, key = _fingerprint(view)
-        if key is None or not self._can_extend_to(anchor, key):
-            raise ValueError("snapshot does not extend to this view")
-        tangle = anchor
-        fresh = tangle.transactions_since(self._source_len)
-        kind = key[0]
-        if kind == "tangle":
-            delta = fresh
-        elif kind == "view":
-            bound = key[3]
-            delta = [tx for tx in fresh if tx.round_index <= bound]
-        else:  # timed: same maps were verified, ask the view directly
-            delta = [tx for tx in fresh if view._visible(tx.tx_id)]
+        if not self._can_extend_to(tangle):
+            raise ValueError("snapshot does not extend to this tangle")
+        delta = tangle.transactions_since(self._source_len)
         if not delta:
-            # Content unchanged: serve the same object (memos keyed by
-            # snapshot identity stay valid) with provenance advanced so
-            # the next extension scans only genuinely new transactions.
-            self._hidden += len(fresh)
-            self._source_len = key[2]
             return self
 
         n0 = len(self.ids)
@@ -363,14 +314,9 @@ class TangleSnapshot:
         for offset, tx in enumerate(delta):
             node = n0 + offset
             index[tx.tx_id] = node
-            row = []
-            for parent in tx.parents:
-                p = index.get(parent)
-                if p is None:  # parent not visible in this view
-                    continue
-                row.append(p)
-                edge_parents.append(p)
-                edge_children.append(node)
+            row = [index[parent] for parent in tx.parents]
+            edge_parents.extend(row)
+            edge_children.extend([node] * len(row))
             parent_rows.append(row)
 
         delta_counts = np.fromiter(
@@ -429,34 +375,17 @@ class TangleSnapshot:
             approver_indices[pos] = echildren[order]
 
         ext = object.__new__(TangleSnapshot)
-        ext.ids = ids
-        ext.index = index
-        ext.parent_indptr = parent_indptr
-        ext.parent_indices = parent_indices
-        ext.parent_counts = parent_counts
-        ext.approver_indptr = approver_indptr
-        ext.approver_indices = approver_indices
-        ext.approver_counts = approver_counts
-        ext.max_approvers = int(approver_counts.max(initial=0))
-        ext._column_range = (
-            self._column_range
-            if ext.max_approvers == self.max_approvers
-            else np.arange(max(1, ext.max_approvers))
-        )
-        new_sinks = np.flatnonzero(delta_counts == 0) + n0
-        ext.sink_nodes = (
-            np.concatenate([self.sink_nodes, new_sinks])
-            if new_sinks.size
-            else self.sink_nodes
-        )
-        tip_nodes = np.flatnonzero(approver_counts == 0)
-        ext.tip_nodes = np.array(
-            sorted(tip_nodes.tolist(), key=ids.__getitem__), dtype=np.int64
+        ext._adopt(
+            ids,
+            index,
+            parent_indptr,
+            parent_indices,
+            approver_indptr,
+            approver_indices,
         )
 
         # Patch the lazily materialized planes only if the base paid for
         # them; otherwise stay lazy (the next reader rebuilds vectorized).
-        ext._parents_padded = None
         if self._parents_padded is not None:
             width = self._parents_padded.shape[1]
             if max(1, int(parent_counts.max(initial=0))) == width:
@@ -474,7 +403,6 @@ class TangleSnapshot:
                 ext._parents_padded = _pad_csr(
                     parent_indptr, parent_indices, parent_counts
                 )
-        ext._approvers_padded = None
         if self._approvers_padded is not None:
             width = self._approvers_padded.shape[1]
             if max(1, ext.max_approvers) == width:
@@ -502,7 +430,6 @@ class TangleSnapshot:
                 ext._approvers_padded = _pad_csr(
                     approver_indptr, approver_indices, approver_counts
                 )
-        ext._longest_past_path = None
         if self._longest_past_path is not None:
             longest = np.empty(n, dtype=np.int64)
             longest[:n0] = self._longest_past_path
@@ -512,8 +439,6 @@ class TangleSnapshot:
                 )
             ext._longest_past_path = longest
 
-        ext._cumulative = None
-        ext._cumulative_float = None
         if self._cumulative is not None:
             # Delta bitset pass: track, per node, which of the d new
             # nodes its future cone contains — O(N * d / 64) words
@@ -538,31 +463,62 @@ class TangleSnapshot:
             cumulative[n0:] = 1 + gained[n0:]
             ext._cumulative = cumulative
 
-        ext._weight_authority = None
-        ext._weight_authority_len = -1
-        if kind == "tangle" or (
-            kind == "view" and key[3] >= tangle.last_round_index
-        ):
-            ext._weight_authority = weakref.ref(tangle)
-            ext._weight_authority_len = key[2]
-
-        ext._anchor = weakref.ref(tangle)
-        ext._source_len = key[2]
-        ext._hidden = self._hidden + (len(fresh) - d)
-        ext._epoch = key[-1]
-        ext._view_kind = kind
-        ext._view_bound = None
-        ext._view_maps = None
-        if kind == "view":
-            ext._view_bound = key[3]
-        elif kind == "timed":
-            ext._view_bound = key[3]
-            ext._view_maps = (key[5], key[6], key[4])
-        ext._max_round_seen = max(
-            self._max_round_seen,
-            max((tx.round_index for tx in delta), default=-1),
-        )
+        ext._anchor_to(tangle)
         return ext
+
+    def restrict(self, mask: np.ndarray) -> "TangleSnapshot":
+        """The snapshot of the sub-DAG on the nodes ``mask`` keeps.
+
+        Equal to a cold :meth:`build` of any view that sees exactly
+        those transactions — same ids, CSR rows, tips and sinks, hence
+        the same lazy planes and the same walks — but computed from
+        this snapshot's arrays in a handful of vector ops: kept nodes
+        renumber by a running count, an edge survives iff both its
+        endpoints do, and filtering each CSR in place keeps a cold
+        build's parent order and child-ascending approver order.
+
+        A mask that hides nothing returns ``self`` (so a covering view
+        keeps the whole-tangle weight authority).  Restrictions are
+        memoized by mask content: every view that sees the same set
+        shares one snapshot and its lazily materialized planes.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (len(self.ids),):
+            raise ValueError(
+                f"mask must have shape ({len(self.ids)},), got {mask.shape}"
+            )
+        if mask.all():
+            return self
+        key = np.packbits(mask).tobytes()
+        cached = self._restrictions.pop(key, None)
+        if cached is not None:
+            self._restrictions[key] = cached  # most recently used last
+            return cached
+        kept = np.flatnonzero(mask)
+        renumber = np.cumsum(mask) - 1
+
+        def kept_csr(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+            rows = np.repeat(np.arange(len(mask)), np.diff(indptr))
+            keep = mask[rows] & mask[indices]
+            kept_indptr = np.zeros(kept.size + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(renumber[rows[keep]], minlength=kept.size),
+                out=kept_indptr[1:],
+            )
+            return kept_indptr, renumber[indices[keep]]
+
+        ids = [self.ids[node] for node in kept.tolist()]
+        snapshot = object.__new__(TangleSnapshot)
+        snapshot._adopt(
+            ids,
+            {tx_id: node for node, tx_id in enumerate(ids)},
+            *kept_csr(self.parent_indptr, self.parent_indices),
+            *kept_csr(self.approver_indptr, self.approver_indices),
+        )
+        if len(self._restrictions) >= _RESTRICTION_LIMIT:
+            self._restrictions.pop(next(iter(self._restrictions)))
+        self._restrictions[key] = snapshot
+        return snapshot
 
     def cumulative_weights_float(self) -> np.ndarray:
         """:meth:`cumulative_weights` as float64, cached — a complete,
@@ -656,109 +612,61 @@ class TangleSnapshot:
 
 
 # --------------------------------------------------------- epoch caching
-#: fingerprint -> (weakref to the anchoring tangle, snapshot).  Bounded
-#: FIFO: an epoch needs one live entry per distinct view, and tangles
-#: are append-only between compactions, so (id, len, visibility bound,
-#: compaction epoch) pins the visible set.  Superseded entries double as
-#: **extension bases**: a miss scans them for the longest snapshot the
-#: new fingerprint prefix-extends before paying a cold rebuild.
+#: id(tangle) -> (weakref to the tangle, its latest whole-tangle
+#: snapshot): one entry per live tangle, bounded FIFO over tangles.  The
+#: weakref identity check guards against ``id()`` reuse after GC.
 _SNAPSHOT_CACHE: dict = {}
 _SNAPSHOT_CACHE_LIMIT = 8
+#: Restrictions memoized per whole-tangle snapshot, least recently used
+#: evicted first: a batch's shared mask stays hot between one-off masks,
+#: and each entry may hold an (N x max approvers) padded matrix.
+_RESTRICTION_LIMIT = 2
 
 
-def _fingerprint(view) -> tuple[object | None, tuple | None]:
-    """(anchor object, append-only cache key) for a view, when safe.
-
-    Keys combine the anchoring tangle's identity, length, and
-    compaction epoch (append-only between compactions ⇒ same object at
-    same length and epoch means same content) with the view's
-    visibility bound.  The epoch term is what keeps a compacted tangle
-    from resurrecting a stale snapshot whose length happens to match a
-    pre-compaction fingerprint.  Unknown view types return
-    ``(None, None)`` and are rebuilt every time.
-    """
-    if isinstance(view, Tangle):
-        return view, (
-            "tangle",
-            id(view),
-            len(view),
-            getattr(view, "compaction_epoch", 0),
-        )
-    if isinstance(view, TangleView):
-        tangle = view._tangle
-        return tangle, (
-            "view",
-            id(tangle),
-            len(tangle),
-            view.max_round,
-            getattr(tangle, "compaction_epoch", 0),
-        )
-    # Visibility times are set once at publish and never mutated, so
-    # (len, now, observer) pins the visible set.
-    if isinstance(view, TimedTangleView):
-        tangle = view._tangle
-        return tangle, (
-            "timed",
-            id(tangle),
-            len(tangle),
-            view.now,
-            view._observer,
-            # Distinct visibility maps over the same tangle are distinct
-            # views even at the same `now` (map identity; entries for
-            # existing transactions are set once at publish).
-            id(view._visible_from),
-            id(view._published_at),
-            getattr(tangle, "compaction_epoch", 0),
-        )
-    return None, None
-
-
-def snapshot_for(view) -> TangleSnapshot:
-    """The epoch snapshot for ``view``: exact hit, delta-extend, or build.
-
-    Every walk of a round / publish epoch hits the same visible state;
-    the cache turns N clients x num_tips walks into one CSR build.  A
-    weakref identity check guards against ``id()`` reuse after GC.
-
-    On a miss, the cached entries anchored to the same live tangle are
-    scanned for the longest snapshot whose visible set is a prefix of
-    the requested view's (:meth:`TangleSnapshot._can_extend_to`); when
-    one exists, :meth:`TangleSnapshot.extend` applies just the
-    publish-epoch delta — O(new transactions) Python work instead of a
-    full O(history) rebuild, bit-identical either way.  Only a view no
-    cached snapshot prefixes (first contact, a shrunk bound, a
-    compaction) pays :meth:`TangleSnapshot.build`.
-    """
-    anchor, key = _fingerprint(view)
-    if key is None:
-        return TangleSnapshot.build(view)
-    entry = _SNAPSHOT_CACHE.get(key)
-    if entry is not None and entry[0]() is anchor:
-        return entry[1]
-    base: TangleSnapshot | None = None
-    for ref, cached in _SNAPSHOT_CACHE.values():
-        if ref() is anchor and cached._can_extend_to(anchor, key):
-            if (
-                base is None
-                or cached._source_len > base._source_len
-                or (
-                    cached._source_len == base._source_len
-                    and len(cached) > len(base)
-                )
-            ):
-                base = cached
-    if base is not None:
-        snapshot = base.extend(view)
+def _tangle_snapshot(tangle: Tangle) -> TangleSnapshot:
+    """The tangle's whole-tangle snapshot: exact hit, delta-extend, or
+    build (first contact, or the tangle was compacted since)."""
+    entry = _SNAPSHOT_CACHE.get(id(tangle))
+    cached = entry[1] if entry is not None and entry[0]() is tangle else None
+    if cached is not None and cached._can_extend_to(tangle):
+        if len(tangle) == cached._source_len:
+            return cached
+        snapshot = cached.extend(tangle)
     else:
-        snapshot = TangleSnapshot.build(view)
+        snapshot = TangleSnapshot.build(tangle)
     # Purge entries whose tangle died before FIFO-evicting live ones, so
-    # snapshots of collected tangles don't linger for up to 8 epochs.
+    # snapshots of collected tangles don't linger.
+    _SNAPSHOT_CACHE.pop(id(tangle), None)
     for dead_key in [k for k, (ref, _) in _SNAPSHOT_CACHE.items() if ref() is None]:
         del _SNAPSHOT_CACHE[dead_key]
     while len(_SNAPSHOT_CACHE) >= _SNAPSHOT_CACHE_LIMIT:
         _SNAPSHOT_CACHE.pop(next(iter(_SNAPSHOT_CACHE)))
-    _SNAPSHOT_CACHE[key] = (weakref.ref(anchor), snapshot)
+    _SNAPSHOT_CACHE[id(tangle)] = (weakref.ref(tangle), snapshot)
     return snapshot
+
+
+def snapshot_for(view) -> TangleSnapshot:
+    """The snapshot walks over ``view`` run on.
+
+    A :class:`Tangle` gets its one cached whole-tangle snapshot: the
+    same object for every walk of a publish epoch, an O(delta)
+    :meth:`TangleSnapshot.extend` once the tangle grew (bit-identical to
+    a rebuild), and a cold :meth:`TangleSnapshot.build` only on first
+    contact or after a compaction.
+
+    A view that exposes ``tangle`` and ``mask(snapshot)`` (both
+    :mod:`repro.dag.view` classes) gets that snapshot restricted by its
+    row mask (:meth:`TangleSnapshot.restrict`).  The mask is computed
+    from the view's visibility *content* each time — nothing is keyed by
+    the identity of a view or of its visibility maps, so no view can be
+    served another's snapshot.  Any other view is built cold.
+    """
+    if isinstance(view, Tangle):
+        return _tangle_snapshot(view)
+    if not hasattr(view, "mask"):
+        return TangleSnapshot.build(view)
+    full = _tangle_snapshot(view.tangle)
+    return full.restrict(view.mask(full))
 
 
 def clear_snapshot_cache() -> None:

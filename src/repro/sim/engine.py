@@ -94,6 +94,17 @@ ModelBuilder = Callable[[np.random.Generator], Classifier]
 # plane's ungraceful twins of leave/join and share their ranks.
 _RANK = {"join": 0, "recover": 0, "leave": 1, "crash": 1, "cycle": 2}
 
+# Initial row capacity of the visibility columns (doubled when full).
+_INITIAL_ROWS = 64
+
+
+def _doubled(column: np.ndarray, fill: float) -> np.ndarray:
+    """``column`` with its last (row) axis doubled, new rows ``fill``."""
+    rows = column.shape[-1]
+    grown = np.full(column.shape[:-1] + (2 * rows,), fill, dtype=column.dtype)
+    grown[..., :rows] = column
+    return grown
+
 
 @dataclass(order=True)
 class _Event:
@@ -217,8 +228,6 @@ class EventDrivenTangleLearning:
         self._batch_seq = itertools.count()  # quantum supersteps
         self.now = 0.0
         self.events: list[SimEvent] = []
-        self._visible_from: dict[str, float] = {self.tangle.genesis.tx_id: 0.0}
-        self._published_at: dict[str, float] = {self.tangle.genesis.tx_id: 0.0}
         # Per-client publication log (publish time, visible time, tx id):
         # backs the issuer exemption when batching groups shared views.
         self._own_publications: dict[int, list[tuple[float, float, str]]] = {}
@@ -238,16 +247,22 @@ class EventDrivenTangleLearning:
             "duplicated_links": 0,
         }
         self._client_order: list[int] = sorted(self.clients)
-        # With per-link faults each client owns a visibility map (entries
-        # written once per delivery, never mutated — the walk engine's
-        # snapshot fingerprint relies on that) instead of sharing the
-        # network-wide map above.
-        self._obs_visible: dict[int, dict[str, float]] | None = None
+        self._slot = {cid: slot for slot, cid in enumerate(self._client_order)}
+        # Visibility state as insertion-order columns — row i is the
+        # tangle's i-th transaction, row 0 genesis — written once per
+        # publication and read by every view as a vectorized mask:
+        # network visibility time, publication time, issuer, and with
+        # per-link faults one arrival time per (client slot, row) in
+        # place of the shared network column (inf: never delivered).
+        self._row: dict[str, int] = {}
+        self._visible_at = np.full(_INITIAL_ROWS, np.inf)
+        self._published_at = np.full(_INITIAL_ROWS, np.nan)
+        self._issuer = np.full(_INITIAL_ROWS, -1, dtype=np.int64)
+        self._arrival: np.ndarray | None = None
         if self._faults.link_faults:
-            genesis_id = self.tangle.genesis.tx_id
-            self._obs_visible = {
-                cid: {genesis_id: 0.0} for cid in self._client_order
-            }
+            self._arrival = np.full((len(self._client_order), _INITIAL_ROWS), np.inf)
+            self._arrival[:, 0] = 0.0
+        self._append_row(self.tangle.genesis.tx_id, -1, 0.0, 0.0)
         # Partition membership per client, aligned with _client_order
         # (-1 = unlisted, unaffected); precomputed so the per-publish
         # delivery fan-out stays vectorized.
@@ -524,9 +539,7 @@ class EventDrivenTangleLearning:
         policy = self.sim_config.staleness
         if policy.mode == "none":
             return self._aggregate(models)
-        staleness = np.array(
-            [at_time - self._published_at[t] for t in tips], dtype=np.float64
-        )
+        staleness = at_time - self._published_at[[self._row[t] for t in tips]]
         weights = policy.weights(staleness)
         return [
             sum(w * layer for w, layer in zip(weights, layers))
@@ -539,9 +552,27 @@ class EventDrivenTangleLearning:
             flat, self._faults.corruption_mode, self._fault_rng
         )
 
-    def _deliver(self, tx_id: str, issuer: int, base_visible: float) -> None:
+    def _append_row(
+        self, tx_id: str, issuer: int, published: float, visible: float
+    ) -> int:
+        """Record a transaction just added to the tangle as the next
+        visibility row; returns the row."""
+        row = len(self._row)
+        if row == self._issuer.size:
+            self._visible_at = _doubled(self._visible_at, np.inf)
+            self._published_at = _doubled(self._published_at, np.nan)
+            self._issuer = _doubled(self._issuer, -1)
+            if self._arrival is not None:
+                self._arrival = _doubled(self._arrival, np.inf)
+        self._row[tx_id] = row
+        self._visible_at[row] = visible
+        self._published_at[row] = published
+        self._issuer[row] = issuer
+        return row
+
+    def _deliver(self, row: int, issuer: int, base_visible: float) -> None:
         """Per-link delivery fan-out (link faults active): one arrival
-        time per client, written once into that client's visibility map.
+        time per client, written as one column of the arrival table.
 
         One vectorized block of fault draws per publication, in a fixed
         knob order (jitter, drop, duplicate) — publications commit in
@@ -552,8 +583,7 @@ class EventDrivenTangleLearning:
         """
         faults = self._faults
         rng = self._fault_rng
-        order = self._client_order
-        n = len(order)
+        n = len(self._client_order)
         arrival = np.full(n, base_visible)
         if faults.jitter > 0:
             arrival += rng.exponential(faults.jitter, n)
@@ -587,16 +617,13 @@ class EventDrivenTangleLearning:
             arrival = np.where(
                 crossing, np.maximum(arrival, partition.end), arrival
             )
-        times = arrival.tolist()
         # The issuer is exempt from its own link faults (a client always
         # keeps what it published) but is recorded at the clean network
         # visibility, not the publish time: early self-visibility flows
         # through the same observer/exemption mechanism as clean mode,
         # keeping always_on traces bit-identical at every quantum.
-        for i, cid in enumerate(order):
-            self._obs_visible[cid][tx_id] = (
-                base_visible if cid == issuer else times[i]
-            )
+        arrival[self._slot[issuer]] = base_visible
+        self._arrival[:, row] = arrival
 
     def _publish(
         self, client_id: int, parents: tuple[str, ...], flat: np.ndarray, tags: dict
@@ -627,11 +654,10 @@ class EventDrivenTangleLearning:
         )
         self.tangle.add(tx)
         delay = self.sim_config.propagation.sample(self._time_rng)
-        self._published_at[tx.tx_id] = self.now
         visible = self.now + delay
-        self._visible_from[tx.tx_id] = visible
-        if self._obs_visible is not None:
-            self._deliver(tx.tx_id, client_id, visible)
+        row = self._append_row(tx.tx_id, client_id, self.now, visible)
+        if self._arrival is not None:
+            self._deliver(row, client_id, visible)
         self._own_publications.setdefault(client_id, []).append(
             (self.now, visible, tx.tx_id)
         )
@@ -641,13 +667,18 @@ class EventDrivenTangleLearning:
         self, client_id: int, at_time: float, *, exempt: bool = True
     ) -> TimedTangleView:
         """The tangle as ``client_id`` sees it at ``at_time``: the
-        client's own visibility map under link faults, the shared
-        network map otherwise — plus, unless ``exempt`` is off, the
+        client's row of the arrival table under link faults, the shared
+        network column otherwise — plus, unless ``exempt`` is off, the
         issuer exemption for its own publications."""
+        if len(self._row) != len(self.tangle):
+            raise RuntimeError(
+                "the tangle changed outside the engine (added to or "
+                "compacted): its visibility rows no longer line up"
+            )
         visible_from = (
-            self._obs_visible[client_id]
-            if self._obs_visible is not None
-            else self._visible_from
+            self._visible_at
+            if self._arrival is None
+            else self._arrival[self._slot[client_id]]
         )
         return TimedTangleView(
             self.tangle,
@@ -655,6 +686,7 @@ class EventDrivenTangleLearning:
             at_time,
             observer=client_id if exempt else None,
             published_at=self._published_at,
+            issuers=self._issuer,
         )
 
     # --------------------------------------------------- sequential stepping
@@ -662,20 +694,23 @@ class EventDrivenTangleLearning:
         self,
         event: _Event,
         tips: list[str],
-        flat: np.ndarray,
+        payload: np.ndarray | list[np.ndarray],
         tags: dict,
         accuracy: float | None = None,
         reference_accuracy: float | None = None,
     ) -> SimEvent:
         """Gate, publish and record one finished cycle at ``self.now``,
-        then queue the client's next.  Attacker cycles carry no
-        accuracies and bypass the gate."""
+        then queue the client's next.  ``payload`` is the flat model or
+        its per-layer weights, flattened only once the gate passes.
+        Attacker cycles carry no accuracies and bypass the gate."""
         tx_id = None
         gated = accuracy is not None and self.dag_config.publish_gate
         attempted = not gated or accuracy >= reference_accuracy
         if attempted:
+            if isinstance(payload, list):
+                payload = self.tangle.spec.flatten(payload)
             tx_id = self._publish(
-                event.client_id, tuple(dict.fromkeys(tips)), flat, tags
+                event.client_id, tuple(dict.fromkeys(tips)), payload, tags
             )
         record = SimEvent(
             time=self.now,
@@ -714,7 +749,7 @@ class EventDrivenTangleLearning:
         return self._commit_cycle(
             event,
             tips,
-            self.tangle.spec.flatten(trained),
+            trained,
             dict(client.data.metadata.get("tags", {})),
             client.accuracy_of_weights(trained),
             reference_accuracy,
@@ -800,8 +835,10 @@ class EventDrivenTangleLearning:
         - *random*: uniform draws over the shared tip list, per member.
 
         Under link faults every client sees its own tangle, so members
-        group per client — batching still fuses training, but walk
-        snapshots cannot be shared across observers.  Each per-client
+        group per client — batching still fuses training, and groups
+        whose masks coincide (the arrival rows agree up to the freeze
+        time) still share one restricted snapshot through
+        ``snapshot_for``.  Each per-client
         group still freezes at the same batch-wide time its exemption
         set would freeze at in clean mode, so ``always_on`` (per-link
         machinery, zero fault rates) replays the clean trace bit for
@@ -813,7 +850,7 @@ class EventDrivenTangleLearning:
         cfg = self.dag_config
         batch = next(self._batch_seq)
         attackers = self.sim_config.attackers
-        link = self._obs_visible is not None
+        link = self._arrival is not None
         tips_for: dict[int, list[str]] = {}
         attack_flat: dict[int, np.ndarray] = {}
         groups: dict[object, list[_Event]] = {}
@@ -864,7 +901,7 @@ class EventDrivenTangleLearning:
                         tip_ids, count, rng
                     )
                 continue
-            snapshot = walk_engine.TangleSnapshot.build(view)
+            snapshot = walk_engine.snapshot_for(view)
             if cfg.selector == "weighted":
                 rng = self._rngs.get("walk-group", batch, ordinal)
                 selector = self.make_selector(self.clients[members[0].client_id])
@@ -1099,9 +1136,8 @@ class EventDrivenTangleLearning:
                 record.published.append(tx.tx_id)
                 tx_id = tx.tx_id
                 # Barrier visibility: published and network-visible at
-                # the round boundary, keeping the timed maps coherent.
-                self._published_at[tx_id] = barrier_time
-                self._visible_from[tx_id] = barrier_time
+                # the round boundary, keeping the visibility rows aligned.
+                self._append_row(tx_id, client_id, barrier_time, barrier_time)
                 self._own_publications.setdefault(client_id, []).append(
                     (barrier_time, barrier_time, tx_id)
                 )

@@ -4,10 +4,13 @@
 instead of rebuilding from scratch — but the extended snapshot must be
 *indistinguishable* from a cold rebuild: same CSR arrays, same padded
 candidate matrices, same cumulative weights, same tip ordering, so walk
-distributions and Gumbel streams are unchanged.  These tests pin that
-equivalence across every view kind, plus the cache-eviction contracts:
-dead anchors are reaped and a post-compaction fingerprint never
-resurrects a stale snapshot (the epoch term in the fingerprint).
+distributions and Gumbel streams are unchanged.  Only the whole-tangle
+snapshot extends; a view's snapshot is its restriction by the view's row
+mask, so for views these tests pin that growth extends the whole-tangle
+snapshot (never a cold rebuild) and that the restriction equals a cold
+build of the view.  Plus the cache-eviction contracts: dead anchors are
+reaped and a compacted tangle never resurrects a stale snapshot (the
+compaction epoch).
 """
 
 import gc
@@ -52,6 +55,26 @@ def _fresh_snapshot_cache():
     clear_snapshot_cache()
     yield
     clear_snapshot_cache()
+
+
+@pytest.fixture
+def snapshot_work(monkeypatch):
+    """Counts of cold builds and extensions (reset it with ``clear()``
+    before the call under test)."""
+    calls: dict[str, int] = {}
+    build, extend = TangleSnapshot.build.__func__, TangleSnapshot.extend
+
+    def counting_build(cls, view):
+        calls["build"] = calls.get("build", 0) + 1
+        return build(cls, view)
+
+    def counting_extend(self, tangle):
+        calls["extend"] = calls.get("extend", 0) + 1
+        return extend(self, tangle)
+
+    monkeypatch.setattr(TangleSnapshot, "build", classmethod(counting_build))
+    monkeypatch.setattr(TangleSnapshot, "extend", counting_extend)
+    return calls
 
 
 PLANES = ("cumulative_weights", "parents_padded", "approvers_padded", "longest_past_path")
@@ -138,9 +161,10 @@ def test_extend_repeated_stages_stay_identical():
     assert_snapshot_equal(snapshot, TangleSnapshot.build(tangle))
 
 
-def test_extend_matches_cold_rebuild_on_view():
-    """A round-bound view hides the delta's too-new rounds; the hidden
-    count must advance so later fingerprints stay prefix-compatible."""
+def test_extend_matches_cold_rebuild_on_view(snapshot_work):
+    """A round-bound view hides the delta's too-new rounds: the growth
+    extends the whole-tangle snapshot, and the view's restriction of it
+    equals a cold build of the view."""
     tangle = Tangle(weights())
     ids = [GENESIS_ID]
     grow(tangle, ids, 40, seed=9)  # rounds 0..3
@@ -149,32 +173,35 @@ def test_extend_matches_cold_rebuild_on_view():
     for name in PLANES:
         getattr(base, name)()
     grow(tangle, ids, 30, seed=10)  # rounds 4..6: round 6 is hidden
+    snapshot_work.clear()
     extended = snapshot_for(TangleView(tangle, max_round=5))
     assert extended is not base
-    assert extended._source_len == len(tangle)
-    assert extended._hidden > 0
+    assert snapshot_work == {"extend": 1}  # extended, not rebuilt
+    assert len(extended) < len(tangle)
     assert_snapshot_equal(
         extended, TangleSnapshot.build(TangleView(tangle, max_round=5))
     )
 
 
-def test_extend_across_increasing_view_bounds():
-    """A snapshot that hides nothing may serve a *wider* bound later —
-    the delta filter just admits more rounds."""
+def test_extend_across_increasing_view_bounds(snapshot_work):
+    """A view that hides nothing is served the whole-tangle snapshot
+    itself; a *wider* bound after growth is served its extension."""
     tangle = Tangle(weights())
     ids = [GENESIS_ID]
     grow(tangle, ids, 30, seed=11)  # rounds 0..2
     base = snapshot_for(TangleView(tangle, max_round=2))
-    assert base._hidden == 0
+    assert base is snapshot_for(tangle)
     grow(tangle, ids, 30, seed=12)  # rounds 3..5
+    snapshot_work.clear()
     extended = snapshot_for(TangleView(tangle, max_round=5))
-    assert extended._source_len == len(tangle)
+    assert snapshot_work == {"extend": 1}  # extended, not rebuilt
+    assert extended is snapshot_for(tangle)
     assert_snapshot_equal(
         extended, TangleSnapshot.build(TangleView(tangle, max_round=5))
     )
 
 
-def test_extend_matches_cold_rebuild_on_timed_view():
+def test_extend_matches_cold_rebuild_on_timed_view(snapshot_work):
     tangle = Tangle(weights())
     ids = [GENESIS_ID]
     grow(tangle, ids, 40, seed=13)
@@ -193,24 +220,27 @@ def test_extend_matches_cold_rebuild_on_timed_view():
     for i, tx_id in enumerate(ids[41:], start=40):
         visible_from[tx_id] = float(i)
         published_at[tx_id] = float(i)
+    snapshot_work.clear()
     extended = snapshot_for(timed(150.0))
     assert extended is not base
-    assert extended._source_len == len(tangle)
+    assert snapshot_work == {"extend": 1}  # extended, not rebuilt
     assert_snapshot_equal(extended, TangleSnapshot.build(timed(150.0)))
 
 
-def test_extend_empty_delta_returns_same_snapshot():
-    """Growth entirely invisible to the view advances the cached
-    snapshot's provenance in place — same object, no rebuild."""
+def test_extend_empty_delta_returns_same_snapshot(snapshot_work):
+    """Growth entirely invisible to the view extends the whole-tangle
+    snapshot — no rebuild — and restricts back to the same content."""
     tangle = Tangle(weights())
     ids = [GENESIS_ID]
     grow(tangle, ids, 30, seed=15)  # rounds 0..2
     view = TangleView(tangle, max_round=2)
     base = snapshot_for(view)
     grow(tangle, ids, 10, seed=16, round_of=lambda i: 9)  # all hidden
+    snapshot_work.clear()
     again = snapshot_for(TangleView(tangle, max_round=2))
-    assert again is base
-    assert base._source_len == len(tangle)
+    assert snapshot_work == {"extend": 1}  # extended, not rebuilt
+    assert_snapshot_equal(again, base)
+    assert_snapshot_equal(again, TangleSnapshot.build(TangleView(tangle, max_round=2)))
 
 
 def test_extended_snapshot_walks_identically():

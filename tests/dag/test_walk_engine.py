@@ -18,7 +18,7 @@ from repro.dag.random_walk import sequential_select_tips
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import AccuracyTipSelector, WeightedTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.dag.view import TangleView
+from repro.dag.view import TangleView, TimedTangleView
 from repro.dag.walk_engine import (
     TangleSnapshot,
     batched_walk_starts,
@@ -168,6 +168,25 @@ def test_snapshot_cache_distinguishes_view_bounds():
     high = snapshot_for(TangleView(tangle, max_round=10))
     assert len(low) < len(high)
     assert snapshot_for(TangleView(tangle, max_round=0)) is low
+
+
+def test_snapshot_for_never_serves_a_freed_maps_snapshot():
+    """Regression: timed views used to be cached under the ``id()`` of
+    their visibility maps, so a map allocated at a freed map's address
+    was served the freed map's snapshot — here the whole 6-node tangle
+    for a view that sees only genesis.  A view's snapshot is now a mask
+    computed from the maps' content, so every trial must match a cold
+    build."""
+    tangle, ids = grow_tangle(n=5)
+    for _ in range(250):
+        everything = {tx_id: 0.0 for tx_id in ids}
+        assert len(snapshot_for(TimedTangleView(tangle, everything, 1.0))) == 6
+        del everything
+        view = TimedTangleView(tangle, {GENESIS_ID: 0.0}, 1.0)
+        served, cold = snapshot_for(view), TangleSnapshot.build(view)
+        assert served.ids == cold.ids == [GENESIS_ID]
+        for name in ("parent_indptr", "approver_indptr", "tip_nodes"):
+            np.testing.assert_array_equal(getattr(served, name), getattr(cold, name))
 
 
 # ----------------------------------------------------------- walk starts

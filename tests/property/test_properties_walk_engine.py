@@ -14,9 +14,17 @@ Three layers of equivalence, from exact to statistical:
    (and over a delay-bounded `TimedTangleView` with the own-publication
    exemption) must produce the sequential walker's tip distribution,
    tested over thousands of walks.
+
+Underneath all three, a view's snapshot — the whole-tangle snapshot
+restricted by the view's mask — must equal a cold build of exactly the
+transactions the view sees, across growth and compaction.
 """
 
+import os
+from unittest import mock
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.dag.random_walk import sequential_select_tips
 from repro.dag.tangle import Tangle
@@ -27,14 +35,19 @@ from repro.dag.tip_selection import (
     normalize_standard,
 )
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.dag.view import TimedTangleView
+from repro.dag.view import TangleView, TimedTangleView
 from repro.dag.walk_engine import (
+    TangleSnapshot,
     batched_walk_starts,
     clear_snapshot_cache,
     lockstep_walks,
     padded_normalize,
     snapshot_for,
 )
+
+# Tier-1 keeps the example budget small; the CI chaos job widens the
+# sweep by exporting CHAOS_MAX_EXAMPLES.
+CHAOS_EXAMPLES = int(os.environ.get("CHAOS_MAX_EXAMPLES", "0"))
 
 
 def weights():
@@ -248,3 +261,149 @@ def test_engine_honours_own_publication_exemption():
     other_view, other_tips = run(observer=1)
     assert "mine" not in snapshot_for(other_view).index
     assert other_tips == ["shared"] * 20
+
+
+# ------------------------------------------- 4. view snapshots are exact
+class _Subset:
+    """The cold-build oracle: exactly the transactions a plain per-id
+    predicate keeps, written independently of the views' masks."""
+
+    def __init__(self, tangle, keep):
+        self._kept = [tx for tx in tangle.transactions() if keep(tx)]
+
+    def transactions(self):
+        return self._kept
+
+
+SNAPSHOT_ARRAYS = (
+    "parent_indptr",
+    "parent_indices",
+    "approver_indptr",
+    "approver_indices",
+    "tip_nodes",
+    "sink_nodes",
+)
+SNAPSHOT_PLANES = (
+    "cumulative_weights",
+    "parents_padded",
+    "approvers_padded",
+    "longest_past_path",
+)
+
+
+def assert_snapshot_equal(served, cold):
+    assert served.ids == cold.ids
+    assert served.index == cold.index
+    for name in SNAPSHOT_ARRAYS:
+        np.testing.assert_array_equal(
+            getattr(served, name), getattr(cold, name), err_msg=name
+        )
+    for name in SNAPSHOT_PLANES:
+        np.testing.assert_array_equal(
+            getattr(served, name)(), getattr(cold, name)(), err_msg=name
+        )
+
+
+@settings(deadline=None, max_examples=CHAOS_EXAMPLES or 10)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(
+        st.integers(1, 30), st.integers(1, 20), st.integers(0, 25), st.integers(1, 15)
+    ),
+    issuers=st.integers(1, 4),
+    delay=st.floats(0.0, 8.0),
+)
+def test_view_snapshots_equal_cold_builds_across_growth_and_compaction(
+    seed, sizes, issuers, delay
+):
+    """Random DAG, publish and visibility times and issuers; timed views
+    with and without an observer, in both the id-keyed and the engine's
+    column form, plus round-bounded views — at three stages: built,
+    grown (served by extending the whole-tangle snapshot, never a cold
+    build), and grown again after a compaction in between."""
+    first, grown, keep_last, regrown = sizes
+    rng = np.random.default_rng(seed)
+    tangle = Tangle(weights())
+    ids = [GENESIS_ID]
+    published_at = {GENESIS_ID: 0.0}
+    visible_from = {GENESIS_ID: 0.0}
+    counter = iter(range(10**6))
+
+    def grow(count):
+        for _ in range(count):
+            i = next(counter)
+            parents = tuple(
+                dict.fromkeys(
+                    ids[int(rng.integers(0, len(ids)))]
+                    for _ in range(int(rng.integers(1, 4)))
+                )
+            )
+            tx_id = f"t{i}"
+            tangle.add(
+                Transaction(tx_id, parents, weights(), int(rng.integers(0, issuers)), i // 4)
+            )
+            ids.append(tx_id)
+            published_at[tx_id] = i + float(rng.random())
+            visible_from[tx_id] = published_at[tx_id] + delay * float(rng.random())
+
+    def views():
+        order = [tx.tx_id for tx in tangle.transactions()]
+        columns = {
+            "visible_from": np.array([visible_from[t] for t in order]),
+            "published_at": np.array([published_at[t] for t in order]),
+            "issuers": np.array([tangle.get(t).issuer for t in order]),
+        }
+        horizon = max(published_at.values()) + delay + 1.0
+        for _ in range(3):
+            now = float(rng.uniform(0.0, horizon))
+            observer = int(rng.integers(0, issuers)) if rng.random() < 0.7 else None
+
+            def keep(tx, now=now, observer=observer):
+                if visible_from[tx.tx_id] <= now:
+                    return True
+                return (
+                    observer is not None
+                    and tx.issuer == observer
+                    and published_at[tx.tx_id] <= now
+                )
+
+            yield TimedTangleView(
+                tangle, visible_from, now, observer=observer, published_at=published_at
+            ), keep
+            yield TimedTangleView(
+                tangle,
+                columns["visible_from"],
+                now,
+                observer=observer,
+                published_at=columns["published_at"],
+                issuers=columns["issuers"],
+            ), keep
+        max_round = int(rng.integers(-2, tangle.last_round_index + 2))
+        yield TangleView(tangle, max_round), (
+            lambda tx: tx.is_genesis or tx.round_index <= max_round
+        )
+
+    def check_stage(*, may_build):
+        for name in SNAPSHOT_PLANES:  # extension must patch, not defer
+            getattr(snapshot_for(tangle), name)()
+        guard = (
+            mock.patch.object(TangleSnapshot, "build", side_effect=AssertionError)
+            if not may_build
+            else mock.patch.object(TangleSnapshot, "build", TangleSnapshot.build)
+        )
+        for view, keep in views():
+            with guard:
+                served = snapshot_for(view)
+            assert_snapshot_equal(served, TangleSnapshot.build(_Subset(tangle, keep)))
+        assert_snapshot_equal(snapshot_for(tangle), TangleSnapshot.build(tangle))
+
+    clear_snapshot_cache()
+    grow(first)
+    check_stage(may_build=True)
+    grow(grown)
+    check_stage(may_build=False)
+    tangle.compact(keep_last=keep_last)
+    ids[:] = [tx.tx_id for tx in tangle.transactions()]
+    check_stage(may_build=True)
+    grow(regrown)
+    check_stage(may_build=False)

@@ -233,6 +233,21 @@ def test_step_raises_when_queue_empty(
         engine.step()
 
 
+def test_views_refuse_a_tangle_compacted_under_the_engine(
+    sim_dataset, logistic_builder, sim_train_config, sim_dag_config
+):
+    """Visibility rows are insertion positions: once the tangle is
+    compacted behind the engine's back they no longer line up, and the
+    next view must fail loudly rather than mask the wrong rows."""
+    engine = make_engine(
+        sim_dataset, logistic_builder, sim_train_config, sim_dag_config, SimConfig()
+    )
+    engine.run_cycles(12)
+    assert engine.tangle.compact(keep_last=2).dropped
+    with pytest.raises(RuntimeError, match="no longer line up"):
+        engine.run_cycles(1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LatencyModel("gaussian", 1.0)
