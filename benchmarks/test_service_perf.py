@@ -32,7 +32,6 @@ import pytest
 
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.dag.walk_engine import clear_snapshot_cache
 from repro.service import (
     GatewayConfig,
     ServiceChaos,
@@ -80,7 +79,6 @@ def _percentiles(latencies):
 # ------------------------------------------------------------- coalescing
 def _closed_loop(tangle, max_batch):
     """32 users x 8 requests through one coalescer; returns wall + tails."""
-    clear_snapshot_cache()
     latencies = []
     lock = threading.Lock()
     with TipCoalescer(
@@ -177,7 +175,6 @@ def _flaky_provider_factory(fail_every=3):
 
 def test_chaos_load_p99_stays_under_budget():
     tangle = _grow_tangle()
-    clear_snapshot_cache()
     faults = FaultModel(
         drop_rate=0.08,
         jitter=0.002,

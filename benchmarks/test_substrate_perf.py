@@ -4,8 +4,9 @@ These are classic pytest-benchmark micro-benches (many iterations) for
 the three operations that dominate simulation time: CNN forward
 evaluation (the random walk's inner loop), one SGD training batch, and a
 full biased random walk over a grown tangle — plus direct-timing
-comparisons for the execution substrate: the incremental cumulative-
-weight index against the legacy future-cone BFS, and serial against
+comparisons for the execution substrate: cumulative weights read from
+the tangle's snapshot weight plane against the legacy future-cone BFS,
+and serial against
 parallel round throughput (written to ``BENCH_substrate.json`` so CI can
 track the perf trajectory).
 """
@@ -122,9 +123,10 @@ def weighted_walk_workload(tangle, weight_fn, *, walks: int, alpha: float = 0.5)
 
 
 def test_weight_index_speedup_on_walk_workload():
-    """The incremental index must beat the per-query future-cone BFS by
-    >= 2x on a 500-transaction weighted-walk workload (it is typically
-    nearer 8x at this size, growing with the tangle).  Best-of-3 timing
+    """Weights read from the tangle's snapshot weight plane must beat
+    the per-query future-cone BFS by >= 2x on a 500-transaction
+    weighted-walk workload (the plane is one bitset pass, then a lookup
+    per query; the BFS grows with the tangle).  Best-of-3 timing
     per variant so a noisy-neighbor stall on a shared CI runner cannot
     flake the comparison."""
     tangle = grow_random_tangle(500)
@@ -145,7 +147,7 @@ def test_weight_index_speedup_on_walk_workload():
     assert all(tangle.is_tip(t) for t in tips_indexed)
     speedup = recount_time / indexed_time
     assert speedup >= 2.0, (
-        f"weight index only {speedup:.1f}x faster than BFS recount "
+        f"snapshot weights only {speedup:.1f}x faster than BFS recount "
         f"({indexed_time:.4f}s vs {recount_time:.4f}s)"
     )
 

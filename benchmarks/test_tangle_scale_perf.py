@@ -1,8 +1,8 @@
 """Million-transaction trajectory: O(delta) growth, bounded residency.
 
 PR 10 makes tangle growth cost proportional to the publish-epoch delta
-instead of to history: ``snapshot_for`` *extends* the cached CSR
-snapshot with the new transactions (appending rows, patching candidate
+instead of to history: the tangle *extends* its own CSR snapshot
+with the new transactions (appending rows, patching candidate
 matrices) rather than rebuilding from scratch, and ``Tangle.compact``
 truncates confirmed history so resident arena bytes stay bounded.
 This file grows one tangle 100x (10^3 -> 10^5 transactions) and pins
@@ -11,7 +11,7 @@ the scaling story to ``BENCH_tangle_scale.json`` for CI:
 - **Flat selection latency**: accuracy-mode ``select_tips`` p50 at
   10^5 transactions must stay within 1.5x of its 10^3-transaction
   value — the walk touches a depth-bounded neighborhood plus O(1)
-  snapshot-cache work, never the whole history.
+  snapshot work, never the whole history.
 - **Extend beats rebuild**: applying a publish-epoch delta to the
   cached snapshot must be >= 5x cheaper than a cold rebuild at 10^5
   transactions — and **bit-identical** to it (CSR arrays, candidate
@@ -35,7 +35,7 @@ import numpy as np
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import AccuracyTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.dag.walk_engine import TangleSnapshot, clear_snapshot_cache, snapshot_for
+from repro.dag.walk_engine import TangleSnapshot, snapshot_for
 
 SMALL = 1_000
 LARGE = 100_000
@@ -122,7 +122,6 @@ def _best_of(fn, repeats=3):
 
 # -------------------------------------------------- flat select latency
 def test_select_tips_p50_stays_flat_100x():
-    clear_snapshot_cache()
     rng = np.random.default_rng(3)
     tangle = Tangle([np.zeros(DIM)])
     recent = [GENESIS_ID]
@@ -157,7 +156,6 @@ def test_select_tips_p50_stays_flat_100x():
 # ---------------------------------------------- extend vs cold rebuild
 def test_snapshot_extend_beats_cold_rebuild_at_scale():
     tangle, recent, rng = _STATE["tangle"], _STATE["recent"], _STATE["rng"]
-    clear_snapshot_cache()
     base = snapshot_for(tangle)
     for name in PLANES:  # the maintained state extension must patch
         getattr(base, name)()
@@ -205,18 +203,15 @@ def test_extend_weights_bit_identical_at_checkpoint():
     """Cumulative weights: the incremental bitset extension equals the
     cold bitset pass — asserted at the 10^3 checkpoint, where the cold
     O(N^2/64) comparator is affordable."""
-    clear_snapshot_cache()
     rng = np.random.default_rng(5)
     tangle = Tangle([np.zeros(DIM)])
     recent = [GENESIS_ID]
     _grow(tangle, recent, rng, SMALL)
     base = snapshot_for(tangle)
-    base._weight_authority = None  # force + materialize the bitset path
-    base.cumulative_weights()
+    base.cumulative_weights()  # materialize, so extension must patch it
     _grow(tangle, recent, rng, DELTA)
     extended = base.extend(tangle)
     cold = TangleSnapshot.build(tangle)
-    cold._weight_authority = None
     np.testing.assert_array_equal(
         extended.cumulative_weights(), cold.cumulative_weights()
     )

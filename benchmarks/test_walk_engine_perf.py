@@ -39,7 +39,6 @@ from repro.dag.random_walk import sequential_select_tips
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import AccuracyTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.dag.walk_engine import clear_snapshot_cache
 from repro.fl import Client, TrainingConfig
 from repro.nn import zoo
 
@@ -136,7 +135,6 @@ def _measure_selection(rounds, per_round):
     client = Client(_Data(np.random.default_rng(4)), model, TrainingConfig(), rng=1)
     client.tx_accuracies(tangle, ids)  # steady state: cache fully warm
     selector = _selector(client, tangle)
-    clear_snapshot_cache()
     selector.select_tips(tangle, COUNT, np.random.default_rng(0))  # epoch snapshot
 
     def run(walker, seed, selections=SELECTIONS):
@@ -206,7 +204,6 @@ def test_cold_cache_selection_recorded():
     )
     tangle, _ = _round_grown_tangle(model, 16, 8)
     client = Client(_Data(np.random.default_rng(4)), model, TrainingConfig(), rng=1)
-    clear_snapshot_cache()
 
     def run(walker, seed):
         rng = np.random.default_rng(seed)

@@ -24,9 +24,7 @@ the genesis meta entry records the publish counter and the
 :attr:`~repro.dag.tangle.Tangle.compaction_epoch`, so a tangle saved
 after a :meth:`~repro.dag.tangle.Tangle.compact` reloads with burned
 transaction ids still burned (``next_tx_id`` never re-issues an id
-that was truncated away) and with its epoch intact (cached walk
-snapshots keyed on the old epoch can never be mistaken for the
-reloaded DAG's).  Files written before these fields existed still
+that was truncated away) and with its epoch intact.  Files written before these fields existed still
 load; the counter is then recovered from the largest ``tx<N>-...`` id
 present.
 """
@@ -88,8 +86,7 @@ def save_tangle(tangle: Tangle, path: str | Path) -> Path:
             # Genesis carries tangle-wide state: the storage dtype, the
             # publish counter (so reloaded tangles never re-issue ids
             # burned before a compaction), and the compaction epoch (so
-            # snapshot fingerprints of the reloaded tangle line up with
-            # its pre-save cache history).
+            # the reloaded tangle reports the compactions it has had).
             entry["store_dtype"] = store_dtype
             entry["counter"] = tangle._counter
             entry["compaction_epoch"] = tangle.compaction_epoch

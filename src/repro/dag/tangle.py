@@ -4,9 +4,9 @@ checkpoint compaction.
 The store is append-only *between compactions*: :meth:`Tangle.compact`
 truncates confirmed history below a cut — dropped models are freed (or
 spilled to a memory-mapped archive) and surviving parents below the cut
-remap to genesis — and bumps :attr:`Tangle.compaction_epoch`, the term
-every snapshot fingerprint carries so caches never serve pre-compaction
-state (see ``docs/scaling.md``).
+remap to genesis — bumps :attr:`Tangle.compaction_epoch`, and drops the
+tangle's walk snapshot, so no reader is served pre-compaction state
+(see ``docs/scaling.md``).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.dag.arena import WeightArena
 from repro.dag.transaction import GENESIS_ID, Transaction
+from repro.dag.walk_engine import TangleSnapshot
 from repro.nn.serialization import FlatSpec
 
 __all__ = ["Tangle", "CompactionReport"]
@@ -53,14 +54,13 @@ class Tangle:
     of approvals, from older transactions towards the tips, via
     :meth:`approvers` (Algorithm 1's ``GetChildren``).
 
-    Cumulative weights (own weight plus the size of the future cone) are
-    maintained **lazily, then incrementally**: the index is built on the
-    first :meth:`cumulative_weight` query, after which every :meth:`add`
-    propagates ``+1`` along the new transaction's past cone — queries are
-    O(1) dictionary lookups instead of the future-cone BFS that made
-    weighted walks quadratic in tangle size, and runs that never query
-    weights pay nothing.  :meth:`invalidate_weight_index` returns to the
-    lazy state for bulk mutation paths.
+    The tangle owns one derived :class:`TangleSnapshot` of itself
+    (:meth:`snapshot`): the CSR arrays every walk runs on, kept current
+    lazily — extended by the publish-epoch delta when next asked for,
+    rebuilt only after :meth:`compact`.  Cumulative weights (own weight
+    plus the size of the future cone) are one of that snapshot's planes,
+    so :meth:`cumulative_weight` is a lookup and runs that never query
+    weights pay nothing for them.
 
     **Model storage** lives in a per-tangle :class:`WeightArena`: the
     genesis weights fix the :class:`FlatSpec` (shapes/offsets of the
@@ -95,14 +95,8 @@ class Tangle:
         self._tips: set[str] = {GENESIS_ID}
         self._order: list[str] = [GENESIS_ID]
         self._counter = 0
-        # Lazy-then-incremental: the index is built on the first weight
-        # query and maintained incrementally from then on, so runs that
-        # never query weights (e.g. pure accuracy-selector simulations)
-        # pay nothing per add.
-        self._weights: dict[str, int] = {GENESIS_ID: 1}
-        self._weights_dirty = True
-        self._last_round_index = -1
         self._compaction_epoch = 0
+        self._snapshot: TangleSnapshot | None = None
 
     # ------------------------------------------------------------ queries
     def __contains__(self, tx_id: str) -> bool:
@@ -152,6 +146,17 @@ class Tangle:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def __getstate__(self) -> dict:
+        """Pickle without the snapshot: it is derived state, rebuilt on
+        first use, so IPC payloads and copies carry none of it."""
+        state = self.__dict__.copy()
+        del state["_snapshot"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._snapshot = None
+
     def _cost_footprint(self, walk) -> tuple[int, int]:
         """(shipped bytes, dense bytes) for the substrate's router.
 
@@ -192,12 +197,25 @@ class Tangle:
 
     @property
     def compaction_epoch(self) -> int:
-        """How many compactions this tangle has undergone.
-
-        Snapshot fingerprints include this term: a post-compaction
-        tangle whose length happens to match a pre-compaction one must
-        never be served a stale cached snapshot."""
+        """How many compactions this tangle has undergone."""
         return self._compaction_epoch
+
+    def snapshot(self) -> TangleSnapshot:
+        """The tangle's current whole-tangle walk snapshot.
+
+        Derived state the tangle owns: built cold on first use and after
+        :meth:`compact` (which drops it), extended by the delta in
+        O(delta) once the tangle has grown (:meth:`TangleSnapshot.extend`,
+        bit-identical to a rebuild), and otherwise the same object — so
+        every walk of a publish epoch shares it and its lazily
+        materialized planes.  :meth:`add` never touches it.
+        """
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = TangleSnapshot.build(self)
+        elif len(snapshot) != len(self):
+            snapshot = self._snapshot = snapshot.extend(self)
+        return snapshot
 
     def approvers(self, tx_id: str) -> list[str]:
         """Transactions that directly approve ``tx_id`` (walk successors)."""
@@ -212,17 +230,6 @@ class Tangle:
     def is_tip(self, tx_id: str) -> bool:
         """Whether ``tx_id`` currently has no approvers."""
         return tx_id in self._tips
-
-    @property
-    def last_round_index(self) -> int:
-        """Highest ``round_index`` of any non-genesis transaction (-1 if none).
-
-        Round indices are non-decreasing in both simulators, so a
-        :class:`~repro.dag.view.TangleView` whose bound is at least this
-        value sees the whole tangle and may answer weight queries straight
-        from the incremental index.
-        """
-        return self._last_round_index
 
     # ------------------------------------------------------------ mutation
     def next_tx_id(self, issuer: int) -> str:
@@ -249,11 +256,6 @@ class Tangle:
             self._approvers[parent].append(transaction.tx_id)
             self._tips.discard(parent)
         self._tips.add(transaction.tx_id)
-        if transaction.round_index > self._last_round_index:
-            self._last_round_index = transaction.round_index
-        if not self._weights_dirty:
-            self._weights[transaction.tx_id] = 1
-            self._bump_past_cone(transaction.tx_id)
 
     def _intern(self, transaction: Transaction) -> None:
         """Move a transaction's model into the arena (opportunistic)."""
@@ -285,10 +287,10 @@ class Tangle:
 
         What happens at the cut:
 
-        - dropped transactions leave ``transactions()``/``get`` and the
-          weight index; their ids stay burned (the publish counter never
-          rewinds), so a checkpoint written after a compaction can be
-          reloaded and extended without id collisions;
+        - dropped transactions leave ``transactions()``/``get``; their
+          ids stay burned (the publish counter never rewinds), so a
+          checkpoint written after a compaction can be reloaded and
+          extended without id collisions;
         - kept transactions whose parents fell below the cut re-parent
           onto genesis (duplicates collapsed, approval order kept) —
           the DAG stays rooted and walkable;
@@ -296,11 +298,10 @@ class Tangle:
           (shared-memory backing is preserved); the dropped rows are
           freed, or — when ``spill_path`` names a file — archived first
           into a memory-mapped spill arena returned on the report;
-        - :attr:`compaction_epoch` bumps, which retires every cached
-          walk snapshot of this tangle (their fingerprints carry the
-          epoch), and live readers holding old snapshots or old
-          :class:`Transaction` objects keep working off the state they
-          captured.
+        - :attr:`compaction_epoch` bumps and the tangle drops its walk
+          snapshot (the next :meth:`snapshot` is a cold build); live
+          readers holding old snapshots or old :class:`Transaction`
+          objects keep working off the state they captured.
 
         No-op (epoch unchanged) when nothing falls below the cut.
         """
@@ -385,16 +386,7 @@ class Tangle:
         # genesis is a tip only when it is alone.
         self._tips = {t for t in kept_ids if not approvers[t]}
         self._order = kept_ids
-        self._last_round_index = max(
-            (
-                self._transactions[t].round_index
-                for t in kept_ids
-                if t != GENESIS_ID
-            ),
-            default=-1,
-        )
-        self._weights = {GENESIS_ID: 1}
-        self._weights_dirty = True
+        self._snapshot = None
         self._compaction_epoch += 1
         return CompactionReport(
             dropped=len(dropped_ids),
@@ -432,58 +424,33 @@ class Tangle:
             queue.extend(self._transactions[current].parents)
         return seen
 
-    # ----------------------------------------------------- weight index
-    def _bump_past_cone(self, tx_id: str) -> None:
-        """Propagate a new transaction's +1 to every ancestor's weight."""
-        for ancestor in self.past_cone(tx_id):
-            self._weights[ancestor] += 1
-
-    def invalidate_weight_index(self) -> None:
-        """Mark the weight index stale; it is rebuilt lazily on next query.
-
-        Bulk construction paths may call this before a run of
-        :meth:`add` calls to skip per-add propagation and pay for one
-        full rebuild instead.
-        """
-        self._weights_dirty = True
-
-    def _rebuild_weight_index(self) -> None:
-        self._weights = {tx_id: 1 for tx_id in self._order}
-        self._weights_dirty = False
-        for tx_id in self._order:
-            self._bump_past_cone(tx_id)
-
+    # ------------------------------------------------------------ weights
     def cumulative_weight(self, tx_id: str) -> int:
         """Classic tangle weight: own weight plus all approving txs.
 
-        Served from the incremental index in O(1); equal to
+        A lookup into :meth:`snapshot`'s weight plane; equal to
         :meth:`recount_cumulative_weight` at all times (the randomized
-        index tests assert this invariant under interleaved mutation).
+        weight tests assert this under interleaved mutation).
         """
-        self.get(tx_id)  # raise on unknown ids
-        if self._weights_dirty:
-            self._rebuild_weight_index()
-        return self._weights[tx_id]
+        return int(self.cumulative_weights([tx_id])[0])
 
     def cumulative_weights(self, tx_ids) -> np.ndarray:
         """Batched :meth:`cumulative_weight`: one query for many ids.
 
         The weighted walk's per-step path — a step's whole approver
-        list is answered with a single call against the incremental
-        index (one float64 array out, no per-id method dispatch or
-        re-validation).  Raises ``KeyError`` on unknown ids.
+        list is answered with one gather from the snapshot's weight
+        plane (one float64 array out, no per-id method dispatch).
+        Raises ``KeyError`` on unknown ids.
         """
-        if self._weights_dirty:
-            self._rebuild_weight_index()
-        weights = self._weights
+        snapshot = self.snapshot()
+        index = snapshot.index
         try:
-            return np.fromiter(
-                (weights[tx_id] for tx_id in tx_ids),
-                dtype=np.float64,
-                count=len(tx_ids),
+            nodes = np.fromiter(
+                (index[tx_id] for tx_id in tx_ids), dtype=np.int64, count=len(tx_ids)
             )
         except KeyError as exc:
             raise KeyError(f"unknown transaction {exc.args[0]!r}") from None
+        return snapshot.cumulative_weights_float()[nodes]
 
     def recount_cumulative_weight(self, tx_id: str) -> int:
         """Weight via a from-scratch future-cone BFS (the legacy path).

@@ -52,8 +52,8 @@ def _column(times, ids: list[str], missing: float) -> np.ndarray:
 
 def _visible_cumulative_weight(view, tx_id: str) -> int:
     """Own weight plus approving transactions visible in ``view``: a
-    BFS over ``view.approvers`` (the tangle's incremental index counts
-    hidden approvers too, so truncated views cannot use it)."""
+    BFS over ``view.approvers`` — the oracle the snapshot weight plane
+    of the view's restriction is tested against."""
     view.get(tx_id)  # visibility check
     seen: set[str] = set()
     queue = deque(view.approvers(tx_id))
@@ -133,29 +133,11 @@ class TangleView:
         return tx_id in self and not self.approvers(tx_id)
 
     def cumulative_weight(self, tx_id: str) -> int:
-        """Own weight plus visible approving transactions.
-
-        When the view's bound covers the whole tangle (no transaction is
-        hidden) the query is answered from the tangle's incremental
-        weight index in O(1); only genuinely truncated views pay for a
-        visibility-filtered BFS.
-        """
-        if self.max_round >= self.tangle.last_round_index:
-            self.get(tx_id)
-            return self.tangle.cumulative_weight(tx_id)
+        """Own weight plus visible approving transactions."""
         return _visible_cumulative_weight(self, tx_id)
 
     def cumulative_weights(self, tx_ids) -> np.ndarray:
-        """Batched :meth:`cumulative_weight` over ``tx_ids``.
-
-        A fully covering view answers all ids with one query against
-        the tangle's incremental index — every stored transaction is
-        visible at such a bound, and the index query itself raises
-        ``KeyError`` on unknown ids, so no per-id check is needed.
-        Truncated views fall back to the per-id filtered BFS.
-        """
-        if self.max_round >= self.tangle.last_round_index:
-            return self.tangle.cumulative_weights(tx_ids)
+        """Batched :meth:`cumulative_weight` over ``tx_ids``."""
         return np.array(
             [self.cumulative_weight(tx_id) for tx_id in tx_ids], dtype=np.float64
         )
@@ -273,9 +255,8 @@ class TimedTangleView:
     def cumulative_weights(self, tx_ids) -> np.ndarray:
         """Batched :meth:`cumulative_weight` (the walk's per-step query).
 
-        Per-id filtered BFS under the hood — delayed visibility means
-        the tangle's incremental index does not apply; the lockstep
-        engine's snapshot computes all visible weights in one pass
+        Per-id filtered BFS under the hood; the lockstep engine's
+        snapshot computes all visible weights in one pass
         instead (:meth:`repro.dag.walk_engine.TangleSnapshot.cumulative_weights`).
         """
         return np.array(

@@ -10,11 +10,11 @@ tangle:
 
 - :class:`TangleSnapshot` flattens a tangle (or any visibility view)
   into CSR adjacency over dense int node ids: approver lists, parent
-  lists, the tip set, and (lazily) cumulative weights.  Each tangle has
-  **one** whole-tangle snapshot (:func:`snapshot_for` caches it per
-  tangle); when the tangle merely *grows*,
-  :meth:`TangleSnapshot.extend` derives the new snapshot from the
-  cached one in O(delta) — CSR rows appended, candidate matrices
+  lists, the tip set, and (lazily) cumulative weights.  Each tangle
+  owns **one** whole-tangle snapshot
+  (:meth:`repro.dag.tangle.Tangle.snapshot`); when the tangle merely
+  *grows*, :meth:`TangleSnapshot.extend` derives the new snapshot from
+  the current one in O(delta) — CSR rows appended, candidate matrices
   patched, bitset cumulative weights extended by delta columns —
   bit-identical to a cold rebuild, so at 10^5+ transactions
   per-publish maintenance cost stays flat instead of replaying the
@@ -56,17 +56,13 @@ under the event engine's timed views).
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.dag.tangle import Tangle
-
 __all__ = [
     "TangleSnapshot",
     "snapshot_for",
-    "clear_snapshot_cache",
     "batched_walk_starts",
     "padded_normalize",
     "lockstep_walks",
@@ -185,8 +181,8 @@ class TangleSnapshot:
         approver_indptr: np.ndarray,
         approver_indices: np.ndarray,
     ) -> None:
-        """Set every field from the two CSR adjacencies: lazy planes
-        unmaterialized, no weight authority, not extendable."""
+        """Set every field from the two CSR adjacencies, lazy planes
+        unmaterialized."""
         self.ids = ids
         self.index = index
         self.parent_indptr, self.parent_indices = parent_indptr, parent_indices
@@ -206,13 +202,6 @@ class TangleSnapshot:
         # are invisible): where depth descents terminate early.
         self.sink_nodes = np.flatnonzero(self.parent_counts == 0)
         self._longest_past_path: np.ndarray | None = None
-        # Set on whole-tangle snapshots: a weakref to the tangle plus
-        # its length, so weight queries can be answered from its
-        # incremental index instead of the bitset pass (valid only while
-        # the tangle hasn't grown — new approvers outside the snapshot
-        # must not leak into snapshot weights).
-        self._weight_authority: "weakref.ref | None" = None
-        self._weight_authority_len = -1
         self._cumulative: np.ndarray | None = None
         self._cumulative_float: np.ndarray | None = None
         # Tips: visible nodes with no visible approver, in the sorted-id
@@ -221,13 +210,6 @@ class TangleSnapshot:
         self.tip_nodes = np.array(
             sorted(tip_nodes.tolist(), key=ids.__getitem__), dtype=np.int64
         )
-        # Extension provenance (whole-tangle snapshots only, see
-        # _anchor_to): which tangle this snapshot covers, at what length
-        # and compaction epoch.  snapshot_for() consults these to route
-        # a grown tangle to extend() instead of a cold rebuild.
-        self._anchor: "weakref.ref | None" = None
-        self._source_len = len(ids)
-        self._epoch = 0
         # Memoized restrictions, keyed by the packed mask bytes.
         self._restrictions: dict[bytes, TangleSnapshot] = {}
 
@@ -236,7 +218,8 @@ class TangleSnapshot:
 
     @classmethod
     def build(cls, view) -> "TangleSnapshot":
-        """Snapshot ``view`` (a :class:`Tangle` or any visibility view).
+        """Snapshot ``view`` (a :class:`~repro.dag.tangle.Tangle` or any
+        visibility view).
 
         One pass over ``view.transactions()``: an edge is kept iff both
         endpoints are visible, which reproduces ``view.approvers``
@@ -254,30 +237,9 @@ class TangleSnapshot:
                     continue
                 parent_lists[node].append(parent_node)
                 approver_lists[parent_node].append(node)
-        snapshot = cls(ids, parent_lists, approver_lists)
-        if isinstance(view, Tangle):
-            snapshot._anchor_to(view)
-        return snapshot
+        return cls(ids, parent_lists, approver_lists)
 
-    def _anchor_to(self, tangle: Tangle) -> None:
-        """Mark this snapshot as covering all of ``tangle`` as it is now:
-        weight authority plus extension provenance."""
-        self._weight_authority = self._anchor = weakref.ref(tangle)
-        self._weight_authority_len = self._source_len = len(tangle)
-        self._epoch = tangle.compaction_epoch
-
-    def _can_extend_to(self, tangle: Tangle) -> bool:
-        """Whether ``tangle`` is this snapshot's tangle grown in place:
-        the same live object at the same compaction epoch, no shorter —
-        the condition under which its node ids extend this snapshot's."""
-        return (
-            self._anchor is not None
-            and self._anchor() is tangle
-            and tangle.compaction_epoch == self._epoch
-            and len(tangle) >= self._source_len
-        )
-
-    def extend(self, tangle: Tangle) -> "TangleSnapshot":
+    def extend(self, tangle) -> "TangleSnapshot":
         """A snapshot of ``tangle`` built as a delta on top of this one.
 
         The O(history) work of :meth:`build` — the Python pass over
@@ -291,14 +253,16 @@ class TangleSnapshot:
         ``evaluation_counter`` calls — the scale benchmark and the
         extension tests pin this.
 
-        Returns a *new* snapshot when the tangle grew (callers key memos
-        by snapshot identity) and ``self`` when it did not.  Raises
-        ``ValueError`` when ``tangle`` is not this snapshot's tangle
-        grown in place (:meth:`_can_extend_to`).
+        ``tangle`` must be the tangle this snapshot was cut from, grown
+        in place since (no compaction in between) — the condition under
+        which its node ids extend this snapshot's.
+        :meth:`repro.dag.tangle.Tangle.snapshot`, the one caller that
+        maintains a snapshot, guarantees it by clearing its snapshot on
+        compaction.  Returns a *new* snapshot when the tangle grew
+        (callers key memos by snapshot identity) and ``self`` when it
+        did not.
         """
-        if not self._can_extend_to(tangle):
-            raise ValueError("snapshot does not extend to this tangle")
-        delta = tangle.transactions_since(self._source_len)
+        delta = tangle.transactions_since(len(self.ids))
         if not delta:
             return self
 
@@ -462,8 +426,6 @@ class TangleSnapshot:
             cumulative[:n0] = self._cumulative + gained[:n0]
             cumulative[n0:] = 1 + gained[n0:]
             ext._cumulative = cumulative
-
-        ext._anchor_to(tangle)
         return ext
 
     def restrict(self, mask: np.ndarray) -> "TangleSnapshot":
@@ -477,8 +439,7 @@ class TangleSnapshot:
         endpoints do, and filtering each CSR in place keeps a cold
         build's parent order and child-ascending approver order.
 
-        A mask that hides nothing returns ``self`` (so a covering view
-        keeps the whole-tangle weight authority).  Restrictions are
+        A mask that hides nothing returns ``self``.  Restrictions are
         memoized by mask content: every view that sees the same set
         shares one snapshot and its lazily materialized planes.
         """
@@ -579,21 +540,14 @@ class TangleSnapshot:
     def cumulative_weights(self) -> np.ndarray:
         """Visible cumulative weight (1 + visible future cone) per node.
 
-        A snapshot that covers a whole tangle answers from the tangle's
-        incremental index in O(N) (valid while the tangle hasn't grown
-        past the snapshot).  Truncated views — where the index, which
-        counts the *whole* future cone, does not apply — pay a
-        reverse-topological bitset pass, ``future(i) = union over
-        approvers a of (future(a) | {a})``, O(N^2 / 64) words of work.
-        Either way the values equal ``view.cumulative_weight(id)`` for
+        Materialized once by a reverse-topological bitset pass,
+        ``future(i) = union over approvers a of (future(a) | {a})``,
+        O(N^2 / 64) words of work; after that :meth:`extend` keeps the
+        plane current with a delta-width pass, so a tangle whose
+        weights are queried every epoch pays O(N * delta / 64) words
+        per epoch.  The values equal ``view.cumulative_weight(id)`` for
         every visible id; the tests pin that.
         """
-        if self._cumulative is None and self._weight_authority is not None:
-            tangle = self._weight_authority()
-            if tangle is not None and len(tangle) == self._weight_authority_len:
-                self._cumulative = tangle.cumulative_weights(self.ids).astype(
-                    np.int64
-                )
         if self._cumulative is None:
             n = len(self.ids)
             words = max(1, (n + 63) // 64)
@@ -611,48 +565,21 @@ class TangleSnapshot:
         return self._cumulative
 
 
-# --------------------------------------------------------- epoch caching
-#: id(tangle) -> (weakref to the tangle, its latest whole-tangle
-#: snapshot): one entry per live tangle, bounded FIFO over tangles.  The
-#: weakref identity check guards against ``id()`` reuse after GC.
-_SNAPSHOT_CACHE: dict = {}
-_SNAPSHOT_CACHE_LIMIT = 8
 #: Restrictions memoized per whole-tangle snapshot, least recently used
 #: evicted first: a batch's shared mask stays hot between one-off masks,
 #: and each entry may hold an (N x max approvers) padded matrix.
 _RESTRICTION_LIMIT = 2
 
 
-def _tangle_snapshot(tangle: Tangle) -> TangleSnapshot:
-    """The tangle's whole-tangle snapshot: exact hit, delta-extend, or
-    build (first contact, or the tangle was compacted since)."""
-    entry = _SNAPSHOT_CACHE.get(id(tangle))
-    cached = entry[1] if entry is not None and entry[0]() is tangle else None
-    if cached is not None and cached._can_extend_to(tangle):
-        if len(tangle) == cached._source_len:
-            return cached
-        snapshot = cached.extend(tangle)
-    else:
-        snapshot = TangleSnapshot.build(tangle)
-    # Purge entries whose tangle died before FIFO-evicting live ones, so
-    # snapshots of collected tangles don't linger.
-    _SNAPSHOT_CACHE.pop(id(tangle), None)
-    for dead_key in [k for k, (ref, _) in _SNAPSHOT_CACHE.items() if ref() is None]:
-        del _SNAPSHOT_CACHE[dead_key]
-    while len(_SNAPSHOT_CACHE) >= _SNAPSHOT_CACHE_LIMIT:
-        _SNAPSHOT_CACHE.pop(next(iter(_SNAPSHOT_CACHE)))
-    _SNAPSHOT_CACHE[id(tangle)] = (weakref.ref(tangle), snapshot)
-    return snapshot
-
-
 def snapshot_for(view) -> TangleSnapshot:
     """The snapshot walks over ``view`` run on.
 
-    A :class:`Tangle` gets its one cached whole-tangle snapshot: the
-    same object for every walk of a publish epoch, an O(delta)
+    A :class:`~repro.dag.tangle.Tangle` is served its own whole-tangle
+    snapshot (:meth:`~repro.dag.tangle.Tangle.snapshot`): the same
+    object for every walk of a publish epoch, an O(delta)
     :meth:`TangleSnapshot.extend` once the tangle grew (bit-identical to
     a rebuild), and a cold :meth:`TangleSnapshot.build` only on first
-    contact or after a compaction.
+    use or after a compaction.
 
     A view that exposes ``tangle`` and ``mask(snapshot)`` (both
     :mod:`repro.dag.view` classes) gets that snapshot restricted by its
@@ -661,17 +588,12 @@ def snapshot_for(view) -> TangleSnapshot:
     the identity of a view or of its visibility maps, so no view can be
     served another's snapshot.  Any other view is built cold.
     """
-    if isinstance(view, Tangle):
-        return _tangle_snapshot(view)
-    if not hasattr(view, "mask"):
-        return TangleSnapshot.build(view)
-    full = _tangle_snapshot(view.tangle)
-    return full.restrict(view.mask(full))
-
-
-def clear_snapshot_cache() -> None:
-    """Drop all cached snapshots (benchmarks use this between variants)."""
-    _SNAPSHOT_CACHE.clear()
+    if hasattr(view, "mask"):
+        full = view.tangle.snapshot()
+        return full.restrict(view.mask(full))
+    if hasattr(view, "snapshot"):
+        return view.snapshot()
+    return TangleSnapshot.build(view)
 
 
 # ------------------------------------------------------------ walk starts

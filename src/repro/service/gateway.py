@@ -372,6 +372,6 @@ class TangleGateway:
 
     # ------------------------------------------------------------ helpers
     def snapshot(self):
-        """The current walk snapshot (epoch-cached; test/benchmark aid)."""
+        """The tangle's current walk snapshot (test/benchmark aid)."""
         with self._lock:
             return snapshot_for(self.tangle)

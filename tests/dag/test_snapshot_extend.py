@@ -1,31 +1,29 @@
 """Incremental snapshot extension: O(delta) growth, bit-identical.
 
-``snapshot_for`` extends a cached snapshot with the publish-epoch delta
-instead of rebuilding from scratch — but the extended snapshot must be
+A tangle extends its snapshot with the publish-epoch delta instead of
+rebuilding from scratch — but the extended snapshot must be
 *indistinguishable* from a cold rebuild: same CSR arrays, same padded
 candidate matrices, same cumulative weights, same tip ordering, so walk
 distributions and Gumbel streams are unchanged.  Only the whole-tangle
 snapshot extends; a view's snapshot is its restriction by the view's row
 mask, so for views these tests pin that growth extends the whole-tangle
 snapshot (never a cold rebuild) and that the restriction equals a cold
-build of the view.  Plus the cache-eviction contracts: dead anchors are
-reaped and a compacted tangle never resurrects a stale snapshot (the
-compaction epoch).
+build of the view.  Plus the ownership contracts: a tangle's snapshot
+dies with it, and a compacted tangle never resurrects a stale snapshot.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.dag import walk_engine
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
 from repro.dag.view import TangleView, TimedTangleView
 from repro.dag.walk_engine import (
     TangleSnapshot,
     batched_walk_starts,
-    clear_snapshot_cache,
     lockstep_walks,
     snapshot_for,
 )
@@ -48,13 +46,6 @@ def grow(tangle, ids, n, *, seed, round_of=None, prefix="t", start=None):
             Transaction(f"{prefix}{i}", parents, weights(), i % 5, round_index)
         )
         ids.append(f"{prefix}{i}")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_snapshot_cache():
-    clear_snapshot_cache()
-    yield
-    clear_snapshot_cache()
 
 
 @pytest.fixture
@@ -103,7 +94,7 @@ def assert_snapshot_equal(extended, cold):
 
 
 # ------------------------------------------------------------- bit identity
-def test_extend_matches_cold_rebuild_on_whole_tangle():
+def test_extend_matches_cold_rebuild_on_whole_tangle(snapshot_work):
     tangle = Tangle(weights())
     ids = [GENESIS_ID]
     grow(tangle, ids, 60, seed=1)
@@ -111,9 +102,10 @@ def test_extend_matches_cold_rebuild_on_whole_tangle():
     for name in PLANES:  # materialize so extension must patch, not defer
         getattr(base, name)()
     grow(tangle, ids, 35, seed=2)
+    snapshot_work.clear()
     extended = snapshot_for(tangle)
     assert extended is not base
-    assert extended._source_len == len(tangle)  # extended, not rebuilt
+    assert snapshot_work == {"extend": 1}  # extended, not rebuilt
     assert_snapshot_equal(extended, TangleSnapshot.build(tangle))
 
 
@@ -133,31 +125,32 @@ def test_extend_defers_unmaterialized_planes():
 
 
 def test_extend_bitset_weights_match_authority():
-    """The incremental bitset pass must agree with both the cold bitset
-    pass and the tangle's own weight index."""
+    """The incremental bitset pass must agree with the from-scratch
+    future-cone recount (the cold bitset pass is compared elsewhere)."""
     tangle = Tangle(weights())
     ids = [GENESIS_ID]
     grow(tangle, ids, 50, seed=5)
     base = snapshot_for(tangle)
-    base._weight_authority = None
-    base.cumulative_weights()  # force the bitset path to materialize
+    base.cumulative_weights()  # materialize, so extension must patch it
     grow(tangle, ids, 30, seed=6)
     extended = snapshot_for(tangle)
-    expected = [tangle.cumulative_weight(tx_id) for tx_id in extended.ids]
+    assert extended._cumulative is not None  # patched, not deferred
+    expected = [tangle.recount_cumulative_weight(tx_id) for tx_id in extended.ids]
     np.testing.assert_array_equal(extended.cumulative_weights(), expected)
 
 
-def test_extend_repeated_stages_stay_identical():
+def test_extend_repeated_stages_stay_identical(snapshot_work):
     tangle = Tangle(weights())
     ids = [GENESIS_ID]
     grow(tangle, ids, 20, seed=7)
     snapshot = snapshot_for(tangle)
     for name in PLANES:
         getattr(snapshot, name)()
+    snapshot_work.clear()
     for stage in range(4):
         grow(tangle, ids, 15, seed=8 + stage)
         snapshot = snapshot_for(tangle)
-    assert snapshot._source_len == len(tangle)
+    assert snapshot_work == {"extend": 4}  # every stage extended
     assert_snapshot_equal(snapshot, TangleSnapshot.build(tangle))
 
 
@@ -271,45 +264,45 @@ def test_extended_snapshot_walks_identically():
     assert extended_tips == tips
 
 
-# --------------------------------------------------------- cache eviction
+# ------------------------------------------------------------- ownership
 def test_snapshot_cache_reaps_dead_anchors():
-    """Dead tangles' entries leave the fingerprint cache on the next
-    store — the weakref bound, pinned."""
+    """A tangle's snapshots, base and extended, are collected with it:
+    no registry outside the tangle keeps them alive."""
+    refs = []
     for seed in range(3):
         tangle = Tangle(weights())
         ids = [GENESIS_ID]
         grow(tangle, ids, 10, seed=seed)
-        snapshot_for(tangle)
+        refs.append(weakref.ref(snapshot_for(tangle)))
+        grow(tangle, ids, 5, seed=seed + 10, start=10)
+        refs.append(weakref.ref(snapshot_for(tangle)))
         del tangle
     gc.collect()
-    survivor = Tangle(weights())
-    ids = [GENESIS_ID]
-    grow(survivor, ids, 10, seed=42)
-    snapshot_for(survivor)  # the store sweeps dead entries
-    anchors = [ref() for ref, _ in walk_engine._SNAPSHOT_CACHE.values()]
-    assert anchors == [survivor]
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def test_compaction_never_resurrects_stale_snapshot():
+def test_compaction_never_resurrects_stale_snapshot(snapshot_work):
     """After a compaction that lands the tangle back on a previously
-    cached length, the fingerprint (which carries the compaction epoch)
-    must miss — the old snapshot describes transactions that no longer
-    exist."""
+    snapshotted length, the tangle must build afresh — the old snapshot
+    describes transactions that no longer exist."""
     tangle = Tangle(weights())
     ids = [GENESIS_ID]
     grow(tangle, ids, 21, seed=19)
     stale = snapshot_for(tangle)  # len 22
     grow(tangle, ids, 10, seed=20)
-    tangle.compact(keep_last=21)  # back to len 22, same id(), new epoch
+    tangle.compact(keep_last=21)  # back to len 22, same object
     assert len(tangle) == len(stale)
+    snapshot_work.clear()
     fresh = snapshot_for(tangle)
+    assert snapshot_work == {"build": 1}
     assert fresh is not stale
     assert fresh.ids == [GENESIS_ID] + ids[-21:]
-    # And the stale snapshot can't serve as an extension base either.
+    # Growth after the compaction extends the fresh snapshot.
     kept = [GENESIS_ID] + ids[-21:]
     grow(tangle, kept, 5, seed=21, start=31)
+    snapshot_work.clear()
     grown = snapshot_for(tangle)
-    assert grown._epoch == tangle.compaction_epoch
+    assert snapshot_work == {"extend": 1}
     assert_snapshot_equal(grown, TangleSnapshot.build(tangle))
 
 

@@ -11,6 +11,13 @@ distribution.  (Distributional parity in the stochastic regime lives in
 ``tests/property/test_properties_walk_engine.py``.)
 """
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -22,7 +29,6 @@ from repro.dag.view import TangleView, TimedTangleView
 from repro.dag.walk_engine import (
     TangleSnapshot,
     batched_walk_starts,
-    clear_snapshot_cache,
     lockstep_walks,
     snapshot_for,
 )
@@ -45,13 +51,6 @@ def grow_tangle(n=60, seed=4, num_issuers=10):
         )
         ids.append(f"t{i}")
     return tangle, ids
-
-
-@pytest.fixture(autouse=True)
-def _fresh_snapshot_cache():
-    clear_snapshot_cache()
-    yield
-    clear_snapshot_cache()
 
 
 # -------------------------------------------------------------- snapshot
@@ -99,7 +98,9 @@ def test_snapshot_cumulative_weights_match_index_and_view():
     tangle, _ = grow_tangle()
     full = TangleSnapshot.build(tangle)
     for node, tx_id in enumerate(full.ids):
-        assert full.cumulative_weights()[node] == tangle.cumulative_weight(tx_id)
+        assert full.cumulative_weights()[node] == tangle.recount_cumulative_weight(
+            tx_id
+        )
     view = TangleView(tangle, max_round=3)
     truncated = TangleSnapshot.build(view)
     for node, tx_id in enumerate(truncated.ids):
@@ -107,13 +108,12 @@ def test_snapshot_cumulative_weights_match_index_and_view():
 
 
 def test_snapshot_weights_stay_visible_scoped_after_tangle_grows():
-    """A full-tangle snapshot answers weights from the incremental
-    index — but only while the tangle hasn't grown.  After an append,
-    the snapshot must still report weights of *its* visible set, not
-    the live index's larger cones."""
+    """A snapshot's weights are those of *its* transaction set: after
+    the tangle grows, a snapshot cut before the growth (its weights
+    not yet materialized) must not count the later approvers."""
     tangle, _ = grow_tangle(n=15)
     snapshot = TangleSnapshot.build(tangle)
-    expected = [tangle.cumulative_weight(tx_id) for tx_id in snapshot.ids]
+    expected = [tangle.recount_cumulative_weight(tx_id) for tx_id in snapshot.ids]
     for tip in tangle.tips()[:2]:
         tangle.add(Transaction(f"late-{tip}", (tip,), weights(), 0, 99))
     np.testing.assert_array_equal(snapshot.cumulative_weights(), expected)
@@ -147,19 +147,72 @@ def test_snapshot_cache_reuses_until_tangle_grows():
 
 
 def test_snapshot_cache_purges_dead_tangles():
-    import gc
-
-    from repro.dag import walk_engine
-
+    """The snapshot is the tangle's own state: nothing outside the
+    tangle keeps it alive once the tangle is gone."""
     tangle, _ = grow_tangle(n=5)
-    snapshot_for(tangle)
+    snapshot = weakref.ref(snapshot_for(tangle))
     del tangle
     gc.collect()
-    other, _ = grow_tangle(n=6)
-    snapshot_for(other)  # insertion sweeps out entries of dead tangles
-    assert all(
-        ref() is not None for ref, _ in walk_engine._SNAPSHOT_CACHE.values()
-    )
+    assert snapshot() is None
+
+
+def test_snapshot_for_is_thread_safe_across_tangles():
+    """Threads each growing and snapshotting their own tangle (plus
+    short-lived extra tangles) never interfere: no exception, and every
+    snapshot covers exactly its own tangle."""
+    errors: list[BaseException] = []
+    mismatches: list[tuple[int, int]] = []
+
+    def worker(seed):
+        try:
+            tangle, ids = grow_tangle(n=1, seed=seed)
+            rng = np.random.default_rng(seed)
+            for i in range(600):
+                parents = (ids[int(rng.integers(0, len(ids)))],)
+                tangle.add(Transaction(f"s{seed}-{i}", parents, weights(), 0, i))
+                ids.append(f"s{seed}-{i}")
+                snapshot = snapshot_for(tangle)
+                if len(snapshot) != len(tangle):
+                    mismatches.append((len(snapshot), len(tangle)))
+                if i % 50 == 0:
+                    extra, _ = grow_tangle(n=3, seed=seed + i)
+                    snapshot_for(extra)
+                    del extra
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert not mismatches, mismatches[:5]
+
+
+def test_snapshot_is_derived_state_left_out_of_pickles_and_copies():
+    """Pickling ships the tangle, never its snapshot; an unpickled or
+    deep-copied tangle builds its own, equal to a cold build."""
+    tangle, _ = grow_tangle(n=30)
+    size = len(pickle.dumps(tangle))
+    snapshot_for(tangle).cumulative_weights()
+    assert len(pickle.dumps(tangle)) == size
+    for clone in (pickle.loads(pickle.dumps(tangle)), copy.deepcopy(tangle)):
+        served, cold = snapshot_for(clone), TangleSnapshot.build(clone)
+        assert served is not snapshot_for(tangle)
+        assert served.ids == cold.ids
+        for name in ("parent_indices", "approver_indices", "tip_nodes"):
+            np.testing.assert_array_equal(getattr(served, name), getattr(cold, name))
+        np.testing.assert_array_equal(
+            served.cumulative_weights(),
+            [clone.recount_cumulative_weight(tx_id) for tx_id in served.ids],
+        )
 
 
 def test_snapshot_cache_distinguishes_view_bounds():

@@ -39,7 +39,6 @@ from repro.dag.view import TangleView, TimedTangleView
 from repro.dag.walk_engine import (
     TangleSnapshot,
     batched_walk_starts,
-    clear_snapshot_cache,
     lockstep_walks,
     padded_normalize,
     snapshot_for,
@@ -112,7 +111,6 @@ def test_superstep_choice_matches_analytic_softmax():
     tangle = Tangle(weights())
     for i in range(k):
         tangle.add(Transaction(f"t{i}", (GENESIS_ID,), weights(), i, 0))
-    clear_snapshot_cache()
     snapshot = snapshot_for(tangle)
     accuracies = np.random.default_rng(1).random(k)
     scores_by_node = np.zeros(len(snapshot))
@@ -156,7 +154,6 @@ def test_engine_tip_distribution_matches_sequential():
             normalization=normalization,
             depth_range=(15, 25),
         )
-        clear_snapshot_cache()
         n = 3000
         seq_tips = sequential_select_tips(selector, tangle, n, np.random.default_rng(6))
         eng_tips = selector.select_tips(tangle, n, np.random.default_rng(7))
@@ -188,7 +185,6 @@ def test_engine_matches_sequential_on_timed_view():
     selector = AccuracyTipSelector(
         accuracies.__getitem__, alpha=5.0, depth_range=(10, 20)
     )
-    clear_snapshot_cache()
     n = 1500
     seq_tips = sequential_select_tips(selector, view, n, np.random.default_rng(11))
     eng_tips = selector.select_tips(view, n, np.random.default_rng(12))
@@ -215,7 +211,6 @@ def test_both_walkers_survive_visible_child_invisible_parent():
         accuracies.__getitem__, alpha=5.0, depth_range=(5, 10)
     )
     for select in (sequential_select_tips, AccuracyTipSelector.select_tips):
-        clear_snapshot_cache()
         tips = select(selector, view, 20, np.random.default_rng(14))
         assert set(tips) <= set(view.tips())
 
@@ -228,7 +223,6 @@ def test_snapshot_cache_distinguishes_visibility_maps():
     tangle.add(Transaction("t", (GENESIS_ID,), weights(), 0, 0))
     early = TimedTangleView(tangle, {GENESIS_ID: 0.0, "t": 0.5}, 1.0)
     late = TimedTangleView(tangle, {GENESIS_ID: 0.0, "t": 5.0}, 1.0)
-    clear_snapshot_cache()
     assert "t" in snapshot_for(early).index
     assert "t" not in snapshot_for(late).index
 
@@ -249,7 +243,6 @@ def test_engine_honours_own_publication_exemption():
         view = TimedTangleView(
             tangle, visible_from, 2.0, observer=observer, published_at=published_at
         )
-        clear_snapshot_cache()
         selector = AccuracyTipSelector(
             accuracies.__getitem__, alpha=1e8, depth_range=(10, 10)
         )
@@ -378,7 +371,8 @@ def test_view_snapshots_equal_cold_builds_across_growth_and_compaction(
                 published_at=columns["published_at"],
                 issuers=columns["issuers"],
             ), keep
-        max_round = int(rng.integers(-2, tangle.last_round_index + 2))
+        last_round = max(tx.round_index for tx in tangle.transactions())
+        max_round = int(rng.integers(-2, last_round + 2))
         yield TangleView(tangle, max_round), (
             lambda tx: tx.is_genesis or tx.round_index <= max_round
         )
@@ -396,8 +390,12 @@ def test_view_snapshots_equal_cold_builds_across_growth_and_compaction(
                 served = snapshot_for(view)
             assert_snapshot_equal(served, TangleSnapshot.build(_Subset(tangle, keep)))
         assert_snapshot_equal(snapshot_for(tangle), TangleSnapshot.build(tangle))
+        order = [tx.tx_id for tx in tangle.transactions()]
+        np.testing.assert_array_equal(
+            tangle.cumulative_weights(order),
+            [tangle.recount_cumulative_weight(tx_id) for tx_id in order],
+        )
 
-    clear_snapshot_cache()
     grow(first)
     check_stage(may_build=True)
     grow(grown)

@@ -5,18 +5,10 @@ import pytest
 
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.dag.walk_engine import clear_snapshot_cache
 
 
 def _weights(rng):
     return [rng.normal(size=(3, 2)), rng.normal(size=2)]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_snapshot_cache():
-    clear_snapshot_cache()
-    yield
-    clear_snapshot_cache()
 
 
 @pytest.fixture
