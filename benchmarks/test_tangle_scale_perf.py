@@ -2,9 +2,10 @@
 
 PR 10 makes tangle growth cost proportional to the publish-epoch delta
 instead of to history: the tangle *extends* its own CSR snapshot
-with the new transactions (appending rows, patching candidate
-matrices) rather than rebuilding from scratch, and ``Tangle.compact``
-truncates confirmed history so resident arena bytes stay bounded.
+with the new transactions (appending rows, patching the parent matrix
+and the longest-path plane) rather than rebuilding from scratch, and
+``Tangle.compact`` truncates confirmed history so resident arena bytes
+stay bounded.
 This file grows one tangle 100x (10^3 -> 10^5 transactions) and pins
 the scaling story to ``BENCH_tangle_scale.json`` for CI:
 
@@ -14,8 +15,8 @@ the scaling story to ``BENCH_tangle_scale.json`` for CI:
   snapshot work, never the whole history.
 - **Extend beats rebuild**: applying a publish-epoch delta to the
   cached snapshot must be >= 5x cheaper than a cold rebuild at 10^5
-  transactions — and **bit-identical** to it (CSR arrays, candidate
-  matrices, tip ordering; cumulative weights are asserted at the 10^3
+  transactions — and **bit-identical** to it (CSR arrays, parent
+  matrix, longest paths, tip ordering; cumulative weights at the 10^3
   checkpoint where the cold bitset comparator is affordable).
 - **Compaction bounds residency**: compacting to the newest 10% must
   leave < 50% (here ~10%) of the uncompacted resident arena bytes,
@@ -59,7 +60,7 @@ STRUCTURAL = (
     "tip_nodes",
     "sink_nodes",
 )
-PLANES = ("parents_padded", "approvers_padded", "longest_past_path")
+PLANES = ("parents_padded", "longest_past_path")
 
 
 def _grow(tangle, recent, rng, n):

@@ -22,10 +22,12 @@ The sequential walker is the reference ``sequential_select_tips`` — no
 configuration runs it, so there is no end-to-end pair to time here; the
 whole-system number is ``benchmarks/e2e``'s ``rounds_*`` rows.
 
-Also recorded (no floor): a shallow and a deep tangle shape, and the
+Also recorded (no floor): a shallow and a deep tangle shape, the
 cold-cache variant (first-contact selections, where model evaluation
-dominates both paths).  Timings are best-of-N so a noisy-neighbor stall
-on a shared CI runner cannot flake the comparison.
+dominates both paths), and a "genesis fan" — the event engine's
+~700-approver genesis, where the first superstep's frontier is widest.
+Timings are best-of-N (the fan: p50) so a noisy-neighbor stall on a
+shared CI runner cannot flake the comparison.
 """
 
 import json
@@ -39,6 +41,7 @@ from repro.dag.random_walk import sequential_select_tips
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import AccuracyTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
+from repro.dag.walk_engine import batched_walk_starts, lockstep_walks, snapshot_for
 from repro.fl import Client, TrainingConfig
 from repro.nn import zoo
 
@@ -225,6 +228,82 @@ def test_cold_cache_selection_recorded():
         "speedup": sequential_s / engine_s,
         "note": "no floor: model evaluation dominates both walkers here",
     }
+
+
+def _genesis_fan_tangle(model, fan, second, sigma=0.05, seed=3):
+    """The event engine's early shape: ``fan`` transactions approving
+    genesis alone (clients that only saw genesis when their cycle
+    started), then ``second`` approving two of them — so every walk's
+    first superstep scores a ``fan``-wide frontier."""
+    genesis = model.get_weights()
+    tangle = Tangle([w.copy() for w in genesis])
+    rng = np.random.default_rng(seed)
+    first = []
+    for i in range(fan + second):
+        parents = (GENESIS_ID,)
+        if i >= fan:
+            picks = rng.choice(fan, size=2, replace=False)
+            parents = tuple(first[int(p)] for p in picks)
+        weights = [w + rng.normal(0.0, sigma, size=w.shape) for w in genesis]
+        tangle.add(Transaction(f"f{i}", parents, weights, i % 50, 0))
+        if i < fan:
+            first.append(f"f{i}")
+    return tangle
+
+
+def test_genesis_fan_selection_recorded():
+    """Accuracy selections off a ~700-approver genesis: scoring resolves
+    the candidates' arena rows in one stack and each superstep gathers
+    its ``(L, kmax)`` frontier block from the approver CSR.  Recorded,
+    no floor: p50 per selection on a cold and a warm client cache, and
+    the largest frontier block a walk padded next to the whole-snapshot
+    padded approver matrix the walk no longer builds."""
+    fan, second = 700, 150
+    model = zoo.build_mlp(
+        np.random.default_rng(0), in_features=100, hidden=(16,), num_classes=10
+    )
+    tangle = _genesis_fan_tangle(model, fan, second)
+    client = Client(_Data(np.random.default_rng(4)), model, TrainingConfig(), rng=1)
+    rng = np.random.default_rng(5)
+
+    def p50(reset, selections=15):
+        times = []
+        for _ in range(selections):
+            if reset:
+                client.reset_cache()
+            start = time.perf_counter()
+            _selector(client, tangle).select_tips(tangle, COUNT, rng)
+            times.append(time.perf_counter() - start)
+        return float(np.median(times))
+
+    cold_s = p50(reset=True)
+    warm_s = p50(reset=False)
+
+    snapshot = snapshot_for(tangle)
+    trace: list = []
+    lockstep_walks(
+        snapshot,
+        batched_walk_starts(snapshot, COUNT, rng),
+        lambda nodes: client.tx_accuracies(
+            tangle, [snapshot.ids[node] for node in nodes]
+        ),
+        alpha=10.0,
+        rng=rng,
+        trace=trace,
+    )
+    itemsize = snapshot.approver_indices.itemsize
+    _RESULTS["genesis_fan"] = {
+        "workload": f"select_tips(count={COUNT}), mlp-100-16-10 models, "
+        f"{fan} genesis approvers + {second} second-level ({len(tangle)} txs)",
+        "p50_cold_ms": cold_s * 1e3,
+        "p50_warm_ms": warm_s * 1e3,
+        "peak_padded_bytes": max(
+            len(step["nodes"]) * int(step["counts"].max()) * itemsize
+            for step in trace
+        ),
+        "whole_padded_bytes": len(snapshot) * snapshot.max_approvers * itemsize,
+    }
+    assert snapshot.approver_counts[0] == fan
 
 
 def test_zzz_emit_bench_walk_engine_json():

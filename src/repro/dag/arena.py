@@ -62,7 +62,7 @@ import numpy as np
 from repro.nn.serialization import FlatSpec
 from repro.utils import shm as shm_registry
 
-__all__ = ["WeightArena"]
+__all__ = ["WeightArena", "shared_rows"]
 
 #: Auto-created (unnamed) spill files, removed at interpreter exit so a
 #: benchmark or test that never calls close() cannot litter the disk.
@@ -83,6 +83,23 @@ atexit.register(_purge_temp_spills)
 #: Estimated pickle size of an attach-by-name handle (name, uid, shape
 #: metadata) — what a shared arena costs on the wire instead of its slab.
 HANDLE_NBYTES = 256
+
+
+def shared_rows(transactions, spec: FlatSpec) -> np.ndarray | None:
+    """``(k, P)`` stack of the transactions' models off the one arena
+    they share (:meth:`WeightArena.rows`), or ``None`` when they are not
+    all rows of one arena laid out by ``spec`` — the caller's cue to
+    take its per-model path."""
+    arena, rows = None, []
+    for tx in transactions:
+        location = tx.arena_location()
+        if location is None or (arena is not None and location[0] is not arena):
+            return None
+        arena = location[0]
+        rows.append(location[1])
+    if arena is None or arena.spec != spec:
+        return None
+    return arena.rows(rows)
 
 
 class WeightArena:

@@ -14,8 +14,8 @@ tangle:
   owns **one** whole-tangle snapshot
   (:meth:`repro.dag.tangle.Tangle.snapshot`); when the tangle merely
   *grows*, :meth:`TangleSnapshot.extend` derives the new snapshot from
-  the current one in O(delta) — CSR rows appended, candidate matrices
-  patched, bitset cumulative weights extended by delta columns —
+  the current one in O(delta) — CSR rows appended, parent paddings and
+  longest paths patched, bitset weights extended by delta columns —
   bit-identical to a cold rebuild, so at 10^5+ transactions
   per-publish maintenance cost stays flat instead of replaying the
   whole history (see ``docs/scaling.md``).  A view's snapshot is that
@@ -94,10 +94,10 @@ def _pad_csr(
     """Dense ``(N, width)`` matrix of CSR rows, padded by repeating each
     row's first entry (0 for empty rows).
 
-    The repeat-first padding keeps every lane a *real* entry, so score
-    lookups on padding lanes stay well-defined; callers mask padding
-    out of every reduction and sample (column draws for parents are
-    ``floor(u * count) < count``; supersteps carry a valid mask).
+    The repeat-first padding keeps every lane a *real* entry, so lookups
+    on padding lanes stay well-defined; the descent never draws one
+    (parent column draws are ``floor(u * count) < count``), and the
+    lockstep walk pads its CSR-gathered frontier blocks the same way.
 
     ``width`` defaults to ``max(counts)``; :meth:`TangleSnapshot.extend`
     passes it explicitly when padding a delta slice to the base
@@ -197,7 +197,6 @@ class TangleSnapshot:
         # re-allocating one arange per reduction.
         self._column_range = np.arange(max(1, self.max_approvers))
         self._parents_padded: np.ndarray | None = None
-        self._approvers_padded: np.ndarray | None = None
         # Parentless nodes (genesis; plus orphans on views whose parents
         # are invisible): where depth descents terminate early.
         self.sink_nodes = np.flatnonzero(self.parent_counts == 0)
@@ -246,7 +245,7 @@ class TangleSnapshot:
         every transaction and its edges — shrinks to O(delta): only
         transactions the tangle gained since this snapshot was cut are
         scanned; everything else is appended or patched at C speed (CSR
-        row append, padded-matrix row stack, and a delta-width bitset
+        row append, parent-matrix row stack, and a delta-width bitset
         pass for materialized cumulative weights).  The result is
         **bit-identical** to a cold ``build(tangle)``: same arrays, same
         walk distributions, same Gumbel stream consumption, same
@@ -367,33 +366,6 @@ class TangleSnapshot:
                 ext._parents_padded = _pad_csr(
                     parent_indptr, parent_indices, parent_counts
                 )
-        if self._approvers_padded is not None:
-            width = self._approvers_padded.shape[1]
-            if max(1, ext.max_approvers) == width:
-                start = approver_indptr[n0]
-                padded = np.vstack(
-                    [
-                        self._approvers_padded,
-                        _pad_csr(
-                            approver_indptr[n0:] - start,
-                            approver_indices[start:],
-                            approver_counts[n0:],
-                            width=width,
-                        ),
-                    ]
-                )
-                # Rows that gained approvers keep their old entries but
-                # their padding lanes must now hold the new list.
-                for p in np.unique(eparents[eparents < n0]):
-                    begin = approver_indptr[p]
-                    row = approver_indices[begin : begin + approver_counts[p]]
-                    padded[p, : row.size] = row
-                    padded[p, row.size :] = row[0]
-                ext._approvers_padded = padded
-            else:
-                ext._approvers_padded = _pad_csr(
-                    approver_indptr, approver_indices, approver_counts
-                )
         if self._longest_past_path is not None:
             longest = np.empty(n, dtype=np.int64)
             longest[:n0] = self._longest_past_path
@@ -476,6 +448,12 @@ class TangleSnapshot:
             *kept_csr(self.parent_indptr, self.parent_indices),
             *kept_csr(self.approver_indptr, self.approver_indices),
         )
+        # A kept node that keeps all its parents keeps its whole past
+        # cone once every kept node does (the usual, parent-closed
+        # mask) — and with it its longest past path, which extend keeps
+        # current on this snapshot.  Orphaning masks stay lazy.
+        if np.array_equal(snapshot.parent_counts, self.parent_counts[kept]):
+            snapshot._longest_past_path = self.longest_past_path()[kept]
         if len(self._restrictions) >= _RESTRICTION_LIMIT:
             self._restrictions.pop(next(iter(self._restrictions)))
         self._restrictions[key] = snapshot
@@ -503,19 +481,6 @@ class TangleSnapshot:
                 self.parent_indptr, self.parent_indices, self.parent_counts
             )
         return self._parents_padded
-
-    def approvers_padded(self) -> np.ndarray:
-        """``(N, max_approvers)`` padded approver matrix (:func:`_pad_csr`).
-
-        One 2-D gather replaces the per-superstep CSR position
-        arithmetic; the engine's valid mask keeps padding lanes out of
-        every reduction and sample.
-        """
-        if self._approvers_padded is None:
-            self._approvers_padded = _pad_csr(
-                self.approver_indptr, self.approver_indices, self.approver_counts
-            )
-        return self._approvers_padded
 
     def longest_past_path(self) -> np.ndarray:
         """Longest parent-path length from each node to a parentless one.
@@ -567,7 +532,7 @@ class TangleSnapshot:
 
 #: Restrictions memoized per whole-tangle snapshot, least recently used
 #: evicted first: a batch's shared mask stays hot between one-off masks,
-#: and each entry may hold an (N x max approvers) padded matrix.
+#: and each entry holds its own CSR and materialized planes.
 _RESTRICTION_LIMIT = 2
 
 
@@ -806,7 +771,6 @@ def lockstep_walks(
             f"score_memo must have shape ({len(snapshot)},), "
             f"got {score_memo.shape}"
         )
-    approvers = snapshot.approvers_padded()
     columns = snapshot._column_range
     rows = np.arange(len(current))
     # The scored-mask is explicit: NaN in the memo marks "not yet
@@ -880,15 +844,16 @@ def lockstep_walks(
             if evaluation_counter is not None:
                 for c in counts:
                     evaluation_counter(int(c))
-            frontier = approvers[nodes]  # (L, width) padded candidates
-            chosen = frontier[:, 0]  # single-candidate rows: final
+            begins = indptr[nodes]
+            chosen = indices[begins]  # single-candidate rows: final
             kmax = int(counts.max())
             if kmax > 1:
-                # Row i's first counts[i] lanes are its candidates, the
-                # rest repeats of its first — the valid mask keeps the
-                # padding out of every reduction and sample.
-                candidates = frontier[:, :kmax]
+                # The (L, kmax) CSR frontier block: row i's first counts[i]
+                # lanes are its candidates, the rest repeat its first — the
+                # valid mask keeps padding out of every reduction and sample.
                 valid = columns[:kmax] < counts[:, None]
+                lanes = np.where(valid, columns[:kmax], 0)
+                candidates = indices[begins[:, None] + lanes]
                 scores = score_memo[candidates]
                 if memo_may_miss:
                     unknown = ~known[candidates] & valid

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.base import ClientData
+from repro.dag.arena import shared_rows
 from repro.dag.tangle import Tangle
 from repro.nn.model import Classifier
 from repro.nn.optimizers import SGD, ProximalSGD
@@ -225,20 +226,23 @@ class Client:
         accuracies: dict[str, float] = {}
         if not self.personal_params and self.model.supports_fused_eval:
             spec = self.model.flat_spec
-            fused: list[tuple[str, "object", np.ndarray]] = []
-            for tx_id in tx_ids:
-                tx = tangle.get(tx_id)
-                try:
-                    fused.append((tx_id, tx, tx.flat_vector(spec)))
-                except ValueError:
-                    pass  # foreign architecture: per-model fallback below
-            if fused:
-                stacked = self._stack_candidate_rows(fused, spec)
+            transactions = [tangle.get(tx_id) for tx_id in tx_ids]
+            fused_ids, stacked = tx_ids, shared_rows(transactions, spec)
+            if stacked is None:  # mixed storage: stack what flattens
+                fused_ids, flats = [], []
+                for tx_id, tx in zip(tx_ids, transactions):
+                    try:
+                        flats.append(tx.flat_vector(spec))
+                    except ValueError:
+                        continue  # foreign architecture: per-model below
+                    fused_ids.append(tx_id)
+                stacked = np.stack(flats) if flats else None
+            if stacked is not None:
                 values = self.model.accuracy_many(
                     stacked, self.data.x_test, self.data.y_test
                 )
-                self.evaluations += len(fused)
-                for (tx_id, _, _), value in zip(fused, values):
+                self.evaluations += len(fused_ids)
+                for tx_id, value in zip(fused_ids, values):
                     accuracy = float(value)
                     self._tx_accuracy_cache[tx_id] = accuracy
                     accuracies[tx_id] = accuracy
@@ -246,18 +250,6 @@ class Client:
             if tx_id not in accuracies:
                 accuracies[tx_id] = self.tx_accuracy(tangle, tx_id)
         return accuracies
-
-    @staticmethod
-    def _stack_candidate_rows(fused, spec) -> np.ndarray:
-        """``(k, P)`` stack of candidate rows — a zero-copy slab slice
-        when the candidates are contiguous rows of one arena, a single
-        gather when scattered, ``np.stack`` only for unbound models."""
-        locations = [tx.arena_location() for _, tx, _ in fused]
-        if all(loc is not None for loc in locations):
-            arena = locations[0][0]
-            if arena.spec == spec and all(loc[0] is arena for loc in locations):
-                return arena.rows([loc[1] for loc in locations])
-        return np.stack([flat for _, _, flat in fused])
 
     def tx_accuracy_cache(self) -> dict[str, float]:
         """Snapshot of the cached transaction evaluations.

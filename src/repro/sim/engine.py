@@ -59,12 +59,13 @@ from typing import Callable
 import numpy as np
 
 from repro.dag import walk_engine
+from repro.dag.arena import shared_rows
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import RandomTipSelector, TipSelector
 from repro.dag.transaction import Transaction, payload_error
 from repro.dag.view import TangleView, TimedTangleView
 from repro.data.base import FederatedDataset
-from repro.fl.aggregation import get_aggregator
+from repro.fl.aggregation import FLAT_AGGREGATORS, get_aggregator
 from repro.fl.client import Client
 from repro.fl.config import DagConfig, TrainingConfig
 from repro.fl.records import RoundRecord
@@ -536,15 +537,43 @@ class EventDrivenTangleLearning:
         a normalized weight and the reference is the weighted mean.
         """
         models = [self.tangle.get(t).model_weights for t in tips]
-        policy = self.sim_config.staleness
-        if policy.mode == "none":
+        weights = self._staleness_weights(tips, at_time)
+        if weights is None:
             return self._aggregate(models)
-        staleness = at_time - self._published_at[[self._row[t] for t in tips]]
-        weights = policy.weights(staleness)
         return [
             sum(w * layer for w, layer in zip(weights, layers))
             for layers in zip(*models)
         ]
+
+    def _reference_flat(
+        self, client: Client, tips: list[str], at_time: float
+    ) -> np.ndarray:
+        """``client``'s reference as one flat vector: aggregated over the
+        parents' stacked arena rows — the same reduction per coordinate,
+        so bit-identical to the flattened list reference — unless the
+        client is personalized or the parents do not share the arena in
+        its layout, which take the list path."""
+        spec = client.model.flat_spec
+        stacked = None
+        if not client.personal_params:
+            stacked = shared_rows([self.tangle.get(t) for t in tips], spec)
+        if stacked is None:
+            return spec.flatten(
+                client.apply_personalization(self._reference_weights(tips, at_time))
+            )
+        weights = self._staleness_weights(tips, at_time)
+        if weights is None:
+            return FLAT_AGGREGATORS[self.dag_config.aggregator](stacked)
+        return sum(w * row for w, row in zip(weights, stacked))
+
+    def _staleness_weights(self, tips: list[str], at_time: float):
+        """Parent weights by age at ``at_time``; ``None`` when disabled."""
+        policy = self.sim_config.staleness
+        if policy.mode == "none":
+            return None
+        return policy.weights(
+            at_time - self._published_at[[self._row[t] for t in tips]]
+        )
 
     def _corrupt(self, flat: np.ndarray) -> np.ndarray:
         """The configured in-flight payload corruption (fault stream)."""
@@ -943,13 +972,11 @@ class EventDrivenTangleLearning:
             if event.cycle_seq in attack_flat:
                 continue
             client = self.clients[event.client_id]
-            reference = client.apply_personalization(
-                self._reference_weights(tips_for[event.cycle_seq], event.start_time)
+            flat = self._reference_flat(
+                client, tips_for[event.cycle_seq], event.start_time
             )
-            reference_accuracy[event.cycle_seq] = client.accuracy_of_weights(reference)
-            job = plan_client_job(
-                client, client.model.flat_spec.flatten(reference), event.cycle_seq
-            )
+            reference_accuracy[event.cycle_seq] = client.accuracy_of_flat(flat)
+            job = plan_client_job(client, flat, event.cycle_seq)
             model_jobs.setdefault(id(client.model), (client.model, []))[1].append(job)
 
         # One lockstep training-plane pass for the whole superstep.

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.dag.arena import shared_rows
 from repro.dag.tip_selection import (
     AccuracyTipSelector,
     RandomTipSelector,
@@ -215,21 +216,17 @@ def _aggregate_parents(
 
     Fast path: when every parent lives in the same weight arena with the
     model's architecture, the ``(k, P)`` stack comes straight off the
-    slab (``WeightArena.rows`` — a zero-copy slice for contiguous rows,
-    one gather otherwise) and the merge is one stacked reduction — no
-    per-layer lists are built for the inputs.  The result values are
-    identical to the list-of-arrays facade (same matrix, same numpy
-    reduction); the facade remains the fallback for foreign-shaped
-    models.
+    slab (:func:`~repro.dag.arena.shared_rows`) and the merge is one
+    stacked reduction — no per-layer lists are built for the inputs.
+    The result values are identical to the list-of-arrays facade (same
+    matrix, same numpy reduction); the facade remains the fallback for
+    foreign-shaped models.
     """
     parents = [context.view.get(t) for t in tips]
     spec = client.model.flat_spec
-    locations = [tx.arena_location() for tx in parents]
-    if all(loc is not None for loc in locations):
-        arena = locations[0][0]
-        if arena.spec == spec and all(loc[0] is arena for loc in locations):
-            stacked = arena.rows([loc[1] for loc in locations])
-            return spec.unflatten(FLAT_AGGREGATORS[config.aggregator](stacked))
+    stacked = shared_rows(parents, spec)
+    if stacked is not None:
+        return spec.unflatten(FLAT_AGGREGATORS[config.aggregator](stacked))
     return get_aggregator(config.aggregator)([tx.model_weights for tx in parents])
 
 

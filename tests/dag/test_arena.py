@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.dag.arena import WeightArena
+from repro.dag.arena import WeightArena, shared_rows
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
 from repro.nn.serialization import FlatSpec
@@ -145,6 +145,26 @@ def test_foreign_shapes_fall_back_to_private_storage(rng):
     assert not tx.arena_bound
     np.testing.assert_array_equal(tx.model_weights[0], foreign[0])
     assert len(tangle.arena) == 1  # only genesis interned
+
+
+def test_shared_rows_stacks_one_arena_or_declines(rng):
+    tangle = Tangle(weight_list(rng))
+    for i in range(4):
+        tangle.add(Transaction(f"t{i}", (GENESIS_ID,), weight_list(rng), 0, 0))
+    txs = tangle.transactions()
+    spec = tangle.spec
+    block = shared_rows(txs[1:4], spec)  # contiguous: a zero-copy slice
+    assert np.shares_memory(block, tangle.arena.row(1))
+    scattered = shared_rows([txs[3], txs[0], txs[3]], spec)  # one gather
+    np.testing.assert_array_equal(
+        scattered, np.stack([tx.flat_vector(spec) for tx in (txs[3], txs[0], txs[3])])
+    )
+    other = Tangle(weight_list(rng))
+    unbound = Transaction("u", (GENESIS_ID,), weight_list(rng), 0, 0)
+    assert shared_rows([txs[1], other.genesis], spec) is None  # two arenas
+    assert shared_rows([txs[1], unbound], spec) is None
+    assert shared_rows(txs, FlatSpec(((8,),))) is None  # another layout
+    assert shared_rows([], spec) is None
 
 
 def test_transaction_from_flat(rng):

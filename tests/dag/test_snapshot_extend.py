@@ -3,7 +3,7 @@
 A tangle extends its snapshot with the publish-epoch delta instead of
 rebuilding from scratch — but the extended snapshot must be
 *indistinguishable* from a cold rebuild: same CSR arrays, same padded
-candidate matrices, same cumulative weights, same tip ordering, so walk
+parent matrix, same longest paths and cumulative weights, same tip ordering, so walk
 distributions and Gumbel streams are unchanged.  Only the whole-tangle
 snapshot extends; a view's snapshot is its restriction by the view's row
 mask, so for views these tests pin that growth extends the whole-tangle
@@ -68,7 +68,7 @@ def snapshot_work(monkeypatch):
     return calls
 
 
-PLANES = ("cumulative_weights", "parents_padded", "approvers_padded", "longest_past_path")
+PLANES = ("cumulative_weights", "parents_padded", "longest_past_path")
 ARRAYS = (
     "parent_indptr",
     "parent_indices",
@@ -119,7 +119,6 @@ def test_extend_defers_unmaterialized_planes():
     grow(tangle, ids, 20, seed=4)
     extended = snapshot_for(tangle)
     assert extended._parents_padded is None
-    assert extended._approvers_padded is None
     assert extended._longest_past_path is None
     assert_snapshot_equal(extended, TangleSnapshot.build(tangle))
 
@@ -218,6 +217,38 @@ def test_extend_matches_cold_rebuild_on_timed_view(snapshot_work):
     assert extended is not base
     assert snapshot_work == {"extend": 1}  # extended, not rebuilt
     assert_snapshot_equal(extended, TangleSnapshot.build(timed(150.0)))
+
+
+def test_parent_closed_restriction_inherits_longest_paths():
+    """A round-bound view keeps every kept node's parents, hence its
+    whole past cone: the restriction gathers the longest-path plane at
+    restrict time, equal to a cold build's."""
+    tangle = Tangle(weights())
+    ids = [GENESIS_ID]
+    grow(tangle, ids, 50, seed=24)  # rounds 0..4
+    restricted = snapshot_for(TangleView(tangle, max_round=2))
+    assert len(restricted) < len(tangle)
+    assert restricted._longest_past_path is not None
+    assert_snapshot_equal(
+        restricted, TangleSnapshot.build(TangleView(tangle, max_round=2))
+    )
+
+
+def test_orphaning_restriction_keeps_longest_paths_lazy():
+    """A view that hides a parent but keeps its child orphans the child:
+    its past cone shrinks, so the plane is left lazy — and still equals
+    a cold build when demanded."""
+    tangle = Tangle(weights())
+    ids = [GENESIS_ID]
+    grow(tangle, ids, 50, seed=25)
+    hidden = tangle.get(ids[-1]).parents[0]
+    assert hidden != GENESIS_ID
+    visible_from = {tx_id: 0.0 for tx_id in ids if tx_id != hidden}
+    view = TimedTangleView(tangle, visible_from, 1.0)
+    restricted = snapshot_for(view)
+    assert ids[-1] in restricted.index and hidden not in restricted.index
+    assert restricted._longest_past_path is None
+    assert_snapshot_equal(restricted, TangleSnapshot.build(view))
 
 
 def test_extend_empty_delta_returns_same_snapshot(snapshot_work):

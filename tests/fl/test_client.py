@@ -171,6 +171,68 @@ def test_tx_accuracies_fused_populates_cache_for_tx_accuracy(client):
     assert client.evaluations == count
 
 
+class _Store:
+    """A ``get``-able store mixing storage regimes: the walk reads
+    candidates through any object with ``get``."""
+
+    def __init__(self, *groups):
+        self._txs = {tx.tx_id: tx for group in groups for tx in group}
+
+    def get(self, tx_id):
+        return self._txs[tx_id]
+
+
+def test_bulk_scoring_is_the_per_model_path_bit_for_bit(
+    tiny_fmnist, mlp_builder, rng
+):
+    """One batch mixing arena rows, a second arena's row, unbound flat
+    and list models, duplicates and already-cached ids scores exactly
+    as ``tx_accuracy`` per id — values, evaluation count and cache.  A
+    foreign architecture raises on both paths with the same side
+    effects."""
+    model = mlp_builder(np.random.default_rng(0))
+    config = TrainingConfig(local_epochs=1, local_batches=3, batch_size=8)
+    bulk, single = (
+        Client(tiny_fmnist.clients[0], model, config, rng=1) for _ in range(2)
+    )
+    tangle, ids = _grown_tangle(bulk)
+    spec = model.flat_spec
+
+    def perturbed():
+        return [w + rng.normal(0.0, 0.1, size=w.shape) for w in model.get_weights()]
+
+    other = Tangle(perturbed())  # same layout, a second arena
+    other.add(Transaction("other", (GENESIS_ID,), perturbed(), 7, 0))
+    unbound = [
+        Transaction.from_flat(
+            "flat", (GENESIS_ID,), spec.flatten(perturbed()), spec, 8, 0
+        ),
+        Transaction("list", (GENESIS_ID,), perturbed(), 9, 0),
+    ]
+    store = _Store(tangle.transactions(), [other.get("other")], unbound)
+    batch = [ids[3], "flat", ids[1], ids[3], "other", "list", ids[0], "flat", ids[5]]
+    for client in (bulk, single):
+        client.tx_accuracy(store, ids[0])  # already cached
+        client.tx_accuracy(store, ids[5])
+
+    got = bulk.tx_accuracies(store, batch)
+    expected = np.array([single.tx_accuracy(store, t) for t in batch])
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+    assert bulk.evaluations == single.evaluations
+    assert bulk.tx_accuracy_cache() == single.tx_accuracy_cache()
+
+    alien = Transaction("alien", (GENESIS_ID,), [rng.normal(size=(5,))], 10, 0)
+    store = _Store(tangle.transactions(), [alien])
+    batch = [ids[2], ids[4], ids[2], "alien"]
+    with pytest.raises(ValueError):
+        bulk.tx_accuracies(store, batch)
+    with pytest.raises(ValueError):
+        [single.tx_accuracy(store, t) for t in batch]
+    assert bulk.evaluations == single.evaluations
+    assert bulk.tx_accuracy_cache() == single.tx_accuracy_cache()
+
+
 class _ReshapedData:
     """One client's data with the feature arrays swapped out."""
 

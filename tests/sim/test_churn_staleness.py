@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.fl import DagConfig
 from repro.sim import (
     ChurnEvent,
     EventDrivenTangleLearning,
@@ -199,6 +200,37 @@ def test_constant_staleness_matches_mean_aggregator(
     mean = [np.mean(np.stack(layers), axis=0) for layers in zip(*models)]
     for got, expected in zip(weighted, mean):
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    spec = engine.model.flat_spec
+    flat = engine._reference_flat(engine.clients[0], tips, engine.now)
+    np.testing.assert_allclose(
+        flat, spec.flatten(mean), rtol=1e-12, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("aggregator", ["mean", "median", "trimmed_mean"])
+@pytest.mark.parametrize("mode", ["none", "constant", "polynomial", "hinge"])
+def test_flat_reference_equals_list_reference(
+    sim_dataset, logistic_builder, sim_train_config, aggregator, mode
+):
+    """The batched cycle aggregates its reference over the parents'
+    stacked arena rows; it must be the flattened list reference of the
+    sequential cycle bit for bit, for every aggregator and staleness
+    policy — two parents, a repeated pick, and a wider parent set."""
+    engine = make_engine(
+        sim_dataset, logistic_builder, sim_train_config,
+        DagConfig(alpha=5.0, depth_range=(2, 5), aggregator=aggregator),
+        SimConfig(staleness=StalenessPolicy(mode, alpha=0.5, beta=1.0)), seed=6,
+    )
+    engine.run_cycles(12)
+    ids = [tx.tx_id for tx in engine.tangle.transactions()]
+    assert len(ids) >= 5
+    client = engine.clients[0]
+    spec = client.model.flat_spec
+    for tips in (ids[-2:], [ids[-1], ids[-1]], ids[-5:]):
+        flat = engine._reference_flat(client, tips, engine.now)
+        expected = spec.flatten(engine._reference_weights(tips, engine.now))
+        assert flat.dtype == expected.dtype
+        assert flat.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["polynomial", "hinge"])

@@ -127,6 +127,35 @@ def test_quantum_batches_share_one_training_pass(
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("personal_params", [0, 1])
+def test_batched_reference_is_flat_unless_personalized(
+    sim_dataset, logistic_builder, sim_train_config, monkeypatch, personal_params
+):
+    """Batched cycles aggregate the reference straight off the arena
+    rows; a personalized client grafts its own tail onto the per-layer
+    list, so it keeps the list path."""
+    list_calls = []
+    original = EventDrivenTangleLearning._reference_weights
+
+    def counting(self, tips, at_time):
+        list_calls.append(tips)
+        return original(self, tips, at_time)
+
+    monkeypatch.setattr(EventDrivenTangleLearning, "_reference_weights", counting)
+    engine = make_engine(
+        sim_dataset, logistic_builder, sim_train_config,
+        DagConfig(alpha=5.0, depth_range=(2, 5), personal_params=personal_params),
+        SimConfig(quantum=0.75),
+    )
+    events = engine.run_cycles(16)
+    assert len(list_calls) == (len(events) if personal_params else 0)
+    client = engine.clients[0]
+    tips = [tx.tx_id for tx in engine.tangle.transactions()][-2:]
+    flat = engine._reference_flat(client, tips, engine.now)
+    listed = client.apply_personalization(original(engine, tips, engine.now))
+    assert flat.tobytes() == client.model.flat_spec.flatten(listed).tobytes()
+
+
 def test_weighted_selector_batches_walks_per_group(
     sim_dataset, logistic_builder, sim_train_config, monkeypatch
 ):
