@@ -102,24 +102,17 @@ class TipSelector(Protocol):
 class RandomTipSelector:
     """Uniform choice among the current tips (no walk)."""
 
-    @staticmethod
-    def select_among(
-        tips: list[str], count: int, rng: np.random.Generator
+    def select_tips(
+        self, tangle: Tangle, count: int, rng: np.random.Generator
     ) -> list[str]:
-        """``count`` of ``tips`` drawn uniformly (distinct while supply
-        lasts) — the draw itself, for callers holding a frozen tip list."""
+        """``count`` tips drawn uniformly (distinct while supply lasts)."""
+        tips = tangle.tips()
         distinct = min(count, len(tips))
         chosen = list(rng.choice(len(tips), size=distinct, replace=False))
         selected = [tips[i] for i in chosen]
         while len(selected) < count:
             selected.append(tips[int(rng.integers(0, len(tips)))])
         return selected
-
-    def select_tips(
-        self, tangle: Tangle, count: int, rng: np.random.Generator
-    ) -> list[str]:
-        """``count`` tips drawn uniformly (distinct while supply lasts)."""
-        return self.select_among(tangle.tips(), count, rng)
 
 
 class WeightedTipSelector:

@@ -325,10 +325,10 @@ class Client:
         ``proximal_mu`` set, uses the FedProx proximal objective anchored
         at the incoming weights.
 
-        The one-client path (event-at-a-time cycles, a pool worker's
-        unit, the FedAvg/FedProx baselines); in-process rounds train
-        their K clients in lockstep instead, bit-identically
-        (:func:`repro.substrate.run_training_plane_round`).
+        The baselines' path (FedAvg, FedProx, gossip; the service
+        demo's clients).  DAG cycles and round units train through the
+        lockstep plane instead
+        (:func:`repro.nn.training_plane.train_grouped`), bit-identically.
         """
         config = self.config
         epochs = epochs_override if epochs_override is not None else config.local_epochs

@@ -22,10 +22,10 @@ shared layer stream would have been when that model's training began
 own stream is advanced past all of them afterwards, so subsequent
 rounds continue from the same state either way.
 
-Models whose layers lack fused training kernels (LSTM, embedding) fall
-back to the sequential per-model loop automatically — same entry
-point, same results, no fusion; jobs whose batch schedules disagree
-train in separate fused groups.
+Models whose layers lack fused training kernels (LSTM, embedding), and
+single jobs, fall back to the sequential per-model loop automatically —
+same entry point, same results, no fusion; jobs whose batch schedules
+disagree train in separate fused groups.
 """
 
 from __future__ import annotations
@@ -139,11 +139,12 @@ class LockstepTrainer:
     jobs of **one** model in the caller's sequential order, groups them
     by batch-schedule/optimizer signature, and runs each group's
     supersteps fused — or falls back to the sequential per-model loop
-    when the model has unfused layers.  Results come back in job order
-    either way, bit-identical between the two paths.  Dropout streams
-    are forked once across the *whole* job list (client-major, the
-    sequential interleaving), so a model's jobs must all arrive in one
-    call even when optimizer configs differ between them.
+    when the model has unfused layers or there is a single job.
+    Results come back in job order either way, bit-identical between
+    the two paths.  Dropout streams are forked once across the *whole*
+    job list (client-major, the sequential interleaving), so a model's
+    jobs must all arrive in one call even when optimizer configs differ
+    between them.
     """
 
     def __init__(self, *, lr: float, momentum: float = 0.0):
@@ -173,8 +174,14 @@ class LockstepTrainer:
                     f"start_flat must have shape ({total},), "
                     f"got {job.start_flat.shape}"
                 )
-        has_params = any(layer.parameters() for layer in model.net.layers)
-        if not model.supports_fused_train or not has_params:
+        # One job has nothing to fuse with: a stacked pass of one
+        # equals the reference loop bit for bit and, wherever Python
+        # dispatch matters, costs more per batch.
+        if (
+            len(jobs) == 1
+            or not model.supports_fused_train
+            or not any(layer.parameters() for layer in model.net.layers)
+        ):
             return [self._train_sequential(model, job) for job in jobs]
 
         groups: dict[tuple, _Group] = {}

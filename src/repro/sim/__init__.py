@@ -4,7 +4,8 @@ One discrete-event engine (:class:`EventDrivenTangleLearning`) is the
 repo's only implementation of a training cycle and of a round:
 
 - at ``quantum = 0`` it runs the paper's asynchronous deployment model
-  one cycle at a time (:meth:`SimConfig.async_compat`);
+  one cycle at a time (:meth:`SimConfig.async_compat`), each cycle a
+  superstep of one through the same pipeline batches use;
 - at ``quantum > 0`` cycles completing close together run as fused
   supersteps (shared walk snapshots, one lockstep-training pass), the
   shape that makes 1000-client scenarios a sequence of wide batches;

@@ -160,13 +160,13 @@ class SimConfig:
       training-duration, and per-transaction network-delay laws.  The
       defaults are the paper's asynchronous deployment model
       (:meth:`async_compat` with its default means).
-    - ``quantum`` — the scheduling quantum.  ``0`` processes events one
-      at a time (pure discrete-event semantics); ``q > 0`` collects
-      every training cycle completing within ``q`` of the next one and
-      runs them as **one fused superstep** (shared walk snapshots, one
-      lockstep-training pass), with intra-batch publications deferred to
-      the batch barrier — the same freeze semantics round mode
-      applies at round boundaries.
+    - ``quantum`` — the scheduling quantum.  Every cycle runs as a
+      superstep; ``0`` closes each one at its first cycle (pure
+      discrete-event semantics); ``q > 0`` collects every training cycle
+      completing within ``q`` of the next one into **one fused
+      superstep** (shared walk snapshots, one lockstep-training pass),
+      with intra-batch publications deferred to the batch barrier — the
+      same freeze semantics round mode applies at round boundaries.
     - ``rate_spread`` — lognormal sigma of per-client compute rates
       (0 = homogeneous); ``straggler_fraction`` / ``straggler_slowdown``
       additionally slow a deterministic subset of clients by a factor.

@@ -18,29 +18,31 @@ whole trace is a pure function of ``(seed, configs)`` and — because the
 client id outranks the push sequence — independent of the incidental
 order events entered the heap.
 
-Three operating regimes, selected by configuration rather than by
-separate code paths at the call sites:
+Every cycle runs through one superstep pipeline: collect, walk, build
+the flat reference (:func:`repro.substrate.reference_flat`), train
+through :func:`repro.nn.training_plane.train_grouped`, then gate and
+publish at the barrier in event order.  Three operating regimes,
+selected by configuration rather than by separate code paths:
 
-1. **Sequential** (``quantum = 0``) — pure discrete-event semantics,
-   one cycle at a time: the paper's asynchronous deployment model
-   (:meth:`SimConfig.async_compat`).  The parity suite pins its publish
-   traces to digests recorded from the retired standalone asynchronous
-   simulator.
+1. **Sequential** (``quantum = 0``, and :meth:`step` at any quantum) —
+   the superstep of one: the collector closes it at the first cycle,
+   which gives pure discrete-event semantics, the paper's asynchronous
+   deployment model (:meth:`SimConfig.async_compat`).  The parity suite
+   pins its publish traces to digests recorded from the retired
+   standalone asynchronous simulator.
 2. **Quantum-batched** (``quantum > 0``) — every cycle completing
    within ``quantum`` of the next pending one is collected into a
    superstep: the batch freezes one shared view (at the *earliest*
    member's start time, so nobody sees anything it could not have seen
-   sequentially), all members' walk particles advance through **one**
-   lockstep selection per view group (weighted selector; the accuracy
-   selector shares the CSR snapshot but keeps per-client score tables,
-   since its scores are evaluations on the selecting client's own test
-   data), local training runs as
-   **one** fused training-plane pass over the stacked references, and
-   publications commit at the batch barrier in event order.  This is
-   the same freeze-at-barrier semantics round mode applies at
-   round boundaries, with the quantum as a fidelity dial: as
-   ``quantum -> 0`` every batch is a single cycle and the semantics
-   degrade gracefully into regime 1.
+   sequentially), a weighted selector advances all members' particles
+   through **one** lockstep selection per view group (an accuracy
+   walk stays per member: its scores are evaluations on the selecting
+   client's own test data), local training runs as **one** fused
+   training-plane pass over the stacked references, and publications
+   commit at the batch barrier.  This is the same freeze-at-barrier
+   semantics round mode applies at round boundaries, with the quantum
+   as a fidelity dial: as ``quantum -> 0`` every batch is a single
+   cycle and the semantics degrade gracefully into regime 1.
 3. **Rounds** (:meth:`run_rounds`) — the paper's comparison schedule:
    a sample of clients works over one frozen view per round through
    the round substrate (:func:`repro.substrate.execute_round`), and
@@ -58,14 +60,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.dag import walk_engine
-from repro.dag.arena import shared_rows
 from repro.dag.tangle import Tangle
-from repro.dag.tip_selection import RandomTipSelector, TipSelector
+from repro.dag.tip_selection import TipSelector
 from repro.dag.transaction import Transaction, payload_error
 from repro.dag.view import TangleView, TimedTangleView
 from repro.data.base import FederatedDataset
-from repro.fl.aggregation import FLAT_AGGREGATORS, get_aggregator
 from repro.fl.client import Client
 from repro.fl.config import DagConfig, TrainingConfig
 from repro.fl.records import RoundRecord
@@ -82,6 +81,7 @@ from repro.substrate import (
     make_executor,
     plan_client_job,
     random_weights_attack,
+    reference_flat,
 )
 from repro.utils.rng import RngFactory
 
@@ -201,7 +201,6 @@ class EventDrivenTangleLearning:
                 client.enable_personalization(
                     dag_config.personal_params, genesis_weights
                 )
-        self._aggregate = get_aggregator(dag_config.aggregator)
 
         # Event times draw from a dedicated stream; heterogeneity draws
         # from its own "rates" stream so enabling it cannot shift them.
@@ -226,7 +225,7 @@ class EventDrivenTangleLearning:
         self._queue: list[_Event] = []
         self._push_seq = itertools.count()
         self._cycle_seq = itertools.count()  # walk-rng keys; cycles only
-        self._batch_seq = itertools.count()  # quantum supersteps
+        self._batch_seq = itertools.count()  # windowed weighted supersteps
         self.now = 0.0
         self.events: list[SimEvent] = []
         # Per-client publication log (publish time, visible time, tx id):
@@ -285,6 +284,9 @@ class EventDrivenTangleLearning:
         # cancellation — a leave bumps the generation, orphaning any
         # queued cycle (dropped when it surfaces).
         self._generation: dict[int, int] = {cid: 0 for cid in self.clients}
+        # Clients whose last scheduled churn action was a leave: a crash
+        # recovery must not bring them back before their scheduled join.
+        self._departed: set[int] = set()
         if sim_config.initially_active is None:
             self._active = set(self.clients)
         else:
@@ -470,6 +472,7 @@ class EventDrivenTangleLearning:
         ``self.events`` stays chronological even when batching defers
         cycle commits past later churn pops."""
         record = SimEvent(time=event.time, kind="join", client_id=event.client_id)
+        self._departed.discard(event.client_id)
         if event.client_id not in self._active:
             self._active.add(event.client_id)
             self._generation[event.client_id] += 1
@@ -478,6 +481,9 @@ class EventDrivenTangleLearning:
 
     def _apply_leave(self, event: _Event) -> SimEvent:
         record = SimEvent(time=event.time, kind="leave", client_id=event.client_id)
+        # Recorded even for a crashed (inactive) client, so the leave
+        # outlasts the crash.
+        self._departed.add(event.client_id)
         if event.client_id in self._active:
             self._active.discard(event.client_id)
             # Orphan the outstanding cycle: the client never publishes
@@ -508,13 +514,16 @@ class EventDrivenTangleLearning:
 
     def _apply_recover(self, event: _Event) -> SimEvent:
         """Rejoin after a crash (a join in all but name; a client that
-        already rejoined through scheduled churn stays as it is)."""
+        already rejoined through scheduled churn stays as it is, and one
+        that churn took away while it was down stays away until its
+        scheduled join)."""
         record = SimEvent(time=event.time, kind="recover", client_id=event.client_id)
         self.fault_stats["recoveries"] += 1
-        if event.client_id not in self._active:
-            self._active.add(event.client_id)
-            self._generation[event.client_id] += 1
-            self._schedule_cycle(event.client_id)
+        client_id = event.client_id
+        if client_id not in self._active and client_id not in self._departed:
+            self._active.add(client_id)
+            self._generation[client_id] += 1
+            self._schedule_cycle(client_id)
         return record
 
     def _apply_membership(self, event: _Event) -> SimEvent:
@@ -528,46 +537,10 @@ class EventDrivenTangleLearning:
         return self._apply_recover(event)
 
     # ------------------------------------------------------------ publishing
-    def _reference_weights(self, tips: list[str], at_time: float):
-        """Aggregate the selected parent models into the reference.
-
-        With staleness disabled this is exactly the configured
-        aggregator.  Otherwise each parent's age at the cycle's *start*
-        — when the client read the tangle — maps through the policy to
-        a normalized weight and the reference is the weighted mean.
-        """
-        models = [self.tangle.get(t).model_weights for t in tips]
-        weights = self._staleness_weights(tips, at_time)
-        if weights is None:
-            return self._aggregate(models)
-        return [
-            sum(w * layer for w, layer in zip(weights, layers))
-            for layers in zip(*models)
-        ]
-
-    def _reference_flat(
-        self, client: Client, tips: list[str], at_time: float
-    ) -> np.ndarray:
-        """``client``'s reference as one flat vector: aggregated over the
-        parents' stacked arena rows — the same reduction per coordinate,
-        so bit-identical to the flattened list reference — unless the
-        client is personalized or the parents do not share the arena in
-        its layout, which take the list path."""
-        spec = client.model.flat_spec
-        stacked = None
-        if not client.personal_params:
-            stacked = shared_rows([self.tangle.get(t) for t in tips], spec)
-        if stacked is None:
-            return spec.flatten(
-                client.apply_personalization(self._reference_weights(tips, at_time))
-            )
-        weights = self._staleness_weights(tips, at_time)
-        if weights is None:
-            return FLAT_AGGREGATORS[self.dag_config.aggregator](stacked)
-        return sum(w * row for w, row in zip(weights, stacked))
-
     def _staleness_weights(self, tips: list[str], at_time: float):
-        """Parent weights by age at ``at_time``; ``None`` when disabled."""
+        """Parent weights by age at ``at_time`` — each parent's age at
+        the cycle's *start*, when the client read the tangle, mapped
+        through the staleness policy; ``None`` when disabled."""
         policy = self.sim_config.staleness
         if policy.mode == "none":
             return None
@@ -718,28 +691,25 @@ class EventDrivenTangleLearning:
             issuers=self._issuer,
         )
 
-    # --------------------------------------------------- sequential stepping
+    # ------------------------------------------------------------ supersteps
     def _commit_cycle(
         self,
         event: _Event,
         tips: list[str],
-        payload: np.ndarray | list[np.ndarray],
+        flat: np.ndarray,
         tags: dict,
         accuracy: float | None = None,
         reference_accuracy: float | None = None,
     ) -> SimEvent:
         """Gate, publish and record one finished cycle at ``self.now``,
-        then queue the client's next.  ``payload`` is the flat model or
-        its per-layer weights, flattened only once the gate passes.
-        Attacker cycles carry no accuracies and bypass the gate."""
+        then queue the client's next.  Attacker cycles carry no
+        accuracies and bypass the gate."""
         tx_id = None
         gated = accuracy is not None and self.dag_config.publish_gate
         attempted = not gated or accuracy >= reference_accuracy
         if attempted:
-            if isinstance(payload, list):
-                payload = self.tangle.spec.flatten(payload)
             tx_id = self._publish(
-                event.client_id, tuple(dict.fromkeys(tips)), payload, tags
+                event.client_id, tuple(dict.fromkeys(tips)), flat, tags
             )
         record = SimEvent(
             time=self.now,
@@ -757,65 +727,13 @@ class EventDrivenTangleLearning:
             self._schedule_cycle(event.client_id)
         return record
 
-    def _complete_cycle(self, event: _Event) -> SimEvent:
-        """One training cycle: walk over the view frozen at the cycle's
-        start, aggregate, train, gate, publish."""
-        cfg = self.dag_config
-        view = self._view_for(event.client_id, event.start_time)
-        walk_rng = self._rngs.get("walk", event.cycle_seq)
-        if event.client_id in self.sim_config.attackers:
-            tips, flat = random_weights_attack(view, cfg.num_tips, walk_rng)
-            return self._commit_cycle(event, tips, flat, {"malicious": True})
-        client = self.clients[event.client_id]
-        tips = self.make_selector(client).select_tips(view, cfg.num_tips, walk_rng)
-
-        reference = client.apply_personalization(
-            self._reference_weights(tips, event.start_time)
-        )
-        reference_accuracy = client.accuracy_of_weights(reference)
-        trained, _loss = client.train(reference)
-        client.update_personal_tail(trained)
-        return self._commit_cycle(
-            event,
-            tips,
-            trained,
-            dict(client.data.metadata.get("tags", {})),
-            client.accuracy_of_weights(trained),
-            reference_accuracy,
-        )
-
-    def _advance_one(self) -> SimEvent | None:
-        """Process the single next event of any kind; None when idle."""
-        if self._peek() is None:
-            return None
-        event = heapq.heappop(self._queue)
-        self.now = event.time
-        if event.kind == "cycle":
-            return self._complete_cycle(event)
-        record = self._apply_membership(event)
-        self.events.append(record)
-        return record
-
-    def step(self) -> SimEvent:
-        """Process events until one training cycle completes.
-
-        Always single-cycle (ignores the quantum): the fine-grained
-        probe the parity and property suites drive the engine with.
-        """
-        while True:
-            record = self._advance_one()
-            if record is None:
-                raise RuntimeError("no scheduled events")
-            if record.kind == "train":
-                return record
-
-    # ----------------------------------------------------- batched stepping
     def _collect_ready(
-        self, end_time: float
+        self, end_time: float, windowed: bool
     ) -> tuple[list[_Event], list[SimEvent | _Event]]:
         """Pop the next superstep: churn applies inline (in time order),
         cycles accumulate while they fall within ``quantum`` of the
-        first one.  Nothing published by these cycles is visible to any
+        first one — or, unless ``windowed``, the first cycle closes the
+        superstep.  Nothing published by these cycles is visible to any
         of them — they were all popped before any commit.
 
         Returns the cycle events plus the full pop sequence (churn
@@ -836,48 +754,42 @@ class EventDrivenTangleLearning:
             if event.kind != "cycle":
                 ordered.append(self._apply_membership(event))
                 continue
-            if window_end is None:
-                window_end = event.time + self.sim_config.quantum
             ready.append(event)
             ordered.append(event)
+            if not windowed:
+                break
+            if window_end is None:
+                window_end = event.time + self.sim_config.quantum
         return ready, ordered
 
     def _batch_tips(
-        self, ready: list[_Event]
+        self, ready: list[_Event], windowed: bool
     ) -> tuple[dict[int, list[str]], dict[int, np.ndarray]]:
         """The superstep's walk phase: tips per cycle (by cycle_seq).
 
         Members group by their issuer-exemption set — almost always
         empty, so the common case is **one** shared group per batch.  A
         group freezes one view at its earliest member's start time (no
-        member observes anything it could not have seen sequentially)
-        and shares one CSR snapshot, which the configured selector walks
-        (``select_on_snapshot``):
-
-        - *weighted*: cumulative weights are client-independent, so all
-          members' particles advance through a single selection of
-          ``num_tips * len(members)`` particles;
-        - *accuracy*: scores are the candidates' accuracies on the
-          selecting client's own test data — inherently per client — so
-          each member's selector walks the shared snapshot, seeded from
-          the client's evaluation cache;
-        - *random*: uniform draws over the shared tip list, per member.
+        member observes anything it could not have seen sequentially),
+        and each member's selector walks it from the member's per-cycle
+        ``("walk", cycle_seq)`` stream — views whose masks coincide share
+        one restricted snapshot through ``snapshot_for``.  The exception
+        is a windowed *weighted* group: cumulative weights are
+        client-independent, so all members' particles advance through a
+        single selection of ``num_tips * len(members)`` particles, drawn
+        from one ``("walk-group", batch, ordinal)`` stream.
 
         Under link faults every client sees its own tangle, so members
-        group per client — batching still fuses training, and groups
-        whose masks coincide (the arrival rows agree up to the freeze
-        time) still share one restricted snapshot through
-        ``snapshot_for``.  Each per-client
-        group still freezes at the same batch-wide time its exemption
-        set would freeze at in clean mode, so ``always_on`` (per-link
-        machinery, zero fault rates) replays the clean trace bit for
-        bit at every quantum.  Attacker members skip the
-        walk phase entirely: their parents and payload draw from their
-        per-cycle stream exactly as in sequential mode, and the payload
-        comes back in the second returned mapping.
+        group per client — batching still fuses training.  Each
+        per-client group still freezes at the same batch-wide time its
+        exemption set would freeze at in clean mode, so ``always_on``
+        (per-link machinery, zero fault rates) replays the clean trace
+        bit for bit at every quantum.  Attacker members skip the walk
+        phase entirely: their parents and payload draw from their
+        per-cycle stream, and the payload comes back in the second
+        returned mapping.
         """
         cfg = self.dag_config
-        batch = next(self._batch_seq)
         attackers = self.sim_config.attackers
         link = self._arrival is not None
         tips_for: dict[int, list[str]] = {}
@@ -910,6 +822,9 @@ class EventDrivenTangleLearning:
             if exempt not in freeze_time or earliest < freeze_time[exempt]:
                 freeze_time[exempt] = earliest
 
+        fused = windowed and cfg.selector == "weighted"
+        batch = next(self._batch_seq) if fused else None
+        count = cfg.num_tips
         for ordinal, (key, members) in enumerate(groups.items()):
             exempt = key[0] if link else key
             # A non-empty exemption set names one issuer's own
@@ -921,33 +836,21 @@ class EventDrivenTangleLearning:
             view = self._view_for(
                 members[0].client_id, freeze_time[exempt], exempt=bool(exempt)
             )
-            count = cfg.num_tips
-            if cfg.selector == "random":
-                tip_ids = view.tips()
-                for member in members:
-                    rng = self._rngs.get("walk", member.cycle_seq)
-                    tips_for[member.cycle_seq] = RandomTipSelector.select_among(
-                        tip_ids, count, rng
-                    )
-                continue
-            snapshot = walk_engine.snapshot_for(view)
-            if cfg.selector == "weighted":
+            if fused:
                 rng = self._rngs.get("walk-group", batch, ordinal)
                 selector = self.make_selector(self.clients[members[0].client_id])
-                drawn = selector.select_on_snapshot(snapshot, count * len(members), rng)
+                drawn = selector.select_tips(view, count * len(members), rng)
                 for i, member in enumerate(members):
                     tips_for[member.cycle_seq] = drawn[i * count : (i + 1) * count]
                 continue
             for member in members:
                 rng = self._rngs.get("walk", member.cycle_seq)
                 selector = self.make_selector(self.clients[member.client_id])
-                tips_for[member.cycle_seq] = selector.select_on_snapshot(
-                    snapshot, count, rng
-                )
+                tips_for[member.cycle_seq] = selector.select_tips(view, count, rng)
         return tips_for, attack_flat
 
     def _process_batch(
-        self, ready: list[_Event], ordered: list[SimEvent | _Event]
+        self, ready: list[_Event], ordered: list[SimEvent | _Event], windowed: bool
     ) -> list[SimEvent]:
         """Run one superstep: walks, one fused training pass, commits.
 
@@ -961,7 +864,7 @@ class EventDrivenTangleLearning:
                 self.now = entry.time
                 self.events.append(entry)
             return []
-        tips_for, attack_flat = self._batch_tips(ready)
+        tips_for, attack_flat = self._batch_tips(ready, windowed)
 
         # Honest members plan one lockstep training job each, tagged by
         # cycle_seq (train_grouped keys its results by tag, so attacker
@@ -972,8 +875,12 @@ class EventDrivenTangleLearning:
             if event.cycle_seq in attack_flat:
                 continue
             client = self.clients[event.client_id]
-            flat = self._reference_flat(
-                client, tips_for[event.cycle_seq], event.start_time
+            tips = tips_for[event.cycle_seq]
+            flat = reference_flat(
+                client,
+                [self.tangle.get(t) for t in tips],
+                self.dag_config.aggregator,
+                self._staleness_weights(tips, event.start_time),
             )
             reference_accuracy[event.cycle_seq] = client.accuracy_of_flat(flat)
             job = plan_client_job(client, flat, event.cycle_seq)
@@ -1014,29 +921,37 @@ class EventDrivenTangleLearning:
             )
         return records
 
-    def _run_one_batch(self, end_time: float) -> list[SimEvent] | None:
+    def _run_one_batch(
+        self, end_time: float, windowed: bool
+    ) -> list[SimEvent] | None:
         """One superstep up to ``end_time``; ``None`` when nothing fired
         at all (an empty list means churn-only progress)."""
-        ready, ordered = self._collect_ready(end_time)
+        ready, ordered = self._collect_ready(end_time, windowed)
         if not ordered:
             return None
-        return self._process_batch(ready, ordered)
+        return self._process_batch(ready, ordered, windowed)
 
     # ----------------------------------------------------------- run drivers
+    def step(self) -> SimEvent:
+        """Process events until one training cycle completes.
+
+        Always a superstep of one (ignores the quantum): the
+        fine-grained probe the parity and property suites drive the
+        engine with.
+        """
+        while True:
+            batch = self._run_one_batch(float("inf"), windowed=False)
+            if batch is None:
+                raise RuntimeError("no scheduled events")
+            if batch:
+                return batch[0]
+
     def run_until(self, end_time: float) -> list[SimEvent]:
         """Process all events up to ``end_time``; returns train events."""
         processed: list[SimEvent] = []
-        if self.sim_config.quantum > 0:
-            while True:
-                batch = self._run_one_batch(end_time)
-                if batch is None:
-                    break
-                processed.extend(batch)
-        else:
-            while (top := self._peek()) is not None and top.time <= end_time:
-                record = self._advance_one()
-                if record.kind == "train":
-                    processed.append(record)
+        windowed = self.sim_config.quantum > 0
+        while (batch := self._run_one_batch(end_time, windowed)) is not None:
+            processed.extend(batch)
         self.now = max(self.now, end_time)
         return processed
 
@@ -1046,11 +961,10 @@ class EventDrivenTangleLearning:
         Sequential mode processes exactly ``count``; quantum-batched
         mode completes the superstep containing the ``count``-th cycle,
         so it may overshoot."""
-        if self.sim_config.quantum <= 0:
-            return [self.step() for _ in range(count)]
         processed: list[SimEvent] = []
+        windowed = self.sim_config.quantum > 0
         while len(processed) < count:
-            batch = self._run_one_batch(float("inf"))
+            batch = self._run_one_batch(float("inf"), windowed)
             if batch is None:
                 raise RuntimeError("no scheduled events")
             processed.extend(batch)

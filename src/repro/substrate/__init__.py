@@ -18,10 +18,11 @@ results for a fixed seed.
   :class:`RoundContext`, :func:`execute_unit`, and the state-delta
   machinery that folds worker results back into coordinator clients.
   :func:`run_training_plane_round` is the lockstep-training variant of a
-  round: per-client walk/aggregation units (:func:`execute_prep_unit`)
+  round: per-client walk/reference units (:func:`execute_prep_unit`)
   through any executor, then one fused local-SGD pass across all
   participants (:mod:`repro.nn.training_plane`), then per-client
-  finalization — bit-identical to mapping :func:`execute_unit`.
+  finalization; :func:`execute_unit` is the same three phases for one
+  client, so the two are bit-identical.
 
 See ``docs/architecture.md`` for the layer map and a walkthrough of one
 round through this substrate.
@@ -50,6 +51,7 @@ from repro.substrate.round_plan import (
     plan_client_job,
     probe_in_process,
     random_weights_attack,
+    reference_flat,
     run_training_plane_round,
 )
 
@@ -74,5 +76,6 @@ __all__ = [
     "apply_result",
     "plan_client_job",
     "random_weights_attack",
+    "reference_flat",
     "run_training_plane_round",
 ]

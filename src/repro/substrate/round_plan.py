@@ -13,7 +13,8 @@ This module gives the units an explicit, picklable form so any
 - :class:`ClientWorkUnit` — which client, which round, honest or attack;
 - :class:`RoundContext` — everything shared by the round's units (the
   frozen view, protocol config, the rng factory seed);
-- :func:`execute_unit` — runs one unit to a :class:`ClientRoundResult`;
+- :func:`execute_unit` — runs one unit to a :class:`ClientRoundResult`
+  (walk and flat reference, one-job lockstep training, finalize);
 - :func:`apply_result` — folds a result back into the canonical client.
 
 Determinism: the walk rng is keyed ``("walk", round, client)`` via
@@ -45,7 +46,7 @@ from repro.dag.tip_selection import (
     TipSelector,
     WeightedTipSelector,
 )
-from repro.fl.aggregation import FLAT_AGGREGATORS, get_aggregator
+from repro.fl.aggregation import FLAT_AGGREGATORS
 from repro.fl.config import DagConfig
 from repro.nn.model import plan_local_batches
 from repro.nn.serialization import flatten_weights
@@ -71,6 +72,7 @@ __all__ = [
     "apply_result",
     "plan_client_job",
     "random_weights_attack",
+    "reference_flat",
     "run_training_plane_round",
 ]
 
@@ -209,25 +211,30 @@ class RoundContext:
     capture_state: bool = True
 
 
-def _aggregate_parents(
-    context: RoundContext, tips: list[str], config: DagConfig, client: "Client"
-) -> list[np.ndarray]:
-    """Merge the selected tip models per the protocol's aggregator.
+def reference_flat(
+    client: "Client", parents: list, aggregator: str, weights=None
+) -> np.ndarray:
+    """``client``'s reference model — the merge of the chosen parent
+    transactions, its personal tail grafted on — as one flat vector.
 
-    Fast path: when every parent lives in the same weight arena with the
-    model's architecture, the ``(k, P)`` stack comes straight off the
-    slab (:func:`~repro.dag.arena.shared_rows`) and the merge is one
-    stacked reduction — no per-layer lists are built for the inputs.
-    The result values are identical to the list-of-arrays facade (same
-    matrix, same numpy reduction); the facade remains the fallback for
-    foreign-shaped models.
+    The ``(k, P)`` parent stack comes straight off the arena the parents
+    share (:func:`~repro.dag.arena.shared_rows`), or row by row for
+    mixed storage.  It reduces through the named flat aggregator or,
+    given normalized staleness ``weights``, as the weighted row sum.
+    Every round unit and every event-engine cycle builds its reference
+    here.
     """
-    parents = [context.view.get(t) for t in tips]
     spec = client.model.flat_spec
     stacked = shared_rows(parents, spec)
-    if stacked is not None:
-        return spec.unflatten(FLAT_AGGREGATORS[config.aggregator](stacked))
-    return get_aggregator(config.aggregator)([tx.model_weights for tx in parents])
+    if stacked is None:
+        stacked = np.stack([tx.flat_vector(spec) for tx in parents])
+    if weights is None:
+        flat = FLAT_AGGREGATORS[aggregator](stacked)
+    else:
+        flat = sum(w * row for w, row in zip(weights, stacked))
+    if client.personal_params:
+        flat = spec.flatten(client.apply_personalization(spec.unflatten(flat)))
+    return flat
 
 
 def random_weights_attack(
@@ -254,78 +261,27 @@ def _execute_attack(
     )
 
 
-def _run_walk_phase(
-    context: RoundContext, client: "Client", walk_rng: np.random.Generator
-) -> tuple[list[str], list[np.ndarray], float, float | None, int]:
-    """The pre-training half of a unit, shared by both round shapes.
-
-    Tip selection, parent aggregation (with the client's personal tail
-    grafted on), and the reference (publish-gate baseline) evaluation.
-    Returns ``(tips, reference_weights, reference_accuracy,
-    walk_duration, walk_evaluations)``.  :func:`execute_unit` and
-    :func:`execute_prep_unit` both run exactly this code, so the two
-    routes of :func:`execute_round` cannot drift in the walk half.
-    """
-    config = context.config
-    evaluations = 0
-
-    def count(candidates: int) -> None:
-        nonlocal evaluations
-        evaluations += candidates
-
-    selector = build_selector(client, context.view, config, count)
-    stopwatch = Stopwatch()
-    with stopwatch:
-        tips = selector.select_tips(context.view, config.num_tips, walk_rng)
-
-    reference = client.apply_personalization(
-        _aggregate_parents(context, tips, config, client)
-    )
-    reference_accuracy = client.accuracy_of_weights(reference)
-    return tips, reference, reference_accuracy, stopwatch.elapsed, evaluations
-
-
 def execute_unit(payload: tuple[RoundContext, "Client | None", ClientWorkUnit]) -> ClientRoundResult:
     """Run one work unit; pure apart from mutating the given client.
 
     Takes a single ``(context, client, unit)`` tuple so executors can map
     it directly (``client`` is ``None`` for attack units, which carry no
-    client state).
+    client state).  An honest unit is :func:`run_training_plane_round`
+    for one client: :func:`execute_prep_unit`, local training as a
+    one-job :func:`~repro.nn.training_plane.train_grouped`, then the
+    same finalize.
     """
     context, client, unit = payload
-    config = context.config
-    walk_rng = context.rng_factory.get("walk", unit.round_index, unit.client_id)
-
     if unit.attack is not None:
-        return _execute_attack(context, unit, walk_rng)
-    assert client is not None
+        return execute_prep_unit(payload).attack_result
     cache_mark = client.cache_mark()
-
-    tips, reference, reference_accuracy, walk_duration, evaluations = (
-        _run_walk_phase(context, client, walk_rng)
-    )
-
-    trained, _train_loss = client.train(reference)
-    client.update_personal_tail(trained)
-    test_loss, test_accuracy = client.evaluate_weights(trained)
-
-    publish = (not config.publish_gate) or test_accuracy >= reference_accuracy
-    state = None
+    prep = execute_prep_unit((replace(context, capture_state=False), client, unit))
+    job = plan_client_job(client, prep.reference_flat, unit.client_id)
+    row, _train_loss = train_grouped([(client.model, [job])])[unit.client_id]
+    result = _finalize_unit(client, prep, row, context.config)
     if context.capture_state:
-        state = _capture_state_delta(client, cache_mark)
-    return ClientRoundResult(
-        client_id=unit.client_id,
-        publish=publish,
-        parents=tuple(dict.fromkeys(tips)) if publish else (),
-        flat_weights=flatten_weights(trained) if publish else None,
-        tags=dict(client.data.metadata.get("tags", {})),
-        reference_accuracy=reference_accuracy,
-        test_accuracy=test_accuracy,
-        test_loss=test_loss,
-        walk_duration=walk_duration,
-        walk_evaluations=evaluations,
-        state=state,
-    )
+        result.state = _capture_state_delta(client, cache_mark)
+    return result
 
 
 def _apply_state_delta(client: "Client", delta: ClientStateDelta) -> None:
@@ -440,13 +396,14 @@ def execute_round(
 class ClientPrepResult:
     """Everything an honest unit produces *before* local training.
 
-    The training-plane round splits :func:`execute_unit` at the training
-    boundary: walks, parent aggregation, and the reference evaluation
-    stay per-client (and keep parallelizing across workers); local
-    training then runs on the coordinator in fused lockstep supersteps
-    over the stacked reference weights.  ``reference_flat`` is the
-    client's post-personalization starting point as one float64 vector —
-    the row the lockstep ``(K, P)`` stack is assembled from.
+    Every round splits at the training boundary: walks, the reference
+    and its evaluation stay per-client (and keep parallelizing across
+    workers); local training then runs through the lockstep plane —
+    one job in :func:`execute_unit`, the whole round's stacked
+    references on the coordinator in :func:`run_training_plane_round`.
+    ``reference_flat`` is the client's post-personalization starting
+    point as one float64 vector — the row the lockstep ``(K, P)`` stack
+    is assembled from.
 
     Attack units never train, so their prep carries the finished
     :class:`ClientRoundResult` in ``attack_result`` instead.
@@ -465,16 +422,16 @@ class ClientPrepResult:
 def execute_prep_unit(
     payload: tuple[RoundContext, "Client | None", ClientWorkUnit]
 ) -> ClientPrepResult:
-    """The walk/aggregation half of :func:`execute_unit`.
+    """The walk/aggregation half of a unit.
 
-    Performs tip selection, parent aggregation, and the reference
-    (publish-gate baseline) evaluation — everything up to, but not
-    including, local training.  It runs literally the same code as the
-    first half of :func:`execute_unit` (:func:`_run_walk_phase`), and
-    the walk rng is factory-keyed while the client's shuffle rng is
-    untouched here, so splitting the unit cannot shift any stream.
+    Performs tip selection, the flat reference (:func:`reference_flat`),
+    and the reference (publish-gate baseline) evaluation — everything up
+    to, but not including, local training.  The walk rng is
+    factory-keyed while the client's shuffle rng is untouched here, so
+    splitting a unit at this boundary cannot shift any stream.
     """
     context, client, unit = payload
+    config = context.config
     walk_rng = context.rng_factory.get("walk", unit.round_index, unit.client_id)
 
     if unit.attack is not None:
@@ -484,10 +441,20 @@ def execute_prep_unit(
         )
     assert client is not None
     cache_mark = client.cache_mark()
+    evaluations = 0
 
-    tips, reference, reference_accuracy, walk_duration, evaluations = (
-        _run_walk_phase(context, client, walk_rng)
+    def count(candidates: int) -> None:
+        nonlocal evaluations
+        evaluations += candidates
+
+    selector = build_selector(client, context.view, config, count)
+    stopwatch = Stopwatch()
+    with stopwatch:
+        tips = selector.select_tips(context.view, config.num_tips, walk_rng)
+    reference = reference_flat(
+        client, [context.view.get(t) for t in tips], config.aggregator
     )
+    reference_accuracy = client.accuracy_of_flat(reference)
 
     state = None
     if context.capture_state:
@@ -495,9 +462,9 @@ def execute_prep_unit(
     return ClientPrepResult(
         client_id=unit.client_id,
         tips=tuple(tips),
-        reference_flat=client.model.flat_spec.flatten(reference),
+        reference_flat=reference,
         reference_accuracy=reference_accuracy,
-        walk_duration=walk_duration,
+        walk_duration=stopwatch.elapsed,
         walk_evaluations=evaluations,
         state=state,
     )
@@ -555,14 +522,13 @@ def run_training_plane_round(
        group per model; unfused models fall back per model inside the
        trainer.
     3. **Finalize** — per client in order: personal-tail update, test
-       evaluation of the trained row, publish gate — producing the same
-       :class:`ClientRoundResult` fields, bit for bit, as
-       :func:`execute_unit`.
+       evaluation of the trained row, publish gate — the same code
+       :func:`execute_unit` finalizes its one client with.
 
     Because lockstep training is bit-identical to the per-client loop,
-    the round's results are identical to the non-plane path no matter
-    which executor ran phase 1.  The returned results carry no state
-    deltas (phases 2-3 already ran on the canonical clients).
+    the round's results are identical to mapping :func:`execute_unit`
+    no matter which executor ran phase 1.  The returned results carry
+    no state deltas (phases 2-3 already ran on the canonical clients).
     """
     preps = executor.map(execute_prep_unit, payloads)
     for payload, prep in zip(payloads, preps):
@@ -588,31 +554,37 @@ def run_training_plane_round(
         list(model_jobs.values())
     )
 
-    config = context.config
     results: list[ClientRoundResult] = []
     for index, (payload, prep) in enumerate(zip(payloads, preps)):
         if payload[2].attack is not None:
             assert prep.attack_result is not None
             results.append(prep.attack_result)
             continue
-        client = clients[prep.client_id]
         row, _train_loss = trained[index]
-        if client.personal_params:
-            client.update_personal_tail(client.model.flat_spec.unflatten(row))
-        test_loss, test_accuracy = client.evaluate_flat(row)
-        publish = (not config.publish_gate) or test_accuracy >= prep.reference_accuracy
         results.append(
-            ClientRoundResult(
-                client_id=prep.client_id,
-                publish=publish,
-                parents=tuple(dict.fromkeys(prep.tips)) if publish else (),
-                flat_weights=row if publish else None,
-                tags=dict(client.data.metadata.get("tags", {})),
-                reference_accuracy=prep.reference_accuracy,
-                test_accuracy=test_accuracy,
-                test_loss=test_loss,
-                walk_duration=prep.walk_duration,
-                walk_evaluations=prep.walk_evaluations,
-            )
+            _finalize_unit(clients[prep.client_id], prep, row, context.config)
         )
     return results
+
+
+def _finalize_unit(
+    client: "Client", prep: ClientPrepResult, row: np.ndarray, config: DagConfig
+) -> ClientRoundResult:
+    """The post-training phase of an honest unit: personal-tail update,
+    test evaluation of the trained ``row``, publish gate."""
+    if client.personal_params:
+        client.update_personal_tail(client.model.flat_spec.unflatten(row))
+    test_loss, test_accuracy = client.evaluate_flat(row)
+    publish = (not config.publish_gate) or test_accuracy >= prep.reference_accuracy
+    return ClientRoundResult(
+        client_id=prep.client_id,
+        publish=publish,
+        parents=tuple(dict.fromkeys(prep.tips)) if publish else (),
+        flat_weights=row if publish else None,
+        tags=dict(client.data.metadata.get("tags", {})),
+        reference_accuracy=prep.reference_accuracy,
+        test_accuracy=test_accuracy,
+        test_loss=test_loss,
+        walk_duration=prep.walk_duration,
+        walk_evaluations=prep.walk_evaluations,
+    )

@@ -73,14 +73,15 @@ def test_deterministic_under_seed(tiny_fmnist, mlp_builder, fast_train_config):
 def _force_evaluation_pattern(sim, reference_acc, trained_acc):
     """Patch every client's two gate evaluations.
 
-    run_round scores the reference (merged-parent) model through the
-    loss-free ``accuracy_of_weights`` path and the freshly trained model
-    through ``evaluate_flat`` (in-process rounds: the lockstep plane's
-    finalizer) or ``evaluate_weights`` (a pool worker's ``execute_unit``)
-    — the round record needs its loss; this pins the gate's comparison
-    seam as a behavioural contract on either route.
+    run_round scores the flat reference (merged-parent) model through
+    the loss-free ``accuracy_of_flat`` path and the freshly trained row
+    through ``evaluate_flat`` (the finalizer both routes share) — the
+    round record needs its loss; this pins the gate's comparison seam
+    as a behavioural contract.  The per-layer twins are patched alike,
+    so a route that went back to lists could not slip past the gate.
     """
     for client in sim.clients.values():
+        client.accuracy_of_flat = lambda flat, _acc=reference_acc: _acc
         client.accuracy_of_weights = lambda weights, _acc=reference_acc: _acc
         client.evaluate_weights = lambda weights, _acc=trained_acc: (0.0, _acc)
         client.evaluate_flat = lambda flat, _acc=trained_acc: (0.0, _acc)

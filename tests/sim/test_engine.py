@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fl import DagConfig
+from repro.fl.aggregation import REFERENCE_AGGREGATORS
 from repro.sim import (
     EventDrivenTangleLearning,
     LatencyModel,
@@ -131,28 +132,37 @@ def test_quantum_batches_share_one_training_pass(
 def test_batched_reference_is_flat_unless_personalized(
     sim_dataset, logistic_builder, sim_train_config, monkeypatch, personal_params
 ):
-    """Batched cycles aggregate the reference straight off the arena
-    rows; a personalized client grafts its own tail onto the per-layer
-    list, so it keeps the list path."""
-    list_calls = []
-    original = EventDrivenTangleLearning._reference_weights
+    """Every honest cycle — sequential or batched, personalized or not —
+    builds its reference through ``reference_flat``, which must equal
+    the per-layer oracle: the reference aggregator, with a personalized
+    client's own tail grafted on."""
+    import repro.sim.engine as engine_module
 
-    def counting(self, tips, at_time):
-        list_calls.append(tips)
-        return original(self, tips, at_time)
+    calls = []
+    original = engine_module.reference_flat
 
-    monkeypatch.setattr(EventDrivenTangleLearning, "_reference_weights", counting)
-    engine = make_engine(
-        sim_dataset, logistic_builder, sim_train_config,
-        DagConfig(alpha=5.0, depth_range=(2, 5), personal_params=personal_params),
-        SimConfig(quantum=0.75),
+    def counting(client, parents, aggregator, weights=None):
+        calls.append(client.client_id)
+        return original(client, parents, aggregator, weights)
+
+    monkeypatch.setattr(engine_module, "reference_flat", counting)
+    dag_config = DagConfig(
+        alpha=5.0, depth_range=(2, 5), personal_params=personal_params
     )
-    events = engine.run_cycles(16)
-    assert len(list_calls) == (len(events) if personal_params else 0)
+    for quantum in (0.0, 0.75):
+        calls.clear()
+        engine = make_engine(
+            sim_dataset, logistic_builder, sim_train_config, dag_config,
+            SimConfig(quantum=quantum),
+        )
+        events = engine.run_cycles(16)
+        assert calls == [e.client_id for e in events]
     client = engine.clients[0]
-    tips = [tx.tx_id for tx in engine.tangle.transactions()][-2:]
-    flat = engine._reference_flat(client, tips, engine.now)
-    listed = client.apply_personalization(original(engine, tips, engine.now))
+    parents = list(engine.tangle.transactions())[-2:]
+    flat = original(client, parents, "mean")
+    listed = client.apply_personalization(
+        REFERENCE_AGGREGATORS["mean"]([tx.model_weights for tx in parents])
+    )
     assert flat.tobytes() == client.model.flat_spec.flatten(listed).tobytes()
 
 
@@ -162,16 +172,16 @@ def test_weighted_selector_batches_walks_per_group(
     """With the weighted selector, a superstep's walks collapse into one
     lockstep_walks call per shared-view group (num_tips * members
     particles), not one call per member."""
-    import repro.sim.engine as engine_module
+    from repro.dag import walk_engine
 
     particle_counts = []
-    original = engine_module.walk_engine.lockstep_walks
+    original = walk_engine.lockstep_walks
 
     def counting(snapshot, starts, *args, **kwargs):
         particle_counts.append(len(starts))
         return original(snapshot, starts, *args, **kwargs)
 
-    monkeypatch.setattr(engine_module.walk_engine, "lockstep_walks", counting)
+    monkeypatch.setattr(walk_engine, "lockstep_walks", counting)
     dag_config = DagConfig(selector="weighted", depth_range=(2, 5))
     engine = make_engine(
         sim_dataset, logistic_builder, sim_train_config, dag_config,

@@ -21,7 +21,10 @@ Three families of guarantees are pinned here:
 import numpy as np
 import pytest
 
+from repro.data import make_fedprox_synthetic
+from repro.fl import DagConfig
 from repro.sim import (
+    ChurnEvent,
     EventDrivenTangleLearning,
     FaultModel,
     LatencyModel,
@@ -165,8 +168,6 @@ def test_crash_loses_in_flight_state_unlike_graceful_leave(
     for client in crashing.clients.values():
         assert "sentinel" not in client._tx_accuracy_cache
 
-    from repro.sim import ChurnEvent
-
     leaving = make_engine(
         sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
         SimConfig(churn=tuple(
@@ -200,6 +201,37 @@ def test_crashed_clients_recover_and_train_again(
         and e.time > recover_times[e.client_id]
     ]
     assert trained_after, "recovered clients train again"
+
+
+def test_scheduled_leave_during_a_crash_sticks(logistic_builder, sim_train_config):
+    """Client 0 crashes before its scheduled leave at t=2 and recovers
+    while away: the recovery must not bring it back before its
+    scheduled join at t=9, which still does."""
+    engine = EventDrivenTangleLearning(
+        make_fedprox_synthetic(num_clients=4, mean_samples=20, seed=3),
+        logistic_builder,
+        sim_train_config,
+        DagConfig(alpha=5.0, depth_range=(2, 5)),
+        sim_config=SimConfig(
+            faults=FaultModel(crash_rate=0.5, recovery=1.0),
+            churn=(ChurnEvent(2.0, "leave", 0), ChurnEvent(9.0, "join", 0)),
+        ),
+        seed=0,
+    )
+    engine.run_until(8.9)
+    own = [(e.time, e.kind) for e in engine.events if e.client_id == 0]
+    crash = next(t for t, kind in own if kind == "crash")
+    recover = next(t for t, kind in own if kind == "recover")
+    assert crash < 2.0 < recover < 8.9, own
+    assert [t for t, kind in own if kind == "train" and t >= 2.0] == []
+    assert 0 not in engine.active_clients
+    engine.run_until(9.0)
+    assert 0 in engine.active_clients
+    engine.run_until(20.0)
+    assert any(
+        e.kind == "train" and e.client_id == 0 and e.time > 9.0
+        for e in engine.events
+    )
 
 
 # ----------------------------------------------------------- link faults

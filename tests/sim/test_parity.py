@@ -28,7 +28,14 @@ import json
 import pytest
 
 from repro.fl import DagConfig
-from repro.sim import EventDrivenTangleLearning, LatencyModel, SimConfig
+from repro.sim import (
+    EventDrivenTangleLearning,
+    FaultModel,
+    LatencyModel,
+    Partition,
+    SimConfig,
+    StalenessPolicy,
+)
 
 #: sha256 over ``json.dumps([trace_or_records, tangle_ids])`` as produced
 #: by the legacy simulators (seeds and drives as in the tests below).
@@ -230,6 +237,112 @@ def test_quantum_batches_replay_draw_for_draw(
     assert any(e.client_id == 2 and e.published for e in engine.events)
     assert (
         digest(trace, tangle_ids(engine.tangle)) == QUANTUM_REPLAY_DIGESTS[selector]
+    )
+
+
+def engine_trace_digest(
+    dataset, builder, train_config, dag_config, sim_config, *, seed, steps=None
+):
+    """Digest of a whole engine trace (membership, crash and quarantine
+    events included), the tangle with each transaction's squared weight
+    norm to ten significant digits (blind to summation-order ulps, not
+    to a different model; a plain sum would be, since softmax SGD
+    conserves it), and the fault counters: ``steps`` :meth:`step`
+    calls, or ``run_until(10.0)`` when ``None``."""
+    engine = EventDrivenTangleLearning(
+        dataset, builder, train_config, dag_config, sim_config=sim_config, seed=seed
+    )
+    if steps is None:
+        engine.run_until(10.0)
+    else:
+        for _ in range(steps):
+            engine.step()
+    trace = [
+        (
+            e.time, e.kind, e.client_id, e.published, e.accuracy,
+            e.reference_accuracy, e.tx_id, e.quarantined,
+        )
+        for e in engine.events
+    ]
+    spec = engine.tangle.spec
+    norms = [
+        f"{float(flat @ flat):.10g}"
+        for flat in (tx.flat_vector(spec) for tx in engine.tangle.transactions())
+    ]
+    return digest(trace, tangle_ids(engine.tangle), norms, engine.fault_stats)
+
+
+_ACCURACY = DagConfig(alpha=5.0, depth_range=(2, 5))
+_WEIGHTED = DagConfig(selector="weighted", depth_range=(2, 5))
+_RANDOM = DagConfig(selector="random")
+_COMPOSED_FAULTS = FaultModel(
+    drop_rate=0.2,
+    duplicate_rate=0.2,
+    jitter=0.3,
+    partitions=(Partition(2.0, 5.0, (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}))),),
+    crash_rate=0.2,
+    recovery=0.5,
+    corruption_rate=0.2,
+)
+
+#: Single-cycle regimes — ``quantum = 0`` and :meth:`step` at any
+#: quantum — as ``(dag_config, sim_config, seed, steps)``, one per
+#: reference, training and walk branch a single cycle can take.
+SINGLE_CYCLE_SCENARIOS = {
+    "accuracy": (_ACCURACY, SimConfig(), 21, None),
+    "weighted": (_WEIGHTED, SimConfig(), 22, None),
+    "random": (_RANDOM, SimConfig(), 23, None),
+    "personalized": (
+        DagConfig(alpha=5.0, depth_range=(2, 5), personal_params=1),
+        SimConfig(),
+        24,
+        None,
+    ),
+    "median-polynomial": (
+        DagConfig(alpha=5.0, depth_range=(2, 5), aggregator="median"),
+        SimConfig(staleness=StalenessPolicy("polynomial", alpha=0.5)),
+        25,
+        None,
+    ),
+    "composed-faults": (
+        _ACCURACY, SimConfig(faults=_COMPOSED_FAULTS, attackers={2}), 26, None
+    ),
+    "weighted-always-on": (
+        _WEIGHTED, SimConfig(faults=FaultModel(always_on=True)), 27, None
+    ),
+    "step-accuracy": (_ACCURACY, SimConfig(quantum=0.6), 28, 20),
+    "step-weighted": (_WEIGHTED, SimConfig(quantum=0.6), 29, 20),
+    "step-random": (_RANDOM, SimConfig(quantum=0.6), 30, 20),
+}
+
+#: Recorded at the parent of the commit that routed single cycles
+#: through the superstep pipeline, where they still ran their own
+#: per-layer reference and ``Client.train`` path.
+SINGLE_CYCLE_DIGESTS = {
+    "accuracy": "a3be0a10884a644fe37b0242f74891f431b96a35a863a8f30f860a5342b264cb",
+    "weighted": "b4c40beb5a425fab230fce0b660e88f60dffd8dd84c795eda79bd5b3fe3ebc6b",
+    "random": "89884f3ea1bdaaaccc4137c5a29dfd87445783954ea68878594608e564d5f8c2",
+    "personalized": "2bba3c54a4fc51ac6d1550bc14ed427dba77f1140d901a600d2da058de39198f",
+    "median-polynomial": "8add14de855909d7c1dbd644f3847df92d612f5d7136225e0e1ed4d28a315eed",
+    "composed-faults": "9f91b8cf64b2151862a2037105de68e1c31e2f3f0218b558627cf30f9567398e",
+    "weighted-always-on": "674f1b8c26d7d55265d011f8c4da820e454a6f41fd190e34c433ce532aea2cb1",
+    "step-accuracy": "78f63065200d5928882f641a1a62fcbacd5b84b969b007a77d37142987ae63b1",
+    "step-weighted": "6016e013c5ebc57f53eda1cd2b06ccfd69820d01078fe9e5c4534cdebd0da0cc",
+    "step-random": "86e948c1dc932f25539a8266be0d6649fdd965fb623dee25c87be95d8cea7c87",
+}
+
+
+@pytest.mark.parametrize("scenario", list(SINGLE_CYCLE_SCENARIOS))
+def test_single_cycle_digests(
+    sim_dataset, logistic_builder, sim_train_config, scenario
+):
+    dag_config, sim_config, seed, steps = SINGLE_CYCLE_SCENARIOS[scenario]
+    assert (
+        engine_trace_digest(
+            sim_dataset, logistic_builder, sim_train_config, dag_config,
+            sim_config, seed=seed, steps=steps,
+        )
+        == SINGLE_CYCLE_DIGESTS[scenario]
     )
 
 

@@ -3,8 +3,9 @@
 ``execute_round`` routes by what it observes: an in-process round goes
 through ``run_training_plane_round`` — per-client walk/aggregation prep,
 one lockstep local-SGD pass, per-client finalization — and a round that
-crosses to the pool maps whole ``execute_unit``s (each worker runs the
-per-client ``train_local`` loop).  Because the lockstep kernels are
+crosses to the pool maps whole ``execute_unit``s (the same phases for
+one client: its one-job ``train_grouped`` call runs the trainer's
+per-model reference loop).  Because the lockstep kernels are
 bit-identical to the sequential loop, every record field, the tangle,
 and all carried client state must match across the two routes exactly,
 for any protocol configuration — including conv models (fused like the
@@ -80,15 +81,18 @@ def run_both(plane, pool, rounds, *, pool_route="execute_unit"):
 
 class UnadvertisedSerial(SerialExecutor):
     """Runs units in-process without saying so, so ``execute_round``
-    maps whole ``execute_unit``s through it."""
+    maps whole ``execute_unit``s through it — each training its client
+    as a one-job ``train_grouped`` call."""
 
     shares_memory = False
 
 
 @pytest.fixture
 def per_client_loop(monkeypatch):
-    """Put a sim on the sequential ``Client.train`` loop, dropout models
-    included: sound only because nothing here crosses a process."""
+    """Put a sim on the one-job route — every unit an ``execute_unit``
+    whose single ``train_grouped`` job takes the trainer's per-model
+    reference loop — dropout models included: sound only because
+    nothing here crosses a process."""
     from repro.substrate import round_plan
 
     def force(sim):
