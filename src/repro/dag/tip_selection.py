@@ -13,7 +13,8 @@ Three selectors are provided:
 
 Both walking selectors run on the lockstep engine
 (:mod:`repro.dag.walk_engine`): ``select_tips(view, ...)`` is
-``select_on_snapshot(snapshot_for(view), ...)``.  ``transition`` keeps
+``select_on_snapshot(snapshot_for(view), ...)``, which the service
+gateway calls too, with a request ``deadline``.  ``transition`` keeps
 each one's single-step law, which the test reference
 :func:`repro.dag.random_walk.sequential_select_tips` applies per step.
 """
@@ -143,13 +144,17 @@ class WeightedTipSelector:
         snapshot: walk_engine.TangleSnapshot,
         count: int,
         rng: np.random.Generator,
+        *,
+        deadline=None,
     ) -> list[str]:
-        """``count`` lockstep walks over ``snapshot``."""
+        """``count`` lockstep walks over ``snapshot``; an expired
+        ``deadline`` raises ``WalkDeadlineExceeded`` at a superstep
+        boundary, and the check draws nothing from ``rng``."""
         # The snapshot's weight array *is* a complete score table: pass
         # it as the memo so the scoring round-trip never runs.
         weights = snapshot.cumulative_weights_float()
         starts = walk_engine.batched_walk_starts(
-            snapshot, count, rng, depth_range=self.depth_range
+            snapshot, count, rng, depth_range=self.depth_range, deadline=deadline
         )
         finals = walk_engine.lockstep_walks(
             snapshot,
@@ -159,6 +164,7 @@ class WeightedTipSelector:
             normalization="standard",
             rng=rng,
             score_memo=weights,
+            deadline=deadline,
         )
         return [snapshot.ids[node] for node in finals]
 
@@ -274,8 +280,11 @@ class AccuracyTipSelector:
         snapshot: walk_engine.TangleSnapshot,
         count: int,
         rng: np.random.Generator,
+        *,
+        deadline=None,
     ) -> list[str]:
-        """``count`` lockstep walks over ``snapshot`` (Algorithm 1)."""
+        """``count`` lockstep walks over ``snapshot`` (Algorithm 1); the
+        ``deadline`` as in :meth:`WeightedTipSelector.select_on_snapshot`."""
         # Without an epoch probe, freshness of mirrored scores can't be
         # proven across calls — rebuild the memo every selection.  With
         # the probe (how build_selector wires clients), the memo
@@ -292,7 +301,7 @@ class AccuracyTipSelector:
             else:
                 self._engine_memo = np.full(len(snapshot), np.nan)
         starts = walk_engine.batched_walk_starts(
-            snapshot, count, rng, depth_range=self.depth_range
+            snapshot, count, rng, depth_range=self.depth_range, deadline=deadline
         )
 
         def score_fn(nodes: np.ndarray) -> np.ndarray:
@@ -309,6 +318,7 @@ class AccuracyTipSelector:
             rng=rng,
             evaluation_counter=self.evaluation_counter,
             score_memo=self._engine_memo,
+            deadline=deadline,
         )
         return [snapshot.ids[node] for node in finals]
 

@@ -1,8 +1,8 @@
 """Request coalescing: many concurrent tip requests, one lockstep superstep.
 
-The walk engine's throughput comes from width — ``lockstep_walks``
-advances *all* particles of a call together, scoring each superstep's
-union frontier in one fused batch.  A per-request dispatch wastes that:
+The walk engine's throughput comes from width — one selection call
+advances *all* its particles together, scoring each superstep's union
+frontier in one fused batch.  A per-request dispatch wastes that:
 every request pays its own walk-start block, its own superstep loop,
 its own memo probes, for a handful of particles.  The
 :class:`TipCoalescer` turns concurrency into width instead:
@@ -12,13 +12,15 @@ its own memo probes, for a handful of particles.  The
 - a single worker thread claims **everything pending** (up to
   ``max_batch``) the moment it goes idle, groups the claims by scoring
   key, and runs each group's combined particle count through **one**
-  ``batched_walk_starts`` + ``lockstep_walks`` pair over the shared
-  epoch snapshot — under load, batch width grows automatically because
-  requests pile up while the previous batch executes (adaptive
+  :meth:`~repro.service.degradation.DegradationLadder.select` over the
+  shared epoch snapshot — under load, batch width grows automatically
+  because requests pile up while the previous batch executes (adaptive
   batching, no artificial delay window);
-- per-``score_key`` score memos persist across batches and epochs (a
-  transaction's score under a fixed key never changes), so coalescing
-  also *dedups evaluations across requests*, not just within one.
+- a group whose key has a scorer walks with the simulator's
+  :class:`~repro.dag.tip_selection.AccuracyTipSelector` over it: the
+  walk's memo scores each transaction once per group, and across
+  batches the scorer's own per-tx-id cache dedups.  The coalescer
+  keeps no score state, so a compaction owes it nothing.
 
 Resilience is built into the same loop: admission is bounded
 (``max_pending``; beyond it, submit sheds immediately with a
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dag.tip_selection import AccuracyTipSelector
 from repro.dag.walk_engine import snapshot_for
 from repro.service.degradation import DegradationLadder
 from repro.service.resilience import Deadline
@@ -84,11 +87,12 @@ class TipCoalescer:
     """Batch concurrent tip-selection requests over a shared snapshot.
 
     ``score_provider(score_key)`` returns a batch scorer (tx ids ->
-    accuracies, the :meth:`repro.fl.client.Client.tx_accuracies`
-    contract) or ``None`` for keys that should walk by cumulative
-    weight.  ``tangle_lock`` serializes snapshot builds against
-    publishes mutating the tangle.  ``crash_hook`` is the chaos plane's
-    injection point, invoked once per claimed batch.
+    accuracies, cached per tx id: the
+    :meth:`repro.fl.client.Client.tx_accuracies` contract) or ``None``
+    for keys that should walk by cumulative weight.  ``tangle_lock``
+    serializes snapshot builds against publishes mutating the tangle.
+    ``crash_hook`` is the chaos plane's injection point, invoked once
+    per claimed batch.
 
     ``max_batch=1`` degenerates to per-request dispatch through the
     same machinery — the benchmark's baseline, so the coalescing
@@ -125,14 +129,6 @@ class TipCoalescer:
         self._queue: list[_Pending] = []
         self._worker: threading.Thread | None = None
         self._closed = False
-        # Score persistence: per-key tx-id caches survive snapshots; the
-        # per-snapshot node memos are rebuilt from them on epoch change.
-        self._score_caches: dict[object, dict[str, float]] = {}
-        self._memo_snapshot = None
-        self._memos: dict[object, np.ndarray] = {}
-        # Transaction ids truncated by a tangle compaction, queued for
-        # cache eviction on the worker thread (see discard_ids).
-        self._dropped_pending: set[str] = set()
         self.stats = {
             "batches": 0,
             "requests": 0,
@@ -197,23 +193,6 @@ class TipCoalescer:
                 self._ensure_worker_locked()
                 self._cond.notify()
         return request.outcome
-
-    def discard_ids(self, tx_ids) -> None:
-        """Queue compacted-away transaction ids for score-cache eviction.
-
-        Called by the gateway after :meth:`repro.dag.tangle.Tangle.compact`
-        truncates history: the per-key tx-id score caches (which outlive
-        snapshots by design) must not keep scores for ids the tangle no
-        longer knows.  Eviction is deferred to the worker thread, where
-        it runs *after* the outgoing snapshot's memos have been retired
-        — purging inline here could race a concurrent memo fold and
-        resurrect a dropped id.  Thread-safe; never blocks on the walk.
-        """
-        ids = set(tx_ids)
-        if not ids:
-            return
-        with self._cond:
-            self._dropped_pending |= ids
 
     # ------------------------------------------------------------ lifecycle
     def _ensure_worker_locked(self) -> None:
@@ -301,18 +280,6 @@ class TipCoalescer:
             return
         with self._tangle_lock:
             snapshot = snapshot_for(self._tangle)
-        if snapshot is not self._memo_snapshot:
-            self._retire_memos()
-            self._memo_snapshot = snapshot
-        # Evict compacted ids AFTER retiring memos: retirement writes
-        # memo scores back into the per-key caches, so a purge ordered
-        # before it would let dropped ids resurrect from the memo fold.
-        with self._cond:
-            dropped, self._dropped_pending = self._dropped_pending, set()
-        if dropped:
-            for cache in self._score_caches.values():
-                for tx_id in dropped:
-                    cache.pop(tx_id, None)
         # Group by scoring key: one lockstep call per distinct key, each
         # covering every member request's particles.
         groups: dict[object, list[_Pending]] = {}
@@ -322,8 +289,7 @@ class TipCoalescer:
             self._run_group(snapshot, score_key, members)
 
     def _run_group(self, snapshot, score_key, members: list[_Pending]) -> None:
-        counts = [request.count for request in members]
-        total = sum(counts)
+        total = sum(request.count for request in members)
         # The tightest member deadline governs the whole group: a batch
         # either meets its most impatient member's budget or degrades
         # for everyone (labeled on every response).
@@ -334,61 +300,31 @@ class TipCoalescer:
                 or request.deadline.remaining() < deadline.remaining()
             ):
                 deadline = request.deadline
-        score_fn, memo = self._scorer_for(snapshot, score_key)
-        finals, mode, degraded, reason = self._ladder.select(
-            snapshot,
-            total,
-            self._rng,
-            score_fn=score_fn,
-            score_memo=memo,
-            deadline=deadline,
+        ladder = self._ladder
+        scorer = None
+        if self._score_provider is not None:
+            scorer = self._score_provider(score_key)
+        selector = None
+        if scorer is not None:
+            selector = AccuracyTipSelector(
+                batch_accuracy_fn=scorer,
+                alpha=ladder.alpha,
+                normalization=ladder.normalization,
+                depth_range=ladder.depth_range,
+            )
+        tips, mode, degraded, reason = ladder.select(
+            snapshot, total, self._rng, selector=selector, deadline=deadline
         )
-        ids = snapshot.ids
-        offsets = np.cumsum([0, *counts])
-        for request, start, end in zip(members, offsets[:-1], offsets[1:]):
+        start = 0
+        for request in members:
+            end = start + request.count
             request.resolve(
                 TipsOutcome(
                     status="ok",
-                    tips=[ids[node] for node in finals[start:end]],
+                    tips=tips[start:end],
                     mode=mode,
                     degraded=degraded,
                     reason=reason,
                 )
             )
-
-    # ------------------------------------------------------------ scoring
-    def _scorer_for(self, snapshot, score_key):
-        """(node score_fn, persistent memo) for a key, or (None, None)."""
-        if self._score_provider is None:
-            return None, None
-        batch_fn = self._score_provider(score_key)
-        if batch_fn is None:
-            return None, None
-        memo = self._memos.get(score_key)
-        if memo is None:
-            cache = self._score_caches.setdefault(score_key, {})
-            get = cache.get
-            memo = np.array(
-                [get(tx_id, np.nan) for tx_id in snapshot.ids], dtype=np.float64
-            )
-            self._memos[score_key] = memo
-        ids = snapshot.ids
-
-        def score_fn(nodes: np.ndarray) -> np.ndarray:
-            return np.asarray(
-                batch_fn([ids[node] for node in nodes]), dtype=np.float64
-            )
-
-        return score_fn, memo
-
-    def _retire_memos(self) -> None:
-        """Fold the outgoing snapshot's memos back into the per-key
-        tx-id caches, so scores survive epoch changes."""
-        snapshot = self._memo_snapshot
-        if snapshot is not None:
-            ids = snapshot.ids
-            for score_key, memo in self._memos.items():
-                cache = self._score_caches.setdefault(score_key, {})
-                for node in np.flatnonzero(~np.isnan(memo)):
-                    cache[ids[node]] = float(memo[node])
-        self._memos = {}
+            start = end

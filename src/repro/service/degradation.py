@@ -4,14 +4,16 @@ The gateway never answers a tip request with an error while the tangle
 is servable — it answers with the *best selection mode the budget and
 the walk engine's health allow*, and labels which one it used:
 
-1. ``"accuracy"`` — the paper's accuracy-biased lockstep walk, scored
-   by the request's scoring function.  The expensive, high-quality
+1. ``"accuracy"`` — the paper's accuracy-biased walk: the request's
+   :class:`~repro.dag.tip_selection.AccuracyTipSelector`, the same
+   selector the simulator walks with.  The expensive, high-quality
    mode; it gets a :meth:`~repro.service.resilience.Deadline.sub` slice
    of the request budget and runs only while the circuit breaker around
    the scoring plane is closed (or admits a half-open probe).
-2. ``"weighted"`` — the classic cumulative-weight walk over the same
-   snapshot.  Near-free: the snapshot's weight array *is* a complete
-   score memo, so no scoring round-trips happen at all.
+2. ``"weighted"`` — the classic cumulative-weight walk
+   (:class:`~repro.dag.tip_selection.WeightedTipSelector`, Eq. 1) over
+   the same snapshot.  Near-free: the snapshot's weight array *is* a
+   complete score memo, so no scoring round-trips happen at all.
 3. ``"uniform"`` — a uniform draw over the snapshot's tips.  Never
    fails, costs one ``rng.integers`` block.
 
@@ -28,12 +30,8 @@ import threading
 
 import numpy as np
 
-from repro.dag.walk_engine import (
-    TangleSnapshot,
-    WalkDeadlineExceeded,
-    batched_walk_starts,
-    lockstep_walks,
-)
+from repro.dag.tip_selection import AccuracyTipSelector, WeightedTipSelector
+from repro.dag.walk_engine import TangleSnapshot, WalkDeadlineExceeded
 from repro.service.resilience import CircuitBreaker, Deadline
 
 __all__ = ["DegradationLadder", "LADDER_MODES"]
@@ -70,6 +68,7 @@ class DegradationLadder:
         self.depth_range = depth_range
         self.accuracy_fraction = accuracy_fraction
         self.breaker = breaker
+        self.weighted = WeightedTipSelector(alpha, depth_range=depth_range)
         self._lock = threading.Lock()
         self.stats = {
             "accuracy": 0,
@@ -84,63 +83,37 @@ class DegradationLadder:
         with self._lock:
             self.stats[key] += by
 
-    def _walk(
-        self,
-        snapshot: TangleSnapshot,
-        total: int,
-        rng: np.random.Generator,
-        score_fn,
-        score_memo: np.ndarray | None,
-        deadline: Deadline | None,
-    ) -> np.ndarray:
-        starts = batched_walk_starts(
-            snapshot, total, rng, depth_range=self.depth_range, deadline=deadline
-        )
-        return lockstep_walks(
-            snapshot,
-            starts,
-            score_fn,
-            alpha=self.alpha,
-            normalization=self.normalization,
-            rng=rng,
-            score_memo=score_memo,
-            deadline=deadline,
-        )
-
     def select(
         self,
         snapshot: TangleSnapshot,
         total: int,
         rng: np.random.Generator,
         *,
-        score_fn=None,
-        score_memo: np.ndarray | None = None,
+        selector: AccuracyTipSelector | None = None,
         deadline: Deadline | None = None,
-    ) -> tuple[np.ndarray, str, bool, str | None]:
-        """``total`` walk endpoints at the best affordable mode.
+    ) -> tuple[list[str], str, bool, str | None]:
+        """``total`` tip ids at the best affordable mode.
 
-        Returns ``(final_nodes, mode, degraded, reason)``.  ``degraded``
-        is True only when a *better* mode was applicable but had to be
-        skipped or abandoned — a request with no scoring function gets
-        ``"weighted"`` as its native, non-degraded mode.
+        Returns ``(tips, mode, degraded, reason)``.  ``degraded`` is
+        True only when a *better* mode was applicable but had to be
+        skipped or abandoned — a request with no accuracy ``selector``
+        gets ``"weighted"`` as its native, non-degraded mode.
         """
         reason: str | None = None
-        if score_fn is not None:
+        if selector is not None:
             if self.breaker is None or self.breaker.allow():
                 try:
-                    finals = self._walk(
+                    tips = selector.select_on_snapshot(
                         snapshot,
                         total,
                         rng,
-                        score_fn,
-                        score_memo,
-                        None if deadline is None
+                        deadline=None if deadline is None
                         else deadline.sub(self.accuracy_fraction),
                     )
                     if self.breaker is not None:
                         self.breaker.record_success()
                     self._count("accuracy")
-                    return finals, "accuracy", False, None
+                    return tips, "accuracy", False, None
                 except WalkDeadlineExceeded:
                     self._count("deadline_trips")
                     reason = "accuracy_deadline"
@@ -156,22 +129,14 @@ class DegradationLadder:
             else:
                 reason = "breaker_open"
         degraded = reason is not None
-        # Weighted: the snapshot's cumulative weights are a complete,
-        # hole-free memo — lockstep_walks never calls the score function.
-        weights = snapshot.cumulative_weights_float()
         try:
-            finals = self._walk(
-                snapshot,
-                total,
-                rng,
-                lambda nodes: weights[nodes],
-                weights,
-                deadline,
+            tips = self.weighted.select_on_snapshot(
+                snapshot, total, rng, deadline=deadline
             )
             self._count("weighted")
             if degraded:
                 self._count("degraded")
-            return finals, "weighted", degraded, reason
+            return tips, "weighted", degraded, reason
         except WalkDeadlineExceeded:
             self._count("deadline_trips")
             reason = reason or "weighted_deadline"
@@ -180,4 +145,4 @@ class DegradationLadder:
         finals = tips[rng.integers(0, len(tips), size=total)]
         self._count("uniform")
         self._count("degraded")
-        return finals, "uniform", True, reason
+        return [snapshot.ids[node] for node in finals], "uniform", True, reason

@@ -96,7 +96,13 @@ class TangleGateway:
     """Serve a live tangle behind the resilience layer.
 
     ``score_provider(score_key)`` (optional) maps a request's scoring
-    key to a batch tx-id scorer for accuracy-biased selection;
+    key to a batch tx-id scorer for accuracy-biased selection (or
+    ``None``: walk by cumulative weight).  The gateway walks with
+    :class:`~repro.dag.tip_selection.AccuracyTipSelector` and keeps no
+    score cache of its own, so the scorer must cache per tx id, as that
+    selector requires and :meth:`repro.fl.client.Client.tx_accuracies`
+    does.  ``config.normalization`` governs that walk only; the weighted
+    fallback uses Eq. 1, like the simulator's weighted walk.
     ``chaos`` (optional) is a :class:`~repro.service.chaos.ServiceChaos`
     whose injections fire inside the request path.  All endpoints are
     thread-safe; publishes serialize against snapshot builds on one
@@ -308,12 +314,11 @@ class TangleGateway:
         """Truncate confirmed history while the service stays live.
 
         Runs :meth:`repro.dag.tangle.Tangle.compact` under the same
-        lock that serializes publishes against snapshot builds, then
-        queues the dropped ids for score-cache eviction in the
-        coalescer (:meth:`~repro.service.coalescer.TipCoalescer.discard_ids`).
+        lock that serializes publishes against snapshot builds.
         In-flight requests finish on the snapshot they captured; the
-        next batch re-snapshots at the new compaction epoch.  Returns
-        the :class:`~repro.dag.tangle.CompactionReport`.
+        next batch re-snapshots at the new compaction epoch, so no
+        dropped id reaches a scorer again.  Returns the
+        :class:`~repro.dag.tangle.CompactionReport`.
         """
         with self._lock:
             report = self.tangle.compact(
@@ -322,7 +327,6 @@ class TangleGateway:
                 spill_path=spill_path,
             )
         if report.dropped:
-            self.coalescer.discard_ids(report.dropped_ids)
             with self._counts_lock:
                 self.counts["compactions"] += 1
                 self.counts["compacted_dropped"] += report.dropped

@@ -17,12 +17,15 @@ chaos ``TransportDropped``  connection closed without a response
 Routes: ``POST /publish``, ``GET /tips``, ``GET /current-model``,
 ``GET /health``, ``GET /ready``.  Built on ``ThreadingHTTPServer`` so
 concurrent requests actually coalesce; :func:`serve_background` binds
-port 0 for collision-free tests.
+port 0 for collision-free tests.  A malformed request field
+(``count=abc``, ``budget=nan``, ragged ``weights``, ...) is a 400
+``rejected`` naming the field, never an exception out of the handler.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -45,6 +48,31 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
     return value
+
+
+class _BadRequest(ValueError):
+    """A malformed request field, answered as a 400 ``rejected``."""
+
+
+def _field(name: str, value, convert=None, valid=None):
+    """``convert(value)`` (or ``value``) if it passes ``valid``, else
+    :class:`_BadRequest` naming the field."""
+    try:
+        parsed = value if convert is None else convert(value)
+        ok = valid is None or valid(parsed)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise _BadRequest(f"malformed {name}: {value!r:.60}")
+    return parsed
+
+
+def _finite_positive(number: float) -> bool:
+    return math.isfinite(number) and number > 0
+
+
+def _str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -87,9 +115,12 @@ class _Handler(BaseHTTPRequestHandler):
             if url.path == "/tips":
                 budget = query.get("budget")
                 response = self.gateway.tips(
-                    int(query.get("count", ["2"])[0]),
+                    _field(
+                        "count", query.get("count", ["2"])[0], int, lambda n: n >= 1
+                    ),
                     score_key=query.get("score_key", [None])[0],
-                    budget=float(budget[0]) if budget else None,
+                    budget=None if budget is None
+                    else _field("budget", budget[0], float, _finite_positive),
                 )
             elif url.path == "/current-model":
                 response = self.gateway.current_model()
@@ -107,6 +138,8 @@ class _Handler(BaseHTTPRequestHandler):
                     status=404,
                 )
                 return
+        except _BadRequest as exc:
+            response = ServiceResponse(status="rejected", reason=str(exc))
         except TransportDropped:
             self._drop()
             return
@@ -120,33 +153,43 @@ class _Handler(BaseHTTPRequestHandler):
                 status=404,
             )
             return
-        length = int(self.headers.get("Content-Length", "0"))
         try:
-            request = json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError as exc:
-            self._send(
-                ServiceResponse(status="rejected", reason=f"bad json: {exc}")
-            )
-            return
-        if "weights" not in request or "parents" not in request:
-            self._send(
-                ServiceResponse(
-                    status="rejected", reason="need 'weights' and 'parents'"
-                )
-            )
-            return
-        try:
-            response = self.gateway.publish(
-                np.asarray(request["weights"], dtype=np.float64),
-                list(request["parents"]),
-                issuer=int(request.get("issuer", 0)),
-                round_index=int(request.get("round_index", 0)),
-                tags=request.get("tags"),
-            )
+            response = self._publish()
+        except _BadRequest as exc:
+            response = ServiceResponse(status="rejected", reason=str(exc))
         except TransportDropped:
             self._drop()
             return
         self._send(response)
+
+    def _publish(self) -> ServiceResponse:
+        length = _field(
+            "Content-Length",
+            self.headers.get("Content-Length", "0"),
+            int,
+            lambda n: n >= 0,
+        )
+        try:
+            request = json.loads(self.rfile.read(length) or b"{}")
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise _BadRequest(f"bad json: {exc}") from None
+        if not (isinstance(request, dict) and {"weights", "parents"} <= request.keys()):
+            raise _BadRequest("need 'weights' and 'parents'")
+        return self.gateway.publish(
+            _field(
+                "weights",
+                request["weights"],
+                lambda weights: np.asarray(weights, dtype=np.float64),
+            ),
+            _field("parents", request["parents"], valid=_str_list),
+            issuer=_field("issuer", request.get("issuer", 0), int),
+            round_index=_field("round_index", request.get("round_index", 0), int),
+            tags=_field(
+                "tags",
+                request.get("tags"),
+                valid=lambda tags: tags is None or isinstance(tags, dict),
+            ),
+        )
 
 
 class GatewayHTTPServer(ThreadingHTTPServer):

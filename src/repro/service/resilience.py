@@ -26,6 +26,7 @@ sleeping.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -51,8 +52,8 @@ class Deadline:
     __slots__ = ("budget", "_expires_at", "_clock")
 
     def __init__(self, budget: float, *, clock=time.monotonic):
-        if budget <= 0:
-            raise ValueError(f"deadline budget must be > 0, got {budget}")
+        if not (math.isfinite(budget) and budget > 0):  # NaN/inf never expire
+            raise ValueError(f"deadline budget must be finite and > 0, got {budget}")
         self.budget = float(budget)
         self._clock = clock
         self._expires_at = clock() + self.budget

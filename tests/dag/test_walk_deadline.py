@@ -5,13 +5,15 @@ superstep boundaries.  These tests pin the three contract points: an
 expired budget aborts with :class:`WalkDeadlineExceeded` (from the
 starts block, the superstep loop, and the tail finisher), a generous
 budget changes *nothing* (bit-identical finals and rng stream), and the
-check itself never consumes randomness.
+check itself never consumes randomness.  Both walking selectors'
+``select_on_snapshot`` forward the deadline and keep the same contract.
 """
 
 import numpy as np
 import pytest
 
 from repro.dag.tangle import Tangle
+from repro.dag.tip_selection import AccuracyTipSelector, WeightedTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
 from repro.dag.walk_engine import (
     TangleSnapshot,
@@ -97,6 +99,40 @@ def test_generous_deadline_is_bit_identical_to_none():
     timed_finals, timed_state = run(_Never())
     np.testing.assert_array_equal(bare_finals, timed_finals)
     assert bare_state == timed_state  # the check draws nothing
+
+
+def _selectors():
+    return {
+        "weighted": WeightedTipSelector(0.5, depth_range=(2, 10)),
+        "accuracy": AccuracyTipSelector(
+            batch_accuracy_fn=lambda ids: np.linspace(0.0, 1.0, len(ids)),
+            depth_range=(2, 10),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["weighted", "accuracy"])
+@pytest.mark.parametrize("checks", [0, 1])
+def test_selectors_raise_on_an_expired_deadline(name, checks):
+    snapshot = TangleSnapshot.build(_grow())
+    with pytest.raises(WalkDeadlineExceeded):
+        _selectors()[name].select_on_snapshot(
+            snapshot, 30, np.random.default_rng(0), deadline=_Budget(checks)
+        )
+
+
+@pytest.mark.parametrize("name", ["weighted", "accuracy"])
+def test_selectors_with_a_live_deadline_match_no_deadline(name):
+    snapshot = TangleSnapshot.build(_grow())
+
+    def run(deadline):
+        rng = np.random.default_rng(12)
+        tips = _selectors()[name].select_on_snapshot(
+            snapshot, 30, rng, deadline=deadline
+        )
+        return tips, rng.bit_generator.state
+
+    assert run(None) == run(_Never())
 
 
 def test_memo_scores_survive_an_aborted_walk():

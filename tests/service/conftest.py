@@ -11,9 +11,7 @@ def _weights(rng):
     return [rng.normal(size=(3, 2)), rng.normal(size=2)]
 
 
-@pytest.fixture
-def tangle():
-    """A ~40-transaction tangle with a handful of live tips."""
+def _grow():
     rng = np.random.default_rng(5)
     tangle = Tangle(_weights(rng))
     ids = [GENESIS_ID]
@@ -26,3 +24,15 @@ def tangle():
         )
         ids.append(f"t{i}")
     return tangle
+
+
+@pytest.fixture
+def tangle():
+    """A ~40-transaction tangle with a handful of live tips."""
+    return _grow()
+
+
+@pytest.fixture(scope="module")
+def shared_tangle():
+    """The same tangle, shared by a module's tests that never grow it."""
+    return _grow()

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 import repro.service.coalescer as coalescer_mod
+from repro.data.base import ClientData
+from repro.fl import TrainingConfig
+from repro.fl.client import Client
+from repro.nn import zoo
 from repro.service.chaos import InjectedCoalescerCrash
 from repro.service.coalescer import TipCoalescer
 from repro.service.degradation import DegradationLadder
@@ -89,6 +93,48 @@ def test_each_request_gets_its_own_slice_of_the_batch(tangle, ladder):
     for outcome, count in zip(outcomes, counts):
         assert outcome.ok and len(outcome.tips) == count
         assert all(tip in tangle for tip in outcome.tips)
+
+
+def test_one_batch_hands_each_member_a_disjoint_slice(
+    tangle, ladder, monkeypatch
+):
+    monkeypatch.setattr(
+        coalescer_mod.DegradationLadder,
+        "select",
+        lambda self, snapshot, total, rng, **kwargs: (
+            [f"x{i}" for i in range(total)], "weighted", False, None
+        ),
+    )
+    parked, release = threading.Event(), threading.Event()
+
+    def park_first_batch():
+        if not parked.is_set():
+            parked.set()
+            release.wait(10)
+
+    outcomes = {}
+    with TipCoalescer(
+        tangle, ladder=ladder, crash_hook=park_first_batch
+    ) as coalescer:
+
+        def submit(count):
+            outcomes[count] = coalescer.submit(count)
+
+        threads = [threading.Thread(target=submit, args=(c,)) for c in (1, 2, 3)]
+        threads[0].start()
+        assert parked.wait(5)
+        for thread in threads[1:]:  # queue behind the parked batch...
+            thread.start()
+        deadline = time.monotonic() + 5
+        while coalescer.pending < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        release.set()  # ...and get claimed together
+        for thread in threads:
+            thread.join(timeout=5)
+        assert coalescer.stats["max_batch_size"] == 2
+    assert outcomes[1].tips == ["x0"]
+    shared = outcomes[2].tips + outcomes[3].tips
+    assert sorted(shared) == [f"x{i}" for i in range(5)]
 
 
 def test_crash_resolves_in_flight_as_shed_and_restarts(tangle, ladder):
@@ -186,25 +232,44 @@ def test_close_sheds_queued_requests_and_rejects_new_ones(tangle, ladder):
     coalescer.close()  # idempotent
 
 
+def _scoring_client():
+    """A real ``Client`` whose model fits the fixture tangle (3 -> 2)."""
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(20, 3)), rng.integers(0, 2, size=20)
+    return Client(
+        ClientData(0, x, y, x, y, cluster_id=0),
+        zoo.build_logistic_regression(rng, in_features=3, num_classes=2),
+        TrainingConfig(),
+        rng,
+    )
+
+
 def test_score_memo_persists_across_batches(tangle, ladder):
-    scored: list[str] = []
+    """Across batches, dedup is the scorer's own per-tx-id cache: with a
+    ``Client.tx_accuracies`` provider each model is evaluated once ever,
+    and within one batch the walk memo asks for no id twice."""
+    client = _scoring_client()
+    batches: list[list[str]] = []
 
     def provider(score_key):
         def batch(tx_ids):
-            scored.extend(tx_ids)
-            return np.linspace(0.0, 1.0, len(tx_ids))
+            batches[-1].extend(tx_ids)
+            return client.tx_accuracies(tangle, tx_ids)
 
         return batch
 
     with TipCoalescer(
         tangle, ladder=ladder, score_provider=provider
     ) as coalescer:
-        assert coalescer.submit(4, score_key="k").ok
-        first_round = len(scored)
-        assert first_round > 0
-        assert coalescer.submit(4, score_key="k").ok
-    # Second batch re-used the memo: no transaction scored twice.
-    assert len(set(scored)) == len(scored)
+        for _ in range(5):
+            batches.append([])
+            assert coalescer.submit(4, score_key="k").mode == "accuracy"
+    for scored in batches:
+        assert len(set(scored)) == len(scored)
+    distinct = set().union(*batches)
+    # Later batches re-asked for scored ids, and none cost an evaluation.
+    assert sum(map(len, batches)) > len(distinct)
+    assert client.evaluations == len(distinct)
 
 
 def test_validation(tangle, ladder):

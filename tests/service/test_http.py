@@ -26,6 +26,19 @@ def served(tangle):
     gateway.close()
 
 
+@pytest.fixture(scope="module")
+def served_shared(shared_tangle):
+    """One server for the malformed-request cases, which change nothing."""
+    gateway = TangleGateway(
+        shared_tangle, config=GatewayConfig(deadline_budget=5.0)
+    )
+    server, _ = serve_background(gateway)
+    yield shared_tangle, server.base_url
+    server.shutdown()
+    server.server_close()
+    gateway.close()
+
+
 def _get(url):
     with urllib.request.urlopen(url, timeout=10) as response:
         return response.status, json.loads(response.read())
@@ -85,6 +98,71 @@ def test_malformed_json_maps_to_400(served):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request, timeout=10)
     assert excinfo.value.code == 400
+
+
+def _rejected(open_request):
+    """The 400 body of a request the boundary must reject."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        open_request()
+    assert excinfo.value.code == 400
+    body = json.loads(excinfo.value.read())
+    assert body["status"] == "rejected"
+    return body
+
+
+@pytest.mark.parametrize(
+    "query, field",
+    [
+        ("count=abc", "count"),
+        ("count=0", "count"),
+        ("count=-3", "count"),
+        ("budget=x", "budget"),
+        ("budget=-1", "budget"),
+        ("budget=0", "budget"),
+        ("budget=nan", "budget"),
+        ("budget=inf", "budget"),
+    ],
+)
+def test_malformed_tips_query_is_400_not_a_hangup(served_shared, query, field):
+    _, url = served_shared
+    body = _rejected(lambda: _get(f"{url}/tips?{query}"))
+    assert body["reason"].startswith(f"malformed {field}")
+    status, _ = _get(url + "/tips?count=1")  # the server kept serving
+    assert status == 200
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"issuer": "abc"}, "issuer"),
+        ({"round_index": [1]}, "round_index"),
+        ({"weights": ["a", "b"]}, "weights"),
+        ({"weights": [[1.0, 2.0], [3.0]]}, "weights"),
+        ({"weights": {"w": 1.0}}, "weights"),
+        ({"parents": "t1"}, "parents"),
+        ({"parents": 5}, "parents"),
+        ({"parents": [["t1"]]}, "parents"),
+        ({"tags": 5}, "tags"),
+    ],
+)
+def test_malformed_publish_field_is_400_not_a_hangup(served_shared, change, field):
+    tangle, url = served_shared
+    payload = {
+        "weights": [0.0] * tangle.spec.total,
+        "parents": tangle.tips()[:1],
+        **change,
+    }
+    before = len(tangle)
+    body = _rejected(lambda: _post(url + "/publish", payload))
+    assert body["reason"].startswith(f"malformed {field}")
+    assert len(tangle) == before
+
+
+@pytest.mark.parametrize("payload", [5, [1, 2], "weights"])
+def test_non_object_publish_body_is_400(served_shared, payload):
+    _, url = served_shared
+    body = _rejected(lambda: _post(url + "/publish", payload))
+    assert "need 'weights' and 'parents'" in body["reason"]
 
 
 def test_current_model_and_health(served, tangle):

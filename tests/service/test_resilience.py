@@ -57,6 +57,14 @@ def test_deadline_child_never_outlives_parent():
     assert child.expired
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_deadline_rejects_budgets_that_never_expire_or_already_have(budget):
+    # NaN and inf compare as "not yet" forever: accepting them would
+    # silently switch the walk deadline off.
+    with pytest.raises(ValueError):
+        Deadline(budget, clock=FakeClock())
+
+
 def test_deadline_validates_inputs():
     with pytest.raises(ValueError):
         Deadline(0.0)

@@ -15,10 +15,15 @@ Three checks, all cheap and dependency-free:
    drift on the one command everyone copy-pastes is the most expensive
    kind.
 3. **Knob tables.** Every row of a docs "Knobs" table that names a
-   ``DagConfig`` knob — a table introduced as living on ``DagConfig``,
-   or a row whose "Where" column says so — must name a field of
-   ``DagConfig`` with the default the table states (read from
-   ``src/repro/fl/config.py`` with ``ast``, nothing is imported).
+   ``*Config`` knob — a table whose introduction says it lives on
+   ``XConfig`` (``module``), or a row whose "Where" column names
+   ``XConfig`` — must name a field of that class with the default the
+   table states.  Defaults are read from the module's source with
+   ``ast`` (nothing is imported); a row ``a / b`` pairs with a default
+   ``x / y``, and a non-literal default on either side (``exp(1)``, a
+   ``field(default_factory=...)``) only has its field name checked.  A
+   "Where" row finds its class's module through any docs introduction
+   that names both.
 
 Usage::
 
@@ -86,62 +91,117 @@ def check_tier1_command() -> list[str]:
     return failures
 
 
+#: A default that is not a Python literal: the field exists, its value
+#: is not compared.
+NON_LITERAL = object()
+
+# "... live on `GatewayConfig` (`repro.service.gateway`)"
+OWNER = re.compile(r"`(\w+Config)`(?: \(`([\w.]+)`\))?")
+
+
+def _literal(text_or_node) -> object:
+    try:
+        return ast.literal_eval(text_or_node)
+    except (ValueError, SyntaxError):
+        return NON_LITERAL
+
+
+def config_defaults(source: str, name: str) -> dict[str, object]:
+    """Class ``name``'s annotated fields and their literal defaults."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return {
+                field.target.id: NON_LITERAL if field.value is None else _literal(field.value)
+                for field in node.body
+                if isinstance(field, ast.AnnAssign)
+                and isinstance(field.target, ast.Name)
+            }
+    raise ValueError(f"no {name} class found")
+
+
 def dag_config_defaults(source: str) -> dict[str, object]:
     """``DagConfig``'s fields and literal defaults, from its source."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and node.name == "DagConfig":
-            return {
-                field.target.id: ast.literal_eval(field.value)
-                for field in node.body
-                if isinstance(field, ast.AnnAssign) and field.value is not None
-            }
-    raise ValueError("no DagConfig class found")
+    return config_defaults(source, "DagConfig")
 
 
 def _cells(line: str) -> list[str]:
     return [cell.strip() for cell in line.strip().strip("|").split("|")]
 
 
-def knob_table_failures(name: str, text: str, defaults: dict[str, object]) -> list[str]:
-    """Violations among the ``DagConfig`` rows of ``text``'s Knobs table."""
-    lines = text.partition("## Knobs")[2].splitlines()
-    start = next((i for i, line in enumerate(lines) if line.startswith("|")), None)
-    if start is None:
-        return []
-    # A table without a "Where" column belongs to the config class its
-    # introduction names ("... knobs live on `DagConfig`").
-    owner = re.search(r"`(\w+Config)`", " ".join(lines[:start]))
-    header = _cells(lines[start])
-    failures = []
-    for line in lines[start + 2 :]:  # past the header and its |---| rule
+def knob_rows(text: str):
+    """``(owner, module, knob, stated default)`` for every ``*Config``
+    row of ``text``'s Knobs section (``module`` is None when the owner
+    comes from a "Where" cell)."""
+    lines = text.partition("## Knobs")[2].partition("\n## ")[0].splitlines()
+    intro: list[str] = []
+    header = None
+    for line in lines:
         if not line.startswith("|"):
-            break
-        row = dict(zip(header, _cells(line)))
-        where = row.get("Where") or (owner and f"`{owner.group(1)}`")
-        if where != "`DagConfig`":
+            header = None
+            intro.append(line)
             continue
-        knob, stated = row["Knob"].strip("`"), row["Default"].strip("`")
+        if header is None:
+            header, owner = _cells(line), OWNER.search(" ".join(intro))
+            intro = []
+            continue
+        if not line.strip("|-: "):
+            continue  # the |---| rule under the header
+        row = dict(zip(header, _cells(line)))
+        found = OWNER.fullmatch(row["Where"]) if "Where" in row else owner
+        if not found:
+            continue
+        knobs = [knob.strip("` ") for knob in row["Knob"].split(" / ")]
+        stated = [value.strip("` ") for value in row["Default"].split(" / ")]
+        if len(stated) != len(knobs):
+            raise ValueError(f"knob row {row['Knob']} has {len(stated)} defaults")
+        for knob, value in zip(knobs, stated):
+            yield found.group(1), found.group(2), knob, value
+
+
+def knob_table_failures(
+    name: str, text: str, defaults: dict[str, object], owner: str = "DagConfig"
+) -> list[str]:
+    """Violations among the ``owner`` rows of ``text``'s Knobs tables."""
+    failures = []
+    for row_owner, _, knob, stated in knob_rows(text):
+        if row_owner != owner:
+            continue
         if knob not in defaults:
-            failures.append(f"{name}: knob table names `{knob}`, not a DagConfig field")
-        elif ast.literal_eval(stated) != defaults[knob]:
+            failures.append(f"{name}: knob table names `{knob}`, not a {owner} field")
+            continue
+        value = _literal(stated)
+        if NON_LITERAL not in (value, defaults[knob]) and value != defaults[knob]:
             failures.append(
                 f"{name}: knob table says `{knob}` defaults to {stated}, "
-                f"DagConfig says {defaults[knob]!r}"
+                f"{owner} says {defaults[knob]!r}"
             )
     return failures
 
 
 def check_knob_tables() -> list[str]:
-    defaults = dag_config_defaults(
-        (ROOT / "src" / "repro" / "fl" / "config.py").read_text()
-    )
-    return [
-        failure
+    docs = {
+        str(doc.relative_to(ROOT)): doc.read_text()
         for doc in sorted((ROOT / "docs").glob("*.md"))
-        for failure in knob_table_failures(
-            str(doc.relative_to(ROOT)), doc.read_text(), defaults
-        )
-    ]
+    }
+    modules = {
+        owner: module
+        for text in docs.values()
+        for owner, module, _, _ in knob_rows(text)
+        if module
+    }
+    failures = []
+    for name, text in docs.items():
+        for owner in sorted({row[0] for row in knob_rows(text)}):
+            try:
+                path = ROOT / "src" / Path(*modules[owner].split(".")).with_suffix(".py")
+                defaults = config_defaults(path.read_text(), owner)
+            except (KeyError, OSError, ValueError):
+                failures.append(
+                    f"{name}: `{owner}` is not in the module a docs intro names"
+                )
+                continue
+            failures += knob_table_failures(name, text, defaults, owner)
+    return failures
 
 
 def main() -> int:
@@ -154,7 +214,7 @@ def main() -> int:
     docs = list(iter_doc_files())
     print(
         f"docs ok: {len(docs)} files, links resolve, tier-1 command "
-        "consistent, knob tables match DagConfig"
+        "consistent, knob tables match their config classes"
     )
     return 0
 
