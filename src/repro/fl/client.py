@@ -91,7 +91,14 @@ class Client:
 
     # ---------------------------------------------------------- evaluation
     def evaluate_weights(self, weights: Weights) -> tuple[float, float]:
-        """(loss, accuracy) of ``weights`` on this client's local test data."""
+        """(loss, accuracy) of ``weights`` on this client's local test data.
+
+        Non-finite weights get :meth:`accuracy_of_weights`' guard: one
+        evaluation counted, no forward pass, ``(inf, 0.0)``.
+        """
+        if any(not np.isfinite(w).all() for w in weights):
+            self.evaluations += 1
+            return np.inf, 0.0
         self.model.set_weights(weights)
         self.evaluations += 1
         return self.model.evaluate(self.data.x_test, self.data.y_test)
@@ -120,9 +127,9 @@ class Client:
     def accuracy_of_flat(self, flat: np.ndarray) -> float:
         """:meth:`accuracy_of_weights` for a flat weight vector.
 
-        The loss-free twin of :meth:`evaluate_flat`, used by the event
-        engine's publish gate on rows coming straight off the lockstep
-        ``(K, P)`` training stack — same forward pass and argmax as
+        The loss-free twin of :meth:`evaluate_flat`, used for the
+        reference (publish-gate baseline) of every cycle and round unit
+        — same forward pass and argmax as
         ``accuracy_of_weights(spec.unflatten(flat))``, no per-layer list
         — including the non-finite guard (a corrupt vector scores 0.0
         without a forward pass).
@@ -140,9 +147,12 @@ class Client:
         The training plane's post-training entry point: the trained row
         comes straight off the lockstep ``(K, P)`` stack and loads via
         :meth:`Classifier.load_flat` — no per-layer list is built.
-        Bookkeeping (the evaluation counter) matches
-        :meth:`evaluate_weights` exactly.
+        Bookkeeping (the evaluation counter) and the non-finite guard
+        match :meth:`evaluate_weights` exactly.
         """
+        if not np.isfinite(flat).all():
+            self.evaluations += 1
+            return np.inf, 0.0
         self.model.load_flat(flat)
         self.evaluations += 1
         return self.model.evaluate(self.data.x_test, self.data.y_test)

@@ -59,10 +59,10 @@ def train_grouped(
 ) -> dict:
     """Advance every model's whole job list in lockstep; tag -> (row, loss).
 
-    The one-superstep entry point shared by the round substrate
-    (:func:`repro.substrate.round_plan.run_training_plane_round`) and the
-    event-driven simulator (:mod:`repro.sim`): each ``(model, jobs)``
-    pair goes through **one** :meth:`LockstepTrainer.train` call — all of
+    The one-superstep entry point of the round plan
+    (:func:`repro.substrate.round_plan.run_training_plane_round`, which
+    runs every round and every event-engine superstep): each ``(model,
+    jobs)`` pair goes through **one** :meth:`LockstepTrainer.train` call — all of
     a model's jobs must share that call because dropout stream order is
     defined across the whole job list.  Jobs must carry their own
     ``lr``/``momentum`` (the first job's values seed the trainer's

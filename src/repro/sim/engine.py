@@ -18,11 +18,16 @@ whole trace is a pure function of ``(seed, configs)`` and — because the
 client id outranks the push sequence — independent of the incidental
 order events entered the heap.
 
-Every cycle runs through one superstep pipeline: collect, walk, build
-the flat reference (:func:`repro.substrate.reference_flat`), train
-through :func:`repro.nn.training_plane.train_grouped`, then gate and
-publish at the barrier in event order.  Three operating regimes,
-selected by configuration rather than by separate code paths:
+The engine only schedules.  A cycle's work — walk, flat reference,
+local training, test evaluation and publish gate — runs in
+:mod:`repro.substrate.round_plan`, fed by either scheduler: a superstep
+becomes one work unit per cycle, each carrying its frozen view, and
+goes through :func:`~repro.substrate.round_plan.run_training_plane_round`
+in-process; a round becomes one unit per sampled client through
+:func:`repro.substrate.execute_round`.  Results of both commit through
+one publish path (:meth:`_add_transaction`: payload gate, transaction,
+visibility row).  Three operating regimes, selected by configuration
+rather than by separate code paths:
 
 1. **Sequential** (``quantum = 0``, and :meth:`step` at any quantum) —
    the superstep of one: the collector closes it at the first cycle,
@@ -45,8 +50,7 @@ selected by configuration rather than by separate code paths:
    cycle and the semantics degrade gracefully into regime 1.
 3. **Rounds** (:meth:`run_rounds`) — the paper's comparison schedule:
    a sample of clients works over one frozen view per round through
-   the round substrate (:func:`repro.substrate.execute_round`), and
-   publications commit at the round barrier.
+   the round substrate, and publications commit at the round barrier.
    :class:`repro.fl.dag_learning.TangleLearning` is a thin constructor
    over this regime.
 """
@@ -56,6 +60,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -69,19 +74,19 @@ from repro.fl.client import Client
 from repro.fl.config import DagConfig, TrainingConfig
 from repro.fl.records import RoundRecord
 from repro.nn.model import Classifier
-from repro.nn.training_plane import train_grouped
 from repro.sim.config import SimConfig
 from repro.sim.faults import apply_corruption
 from repro.substrate import (
+    ClientRoundResult,
     ClientWorkUnit,
     Executor,
+    RoundContext,
+    SerialExecutor,
     apply_result,
     build_selector,
     execute_round,
     make_executor,
-    plan_client_job,
-    random_weights_attack,
-    reference_flat,
+    round_plan,
 )
 from repro.utils.rng import RngFactory
 
@@ -97,6 +102,9 @@ _RANK = {"join": 0, "recover": 0, "leave": 1, "crash": 1, "cycle": 2}
 
 # Initial row capacity of the visibility columns (doubled when full).
 _INITIAL_ROWS = 64
+
+# Supersteps run in the calling process, on the canonical clients.
+_IN_PROCESS = SerialExecutor()
 
 
 def _doubled(column: np.ndarray, fill: float) -> np.ndarray:
@@ -627,43 +635,85 @@ class EventDrivenTangleLearning:
         arrival[self._slot[issuer]] = base_visible
         self._arrival[:, row] = arrival
 
-    def _publish(
-        self, client_id: int, parents: tuple[str, ...], flat: np.ndarray, tags: dict
-    ) -> str | None:
-        """Commit a transaction at ``self.now`` with a propagation delay.
-
-        The publish path is where injection meets defense: the payload
-        is (maybe) corrupted in flight, then validated — a non-finite or
-        shape-mismatched payload is **quarantined**: counted, never
-        added to the tangle (so it cannot pollute the weight arena), and
-        reported by returning ``None``.
-        """
+    def _publish(self, client_id: int, result: ClientRoundResult) -> str | None:
+        """A cycle's publication at ``self.now``: the payload is (maybe)
+        corrupted in flight, then committed with a propagation delay
+        through :meth:`_add_transaction`."""
+        flat = result.flat_weights
         if self._fault_rng is not None and self._faults.corruption_rate > 0:
             if self._fault_rng.random() < self._faults.corruption_rate:
                 flat = self._corrupt(flat)
                 self.fault_stats["corrupted"] += 1
+        # A cycle's round index is a coarse time bucket for analysis.
+        return self._add_transaction(
+            client_id, result, flat, round_index=int(self.now), propagate=True
+        )
+
+    def _add_transaction(
+        self,
+        client_id: int,
+        result: ClientRoundResult,
+        flat: np.ndarray,
+        *,
+        round_index: int,
+        propagate: bool,
+    ) -> str | None:
+        """The one publish path of cycles and round barriers: payload
+        gate, transaction, visibility row, own-publication log.
+
+        A non-finite or shape-mismatched payload is **quarantined**:
+        counted, never added to the tangle (so it cannot pollute the
+        weight arena), and reported by returning ``None``.  Published at
+        ``self.now``; with ``propagate`` (cycles) the transaction becomes
+        network-visible after a delay drawn from ``"times"`` and, under
+        link faults, per-link delivery draws from ``"faults"``; without
+        it (round barriers) it is visible at once and draws nothing.
+        """
         if payload_error(flat, self.tangle.spec) is not None:
             self.fault_stats["quarantined"] += 1
             return None
         tx = Transaction.from_flat(
             tx_id=self.tangle.next_tx_id(client_id),
-            parents=parents,
+            parents=result.parents,
             flat=flat,
             spec=self.tangle.spec,
             issuer=client_id,
-            round_index=int(self.now),  # coarse time bucket for analysis
-            tags=tags,
+            round_index=round_index,
+            tags=result.tags,
         )
         self.tangle.add(tx)
-        delay = self.sim_config.propagation.sample(self._time_rng)
-        visible = self.now + delay
+        visible = self.now
+        if propagate:
+            visible += self.sim_config.propagation.sample(self._time_rng)
         row = self._append_row(tx.tx_id, client_id, self.now, visible)
-        if self._arrival is not None:
+        if propagate and self._arrival is not None:
             self._deliver(row, client_id, visible)
         self._own_publications.setdefault(client_id, []).append(
             (self.now, visible, tx.tx_id)
         )
         return tx.tx_id
+
+    def _record_train(
+        self,
+        client_id: int,
+        result: ClientRoundResult,
+        tx_id: str | None,
+        start_time: float,
+    ) -> SimEvent:
+        """Append the train event of a committed ``result`` at ``now``."""
+        record = SimEvent(
+            time=self.now,
+            kind="train",
+            client_id=client_id,
+            published=tx_id is not None,
+            accuracy=result.test_accuracy,
+            reference_accuracy=result.reference_accuracy,
+            tx_id=tx_id,
+            start_time=start_time,
+            quarantined=True if result.publish and tx_id is None else None,
+        )
+        self.events.append(record)
+        return record
 
     def _view_for(
         self, client_id: int, at_time: float, *, exempt: bool = True
@@ -692,37 +742,11 @@ class EventDrivenTangleLearning:
         )
 
     # ------------------------------------------------------------ supersteps
-    def _commit_cycle(
-        self,
-        event: _Event,
-        tips: list[str],
-        flat: np.ndarray,
-        tags: dict,
-        accuracy: float | None = None,
-        reference_accuracy: float | None = None,
-    ) -> SimEvent:
-        """Gate, publish and record one finished cycle at ``self.now``,
-        then queue the client's next.  Attacker cycles carry no
-        accuracies and bypass the gate."""
-        tx_id = None
-        gated = accuracy is not None and self.dag_config.publish_gate
-        attempted = not gated or accuracy >= reference_accuracy
-        if attempted:
-            tx_id = self._publish(
-                event.client_id, tuple(dict.fromkeys(tips)), flat, tags
-            )
-        record = SimEvent(
-            time=self.now,
-            kind="train",
-            client_id=event.client_id,
-            published=tx_id is not None,
-            accuracy=accuracy,
-            reference_accuracy=reference_accuracy,
-            tx_id=tx_id,
-            start_time=event.start_time,
-            quarantined=True if attempted and tx_id is None else None,
-        )
-        self.events.append(record)
+    def _commit_cycle(self, event: _Event, result: ClientRoundResult) -> SimEvent:
+        """Publish (if the unit chose to) and record one finished cycle
+        at ``self.now``, then queue the client's next."""
+        tx_id = self._publish(event.client_id, result) if result.publish else None
+        record = self._record_train(event.client_id, result, tx_id, event.start_time)
         if event.client_id in self._active:
             self._schedule_cycle(event.client_id)
         return record
@@ -762,46 +786,51 @@ class EventDrivenTangleLearning:
                 window_end = event.time + self.sim_config.quantum
         return ready, ordered
 
-    def _batch_tips(
-        self, ready: list[_Event], windowed: bool
-    ) -> tuple[dict[int, list[str]], dict[int, np.ndarray]]:
-        """The superstep's walk phase: tips per cycle (by cycle_seq).
+    def _superstep_payloads(self, ready: list[_Event], windowed: bool) -> list:
+        """The superstep's scheduling: one round-plan payload per cycle,
+        in pop order, each carrying the view frozen for it.
 
         Members group by their issuer-exemption set — almost always
         empty, so the common case is **one** shared group per batch.  A
         group freezes one view at its earliest member's start time (no
         member observes anything it could not have seen sequentially),
-        and each member's selector walks it from the member's per-cycle
-        ``("walk", cycle_seq)`` stream — views whose masks coincide share
-        one restricted snapshot through ``snapshot_for``.  The exception
-        is a windowed *weighted* group: cumulative weights are
+        and each member walks it from its per-cycle ``("walk",
+        cycle_seq)`` stream — views whose masks coincide share one
+        restricted snapshot through ``snapshot_for``.  The exception is
+        a windowed *weighted* group: cumulative weights are
         client-independent, so all members' particles advance through a
         single selection of ``num_tips * len(members)`` particles, drawn
-        from one ``("walk-group", batch, ordinal)`` stream.
+        here from one ``("walk-group", batch, ordinal)`` stream, and the
+        members' units carry their slices.
 
         Under link faults every client sees its own tangle, so members
         group per client — batching still fuses training.  Each
         per-client group still freezes at the same batch-wide time its
         exemption set would freeze at in clean mode, so ``always_on``
         (per-link machinery, zero fault rates) replays the clean trace
-        bit for bit at every quantum.  Attacker members skip the walk
-        phase entirely: their parents and payload draw from their
-        per-cycle stream, and the payload comes back in the second
-        returned mapping.
+        bit for bit at every quantum.  Attacker members walk their own
+        view at their own start time; parents and payload draw from
+        their per-cycle stream.
         """
         cfg = self.dag_config
         attackers = self.sim_config.attackers
         link = self._arrival is not None
-        tips_for: dict[int, list[str]] = {}
-        attack_flat: dict[int, np.ndarray] = {}
+        context = partial(
+            RoundContext, config=cfg, rng_factory=self._rngs, capture_state=False
+        )
+        payload_for: dict[int, tuple] = {}  # cycle_seq -> payload
         groups: dict[object, list[_Event]] = {}
         for event in ready:
             if event.client_id in attackers:
-                view = self._view_for(event.client_id, event.start_time)
-                rng = self._rngs.get("walk", event.cycle_seq)
-                tips, flat = random_weights_attack(view, cfg.num_tips, rng)
-                tips_for[event.cycle_seq] = tips
-                attack_flat[event.cycle_seq] = flat
+                payload_for[event.cycle_seq] = (
+                    context(view=self._view_for(event.client_id, event.start_time)),
+                    None,
+                    ClientWorkUnit(
+                        event.client_id,
+                        ("walk", event.cycle_seq),
+                        attack="random_weights",
+                    ),
+                )
                 continue
             own = self._own_publications.get(event.client_id, ())
             exempt = frozenset(
@@ -836,89 +865,46 @@ class EventDrivenTangleLearning:
             view = self._view_for(
                 members[0].client_id, freeze_time[exempt], exempt=bool(exempt)
             )
+            group_context = context(view=view)
+            drawn = None
             if fused:
                 rng = self._rngs.get("walk-group", batch, ordinal)
                 selector = self.make_selector(self.clients[members[0].client_id])
                 drawn = selector.select_tips(view, count * len(members), rng)
-                for i, member in enumerate(members):
-                    tips_for[member.cycle_seq] = drawn[i * count : (i + 1) * count]
-                continue
-            for member in members:
-                rng = self._rngs.get("walk", member.cycle_seq)
-                selector = self.make_selector(self.clients[member.client_id])
-                tips_for[member.cycle_seq] = selector.select_tips(view, count, rng)
-        return tips_for, attack_flat
+            for i, member in enumerate(members):
+                unit = ClientWorkUnit(
+                    member.client_id,
+                    ("walk", member.cycle_seq),
+                    tips=None if drawn is None else tuple(drawn[i * count : (i + 1) * count]),
+                    staleness=partial(self._staleness_weights, at_time=member.start_time),
+                )
+                payload_for[member.cycle_seq] = (
+                    group_context, self.clients[member.client_id], unit
+                )
+        return [payload_for[event.cycle_seq] for event in ready]
 
     def _process_batch(
         self, ready: list[_Event], ordered: list[SimEvent | _Event], windowed: bool
     ) -> list[SimEvent]:
-        """Run one superstep: walks, one fused training pass, commits.
-
-        Phases run over the whole batch, but everything that consumes a
-        per-client stream (batch planning via the client's shuffle rng)
-        or mutates shared state (publication) iterates in pop order —
-        which is also per-cycle time order, so commits replay exactly
-        the sequence a finer quantum would produce."""
-        if not ready:
-            for entry in ordered:  # churn-only superstep
-                self.now = entry.time
-                self.events.append(entry)
-            return []
-        tips_for, attack_flat = self._batch_tips(ready, windowed)
-
-        # Honest members plan one lockstep training job each, tagged by
-        # cycle_seq (train_grouped keys its results by tag, so attacker
-        # members — which train nothing — simply plan no job).
-        reference_accuracy: dict[int, float] = {}
-        model_jobs: dict[int, tuple] = {}  # id(model) -> (model, jobs)
-        for event in ready:
-            if event.cycle_seq in attack_flat:
-                continue
-            client = self.clients[event.client_id]
-            tips = tips_for[event.cycle_seq]
-            flat = reference_flat(
-                client,
-                [self.tangle.get(t) for t in tips],
-                self.dag_config.aggregator,
-                self._staleness_weights(tips, event.start_time),
+        """Run one superstep: its payloads go through the round plan's
+        pipeline in-process (walks, one fused training pass, finalize),
+        then results commit in pop order — which is also per-cycle time
+        order, so commits replay exactly the sequence a finer quantum
+        would produce."""
+        results = iter(
+            round_plan.run_training_plane_round(
+                _IN_PROCESS, self._superstep_payloads(ready, windowed), self.clients
             )
-            reference_accuracy[event.cycle_seq] = client.accuracy_of_flat(flat)
-            job = plan_client_job(client, flat, event.cycle_seq)
-            model_jobs.setdefault(id(client.model), (client.model, []))[1].append(job)
-
-        # One lockstep training-plane pass for the whole superstep.
-        trained = train_grouped(list(model_jobs.values())) if model_jobs else {}
-
+            if ready
+            else ()
+        )
         records: list[SimEvent] = []
         for entry in ordered:
+            self.now = entry.time
             if isinstance(entry, SimEvent):  # churn popped mid-window
-                self.now = entry.time
                 self.events.append(entry)
                 continue
-            event = entry
-            tips = tips_for[event.cycle_seq]
-            self.now = event.time
-            if event.cycle_seq in attack_flat:
-                records.append(
-                    self._commit_cycle(
-                        event, tips, attack_flat[event.cycle_seq], {"malicious": True}
-                    )
-                )
-                continue
-            client = self.clients[event.client_id]
-            row, _loss = trained[event.cycle_seq]
-            if client.personal_params:
-                client.update_personal_tail(client.model.flat_spec.unflatten(row))
-            records.append(
-                self._commit_cycle(
-                    event,
-                    tips,
-                    row,
-                    dict(client.data.metadata.get("tags", {})),
-                    client.accuracy_of_flat(row),
-                    reference_accuracy[event.cycle_seq],
-                )
-            )
+            records.append(self._commit_cycle(entry, next(results)))
         return records
 
     def _run_one_batch(
@@ -1028,7 +1014,7 @@ class EventDrivenTangleLearning:
         units = [
             ClientWorkUnit(
                 client_id=client_id,
-                round_index=self.round_index,
+                walk_key=("walk", self.round_index, client_id),
                 attack="random_weights" if client_id in attackers else None,
             )
             for client_id in active_ids
@@ -1049,8 +1035,7 @@ class EventDrivenTangleLearning:
             clients=self.clients,
         )
 
-        barrier_time = float(self.round_index + 1)
-        self.now = barrier_time
+        self.now = float(self.round_index + 1)  # the round barrier
         for unit, result in zip(units, results):
             client_id = result.client_id
             if unit.attack is None:  # honest client bookkeeping
@@ -1062,38 +1047,16 @@ class EventDrivenTangleLearning:
                 record.client_loss[client_id] = result.test_loss
             tx_id = None
             if result.publish:
-                # Results carry one flat vector per model; the tangle
-                # interns it as an arena row on add.
-                tx = Transaction.from_flat(
-                    tx_id=self.tangle.next_tx_id(client_id),
-                    parents=result.parents,
-                    flat=result.flat_weights,
-                    spec=self.tangle.spec,
-                    issuer=client_id,
+                tx_id = self._add_transaction(
+                    client_id,
+                    result,
+                    result.flat_weights,
                     round_index=self.round_index,
-                    tags=result.tags,
+                    propagate=False,
                 )
-                self.tangle.add(tx)
-                record.published.append(tx.tx_id)
-                tx_id = tx.tx_id
-                # Barrier visibility: published and network-visible at
-                # the round boundary, keeping the visibility rows aligned.
-                self._append_row(tx_id, client_id, barrier_time, barrier_time)
-                self._own_publications.setdefault(client_id, []).append(
-                    (barrier_time, barrier_time, tx_id)
-                )
-            self.events.append(
-                SimEvent(
-                    time=barrier_time,
-                    kind="train",
-                    client_id=client_id,
-                    published=result.publish,
-                    accuracy=result.test_accuracy,
-                    reference_accuracy=result.reference_accuracy,
-                    tx_id=tx_id,
-                    start_time=float(self.round_index),
-                )
-            )
+            if tx_id is not None:
+                record.published.append(tx_id)
+            self._record_train(client_id, result, tx_id, float(self.round_index))
         self.round_index += 1
         self.round_history.append(record)
         return record

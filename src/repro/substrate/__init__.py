@@ -17,12 +17,13 @@ results for a fixed seed.
 - :mod:`repro.substrate.round_plan` — picklable work units, the shared
   :class:`RoundContext`, :func:`execute_unit`, and the state-delta
   machinery that folds worker results back into coordinator clients.
-  :func:`run_training_plane_round` is the lockstep-training variant of a
-  round: per-client walk/reference units (:func:`execute_prep_unit`)
-  through any executor, then one fused local-SGD pass across all
-  participants (:mod:`repro.nn.training_plane`), then per-client
-  finalization; :func:`execute_unit` is the same three phases for one
-  client, so the two are bit-identical.
+  :func:`run_training_plane_round` runs every in-process round and
+  every event-engine superstep: per-unit walk/reference preps
+  (:func:`execute_prep_unit`) through any executor, then one fused
+  local-SGD pass across all participants
+  (:mod:`repro.nn.training_plane`), then per-unit finalization;
+  :func:`execute_unit` is the same three phases for one client, so the
+  two are bit-identical.
 
 See ``docs/architecture.md`` for the layer map and a walkthrough of one
 round through this substrate.
@@ -50,7 +51,6 @@ from repro.substrate.round_plan import (
     execute_unit,
     plan_client_job,
     probe_in_process,
-    random_weights_attack,
     reference_flat,
     run_training_plane_round,
 )
@@ -75,7 +75,6 @@ __all__ = [
     "probe_in_process",
     "apply_result",
     "plan_client_job",
-    "random_weights_attack",
     "reference_flat",
     "run_training_plane_round",
 ]

@@ -296,21 +296,6 @@ class AutoExecutor:
         self.last_estimate = (ipc, dense)
         return ipc > self.ipc_budget or dense < self.min_work_bytes
 
-    def will_run_in_process(self, unit_count: int) -> bool:
-        """Count-only probe: True when ``unit_count`` items *certainly*
-        stay in-process.
-
-        Without seeing the payloads this can only decide the cheap
-        directions (single-core, below ``min_units``); a False here
-        means "may go parallel" — the byte thresholds can still route
-        the actual ``map`` serially, which is safe for coordinators
-        (capturing state for an in-process round wastes a copy but
-        cannot corrupt results).  Coordinators holding the payloads
-        should prefer :meth:`will_run_in_process_payloads`, which
-        mirrors :meth:`map` exactly.
-        """
-        return self.parallelism == 1 or unit_count < self.min_units
-
     def will_run_in_process_payloads(self, items: Sequence) -> bool:
         """Payload-aware probe: mirrors :meth:`map`'s routing exactly."""
         return self._route_in_process(items)

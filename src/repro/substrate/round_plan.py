@@ -1,23 +1,30 @@
-"""Round plans: the per-client work of one simulated round, made portable.
+"""Work plans: the one runner of a client's cycle, for rounds and cycles.
 
-One round of DAG learning decomposes into independent *work units* — for
-each active client: two biased walks over a **frozen** end-of-last-round
-tangle view, local training from the aggregated tip models, and the
-publish decision.  Nothing a client does in round *r* can observe
-anything published in round *r* (concurrent publication is the paper's
-visibility model), so the units are embarrassingly parallel.
+Every client does the same cycle: select tips over a **frozen** view,
+merge their models, train locally, and decide whether to publish.  Both
+schedulers of :class:`repro.sim.engine.EventDrivenTangleLearning` hand
+that work here as *work units*: a round's sampled clients over the
+end-of-last-round view, or an event-engine superstep's cycles over the
+views the engine froze for them.  Nothing a unit does can observe
+anything published by its own round or superstep, so the units are
+embarrassingly parallel.
 
 This module gives the units an explicit, picklable form so any
 :class:`~repro.substrate.executor.Executor` can evaluate them:
 
-- :class:`ClientWorkUnit` — which client, which round, honest or attack;
-- :class:`RoundContext` — everything shared by the round's units (the
-  frozen view, protocol config, the rng factory seed);
-- :func:`execute_unit` — runs one unit to a :class:`ClientRoundResult`
-  (walk and flat reference, one-job lockstep training, finalize);
+- :class:`ClientWorkUnit` — which client, which walk stream, honest or
+  attack (plus, for a cycle, pre-drawn tips or staleness weights);
+- :class:`RoundContext` — a unit's frozen view, protocol config and
+  rng factory (one context per round, one per view group of a
+  superstep);
+- :func:`run_training_plane_round` — prep (walk and flat reference) per
+  unit, one lockstep training pass, then the shared finalize; every
+  superstep and every in-process round runs through it;
+- :func:`execute_unit` — the same three phases for one unit, the form a
+  round crossing to a process pool maps;
 - :func:`apply_result` — folds a result back into the canonical client.
 
-Determinism: the walk rng is keyed ``("walk", round, client)`` via
+Determinism: the walk rng is keyed by the unit's ``walk_key`` via
 :class:`~repro.utils.rng.RngFactory`, and training randomness comes from
 the client's own generator whose state travels inside the (possibly
 copied) :class:`~repro.fl.client.Client`.  A worker process therefore
@@ -27,9 +34,8 @@ round starts identically — serial and parallel execution produce
 bit-identical round records for a fixed seed.
 
 Transaction ids are **not** assigned inside units: the id counter is
-shared tangle state, so the coordinator assigns ids after the fact, in
-active-client order over the units that chose to publish — the exact
-order the serial loop produced historically.
+shared tangle state, so the caller commits results after the fact, in
+unit order — active-client order in a round, pop order in a superstep.
 """
 
 from __future__ import annotations
@@ -71,7 +77,6 @@ __all__ = [
     "probe_in_process",
     "apply_result",
     "plan_client_job",
-    "random_weights_attack",
     "reference_flat",
     "run_training_plane_round",
 ]
@@ -119,11 +124,21 @@ def build_selector(
 
 @dataclass(frozen=True)
 class ClientWorkUnit:
-    """One client's slice of a round: who works, and how."""
+    """One client's slice of a round or a superstep: who works, and how.
+
+    ``walk_key`` names the unit's walk stream in the rng factory:
+    ``("walk", round, client)`` in a round, ``("walk", cycle_seq)`` for
+    an event-engine cycle.  A cycle may also carry the ``tips`` its
+    windowed weighted group already drew (the unit then walks nothing)
+    and ``staleness``, which maps the unit's tips to the parents'
+    weights by age.  Round units leave both ``None`` and so pickle.
+    """
 
     client_id: int
-    round_index: int
+    walk_key: tuple
     attack: str | None = None  # None = honest; "random_weights" = attacker
+    tips: tuple[str, ...] | None = None
+    staleness: Callable[[list[str]], np.ndarray | None] | None = None
 
 
 @dataclass
@@ -193,12 +208,14 @@ class ClientRoundResult:
 
 @dataclass(frozen=True)
 class RoundContext:
-    """Round-shared inputs: the frozen view and protocol parameters.
+    """A unit's shared inputs: its frozen view and protocol parameters.
 
-    ``view`` is whatever the simulator's visibility rule exposes for the
-    round (the raw tangle when there is no propagation delay); it must
-    not change while units execute.  ``rng_factory`` reconstructs the
-    per-``(round, client)`` walk streams identically in any process.
+    ``view`` is whatever the simulator's visibility rule exposes to the
+    unit (the raw tangle in a round without propagation delay, a view
+    group's frozen timed view in a superstep); it must not change while
+    units execute.  Walks run over the view's snapshot; parents and
+    scores resolve against the view's tangle.  ``rng_factory``
+    reconstructs every unit's walk stream identically in any process.
     ``capture_state`` requests :class:`ClientStateDelta` snapshots in the
     results; coordinators set it to ``False`` for executors that run
     units on the canonical objects (``shares_memory``), where the
@@ -221,8 +238,7 @@ def reference_flat(
     share (:func:`~repro.dag.arena.shared_rows`), or row by row for
     mixed storage.  It reduces through the named flat aggregator or,
     given normalized staleness ``weights``, as the weighted row sum.
-    Every round unit and every event-engine cycle builds its reference
-    here.
+    Every unit builds its reference here (:func:`execute_prep_unit`).
     """
     spec = client.model.flat_spec
     stacked = shared_rows(parents, spec)
@@ -237,21 +253,15 @@ def reference_flat(
     return flat
 
 
-def random_weights_attack(
-    view, num_tips: int, rng: np.random.Generator
-) -> tuple[list[str], np.ndarray]:
-    """The random-weights attack (round units and the event engine's
-    attacker cycles alike): uniform parents, a random flat payload."""
-    tips = RandomTipSelector().select_tips(view, num_tips, rng)
+def _execute_attack(context: RoundContext, unit: ClientWorkUnit) -> ClientRoundResult:
+    """The random-weights attack: uniform parents, a random flat payload,
+    both drawn from the unit's walk stream."""
+    rng = context.rng_factory.get(*unit.walk_key)
+    view = context.view
+    tips = RandomTipSelector().select_tips(view, context.config.num_tips, rng)
     # One normal draw per parameter array (the historical per-layer rng
     # stream); shipped as a single vector.
-    return tips, flatten_weights(random_weight_update(view.genesis.model_weights, rng))
-
-
-def _execute_attack(
-    context: RoundContext, unit: ClientWorkUnit, rng: np.random.Generator
-) -> ClientRoundResult:
-    tips, flat = random_weights_attack(context.view, context.config.num_tips, rng)
+    flat = flatten_weights(random_weight_update(view.genesis.model_weights, rng))
     return ClientRoundResult(
         client_id=unit.client_id,
         publish=True,
@@ -312,18 +322,14 @@ def probe_in_process(executor, payloads: list) -> bool:
 
     Prefers the payload-aware probe (mirrors an
     :class:`~repro.substrate.executor.AutoExecutor`'s byte-cost routing
-    exactly), falls back to the count-only probe, then to the static
-    ``shares_memory`` flag.  Coordinators use the answer to decide
-    ``RoundContext.capture_state``: the only unsafe mistake is claiming
-    in-process for a round that crosses a boundary, and every fallback
-    here errs the other way.
+    exactly), falls back to the static ``shares_memory`` flag.
+    Coordinators use the answer to decide ``RoundContext.capture_state``:
+    the only unsafe mistake is claiming in-process for a round that
+    crosses a boundary, and the fallback errs the other way.
     """
     payload_probe = getattr(executor, "will_run_in_process_payloads", None)
     if payload_probe is not None:
         return payload_probe(payloads)
-    count_probe = getattr(executor, "will_run_in_process", None)
-    if count_probe is not None:
-        return count_probe(len(payloads))
     return getattr(executor, "shares_memory", False)
 
 
@@ -383,12 +389,12 @@ def execute_round(
     if in_process or any(
         draws_dropout_masks(client.model) for _, client, _ in payloads if client
     ):
-        return run_training_plane_round(executor, context, payloads, clients)
+        return run_training_plane_round(executor, payloads, clients)
     return executor.map(execute_unit, payloads)
 
 
 # --------------------------------------------------------------------------
-# Training-plane rounds: walk per client, train in lockstep, finalize.
+# The pipeline: walk per unit, train in lockstep, finalize.
 # --------------------------------------------------------------------------
 
 
@@ -396,11 +402,11 @@ def execute_round(
 class ClientPrepResult:
     """Everything an honest unit produces *before* local training.
 
-    Every round splits at the training boundary: walks, the reference
+    Every unit splits at the training boundary: walks, the reference
     and its evaluation stay per-client (and keep parallelizing across
     workers); local training then runs through the lockstep plane —
-    one job in :func:`execute_unit`, the whole round's stacked
-    references on the coordinator in :func:`run_training_plane_round`.
+    one job in :func:`execute_unit`, the whole round's or superstep's
+    stacked references in :func:`run_training_plane_round`.
     ``reference_flat`` is the client's post-personalization starting
     point as one float64 vector — the row the lockstep ``(K, P)`` stack
     is assembled from.
@@ -424,22 +430,20 @@ def execute_prep_unit(
 ) -> ClientPrepResult:
     """The walk/aggregation half of a unit.
 
-    Performs tip selection, the flat reference (:func:`reference_flat`),
-    and the reference (publish-gate baseline) evaluation — everything up
-    to, but not including, local training.  The walk rng is
-    factory-keyed while the client's shuffle rng is untouched here, so
-    splitting a unit at this boundary cannot shift any stream.
+    Performs tip selection (unless the unit carries its tips), the flat
+    reference (:func:`reference_flat`, staleness-weighted when the unit
+    says so), and the reference (publish-gate baseline) evaluation —
+    everything up to, but not including, local training.  The walk rng
+    is factory-keyed while the client's shuffle rng is untouched here,
+    so splitting a unit at this boundary cannot shift any stream.
     """
     context, client, unit = payload
-    config = context.config
-    walk_rng = context.rng_factory.get("walk", unit.round_index, unit.client_id)
-
     if unit.attack is not None:
         return ClientPrepResult(
-            client_id=unit.client_id,
-            attack_result=_execute_attack(context, unit, walk_rng),
+            client_id=unit.client_id, attack_result=_execute_attack(context, unit)
         )
     assert client is not None
+    config = context.config
     cache_mark = client.cache_mark()
     evaluations = 0
 
@@ -447,12 +451,21 @@ def execute_prep_unit(
         nonlocal evaluations
         evaluations += candidates
 
-    selector = build_selector(client, context.view, config, count)
+    # The walk only reaches ids visible in the view, so the view's
+    # tangle resolves them without a second per-id visibility check.
+    tangle = getattr(context.view, "tangle", context.view)
     stopwatch = Stopwatch()
-    with stopwatch:
-        tips = selector.select_tips(context.view, config.num_tips, walk_rng)
+    tips = unit.tips
+    if tips is None:
+        selector = build_selector(client, tangle, config, count)
+        walk_rng = context.rng_factory.get(*unit.walk_key)
+        with stopwatch:
+            tips = selector.select_tips(context.view, config.num_tips, walk_rng)
     reference = reference_flat(
-        client, [context.view.get(t) for t in tips], config.aggregator
+        client,
+        [tangle.get(t) for t in tips],
+        config.aggregator,
+        None if unit.staleness is None else unit.staleness(tips),
     )
     reference_accuracy = client.accuracy_of_flat(reference)
 
@@ -476,9 +489,7 @@ def plan_client_job(client: "Client", start_flat: np.ndarray, tag: object) -> Tr
     Planning the batch schedule here is deliberate — it consumes the
     client's shuffle rng exactly as ``train_local`` would, so callers
     must plan jobs in the same order the sequential path would train
-    them.  Shared by the round substrate and the event-driven simulator
-    (:mod:`repro.sim`), whose supersteps stack these jobs per model into
-    one :func:`repro.nn.training_plane.train_grouped` call.
+    them.
     """
     train_config = client.config
     batches = plan_local_batches(
@@ -501,50 +512,50 @@ def plan_client_job(client: "Client", start_flat: np.ndarray, tag: object) -> Tr
 
 def run_training_plane_round(
     executor,
-    context: RoundContext,
     payloads: list[tuple[RoundContext, "Client | None", ClientWorkUnit]],
     clients: dict[int, "Client"],
 ) -> list[ClientRoundResult]:
-    """One round with lockstep local training; drop-in for the
-    ``executor.map(execute_unit, payloads)`` call.
+    """One round or superstep with lockstep local training; drop-in for
+    the ``executor.map(execute_unit, payloads)`` call.
 
-    Three phases:
+    Called by :func:`execute_round` for in-process rounds and by the
+    event engine for every superstep (a sequential cycle is a superstep
+    of one), with a :class:`~repro.substrate.executor.SerialExecutor`
+    and contexts that skip state capture.  Three phases:
 
     1. **Prep** — :func:`execute_prep_unit` per unit through the given
        executor (walks and reference evaluations parallelize exactly as
        whole units did); worker state deltas fold into the canonical
        clients immediately, because phase 2 consumes their rng streams.
-    2. **Lockstep training** — jobs are planned in active-client order
+    2. **Lockstep training** — jobs are planned in unit order
        (consuming each client's shuffle rng exactly as ``train_local``
-       would), grouped by shared model and optimizer configuration, and
-       advanced by :class:`~repro.nn.training_plane.LockstepTrainer` in
-       fused supersteps.  Mixed-architecture rounds simply form one
-       group per model; unfused models fall back per model inside the
-       trainer.
-    3. **Finalize** — per client in order: personal-tail update, test
+       would), grouped by shared model, and advanced by
+       :class:`~repro.nn.training_plane.LockstepTrainer` in fused
+       supersteps.  Mixed-architecture rounds simply form one group per
+       model; unfused models fall back per model inside the trainer.
+    3. **Finalize** — per unit in order: personal-tail update, test
        evaluation of the trained row, publish gate — the same code
        :func:`execute_unit` finalizes its one client with.
 
     Because lockstep training is bit-identical to the per-client loop,
-    the round's results are identical to mapping :func:`execute_unit`
-    no matter which executor ran phase 1.  The returned results carry
-    no state deltas (phases 2-3 already ran on the canonical clients).
+    the results are identical to mapping :func:`execute_unit` no matter
+    which executor ran phase 1.  The returned results carry no state
+    deltas (phases 2-3 already ran on the canonical clients).
     """
     preps = executor.map(execute_prep_unit, payloads)
-    for payload, prep in zip(payloads, preps):
-        unit = payload[2]
+    for (_, _, unit), prep in zip(payloads, preps):
         if unit.attack is None and prep.state is not None:
             _apply_state_delta(clients[prep.client_id], prep.state)
 
-    # Plan jobs in active order; group by model so mixed-architecture
+    # Plan jobs in unit order; group by model so mixed-architecture
     # rounds fuse what they can, per model.  Dropout stream order is
     # client-major *across* a model's whole job list, so all of a
     # model's jobs must go through ONE trainer call — jobs carry their
     # own optimizer config, and fusion within the call requires it to
     # be uniform across the fused rows.
     model_jobs: dict[int, tuple] = {}  # id(model) -> (model, jobs)
-    for index, (payload, prep) in enumerate(zip(payloads, preps)):
-        if payload[2].attack is not None:
+    for index, prep in enumerate(preps):
+        if prep.attack_result is not None:
             continue
         client = clients[prep.client_id]
         job = plan_client_job(client, prep.reference_flat, index)
@@ -555,9 +566,8 @@ def run_training_plane_round(
     )
 
     results: list[ClientRoundResult] = []
-    for index, (payload, prep) in enumerate(zip(payloads, preps)):
-        if payload[2].attack is not None:
-            assert prep.attack_result is not None
+    for index, ((context, _, _), prep) in enumerate(zip(payloads, preps)):
+        if prep.attack_result is not None:
             results.append(prep.attack_result)
             continue
         row, _train_loss = trained[index]

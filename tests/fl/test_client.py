@@ -319,6 +319,25 @@ def test_accuracy_of_non_finite_flat_is_zero(client):
     assert client.evaluations == before + 1
 
 
+def test_evaluation_of_non_finite_weights_scores_zero(client):
+    """``evaluate_flat`` / ``evaluate_weights`` share the accuracy guard:
+    NaN logits argmax to class 0, so a forward pass would score the
+    share of label-0 test samples.  Instead: one evaluation counted,
+    accuracy 0.0, loss inf — the same accuracy ``accuracy_of_flat``
+    gives the same row."""
+    assert (client.data.y_test == 0).any()
+    flat = np.array(client.model.get_flat(), copy=True)
+    flat[:] = np.nan
+    weights = client.model.flat_spec.unflatten(flat)
+    before = client.evaluations
+    assert client.evaluate_flat(flat) == (np.inf, 0.0)
+    assert client.evaluate_weights(weights) == (np.inf, 0.0)
+    assert client.evaluations == before + 2
+    assert client.accuracy_of_flat(flat) == 0.0
+    for w in client.model.get_weights():
+        assert np.isfinite(w).all()
+
+
 def test_non_finite_guard_does_not_clobber_loaded_model(client):
     """Scoring a corrupt vector must not leave NaN inside the model:
     the guard rejects it before any weights are loaded."""

@@ -103,16 +103,16 @@ def test_quantum_batches_share_one_training_pass(
     """The whole superstep's local training goes through a single
     train_grouped call (the training-plane fusion the batching exists
     for)."""
-    import repro.sim.engine as engine_module
+    from repro.substrate import round_plan
 
     calls = []
-    original = engine_module.train_grouped
+    original = round_plan.train_grouped
 
     def counting(jobs_by_model):
         calls.append(sum(len(jobs) for _, jobs in jobs_by_model))
         return original(jobs_by_model)
 
-    monkeypatch.setattr(engine_module, "train_grouped", counting)
+    monkeypatch.setattr(round_plan, "train_grouped", counting)
     engine = make_engine(
         sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
         SimConfig(
@@ -136,16 +136,16 @@ def test_batched_reference_is_flat_unless_personalized(
     builds its reference through ``reference_flat``, which must equal
     the per-layer oracle: the reference aggregator, with a personalized
     client's own tail grafted on."""
-    import repro.sim.engine as engine_module
+    from repro.substrate import round_plan
 
     calls = []
-    original = engine_module.reference_flat
+    original = round_plan.reference_flat
 
     def counting(client, parents, aggregator, weights=None):
         calls.append(client.client_id)
         return original(client, parents, aggregator, weights)
 
-    monkeypatch.setattr(engine_module, "reference_flat", counting)
+    monkeypatch.setattr(round_plan, "reference_flat", counting)
     dag_config = DagConfig(
         alpha=5.0, depth_range=(2, 5), personal_params=personal_params
     )
@@ -164,6 +164,47 @@ def test_batched_reference_is_flat_unless_personalized(
         REFERENCE_AGGREGATORS["mean"]([tx.model_weights for tx in parents])
     )
     assert flat.tobytes() == client.model.flat_spec.flatten(listed).tobytes()
+
+
+def test_supersteps_and_rounds_reach_the_one_pipeline(
+    sim_dataset, logistic_builder, sim_train_config, sim_dag_config, monkeypatch
+):
+    """Both schedulers feed the round plan: every superstep of a
+    quantum-batched run and every in-process round is exactly one
+    ``run_training_plane_round`` call over its cycles or clients."""
+    from repro.substrate import round_plan
+
+    units = []
+    original = round_plan.run_training_plane_round
+
+    def counting(executor, payloads, clients):
+        units.append([unit.client_id for _, _, unit in payloads])
+        return original(executor, payloads, clients)
+
+    monkeypatch.setattr(round_plan, "run_training_plane_round", counting)
+    batched = []
+    original_batch = EventDrivenTangleLearning._process_batch
+
+    def superstep(self, ready, ordered, windowed):
+        batched.append([event.client_id for event in ready])
+        return original_batch(self, ready, ordered, windowed)
+
+    monkeypatch.setattr(EventDrivenTangleLearning, "_process_batch", superstep)
+    engine = make_engine(
+        sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
+        SimConfig(quantum=0.75),
+    )
+    events = engine.run_until(8.0)
+    assert any(len(members) > 1 for members in batched)
+    assert units == [members for members in batched if members]
+    assert sum(map(len, units)) == len(events)
+
+    units.clear()
+    with make_engine(
+        sim_dataset, logistic_builder, sim_train_config, sim_dag_config, SimConfig()
+    ) as rounds:
+        records = rounds.run_rounds(3, clients_per_round=4)
+    assert units == [record.active_clients for record in records]
 
 
 def test_weighted_selector_batches_walks_per_group(

@@ -353,6 +353,40 @@ def test_fault_stats_surface_in_runner_metrics(
     assert bundle["fault_stats"]["quarantined"] > 0
 
 
+@pytest.mark.parametrize("publish_gate", [True, False])
+def test_round_barrier_quarantines_non_finite_rows(publish_gate):
+    """Round commits share the cycles' publish path: a step size of
+    1e308 overflows every trained row, and each one that clears the
+    publish gate is quarantined — counted, flagged on its event, left
+    out of the round record and never added to the tangle."""
+    from repro.fl import TangleLearning, TrainingConfig
+    from repro.nn import zoo
+
+    dataset = make_fedprox_synthetic(num_clients=6, mean_samples=20, seed=3)
+    features = dataset.clients[0].x_train.shape[1]
+    sim = TangleLearning(
+        dataset,
+        lambda rng: zoo.build_logistic_regression(
+            rng, in_features=features, num_classes=10
+        ),
+        TrainingConfig(learning_rate=1e308, local_epochs=5, batch_size=4),
+        DagConfig(publish_gate=publish_gate),
+        clients_per_round=4,
+        seed=0,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = sim.run(3)
+    train = [e for e in sim.events if e.kind == "train"]
+    assert len(train) == 12
+    assert all(not record.published for record in records)
+    assert len(sim.tangle) == 1, "nothing non-finite reaches the arena"
+    assert all(e.published is False and e.tx_id is None for e in train)
+    quarantined = [e for e in train if e.quarantined]
+    assert sim.fault_stats["quarantined"] == len(quarantined)
+    if not publish_gate:
+        assert len(quarantined) == len(train)
+
+
 # ------------------------------------------------------------- attackers
 def test_attacker_cycles_publish_malicious_transactions(
     sim_dataset, logistic_builder, sim_train_config, sim_dag_config

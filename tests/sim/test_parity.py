@@ -223,21 +223,24 @@ QUANTUM_REPLAY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("selector", list(QUANTUM_REPLAY_DIGESTS))
-def test_quantum_batches_replay_draw_for_draw(
-    sim_dataset, logistic_builder, sim_train_config, selector
-):
+def quantum_replay_digest(dataset, builder, train_config, selector):
     engine = EventDrivenTangleLearning(
-        sim_dataset, logistic_builder, sim_train_config,
+        dataset, builder, train_config,
         DagConfig(alpha=5.0, depth_range=(2, 5), selector=selector),
         sim_config=SimConfig(quantum=0.6, attackers={2}),
         seed=5,
     )
     trace = publish_trace(engine.run_until(14.0))
     assert any(e.client_id == 2 and e.published for e in engine.events)
-    assert (
-        digest(trace, tangle_ids(engine.tangle)) == QUANTUM_REPLAY_DIGESTS[selector]
-    )
+    return digest(trace, tangle_ids(engine.tangle))
+
+
+@pytest.mark.parametrize("selector", list(QUANTUM_REPLAY_DIGESTS))
+def test_quantum_batches_replay_draw_for_draw(
+    sim_dataset, logistic_builder, sim_train_config, selector
+):
+    fixtures = (sim_dataset, logistic_builder, sim_train_config)
+    assert quantum_replay_digest(*fixtures, selector) == QUANTUM_REPLAY_DIGESTS[selector]
 
 
 def engine_trace_digest(
@@ -346,6 +349,63 @@ def test_single_cycle_digests(
     )
 
 
+def windowed(dag_config, sim_config, seed):
+    """A ``run_until(10.0)`` trace digest of one windowed regime."""
+    return lambda *fixtures: engine_trace_digest(
+        *fixtures, dag_config, sim_config, seed=seed
+    )
+
+
+#: Regimes no earlier pin covered, as ``(dataset, builder,
+#: train_config) -> digest`` callables: the windowed superstep with
+#: per-client groups (link machinery on, the ``async_churn`` regime),
+#: with composed faults and an attacker, with personalization and
+#: staleness weights, with a fused weighted draw plus staleness weights,
+#: and a round whose view lags one round behind.
+PIPELINE_SCENARIOS = {
+    "windowed-always-on": windowed(
+        _ACCURACY, SimConfig(quantum=0.5, faults=FaultModel(always_on=True)), 31
+    ),
+    "windowed-composed-faults": windowed(
+        _ACCURACY,
+        SimConfig(quantum=0.5, faults=_COMPOSED_FAULTS, attackers={2}),
+        32,
+    ),
+    "windowed-personalized-polynomial": windowed(
+        DagConfig(alpha=5.0, depth_range=(2, 5), personal_params=1),
+        SimConfig(quantum=0.5, staleness=StalenessPolicy("polynomial", alpha=0.5)),
+        33,
+    ),
+    "windowed-weighted-polynomial": windowed(
+        _WEIGHTED,
+        SimConfig(quantum=0.5, staleness=StalenessPolicy("polynomial", alpha=0.5)),
+        34,
+    ),
+    "rounds-visibility-delay": lambda *fixtures: rounds_digest(
+        *fixtures,
+        DagConfig(alpha=5.0, depth_range=(2, 5), visibility_delay=1),
+        SimConfig(attackers={3}),
+    ),
+}
+
+#: Recorded at the parent of the commit that made the round plan the one
+#: runner of a cycle's and a round's work (engine-side walks, reference
+#: and ``train_grouped`` call for cycles; a separate round commit).
+PIPELINE_DIGESTS = {
+    "windowed-always-on": "cf8f05c3dd49319b83a46bfd03e31f7bf84d98bdc77cf172755387a2606db8d7",
+    "windowed-composed-faults": "988967db1275b13970c978893e699b5a9ebb62fddc2536f62f1b03a6a131807b",
+    "windowed-personalized-polynomial": "835e5c03756a5f8a0e4605e17e4a7a40220648176e4dbedd1b73e02ee397ed35",
+    "windowed-weighted-polynomial": "788bc1a1733821a48bf569a4779f5875e249963de3951c7141c8b3931b5c39ef",
+    "rounds-visibility-delay": "c6c81ada027211dd8732cb0d07d4d8cf52bd9b0ea04301084b7a57668e32ed41",
+}
+
+
+@pytest.mark.parametrize("scenario", list(PIPELINE_SCENARIOS))
+def test_pipeline_digests(sim_dataset, logistic_builder, sim_train_config, scenario):
+    fixtures = (sim_dataset, logistic_builder, sim_train_config)
+    assert PIPELINE_SCENARIOS[scenario](*fixtures) == PIPELINE_DIGESTS[scenario]
+
+
 def test_round_mode_events_mirror_records(
     sim_dataset, logistic_builder, sim_train_config, sim_dag_config
 ):
@@ -403,3 +463,67 @@ def test_uniform_schedule_processes_clients_in_id_order(
     events = engine.run_cycles(len(engine.clients))
     assert [e.time for e in events] == [2.0] * len(engine.clients)
     assert [e.client_id for e in events] == sorted(engine.clients)
+
+
+def digest_tables(fixtures) -> dict[str, dict]:
+    """Every digest table above, recomputed on the current tree."""
+    from repro.dag.random_walk import sequential_select_tips
+    from repro.dag.tip_selection import AccuracyTipSelector, WeightedTipSelector
+
+    def legacy(name):
+        if name in ROUND_SCENARIOS:
+            return rounds_digest(*fixtures, ROUND_SCENARIOS[name])
+        return SCENARIOS[name](*fixtures)
+
+    selectors = (AccuracyTipSelector, WeightedTipSelector)
+    originals = [selector.select_tips for selector in selectors]
+    for selector in selectors:
+        selector.select_tips = sequential_select_tips
+    try:
+        legacy_table = {
+            name: legacy(name) for name in LEGACY_DIGESTS if name != "weighted-engine"
+        }
+    finally:
+        for selector, original in zip(selectors, originals):
+            selector.select_tips = original
+    legacy_table["weighted-engine"] = legacy("weighted-engine")
+    return {
+        "LEGACY_DIGESTS": {name: legacy_table[name] for name in LEGACY_DIGESTS},
+        "ENGINE_DIGESTS": {name: SCENARIOS[name](*fixtures) for name in ENGINE_DIGESTS},
+        "QUANTUM_REPLAY_DIGESTS": {
+            name: quantum_replay_digest(*fixtures, name)
+            for name in QUANTUM_REPLAY_DIGESTS
+        },
+        "SINGLE_CYCLE_DIGESTS": {
+            name: engine_trace_digest(
+                *fixtures, dag_config, sim_config, seed=seed, steps=steps
+            )
+            for name, (dag_config, sim_config, seed, steps) in (
+                SINGLE_CYCLE_SCENARIOS.items()
+            )
+        },
+        "PIPELINE_DIGESTS": {
+            name: scenario(*fixtures) for name, scenario in PIPELINE_SCENARIOS.items()
+        },
+    }
+
+
+if __name__ == "__main__":  # re-record: PYTHONPATH=src python <this file>
+    from repro.data import make_fedprox_synthetic
+    from repro.fl import TrainingConfig
+    from repro.nn import zoo
+
+    dataset = make_fedprox_synthetic(num_clients=8, mean_samples=20, seed=3)
+    features = dataset.clients[0].x_train.shape[1]
+    fixtures = (
+        dataset,
+        lambda rng: zoo.build_logistic_regression(
+            rng, in_features=features, num_classes=10
+        ),
+        TrainingConfig(local_epochs=1, batch_size=8, learning_rate=0.05),
+    )
+    for table, digests in digest_tables(fixtures).items():
+        print(f"{table} = {{")
+        for name, value in digests.items():
+            print(f'    "{name}": "{value}",')
+        print("}")

@@ -65,8 +65,10 @@ def test_make_executor_auto_and_rejects_unknown_strings():
 
 
 def test_auto_small_batches_route_serial():
-    with AutoExecutor(workers=2, min_units=4) as ex:
-        assert ex.will_run_in_process(3) and not ex.will_run_in_process(4)
+    # Byte thresholds zeroed: only the unit count decides the route.
+    with AutoExecutor(workers=2, min_units=4, min_work_bytes=0) as ex:
+        assert ex.will_run_in_process_payloads([1, 2, 3])
+        assert not ex.will_run_in_process_payloads([1, 2, 3, 4])
         assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
         assert ex.last_mode == "serial"
         assert ex.mode_counts == {"serial": 1, "parallel": 0, "fallback": 0}
@@ -163,18 +165,6 @@ def test_auto_routing_decision_table(footprint, expected):
         assert ex.last_estimate == (footprint[0] * 4, footprint[1] * 4)
     finally:
         ex.close()
-
-
-def test_auto_count_probe_is_conservative():
-    # The count-only probe may answer "may go parallel" (False) for a
-    # batch the byte thresholds route serial — safe direction — but must
-    # never answer "in-process" for a batch that then goes parallel.
-    items = [FakePayload(10, 10) for _ in range(4)]  # dense below floor
-    with AutoExecutor(workers=2, min_units=4, min_work_bytes=100) as ex:
-        assert not ex.will_run_in_process(len(items))
-        assert ex.will_run_in_process_payloads(items)
-        ex.map(identity, items)
-        assert ex.last_mode == "serial"
 
 
 # ------------------------------------------------- crash resilience

@@ -184,7 +184,7 @@ def test_training_plane_parallel_identical_to_serial(
         try:
             sim.run(2)  # a tangle deep enough for the walks to matter
             units = [
-                ClientWorkUnit(client_id, sim.round_index, attack)
+                ClientWorkUnit(client_id, ("walk", sim.round_index, client_id), attack)
                 for client_id, attack in zip(
                     sorted(sim.clients)[:4], (None, None, "random_weights", None)
                 )
