@@ -1,11 +1,12 @@
 """Lockstep walk-engine benchmarks: frontier-batched tip selection.
 
-PR 3 fused a single walk *step*'s candidate evaluations; the engine
-(`repro.dag.walk_engine`) batches across a whole selection: every
-particle advances in lockstep supersteps over a per-epoch CSR snapshot,
-scores come from a NaN-sentinel memo prefilled from the client cache,
-and each particle's next node is drawn by row-wise Gumbel-max — no
-per-step Python dict walking, no ``rng.choice``.
+The fused walk step batches a single step's candidate evaluations; the
+engine (`repro.dag.walk_engine`) batches across a whole selection:
+every particle advances in lockstep supersteps over a per-epoch CSR
+snapshot, scores come from a memo (NaN = not yet scored at entry, an
+explicit scored-mask after) prefilled from the client cache, and each
+particle's next node is drawn by row-wise Gumbel-max — no per-step
+Python dict walking, no ``rng.choice``.
 
 Enforced floors, recorded to ``BENCH_walk_engine.json`` for CI:
 
@@ -17,6 +18,12 @@ Enforced floors, recorded to ``BENCH_walk_engine.json`` for CI:
   from the *same tip distribution* (asserted by total-variation
   distance over thousands of walks; the per-superstep transition law is
   pinned analytically in ``tests/property/test_properties_walk_engine.py``).
+- **Narrow selection**: the same on ``select_tips(count=2)`` — the
+  simulators' ``num_tips`` — where every superstep steps on Python
+  scalars; floor ``NARROW_FLOOR``.  Next to it, ``stepper_crossover``
+  records per live-particle count the smallest frontier block (cells =
+  particles x widest candidate list) at which the vectorized stepper
+  beats the scalar one, beside the engine's ``_SCALAR_BLOCK_CELLS``.
 
 The sequential walker is the reference ``sequential_select_tips`` — no
 configuration runs it, so there is no end-to-end pair to time here; the
@@ -30,13 +37,16 @@ Timings are best-of-N (the fan: p50) so a noisy-neighbor stall on a
 shared CI runner cannot flake the comparison.
 """
 
+import gc
 import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from repro.dag import walk_engine
 from repro.dag.random_walk import sequential_select_tips
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import AccuracyTipSelector
@@ -46,7 +56,9 @@ from repro.fl import Client, TrainingConfig
 from repro.nn import zoo
 
 KERNEL_FLOOR = 3.0
+NARROW_FLOOR = 2.75
 COUNT = 5  # particles per selection
+NARROW_COUNT = 2  # the simulators' num_tips
 SELECTIONS = 20  # selections per timed batch
 DISTRIBUTION_SELECTIONS = 300  # per walker, for the distribution assert
 TV_LIMIT = 0.15
@@ -105,11 +117,15 @@ def _round_grown_tangle(model, rounds, per_round, sigma=0.05, seed=2):
 
 
 def _selector(client, tangle):
+    """Wired like ``repro.substrate.build_selector`` wires a client."""
     return AccuracyTipSelector(
         batch_accuracy_fn=lambda tx_ids: client.tx_accuracies(tangle, tx_ids),
+        row_accuracy_fn=lambda tx_ids, arena_rows: client.tx_accuracies(
+            tangle, tx_ids, arena_rows
+        ),
         alpha=10.0,
         depth_range=(15, 25),
-        score_cache_fn=client.tx_accuracy_cache,
+        score_cache_fn=client.tx_accuracy_map,
         cache_epoch_fn=lambda: client.cache_epoch,
     )
 
@@ -129,7 +145,7 @@ def _total_variation(p, q):
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
 
 
-def _measure_selection(rounds, per_round):
+def _measure_selection(rounds, per_round, count=COUNT):
     """(sequential_s, engine_s, tv) per SELECTIONS-batch on a warm client."""
     model = zoo.build_mlp(
         np.random.default_rng(0), in_features=100, hidden=(16,), num_classes=10
@@ -138,20 +154,22 @@ def _measure_selection(rounds, per_round):
     client = Client(_Data(np.random.default_rng(4)), model, TrainingConfig(), rng=1)
     client.tx_accuracies(tangle, ids)  # steady state: cache fully warm
     selector = _selector(client, tangle)
-    selector.select_tips(tangle, COUNT, np.random.default_rng(0))  # epoch snapshot
+    selector.select_tips(tangle, count, np.random.default_rng(0))  # epoch snapshot
 
     def run(walker, seed, selections=SELECTIONS):
         rng = np.random.default_rng(seed)
         tips = []
         for _ in range(selections):
-            tips.extend(walker(selector, tangle, COUNT, rng))
+            tips.extend(walker(selector, tangle, count, rng))
         return tips
 
     sequential_s, _ = _best_of(lambda: run(SEQUENTIAL, 3))
     engine_s, _ = _best_of(lambda: run(ENGINE, 3))
+    # The same number of tips per walker whatever the count.
+    selections = DISTRIBUTION_SELECTIONS * COUNT // count
     tv = _total_variation(
-        _tip_distribution(run(SEQUENTIAL, 11, DISTRIBUTION_SELECTIONS)),
-        _tip_distribution(run(ENGINE, 12, DISTRIBUTION_SELECTIONS)),
+        _tip_distribution(run(SEQUENTIAL, 11, selections)),
+        _tip_distribution(run(ENGINE, 12, selections)),
     )
     return sequential_s, engine_s, tv, tangle
 
@@ -178,6 +196,85 @@ def test_lockstep_selection_speedup_and_distribution():
         f"lockstep selection only {speedup:.2f}x over the sequential "
         f"walker (floor {KERNEL_FLOOR}x)"
     )
+
+
+def test_narrow_selection_speedup_and_distribution():
+    """The enforced narrow floor: select_tips(count=2) — two particles,
+    every superstep on the scalar stepper — warm client, same tangle."""
+    sequential_s, engine_s, tv, tangle = _measure_selection(16, 8, count=NARROW_COUNT)
+    speedup = sequential_s / engine_s
+    _RESULTS["narrow_selection"] = {
+        "workload": f"select_tips(count={NARROW_COUNT}) x {SELECTIONS}, "
+        f"mlp-100-16-10 models, round-grown tangle 16x8 ({len(tangle)} txs), "
+        "warm cache + epoch snapshot",
+        "sequential_ms": sequential_s / SELECTIONS * 1e3,
+        "engine_ms": engine_s / SELECTIONS * 1e3,
+        "speedup": speedup,
+        "floor": NARROW_FLOOR,
+        "tip_distribution_tv": tv,
+        "tv_limit": TV_LIMIT,
+    }
+    assert tv < TV_LIMIT, f"engine tip distribution diverged (TV={tv:.3f})"
+    assert speedup >= NARROW_FLOOR, (
+        f"narrow selection only {speedup:.2f}x over the sequential "
+        f"walker (floor {NARROW_FLOOR}x)"
+    )
+
+
+def _star(k):
+    """Genesis approved by ``k`` tips: particles started on genesis face
+    one ``k``-wide frontier, the whole walk one superstep."""
+    tangle = Tangle([np.zeros(1)])
+    for i in range(k):
+        tangle.add(Transaction(f"s{i}", (GENESIS_ID,), [np.zeros(1)], i, 0))
+    return tangle
+
+
+def _superstep_s(snapshot, particles, cells, repeats=300):
+    """Best-of-5 mean time of one warm-memo superstep of ``particles``
+    walkers, with the scalar limit patched to ``cells`` (collector off,
+    as ``timeit`` does)."""
+    memo = np.random.default_rng(0).random(len(snapshot))
+    starts = np.zeros(particles, dtype=np.int64)
+    rng = np.random.default_rng(1)
+    best = float("inf")
+    gc.disable()
+    try:
+        with mock.patch.object(walk_engine, "_SCALAR_BLOCK_CELLS", cells):
+            for _ in range(5):
+                start = time.perf_counter()
+                for _ in range(repeats):
+                    lockstep_walks(
+                        snapshot, starts, None, alpha=10.0, rng=rng, score_memo=memo
+                    )
+                best = min(best, (time.perf_counter() - start) / repeats)
+    finally:
+        gc.enable()
+    return best
+
+
+def test_stepper_crossover_recorded():
+    """Where the vectorized stepper starts beating the scalar one: per
+    live-particle count, the smallest measured block (cells) from which
+    on it is faster at every larger width.  Recorded, no floor — the
+    engine's ``_SCALAR_BLOCK_CELLS`` is set from it."""
+    widths = (2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128)
+    snapshots = {k: snapshot_for(_star(k)) for k in widths}
+    crossover = {}
+    for particles in (1, 2, 4, 8):
+        crossover[str(particles)] = None
+        for k in reversed(widths):
+            scalar_s = _superstep_s(snapshots[k], particles, 10**9)
+            vector_s = _superstep_s(snapshots[k], particles, 0)
+            if vector_s >= scalar_s:
+                break
+            crossover[str(particles)] = particles * k
+    _RESULTS["stepper_crossover"] = {
+        "workload": "one warm-memo superstep, p particles on a genesis "
+        f"fan of k in {list(widths)} (cells = p x k)",
+        "crossover_cells_by_particles": crossover,
+        "scalar_block_cells": walk_engine._SCALAR_BLOCK_CELLS,
+    }
 
 
 def test_tangle_shape_sweep_recorded():

@@ -62,7 +62,7 @@ import numpy as np
 from repro.nn.serialization import FlatSpec
 from repro.utils import shm as shm_registry
 
-__all__ = ["WeightArena", "shared_rows"]
+__all__ = ["WeightArena", "locate_rows", "shared_rows"]
 
 #: Auto-created (unnamed) spill files, removed at interpreter exit so a
 #: benchmark or test that never calls close() cannot litter the disk.
@@ -85,11 +85,10 @@ atexit.register(_purge_temp_spills)
 HANDLE_NBYTES = 256
 
 
-def shared_rows(transactions, spec: FlatSpec) -> np.ndarray | None:
-    """``(k, P)`` stack of the transactions' models off the one arena
-    they share (:meth:`WeightArena.rows`), or ``None`` when they are not
-    all rows of one arena laid out by ``spec`` — the caller's cue to
-    take its per-model path."""
+def locate_rows(transactions) -> tuple["WeightArena", np.ndarray] | None:
+    """``(arena, rows)`` — the one arena the transactions' models live
+    in and their rows in it, in order — or ``None`` when they are not
+    all rows of one arena (unbound models, a second arena, none)."""
     arena, rows = None, []
     for tx in transactions:
         location = tx.arena_location()
@@ -97,9 +96,20 @@ def shared_rows(transactions, spec: FlatSpec) -> np.ndarray | None:
             return None
         arena = location[0]
         rows.append(location[1])
-    if arena is None or arena.spec != spec:
+    if arena is None:
         return None
-    return arena.rows(rows)
+    return arena, np.array(rows, dtype=np.int64)
+
+
+def shared_rows(transactions, spec: FlatSpec) -> np.ndarray | None:
+    """``(k, P)`` stack of the transactions' models off the one arena
+    they share (:meth:`WeightArena.rows`), or ``None`` when they are not
+    all rows of one arena laid out by ``spec`` — the caller's cue to
+    take its per-model path."""
+    located = locate_rows(transactions)
+    if located is None or located[0].spec != spec:
+        return None
+    return located[0].rows(located[1])
 
 
 class WeightArena:
@@ -205,17 +215,30 @@ class WeightArena:
     def rows(self, indices) -> np.ndarray:
         """Stacked ``(k, total)`` matrix of the given rows.
 
-        A contiguous ascending range comes back as a zero-copy slice of
-        the slab; arbitrary index lists pay one gather.
+        ``indices`` is an int array (or any sequence of ints).  A
+        contiguous ascending range comes back as a zero-copy slice of
+        the slab; arbitrary indices pay one gather.  Bounds and
+        contiguity are checked vectorized.
         """
-        indices = list(indices)
-        for i in indices:
-            if not 0 <= i < self._rows:
-                raise IndexError(f"arena row {i} out of range (have {self._rows})")
-        if indices and indices == list(range(indices[0], indices[0] + len(indices))):
-            view = self._slab[indices[0] : indices[0] + len(indices)]
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size == 0:
+            return self._slab[:0]
+        first, last = int(indices[0]), int(indices[-1])
+        if last - first == indices.size - 1 and (
+            indices.size < 3 or (np.diff(indices) == 1).all()
+        ):
+            if first < 0 or last >= self._rows:
+                raise IndexError(
+                    f"arena row {first if first < 0 else last} out of range "
+                    f"(have {self._rows})"
+                )
+            view = self._slab[first : last + 1]
             view.flags.writeable = False
             return view
+        out_of_range = (indices < 0) | (indices >= self._rows)
+        if out_of_range.any():
+            bad = int(indices[out_of_range.argmax()])
+            raise IndexError(f"arena row {bad} out of range (have {self._rows})")
         return self._slab[indices]
 
     # ------------------------------------------------------------ mutation

@@ -21,7 +21,7 @@ each one's single-step law, which the test reference
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
 
 AccuracyFn = Callable[[str], float]
 BatchAccuracyFn = Callable[[Sequence[str]], np.ndarray]
+RowAccuracyFn = Callable[[Sequence[str], tuple], np.ndarray]
 
 
 def normalize_standard(accuracies: np.ndarray) -> np.ndarray:
@@ -195,6 +196,12 @@ class AccuracyTipSelector:
       vectorized forward pass over a ``(k, P)`` stack of their arena rows
       (:meth:`repro.nn.model.Classifier.accuracy_many`), falling back
       per model for architectures without fused kernels.
+    - ``row_accuracy_fn``, when given, replaces ``batch_accuracy_fn``
+      on snapshots whose nodes are all rows of one arena
+      (:meth:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`): it
+      receives the ids plus ``(arena, rows)``, their rows in that arena,
+      so the scorer stacks them without resolving any id
+      (``Client.tx_accuracies(store, ids, arena_rows)``).
     - ``evaluation_counter`` (optional) is called once per particle per
       superstep with that particle's candidate count — the scalability
       experiment (Figure 15) uses it to account walk cost independently
@@ -216,11 +223,12 @@ class AccuracyTipSelector:
         accuracy_fn: AccuracyFn | None = None,
         *,
         batch_accuracy_fn: BatchAccuracyFn | None = None,
+        row_accuracy_fn: RowAccuracyFn | None = None,
         alpha: float = 10.0,
         normalization: str = "standard",
         depth_range: tuple[int, int] = (15, 25),
         evaluation_counter: Callable[[int], None] | None = None,
-        score_cache_fn: Callable[[], dict] | None = None,
+        score_cache_fn: Callable[[], Mapping[str, float]] | None = None,
         cache_epoch_fn: Callable[[], int] | None = None,
     ):
         if normalization not in _NORMALIZATIONS:
@@ -233,16 +241,18 @@ class AccuracyTipSelector:
             )
         self.accuracy_fn = accuracy_fn
         self.batch_accuracy_fn = batch_accuracy_fn
+        self.row_accuracy_fn = row_accuracy_fn
         self.alpha = alpha
         self.normalization = normalization
         self.depth_range = depth_range
         self.evaluation_counter = evaluation_counter
         # ``score_cache_fn``: returns the caller's
-        # transaction-accuracy cache (tx id -> accuracy), used to
-        # prefill the engine's score memo so supersteps only round-trip
-        # through ``batch_accuracy_fn`` for genuinely unevaluated
+        # transaction-accuracy cache (a tx id -> accuracy mapping, only
+        # read), used to prefill the engine's score memo so supersteps
+        # only round-trip through the scorer for genuinely unevaluated
         # models.  :func:`repro.substrate.build_selector` wires it to
-        # :meth:`repro.fl.client.Client.tx_accuracy_cache`.
+        # :meth:`repro.fl.client.Client.tx_accuracy_map`, a read-only
+        # view of the live cache.
         # ``cache_epoch_fn`` reports that cache's generation
         # (:attr:`Client.cache_epoch`): a bump — reset, wholesale
         # restore, personalization-tail change — invalidates the memo.
@@ -303,10 +313,16 @@ class AccuracyTipSelector:
         starts = walk_engine.batched_walk_starts(
             snapshot, count, rng, depth_range=self.depth_range, deadline=deadline
         )
+        ids = snapshot.ids
+        located = None if self.row_accuracy_fn is None else snapshot.arena_rows()
 
         def score_fn(nodes: np.ndarray) -> np.ndarray:
-            return self._candidate_accuracies(
-                [snapshot.ids[node] for node in nodes]
+            tx_ids = [ids[node] for node in nodes.tolist()]
+            if located is None:
+                return self._candidate_accuracies(tx_ids)
+            arena, rows = located
+            return np.asarray(
+                self.row_accuracy_fn(tx_ids, (arena, rows[nodes])), dtype=np.float64
             )
 
         finals = walk_engine.lockstep_walks(

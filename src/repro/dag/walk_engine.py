@@ -10,7 +10,10 @@ tangle:
 
 - :class:`TangleSnapshot` flattens a tangle (or any visibility view)
   into CSR adjacency over dense int node ids: approver lists, parent
-  lists, the tip set, and (lazily) cumulative weights.  Each tangle
+  lists, the tip set, and (lazily) cumulative weights, the CSR as
+  Python lists for scalar stepping, and every node's row in the one
+  weight arena its models share (:meth:`TangleSnapshot.arena_rows`,
+  what the accuracy walk scores by).  Each tangle
   owns **one** whole-tangle snapshot
   (:meth:`repro.dag.tangle.Tangle.snapshot`); when the tangle merely
   *grows*, :meth:`TangleSnapshot.extend` derives the new snapshot from
@@ -23,7 +26,8 @@ tangle:
   (:meth:`TangleSnapshot.restrict`): a handful of vector ops, equal to
   a cold build of the view.
 - :func:`batched_walk_starts` vectorizes the Popov depth descent: all
-  tip draws, all depths, then one gather per descent level.
+  tip draws, all depths, then one gather per descent level (a handful
+  of particles walk the cached parent lists on scalars instead).
 - :func:`lockstep_walks` advances every live particle one superstep at
   a time: the union of all live particles' candidate frontiers is
   scored in **one** batch call (this is what widens the fused
@@ -34,7 +38,11 @@ tangle:
   one shot by segment-wise **Gumbel-max** over ``alpha * normalized``
   logits — which draws from precisely the softmax distribution
   ``exp(alpha * normalized) / sum`` the sequential walker feeds to
-  ``rng.choice``.
+  ``rng.choice``.  Two steppers run a superstep, chosen by the size of
+  its frontier block (particles x widest candidate list): a narrow
+  block — the two-particle selections of the round simulator — steps
+  on Python scalars over the snapshot's CSR lists, a wide one — a
+  genesis fan of hundreds of approvers — over a padded numpy block.  Both apply the same two draw laws bit for bit.
 
 RNG discipline: the engine consumes the *same generator* the sequential
 walker would, but draws different variates (uniform blocks for starts,
@@ -42,9 +50,15 @@ one Gumbel block per superstep instead of one ``rng.choice`` per
 particle-step), so individual selections differ for a fixed seed while
 the **distribution** over tips is identical — the property tests pin
 both the per-superstep normalization bit-for-bit and the tip
-distribution statistically.  Runs stay deterministic for a fixed seed,
-and serial/parallel executors stay bit-identical to each other because
-both run the same engine against the same keyed streams.
+distribution statistically.  Which variates a superstep draws is set by
+its law alone — the **block law** (two or more live particles: one
+``(L, kmax)`` exponential block, logits ``alpha * s`` under the standard
+normalization) or the **tail law** (the last particle: ``k``
+exponentials per step, logits ``alpha * (s - max)``) — never by the
+stepper, so the property tests pin both steppers to one reference law.
+Runs stay deterministic for a fixed seed, and serial/parallel executors
+stay bit-identical to each other because both run the same engine
+against the same keyed streams.
 
 Edge semantics: the snapshot keeps exactly the edges whose **both**
 endpoints are visible, matching ``view.approvers`` — and matching the
@@ -60,6 +74,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.dag.arena import locate_rows
+
 __all__ = [
     "TangleSnapshot",
     "snapshot_for",
@@ -70,6 +86,10 @@ __all__ = [
 ]
 
 ScoreFn = Callable[[np.ndarray], np.ndarray]
+
+#: Marks a snapshot's arena-row plane as not yet resolved (``None`` is
+#: a resolved answer: no single arena).
+_UNRESOLVED = object()
 
 
 class WalkDeadlineExceeded(RuntimeError):
@@ -211,6 +231,13 @@ class TangleSnapshot:
         )
         # Memoized restrictions, keyed by the packed mask bytes.
         self._restrictions: dict[bytes, TangleSnapshot] = {}
+        self._parent_lists: tuple[list[int], list[int]] | None = None
+        self._approver_lists: tuple[list[int], list[int]] | None = None
+        # Arena-row plane: resolved on first use from ``_row_source`` —
+        # the snapshot's transactions (a build or an extension) or the
+        # ``(snapshot, kept)`` it was restricted from.
+        self._row_source: list | tuple | None = None
+        self._arena_rows: tuple | None = _UNRESOLVED
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -236,7 +263,9 @@ class TangleSnapshot:
                     continue
                 parent_lists[node].append(parent_node)
                 approver_lists[parent_node].append(node)
-        return cls(ids, parent_lists, approver_lists)
+        snapshot = cls(ids, parent_lists, approver_lists)
+        snapshot._row_source = transactions
+        return snapshot
 
     def extend(self, tangle) -> "TangleSnapshot":
         """A snapshot of ``tangle`` built as a delta on top of this one.
@@ -398,6 +427,16 @@ class TangleSnapshot:
             cumulative[:n0] = self._cumulative + gained[:n0]
             cumulative[n0:] = 1 + gained[n0:]
             ext._cumulative = cumulative
+        # The arena-row plane likewise: patched by the delta's rows once
+        # resolved (a snapshot left without a source resolves to None).
+        if self._arena_rows is _UNRESOLVED:
+            if isinstance(self._row_source, list):
+                ext._row_source = self._row_source + delta
+        elif self._arena_rows is not None:
+            arena, rows = self._arena_rows
+            located = locate_rows(delta)
+            if located is not None and located[0] is arena:
+                ext._arena_rows = (arena, np.concatenate([rows, located[1]]))
         return ext
 
     def restrict(self, mask: np.ndarray) -> "TangleSnapshot":
@@ -454,6 +493,7 @@ class TangleSnapshot:
         # current on this snapshot.  Orphaning masks stay lazy.
         if np.array_equal(snapshot.parent_counts, self.parent_counts[kept]):
             snapshot._longest_past_path = self.longest_past_path()[kept]
+        snapshot._row_source = (self, kept)
         if len(self._restrictions) >= _RESTRICTION_LIMIT:
             self._restrictions.pop(next(iter(self._restrictions)))
         self._restrictions[key] = snapshot
@@ -481,6 +521,56 @@ class TangleSnapshot:
                 self.parent_indptr, self.parent_indices, self.parent_counts
             )
         return self._parents_padded
+
+    def parent_lists(self) -> tuple[list[int], list[int]]:
+        """The parent CSR ``(indptr, indices)`` as Python lists, cached.
+
+        What a small descent steps on: a list index costs a fraction of
+        a numpy scalar read, and converting the CSR is one C-speed pass.
+        """
+        if self._parent_lists is None:
+            self._parent_lists = (
+                self.parent_indptr.tolist(),
+                self.parent_indices.tolist(),
+            )
+        return self._parent_lists
+
+    def approver_lists(self) -> tuple[list[int], list[int]]:
+        """The approver CSR ``(indptr, indices)`` as Python lists, cached
+        — what :func:`lockstep_walks` reads frontiers from."""
+        if self._approver_lists is None:
+            self._approver_lists = (
+                self.approver_indptr.tolist(),
+                self.approver_indices.tolist(),
+            )
+        return self._approver_lists
+
+    def arena_rows(self) -> tuple | None:
+        """``(arena, rows)``: the one :class:`~repro.dag.arena.WeightArena`
+        every node's model lives in, and each node's row in it (int64,
+        node order) — or ``None`` when the nodes are not all rows of one
+        arena (foreign or unbound models, a snapshot built from bare
+        adjacency).  Callers still check the arena's spec against
+        their model's.
+
+        Resolved on first use: a built snapshot asks each of its
+        transactions once, an extension appends the delta's rows to a
+        resolved base, and a restriction gathers its kept nodes from the
+        snapshot it was cut from.  Sound for the snapshot's lifetime: a
+        transaction changes arena only under compaction, which retires
+        the tangle's snapshot.
+        """
+        if self._arena_rows is _UNRESOLVED:
+            source = self._row_source
+            if isinstance(source, tuple):
+                base, kept = source
+                located = base.arena_rows()
+                if located is not None:
+                    located = (located[0], located[1][kept])
+            else:
+                located = None if source is None else locate_rows(source)
+            self._arena_rows, self._row_source = located, None
+        return self._arena_rows
 
     def longest_past_path(self) -> np.ndarray:
         """Longest parent-path length from each node to a parentless one.
@@ -613,19 +703,22 @@ def batched_walk_starts(
         current = np.where(resolved, sink, current)
     if count <= 4:
         # A handful of particles cannot amortize full-width vector ops
-        # across ~20 descent levels; scalar CSR walking is cheaper and
-        # draws from the identical distribution.
-        indptr, indices = snapshot.parent_indptr, snapshot.parent_indices
-        uniforms = iter(rng.random(int(depths.sum())))
-        for particle in range(count):
-            node = int(current[particle])
-            for _ in range(int(depths[particle])):
-                k = parent_counts[node]
+        # across ~20 descent levels; scalar CSR walking over the cached
+        # parent lists is cheaper and draws from the identical
+        # distribution.
+        indptr, indices = snapshot.parent_lists()
+        uniforms = iter(rng.random(int(depths.sum())).tolist())
+        nodes = current.tolist()
+        for particle, depth in enumerate(depths.tolist()):
+            node = nodes[particle]
+            for _ in range(depth):
+                begin = indptr[node]
+                k = indptr[node + 1] - begin
                 if k == 0:
                     break
-                node = int(indices[indptr[node] + int(next(uniforms) * k)])
-            current[particle] = node
-        return current
+                node = indices[begin + int(next(uniforms) * k)]
+            nodes[particle] = node
+        return np.array(nodes, dtype=np.int64)
     uniforms = rng.random((max_depth, count))
     parents = snapshot.parents_padded()
     k = parent_counts[current]
@@ -667,35 +760,162 @@ def padded_normalize(
     return np.where(positive, shifted / np.where(positive, spread, 1.0), shifted)
 
 
+#: Frontier blocks of at most this many cells (live particles x widest
+#: candidate list) step on Python scalars, wider ones vectorized.  Set
+#: from the crossover ``benchmarks/test_walk_engine_perf.py`` measures
+#: and records in ``BENCH_walk_engine.json`` (``stepper_crossover``):
+#: 64 cells for one particle, 32-48 for two, 48-96 for four and 32 for
+#: eight over repeated runs on a 2-core x86 box — so the smallest of
+#: them, below which scalars win at every particle count.
+_SCALAR_BLOCK_CELLS = 32
+
+_NEG_INF = float("-inf")
+
+
 def _fill_score_memo(
     score_memo: np.ndarray,
-    candidates: np.ndarray,
+    missing: np.ndarray,
     score_fn: ScoreFn,
-    known: np.ndarray | None = None,
+    known: np.ndarray,
 ) -> None:
-    """Score the distinct not-yet-scored nodes among ``candidates`` into
-    the memo (one ``score_fn`` call); no-op when everything is known.
+    """Score ``missing`` — distinct, ascending, not yet scored nodes —
+    into the memo with one ``score_fn`` call.
 
-    ``known`` is the explicit scored-mask: filled indices are marked
-    known *even when the score itself is NaN*, so a score function that
+    ``known`` is the explicit scored-mask: filled nodes are marked known
+    *even when the score itself is NaN*, so a score function that
     returns NaN for a node (a corrupted model, a failed evaluation) is
-    scored exactly once per call instead of being mistaken for a cache
-    miss forever.  Without ``known`` the legacy NaN-sentinel convention
-    applies (NaN in the memo = not yet scored)."""
-    if known is None:
-        missing = np.unique(candidates[np.isnan(score_memo[candidates])])
-    else:
-        missing = np.unique(candidates[~known[candidates]])
-    if missing.size == 0:
-        return
+    asked once per call instead of being mistaken for a miss forever."""
     fresh = np.asarray(score_fn(missing), dtype=np.float64)
     if fresh.shape != missing.shape:
         raise ValueError(
             f"score_fn returned shape {fresh.shape} for {missing.shape[0]} nodes"
         )
     score_memo[missing] = fresh
-    if known is not None:
-        known[missing] = True
+    known[missing] = True
+
+
+def _gumbel_argmax(scores, noise, alpha, dynamic, shift) -> int:
+    """``argmax(logit - noise)`` over one candidate row, on Python floats.
+
+    Cell for cell the arithmetic of :func:`_vector_superstep` (and so
+    the same pick): a finite score ``s`` gets ``alpha * ((s - top) /
+    spread)`` — ``top`` the row max of the finite scores under ``shift``
+    (else 0.0), ``spread`` their positive spread under ``dynamic`` (else
+    1.0; subtracting 0.0 and dividing by 1.0 are exact) — a non-finite
+    one ``-inf``, and a row with no finite score all ``0.0``.  Ties keep
+    the first index and the first NaN wins, as in ``np.argmax``.
+    """
+    finite = [s for s in scores if s - s == 0.0]
+    top, spread, corrupt = 0.0, 1.0, _NEG_INF
+    if not finite:
+        corrupt = 0.0
+    elif shift:
+        top = max(finite)
+        if dynamic and top - min(finite) > 0:
+            spread = top - min(finite)
+    best = best_z = None
+    for j, s in enumerate(scores):
+        z = (alpha * ((s - top) / spread) if s - s == 0.0 else corrupt) - noise[j]
+        if z != z:
+            return j
+        if best is None or z > best_z:
+            best, best_z = j, z
+    return best
+
+
+def _scalar_superstep(
+    rows, kmax, score_memo, known, memo_may_miss, score_fn, rng, alpha,
+    dynamic, tail,
+) -> list[int]:
+    """One superstep on Python scalars; ``rows`` are the live particles'
+    candidate lists and ``kmax > 1``.
+
+    Reads the memo with one gather: a node never scored reads NaN (the
+    memo's entry convention), so only a NaN sends the step to the
+    scored-mask.  Draws one ``(L, kmax)`` exponential block — for a lone
+    particle exactly the tail law's ``k`` variates — and takes one
+    ``np.log`` of it.
+    """
+    block = [node for row in rows for node in row]
+    scores = score_memo[block].tolist()
+    if memo_may_miss and any(s != s for s in scores):
+        flags = known[block].tolist()
+        missing = sorted({node for node, flag in zip(block, flags) if not flag})
+        if missing:
+            _fill_score_memo(
+                score_memo, np.array(missing, dtype=np.int64), score_fn, known
+            )
+            scores = score_memo[block].tolist()
+    noise = np.log(rng.standard_exponential((len(rows), kmax))).tolist()
+    shift = dynamic or tail
+    chosen = []
+    offset = 0
+    for row, row_noise in zip(rows, noise):
+        count = len(row)
+        if count == 1:
+            chosen.append(row[0])
+        else:
+            scored = scores[offset : offset + count]
+            chosen.append(row[_gumbel_argmax(scored, row_noise, alpha, dynamic, shift)])
+        offset += count
+    return chosen
+
+
+def _vector_superstep(
+    snapshot, nodes, counts, kmax, score_memo, known, memo_may_miss,
+    score_fn, rng, alpha, normalization, tail,
+) -> list[int]:
+    """One superstep over a padded ``(L, kmax)`` frontier block, ``kmax > 1``.
+
+    Row ``i``'s first ``counts[i]`` lanes are its candidates, gathered
+    straight from the approver CSR; the rest repeat its first, and the
+    valid mask keeps that padding out of every reduction and sample.
+    """
+    nodes = np.array(nodes, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
+    columns = snapshot._column_range[:kmax]
+    valid = columns < counts[:, None]
+    lanes = np.where(valid, columns, 0)
+    candidates = snapshot.approver_indices[
+        snapshot.approver_indptr[nodes][:, None] + lanes
+    ]
+    scores = score_memo[candidates]
+    if memo_may_miss:
+        unknown = ~known[candidates] & valid
+        if unknown.any():
+            _fill_score_memo(
+                score_memo, np.unique(candidates[unknown]), score_fn, known
+            )
+            scores = score_memo[candidates]
+    # Gumbel-max per row: argmax(logit - log E), E ~ Exp(1), draws from
+    # softmax(logit) — one block of exponentials per superstep replaces
+    # one rng.choice per particle.  Softmax is invariant to per-row
+    # constant shifts, so under the block law the standard (Eq. 1)
+    # subtract-the-max never has to be materialized: alpha * score is
+    # the same logit up to a row constant.  The tail law and dynamic
+    # (Eq. 3) pay for the masked reductions, via padded_normalize.
+    bad = ~np.isfinite(scores) & valid
+    any_bad = bool(bad.any())
+    if normalization == "standard" and not tail:
+        logits = alpha * scores
+    else:
+        # Exclude non-finite candidates from the row reductions so one
+        # corrupt score cannot poison its whole row's max/spread.
+        norm_valid = valid & ~bad if any_bad else valid
+        logits = alpha * padded_normalize(scores, norm_valid, normalization)
+    if any_bad:
+        # Corrupted candidates never attract the walk; a row with *no*
+        # finite candidate degrades to a uniform pick among its
+        # (corrupt) candidates instead of letting NaN win the argmax.
+        # The exponential block keeps its shape either way, so the rng
+        # stream position is independent of corruption.
+        logits = np.where(bad, -np.inf, logits)
+        alive = (valid & ~bad).any(axis=1)
+        if not alive.all():
+            logits = np.where(~alive[:, None] & valid, 0.0, logits)
+    z = logits - np.log(rng.standard_exponential(valid.shape))
+    picks = np.where(valid, z, -np.inf).argmax(axis=1)
+    return candidates[np.arange(len(nodes)), picks].tolist()
 
 
 def lockstep_walks(
@@ -715,18 +935,29 @@ def lockstep_walks(
 
     Per superstep, over the particles not yet on a tip:
 
-    1. gather the union of their candidate frontiers (CSR row gather);
+    1. gather each one's candidate frontier from the approver CSR;
     2. score the **unique not-yet-scored** candidates with one
        ``score_fn`` call — the widest evaluation batch the walk plane
        has (candidates of every live particle, deduplicated against
        everything already scored);
-    3. normalize scores row-wise over a padded frontier block
-       (:func:`padded_normalize`, the sequential walker's exact
-       arithmetic);
+    3. normalize scores row-wise with the sequential walker's exact
+       arithmetic (:func:`padded_normalize`);
     4. sample each particle's next node by segment-wise Gumbel-max over
        ``alpha * normalized`` — equivalent to an independent
        ``rng.choice`` per particle with probabilities
        ``exp(alpha * normalized) / sum``.
+
+    Two draw laws: while two or more particles are live (or a ``trace``
+    is kept), each superstep draws one ``(L, kmax)`` exponential block
+    and uses ``alpha * score`` as the standard logit (the **block
+    law**); once one particle is left it draws ``k`` exponentials per
+    step and uses ``alpha * (score - max)`` (the **tail law**).  Either
+    way a step with a single candidate draws nothing.  Two steppers
+    implement both laws bit for bit: a superstep whose frontier block
+    has at most ``_SCALAR_BLOCK_CELLS`` cells steps on Python scalars
+    over the snapshot's cached CSR lists (:meth:`TangleSnapshot.
+    approver_lists`); a wider one runs vectorized over a padded block.
+    The stepper is picked per superstep and never changes a draw.
 
     ``evaluation_counter`` preserves the sequential accounting exactly:
     it is called once per *live particle* per superstep with that
@@ -741,14 +972,16 @@ def lockstep_walks(
     every previously seen node — sound because a node's score is fixed
     for the lifetime of a snapshot (a transaction's model never
     changes, and cumulative weights are frozen with the visible set).
-    Omitted, a fresh memo still dedups within the call.
+    Omitted, a fresh memo still dedups within the call.  NaN marks "not
+    yet scored" only at entry: a node once filled stays known even if
+    its score *is* NaN, so a corrupt model is scored once per call.
 
     ``trace`` (tests/debugging) appends one dict per superstep with the
     live particle indices, their nodes and candidate counts, each
     particle's candidate list, and the chosen next nodes.
 
     ``deadline`` (any object exposing an ``expired`` attribute, e.g.
-    :class:`repro.service.resilience.Deadline`) is checked at every
+    :class:`repro.service.resilience.Deadline`) is checked once at every
     superstep boundary — between batches of score evaluations, never
     inside one — and raises :class:`WalkDeadlineExceeded` when blown.
     Scores already written into a caller-owned ``score_memo`` survive
@@ -761,9 +994,8 @@ def lockstep_walks(
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    current = np.array(starts, dtype=np.int64, copy=True)
-    degrees = snapshot.approver_counts
-    indptr, indices = snapshot.approver_indptr, snapshot.approver_indices
+    if normalization not in ("standard", "dynamic"):
+        raise ValueError(f"unknown normalization {normalization!r}")
     if score_memo is None:
         score_memo = np.full(len(snapshot), np.nan)
     elif score_memo.shape != (len(snapshot),):
@@ -771,150 +1003,53 @@ def lockstep_walks(
             f"score_memo must have shape ({len(snapshot)},), "
             f"got {score_memo.shape}"
         )
-    columns = snapshot._column_range
-    rows = np.arange(len(current))
-    # The scored-mask is explicit: NaN in the memo marks "not yet
-    # scored" only at entry (the construction convention of every
-    # caller); once a node is filled it stays known even if its score
-    # *is* NaN — a score function may legitimately return NaN for a
-    # corrupted model, and re-scoring it every superstep (the old
-    # NaN-as-sentinel ambiguity) both wasted evaluations and let NaN
-    # win every argmax.  A memo with no holes at entry skips the
-    # per-superstep miss probe entirely, as before.
+    alpha = float(alpha)
+    dynamic = normalization == "dynamic"
     known = ~np.isnan(score_memo)
+    # A memo with no holes at entry skips every miss probe.
     memo_may_miss = not known.all()
-    live = np.flatnonzero(degrees[current] > 0)
+    indptr, indices = snapshot.approver_lists()
+    current = np.array(starts, dtype=np.int64).tolist()
+    live = [p for p, node in enumerate(current) if indptr[node + 1] > indptr[node]]
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live.size:
+        while live:
             if deadline is not None and deadline.expired:
                 raise WalkDeadlineExceeded(
-                    f"deadline expired with {live.size} particle(s) in flight"
+                    f"deadline expired with {len(live)} particle(s) in flight"
                 )
-            if live.size == 1 and trace is None:
-                # Tail finisher: one straggler left — the padded
-                # frontier machinery costs more than it amortizes, so
-                # walk it out with scalar steps (same scores, same
-                # normalization arithmetic, same Gumbel-max law).
-                particle = int(live[0])
-                node = int(current[particle])
-                while degrees[node] > 0:
-                    if deadline is not None and deadline.expired:
-                        raise WalkDeadlineExceeded(
-                            "deadline expired in the tail finisher"
-                        )
-                    k = int(degrees[node])
-                    if evaluation_counter is not None:
-                        evaluation_counter(k)
-                    start = indptr[node]
-                    if k == 1:
-                        node = int(indices[start])
-                        continue
-                    row = indices[start : start + k]
-                    scores = score_memo[row]
-                    if memo_may_miss and not known[row].all():
-                        _fill_score_memo(score_memo, row, score_fn, known)
-                        scores = score_memo[row]
-                    finite = np.isfinite(scores)
-                    if finite.all():
-                        normalized = padded_normalize(
-                            scores[None, :],
-                            np.ones((1, k), dtype=bool),
-                            normalization,
-                        )[0]
-                        logits = alpha * normalized
-                    elif finite.any():
-                        # Non-finite candidates (corrupted models) never
-                        # attract the walk: their logits degrade to -inf
-                        # while the finite ones keep the exact standard
-                        # arithmetic over the reduced candidate set.
-                        normalized = padded_normalize(
-                            scores[None, :], finite[None, :], normalization
-                        )[0]
-                        logits = np.where(finite, alpha * normalized, -np.inf)
-                    else:
-                        # Every candidate is corrupt — degrade to a
-                        # uniform step rather than crash or pick NaN.
-                        logits = np.zeros(k)
-                    z = logits - np.log(rng.standard_exponential(k))
-                    node = int(row[int(z.argmax())])
-                current[particle] = node
-                break
-            nodes = current[live]
-            counts = degrees[nodes]
+            nodes = [current[p] for p in live]
+            rows = [indices[indptr[node] : indptr[node + 1]] for node in nodes]
+            counts = [len(row) for row in rows]
             if evaluation_counter is not None:
-                for c in counts:
-                    evaluation_counter(int(c))
-            begins = indptr[nodes]
-            chosen = indices[begins]  # single-candidate rows: final
-            kmax = int(counts.max())
-            if kmax > 1:
-                # The (L, kmax) CSR frontier block: row i's first counts[i]
-                # lanes are its candidates, the rest repeat its first — the
-                # valid mask keeps padding out of every reduction and sample.
-                valid = columns[:kmax] < counts[:, None]
-                lanes = np.where(valid, columns[:kmax], 0)
-                candidates = indices[begins[:, None] + lanes]
-                scores = score_memo[candidates]
-                if memo_may_miss:
-                    unknown = ~known[candidates] & valid
-                    if unknown.any():
-                        _fill_score_memo(
-                            score_memo, candidates[unknown], score_fn, known
-                        )
-                        scores = score_memo[candidates]
-                # Gumbel-max per row: argmax(logit - log E), E ~ Exp(1),
-                # draws from softmax(logit) — one block of exponentials
-                # per superstep replaces one rng.choice per particle.
-                # Softmax is invariant to per-row constant shifts, so
-                # the standard (Eq. 1) subtract-the-max never has to be
-                # materialized: alpha * score is the same logit up to a
-                # row constant.  Dynamic (Eq. 3) divides by the row
-                # spread — a genuine per-row rescale — so only it pays
-                # for the masked reductions, via the shared
-                # padded_normalize arithmetic.
-                bad = ~np.isfinite(scores) & valid
-                any_bad = bool(bad.any())
-                if normalization == "standard":
-                    logits = alpha * scores
-                else:
-                    # Exclude non-finite candidates from the row
-                    # reductions so one corrupt score cannot poison its
-                    # whole row's max/spread.
-                    norm_valid = valid & ~bad if any_bad else valid
-                    logits = alpha * padded_normalize(
-                        scores, norm_valid, normalization
-                    )
-                if any_bad:
-                    # Corrupted candidates never attract the walk; a row
-                    # with *no* finite candidate degrades to a uniform
-                    # pick among its (corrupt) candidates instead of
-                    # letting NaN win the argmax.  The exponential block
-                    # below keeps its shape either way, so the rng
-                    # stream position is independent of corruption.
-                    logits = np.where(bad, -np.inf, logits)
-                    alive = (valid & ~bad).any(axis=1)
-                    if not alive.all():
-                        logits = np.where(
-                            ~alive[:, None] & valid, 0.0, logits
-                        )
-                z = logits - np.log(rng.standard_exponential(valid.shape))
-                picks = np.where(valid, z, -np.inf).argmax(axis=1)
-                chosen = np.where(
-                    counts > 1, candidates[rows[: len(nodes)], picks], chosen
+                for count in counts:
+                    evaluation_counter(count)
+            kmax = max(counts)
+            tail = len(live) == 1 and trace is None
+            if kmax == 1:
+                chosen = [row[0] for row in rows]
+            elif len(live) * kmax <= _SCALAR_BLOCK_CELLS:
+                chosen = _scalar_superstep(
+                    rows, kmax, score_memo, known, memo_may_miss, score_fn,
+                    rng, alpha, dynamic, tail,
+                )
+            else:
+                chosen = _vector_superstep(
+                    snapshot, nodes, counts, kmax, score_memo, known,
+                    memo_may_miss, score_fn, rng, alpha, normalization, tail,
                 )
             if trace is not None:
                 trace.append(
                     {
-                        "live": live.copy(),
-                        "nodes": nodes.copy(),
-                        "counts": counts.copy(),
-                        "candidates": [
-                            indices[indptr[n] : indptr[n] + degrees[n]].copy()
-                            for n in nodes
-                        ],
-                        "chosen": chosen.copy(),
+                        "live": np.array(live, dtype=np.int64),
+                        "nodes": np.array(nodes, dtype=np.int64),
+                        "counts": np.array(counts, dtype=np.int64),
+                        "candidates": [np.array(row, dtype=np.int64) for row in rows],
+                        "chosen": np.array(chosen, dtype=np.int64),
                     }
                 )
-            current[live] = chosen
-            live = live[degrees[chosen] > 0]
-    return current
+            for particle, node in zip(live, chosen):
+                current[particle] = node
+            live = [
+                p for p, node in zip(live, chosen) if indptr[node + 1] > indptr[node]
+            ]
+    return np.array(current, dtype=np.int64)

@@ -208,7 +208,8 @@ def run_aggregation_robustness(
 
     Tests whether merge-level filtering (coordinate median over three
     parents) adds anything on top of the walk-level filtering (accuracy
-    bias).  Finding (documented in EXPERIMENTS.md): it does not — the
+    bias).  Finding (pinned by ``test_aggregation_robustness`` in
+    ``benchmarks/test_async_aggregation.py``): it does not — the
     coordinate median decorrelates jointly-trained weights and performs no
     better than the mean; the accuracy-biased walk is the protocol's
     effective defence.  The clean baseline is included for context.

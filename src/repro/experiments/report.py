@@ -2,8 +2,8 @@
 
 ``build_report`` scans a results directory for the JSON files the CLI
 writes and renders one markdown section per experiment with its headline
-numbers, so EXPERIMENTS.md-style summaries can be regenerated after any
-re-run::
+numbers, so a markdown summary of every result can be regenerated after
+any re-run::
 
     python -m repro.experiments run table2
     python -c "from repro.experiments.report import build_report; \\

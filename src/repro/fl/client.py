@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 import numpy as np
 
 from repro.data.base import ClientData
@@ -194,7 +197,9 @@ class Client:
         self._tx_accuracy_cache[tx_id] = accuracy
         return accuracy
 
-    def tx_accuracies(self, tangle: Tangle, tx_ids: list[str]) -> np.ndarray:
+    def tx_accuracies(
+        self, tangle: Tangle, tx_ids: list[str], arena_rows: tuple | None = None
+    ) -> np.ndarray:
         """Batched :meth:`tx_accuracy` over all of ``tx_ids``.
 
         The walk's preferred evaluation entry point: one call per walk
@@ -212,22 +217,52 @@ class Client:
         layers, personalization) fall back to the per-model
         :meth:`tx_accuracy` loop, which is bit-identical in float64.
         Returns accuracies in the order of ``tx_ids``.
+
+        ``arena_rows`` — ``(arena, rows)``, each id's row in one
+        :class:`~repro.dag.arena.WeightArena` (the walk engine's
+        :meth:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`) —
+        lets the fused pass gather the uncached models straight from
+        the arena, resolving no id in ``tangle``.  The values, cache
+        entries and evaluation count are those of the call without it;
+        it is ignored whenever the fused pass could not take the arena
+        (personalization, unfused layers, another architecture).
         """
         out = np.empty(len(tx_ids), dtype=np.float64)
+        cache = self._tx_accuracy_cache
         pending: dict[str, list[int]] = {}
         for position, tx_id in enumerate(tx_ids):
-            cached = self._tx_accuracy_cache.get(tx_id)
+            cached = cache.get(tx_id)
             if cached is not None:
                 out[position] = cached
             else:
                 pending.setdefault(tx_id, []).append(position)
-        if pending:
-            for tx_id, accuracy in self._evaluate_uncached(
-                tangle, list(pending)
-            ).items():
-                for position in pending[tx_id]:
+        if not pending:
+            return out
+        if arena_rows is not None and self._fuses_arena(arena_rows[0]):
+            arena, rows = arena_rows
+            firsts = [positions[0] for positions in pending.values()]
+            values = self.model.accuracy_many(
+                arena.rows(rows[firsts]), self.data.x_test, self.data.y_test
+            ).tolist()
+            self.evaluations += len(pending)
+            for (tx_id, positions), accuracy in zip(pending.items(), values):
+                cache[tx_id] = accuracy
+                for position in positions:
                     out[position] = accuracy
+            return out
+        for tx_id, accuracy in self._evaluate_uncached(tangle, list(pending)).items():
+            for position in pending[tx_id]:
+                out[position] = accuracy
         return out
+
+    def _fuses_arena(self, arena) -> bool:
+        """Whether the fused pass can evaluate ``arena``'s rows as they
+        are: no personal tail to graft, fused kernels, same layout."""
+        return (
+            not self.personal_params
+            and self.model.supports_fused_eval
+            and arena.spec == self.model.flat_spec
+        )
 
     def _evaluate_uncached(
         self, tangle: Tangle, tx_ids: list[str]
@@ -269,6 +304,12 @@ class Client:
         canonical client.
         """
         return dict(self._tx_accuracy_cache)
+
+    def tx_accuracy_map(self) -> Mapping[str, float]:
+        """Read-only live view of the cached transaction evaluations —
+        what a selector prefills its score memo from, without the copy
+        :meth:`tx_accuracy_cache` makes."""
+        return MappingProxyType(self._tx_accuracy_cache)
 
     def restore_tx_accuracy_cache(self, entries: dict[str, float]) -> None:
         """Replace the evaluation cache with ``entries`` (copied)."""

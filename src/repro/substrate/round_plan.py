@@ -103,7 +103,9 @@ def build_selector(
     walking selectors advance a selection's particles in lockstep
     supersteps over a per-epoch CSR snapshot
     (:mod:`repro.dag.walk_engine`), each superstep's union frontier
-    reaching ``tx_accuracies`` as **one** batch.
+    reaching ``tx_accuracies`` as **one** batch — with the candidates'
+    arena rows whenever the walked snapshot lives in one arena, so the
+    fused pass resolves no id.
     """
     if config.selector == "random":
         return RandomTipSelector()
@@ -113,11 +115,14 @@ def build_selector(
         )
     return AccuracyTipSelector(
         batch_accuracy_fn=lambda tx_ids: client.tx_accuracies(store, tx_ids),
+        row_accuracy_fn=lambda tx_ids, arena_rows: client.tx_accuracies(
+            store, tx_ids, arena_rows
+        ),
         alpha=config.alpha,
         normalization=config.normalization,
         depth_range=config.depth_range,
         evaluation_counter=evaluation_counter,
-        score_cache_fn=client.tx_accuracy_cache,
+        score_cache_fn=client.tx_accuracy_map,
         cache_epoch_fn=lambda: client.cache_epoch,
     )
 

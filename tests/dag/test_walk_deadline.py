@@ -3,15 +3,17 @@
 The service layer hands walks a budget object; the engine checks it at
 superstep boundaries.  These tests pin the three contract points: an
 expired budget aborts with :class:`WalkDeadlineExceeded` (from the
-starts block, the superstep loop, and the tail finisher), a generous
+starts block and from any superstep boundary), a generous
 budget changes *nothing* (bit-identical finals and rng stream), and the
 check itself never consumes randomness.  Both walking selectors'
-``select_on_snapshot`` forward the deadline and keep the same contract.
+``select_on_snapshot`` forward the deadline and keep the same contract,
+and so does a walk narrow enough to step on Python scalars.
 """
 
 import numpy as np
 import pytest
 
+from repro.dag import walk_engine
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import AccuracyTipSelector, WeightedTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
@@ -169,3 +171,36 @@ def test_memo_scores_survive_an_aborted_walk():
         rng=np.random.default_rng(8),
         score_memo=memo,
     )
+
+
+def test_deadline_between_scalar_supersteps_raises_and_keeps_the_memo(monkeypatch):
+    """Two particles at genesis make a narrow block, so the walk steps on
+    Python scalars; a deadline that fires after the first such superstep
+    raises there, and the scores it already filled stay in the memo."""
+    snapshot = TangleSnapshot.build(_grow())
+    assert 1 < snapshot.approver_counts[0]
+    assert 2 * snapshot.approver_counts[0] <= walk_engine._SCALAR_BLOCK_CELLS
+    scalar_steps = []
+    scalar = walk_engine._scalar_superstep
+
+    def counted(*args):
+        scalar_steps.append(args[0])
+        return scalar(*args)
+
+    monkeypatch.setattr(walk_engine, "_scalar_superstep", counted)
+    memo = np.full(len(snapshot), np.nan)
+    with pytest.raises(WalkDeadlineExceeded, match="2 particle"):
+        lockstep_walks(
+            snapshot,
+            np.zeros(2, dtype=np.int64),
+            _score,
+            alpha=1.0,
+            rng=np.random.default_rng(7),
+            score_memo=memo,
+            deadline=_Budget(1),
+        )
+    assert len(scalar_steps) == 1
+    genesis_approvers = scalar_steps[0][0]
+    scored = np.flatnonzero(~np.isnan(memo))
+    np.testing.assert_array_equal(scored, np.unique(genesis_approvers))
+    np.testing.assert_array_equal(memo[scored], _score(scored))

@@ -527,14 +527,15 @@ def test_all_nan_scores_degrade_to_uniform_not_first_candidate():
 def test_non_finite_candidates_never_attract_the_walk():
     """A corrupt (NaN or +inf scored) sibling must not bias the pick:
     finite candidates keep their relative odds, the corrupt one gets
-    probability zero — in the vectorized path and the scalar tail."""
+    probability zero — under the scalar tail law and the vectorized
+    block law."""
     tangle = Tangle(weights())
     for name, issuer in (("good", 0), ("bad", 1), ("ugly", 2)):
         tangle.add(Transaction(name, (GENESIS_ID,), weights(), issuer, 0))
     snapshot = snapshot_for(tangle)
     table = {"genesis": 0.5, "good": 0.9, "bad": np.nan, "ugly": np.inf}
     scores = np.array([table[tx_id] for tx_id in snapshot.ids])
-    for count in (1, 64):  # scalar tail finisher and vectorized path
+    for count in (1, 64):  # one particle on scalars, a wide vectorized block
         finals = lockstep_walks(
             snapshot,
             np.zeros(count, dtype=np.int64),

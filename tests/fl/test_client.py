@@ -5,7 +5,8 @@ import pytest
 
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
-from repro.fl import Client, TrainingConfig
+from repro.dag.walk_engine import snapshot_for
+from repro.fl import Client, DagConfig, TangleLearning, TrainingConfig
 from repro.nn import zoo
 from repro.nn.serialization import weights_allclose
 
@@ -252,6 +253,8 @@ def _assert_batched_matches_sequential(data, model):
     np.testing.assert_array_equal(
         batched, _sequential_reference(client, tangle, ids)
     )
+    by_row, by_id = (Client(data, model, config, rng=1) for _ in range(2))
+    _score_both_ways(by_row, by_id, tangle, snapshot_for(tangle), ids)
 
 
 def test_tx_accuracies_conv_model_is_fused(tiny_fmnist):
@@ -297,6 +300,137 @@ def test_tx_accuracies_personalization_falls_back(client):
     np.testing.assert_array_equal(
         batched, _sequential_reference(client, tangle, ids)
     )
+
+
+# ------------------------------------------------- scoring by arena row
+class _CountingStore:
+    """``tangle`` behind a ``get`` that counts its calls."""
+
+    def __init__(self, tangle):
+        self.tangle, self.gets = tangle, 0
+
+    def get(self, tx_id):
+        self.gets += 1
+        return self.tangle.get(tx_id)
+
+
+def _score_both_ways(by_row, by_id, tangle, snapshot, batch) -> int:
+    """Score ``batch`` with the snapshot's arena rows on one client and by
+    id alone on its twin: values, cache entries (in insertion order) and
+    evaluation counts must agree.  Returns the ``get`` calls the row
+    call made."""
+    arena, rows = snapshot.arena_rows()
+    store = _CountingStore(tangle)
+    nodes = [snapshot.index[tx_id] for tx_id in batch]
+    got = by_row.tx_accuracies(store, batch, (arena, rows[nodes]))
+    want = by_id.tx_accuracies(tangle, batch)
+    assert got.tobytes() == want.tobytes()
+    assert by_row.evaluations == by_id.evaluations
+    assert list(by_row.tx_accuracy_cache().items()) == list(
+        by_id.tx_accuracy_cache().items()
+    )
+    return store.gets
+
+
+def _twins(tiny_fmnist, model):
+    config = TrainingConfig(local_epochs=1, local_batches=3, batch_size=8)
+    return [Client(tiny_fmnist.clients[0], model, config, rng=1) for _ in range(2)]
+
+
+def test_row_scoring_equals_id_scoring_and_resolves_no_id(tiny_fmnist, mlp_builder):
+    by_row, by_id = _twins(tiny_fmnist, mlp_builder(np.random.default_rng(0)))
+    tangle, ids = _grown_tangle(by_row)
+    for client in (by_row, by_id):
+        client.tx_accuracy(tangle, ids[2])  # already cached
+    snapshot = snapshot_for(tangle)
+    batch = [ids[4], ids[2], ids[1], ids[4], ids[6], ids[0]]  # gathered
+    assert _score_both_ways(by_row, by_id, tangle, snapshot, batch) == 0
+    assert _score_both_ways(by_row, by_id, tangle, snapshot, ids[3:6]) == 0  # sliced
+    assert _score_both_ways(by_row, by_id, tangle, snapshot, ids) == 0  # all cached
+
+
+def test_row_scoring_falls_back_under_personalization(tiny_fmnist, mlp_builder):
+    by_row, by_id = _twins(tiny_fmnist, mlp_builder(np.random.default_rng(0)))
+    tangle, ids = _grown_tangle(by_row)
+    for client in (by_row, by_id):
+        client.enable_personalization(2, client.model.get_weights())
+    assert _score_both_ways(by_row, by_id, tangle, snapshot_for(tangle), ids) > 0
+
+
+def test_row_scoring_after_a_spilling_compaction(tiny_fmnist, mlp_builder, tmp_path):
+    """Rows of the snapshot cut before ``compact(spill_path=...)`` and of
+    the one built after it both score like the ids do."""
+    model = mlp_builder(np.random.default_rng(0))
+    tangle, ids = _grown_tangle(_twins(tiny_fmnist, model)[0], n=8)
+    before = snapshot_for(tangle)
+    before.arena_rows()
+    report = tangle.compact(keep_last=4, spill_path=tmp_path / "spill.bin")
+    assert report.spill is not None and report.spill.is_spilled
+    after = snapshot_for(tangle)
+    assert after.arena_rows()[0] is tangle.arena is not before.arena_rows()[0]
+    kept = ids[-4:]
+    for snapshot in (before, after):
+        by_row, by_id = _twins(tiny_fmnist, model)
+        _score_both_ways(by_row, by_id, tangle, snapshot, kept)
+    report.spill.close()
+
+
+def test_row_scoring_falls_back_for_a_foreign_architecture(tiny_fmnist, mlp_builder):
+    """A model laid out unlike the arena never reads its rows: both calls
+    take the per-model path and fail alike."""
+    tangle, ids = _grown_tangle(_twins(tiny_fmnist, mlp_builder(np.random.default_rng(0)))[0])
+    foreign = zoo.build_mlp(
+        np.random.default_rng(1), in_features=100, hidden=(8,), num_classes=10
+    )
+    by_row, by_id = _twins(tiny_fmnist, foreign)
+    snapshot = snapshot_for(tangle)
+    arena, rows = snapshot.arena_rows()
+    nodes = [snapshot.index[tx_id] for tx_id in ids[1:4]]
+    with pytest.raises(ValueError):
+        by_row.tx_accuracies(tangle, ids[1:4], (arena, rows[nodes]))
+    with pytest.raises(ValueError):
+        by_id.tx_accuracies(tangle, ids[1:4])
+    assert by_row.evaluations == by_id.evaluations
+    assert by_row.tx_accuracy_cache() == by_id.tx_accuracy_cache()
+
+
+def test_a_round_scores_candidates_without_locating_transactions(
+    tiny_fmnist, mlp_builder, fast_train_config, monkeypatch
+):
+    """In rounds mode the accuracy walk hands ``tx_accuracies`` the
+    candidates' arena rows, so scoring asks no transaction for its
+    arena location."""
+    sim = TangleLearning(
+        tiny_fmnist,
+        mlp_builder,
+        fast_train_config,
+        DagConfig(alpha=10.0, depth_range=(2, 5)),
+        clients_per_round=4,
+        seed=0,
+    )
+    sim.run_round()  # grow past genesis: the next walks meet new models
+    scoring, calls = [], {"scored": 0, "located": 0}
+    tx_accuracies, arena_location = Client.tx_accuracies, Transaction.arena_location
+
+    def scored(self, *args, **kwargs):
+        calls["scored"] += 1
+        scoring.append(True)
+        try:
+            return tx_accuracies(self, *args, **kwargs)
+        finally:
+            scoring.pop()
+
+    def located(self):
+        calls["located"] += bool(scoring)
+        return arena_location(self)
+
+    monkeypatch.setattr(Client, "tx_accuracies", scored)
+    monkeypatch.setattr(Transaction, "arena_location", located)
+    evaluations = sum(client.evaluations for client in sim.clients.values())
+    sim.run_round()
+    assert calls["scored"] > 0
+    assert sum(client.evaluations for client in sim.clients.values()) > evaluations
+    assert calls["located"] == 0
 
 
 # ------------------------------------------------- non-finite hardening

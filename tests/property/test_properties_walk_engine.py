@@ -18,6 +18,12 @@ Three layers of equivalence, from exact to statistical:
 Underneath all three, a view's snapshot — the whole-tangle snapshot
 restricted by the view's mask — must equal a cold build of exactly the
 transactions the view sees, across growth and compaction.
+
+And the engine's two steppers must draw exactly what the reference law
+below draws: :func:`reference_lockstep_walks` is the all-numpy engine
+(one padded block per superstep while two or more particles are live,
+a scalar-by-numpy tail loop for the last one), kept here as the oracle
+the scalar and vectorized steppers are pinned to.
 """
 
 import os
@@ -26,6 +32,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
+from repro.dag import walk_engine
 from repro.dag.random_walk import sequential_select_tips
 from repro.dag.tangle import Tangle
 from repro.dag.tip_selection import (
@@ -409,3 +416,218 @@ def test_view_snapshots_equal_cold_builds_across_growth_and_compaction(
     check_stage(may_build=True)
     grow(regrown)
     check_stage(may_build=False)
+
+
+# ------------------------------------- 5. the steppers obey the oracle
+def _reference_fill(score_memo, candidates, score_fn, known):
+    missing = np.unique(candidates[~known[candidates]])
+    if missing.size == 0:
+        return
+    score_memo[missing] = np.asarray(score_fn(missing), dtype=np.float64)
+    known[missing] = True
+
+
+def reference_lockstep_walks(
+    snapshot, starts, score_fn, *, alpha, normalization, rng,
+    evaluation_counter=None, score_memo=None, trace=None,
+):
+    """The reference law: one padded numpy block per superstep (the
+    block law) and, once one untraced particle is left, a numpy tail
+    loop (the tail law)."""
+    current = np.array(starts, dtype=np.int64, copy=True)
+    degrees = snapshot.approver_counts
+    indptr, indices = snapshot.approver_indptr, snapshot.approver_indices
+    if score_memo is None:
+        score_memo = np.full(len(snapshot), np.nan)
+    columns = np.arange(max(1, snapshot.max_approvers))
+    rows = np.arange(len(current))
+    known = ~np.isnan(score_memo)
+    memo_may_miss = not known.all()
+    live = np.flatnonzero(degrees[current] > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size:
+            if live.size == 1 and trace is None:
+                particle = int(live[0])
+                node = int(current[particle])
+                while degrees[node] > 0:
+                    k = int(degrees[node])
+                    if evaluation_counter is not None:
+                        evaluation_counter(k)
+                    start = indptr[node]
+                    if k == 1:
+                        node = int(indices[start])
+                        continue
+                    row = indices[start : start + k]
+                    scores = score_memo[row]
+                    if memo_may_miss and not known[row].all():
+                        _reference_fill(score_memo, row, score_fn, known)
+                        scores = score_memo[row]
+                    finite = np.isfinite(scores)
+                    if finite.all():
+                        normalized = padded_normalize(
+                            scores[None, :], np.ones((1, k), dtype=bool), normalization
+                        )[0]
+                        logits = alpha * normalized
+                    elif finite.any():
+                        normalized = padded_normalize(
+                            scores[None, :], finite[None, :], normalization
+                        )[0]
+                        logits = np.where(finite, alpha * normalized, -np.inf)
+                    else:
+                        logits = np.zeros(k)
+                    z = logits - np.log(rng.standard_exponential(k))
+                    node = int(row[int(z.argmax())])
+                current[particle] = node
+                break
+            nodes = current[live]
+            counts = degrees[nodes]
+            if evaluation_counter is not None:
+                for c in counts:
+                    evaluation_counter(int(c))
+            begins = indptr[nodes]
+            chosen = indices[begins]
+            kmax = int(counts.max())
+            if kmax > 1:
+                valid = columns[:kmax] < counts[:, None]
+                lanes = np.where(valid, columns[:kmax], 0)
+                candidates = indices[begins[:, None] + lanes]
+                scores = score_memo[candidates]
+                if memo_may_miss:
+                    unknown = ~known[candidates] & valid
+                    if unknown.any():
+                        _reference_fill(
+                            score_memo, candidates[unknown], score_fn, known
+                        )
+                        scores = score_memo[candidates]
+                bad = ~np.isfinite(scores) & valid
+                any_bad = bool(bad.any())
+                if normalization == "standard":
+                    logits = alpha * scores
+                else:
+                    norm_valid = valid & ~bad if any_bad else valid
+                    logits = alpha * padded_normalize(scores, norm_valid, normalization)
+                if any_bad:
+                    logits = np.where(bad, -np.inf, logits)
+                    alive = (valid & ~bad).any(axis=1)
+                    if not alive.all():
+                        logits = np.where(~alive[:, None] & valid, 0.0, logits)
+                z = logits - np.log(rng.standard_exponential(valid.shape))
+                picks = np.where(valid, z, -np.inf).argmax(axis=1)
+                chosen = np.where(
+                    counts > 1, candidates[rows[: len(nodes)], picks], chosen
+                )
+            if trace is not None:
+                trace.append(
+                    {
+                        "live": live.copy(),
+                        "nodes": nodes.copy(),
+                        "counts": counts.copy(),
+                        "candidates": [
+                            indices[indptr[n] : indptr[n] + degrees[n]].copy()
+                            for n in nodes
+                        ],
+                        "chosen": chosen.copy(),
+                    }
+                )
+            current[live] = chosen
+            live = live[degrees[chosen] > 0]
+    return current
+
+
+SCORE_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.5, 0.25]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(deadline=None, max_examples=CHAOS_EXAMPLES or 60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fan=st.integers(0, 90),
+    grown=st.integers(0, 40),
+    particles=st.integers(1, 8),
+    normalization=st.sampled_from(["standard", "dynamic"]),
+    alpha=st.sampled_from([0.0, 0.5, 10.0, 200.0]),
+    warm=st.floats(0.0, 1.0),
+    stepper=st.sampled_from(["measured", "scalar", "vectorized"]),
+    traced=st.booleans(),
+    data=st.data(),
+)
+def test_steppers_draw_exactly_what_the_reference_law_draws(
+    seed, fan, grown, particles, normalization, alpha, warm, stepper, traced, data
+):
+    """Random DAGs under a genesis fan of up to 90 approvers (so a
+    superstep's block spans both sides of the crossover), NaN and ±inf
+    scores, cold and partly warm memos: finals, memo, the score_fn and
+    evaluation_counter call sequences, the trace and the generator's
+    state after the walk all equal the reference law's."""
+    rng = np.random.default_rng(seed)
+    tangle = Tangle(weights())
+    ids = [GENESIS_ID]
+    for i in range(fan + grown):
+        if i < fan:
+            parents = (GENESIS_ID,)
+        else:
+            parents = tuple(
+                dict.fromkeys(
+                    ids[int(rng.integers(0, len(ids)))]
+                    for _ in range(int(rng.integers(1, 4)))
+                )
+            )
+        tangle.add(Transaction(f"t{i}", parents, weights(), i % 7, i // 7))
+        ids.append(f"t{i}")
+    snapshot = TangleSnapshot.build(tangle)
+    n = len(snapshot)
+    scores = np.array(data.draw(st.lists(SCORE_VALUES, min_size=n, max_size=n)))
+    memo = np.full(n, np.nan)
+    prefilled = rng.random(n) < warm
+    memo[prefilled] = scores[prefilled]
+    starts = batched_walk_starts(
+        snapshot, particles, np.random.default_rng(seed + 1), depth_range=(0, 6)
+    )
+    if rng.random() < 0.5:
+        starts[:] = 0  # every particle faces the fan at once
+
+    def run(walk, **patch):
+        calls, counted = [], []
+        walk_rng = np.random.default_rng(seed + 2)
+        walk_memo = memo.copy()
+        trace = [] if traced else None
+
+        def score_fn(nodes):
+            calls.append(nodes.copy())
+            return scores[nodes]
+
+        with mock.patch.object(walk_engine, "_SCALAR_BLOCK_CELLS", **patch):
+            finals = walk(
+                snapshot,
+                starts,
+                score_fn,
+                alpha=alpha,
+                normalization=normalization,
+                rng=walk_rng,
+                evaluation_counter=counted.append,
+                score_memo=walk_memo,
+                trace=trace,
+            )
+        return finals, walk_memo, calls, counted, trace, walk_rng.bit_generator.state
+
+    cells = {"measured": walk_engine._SCALAR_BLOCK_CELLS, "scalar": 10**9, "vectorized": 0}
+    event(f"stepper {stepper}")
+    got = run(lockstep_walks, new=cells[stepper])
+    want = run(reference_lockstep_walks, new=cells[stepper])
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])  # NaN-aware: equal_nan
+    assert len(got[2]) == len(want[2])
+    for mine, theirs in zip(got[2], want[2]):
+        np.testing.assert_array_equal(mine, theirs)
+    assert got[3] == want[3]
+    if traced:
+        assert len(got[4]) == len(want[4])
+        for mine, theirs in zip(got[4], want[4]):
+            for key in ("live", "nodes", "counts", "chosen"):
+                np.testing.assert_array_equal(mine[key], theirs[key], err_msg=key)
+            for a, b in zip(mine["candidates"], theirs["candidates"], strict=True):
+                np.testing.assert_array_equal(a, b)
+    assert got[5] == want[5]
