@@ -20,8 +20,13 @@ Enforced floors, recorded to ``BENCH_training.json`` for CI:
   Both paths run the same im2col/BLAS kernels and a 10-image conv
   batch is already throughput-bound in them, so stacking K models
   saves only the dispatch overhead and the lowest conv's input
-  gradient (~1.2x); the conv stack's gain over the old kernels is an
-  end-to-end number (``benchmarks/e2e``, ``rounds_cnn``).
+  gradient (~1.2x).
+- **CNN kernels**: ReLU forward + backward and 2x2 max-pool forward +
+  backward on the ``rounds_cnn`` training blocks (10 models x 10 images
+  x 8x14x14 and x 16x7x7) must be >= 2x faster than the ``np.where`` /
+  ``im2col``-window formulations they replaced (kept below as the
+  reference), with bit-identical outputs and input gradients.  The
+  end-to-end effect is the ``rounds_cnn`` row of ``benchmarks/e2e``.
 
 Also recorded (no floor): the same comparison at the round level — full
 ``TangleLearning`` rounds on each route of ``execute_round`` (in-process
@@ -44,12 +49,15 @@ import numpy as np
 from repro.data import make_fmnist_clustered
 from repro.fl import DagConfig, TangleLearning, TrainingConfig
 from repro.nn import SGD, zoo
+from repro.nn.layers import MaxPool2D, ReLU
+from repro.nn.layers.conv import col2im
 from repro.nn.model import plan_local_batches
 from repro.nn.training_plane import LockstepTrainer, TrainJob
 from repro.substrate import SerialExecutor
 
 TRAINING_FLOOR = 2.0
 CONV_TRAINING_FLOOR = 1.0
+CNN_KERNELS_FLOOR = 2.0
 CLIENTS = 10
 BATCHES = 10
 BATCH_SIZE = 10
@@ -231,6 +239,94 @@ def test_conv_fused_training_speedup_and_equivalence():
     assert speedup >= CONV_TRAINING_FLOOR, (
         f"lockstep conv training {speedup:.2f}x of the per-client loop "
         f"(floor {CONV_TRAINING_FLOOR}x)"
+    )
+
+
+def _reference_relu(x, grad):
+    mask = x > 0
+    return np.where(mask, x, 0.0), np.where(mask, grad, 0.0)
+
+
+def _reference_pool(x, grad):
+    """2x2 / stride-2 pooling over a slice-loop unfold of the windows,
+    the gradient routed back through ``np.where`` and ``col2im``."""
+    out_h, out_w = x.shape[-2] // 2, x.shape[-1] // 2
+    cols = np.empty(x.shape[:-2] + (2, 2, out_h, out_w))
+    for i in range(2):
+        for j in range(2):
+            cols[..., i, j, :, :] = x[..., i : i + 2 * out_h : 2, j : j + 2 * out_w : 2]
+    windows = cols.reshape(x.shape[:-2] + (4, out_h, out_w))
+    out = windows.max(axis=-3)
+    chosen = windows == out[..., None, :, :]
+    seen = chosen[..., 0, :, :].copy()
+    for q in range(1, 4):
+        plane = chosen[..., q, :, :]
+        plane &= ~seen
+        seen |= plane
+    grad_windows = np.where(chosen, grad[..., None, :, :], 0.0)
+    grad_cols = grad_windows.reshape(x.shape[:-2] + (2, 2, out_h, out_w))
+    return out, col2im(grad_cols, x.shape, 2, 2, 2, 0)
+
+
+def _kernels(x, grad_relu, grad_pool):
+    relu, pool = ReLU(), MaxPool2D(2, 2)
+    relu_cache: dict = {}
+    pool_cache: dict = {}
+    relu_out, _ = relu.forward_many_train(x, [], batched=True, cache=relu_cache)
+    relu_grad = relu.backward_many(grad_relu, [], [], relu_cache)
+    pool_out, _ = pool.forward_many_train(relu_out, [], batched=True, cache=pool_cache)
+    pool_grad = pool.backward_many(grad_pool, [], [], pool_cache)
+    return relu_out, relu_grad, pool_out, pool_grad
+
+
+def _reference(x, grad_relu, grad_pool):
+    relu_out, relu_grad = _reference_relu(x, grad_relu)
+    pool_out, pool_grad = _reference_pool(relu_out, grad_pool)
+    return relu_out, relu_grad, pool_out, pool_grad
+
+
+def test_cnn_kernels_speedup_and_equivalence():
+    """ReLU + 2x2 max-pool, forward and backward, on the ``rounds_cnn``
+    fused training blocks: the branch-free kernels against the
+    ``np.where`` / window-unfold reference, bit for bit."""
+    rng = np.random.default_rng(3)
+    blocks = {}
+    reference_total = kernel_total = 0.0
+    for channels, size in ((8, 14), (16, 7)):
+        shape = (CLIENTS, BATCH_SIZE, channels, size, size)
+        x = rng.normal(size=shape)
+        grad_relu = rng.normal(size=shape)
+        grad_pool = rng.normal(size=shape[:-2] + (size // 2, size // 2))
+        reference_time, expected = _best_of(
+            lambda: _reference(x, grad_relu, grad_pool), repeats=30
+        )
+        kernel_time, actual = _best_of(
+            lambda: _kernels(x, grad_relu, grad_pool), repeats=30
+        )
+        for a, b in zip(actual, expected):
+            assert a.dtype == b.dtype == np.float64
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        blocks["x".join(map(str, shape))] = {
+            "reference_ms": reference_time * 1e3,
+            "kernels_ms": kernel_time * 1e3,
+            "speedup": reference_time / kernel_time,
+        }
+        reference_total += reference_time
+        kernel_total += kernel_time
+    speedup = reference_total / kernel_total
+    _RESULTS["cnn_kernels"] = {
+        "workload": "ReLU fwd+bwd and 2x2 max-pool fwd+bwd on the rounds_cnn "
+        "fused training blocks (models x images x C x H x W)",
+        "blocks": blocks,
+        "reference_ms": reference_total * 1e3,
+        "kernels_ms": kernel_total * 1e3,
+        "speedup": speedup,
+        "floor": CNN_KERNELS_FLOOR,
+        "bit_identical_float64": True,
+    }
+    assert speedup >= CNN_KERNELS_FLOOR, (
+        f"CNN kernels only {speedup:.2f}x over the np.where/window "
+        f"reference (floor {CNN_KERNELS_FLOOR}x)"
     )
 
 

@@ -11,6 +11,8 @@ to :meth:`Conv2D.forward` / :meth:`Conv2D.backward` in float64.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.nn.initializers import he_uniform, zeros
@@ -36,27 +38,37 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(
+    h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """``(kh, kw, out_h, out_w)`` offsets of every patch element into a
+    flattened, padded ``(h + 2 * padding) x (w + 2 * padding)`` image."""
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    rows = np.arange(kh)[:, None, None, None] + stride * np.arange(out_h)[:, None]
+    cols = np.arange(kw)[:, None, None] + stride * np.arange(out_w)
+    index = rows * (w + 2 * padding) + cols
+    index.setflags(write=False)
+    return index
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Unfold image patches into columns.
 
     ``x`` is ``(..., H, W)`` — any leading axes (batch, channels, a
     fused model axis); returns ``(..., kh, kw, out_h, out_w)``, i.e.
-    ``(N, C, kh, kw, out_h, out_w)`` for an NCHW batch.
+    ``(N, C, kh, kw, out_h, out_w)`` for an NCHW batch.  One
+    :func:`np.take` over a cached patch index per image geometry.
     """
     lead, (h, w) = x.shape[:-2], x.shape[-2:]
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
+    index = _patch_index(h, w, kh, kw, stride, padding)
     if padding > 0:
-        padded = np.zeros(lead + (h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        padded[..., padding : padding + h, padding : padding + w] = x
+        h, w = h + 2 * padding, w + 2 * padding
+        padded = np.zeros(lead + (h, w), dtype=x.dtype)
+        padded[..., padding : h - padding, padding : w - padding] = x
         x = padded
-    cols = np.empty(lead + (kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            cols[..., i, j, :, :] = x[..., i:i_max:stride, j:j_max:stride]
-    return cols
+    return np.take(x.reshape(lead + (h * w,)), index, axis=-1)
 
 
 def col2im(

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers.conv import col2im, im2col
+from repro.nn.layers.activations import keep_where
+from repro.nn.layers.conv import conv_output_size
 from repro.nn.module import Layer
 
 __all__ = ["MaxPool2D"]
@@ -13,12 +14,15 @@ __all__ = ["MaxPool2D"]
 class MaxPool2D(Layer):
     """Max pooling over non-overlapping or strided windows (NCHW).
 
-    Windows come from the conv stack's patch helper, flattened row-major
-    to ``pool_size**2`` candidates; the gradient goes to the *first*
-    candidate that attains the maximum (as :func:`np.argmax` breaks
-    ties), so an all-zero post-ReLU window routes its gradient to the
-    window's top-left input.  Parameterless, so the fused kernels are the
-    same code over one more leading axis.
+    A ``pool_size x pool_size`` window has ``pool_size**2`` *planes*:
+    plane ``(i, j)`` is the strided view of every window's input at
+    offset ``(i, j)``, taken in row-major order.  The maximum is a
+    running ``np.maximum`` over the planes in that order, so a window
+    holding NaN pools to NaN.  The gradient goes to the *first* plane
+    equal to the maximum — an all-zero post-ReLU window routes its
+    gradient to the window's top-left input — and a NaN window routes
+    none, since NaN equals nothing.  Parameterless, so the fused kernels
+    are the same code over one more leading axis.
     """
 
     fused_eval = True
@@ -27,7 +31,7 @@ class MaxPool2D(Layer):
     def __init__(self, pool_size: int = 2, stride: int | None = None):
         self.pool_size = pool_size
         self.stride = stride if stride is not None else pool_size
-        self._chosen: np.ndarray | None = None
+        self._masks: list[np.ndarray] | None = None
         self._hw: tuple[int, int] | None = None
 
     # ------------------------------------------------------ shared kernels
@@ -35,50 +39,80 @@ class MaxPool2D(Layer):
         if x.ndim != (5 if batched else 4):
             raise ValueError(f"MaxPool2D expects (N, C, H, W), got {x.shape}")
 
-    def _windows(self, x: np.ndarray) -> np.ndarray:
-        """``(..., H, W) -> (..., pool_size**2, out_h, out_w)``."""
-        p = self.pool_size
-        cols = im2col(x, p, p, self.stride, 0)
-        return cols.reshape(cols.shape[:-4] + (p * p,) + cols.shape[-2:])
+    def _plane_slices(
+        self, out_h: int, out_w: int
+    ) -> list[tuple[slice, slice]]:
+        """Row-major ``(rows, cols)`` slices of the ``pool_size**2`` planes."""
+        p, s = self.pool_size, self.stride
+        return [
+            (slice(i, i + s * (out_h - 1) + 1, s), slice(j, j + s * (out_w - 1) + 1, s))
+            for i in range(p)
+            for j in range(p)
+        ]
 
-    def _pool(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Window maxima plus the one-hot mask of each window's first
-        maximal candidate (what the backward pass routes through)."""
-        windows = self._windows(x)
-        out = windows.max(axis=-3)
-        chosen = windows == out[..., None, :, :]
-        # Keep only the first hit per window: a few boolean passes over
-        # contiguous planes instead of an argmax along a strided axis.
-        seen = chosen[..., 0, :, :].copy()
-        for q in range(1, chosen.shape[-3]):
-            plane = chosen[..., q, :, :]
-            plane &= ~seen
-            seen |= plane
-        return out, chosen
+    def _planes(self, x: np.ndarray) -> list[np.ndarray]:
+        """``(..., H, W)`` -> the window planes, each ``(..., out_h, out_w)``."""
+        h, w = x.shape[-2:]
+        out_h = conv_output_size(h, self.pool_size, self.stride, 0)
+        out_w = conv_output_size(w, self.pool_size, self.stride, 0)
+        return [x[..., rows, cols] for rows, cols in self._plane_slices(out_h, out_w)]
+
+    @staticmethod
+    def _max(planes: list[np.ndarray]) -> np.ndarray:
+        if planes[0].shape[-2:] == (1, 1):
+            # One window per plane: numpy reduces a stacked window along
+            # its contiguous axis in its own order, which can pick another
+            # signed zero or NaN than a running maximum; keep that order.
+            return np.stack(planes, axis=-3).max(axis=-3)
+        out = planes[0].copy()
+        for plane in planes[1:]:
+            np.maximum(out, plane, out=out)
+        return out
+
+    def _pool(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Window maxima plus one boolean mask per plane marking the
+        windows whose first maximal plane it is (what the backward pass
+        routes through)."""
+        planes = self._planes(x)
+        out = self._max(planes)
+        seen = np.zeros(out.shape, dtype=bool)
+        masks = []
+        for plane in planes:
+            # For booleans ``a > b`` is ``a & ~b``: equal, and no earlier hit.
+            first = np.greater(plane == out, seen)
+            seen |= first
+            masks.append(first)
+        return out, masks
 
     def _route(
-        self, grad_out: np.ndarray, chosen: np.ndarray, hw: tuple[int, int]
+        self, grad_out: np.ndarray, masks: list[np.ndarray], hw: tuple[int, int]
     ) -> np.ndarray:
-        """Send each output gradient to its window's chosen input."""
-        p = self.pool_size
-        grad_windows = np.where(chosen, grad_out[..., None, :, :], 0.0)
-        grad_cols = grad_windows.reshape(
-            grad_windows.shape[:-3] + (p, p) + grad_windows.shape[-2:]
-        )
-        return col2im(grad_cols, grad_cols.shape[:-4] + hw, p, p, self.stride, 0)
+        """Send each output gradient to its window's chosen input: plane
+        by plane, assigned where windows are disjoint, accumulated in
+        row-major plane order where they overlap."""
+        lead = np.broadcast_shapes(masks[0].shape, grad_out.shape)[:-2]
+        grad_in = np.zeros(lead + tuple(hw), dtype=grad_out.dtype)
+        disjoint = self.stride >= self.pool_size
+        for (rows, cols), mask in zip(self._plane_slices(*grad_out.shape[-2:]), masks):
+            part = keep_where(mask, grad_out)
+            if disjoint:
+                grad_in[..., rows, cols] = part
+            else:
+                grad_in[..., rows, cols] += part
+        return grad_in
 
     # ---------------------------------------------------------- one model
     def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
         self._check_input(x)
-        out, self._chosen = self._pool(x)
+        out, self._masks = self._pool(x)
         self._hw = x.shape[-2:]
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._chosen is None or self._hw is None:
+        if self._masks is None or self._hw is None:
             raise RuntimeError("backward called before forward")
-        grad_in = self._route(grad_out, self._chosen, self._hw)
-        self._chosen = None
+        grad_in = self._route(grad_out, self._masks, self._hw)
+        self._masks = None
         self._hw = None
         return grad_in
 
@@ -87,13 +121,13 @@ class MaxPool2D(Layer):
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
     ) -> tuple[np.ndarray, bool]:
         self._check_input(x, batched=batched)
-        return self._windows(x).max(axis=-3), batched
+        return self._max(self._planes(x)), batched
 
     def forward_many_train(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
     ) -> tuple[np.ndarray, bool]:
         self._check_input(x, batched=batched)
-        out, cache["chosen"] = self._pool(x)
+        out, cache["masks"] = self._pool(x)
         cache["hw"] = x.shape[-2:]
         return out, batched
 
@@ -108,4 +142,4 @@ class MaxPool2D(Layer):
     ) -> np.ndarray | None:
         # A mask taken below the first per-model layer has no model axis;
         # it broadcasts over the stacked gradient.
-        return self._route(grad_out, cache["chosen"], cache["hw"])
+        return self._route(grad_out, cache["masks"], cache["hw"])

@@ -74,6 +74,29 @@ def test_ties_route_to_first_window_index():
     np.testing.assert_array_equal(fused[0], grad_in)
 
 
+def test_nan_window_pools_to_nan_and_routes_no_gradient():
+    """A window holding NaN pools to NaN and routes no gradient — NaN
+    equals nothing, so no input is the window's maximum — on the
+    sequential and the fused paths alike."""
+    layer = MaxPool2D(2, 2)
+    x = np.array([[[[1.0, np.nan, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]]]])
+    grad_out = np.array([[[[3.0, 7.0]]]])
+    expected_grad = [[[[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 7.0]]]]
+
+    out = layer.forward(x, train=True)
+    assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 8.0
+    np.testing.assert_array_equal(layer.backward(grad_out), expected_grad)
+
+    cache: dict = {}
+    fused, _ = layer.forward_many_train(x[None], [], batched=True, cache=cache)
+    np.testing.assert_array_equal(fused[0], out)
+    np.testing.assert_array_equal(
+        layer.forward_many(x[None], [], batched=True)[0][0], out
+    )
+    grad_in = layer.backward_many(grad_out[None], [], [], cache)
+    np.testing.assert_array_equal(grad_in[0], expected_grad)
+
+
 @pytest.mark.parametrize("pool, stride", [(2, 2), (3, 2), (3, 1)])
 def test_fused_kernels_bit_identical(rng, pool, stride):
     layer = MaxPool2D(pool, stride)
