@@ -6,7 +6,10 @@ DAG) on its round schedule — a thin constructor over the one simulator,
 paper's asynchronous deployment model; :class:`FedAvgServer` and
 :class:`FedProxServer` are the centralized baselines of Section 5;
 :class:`GossipLearning` is the decentralized gossip baseline discussed in
-related work.
+related work.  The three baselines are :class:`TangleLearning`
+subclasses: rounds of the same engine that define only their work
+units (a given start model, no walk) and their barrier commit, so every
+algorithm trains through the one lockstep training plane.
 """
 
 from repro.fl.config import (

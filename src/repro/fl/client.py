@@ -10,9 +10,9 @@ import numpy as np
 from repro.data.base import ClientData
 from repro.dag.arena import shared_rows
 from repro.dag.tangle import Tangle
-from repro.nn.model import Classifier
-from repro.nn.optimizers import SGD, ProximalSGD
+from repro.nn.model import Classifier, plan_local_batches
 from repro.nn.serialization import Weights
+from repro.nn.training_plane import TrainJob, train_grouped
 from repro.fl.config import TrainingConfig
 from repro.utils.rng import ensure_rng
 
@@ -363,6 +363,32 @@ class Client:
         return data_ipc + model_ipc + cache, data_dense + model_dense + cache
 
     # ------------------------------------------------------------ training
+    def plan_job(
+        self,
+        start_flat: np.ndarray,
+        tag: object = None,
+        *,
+        mu: float | None = None,
+        epochs: int | None = None,
+    ) -> TrainJob:
+        """Local training from ``start_flat`` as a lockstep job (``mu``:
+        FedProx's proximal term; ``epochs`` overrides the config's).
+
+        Planning consumes the shuffle rng exactly as ``train_local``
+        would, so callers plan jobs in the order they would train them.
+        """
+        config, x, y = self.config, self.data.x_train, self.data.y_train
+        batches = plan_local_batches(
+            x.shape[0],
+            self.rng,
+            epochs=config.local_epochs if epochs is None else epochs,
+            batch_size=config.batch_size,
+            max_batches=config.local_batches,
+        )
+        return TrainJob(
+            x, y, batches, start_flat, tag, lr=config.learning_rate, momentum=config.momentum, mu=mu
+        )
+
     def train(
         self,
         weights: Weights,
@@ -376,29 +402,11 @@ class Client:
         ``proximal_mu`` set, uses the FedProx proximal objective anchored
         at the incoming weights.
 
-        The baselines' path (FedAvg, FedProx, gossip; the service
-        demo's clients).  DAG cycles and round units train through the
-        lockstep plane instead
-        (:func:`repro.nn.training_plane.train_grouped`), bit-identically.
+        A one-job :func:`~repro.nn.training_plane.train_grouped`, the
+        path every round and cycle trains through, for callers holding
+        a weight list (the service demo's clients).
         """
-        config = self.config
-        epochs = epochs_override if epochs_override is not None else config.local_epochs
-        self.model.set_weights(weights)
-        if proximal_mu is not None:
-            optimizer: SGD = ProximalSGD(
-                config.learning_rate, proximal_mu, momentum=config.momentum
-            )
-            optimizer.set_reference(weights)
-        else:
-            optimizer = SGD(config.learning_rate, momentum=config.momentum)
-        loss = self.model.train_local(
-            self.data.x_train,
-            self.data.y_train,
-            optimizer,
-            self.rng,
-            epochs=epochs,
-            batch_size=config.batch_size,
-            max_batches=config.local_batches,
-        )
-        # get_weights() already returns fresh copies — no defensive clone.
-        return self.model.get_weights(), loss
+        spec = self.model.flat_spec
+        job = self.plan_job(spec.flatten(weights), mu=proximal_mu, epochs=epochs_override)
+        row, loss = train_grouped([(self.model, [job])])[None]
+        return spec.unflatten(row), loss

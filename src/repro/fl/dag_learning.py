@@ -14,6 +14,11 @@ round *r - 1*) and the executor choice (``DagConfig.parallelism``) are
 documented on :meth:`~repro.sim.engine.EventDrivenTangleLearning.run_rounds`;
 ``docs/substrate.md`` walks one round through the execution substrate.
 
+The baselines (:class:`~repro.fl.fedavg.FedAvgServer`,
+:class:`~repro.fl.fedprox.FedProxServer`,
+:class:`~repro.fl.gossip.GossipLearning`) subclass it and replace the
+round's two hooks, ``_round_units`` and ``_commit_round``.
+
 Import direction: this module imports ``repro.sim.engine``, which imports
 the ``repro.fl.{client,config,aggregation,records}`` *submodules* — a
 package-level cycle but a module-level DAG.  ``repro/sim/__init__`` loads

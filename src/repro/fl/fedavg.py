@@ -2,29 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.data.base import FederatedDataset
-from repro.fl.client import Client
 from repro.fl.config import TrainingConfig
+from repro.fl.dag_learning import TangleLearning
 from repro.fl.records import RoundRecord
-from repro.nn.model import Classifier
-from repro.nn.serialization import Weights, weighted_average_weights
-from repro.utils.rng import RngFactory
+from repro.nn.serialization import Weights
+from repro.sim.engine import ModelBuilder
+from repro.substrate import ClientRoundResult, ClientWorkUnit
 
 __all__ = ["FedAvgServer"]
 
-ModelBuilder = Callable[[np.random.Generator], Classifier]
 
-
-class FedAvgServer:
+class FedAvgServer(TangleLearning):
     """Round-based FedAvg: sample clients, train locally, average by size.
 
-    Per-round records report the accuracy of the *aggregated* global model
-    on each active client's local test data, which is how the paper
-    evaluates FedAvg in Figure 9.
+    A round of the engine whose units start from the global model and
+    whose commit is the size-weighted mean of the trained rows.
+    Per-round records report the accuracy of the *aggregated* global
+    model on each active client's local test data, which is how the
+    paper evaluates FedAvg in Figure 9.
     """
 
     def __init__(
@@ -36,65 +34,43 @@ class FedAvgServer:
         clients_per_round: int = 10,
         seed: int = 0,
     ):
-        self.dataset = dataset
-        self.clients_per_round = min(clients_per_round, dataset.num_clients)
-        self._rngs = RngFactory(seed)
-        self.model = model_builder(self._rngs.get("model-init"))
-        self.global_weights: Weights = self.model.get_weights()
-        self.clients: dict[int, Client] = {
-            cd.client_id: Client(
-                cd, self.model, train_config, self._rngs.get("client", cd.client_id)
-            )
-            for cd in dataset.clients
-        }
-        self._sampler = self._rngs.get("round-sampler")
-        self.round_index = 0
-        self.history: list[RoundRecord] = []
-
-    def _train_one(self, client: Client) -> tuple[Weights, float]:
-        """Hook for subclasses (FedProx overrides with the proximal term).
-
-        The global weights are passed by reference: ``Client.train``
-        copies them into the model in place and never mutates its input,
-        so the historical defensive clone was a full model copy per
-        client per round for nothing.
-        """
-        return client.train(self.global_weights)
-
-    def run_round(self) -> RoundRecord:
-        active_ids = sorted(
-            self._sampler.choice(
-                sorted(self.clients), size=self.clients_per_round, replace=False
-            ).tolist()
+        super().__init__(
+            dataset,
+            model_builder,
+            train_config,
+            clients_per_round=clients_per_round,
+            seed=seed,
         )
-        record = RoundRecord(round_index=self.round_index, active_clients=active_ids)
+        self.global_flat: np.ndarray = self.model.get_flat()
 
-        updates: list[Weights] = []
-        sizes: list[float] = []
-        for client_id in active_ids:
-            client = self.clients[client_id]
-            trained, _loss = self._train_one(client)
-            updates.append(trained)
-            sizes.append(client.data.n_train)
+    @property
+    def global_weights(self) -> Weights:
+        """The global model as views of ``global_flat`` (which each
+        round replaces, never mutates)."""
+        return self.model.flat_spec.unflatten(self.global_flat)
 
-        self.global_weights = weighted_average_weights(updates, sizes)
+    def _round_units(self, active_ids: list[int]) -> list[ClientWorkUnit]:
+        return [
+            ClientWorkUnit(client_id, walk_key=(), reference=self.global_flat)
+            for client_id in active_ids
+        ]
 
-        for client_id in active_ids:
-            loss, accuracy = self.clients[client_id].evaluate_weights(
-                self.global_weights
-            )
+    def _commit_round(
+        self,
+        record: RoundRecord,
+        units: list[ClientWorkUnit],
+        results: list[ClientRoundResult],
+    ) -> None:
+        sizes = np.array([self.clients[r.client_id].data.n_train for r in results], dtype=float)
+        rows = np.stack([r.flat_weights for r in results])
+        self.global_flat = (sizes / sizes.sum()) @ rows
+        for client_id in record.active_clients:
+            loss, accuracy = self.clients[client_id].evaluate_flat(self.global_flat)
             record.client_accuracy[client_id] = accuracy
             record.client_loss[client_id] = loss
-
-        self.round_index += 1
-        self.history.append(record)
-        return record
-
-    def run(self, rounds: int) -> list[RoundRecord]:
-        return [self.run_round() for _ in range(rounds)]
 
     def evaluate_global(self) -> tuple[float, float]:
         """(loss, accuracy) of the global model over all clients' test data."""
         x, y = self.dataset.global_test_set()
-        self.model.set_weights(self.global_weights)
+        self.model.load_flat(self.global_flat)
         return self.model.evaluate(x, y)

@@ -10,16 +10,17 @@ Figures 10/11 use the no-straggler configuration, which is our default.
 
 from __future__ import annotations
 
-from repro.fl.client import Client
+from dataclasses import replace
+
 from repro.fl.fedavg import FedAvgServer
-from repro.nn.serialization import Weights
-from repro.utils.validation import check_probability
+from repro.substrate import ClientWorkUnit
+from repro.utils.validation import check_positive, check_probability
 
 __all__ = ["FedProxServer"]
 
 
 class FedProxServer(FedAvgServer):
-    """FedAvg with proximal local training."""
+    """FedAvg whose units train the proximal objective."""
 
     def __init__(
         self,
@@ -29,26 +30,23 @@ class FedProxServer(FedAvgServer):
         straggler_epochs: int = 1,
         **kwargs,
     ):
-        super().__init__(*args, **kwargs)
         if mu < 0:
             raise ValueError("mu must be >= 0")
         check_probability("straggler_fraction", straggler_fraction)
+        check_positive("straggler_epochs", straggler_epochs)
+        super().__init__(*args, **kwargs)
         self.mu = mu
         self.straggler_fraction = straggler_fraction
         self.straggler_epochs = straggler_epochs
         self._straggler_rng = self._rngs.get("stragglers")
 
-    def _train_one(self, client: Client) -> tuple[Weights, float]:
-        epochs_override = None
-        if (
-            self.straggler_fraction > 0.0
-            and self._straggler_rng.random() < self.straggler_fraction
-        ):
-            epochs_override = self.straggler_epochs
-        # As in FedAvg: train() copies, so no defensive clone is needed
-        # (ProximalSGD.set_reference also copies its anchor).
-        return client.train(
-            self.global_weights,
-            proximal_mu=self.mu,
-            epochs_override=epochs_override,
-        )
+    def _round_units(self, active_ids: list[int]) -> list[ClientWorkUnit]:
+        units = []
+        for unit in super()._round_units(active_ids):
+            straggler = (
+                self.straggler_fraction > 0.0
+                and self._straggler_rng.random() < self.straggler_fraction
+            )
+            local_epochs = self.straggler_epochs if straggler else None
+            units.append(replace(unit, proximal_mu=self.mu, local_epochs=local_epochs))
+        return units

@@ -8,25 +8,27 @@ decentralized comparison point discussed in the paper's related work.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.data.base import FederatedDataset
-from repro.fl.client import Client
 from repro.fl.config import TrainingConfig
+from repro.fl.dag_learning import TangleLearning
 from repro.fl.records import RoundRecord
-from repro.nn.model import Classifier
-from repro.nn.serialization import Weights, average_weights
-from repro.utils.rng import RngFactory
+from repro.nn.serialization import Weights
+from repro.sim.engine import ModelBuilder
+from repro.substrate import ClientRoundResult, ClientWorkUnit
 
 __all__ = ["GossipLearning"]
 
-ModelBuilder = Callable[[np.random.Generator], Classifier]
 
+class GossipLearning(TangleLearning):
+    """Peer-to-peer gossip learning simulator.
 
-class GossipLearning:
-    """Peer-to-peer gossip learning simulator."""
+    A round of the engine whose units start from the merge of the
+    client's and a random peer's start-of-round models (the DAG
+    simulator's concurrent semantics) and whose commit stores each
+    trained row as the client's local model.
+    """
 
     def __init__(
         self,
@@ -37,49 +39,46 @@ class GossipLearning:
         clients_per_round: int = 10,
         seed: int = 0,
     ):
-        self.dataset = dataset
-        self.clients_per_round = min(clients_per_round, dataset.num_clients)
-        self._rngs = RngFactory(seed)
-        self.model = model_builder(self._rngs.get("model-init"))
-        initial = self.model.get_weights()
-        self.clients: dict[int, Client] = {}
-        self.local_weights: dict[int, Weights] = {}
-        for cd in dataset.clients:
-            self.clients[cd.client_id] = Client(
-                cd, self.model, train_config, self._rngs.get("client", cd.client_id)
-            )
-            # All clients may share the initial list: weight lists are
-            # never mutated in place (training replaces them wholesale),
-            # so N copies of the genesis model bought nothing.
-            self.local_weights[cd.client_id] = initial
-        self._sampler = self._rngs.get("round-sampler")
-        self.round_index = 0
-        self.history: list[RoundRecord] = []
-
-    def run_round(self) -> RoundRecord:
-        ids = sorted(self.clients)
-        active_ids = sorted(
-            self._sampler.choice(
-                ids, size=self.clients_per_round, replace=False
-            ).tolist()
+        if dataset.num_clients < 2:
+            raise ValueError(f"gossip learning needs at least 2 clients, got {dataset.num_clients}")
+        super().__init__(
+            dataset,
+            model_builder,
+            train_config,
+            clients_per_round=clients_per_round,
+            seed=seed,
         )
-        record = RoundRecord(round_index=self.round_index, active_clients=active_ids)
-        # Snapshot so merges within a round use start-of-round models,
-        # mirroring the concurrent semantics of the DAG simulator.
-        snapshot = {cid: self.local_weights[cid] for cid in ids}
+        # All clients may share the genesis row: rows are never mutated
+        # in place (a commit replaces a client's row wholesale).
+        genesis = self.model.get_flat()
+        self.local_flats: dict[int, np.ndarray] = {
+            client_id: genesis for client_id in self.clients
+        }
+
+    @property
+    def local_weights(self) -> dict[int, Weights]:
+        """Every client's local model as views of its row."""
+        unflatten = self.model.flat_spec.unflatten
+        return {cid: unflatten(flat) for cid, flat in self.local_flats.items()}
+
+    def _round_units(self, active_ids: list[int]) -> list[ClientWorkUnit]:
+        ids = sorted(self.clients)
+        units = []
         for client_id in active_ids:
-            client = self.clients[client_id]
-            peers = [cid for cid in ids if cid != client_id]
-            peer = int(self._sampler.choice(peers))
-            merged = average_weights([snapshot[client_id], snapshot[peer]])
-            trained, _loss = client.train(merged)
-            self.local_weights[client_id] = trained
-            loss, accuracy = client.evaluate_weights(trained)
+            peer = int(self._sampler.choice([cid for cid in ids if cid != client_id]))
+            merged = np.stack([self.local_flats[client_id], self.local_flats[peer]]).mean(axis=0)
+            units.append(ClientWorkUnit(client_id, walk_key=(), reference=merged))
+        return units
+
+    def _commit_round(
+        self,
+        record: RoundRecord,
+        units: list[ClientWorkUnit],
+        results: list[ClientRoundResult],
+    ) -> None:
+        for result in results:
+            client_id = result.client_id
+            self.local_flats[client_id] = result.flat_weights
+            loss, accuracy = self.clients[client_id].evaluate_flat(result.flat_weights)
             record.client_accuracy[client_id] = accuracy
             record.client_loss[client_id] = loss
-        self.round_index += 1
-        self.history.append(record)
-        return record
-
-    def run(self, rounds: int) -> list[RoundRecord]:
-        return [self.run_round() for _ in range(rounds)]

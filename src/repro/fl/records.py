@@ -15,11 +15,13 @@ class RoundRecord:
 
     ``client_accuracy``/``client_loss`` hold, per active client, the
     evaluation of that client's model-of-record on its local test data —
-    for the DAG that is the locally trained model, for FedAvg/FedProx the
-    freshly aggregated global model (matching Figure 9's methodology).
-    ``reference_accuracy`` is the DAG's consensus model (averaged selected
-    tips) before local training.  Walk bookkeeping fields stay empty for
-    the centralized baselines.
+    for the DAG and gossip that is the locally trained model, for
+    FedAvg/FedProx the freshly aggregated global model (matching Figure
+    9's methodology).  ``reference_accuracy`` is the DAG's consensus
+    model (averaged selected tips) before local training.  The
+    baselines' units are given their start model and walk nothing, so
+    ``reference_accuracy``, ``published`` and the walk bookkeeping stay
+    empty for FedAvg, FedProx and gossip.
     """
 
     round_index: int

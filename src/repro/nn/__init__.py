@@ -32,12 +32,10 @@ from repro.nn.model import Classifier, plan_local_batches
 from repro.nn.training_plane import LockstepTrainer, TrainJob
 from repro.nn.serialization import (
     FlatSpec,
-    average_weights,
     clone_weights,
     flatten_weights,
     weights_allclose,
     weights_l2_distance,
-    weighted_average_weights,
 )
 from repro.nn import zoo
 
@@ -68,11 +66,9 @@ __all__ = [
     "LockstepTrainer",
     "TrainJob",
     "FlatSpec",
-    "average_weights",
     "clone_weights",
     "flatten_weights",
     "weights_allclose",
     "weights_l2_distance",
-    "weighted_average_weights",
     "zoo",
 ]

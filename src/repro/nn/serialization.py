@@ -1,4 +1,4 @@
-"""Model-weight utilities: flat views, copy, compare, and average.
+"""Model-weight utilities: flat views, copy, and compare.
 
 Model weights have two interchangeable representations:
 
@@ -13,9 +13,9 @@ Model weights have two interchangeable representations:
 :class:`FlatSpec` is the bridge: derived once from a model's shapes, it
 flattens a weight list into a vector and reconstitutes a vector into a
 list of *views* (zero-copy) with the original shapes.  Averaging two
-parents' weights is the core "merge" operation of the specializing DAG,
-and weighted averaging is what the FedAvg/FedProx servers do; both are
-implemented as one stacked-matrix reduction over flat vectors.
+parents' rows — the core "merge" of the specializing DAG
+(:mod:`repro.fl.aggregation`) — and the FedAvg/FedProx size-weighted
+mean are each one stacked-matrix reduction over flat vectors.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import numpy as np
 __all__ = [
     "FlatSpec",
     "clone_weights",
-    "average_weights",
-    "weighted_average_weights",
     "weights_allclose",
     "weights_l2_distance",
     "flatten_weights",
@@ -157,7 +155,7 @@ def clone_weights(weights: Weights) -> Weights:
 
 def _check_compatible(weight_sets: list[Weights]) -> None:
     """Validate matching lengths and shapes (for non-flattening callers;
-    the averaging paths get the same validation from ``FlatSpec.stack``)."""
+    stacking callers get the same validation from ``FlatSpec.stack``)."""
     if not weight_sets:
         raise ValueError("need at least one weight set")
     first = weight_sets[0]
@@ -171,41 +169,6 @@ def _check_compatible(weight_sets: list[Weights]) -> None:
                 raise ValueError(
                     f"weight shapes differ: {np.asarray(a).shape} vs {np.asarray(b).shape}"
                 )
-
-
-def average_weights(weight_sets: list[Weights]) -> Weights:
-    """Parameter-wise arithmetic mean of several weight sets.
-
-    One stacked-matrix reduction over the flat representation; for two
-    inputs (the DAG's parent merge) the result is bit-identical to the
-    historical per-layer ``(a + b) / 2``.
-    """
-    if not weight_sets:
-        raise ValueError("need at least one weight set")
-    spec = FlatSpec.from_weights(weight_sets[0])
-    return spec.unflatten(spec.stack(weight_sets).mean(axis=0))
-
-
-def weighted_average_weights(weight_sets: list[Weights], coefficients: list[float]) -> Weights:
-    """Convex combination of weight sets (FedAvg aggregation).
-
-    ``coefficients`` are normalized to sum to one, so callers may pass raw
-    sample counts.  Computed as a single matrix-vector product over the
-    stacked flat vectors.
-    """
-    if not weight_sets:
-        raise ValueError("need at least one weight set")
-    spec = FlatSpec.from_weights(weight_sets[0])
-    if len(coefficients) != len(weight_sets):
-        raise ValueError("one coefficient per weight set required")
-    coeffs = np.asarray(coefficients, dtype=np.float64)
-    if np.any(coeffs < 0):
-        raise ValueError("coefficients must be non-negative")
-    total = coeffs.sum()
-    if total <= 0:
-        raise ValueError("coefficients must not all be zero")
-    coeffs = coeffs / total
-    return spec.unflatten(coeffs @ spec.stack(weight_sets))
 
 
 def weights_allclose(a: Weights, b: Weights, *, atol: float = 1e-10) -> bool:

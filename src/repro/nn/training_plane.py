@@ -9,7 +9,9 @@ per-parameter ``(K, *shape)`` stacks
 global batch index advances **all** models with one fused forward
 (cached activations), one batched loss, one fused backward
 (grad accumulation into a ``(K, P)`` gradient stack), and one
-element-wise SGD update — a *superstep*.
+element-wise SGD update — a *superstep*.  A job carrying ``mu`` trains
+the FedProx local objective: the superstep adds the proximal pull
+``mu * (w - w_start)`` to the gradient stack before the update.
 
 Equivalence contract: the fused kernels perform, model for model, the
 same numpy products, reductions, and element-wise updates the sequential
@@ -37,7 +39,7 @@ import numpy as np
 
 from repro.nn.layers.dropout import Dropout
 from repro.nn.losses import softmax_cross_entropy_many
-from repro.nn.optimizers import SGD
+from repro.nn.optimizers import SGD, ProximalSGD
 
 if TYPE_CHECKING:  # only for annotations; no runtime import cycle
     from repro.nn.model import Classifier
@@ -59,12 +61,13 @@ def train_grouped(
 ) -> dict:
     """Advance every model's whole job list in lockstep; tag -> (row, loss).
 
-    The one-superstep entry point of the round plan
-    (:func:`repro.substrate.round_plan.run_training_plane_round`, which
-    runs every round and every event-engine superstep): each ``(model,
-    jobs)`` pair goes through **one** :meth:`LockstepTrainer.train` call — all of
-    a model's jobs must share that call because dropout stream order is
-    defined across the whole job list.  Jobs must carry their own
+    The library's one local-training entry point — every round (the
+    baselines' included) and event-engine superstep through
+    :func:`repro.substrate.round_plan.run_training_plane_round`, and
+    :meth:`repro.fl.client.Client.train` with one job.  Each ``(model,
+    jobs)`` pair goes through **one** :meth:`LockstepTrainer.train` call
+    — all of a model's jobs must share that call because dropout stream
+    order is defined across the whole job list.  Jobs must carry their own
     ``lr``/``momentum`` (the first job's values seed the trainer's
     defaults) and a hashable ``tag`` identifying the result.
     """
@@ -94,10 +97,12 @@ class TrainJob:
     one flat ``(P,)`` vector; float32 rows (e.g. out of a float32 weight
     arena) are widened to float64 exactly as ``set_weights`` would cast
     them.  ``lr``/``momentum`` override the trainer's optimizer config
-    for this job (``None`` inherits it) — jobs with different configs
-    cannot share supersteps, so they land in separate fused groups, but
-    they still belong in **one** :meth:`LockstepTrainer.train` call:
-    dropout stream order is defined across a model's whole job list.
+    for this job (``None`` inherits it); ``mu`` adds FedProx's proximal
+    term anchored at ``start_flat`` (``None`` is plain SGD, ``0.0`` is
+    still proximal).  Jobs with different configs cannot share
+    supersteps, so they land in separate fused groups, but they still
+    belong in **one** :meth:`LockstepTrainer.train` call: dropout
+    stream order is defined across a model's whole job list.
     """
 
     x: np.ndarray
@@ -107,6 +112,7 @@ class TrainJob:
     tag: object = None
     lr: float | None = None
     momentum: float | None = None
+    mu: float | None = None
 
     def signature(self, default_lr: float, default_momentum: float) -> tuple:
         """Lockstep-compatibility key: jobs fuse only when every
@@ -119,6 +125,7 @@ class TrainJob:
             self.y.dtype.str,
             self.lr if self.lr is not None else default_lr,
             self.momentum if self.momentum is not None else default_momentum,
+            self.mu,
         )
 
 
@@ -210,13 +217,18 @@ class LockstepTrainer:
     ) -> tuple[np.ndarray, float]:
         """The per-model reference loop over a precomputed schedule.
 
-        Identical to ``Classifier.train_local`` with the same schedule:
-        the trainer's only deviation is that shuffles were planned ahead
-        (which consumes the shuffle rng identically).
+        Identical to ``Classifier.train_local`` with the same schedule
+        (under :class:`ProximalSGD` for a job with ``mu``): the only
+        deviation is that shuffles were planned ahead (which consumes
+        the shuffle rng identically).
         """
         lr, momentum = self._job_config(job)
         model.load_flat(job.start_flat)
-        optimizer = SGD(lr, momentum=momentum)
+        if job.mu is None:
+            optimizer = SGD(lr, momentum=momentum)
+        else:
+            optimizer = ProximalSGD(lr, job.mu, momentum=momentum)
+            optimizer.set_reference(model.flat_spec.unflatten(job.start_flat))
         losses = [
             model.train_batch(job.x[idx], job.y[idx], optimizer)
             for idx in job.batches
@@ -283,9 +295,11 @@ class LockstepTrainer:
         net = model.net
         k = len(jobs)
         lr, momentum = self._job_config(jobs[0])  # uniform per signature
+        mu = jobs[0].mu
         stack = np.empty((k, spec.total), dtype=np.float64)
         for row, job in zip(stack, jobs):
             row[...] = job.start_flat  # widens float32 rows like set_weights
+        start_stack = None if mu is None else stack.copy()
         params = spec.unflatten_many(stack)
         grad_stack = np.zeros_like(stack)
         grads = spec.unflatten_many(grad_stack)
@@ -315,6 +329,9 @@ class LockstepTrainer:
             net.backward_many_train(
                 grad, params, grads, caches, stop_at=lowest_param_layer
             )
+            if start_stack is not None:
+                # Mirrors ProximalSGD.step: grad += mu * (w - w_ref).
+                grad_stack += mu * (stack - start_stack)
             if velocity is None:
                 stack -= lr * grad_stack
             else:

@@ -52,7 +52,10 @@ rather than by separate code paths:
    a sample of clients works over one frozen view per round through
    the round substrate, and publications commit at the round barrier.
    :class:`repro.fl.dag_learning.TangleLearning` is a thin constructor
-   over this regime.
+   over this regime, and the FedAvg, FedProx and gossip baselines are
+   its subclasses: they keep sampling, membership and execution and
+   replace only the round's units (:meth:`_round_units`) and barrier
+   commit (:meth:`_commit_round`).
 """
 
 from __future__ import annotations
@@ -963,10 +966,11 @@ class EventDrivenTangleLearning:
         The round schedule is the degenerate event schedule whose
         quantum spans a whole round and whose latency is the round
         barrier.  Each round is planned as one work unit per sampled
-        client over the frozen :meth:`_selection_view`, evaluated by
-        the configured executor, and committed at the barrier: state
-        deltas fold back into the canonical clients, then transaction
-        ids are assigned and pending transactions appended in
+        client (:meth:`_round_units`) over the frozen
+        :meth:`_selection_view`, evaluated by the configured executor,
+        and committed at the barrier: state deltas fold back into the
+        canonical clients, then :meth:`_commit_round` assigns
+        transaction ids and appends pending transactions in
         active-client order — so records and tangles are identical
         regardless of executor.
 
@@ -1010,21 +1014,13 @@ class EventDrivenTangleLearning:
             ).tolist()
         )
         record = RoundRecord(round_index=self.round_index, active_clients=active_ids)
-        attackers = self.sim_config.attackers
-        units = [
-            ClientWorkUnit(
-                client_id=client_id,
-                walk_key=("walk", self.round_index, client_id),
-                attack="random_weights" if client_id in attackers else None,
-            )
-            for client_id in active_ids
-        ]
+        units = self._round_units(active_ids)
         # The substrate's shared coordinator half: exports the tangle
         # arena and active clients' data to shared memory when the
         # executor can fan out, probes the route (serial-routed rounds
         # skip state capture), and dispatches through the training plane
         # or plain unit mapping — bit-identical results on every path,
-        # so the commit loop below does not care which one ran.
+        # so the commit does not care which one ran.
         results = execute_round(
             self.executor,
             tangle=self.tangle,
@@ -1036,10 +1032,37 @@ class EventDrivenTangleLearning:
         )
 
         self.now = float(self.round_index + 1)  # the round barrier
+        for result in results:  # attack results carry no state: a no-op
+            apply_result(self.clients[result.client_id], result)
+        self._commit_round(record, units, results)
+        self.round_index += 1
+        self.round_history.append(record)
+        return record
+
+    def _round_units(self, active_ids: list[int]) -> list[ClientWorkUnit]:
+        """One walking unit per sampled client (an attack unit for an
+        attacker); a baseline's units carry their references instead."""
+        attackers = self.sim_config.attackers
+        return [
+            ClientWorkUnit(
+                client_id=client_id,
+                walk_key=("walk", self.round_index, client_id),
+                attack="random_weights" if client_id in attackers else None,
+            )
+            for client_id in active_ids
+        ]
+
+    def _commit_round(
+        self,
+        record: RoundRecord,
+        units: list[ClientWorkUnit],
+        results: list[ClientRoundResult],
+    ) -> None:
+        """Record every unit and publish its transaction, in
+        active-client order; a baseline aggregates instead."""
         for unit, result in zip(units, results):
             client_id = result.client_id
             if unit.attack is None:  # honest client bookkeeping
-                apply_result(self.clients[client_id], result)
                 record.walk_duration[client_id] = result.walk_duration
                 record.walk_evaluations[client_id] = result.walk_evaluations
                 record.reference_accuracy[client_id] = result.reference_accuracy
@@ -1057,6 +1080,3 @@ class EventDrivenTangleLearning:
             if tx_id is not None:
                 record.published.append(tx_id)
             self._record_train(client_id, result, tx_id, float(self.round_index))
-        self.round_index += 1
-        self.round_history.append(record)
-        return record

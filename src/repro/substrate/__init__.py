@@ -49,7 +49,6 @@ from repro.substrate.round_plan import (
     execute_prep_unit,
     execute_round,
     execute_unit,
-    plan_client_job,
     probe_in_process,
     reference_flat,
     run_training_plane_round,
@@ -74,7 +73,6 @@ __all__ = [
     "execute_round",
     "probe_in_process",
     "apply_result",
-    "plan_client_job",
     "reference_flat",
     "run_training_plane_round",
 ]

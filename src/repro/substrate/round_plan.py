@@ -13,7 +13,8 @@ This module gives the units an explicit, picklable form so any
 :class:`~repro.substrate.executor.Executor` can evaluate them:
 
 - :class:`ClientWorkUnit` — which client, which walk stream, honest or
-  attack (plus, for a cycle, pre-drawn tips or staleness weights);
+  attack (plus, for a cycle, pre-drawn tips or staleness weights; for a
+  baseline's round, the given reference and its local objective);
 - :class:`RoundContext` — a unit's frozen view, protocol config and
   rng factory (one context per round, one per view group of a
   superstep);
@@ -54,9 +55,8 @@ from repro.dag.tip_selection import (
 )
 from repro.fl.aggregation import FLAT_AGGREGATORS
 from repro.fl.config import DagConfig
-from repro.nn.model import plan_local_batches
 from repro.nn.serialization import flatten_weights
-from repro.nn.training_plane import TrainJob, draws_dropout_masks, train_grouped
+from repro.nn.training_plane import draws_dropout_masks, train_grouped
 from repro.poisoning.attacks import random_weight_update
 from repro.utils.rng import RngFactory
 from repro.utils.timing import Stopwatch
@@ -76,7 +76,6 @@ __all__ = [
     "execute_round",
     "probe_in_process",
     "apply_result",
-    "plan_client_job",
     "reference_flat",
     "run_training_plane_round",
 ]
@@ -137,6 +136,12 @@ class ClientWorkUnit:
     windowed weighted group already drew (the unit then walks nothing)
     and ``staleness``, which maps the unit's tips to the parents'
     weights by age.  Round units leave both ``None`` and so pickle.
+
+    A baseline's unit carries its flat ``reference`` instead: it walks
+    nothing, evaluates no reference and passes no publish gate — its
+    round's commit judges the trained row.  ``proximal_mu`` (FedProx's
+    pull) and ``local_epochs`` (a straggler's run) shape its training;
+    ``None`` keeps plain SGD and ``TrainingConfig.local_epochs``.
     """
 
     client_id: int
@@ -144,6 +149,9 @@ class ClientWorkUnit:
     attack: str | None = None  # None = honest; "random_weights" = attacker
     tips: tuple[str, ...] | None = None
     staleness: Callable[[list[str]], np.ndarray | None] | None = None
+    reference: np.ndarray | None = None
+    proximal_mu: float | None = None
+    local_epochs: int | None = None
 
 
 @dataclass
@@ -291,7 +299,9 @@ def execute_unit(payload: tuple[RoundContext, "Client | None", ClientWorkUnit]) 
         return execute_prep_unit(payload).attack_result
     cache_mark = client.cache_mark()
     prep = execute_prep_unit((replace(context, capture_state=False), client, unit))
-    job = plan_client_job(client, prep.reference_flat, unit.client_id)
+    job = client.plan_job(
+        prep.reference_flat, unit.client_id, mu=unit.proximal_mu, epochs=unit.local_epochs
+    )
     row, _train_loss = train_grouped([(client.model, [job])])[unit.client_id]
     result = _finalize_unit(client, prep, row, context.config)
     if context.capture_state:
@@ -438,15 +448,18 @@ def execute_prep_unit(
     Performs tip selection (unless the unit carries its tips), the flat
     reference (:func:`reference_flat`, staleness-weighted when the unit
     says so), and the reference (publish-gate baseline) evaluation —
-    everything up to, but not including, local training.  The walk rng
-    is factory-keyed while the client's shuffle rng is untouched here,
-    so splitting a unit at this boundary cannot shift any stream.
+    everything up to, but not including, local training.  A unit that
+    carries its ``reference`` skips all three.  The walk rng is
+    factory-keyed while the client's shuffle rng is untouched here, so
+    splitting a unit at this boundary cannot shift any stream.
     """
     context, client, unit = payload
     if unit.attack is not None:
         return ClientPrepResult(
             client_id=unit.client_id, attack_result=_execute_attack(context, unit)
         )
+    if unit.reference is not None:
+        return ClientPrepResult(client_id=unit.client_id, reference_flat=unit.reference)
     assert client is not None
     config = context.config
     cache_mark = client.cache_mark()
@@ -485,33 +498,6 @@ def execute_prep_unit(
         walk_duration=stopwatch.elapsed,
         walk_evaluations=evaluations,
         state=state,
-    )
-
-
-def plan_client_job(client: "Client", start_flat: np.ndarray, tag: object) -> TrainJob:
-    """One client's local training as a lockstep :class:`TrainJob`.
-
-    Planning the batch schedule here is deliberate — it consumes the
-    client's shuffle rng exactly as ``train_local`` would, so callers
-    must plan jobs in the same order the sequential path would train
-    them.
-    """
-    train_config = client.config
-    batches = plan_local_batches(
-        client.data.x_train.shape[0],
-        client.rng,
-        epochs=train_config.local_epochs,
-        batch_size=train_config.batch_size,
-        max_batches=train_config.local_batches,
-    )
-    return TrainJob(
-        x=client.data.x_train,
-        y=client.data.y_train,
-        batches=batches,
-        start_flat=start_flat,
-        tag=tag,
-        lr=train_config.learning_rate,
-        momentum=train_config.momentum,
     )
 
 
@@ -559,11 +545,13 @@ def run_training_plane_round(
     # own optimizer config, and fusion within the call requires it to
     # be uniform across the fused rows.
     model_jobs: dict[int, tuple] = {}  # id(model) -> (model, jobs)
-    for index, prep in enumerate(preps):
+    for index, ((_, _, unit), prep) in enumerate(zip(payloads, preps)):
         if prep.attack_result is not None:
             continue
         client = clients[prep.client_id]
-        job = plan_client_job(client, prep.reference_flat, index)
+        job = client.plan_job(
+            prep.reference_flat, index, mu=unit.proximal_mu, epochs=unit.local_epochs
+        )
         model_jobs.setdefault(id(client.model), (client.model, []))[1].append(job)
 
     trained: dict[int, tuple[np.ndarray, float]] = train_grouped(
@@ -586,7 +574,10 @@ def _finalize_unit(
     client: "Client", prep: ClientPrepResult, row: np.ndarray, config: DagConfig
 ) -> ClientRoundResult:
     """The post-training phase of an honest unit: personal-tail update,
-    test evaluation of the trained ``row``, publish gate."""
+    test evaluation of the trained ``row``, publish gate — or, for a
+    unit given its reference, the bare row for its round's commit."""
+    if prep.reference_accuracy is None:
+        return ClientRoundResult(client_id=prep.client_id, publish=True, flat_weights=row)
     if client.personal_params:
         client.update_personal_tail(client.model.flat_spec.unflatten(row))
     test_loss, test_accuracy = client.evaluate_flat(row)

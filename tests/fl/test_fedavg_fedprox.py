@@ -85,6 +85,17 @@ def test_fedprox_straggler_fraction_validated(synthetic, train_config):
         FedProxServer(synthetic, logreg_builder, train_config, mu=-1.0)
 
 
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_fedprox_straggler_epochs_validated(synthetic, train_config, epochs):
+    """A straggler must train at least one epoch: zero epochs trained
+    zero batches and turned the round's loss into NaN."""
+    with pytest.raises(ValueError, match="straggler_epochs"):
+        FedProxServer(
+            synthetic, logreg_builder, train_config,
+            straggler_fraction=0.5, straggler_epochs=epochs,
+        )
+
+
 def test_fedprox_with_stragglers_runs(synthetic, train_config):
     server = FedProxServer(
         synthetic, logreg_builder, train_config,

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.data import make_fedprox_synthetic
 from repro.fl import GossipLearning, TrainingConfig
+from repro.nn import zoo
 from repro.nn.serialization import weights_allclose
 
 
@@ -32,3 +34,11 @@ def test_records_have_metrics(gossip):
     record = gossip.run_round()
     assert set(record.client_accuracy) == set(record.active_clients)
     assert all(0 <= a <= 1 for a in record.client_accuracy.values())
+
+
+def test_rejects_a_federation_without_peers(fast_train_config):
+    """A lone client has nobody to gossip with: rejected up front, not
+    by numpy mid-round."""
+    lone = make_fedprox_synthetic(num_clients=1, mean_samples=20, seed=0)
+    with pytest.raises(ValueError, match="at least 2 clients"):
+        GossipLearning(lone, zoo.build_logistic_regression, fast_train_config)

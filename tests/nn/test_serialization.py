@@ -1,14 +1,12 @@
-"""Weight utilities: cloning, averaging, distances."""
+"""Weight utilities: cloning, distances."""
 
 import numpy as np
 import pytest
 
 from repro.nn.serialization import (
-    average_weights,
     clone_weights,
     flatten_weights,
     total_parameter_count,
-    weighted_average_weights,
     weights_allclose,
     weights_l2_distance,
 )
@@ -23,57 +21,6 @@ def test_clone_is_deep(rng):
     cloned = clone_weights(original)
     cloned[0][0, 0] += 99.0
     assert original[0][0, 0] != cloned[0][0, 0]
-
-
-def test_average_of_identical_is_identity(rng):
-    w = weights_of(rng)
-    avg = average_weights([w, clone_weights(w)])
-    assert weights_allclose(avg, w)
-
-
-def test_average_midpoint(rng):
-    a = weights_of(rng)
-    b = [x + 2.0 for x in a]
-    avg = average_weights([a, b])
-    expected = [x + 1.0 for x in a]
-    assert weights_allclose(avg, expected)
-
-
-def test_average_rejects_shape_mismatch(rng):
-    a = weights_of(rng)
-    b = [np.zeros((3, 3)), np.zeros((2,))]
-    with pytest.raises(ValueError, match="shapes differ"):
-        average_weights([a, b])
-
-
-def test_average_rejects_length_mismatch(rng):
-    a = weights_of(rng)
-    with pytest.raises(ValueError, match="different lengths"):
-        average_weights([a, a[:1]])
-
-
-def test_average_rejects_empty():
-    with pytest.raises(ValueError):
-        average_weights([])
-
-
-def test_weighted_average_normalizes_coefficients(rng):
-    a = weights_of(rng)
-    b = [x + 4.0 for x in a]
-    # raw sample counts 30/10 -> 0.75/0.25
-    avg = weighted_average_weights([a, b], [30, 10])
-    expected = [x + 1.0 for x in a]
-    assert weights_allclose(avg, expected)
-
-
-def test_weighted_average_validation(rng):
-    a = weights_of(rng)
-    with pytest.raises(ValueError, match="one coefficient"):
-        weighted_average_weights([a], [1.0, 2.0])
-    with pytest.raises(ValueError, match="non-negative"):
-        weighted_average_weights([a, a], [1.0, -1.0])
-    with pytest.raises(ValueError, match="not all be zero"):
-        weighted_average_weights([a, a], [0.0, 0.0])
 
 
 def test_l2_distance_zero_for_identical(rng):

@@ -8,13 +8,14 @@ layer supports them (MLP, CNN), and through the automatic per-model
 fallback everywhere else (LSTM).  Dropout must agree too: the fused pass
 draws each model's masks from a forked stream, and afterwards the
 layer's own generator must sit exactly where the sequential run would
-have left it.
+have left it.  A job carrying ``mu`` must equal the same loop under
+``ProximalSGD`` anchored at its start weights.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, zoo
+from repro.nn import SGD, ProximalSGD, zoo
 from repro.nn.layers import Dense, Dropout, Flatten, LastTimeStep, ReLU, Sigmoid, Tanh
 from repro.nn.model import Classifier, plan_local_batches
 from repro.nn.module import Sequential
@@ -65,43 +66,60 @@ def make_datasets(k, n, feature_shape, classes, seed=7):
     ]
 
 
-def sequential_reference(model, datasets, start, *, lr, momentum, seeds, **sched):
+def reference_optimizer(model, lr, momentum, mu):
+    """What a job with ``mu`` trains under: plain SGD for ``None``,
+    else ProximalSGD anchored at the weights just loaded."""
+    if mu is None:
+        return SGD(lr, momentum=momentum)
+    optimizer = ProximalSGD(lr, mu, momentum=momentum)
+    optimizer.set_reference(model.get_weights())
+    return optimizer
+
+
+def sequential_reference(model, datasets, start, *, lr, momentum, seeds, mus=None,
+                         **sched):
     """The per-client loop: load, train_local, collect weights + loss."""
     rows, losses = [], []
-    for (x, y), seed in zip(datasets, seeds):
+    mus = mus or [None] * len(datasets)
+    for (x, y), seed, mu in zip(datasets, seeds, mus):
         model.load_flat(start)
-        loss = model.train_local(
-            x, y, SGD(lr, momentum=momentum), np.random.default_rng(seed), **sched
-        )
+        optimizer = reference_optimizer(model, lr, momentum, mu)
+        loss = model.train_local(x, y, optimizer, np.random.default_rng(seed), **sched)
         rows.append(model.get_flat())
         losses.append(loss)
     return rows, losses
 
 
-def lockstep_result(model, datasets, start, *, lr, momentum, seeds, **sched):
+def lockstep_result(model, datasets, start, *, lr, momentum, seeds, mus=None, **sched):
     jobs = []
-    for (x, y), seed in zip(datasets, seeds):
+    mus = mus or [None] * len(datasets)
+    for (x, y), seed, mu in zip(datasets, seeds, mus):
         batches = plan_local_batches(x.shape[0], np.random.default_rng(seed), **sched)
-        jobs.append(TrainJob(x=x, y=y, batches=batches, start_flat=start.copy()))
+        jobs.append(
+            TrainJob(x=x, y=y, batches=batches, start_flat=start.copy(), mu=mu)
+        )
     return LockstepTrainer(lr=lr, momentum=momentum).train(model, jobs)
 
 
 def assert_lockstep_matches(builder, k, *, feature_shape, classes, n=23,
-                            momentum=0.0, sched=None, in_features=None):
+                            momentum=0.0, sched=None, in_features=None, mu=None):
     sched = sched or dict(epochs=1, batch_size=7, max_batches=4)
     reference_model = builder()
     lockstep_model = builder()
     start = reference_model.get_flat()
     datasets = make_datasets(k, n, feature_shape, classes)
     seeds = [100 + i for i in range(k)]
+    mus = [mu] * k
     rows, losses = sequential_reference(
-        reference_model, datasets, start, lr=0.1, momentum=momentum, seeds=seeds, **sched
+        reference_model, datasets, start, lr=0.1, momentum=momentum, seeds=seeds,
+        mus=mus, **sched
     )
     outcomes = lockstep_result(
-        lockstep_model, datasets, start, lr=0.1, momentum=momentum, seeds=seeds, **sched
+        lockstep_model, datasets, start, lr=0.1, momentum=momentum, seeds=seeds,
+        mus=mus, **sched
     )
     for (row, loss), expected_row, expected_loss in zip(outcomes, rows, losses):
-        np.testing.assert_array_equal(row, expected_row)
+        assert row.tobytes() == expected_row.tobytes()
         assert row.dtype == np.float64
         assert loss == expected_loss
     return reference_model, lockstep_model
@@ -129,6 +147,23 @@ def test_momentum_lockstep_bit_identical():
         np.random.default_rng(3), in_features=20, hidden=(8,), num_classes=5
     )
     assert_lockstep_matches(builder, 4, feature_shape=(20,), classes=5, momentum=0.9)
+
+
+@pytest.mark.parametrize("mu", [None, 0.0, 0.5])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("k", [1, 4])
+def test_proximal_lockstep_bit_identical(k, momentum, mu):
+    """``TrainJob.mu`` adds ``mu * (w - w_start)`` to the gradient stack:
+    the fused supersteps (and the one-job fallback) equal train_local
+    under ProximalSGD, bit for bit — ``mu = 0.0`` included, which still
+    takes the proximal path."""
+    builder = lambda: zoo.build_mlp(
+        np.random.default_rng(3), in_features=20, hidden=(8,), num_classes=5
+    )
+    assert_lockstep_matches(
+        builder, k, feature_shape=(20,), classes=5, momentum=momentum, mu=mu,
+        sched=dict(epochs=2, batch_size=7, max_batches=3),
+    )
 
 
 def test_k1_group_uses_fused_path_and_matches():
@@ -275,6 +310,14 @@ def test_conv_lockstep_bit_identical(name, k, momentum):
     )
 
 
+@pytest.mark.parametrize("name", sorted(CNN_BUILDERS))
+def test_conv_proximal_lockstep_bit_identical(name):
+    builder, feature_shape = CNN_BUILDERS[name]
+    assert_lockstep_matches(
+        builder, 3, feature_shape=feature_shape, classes=10, momentum=0.5, mu=0.3
+    )
+
+
 def test_conv_float32_start_rows_match_sequential_cast():
     builder, feature_shape = CNN_BUILDERS["fmnist_cnn"]
     assert_float32_start_rows_match(builder, feature_shape, 10)
@@ -414,6 +457,47 @@ def test_per_job_optimizer_configs_with_dropout():
     outcomes = LockstepTrainer(lr=0.999).train(lockstep_model, jobs)
     for (row, loss), expected_row, expected_loss in zip(outcomes, rows, losses):
         np.testing.assert_array_equal(row, expected_row)
+        assert loss == expected_loss
+    for ref_layer, lock_layer in zip(
+        reference_model.net.layers, lockstep_model.net.layers
+    ):
+        if isinstance(ref_layer, Dropout):
+            assert (
+                ref_layer._rng.bit_generator.state
+                == lock_layer._rng.bit_generator.state
+            )
+
+
+def test_mixed_proximal_jobs_train_in_separate_groups(monkeypatch):
+    """Jobs with and without ``mu`` (and with different ``mu``) share one
+    call but never a superstep; each still equals its own sequential
+    run, and dropout stream order stays client-major across groups."""
+    groups = []
+    train_group = LockstepTrainer._train_group
+
+    def spy(self, model, jobs, streams):
+        groups.append([job.mu for job in jobs])
+        return train_group(self, model, jobs, streams)
+
+    monkeypatch.setattr(LockstepTrainer, "_train_group", spy)
+    reference_model = build_dropout_mlp()
+    lockstep_model = build_dropout_mlp()
+    start = reference_model.get_flat()
+    datasets = make_datasets(5, 21, (4, 5), 5, seed=44)
+    seeds = [600 + i for i in range(5)]
+    mus = [None, 0.5, None, 0.0, 0.5]
+    sched = dict(epochs=1, batch_size=7, max_batches=3)
+    rows, losses = sequential_reference(
+        reference_model, datasets, start, lr=0.1, momentum=0.5, seeds=seeds,
+        mus=mus, **sched
+    )
+    outcomes = lockstep_result(
+        lockstep_model, datasets, start, lr=0.1, momentum=0.5, seeds=seeds,
+        mus=mus, **sched
+    )
+    assert sorted(groups, key=len) == [[0.0], [None, None], [0.5, 0.5]]
+    for (row, loss), expected_row, expected_loss in zip(outcomes, rows, losses):
+        assert row.tobytes() == expected_row.tobytes()
         assert loss == expected_loss
     for ref_layer, lock_layer in zip(
         reference_model.net.layers, lockstep_model.net.layers

@@ -4,12 +4,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.fl.aggregation import mean_aggregate
 from repro.nn.losses import softmax_cross_entropy, softmax_probabilities
 from repro.nn.serialization import (
-    average_weights,
     clone_weights,
     flatten_weights,
-    weighted_average_weights,
     weights_allclose,
     weights_l2_distance,
 )
@@ -34,7 +33,7 @@ def test_clone_roundtrip(weights):
 
 @given(weight_lists())
 def test_average_idempotent_on_duplicates(weights):
-    avg = average_weights([weights, clone_weights(weights), clone_weights(weights)])
+    avg = mean_aggregate([weights, clone_weights(weights), clone_weights(weights)])
     assert weights_allclose(avg, weights, atol=1e-9)
 
 
@@ -54,20 +53,6 @@ def test_l2_distance_symmetry(weights):
 @given(weight_lists())
 def test_flatten_preserves_count(weights):
     assert flatten_weights(weights).size == sum(w.size for w in weights)
-
-
-@given(
-    weight_lists(),
-    st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=2),
-)
-def test_weighted_average_between_extremes(weights, coefficients):
-    """A convex combination lies element-wise between its inputs."""
-    low = weights
-    high = [w + 1.0 for w in weights]
-    avg = weighted_average_weights([low, high], coefficients)
-    for lo, mid, hi in zip(low, avg, high):
-        assert np.all(mid >= lo - 1e-9)
-        assert np.all(mid <= hi + 1e-9)
 
 
 @given(

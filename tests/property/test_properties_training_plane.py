@@ -1,16 +1,17 @@
 """Property-based tests for the lockstep training plane.
 
 Core contract, fuzzed: for any fused-capable architecture, any number of
-models, any batch schedule, and any start weights, lockstep training
-equals the sequential ``load_flat`` + ``train_local`` loop bit for bit —
-trained weights, mean losses, and (when dropout is present) the layer
-generators' end states.
+models, any batch schedule, any start weights and any mix of proximal
+terms, lockstep training equals the sequential ``load_flat`` +
+``train_local`` loop bit for bit (under ``ProximalSGD`` for a job with
+``mu``) — trained weights, mean losses, and (when dropout is present)
+the layer generators' end states.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import SGD
+from repro.nn import SGD, ProximalSGD
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU, Sigmoid, Tanh
 from repro.nn.model import Classifier, plan_local_batches
 from repro.nn.module import Sequential
@@ -41,9 +42,10 @@ def build_model(seed, *, dropout):
     max_batches=st.integers(1, 5),
     momentum=st.sampled_from([0.0, 0.5]),
     dropout=st.booleans(),
+    mus=st.lists(st.sampled_from([None, 0.0, 0.7]), min_size=5, max_size=5),
 )
 def test_lockstep_equals_sequential_loop(
-    seed, k, batch_size, max_batches, momentum, dropout
+    seed, k, batch_size, max_batches, momentum, dropout, mus
 ):
     data_rng = np.random.default_rng(seed)
     n = int(data_rng.integers(6, 20))
@@ -60,10 +62,15 @@ def test_lockstep_equals_sequential_loop(
     reference_model = build_model(seed, dropout=dropout)
     start = reference_model.get_flat()
     expected = []
-    for (x, y), job_seed in zip(datasets, seeds):
+    for (x, y), job_seed, mu in zip(datasets, seeds, mus):
         reference_model.load_flat(start)
+        if mu is None:
+            optimizer = SGD(0.1, momentum=momentum)
+        else:
+            optimizer = ProximalSGD(0.1, mu, momentum=momentum)
+            optimizer.set_reference(reference_model.get_weights())
         loss = reference_model.train_local(
-            x, y, SGD(0.1, momentum=momentum), np.random.default_rng(job_seed), **sched
+            x, y, optimizer, np.random.default_rng(job_seed), **sched
         )
         expected.append((reference_model.get_flat(), loss))
 
@@ -74,13 +81,14 @@ def test_lockstep_equals_sequential_loop(
             y=y,
             batches=plan_local_batches(n, np.random.default_rng(job_seed), **sched),
             start_flat=start.copy(),
+            mu=mu,
         )
-        for (x, y), job_seed in zip(datasets, seeds)
+        for (x, y), job_seed, mu in zip(datasets, seeds, mus)
     ]
     outcomes = LockstepTrainer(lr=0.1, momentum=momentum).train(lockstep_model, jobs)
 
     for (row, loss), (expected_row, expected_loss) in zip(outcomes, expected):
-        np.testing.assert_array_equal(row, expected_row)
+        assert row.tobytes() == expected_row.tobytes()
         assert loss == expected_loss
     for layer_a, layer_b in zip(
         reference_model.net.layers, lockstep_model.net.layers
