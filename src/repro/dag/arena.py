@@ -8,7 +8,10 @@ evaluation, process-pool pickling, persistence — pay per-array overhead.
 
 The :class:`WeightArena` instead keeps all models in one 2-D slab, one
 row per transaction, in flat (:class:`~repro.nn.serialization.FlatSpec`)
-order.  Rows are immutable once written and exposed as read-only views,
+order.  A tangle's arena holds every one of its models and nothing else:
+row ``i`` is the transaction at insertion position ``i``
+(:meth:`~repro.dag.tangle.Tangle.add` rejects any model it cannot store
+so).  Rows are immutable once written and exposed as read-only views,
 so transactions can hand out zero-copy per-layer views; stacked
 aggregation over arena-resident models is a row-slice away; and pickling
 a tangle ships one contiguous buffer instead of re-pickling every model.
@@ -85,31 +88,34 @@ atexit.register(_purge_temp_spills)
 HANDLE_NBYTES = 256
 
 
-def locate_rows(transactions) -> tuple["WeightArena", np.ndarray] | None:
+def locate_rows(transactions) -> tuple["WeightArena", np.ndarray]:
     """``(arena, rows)`` — the one arena the transactions' models live
-    in and their rows in it, in order — or ``None`` when they are not
-    all rows of one arena (unbound models, a second arena, none)."""
+    in and their rows in it, in order.  Raises ``ValueError`` when they
+    are not all rows of one arena (a transaction outside any tangle,
+    models of two tangles, no transactions at all)."""
     arena, rows = None, []
     for tx in transactions:
         location = tx.arena_location()
         if location is None or (arena is not None and location[0] is not arena):
-            return None
+            raise ValueError(
+                f"{tx.tx_id!r} is not a row of the arena its batch shares"
+            )
         arena = location[0]
         rows.append(location[1])
     if arena is None:
-        return None
+        raise ValueError("no transactions to locate")
     return arena, np.array(rows, dtype=np.int64)
 
 
-def shared_rows(transactions, spec: FlatSpec) -> np.ndarray | None:
+def shared_rows(transactions, spec: FlatSpec) -> np.ndarray:
     """``(k, P)`` stack of the transactions' models off the one arena
-    they share (:meth:`WeightArena.rows`), or ``None`` when they are not
-    all rows of one arena laid out by ``spec`` — the caller's cue to
-    take its per-model path."""
-    located = locate_rows(transactions)
-    if located is None or located[0].spec != spec:
-        return None
-    return located[0].rows(located[1])
+    they share (:meth:`WeightArena.rows`).  Raises ``ValueError`` as
+    :func:`locate_rows` does, or when that arena is not laid out by
+    ``spec``."""
+    arena, rows = locate_rows(transactions)
+    if arena.spec != spec:
+        raise ValueError("the arena's layout is not the requested spec")
+    return arena.rows(rows)
 
 
 class WeightArena:

@@ -71,16 +71,15 @@ def save_tangle(tangle: Tangle, path: str | Path) -> Path:
     # genesis entry so a resumed run keeps the operator's float32/float64
     # storage choice.
     store_dtype = tangle.arena.dtype.str
+    shapes = [list(shape) for shape in tangle.spec.shapes]
     for tx in tangle.transactions():
-        weights = tx.model_weights
-        spec = FlatSpec.from_weights(weights)
         entry = {
             "tx_id": tx.tx_id,
             "parents": list(tx.parents),
             "issuer": tx.issuer,
             "round_index": tx.round_index,
             "tags": tx.tags,
-            "shapes": [list(shape) for shape in spec.shapes],
+            "shapes": shapes,
         }
         if not meta:
             # Genesis carries tangle-wide state: the storage dtype, the
@@ -91,7 +90,7 @@ def save_tangle(tangle: Tangle, path: str | Path) -> Path:
             entry["counter"] = tangle._counter
             entry["compaction_epoch"] = tangle.compaction_epoch
         meta.append(entry)
-        arrays[f"{tx.tx_id}/flat"] = tx.flat_vector(spec)
+        arrays[f"{tx.tx_id}/flat"] = tx.flat_vector(tangle.spec)
     arrays[_META_KEY] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )

@@ -66,12 +66,13 @@ class Tangle:
     genesis weights fix the :class:`FlatSpec` (shapes/offsets of the
     architecture), and :meth:`add` interns each transaction's model as
     one contiguous flat row, after which the transaction serves
-    ``model_weights`` as zero-copy views into its row.  Models whose
-    shapes differ from the genesis architecture (foreign tangles glued
-    together in tests or tooling) simply stay in per-transaction
-    storage — interning is opportunistic, never a protocol requirement.
-    ``store_dtype=np.float32`` halves arena memory and IPC volume at the
-    cost of float64 bit-compatibility.
+    ``model_weights`` as zero-copy views into its row.  Every model of
+    a tangle is the arena row at its insertion position — :meth:`add`
+    rejects a model laid out unlike genesis, or one already stored in
+    another tangle's arena, and :meth:`compact` renumbers the kept rows
+    with the kept order — so a whole-tangle snapshot's node *is* its
+    arena row.  ``store_dtype=np.float32`` halves arena memory and IPC
+    volume at the cost of float64 bit-compatibility.
     """
 
     def __init__(
@@ -168,8 +169,8 @@ class Tangle:
         return arena_ipc + meta, arena_dense + meta
 
     def flat_weights(self, tx_id: str) -> np.ndarray:
-        """A transaction's model as one flat vector (zero-copy when
-        arena-resident)."""
+        """A transaction's model as one flat vector (a zero-copy view of
+        its arena row)."""
         return self.get(tx_id).flat_vector(self._spec)
 
     def get(self, tx_id: str) -> Transaction:
@@ -238,7 +239,11 @@ class Tangle:
         return f"tx{self._counter}-c{issuer}"
 
     def add(self, transaction: Transaction) -> None:
-        """Append a transaction whose parents already exist."""
+        """Append a transaction whose parents already exist; its model
+        becomes the arena row at its insertion position.  Raises
+        ``ValueError``, changing nothing, on a duplicate id, an unknown
+        parent, a model laid out unlike genesis, or a transaction
+        already stored in another tangle's arena."""
         if transaction.tx_id in self._transactions:
             raise ValueError(f"duplicate transaction id {transaction.tx_id!r}")
         if not transaction.parents:
@@ -248,6 +253,10 @@ class Tangle:
                 raise ValueError(
                     f"{transaction.tx_id!r} approves unknown parent {parent!r}"
                 )
+        if transaction.arena_bound:
+            raise ValueError(
+                f"{transaction.tx_id!r} is already stored in another tangle's arena"
+            )
         self._intern(transaction)
         self._transactions[transaction.tx_id] = transaction
         self._approvers[transaction.tx_id] = []
@@ -258,13 +267,9 @@ class Tangle:
         self._tips.add(transaction.tx_id)
 
     def _intern(self, transaction: Transaction) -> None:
-        """Move a transaction's model into the arena (opportunistic)."""
-        if transaction.arena_bound:
-            return
-        try:
-            flat = transaction.flat_vector(self._spec)
-        except ValueError:
-            return  # foreign architecture: keep per-transaction storage
+        """Move a transaction's model into the arena's next row
+        (``ValueError`` before any row is written if the layout differs)."""
+        flat = transaction.flat_vector(self._spec)
         transaction.bind_arena(self._arena, self._arena.intern(flat))
 
     # ---------------------------------------------------------- compaction
@@ -341,13 +346,9 @@ class Tangle:
                 dtype=self._arena.dtype,
                 initial_capacity=max(1, len(dropped_ids)),
             )
-            spill_rows = {}
-            for tx_id in dropped_ids:
-                try:
-                    flat = self._transactions[tx_id].flat_vector(self._spec)
-                except ValueError:
-                    continue  # foreign architecture: nothing arena-shaped
-                spill_rows[tx_id] = spill.intern(flat)
+            spill_rows = {
+                tx_id: spill.intern(self.flat_weights(tx_id)) for tx_id in dropped_ids
+            }
             spill.to_spilled(spill_path)
 
         old_arena = self._arena
@@ -366,11 +367,7 @@ class Tangle:
                 )
                 if remapped != tx.parents:
                     tx.parents = remapped
-            try:
-                flat = tx.flat_vector(self._spec)
-            except ValueError:
-                continue
-            tx.bind_arena(fresh, fresh.intern(flat))
+            tx.bind_arena(fresh, fresh.intern(tx.flat_vector(self._spec)))
         if old_arena.is_shared:
             fresh.to_shared()
         self._arena = fresh

@@ -36,6 +36,7 @@ __all__ = [
     "normalize_standard",
     "normalize_dynamic",
     "accuracy_walk_weights",
+    "check_walk_settings",
 ]
 
 AccuracyFn = Callable[[str], float]
@@ -66,6 +67,16 @@ _NORMALIZATIONS = {
     "standard": normalize_standard,
     "dynamic": normalize_dynamic,
 }
+
+
+def check_walk_settings(normalization: str, depth_range: tuple[int, int]) -> None:
+    """Raise ``ValueError`` unless ``normalization`` is a known one and
+    ``depth_range`` is ``(low, high)`` with ``0 <= low <= high``."""
+    if normalization not in _NORMALIZATIONS:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    low, high = depth_range
+    if low < 0 or high < low:
+        raise ValueError(f"invalid depth_range {depth_range}")
 
 
 def accuracy_walk_weights(
@@ -197,8 +208,9 @@ class AccuracyTipSelector:
       (:meth:`repro.nn.model.Classifier.accuracy_many`), falling back
       per model for architectures without fused kernels.
     - ``row_accuracy_fn``, when given, replaces ``batch_accuracy_fn``
-      on snapshots whose nodes are all rows of one arena
-      (:meth:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`): it
+      on snapshots of a tangle or of its views, whose nodes are rows of
+      the tangle's arena
+      (:attr:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`): it
       receives the ids plus ``(arena, rows)``, their rows in that arena,
       so the scorer stacks them without resolving any id
       (``Client.tx_accuracies(store, ids, arena_rows)``).
@@ -314,7 +326,7 @@ class AccuracyTipSelector:
             snapshot, count, rng, depth_range=self.depth_range, deadline=deadline
         )
         ids = snapshot.ids
-        located = None if self.row_accuracy_fn is None else snapshot.arena_rows()
+        located = None if self.row_accuracy_fn is None else snapshot.arena_rows
 
         def score_fn(nodes: np.ndarray) -> np.ndarray:
             tx_ids = [ids[node] for node in nodes.tolist()]

@@ -12,24 +12,31 @@ __all__ = ["Transaction", "GENESIS_ID", "payload_error"]
 GENESIS_ID = "genesis"
 
 
-def payload_error(flat: np.ndarray, spec: FlatSpec) -> str | None:
+def payload_error(
+    flat: np.ndarray, spec: FlatSpec, dtype: np.dtype | type = np.float64
+) -> str | None:
     """Why a flat weight payload must be quarantined, or ``None`` if sound.
 
-    The publish-path admission check: a payload that is not a 1-D vector
-    of ``spec.total`` finite values never reaches
-    :meth:`~repro.dag.tangle.Tangle.add` (and therefore never pollutes
-    the :class:`~repro.dag.arena.WeightArena`).  Shape mismatches catch
+    The publish-path admission check of the engine and the gateway: a
+    payload that is not a 1-D vector of ``spec.total`` values, finite as
+    stored in ``dtype`` (the tangle's ``arena.dtype``), never reaches
+    :meth:`~repro.dag.tangle.Tangle.add`.  Shape mismatches catch
     truncated or foreign-architecture payloads; the finiteness check
-    catches NaN/Inf corruption before it can poison every downstream
-    mean.  Returns a short human-readable reason so callers can count
-    and surface quarantines.
+    catches NaN/Inf corruption, and values a float32 arena would round
+    to Inf, before they can poison every downstream mean.  Returns a
+    short human-readable reason so callers can count quarantines.
     """
     flat = np.asarray(flat)
     if flat.ndim != 1 or flat.shape[0] != spec.total:
         return f"shape {flat.shape} does not match spec total {spec.total}"
-    if not np.isfinite(flat).all():
-        bad = int(np.size(flat) - np.isfinite(flat).sum())
-        return f"{bad} non-finite value{'s' if bad != 1 else ''}"
+    dtype = np.dtype(dtype)
+    if dtype.itemsize < flat.dtype.itemsize:
+        with np.errstate(over="ignore"):
+            flat = flat.astype(dtype)  # judge the payload as stored
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = int(finite.size - np.count_nonzero(finite))
+        return f"{bad} non-finite value{'s' if bad != 1 else ''} as {dtype}"
     return None
 
 
@@ -170,8 +177,8 @@ class Transaction:
         Zero-copy when already flat (arena row or :meth:`from_flat`
         payload with a matching spec); a pre-bound list is flattened.
         Raises ``ValueError`` when the model's shapes don't match the
-        spec — the tangle uses that to fall back to per-transaction
-        storage for foreign-shaped models.
+        spec — how :meth:`~repro.dag.tangle.Tangle.add` rejects a model
+        laid out unlike its tangle's genesis.
         """
         if self._arena is not None:
             if self._arena.spec != spec:

@@ -11,9 +11,9 @@ tangle:
 - :class:`TangleSnapshot` flattens a tangle (or any visibility view)
   into CSR adjacency over dense int node ids: approver lists, parent
   lists, the tip set, and (lazily) cumulative weights, the CSR as
-  Python lists for scalar stepping, and every node's row in the one
-  weight arena its models share (:meth:`TangleSnapshot.arena_rows`,
-  what the accuracy walk scores by).  Each tangle
+  Python lists for scalar stepping, and every node's row in its
+  tangle's weight arena (:attr:`TangleSnapshot.arena_rows`, what the
+  accuracy walk scores by).  Each tangle
   owns **one** whole-tangle snapshot
   (:meth:`repro.dag.tangle.Tangle.snapshot`); when the tangle merely
   *grows*, :meth:`TangleSnapshot.extend` derives the new snapshot from
@@ -74,8 +74,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.dag.arena import locate_rows
-
 __all__ = [
     "TangleSnapshot",
     "snapshot_for",
@@ -86,10 +84,6 @@ __all__ = [
 ]
 
 ScoreFn = Callable[[np.ndarray], np.ndarray]
-
-#: Marks a snapshot's arena-row plane as not yet resolved (``None`` is
-#: a resolved answer: no single arena).
-_UNRESOLVED = object()
 
 
 class WalkDeadlineExceeded(RuntimeError):
@@ -200,10 +194,15 @@ class TangleSnapshot:
         parent_indices: np.ndarray,
         approver_indptr: np.ndarray,
         approver_indices: np.ndarray,
+        arena_rows: tuple | None = None,
     ) -> None:
-        """Set every field from the two CSR adjacencies, lazy planes
-        unmaterialized."""
+        """Set every field from the two CSR adjacencies and the arena
+        rows, lazy planes unmaterialized."""
         self.ids = ids
+        # ``(arena, rows)``: the tangle's arena and each node's row in
+        # it, or ``None`` off a tangle.  Rows move only under compaction,
+        # which retires the tangle's snapshot.
+        self.arena_rows = arena_rows
         self.index = index
         self.parent_indptr, self.parent_indices = parent_indptr, parent_indices
         self.approver_indptr, self.approver_indices = (
@@ -233,11 +232,6 @@ class TangleSnapshot:
         self._restrictions: dict[bytes, TangleSnapshot] = {}
         self._parent_lists: tuple[list[int], list[int]] | None = None
         self._approver_lists: tuple[list[int], list[int]] | None = None
-        # Arena-row plane: resolved on first use from ``_row_source`` —
-        # the snapshot's transactions (a build or an extension) or the
-        # ``(snapshot, kept)`` it was restricted from.
-        self._row_source: list | tuple | None = None
-        self._arena_rows: tuple | None = _UNRESOLVED
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -249,7 +243,10 @@ class TangleSnapshot:
 
         One pass over ``view.transactions()``: an edge is kept iff both
         endpoints are visible, which reproduces ``view.approvers``
-        exactly (on a raw tangle every edge is kept).
+        exactly (on a raw tangle every edge is kept).  A tangle — the
+        one kind of view with an ``arena`` — stores node ``i``'s model
+        in arena row ``i``, so its snapshot carries
+        :attr:`arena_rows`; any other view's has none.
         """
         transactions = view.transactions()
         ids = [tx.tx_id for tx in transactions]
@@ -264,7 +261,9 @@ class TangleSnapshot:
                 parent_lists[node].append(parent_node)
                 approver_lists[parent_node].append(node)
         snapshot = cls(ids, parent_lists, approver_lists)
-        snapshot._row_source = transactions
+        arena = getattr(view, "arena", None)
+        if arena is not None:
+            snapshot.arena_rows = (arena, np.arange(len(ids), dtype=np.int64))
         return snapshot
 
     def extend(self, tangle) -> "TangleSnapshot":
@@ -374,6 +373,7 @@ class TangleSnapshot:
             parent_indices,
             approver_indptr,
             approver_indices,
+            (tangle.arena, np.arange(n, dtype=np.int64)),
         )
 
         # Patch the lazily materialized planes only if the base paid for
@@ -427,16 +427,6 @@ class TangleSnapshot:
             cumulative[:n0] = self._cumulative + gained[:n0]
             cumulative[n0:] = 1 + gained[n0:]
             ext._cumulative = cumulative
-        # The arena-row plane likewise: patched by the delta's rows once
-        # resolved (a snapshot left without a source resolves to None).
-        if self._arena_rows is _UNRESOLVED:
-            if isinstance(self._row_source, list):
-                ext._row_source = self._row_source + delta
-        elif self._arena_rows is not None:
-            arena, rows = self._arena_rows
-            located = locate_rows(delta)
-            if located is not None and located[0] is arena:
-                ext._arena_rows = (arena, np.concatenate([rows, located[1]]))
         return ext
 
     def restrict(self, mask: np.ndarray) -> "TangleSnapshot":
@@ -486,6 +476,9 @@ class TangleSnapshot:
             {tx_id: node for node, tx_id in enumerate(ids)},
             *kept_csr(self.parent_indptr, self.parent_indices),
             *kept_csr(self.approver_indptr, self.approver_indices),
+            None
+            if self.arena_rows is None
+            else (self.arena_rows[0], self.arena_rows[1][kept]),
         )
         # A kept node that keeps all its parents keeps its whole past
         # cone once every kept node does (the usual, parent-closed
@@ -493,7 +486,6 @@ class TangleSnapshot:
         # current on this snapshot.  Orphaning masks stay lazy.
         if np.array_equal(snapshot.parent_counts, self.parent_counts[kept]):
             snapshot._longest_past_path = self.longest_past_path()[kept]
-        snapshot._row_source = (self, kept)
         if len(self._restrictions) >= _RESTRICTION_LIMIT:
             self._restrictions.pop(next(iter(self._restrictions)))
         self._restrictions[key] = snapshot
@@ -544,33 +536,6 @@ class TangleSnapshot:
                 self.approver_indices.tolist(),
             )
         return self._approver_lists
-
-    def arena_rows(self) -> tuple | None:
-        """``(arena, rows)``: the one :class:`~repro.dag.arena.WeightArena`
-        every node's model lives in, and each node's row in it (int64,
-        node order) — or ``None`` when the nodes are not all rows of one
-        arena (foreign or unbound models, a snapshot built from bare
-        adjacency).  Callers still check the arena's spec against
-        their model's.
-
-        Resolved on first use: a built snapshot asks each of its
-        transactions once, an extension appends the delta's rows to a
-        resolved base, and a restriction gathers its kept nodes from the
-        snapshot it was cut from.  Sound for the snapshot's lifetime: a
-        transaction changes arena only under compaction, which retires
-        the tangle's snapshot.
-        """
-        if self._arena_rows is _UNRESOLVED:
-            source = self._row_source
-            if isinstance(source, tuple):
-                base, kept = source
-                located = base.arena_rows()
-                if located is not None:
-                    located = (located[0], located[1][kept])
-            else:
-                located = None if source is None else locate_rows(source)
-            self._arena_rows, self._row_source = located, None
-        return self._arena_rows
 
     def longest_past_path(self) -> np.ndarray:
         """Longest parent-path length from each node to a parentless one.

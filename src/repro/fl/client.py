@@ -8,7 +8,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.data.base import ClientData
-from repro.dag.arena import shared_rows
+from repro.dag.arena import locate_rows
 from repro.dag.tangle import Tangle
 from repro.nn.model import Classifier, plan_local_batches
 from repro.nn.serialization import Weights
@@ -27,7 +27,7 @@ class Client:
     forward pass.  Transaction evaluations (the hot path of the
     accuracy-biased walk) are cached per transaction id — a transaction's
     model never changes, so the cache is sound for the lifetime of a
-    tangle.
+    tangle — and scored by one path, :meth:`tx_accuracies`.
     """
 
     def __init__(
@@ -72,14 +72,15 @@ class Client:
         self.personal_params = count
         self.personal_tail = [np.array(w, copy=True) for w in initial[-count:]]
 
-    def apply_personalization(self, weights: Weights) -> Weights:
-        """Graft this client's personal tail onto ``weights`` (copied)."""
-        if not self.personal_params or self.personal_tail is None:
-            return weights
-        return [
-            *[w for w in weights[: -self.personal_params]],
-            *[np.array(w, copy=True) for w in self.personal_tail],
-        ]
+    def graft_tail(self, rows: np.ndarray) -> np.ndarray:
+        """A float64 copy of ``rows`` — one flat model or a ``(k, P)``
+        stack — with this client's personal tail in place of the last
+        ``personal_params`` arrays: the trailing columns of the flat
+        layout.  Requires :meth:`enable_personalization`."""
+        grafted = np.array(rows, dtype=np.float64)
+        tail = np.concatenate([np.ravel(w) for w in self.personal_tail])
+        grafted[..., grafted.shape[-1] - tail.size :] = tail
+        return grafted
 
     def update_personal_tail(self, weights: Weights) -> None:
         """Adopt the tail of freshly trained ``weights`` as the new
@@ -94,24 +95,21 @@ class Client:
 
     # ---------------------------------------------------------- evaluation
     def evaluate_weights(self, weights: Weights) -> tuple[float, float]:
-        """(loss, accuracy) of ``weights`` on this client's local test data.
-
-        Non-finite weights get :meth:`accuracy_of_weights`' guard: one
-        evaluation counted, no forward pass, ``(inf, 0.0)``.
-        """
-        if any(not np.isfinite(w).all() for w in weights):
-            self.evaluations += 1
-            return np.inf, 0.0
-        self.model.set_weights(weights)
-        self.evaluations += 1
-        return self.model.evaluate(self.data.x_test, self.data.y_test)
+        """(loss, accuracy) of ``weights`` on local test data:
+        :meth:`evaluate_flat` of the flattened list."""
+        return self.evaluate_flat(self.model.flat_spec.flatten(weights))
 
     def accuracy_of_weights(self, weights: Weights) -> float:
-        """Accuracy of ``weights`` on local test data (loss-free path).
+        """Accuracy of ``weights`` on local test data:
+        :meth:`accuracy_of_flat` of the flattened list."""
+        return self.accuracy_of_flat(self.model.flat_spec.flatten(weights))
 
-        Routed through :meth:`Classifier.accuracy`, which skips the
-        cross-entropy computation entirely — the value is identical to
-        ``evaluate_weights(weights)[1]`` (same forward pass, same argmax).
+    def accuracy_of_flat(self, flat: np.ndarray) -> float:
+        """Accuracy of a flat weight vector on local test data.
+
+        The loss-free twin of :meth:`evaluate_flat`, used for the
+        reference (publish-gate baseline) of every cycle and round unit:
+        :meth:`Classifier.accuracy` skips the cross-entropy entirely.
 
         A model carrying non-finite weights scores the worst possible
         accuracy, 0.0, without a forward pass: NaN logits would make the
@@ -119,23 +117,6 @@ class Client:
         rather than a judgment, and a corrupted model must never look
         attractive to the accuracy-biased walk.  The query still counts
         as one evaluation.
-        """
-        if any(not np.isfinite(w).all() for w in weights):
-            self.evaluations += 1
-            return 0.0
-        self.model.set_weights(weights)
-        self.evaluations += 1
-        return self.model.accuracy(self.data.x_test, self.data.y_test)
-
-    def accuracy_of_flat(self, flat: np.ndarray) -> float:
-        """:meth:`accuracy_of_weights` for a flat weight vector.
-
-        The loss-free twin of :meth:`evaluate_flat`, used for the
-        reference (publish-gate baseline) of every cycle and round unit
-        — same forward pass and argmax as
-        ``accuracy_of_weights(spec.unflatten(flat))``, no per-layer list
-        — including the non-finite guard (a corrupt vector scores 0.0
-        without a forward pass).
         """
         if not np.isfinite(flat).all():
             self.evaluations += 1
@@ -145,13 +126,13 @@ class Client:
         return self.model.accuracy(self.data.x_test, self.data.y_test)
 
     def evaluate_flat(self, flat: np.ndarray) -> tuple[float, float]:
-        """:meth:`evaluate_weights` for a flat weight vector.
+        """(loss, accuracy) of a flat weight vector on local test data.
 
         The training plane's post-training entry point: the trained row
         comes straight off the lockstep ``(K, P)`` stack and loads via
-        :meth:`Classifier.load_flat` — no per-layer list is built.
-        Bookkeeping (the evaluation counter) and the non-finite guard
-        match :meth:`evaluate_weights` exactly.
+        :meth:`Classifier.load_flat` — no per-layer list is built.  A
+        non-finite vector gets :meth:`accuracy_of_flat`'s guard: one
+        evaluation counted, no forward pass, ``(inf, 0.0)``.
         """
         if not np.isfinite(flat).all():
             self.evaluations += 1
@@ -161,71 +142,34 @@ class Client:
         return self.model.evaluate(self.data.x_test, self.data.y_test)
 
     def tx_accuracy(self, tangle: Tangle, tx_id: str) -> float:
-        """Cached accuracy of a transaction's model on local test data.
-
-        With personalization enabled, the transaction's model is evaluated
-        with this client's personal tail grafted on — the client judges
-        foreign bodies by how well they serve *its* head.
-
-        ``tangle`` may be any object with a ``get(tx_id)`` method (a
-        :class:`~repro.dag.tangle.Tangle` or one of its views); the cache
-        is keyed by transaction id alone, which is sound because a
-        transaction's model never changes.
-
-        The walk's inner loop: without personalization, an arena-resident
-        model is loaded straight from its flat row
-        (:meth:`Classifier.load_flat`) — no per-layer list, no gradient
-        reallocation, no loss computation.
-        """
-        cached = self._tx_accuracy_cache.get(tx_id)
-        if cached is not None:
-            return cached
-        tx = tangle.get(tx_id)
-        if not self.personal_params and tx.arena_bound:
-            try:
-                flat = tx.flat_vector(self.model.flat_spec)
-            except ValueError:  # tangle architecture differs from the model
-                flat = None
-            if flat is not None:
-                self.model.load_flat(flat)
-                self.evaluations += 1
-                accuracy = self.model.accuracy(self.data.x_test, self.data.y_test)
-                self._tx_accuracy_cache[tx_id] = accuracy
-                return accuracy
-        weights = self.apply_personalization(tx.model_weights)
-        accuracy = self.accuracy_of_weights(weights)
-        self._tx_accuracy_cache[tx_id] = accuracy
-        return accuracy
+        """Cached accuracy of one transaction's model:
+        :meth:`tx_accuracies` of ``[tx_id]``."""
+        return float(self.tx_accuracies(tangle, [tx_id])[0])
 
     def tx_accuracies(
         self, tangle: Tangle, tx_ids: list[str], arena_rows: tuple | None = None
     ) -> np.ndarray:
-        """Batched :meth:`tx_accuracy` over all of ``tx_ids``.
+        """Cached accuracies of the transactions' models on local test
+        data, in the order of ``tx_ids``.
 
-        The walk's preferred evaluation entry point: one call per walk
-        step covers every candidate approver — and under the lockstep
-        engine one call per *superstep* covers the union frontier of
-        every live particle, the widest batches this method sees.
-        Cached ids are dictionary lookups; the uncached remainder is
-        deduplicated and — when the
-        model's layers all have fused kernels and no personalization is
-        active — evaluated in **one fused forward pass** over a
-        ``(k, P)`` stack of the candidates' flat rows
-        (:meth:`Classifier.accuracy_many`), sliced zero-copy from the
-        tangle's weight arena when the rows are contiguous.  Candidates
-        the fused plane cannot take (foreign architectures, unfused
-        layers, personalization) fall back to the per-model
-        :meth:`tx_accuracy` loop, which is bit-identical in float64.
-        Returns accuracies in the order of ``tx_ids``.
+        The walk's evaluation entry point: under the lockstep engine one
+        call covers a superstep's union frontier.  Cached ids are
+        dictionary lookups; the misses are deduplicated, their arena
+        rows gathered — from ``arena_rows`` (``(arena, rows)``, each
+        id's row: the walk snapshot's
+        :attr:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`) or
+        through ``tangle.get`` (:func:`~repro.dag.arena.locate_rows`),
+        with the same values, cache entries and evaluation count — and
+        scored by **one** :meth:`Classifier.accuracy_many` (one fused
+        pass, or its per-model loop for layers without fused kernels).
+        Raises ``ValueError``, before evaluating anything, when the arena
+        is not laid out like this client's model.
 
-        ``arena_rows`` — ``(arena, rows)``, each id's row in one
-        :class:`~repro.dag.arena.WeightArena` (the walk engine's
-        :meth:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`) —
-        lets the fused pass gather the uncached models straight from
-        the arena, resolving no id in ``tangle``.  The values, cache
-        entries and evaluation count are those of the call without it;
-        it is ignored whenever the fused pass could not take the arena
-        (personalization, unfused layers, another architecture).
+        Under personalization each model is judged with this client's
+        tail grafted on (:meth:`graft_tail`) — the client judges foreign
+        bodies by how well they serve *its* head — and a grafted row
+        carrying non-finite weights scores 0.0, as in
+        :meth:`accuracy_of_flat`.
         """
         out = np.empty(len(tx_ids), dtype=np.float64)
         cache = self._tx_accuracy_cache
@@ -238,63 +182,29 @@ class Client:
                 pending.setdefault(tx_id, []).append(position)
         if not pending:
             return out
-        if arena_rows is not None and self._fuses_arena(arena_rows[0]):
-            arena, rows = arena_rows
-            firsts = [positions[0] for positions in pending.values()]
-            values = self.model.accuracy_many(
-                arena.rows(rows[firsts]), self.data.x_test, self.data.y_test
-            ).tolist()
-            self.evaluations += len(pending)
-            for (tx_id, positions), accuracy in zip(pending.items(), values):
-                cache[tx_id] = accuracy
-                for position in positions:
-                    out[position] = accuracy
-            return out
-        for tx_id, accuracy in self._evaluate_uncached(tangle, list(pending)).items():
-            for position in pending[tx_id]:
+        if arena_rows is None:
+            arena, rows = locate_rows([tangle.get(tx_id) for tx_id in pending])
+        else:
+            arena = arena_rows[0]
+            rows = arena_rows[1][[positions[0] for positions in pending.values()]]
+        if arena.spec != self.model.flat_spec:
+            raise ValueError("the arena is not laid out like this client's model")
+        x, y = self.data.x_test, self.data.y_test
+        # The gathered stack goes straight in: bound to a name, it outlived
+        # accuracy_many and raised the event engine's peak RSS by ~5 MB.
+        if self.personal_params:
+            stacked = self.graft_tail(arena.rows(rows))
+            finite = np.isfinite(stacked).all(axis=1)
+            values = np.zeros(len(pending))
+            values[finite] = self.model.accuracy_many(stacked[finite], x, y)
+        else:
+            values = self.model.accuracy_many(arena.rows(rows), x, y)
+        self.evaluations += len(pending)
+        for (tx_id, positions), accuracy in zip(pending.items(), values.tolist()):
+            cache[tx_id] = accuracy
+            for position in positions:
                 out[position] = accuracy
         return out
-
-    def _fuses_arena(self, arena) -> bool:
-        """Whether the fused pass can evaluate ``arena``'s rows as they
-        are: no personal tail to graft, fused kernels, same layout."""
-        return (
-            not self.personal_params
-            and self.model.supports_fused_eval
-            and arena.spec == self.model.flat_spec
-        )
-
-    def _evaluate_uncached(
-        self, tangle: Tangle, tx_ids: list[str]
-    ) -> dict[str, float]:
-        """Evaluate distinct uncached transactions, fused where possible."""
-        accuracies: dict[str, float] = {}
-        if not self.personal_params and self.model.supports_fused_eval:
-            spec = self.model.flat_spec
-            transactions = [tangle.get(tx_id) for tx_id in tx_ids]
-            fused_ids, stacked = tx_ids, shared_rows(transactions, spec)
-            if stacked is None:  # mixed storage: stack what flattens
-                fused_ids, flats = [], []
-                for tx_id, tx in zip(tx_ids, transactions):
-                    try:
-                        flats.append(tx.flat_vector(spec))
-                    except ValueError:
-                        continue  # foreign architecture: per-model below
-                    fused_ids.append(tx_id)
-                stacked = np.stack(flats) if flats else None
-            if stacked is not None:
-                values = self.model.accuracy_many(
-                    stacked, self.data.x_test, self.data.y_test
-                )
-                self.evaluations += len(fused_ids)
-                for tx_id, value in zip(fused_ids, values):
-                    accuracy = float(value)
-                    self._tx_accuracy_cache[tx_id] = accuracy
-                    accuracies[tx_id] = accuracy
-        for tx_id in tx_ids:
-            if tx_id not in accuracies:
-                accuracies[tx_id] = self.tx_accuracy(tangle, tx_id)
-        return accuracies
 
     def tx_accuracy_cache(self) -> dict[str, float]:
         """Snapshot of the cached transaction evaluations.

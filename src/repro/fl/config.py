@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.dag.tip_selection import check_walk_settings
 from repro.utils.validation import check_positive
 
 __all__ = ["TrainingConfig", "DagConfig", "TABLE1_CONFIGS", "table1_config"]
@@ -135,14 +136,10 @@ class DagConfig:
             )
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.normalization not in ("standard", "dynamic"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.selector not in ("accuracy", "random", "weighted"):
             raise ValueError(f"unknown selector {self.selector!r}")
         check_positive("num_tips", self.num_tips)
-        low, high = self.depth_range
-        if low < 0 or high < low:
-            raise ValueError(f"invalid depth_range {self.depth_range}")
+        check_walk_settings(self.normalization, self.depth_range)
         if self.personal_params < 0:
             raise ValueError("personal_params must be >= 0")
         if self.visibility_delay < 0:

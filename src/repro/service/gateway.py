@@ -31,6 +31,7 @@ front onto the same object.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dag.tangle import Tangle
+from repro.dag.tip_selection import check_walk_settings
 from repro.dag.transaction import Transaction, payload_error
 from repro.dag.walk_engine import snapshot_for
 from repro.fl.aggregation import mean_flat
@@ -71,6 +73,13 @@ class GatewayConfig:
     breaker_failure_threshold: int = 5
     breaker_reset_timeout: float = 0.5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # Walk settings reach no component before the first tips request.
+        budget = self.deadline_budget
+        if not (math.isfinite(budget) and budget > 0):
+            raise ValueError(f"deadline_budget must be finite and > 0, got {budget}")
+        check_walk_settings(self.normalization, self.depth_range)
 
 
 @dataclass
@@ -245,7 +254,7 @@ class TangleGateway:
         flat = np.asarray(flat, dtype=np.float64)
         if self.chaos is not None:
             flat, _ = self.chaos.corrupt_payload(flat)
-        error = payload_error(flat, self.tangle.spec)
+        error = payload_error(flat, self.tangle.spec, self.tangle.arena.dtype)
         if error is not None:
             with self._counts_lock:
                 self.counts["quarantined"] += 1

@@ -672,7 +672,7 @@ class EventDrivenTangleLearning:
         link faults, per-link delivery draws from ``"faults"``; without
         it (round barriers) it is visible at once and draws nothing.
         """
-        if payload_error(flat, self.tangle.spec) is not None:
+        if payload_error(flat, self.tangle.spec, self.tangle.arena.dtype) is not None:
             self.fault_stats["quarantined"] += 1
             return None
         tx = Transaction.from_flat(

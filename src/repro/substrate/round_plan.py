@@ -247,22 +247,19 @@ def reference_flat(
     """``client``'s reference model — the merge of the chosen parent
     transactions, its personal tail grafted on — as one flat vector.
 
-    The ``(k, P)`` parent stack comes straight off the arena the parents
-    share (:func:`~repro.dag.arena.shared_rows`), or row by row for
-    mixed storage.  It reduces through the named flat aggregator or,
-    given normalized staleness ``weights``, as the weighted row sum.
-    Every unit builds its reference here (:func:`execute_prep_unit`).
+    The ``(k, P)`` parent stack comes straight off the tangle's arena
+    (:func:`~repro.dag.arena.shared_rows`).  It reduces through the
+    named flat aggregator or, given normalized staleness ``weights``, as
+    the weighted row sum.  Every unit builds its reference here
+    (:func:`execute_prep_unit`).
     """
-    spec = client.model.flat_spec
-    stacked = shared_rows(parents, spec)
-    if stacked is None:
-        stacked = np.stack([tx.flat_vector(spec) for tx in parents])
+    stacked = shared_rows(parents, client.model.flat_spec)
     if weights is None:
         flat = FLAT_AGGREGATORS[aggregator](stacked)
     else:
         flat = sum(w * row for w, row in zip(weights, stacked))
     if client.personal_params:
-        flat = spec.flatten(client.apply_personalization(spec.unflatten(flat)))
+        flat = client.graft_tail(flat)
     return flat
 
 

@@ -137,17 +137,42 @@ def test_tangle_flat_weights_accessor(rng):
         tangle.flat_weights("nope")
 
 
-def test_foreign_shapes_fall_back_to_private_storage(rng):
+def _tangle_state(tangle):
+    return len(tangle), tangle.tips(), len(tangle.arena), tangle.transactions()
+
+
+def test_add_rejects_a_foreign_shaped_model(rng):
+    """A model laid out unlike genesis never enters the tangle: ``add``
+    raises before any state changes, so the arena rows stay the
+    insertion positions."""
     tangle = Tangle(weight_list(rng))
-    foreign = [rng.normal(size=(5,))]  # not the genesis architecture
-    tangle.add(Transaction("alien", (GENESIS_ID,), foreign, 0, 0))
-    tx = tangle.get("alien")
-    assert not tx.arena_bound
-    np.testing.assert_array_equal(tx.model_weights[0], foreign[0])
-    assert len(tangle.arena) == 1  # only genesis interned
+    tangle.add(Transaction("t0", (GENESIS_ID,), weight_list(rng), 0, 0))
+    before = _tangle_state(tangle)
+    foreign = [
+        Transaction("alien", ("t0",), [rng.normal(size=(5,))], 0, 0),
+        Transaction.from_flat("flat", ("t0",), np.zeros(5), FlatSpec(((5,),)), 0, 0),
+    ]
+    for tx in foreign:
+        with pytest.raises(ValueError):
+            tangle.add(tx)
+        assert _tangle_state(tangle) == before
+        assert not tx.arena_bound and tx.tx_id not in tangle
+    tangle.add(Transaction("t1", ("t0",), weight_list(rng), 0, 0))
+    assert tangle.get("t1").arena_location() == (tangle.arena, 2)
 
 
-def test_shared_rows_stacks_one_arena_or_declines(rng):
+def test_add_rejects_a_transaction_of_another_tangle(rng):
+    tangle, other = Tangle(weight_list(rng)), Tangle(weight_list(rng))
+    tx = Transaction("t0", (GENESIS_ID,), weight_list(rng), 0, 0)
+    other.add(tx)
+    before = _tangle_state(tangle)
+    with pytest.raises(ValueError, match="another tangle"):
+        tangle.add(tx)
+    assert _tangle_state(tangle) == before
+    assert tx.arena_location() == (other.arena, 1)
+
+
+def test_shared_rows_stacks_one_arena_or_raises(rng):
     tangle = Tangle(weight_list(rng))
     for i in range(4):
         tangle.add(Transaction(f"t{i}", (GENESIS_ID,), weight_list(rng), 0, 0))
@@ -161,10 +186,14 @@ def test_shared_rows_stacks_one_arena_or_declines(rng):
     )
     other = Tangle(weight_list(rng))
     unbound = Transaction("u", (GENESIS_ID,), weight_list(rng), 0, 0)
-    assert shared_rows([txs[1], other.genesis], spec) is None  # two arenas
-    assert shared_rows([txs[1], unbound], spec) is None
-    assert shared_rows(txs, FlatSpec(((8,),))) is None  # another layout
-    assert shared_rows([], spec) is None
+    for batch, layout in (
+        ([txs[1], other.genesis], spec),  # two arenas
+        ([txs[1], unbound], spec),  # a transaction outside any tangle
+        (txs, FlatSpec(((8,),))),  # another layout
+        ([], spec),
+    ):
+        with pytest.raises(ValueError):
+            shared_rows(batch, layout)
 
 
 def test_transaction_from_flat(rng):

@@ -71,3 +71,24 @@ def test_payload_error_flags_non_finite_values():
     flat[4] = np.inf
     message = payload_error(flat, spec)
     assert "2 non-finite values" in message
+
+
+def test_payload_error_judges_the_stored_dtype():
+    """A value beyond float32's range is sound for a float64 arena and
+    non-finite for a float32 one — flagged without an overflow warning."""
+    import warnings
+
+    from repro.dag.transaction import payload_error
+    from repro.nn.serialization import FlatSpec
+
+    spec = FlatSpec(((2, 2), (3,)))
+    flat = np.zeros(7)
+    flat[2] = 1e39
+    assert payload_error(flat, spec) is None
+    assert payload_error(flat, spec, np.float64) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = payload_error(flat, spec, np.float32)
+    assert "1 non-finite value" in message and "float32" in message
+    flat[2] = 3e38
+    assert payload_error(flat, spec, np.float32) is None

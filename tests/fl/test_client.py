@@ -172,66 +172,49 @@ def test_tx_accuracies_fused_populates_cache_for_tx_accuracy(client):
     assert client.evaluations == count
 
 
-class _Store:
-    """A ``get``-able store mixing storage regimes: the walk reads
-    candidates through any object with ``get``."""
-
-    def __init__(self, *groups):
-        self._txs = {tx.tx_id: tx for group in groups for tx in group}
-
-    def get(self, tx_id):
-        return self._txs[tx_id]
-
-
-def test_bulk_scoring_is_the_per_model_path_bit_for_bit(
-    tiny_fmnist, mlp_builder, rng
-):
-    """One batch mixing arena rows, a second arena's row, unbound flat
-    and list models, duplicates and already-cached ids scores exactly
-    as ``tx_accuracy`` per id — values, evaluation count and cache.  A
-    foreign architecture raises on both paths with the same side
-    effects."""
+def test_bulk_scoring_is_the_per_model_path_bit_for_bit(tiny_fmnist, mlp_builder):
+    """One batch with duplicates and already-cached ids scores each
+    distinct uncached model once, exactly as ``accuracy_of_flat`` scores
+    its arena row — values, evaluation count and cache.  A client laid
+    out unlike the tangle raises before evaluating anything, in bulk
+    and per id alike, and still answers cached ids."""
     model = mlp_builder(np.random.default_rng(0))
     config = TrainingConfig(local_epochs=1, local_batches=3, batch_size=8)
-    bulk, single = (
+    bulk, oracle = (
         Client(tiny_fmnist.clients[0], model, config, rng=1) for _ in range(2)
     )
     tangle, ids = _grown_tangle(bulk)
-    spec = model.flat_spec
-
-    def perturbed():
-        return [w + rng.normal(0.0, 0.1, size=w.shape) for w in model.get_weights()]
-
-    other = Tangle(perturbed())  # same layout, a second arena
-    other.add(Transaction("other", (GENESIS_ID,), perturbed(), 7, 0))
-    unbound = [
-        Transaction.from_flat(
-            "flat", (GENESIS_ID,), spec.flatten(perturbed()), spec, 8, 0
-        ),
-        Transaction("list", (GENESIS_ID,), perturbed(), 9, 0),
-    ]
-    store = _Store(tangle.transactions(), [other.get("other")], unbound)
-    batch = [ids[3], "flat", ids[1], ids[3], "other", "list", ids[0], "flat", ids[5]]
-    for client in (bulk, single):
-        client.tx_accuracy(store, ids[0])  # already cached
-        client.tx_accuracy(store, ids[5])
-
-    got = bulk.tx_accuracies(store, batch)
-    expected = np.array([single.tx_accuracy(store, t) for t in batch])
+    bulk.tx_accuracies(tangle, [ids[0], ids[5]])  # already cached
+    count = bulk.evaluations
+    batch = [ids[3], ids[1], ids[3], ids[0], ids[6], ids[1], ids[5], ids[6]]
+    got = bulk.tx_accuracies(tangle, batch)
+    expected = np.array([oracle.accuracy_of_flat(tangle.flat_weights(t)) for t in batch])
     assert got.dtype == expected.dtype == np.float64
     assert got.tobytes() == expected.tobytes()
-    assert bulk.evaluations == single.evaluations
-    assert bulk.tx_accuracy_cache() == single.tx_accuracy_cache()
+    assert bulk.evaluations == count + 3  # ids[3], ids[1], ids[6] once each
+    assert bulk.tx_accuracy_cache() == dict(zip(batch, expected.tolist()))
 
-    alien = Transaction("alien", (GENESIS_ID,), [rng.normal(size=(5,))], 10, 0)
-    store = _Store(tangle.transactions(), [alien])
-    batch = [ids[2], ids[4], ids[2], "alien"]
+    foreign = zoo.build_mlp(
+        np.random.default_rng(1), in_features=100, hidden=(8,), num_classes=10
+    )
+    twins = _twins(tiny_fmnist, foreign)
+    for client in twins:
+        client.restore_tx_accuracy_cache({ids[2]: 0.5})
+    batch = [ids[2], ids[4], ids[2], ids[4]]
     with pytest.raises(ValueError):
-        bulk.tx_accuracies(store, batch)
+        twins[0].tx_accuracies(tangle, batch)
     with pytest.raises(ValueError):
-        [single.tx_accuracy(store, t) for t in batch]
-    assert bulk.evaluations == single.evaluations
-    assert bulk.tx_accuracy_cache() == single.tx_accuracy_cache()
+        [twins[1].tx_accuracy(tangle, t) for t in batch]
+    for client in twins:
+        assert client.evaluations == 0
+        assert client.tx_accuracy_cache() == {ids[2]: 0.5}
+        assert client.tx_accuracies(tangle, [ids[2]]).tolist() == [0.5]
+    # The same parameter count in another layout is foreign too.
+    flat_tangle = Tangle([np.zeros(model.flat_spec.total)])
+    count = oracle.evaluations
+    with pytest.raises(ValueError):
+        oracle.tx_accuracies(flat_tangle, [GENESIS_ID])
+    assert oracle.evaluations == count and not oracle.tx_accuracy_cache()
 
 
 class _ReshapedData:
@@ -319,7 +302,7 @@ def _score_both_ways(by_row, by_id, tangle, snapshot, batch) -> int:
     id alone on its twin: values, cache entries (in insertion order) and
     evaluation counts must agree.  Returns the ``get`` calls the row
     call made."""
-    arena, rows = snapshot.arena_rows()
+    arena, rows = snapshot.arena_rows
     store = _CountingStore(tangle)
     nodes = [snapshot.index[tx_id] for tx_id in batch]
     got = by_row.tx_accuracies(store, batch, (arena, rows[nodes]))
@@ -349,12 +332,41 @@ def test_row_scoring_equals_id_scoring_and_resolves_no_id(tiny_fmnist, mlp_build
     assert _score_both_ways(by_row, by_id, tangle, snapshot, ids) == 0  # all cached
 
 
-def test_row_scoring_falls_back_under_personalization(tiny_fmnist, mlp_builder):
-    by_row, by_id = _twins(tiny_fmnist, mlp_builder(np.random.default_rng(0)))
+def test_row_scoring_under_personalization_resolves_no_id(tiny_fmnist, mlp_builder):
+    """A personalized client scores by row too, and each id scores
+    exactly ``accuracy_of_flat(graft_tail(row))``: a model whose grafted
+    row is non-finite — a corrupt body or a corrupt tail — scores 0.0."""
+    model = mlp_builder(np.random.default_rng(0))
+    by_row, by_id, oracle = _twins(tiny_fmnist, model) + _twins(tiny_fmnist, model)[:1]
     tangle, ids = _grown_tangle(by_row)
-    for client in (by_row, by_id):
-        client.enable_personalization(2, client.model.get_weights())
-    assert _score_both_ways(by_row, by_id, tangle, snapshot_for(tangle), ids) > 0
+    corrupt = [np.array(w, copy=True) for w in model.get_weights()]
+    corrupt[0].flat[0] = np.nan
+    tangle.add(Transaction("corrupt", (ids[-1],), corrupt, 0, 9))
+    ids.append("corrupt")
+    # A head voting class 0 scores every finite model above 0.0, while
+    # NaN logits would argmax to class 0 too: only the guard gives 0.0.
+    assert (by_row.data.y_test == 0).any()
+    head = [np.zeros_like(w) for w in model.get_weights()[-2:]]
+    head[-1][0] = 1.0
+    for client in (by_row, by_id, oracle):
+        client.enable_personalization(2, model.get_weights()[:-2] + head)
+
+    def assert_oracle_scores():
+        before = oracle.evaluations
+        expected = [oracle.accuracy_of_flat(oracle.graft_tail(tangle.flat_weights(t))) for t in ids]
+        assert by_row.tx_accuracies(tangle, ids).tobytes() == np.array(expected).tobytes()
+        assert oracle.evaluations - before == len(ids)
+        return expected
+
+    assert _score_both_ways(by_row, by_id, tangle, snapshot_for(tangle), ids) == 0
+    expected = assert_oracle_scores()
+    assert expected[-1] == 0.0 and min(expected[:-1]) > 0.0
+    tail = [np.array(w, copy=True) for w in oracle.personal_tail]
+    tail[-1].flat[0] = np.inf
+    for client in (by_row, by_id, oracle):
+        client.update_personal_tail(tail)
+    assert _score_both_ways(by_row, by_id, tangle, snapshot_for(tangle), ids) == 0
+    assert assert_oracle_scores() == [0.0] * len(ids)
 
 
 def test_row_scoring_after_a_spilling_compaction(tiny_fmnist, mlp_builder, tmp_path):
@@ -363,11 +375,10 @@ def test_row_scoring_after_a_spilling_compaction(tiny_fmnist, mlp_builder, tmp_p
     model = mlp_builder(np.random.default_rng(0))
     tangle, ids = _grown_tangle(_twins(tiny_fmnist, model)[0], n=8)
     before = snapshot_for(tangle)
-    before.arena_rows()
     report = tangle.compact(keep_last=4, spill_path=tmp_path / "spill.bin")
     assert report.spill is not None and report.spill.is_spilled
     after = snapshot_for(tangle)
-    assert after.arena_rows()[0] is tangle.arena is not before.arena_rows()[0]
+    assert after.arena_rows[0] is tangle.arena is not before.arena_rows[0]
     kept = ids[-4:]
     for snapshot in (before, after):
         by_row, by_id = _twins(tiny_fmnist, model)
@@ -375,16 +386,16 @@ def test_row_scoring_after_a_spilling_compaction(tiny_fmnist, mlp_builder, tmp_p
     report.spill.close()
 
 
-def test_row_scoring_falls_back_for_a_foreign_architecture(tiny_fmnist, mlp_builder):
-    """A model laid out unlike the arena never reads its rows: both calls
-    take the per-model path and fail alike."""
+def test_row_scoring_rejects_a_foreign_architecture(tiny_fmnist, mlp_builder):
+    """A model laid out unlike the arena never reads its rows: the call
+    with rows and the call without both raise before evaluating."""
     tangle, ids = _grown_tangle(_twins(tiny_fmnist, mlp_builder(np.random.default_rng(0)))[0])
     foreign = zoo.build_mlp(
         np.random.default_rng(1), in_features=100, hidden=(8,), num_classes=10
     )
     by_row, by_id = _twins(tiny_fmnist, foreign)
     snapshot = snapshot_for(tangle)
-    arena, rows = snapshot.arena_rows()
+    arena, rows = snapshot.arena_rows
     nodes = [snapshot.index[tx_id] for tx_id in ids[1:4]]
     with pytest.raises(ValueError):
         by_row.tx_accuracies(tangle, ids[1:4], (arena, rows[nodes]))

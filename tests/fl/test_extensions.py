@@ -15,12 +15,18 @@ def test_personalization_keeps_tail_local(tiny_fmnist, mlp_builder):
     initial = model.get_weights()
     client.enable_personalization(2, initial)
 
-    foreign = [w + 5.0 for w in initial]
-    composed = client.apply_personalization(foreign)
+    spec = model.flat_spec
+    foreign = spec.flatten([w + 5.0 for w in initial])
+    composed = spec.unflatten(client.graft_tail(foreign))
     # body adopted from foreign, tail kept personal
-    np.testing.assert_allclose(composed[0], foreign[0])
+    np.testing.assert_allclose(composed[0], initial[0] + 5.0)
     np.testing.assert_allclose(composed[-1], initial[-1])
     np.testing.assert_allclose(composed[-2], initial[-2])
+    # a (k, P) stack is grafted row by row, into a float64 copy
+    stack = np.stack([foreign, foreign + 1.0]).astype(np.float32)
+    grafted = client.graft_tail(stack)
+    assert grafted.dtype == np.float64 and not np.shares_memory(grafted, stack)
+    np.testing.assert_array_equal(grafted[1], client.graft_tail(stack[1]))
 
 
 def test_personalization_validation(tiny_fmnist, mlp_builder):

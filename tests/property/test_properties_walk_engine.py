@@ -319,7 +319,8 @@ def test_view_snapshots_equal_cold_builds_across_growth_and_compaction(
     with and without an observer, in both the id-keyed and the engine's
     column form, plus round-bounded views — at three stages: built,
     grown (served by extending the whole-tangle snapshot, never a cold
-    build), and grown again after a compaction in between."""
+    build), and grown again after a compaction in between.  Every served
+    snapshot's arena rows are its nodes' models, byte for byte."""
     first, grown, keep_last, regrown = sizes
     rng = np.random.default_rng(seed)
     tangle = Tangle(weights())
@@ -338,8 +339,9 @@ def test_view_snapshots_equal_cold_builds_across_growth_and_compaction(
                 )
             )
             tx_id = f"t{i}"
+            model = [np.full(1, i + 1.0)]  # distinct rows
             tangle.add(
-                Transaction(tx_id, parents, weights(), int(rng.integers(0, issuers)), i // 4)
+                Transaction(tx_id, parents, model, int(rng.integers(0, issuers)), i // 4)
             )
             ids.append(tx_id)
             published_at[tx_id] = i + float(rng.random())
@@ -383,6 +385,14 @@ def test_view_snapshots_equal_cold_builds_across_growth_and_compaction(
             lambda tx: tx.is_genesis or tx.round_index <= max_round
         )
 
+    def assert_rows_are_models(snapshot):
+        arena, rows = snapshot.arena_rows
+        assert arena is tangle.arena
+        stacked = arena.rows(rows)
+        for node, tx_id in enumerate(snapshot.ids):
+            model = tangle.get(tx_id).flat_vector(tangle.spec)
+            assert stacked[node].tobytes() == model.tobytes()
+
     def check_stage(*, may_build):
         for name in SNAPSHOT_PLANES:  # extension must patch, not defer
             getattr(snapshot_for(tangle), name)()
@@ -400,7 +410,9 @@ def test_view_snapshots_equal_cold_builds_across_growth_and_compaction(
                 inherited = served._longest_past_path is not None
                 event(f"longest paths {'inherited' if inherited else 'lazy'}")
             assert_snapshot_equal(served, TangleSnapshot.build(_Subset(tangle, keep)))
+            assert_rows_are_models(served)
         assert_snapshot_equal(snapshot_for(tangle), TangleSnapshot.build(tangle))
+        assert_rows_are_models(snapshot_for(tangle))
         order = [tx.tx_id for tx in tangle.transactions()]
         np.testing.assert_array_equal(
             tangle.cumulative_weights(order),

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.dag.tangle import Tangle
+from repro.dag.transaction import GENESIS_ID
 from repro.fl.aggregation import mean_flat
 from repro.service.gateway import GatewayConfig, ServiceResponse, TangleGateway
 
@@ -61,6 +63,41 @@ def test_wrong_length_payload_is_quarantined(gateway, tangle):
     response = gateway.publish(np.zeros(3), tangle.tips()[:1])
     assert response.status == "rejected"
     assert gateway.counts["quarantined"] == 1
+
+
+def test_payload_overflowing_a_float32_arena_is_quarantined():
+    """Admission judges a payload as the arena stores it: 1e39 is a
+    finite float64 but an infinite float32."""
+    rng = np.random.default_rng(3)
+    tangle = Tangle([rng.normal(size=(3, 2)), rng.normal(size=2)], store_dtype=np.float32)
+    with TangleGateway(tangle, config=GatewayConfig(deadline_budget=5.0)) as gateway:
+        flat = rng.normal(size=tangle.spec.total)
+        flat[4] = 1e39
+        response = gateway.publish(flat, [GENESIS_ID])
+        assert response.status == "rejected" and "quarantined" in response.reason
+        assert gateway.counts["quarantined"] == 1 and len(tangle) == 1
+        flat[4] = 3e38  # representable in float32
+        assert gateway.publish(flat, [GENESIS_ID]).ok
+        assert np.isfinite(tangle.arena.rows(np.arange(len(tangle)))).all()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("depth_range", (5, 2)),
+        ("depth_range", (-1, 3)),
+        ("normalization", "nope"),
+        ("deadline_budget", -1.0),
+        ("deadline_budget", 0.0),
+        ("deadline_budget", float("nan")),
+        ("deadline_budget", float("inf")),
+    ],
+)
+def test_config_rejects_invalid_walk_settings(field, value):
+    """Walk settings no component sees before the first tips request
+    fail at construction, not as a shed or a raise on every request."""
+    with pytest.raises(ValueError, match=field):
+        GatewayConfig(**{field: value})
 
 
 def test_unknown_parent_is_rejected_with_the_error(gateway, tangle):
