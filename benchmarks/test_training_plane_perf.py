@@ -157,7 +157,8 @@ class _PerClientUnits(SerialExecutor):
     """In-process, but not advertised: ``execute_round`` routes such an
     executor whole ``execute_unit``s — the per-client training loop."""
 
-    shares_memory = False
+    def runs_in_process(self, items):
+        return False
 
 
 def test_round_level_training_plane_recorded():

@@ -99,8 +99,9 @@ class DagConfig:
     - ``parallelism`` selects the round-execution substrate
       (:mod:`repro.substrate`): ``1`` (default) runs each round's
       per-client work serially, ``n > 1`` fans it out over ``n`` worker
-      processes, ``0`` sizes the pool to the machine, and ``"auto"``
-      decides per round with a payload cost model
+      processes, ``0`` sizes the pool to the cores this process may use
+      (:func:`repro.substrate.executor.available_cores`, affinity-mask
+      aware), and ``"auto"`` decides per round with a payload cost model
       (:func:`repro.substrate.cost.estimate_payload`) over the round's
       actual post-export payloads: serial whenever the machine has
       fewer than two usable cores, the bytes that would cross the pipe
@@ -144,15 +145,10 @@ class DagConfig:
             raise ValueError("personal_params must be >= 0")
         if self.visibility_delay < 0:
             raise ValueError("visibility_delay must be >= 0")
-        if isinstance(self.parallelism, str):
-            if self.parallelism != "auto":
-                raise ValueError(
-                    f"parallelism must be an int >= 0 or 'auto', "
-                    f"got {self.parallelism!r}"
-                )
-        elif self.parallelism < 0:
-            raise ValueError("parallelism must be >= 0 (0 = machine-sized)")
         from repro.fl.aggregation import AGGREGATORS
+        from repro.substrate.executor import check_parallelism
+
+        check_parallelism(self.parallelism)
 
         if self.aggregator not in AGGREGATORS:
             raise ValueError(

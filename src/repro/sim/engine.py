@@ -818,9 +818,7 @@ class EventDrivenTangleLearning:
         cfg = self.dag_config
         attackers = self.sim_config.attackers
         link = self._arrival is not None
-        context = partial(
-            RoundContext, config=cfg, rng_factory=self._rngs, capture_state=False
-        )
+        context = partial(RoundContext, config=cfg, rng_factory=self._rngs)
         payload_for: dict[int, tuple] = {}  # cycle_seq -> payload
         groups: dict[object, list[_Event]] = {}
         for event in ready:
@@ -1017,9 +1015,9 @@ class EventDrivenTangleLearning:
         units = self._round_units(active_ids)
         # The substrate's shared coordinator half: exports the tangle
         # arena and active clients' data to shared memory when the
-        # executor can fan out, probes the route (serial-routed rounds
-        # skip state capture), and dispatches through the training plane
-        # or plain unit mapping — bit-identical results on every path,
+        # executor can fan out, asks it whether the round stays
+        # in-process, and dispatches through the training plane or plain
+        # unit mapping — bit-identical results on every path,
         # so the commit does not care which one ran.
         results = execute_round(
             self.executor,

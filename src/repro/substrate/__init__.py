@@ -11,19 +11,25 @@ results for a fixed seed.
 - :mod:`repro.substrate.executor` — :class:`Executor` strategies
   (:class:`SerialExecutor`, :class:`ParallelExecutor`,
   :class:`AutoExecutor`, :func:`make_executor`); selected through the
-  ``parallelism`` knob of :class:`repro.fl.config.DagConfig` (``"auto"``
-  routes per round: serial on single-core machines or tiny round plans,
-  a machine-sized pool otherwise).
+  ``parallelism`` setting of :class:`repro.fl.config.DagConfig`
+  (validated by :func:`check_parallelism`).  A coordinator asks an
+  executor one question, ``runs_in_process(items)``, and its ``map``
+  routes by the same answer: always yes for the serial executor, yes
+  for a batch of at most one on a pool, and for ``"auto"`` the answer
+  of a payload cost model against the module constants ``MIN_UNITS``,
+  ``IPC_BUDGET`` and ``MIN_WORK_BYTES``.
 - :mod:`repro.substrate.round_plan` — picklable work units, the shared
-  :class:`RoundContext`, :func:`execute_unit`, and the state-delta
-  machinery that folds worker results back into coordinator clients.
-  :func:`run_training_plane_round` runs every in-process round and
-  every event-engine superstep: per-unit walk/reference preps
-  (:func:`execute_prep_unit`) through any executor, then one fused
-  local-SGD pass across all participants
-  (:mod:`repro.nn.training_plane`), then per-unit finalization;
-  :func:`execute_unit` is the same three phases for one client, so the
-  two are bit-identical.
+  :class:`RoundContext`, and the state-delta machinery that folds
+  worker results back into coordinator clients.
+  :func:`run_training_plane_round` is the one pipeline every unit runs:
+  per-unit walk/reference preps (:func:`execute_prep_unit`) through any
+  executor, then one fused local-SGD pass across all participants
+  (:mod:`repro.nn.training_plane`), then per-unit finalization.  It
+  runs every in-process round and every event-engine superstep, and
+  :func:`execute_unit` — what a pooled round maps — is that pipeline
+  over one payload.  The context records its coordinator's pid, and a
+  unit ships a :class:`ClientStateDelta` only when it runs in another
+  process.
 
 See ``docs/architecture.md`` for the layer map and a walkthrough of one
 round through this substrate.
@@ -36,6 +42,7 @@ from repro.substrate.executor import (
     ParallelExecutor,
     SerialExecutor,
     available_cores,
+    check_parallelism,
     make_executor,
 )
 from repro.substrate.round_plan import (
@@ -49,7 +56,6 @@ from repro.substrate.round_plan import (
     execute_prep_unit,
     execute_round,
     execute_unit,
-    probe_in_process,
     reference_flat,
     run_training_plane_round,
 )
@@ -60,6 +66,7 @@ __all__ = [
     "ParallelExecutor",
     "AutoExecutor",
     "available_cores",
+    "check_parallelism",
     "estimate_payload",
     "make_executor",
     "ClientWorkUnit",
@@ -71,7 +78,6 @@ __all__ = [
     "execute_unit",
     "execute_prep_unit",
     "execute_round",
-    "probe_in_process",
     "apply_result",
     "reference_flat",
     "run_training_plane_round",

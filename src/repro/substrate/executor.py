@@ -4,10 +4,15 @@ The simulators describe *what* each active client does in a round
 (:mod:`repro.substrate.round_plan`); an executor decides *how* those
 descriptions are evaluated — in-process one after another
 (:class:`SerialExecutor`) or fanned out over worker processes
-(:class:`ParallelExecutor`).  Both produce the same results for the same
-inputs: work units are pure functions of a frozen tangle view plus
+(:class:`ParallelExecutor`, and :class:`AutoExecutor`, which routes each
+batch by a payload cost model).  Both produce the same results for the
+same inputs: work units are pure functions of a frozen tangle view plus
 per-client state, and every random draw comes from a stream keyed by
 ``(round, client)``, so evaluation order cannot leak into the outcome.
+
+The caller asks an executor one question, :meth:`Executor.runs_in_process`
+— will mapping these items stay in this process? — and ``map`` routes by
+the same answer.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from numbers import Integral
 from typing import Callable, Protocol, Sequence, TypeVar
 
 from repro.substrate.cost import estimate_payload
@@ -30,8 +36,16 @@ __all__ = [
     "ParallelExecutor",
     "AutoExecutor",
     "available_cores",
+    "check_parallelism",
     "make_executor",
 ]
+
+#: :class:`AutoExecutor` runs batches smaller than this in-process.
+MIN_UNITS = 4
+#: ... and batches whose pickled payload would exceed this many bytes.
+IPC_BUDGET = 8 << 20
+#: ... and batches whose dense working set is below this many bytes.
+MIN_WORK_BYTES = 1 << 20
 
 
 def available_cores() -> int:
@@ -40,6 +54,25 @@ def available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platform without affinity masks
         return os.cpu_count() or 1
+
+
+def check_parallelism(parallelism: int | str) -> None:
+    """Reject a ``parallelism`` setting that is not an int >= 0 or ``"auto"``.
+
+    ``bool`` is an ``int`` subclass, so ``True`` would silently mean a
+    serial run; it is rejected with floats and every other non-integer.
+    """
+    if parallelism == "auto":
+        return
+    if isinstance(parallelism, bool) or not isinstance(parallelism, Integral):
+        raise ValueError(
+            f"parallelism must be an int >= 0 or 'auto', got {parallelism!r}"
+        )
+    if parallelism < 0:
+        raise ValueError(
+            f"parallelism must be >= 0 (0 = machine-sized), got {parallelism}"
+        )
+
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -51,9 +84,10 @@ class Executor(Protocol):
     #: Number of concurrent workers this executor targets (1 = serial).
     parallelism: int
 
-    #: True when work units run on the caller's own objects (no pickling),
-    #: so coordinators can skip state snapshot/restore round-trips.
-    shares_memory: bool
+    def runs_in_process(self, items: Sequence) -> bool:
+        """Whether :meth:`map` over ``items`` runs them in this process,
+        on the caller's own objects."""
+        ...
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Evaluate ``fn`` over ``items``, preserving input order."""
@@ -72,7 +106,9 @@ class SerialExecutor:
     """
 
     parallelism = 1
-    shares_memory = True
+
+    def runs_in_process(self, items: Sequence) -> bool:
+        return True
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         return [fn(item) for item in items]
@@ -95,19 +131,24 @@ class ParallelExecutor:
     parent's loaded modules) and the platform default elsewhere.  The
     pool is created lazily on first use and reused across rounds; call
     :meth:`close` (or use the executor as a context manager) to shut the
-    workers down.
+    workers down.  ``workers`` defaults to the cores this process may
+    use (:func:`available_cores`).
 
     ``fn`` and the items must be picklable; items are distributed in
-    contiguous chunks so per-round payload shared between units is
-    serialized once per chunk rather than once per unit — with the
-    flat-weight plane, the shared :class:`RoundContext`'s tangle pickles
-    its whole model store as **one contiguous arena slab** per chunk
-    instead of one small array per layer per transaction (or, once the
-    tangle has been :meth:`~repro.dag.tangle.Tangle.share_memory`'d, as
-    a few-hundred-byte attach-by-name handle), and each result returns
-    at most one model vector.  ``chunksize`` overrides the default
-    one-chunk-per-worker split (useful when unit runtimes are very
-    uneven).
+    one contiguous chunk per worker so per-round payload shared between
+    units is serialized once per chunk rather than once per unit — with
+    the flat-weight plane, the shared :class:`RoundContext`'s tangle
+    pickles its whole model store as **one contiguous arena slab** per
+    chunk instead of one small array per layer per transaction (or, once
+    the tangle has been :meth:`~repro.dag.tangle.Tangle.share_memory`'d,
+    as a few-hundred-byte attach-by-name handle), and each result
+    returns at most one model vector.
+
+    :meth:`map` is the one place that routes: items for which
+    :meth:`runs_in_process` answers yes (here, a batch of at most one —
+    pool overhead buys nothing) run in the calling process, the rest go
+    to the pool.  ``mode_counts`` / ``last_mode`` record every decision
+    as ``"serial"``, ``"parallel"`` or ``"fallback"``.
 
     **Worker-crash resilience.**  A worker dying mid-round (OOM killer,
     segfault, ``os._exit``) breaks the whole pool —
@@ -116,22 +157,20 @@ class ParallelExecutor:
     never mutate coordinator state), the round can be re-run serially
     in-process with bit-identical results: :meth:`map` does exactly
     that, discards the broken pool (a fresh one is created lazily on
-    the next round), and records the event in
-    ``mode_counts["fallback"]``.
+    the next round), and records the event as ``"fallback"``.
     """
 
-    shares_memory = False
-
-    def __init__(self, workers: int | None = None, *, chunksize: int | None = None):
+    def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.parallelism = workers or (os.cpu_count() or 2)
-        self.chunksize = chunksize
+        self.parallelism = workers or available_cores()
         self._pool: ProcessPoolExecutor | None = None
-        self.mode_counts = {"parallel": 0, "fallback": 0, "shutdown_error": 0}
+        self.mode_counts = {"serial": 0, "parallel": 0, "fallback": 0}
         self.last_mode: str | None = None
+        self.shutdown_errors = 0
+
+    def runs_in_process(self, items: Sequence) -> bool:
+        return len(items) <= 1
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -146,31 +185,29 @@ class ParallelExecutor:
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         items = list(items)
-        if not items:
-            return []
-        if len(items) == 1:  # pool overhead buys nothing
-            return [fn(items[0])]
-        chunksize = self.chunksize or max(1, math.ceil(len(items) / self.parallelism))
-        try:
-            results = list(self._ensure_pool().map(fn, items, chunksize=chunksize))
-        except BrokenProcessPool:
-            # A worker died mid-round.  Nothing it did is visible to the
-            # coordinator (workers only mutate their pickled copies), so
-            # re-running the whole batch serially in-process is
-            # bit-identical to a successful parallel round.
-            self._discard_broken_pool()
-            self.last_mode = "fallback"
-            self.mode_counts["fallback"] += 1
-            return [fn(item) for item in items]
-        self.last_mode = "parallel"
-        self.mode_counts["parallel"] += 1
+        if self.runs_in_process(items):
+            mode, results = "serial", [fn(item) for item in items]
+        else:
+            chunksize = math.ceil(len(items) / self.parallelism)
+            try:
+                results = list(self._ensure_pool().map(fn, items, chunksize=chunksize))
+                mode = "parallel"
+            except BrokenProcessPool:
+                # A worker died mid-round.  Nothing it did is visible to
+                # the coordinator (workers only mutate their pickled
+                # copies), so re-running the whole batch serially
+                # in-process is bit-identical to a successful round.
+                self._discard_broken_pool()
+                mode, results = "fallback", [fn(item) for item in items]
+        self.last_mode = mode
+        self.mode_counts[mode] += 1
         return results
 
     def _note_swallowed_shutdown(self, where: str, exc: BaseException) -> None:
         """A pool shutdown failed but must not mask the caller's work:
-        count it (``mode_counts["shutdown_error"]``) and log the type,
-        so the event is observable instead of silently vanishing."""
-        self.mode_counts["shutdown_error"] += 1
+        count it (``shutdown_errors``) and log the type, so the event is
+        observable instead of silently vanishing."""
+        self.shutdown_errors += 1
         _LOG.warning(
             "pool shutdown in %s raised %s: %s", where, type(exc).__name__, exc
         )
@@ -209,144 +246,62 @@ class ParallelExecutor:
             self._note_swallowed_shutdown("__del__", exc)
 
 
-class AutoExecutor:
-    """Route each round to serial or parallel execution by measured fit.
+class AutoExecutor(ParallelExecutor):
+    """A pool that keeps each batch in-process unless it measurably pays.
 
     The process pool only pays off when (a) the machine has at least two
     usable cores — on a single-core box time-slicing makes a parallel
-    win physically impossible, the regression ``BENCH_substrate.json``
-    recorded — (b) the round plan has enough units to amortize pool
-    coordination, and (c) the *bytes* work out: what crosses the process
-    boundary must be small relative to the work the units represent.
-    The old router could only see the unit count; this one runs the
+    win physically impossible — (b) the batch has enough units to
+    amortize pool coordination, and (c) the *bytes* work out: what
+    crosses the process boundary must be small relative to the work the
+    units represent.  :meth:`runs_in_process` runs the
     :func:`repro.substrate.cost.estimate_payload` cost model over the
     actual payloads, producing ``(ipc, dense)`` — bytes that would
-    pickle vs. the dense working set the units touch — and routes
-    serial when
+    pickle vs. the dense working set the units touch — and answers yes
+    when
 
-    - the machine is single-core (unless ``workers`` overrides), or
-    - the batch has fewer than ``min_units`` items, or
-    - ``ipc`` exceeds ``ipc_budget`` (shipping the payload would cost
-      more than the pool saves; an *unshared* tangle or dataset lands
-      here, which is why coordinators export to shared memory before
-      routing), or
-    - ``dense`` is below ``min_work_bytes`` (the round's working set is
-      too small for per-unit compute to amortize coordination).
+    - the pool has one worker (a single-core machine), or
+    - the batch has fewer than :data:`MIN_UNITS` items, or
+    - ``ipc`` exceeds :data:`IPC_BUDGET` (shipping the payload would
+      cost more than the pool saves; an *unshared* tangle or dataset
+      lands here, which is why coordinators export to shared memory
+      before routing), or
+    - ``dense`` is below :data:`MIN_WORK_BYTES` (the working set is too
+      small for per-unit compute to amortize coordination).
 
-    Larger rounds fan out over a lazily created machine-sized
-    :class:`ParallelExecutor`.  Because work units draw from keyed rng
-    streams, the route cannot affect results — only wall-clock.
+    Everything else — the pool, routing, mode counts, the crash
+    fallback — is :class:`ParallelExecutor`'s.  Because work units draw
+    from keyed rng streams, the route cannot affect results, only
+    wall-clock.  ``last_estimate`` keeps the most recent ``(ipc, dense)``
+    pair.
 
-    ``mode_counts`` / ``last_mode`` record the decisions (including
-    mid-round worker-crash ``"fallback"`` degradations, see
-    :class:`ParallelExecutor`) so benchmarks and experiments can report
-    which mode auto picked; ``last_estimate`` keeps the most recent
-    ``(ipc, dense)`` pair.
-
-    Passing ``workers`` explicitly is an override of the machine
-    sizing, *including* the single-core guard: ``AutoExecutor(workers=2)``
-    will route large batches to a 2-worker pool even on a one-core
-    machine.  Leave it unset to get the guarded default.
+    Passing ``workers`` explicitly overrides the machine sizing,
+    *including* the single-core guard: ``AutoExecutor(workers=2)`` will
+    route large batches to a 2-worker pool even on a one-core machine.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int | None = None,
-        min_units: int = 4,
-        ipc_budget: int = 8 << 20,
-        min_work_bytes: int = 1 << 20,
-    ):
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if min_units < 1:
-            raise ValueError(f"min_units must be >= 1, got {min_units}")
-        if ipc_budget < 0 or min_work_bytes < 0:
-            raise ValueError("ipc_budget and min_work_bytes must be >= 0")
-        self.cores = available_cores()
-        self.parallelism = workers or (self.cores if self.cores >= 2 else 1)
-        self.min_units = min_units
-        self.ipc_budget = ipc_budget
-        self.min_work_bytes = min_work_bytes
-        self._serial = SerialExecutor()
-        self._parallel: ParallelExecutor | None = None
-        self.mode_counts = {"serial": 0, "parallel": 0, "fallback": 0}
-        self.last_mode: str | None = None
-        self.last_estimate: tuple[int, int] | None = None
+    last_estimate: tuple[int, int] | None = None
 
-    @property
-    def shares_memory(self) -> bool:
-        # Only claim in-process execution when parallel routing is
-        # impossible; otherwise coordinators that cannot predict the
-        # batch must capture state deltas, because any given round may
-        # cross a process boundary.  Coordinators that do hold the
-        # payloads should ask :meth:`will_run_in_process_payloads` and
-        # skip the snapshot/restore round-trip for serial-routed rounds.
-        return self.parallelism == 1
-
-    def _route_in_process(self, items: Sequence) -> bool:
-        """The routing decision :meth:`map` uses — True means serial.
-
-        Deterministic in the payloads, so probing before ``map`` with
-        the same items always agrees with the dispatch itself.
-        """
-        if self.parallelism == 1 or len(items) < self.min_units:
+    def runs_in_process(self, items: Sequence) -> bool:
+        if self.parallelism == 1 or len(items) < MIN_UNITS:
             return True
-        ipc, dense = estimate_payload(items)
-        self.last_estimate = (ipc, dense)
-        return ipc > self.ipc_budget or dense < self.min_work_bytes
-
-    def will_run_in_process_payloads(self, items: Sequence) -> bool:
-        """Payload-aware probe: mirrors :meth:`map`'s routing exactly."""
-        return self._route_in_process(items)
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        items = list(items)
-        if self._route_in_process(items):
-            self.last_mode = "serial"
-            self.mode_counts["serial"] += 1
-            return self._serial.map(fn, items)
-        if self._parallel is None:
-            self._parallel = ParallelExecutor(workers=self.parallelism)
-        fallbacks_before = self._parallel.mode_counts["fallback"]
-        results = self._parallel.map(fn, items)
-        if self._parallel.mode_counts["fallback"] > fallbacks_before:
-            self.last_mode = "fallback"
-            self.mode_counts["fallback"] += 1
-        else:
-            self.last_mode = "parallel"
-            self.mode_counts["parallel"] += 1
-        return results
-
-    def close(self) -> None:
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
-
-    def __enter__(self) -> "AutoExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        ipc, dense = self.last_estimate = estimate_payload(items)
+        return ipc > IPC_BUDGET or dense < MIN_WORK_BYTES
 
 
 def make_executor(parallelism: int | str) -> Executor:
-    """Executor for a ``parallelism`` knob value.
+    """Executor for a ``parallelism`` setting (see :func:`check_parallelism`).
 
     ``1`` (the default everywhere) is the serial reference path, ``n > 1``
     a process pool with ``n`` workers, ``0`` a process pool sized to
-    the machine (``os.cpu_count()``), and ``"auto"`` an
-    :class:`AutoExecutor` that falls back to serial on single-core
-    machines and for rounds too small to amortize pool coordination.
+    the cores this process may use (:func:`available_cores`), and
+    ``"auto"`` an :class:`AutoExecutor` of that size that keeps batches
+    in-process on single-core machines and for rounds too small to
+    amortize pool coordination.
     """
-    if isinstance(parallelism, str):
-        if parallelism != "auto":
-            raise ValueError(
-                f"parallelism must be an int >= 0 or 'auto', got {parallelism!r}"
-            )
+    check_parallelism(parallelism)
+    if parallelism == "auto":
         return AutoExecutor()
-    if parallelism < 0:
-        raise ValueError(f"parallelism must be >= 0, got {parallelism}")
     if parallelism == 1:
         return SerialExecutor()
     return ParallelExecutor(workers=parallelism or None)

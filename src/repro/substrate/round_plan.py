@@ -21,7 +21,7 @@ This module gives the units an explicit, picklable form so any
 - :func:`run_training_plane_round` — prep (walk and flat reference) per
   unit, one lockstep training pass, then the shared finalize; every
   superstep and every in-process round runs through it;
-- :func:`execute_unit` — the same three phases for one unit, the form a
+- :func:`execute_unit` — that same pipeline over one unit, the form a
   round crossing to a process pool maps;
 - :func:`apply_result` — folds a result back into the canonical client.
 
@@ -32,7 +32,9 @@ copied) :class:`~repro.fl.client.Client`.  A worker process therefore
 draws exactly the numbers the serial path would, and
 :class:`ClientStateDelta` carries the advanced state back so the next
 round starts identically — serial and parallel execution produce
-bit-identical round records for a fixed seed.
+bit-identical round records for a fixed seed.  Whether a unit ships a
+delta is decided where it runs: only a unit running outside the process
+that built its :class:`RoundContext` worked on a copy.
 
 Transaction ids are **not** assigned inside units: the id counter is
 shared tangle state, so the caller commits results after the fact, in
@@ -41,6 +43,7 @@ unit order — active-client order in a round, pop order in a superstep.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -58,6 +61,7 @@ from repro.fl.config import DagConfig
 from repro.nn.serialization import flatten_weights
 from repro.nn.training_plane import draws_dropout_masks, train_grouped
 from repro.poisoning.attacks import random_weight_update
+from repro.substrate.executor import SerialExecutor
 from repro.utils.rng import RngFactory
 from repro.utils.timing import Stopwatch
 
@@ -74,11 +78,13 @@ __all__ = [
     "execute_unit",
     "execute_prep_unit",
     "execute_round",
-    "probe_in_process",
     "apply_result",
     "reference_flat",
     "run_training_plane_round",
 ]
+
+# An execute_unit runs its one payload in whichever process it runs in.
+_IN_PROCESS = SerialExecutor()
 
 
 def build_selector(
@@ -158,10 +164,10 @@ class ClientWorkUnit:
 class ClientStateDelta:
     """Client-side state advanced by a unit, to fold back at the barrier.
 
-    Only captured for executors that cross a process boundary (the unit
-    ran on a pickled copy; the delta is how the coordinator's client
-    catches up).  In-process executors mutate the canonical client
-    directly and skip the snapshot (``RoundContext.capture_state``).
+    Only captured by a unit that runs outside its context's coordinator
+    process (it ran on a pickled copy; the delta is how the
+    coordinator's client catches up).  A unit running in the coordinator
+    mutated the canonical client directly and ships nothing.
 
     ``cache_entries`` is **delta-only** in the common case: the
     evaluations the unit *added* (``Client.cache_entries_since`` against
@@ -182,7 +188,7 @@ class ClientStateDelta:
     personal_tail: list[np.ndarray] | None
 
 
-def _capture_state_delta(
+def _state_delta_since(
     client: "Client", cache_mark: tuple[int, int]
 ) -> ClientStateDelta:
     """Snapshot what a unit changed on its (copied) client."""
@@ -229,16 +235,21 @@ class RoundContext:
     units execute.  Walks run over the view's snapshot; parents and
     scores resolve against the view's tangle.  ``rng_factory``
     reconstructs every unit's walk stream identically in any process.
-    ``capture_state`` requests :class:`ClientStateDelta` snapshots in the
-    results; coordinators set it to ``False`` for executors that run
-    units on the canonical objects (``shares_memory``), where the
-    snapshot/restore round-trip would copy growing caches for nothing.
+    ``coordinator_pid`` records the process that built the context and
+    holds the canonical clients: a unit running in any other process
+    worked on a pickled copy and returns a :class:`ClientStateDelta`.
     """
 
     view: object
     config: DagConfig
     rng_factory: RngFactory
-    capture_state: bool = True
+    coordinator_pid: int = field(default_factory=os.getpid)
+
+
+def _off_coordinator(context: RoundContext) -> bool:
+    """Whether the calling process is not the one holding the canonical
+    clients — the only case in which a unit must ship its state back."""
+    return os.getpid() != context.coordinator_pid
 
 
 def reference_flat(
@@ -286,28 +297,34 @@ def execute_unit(payload: tuple[RoundContext, "Client | None", ClientWorkUnit]) 
 
     Takes a single ``(context, client, unit)`` tuple so executors can map
     it directly (``client`` is ``None`` for attack units, which carry no
-    client state).  An honest unit is :func:`run_training_plane_round`
-    for one client: :func:`execute_prep_unit`, local training as a
-    one-job :func:`~repro.nn.training_plane.train_grouped`, then the
-    same finalize.
+    client state).  The unit is :func:`run_training_plane_round` over
+    just this payload, coordinated by the calling process (the client
+    it was given is the one it trains); off the context's coordinator
+    the result carries what the unit advanced as a
+    :class:`ClientStateDelta`.
     """
     context, client, unit = payload
-    if unit.attack is not None:
-        return execute_prep_unit(payload).attack_result
-    cache_mark = client.cache_mark()
-    prep = execute_prep_unit((replace(context, capture_state=False), client, unit))
-    job = client.plan_job(
-        prep.reference_flat, unit.client_id, mu=unit.proximal_mu, epochs=unit.local_epochs
+    cache_mark = None if client is None else client.cache_mark()
+    here = replace(context, coordinator_pid=os.getpid())
+    [result] = run_training_plane_round(
+        _IN_PROCESS, [(here, client, unit)], {unit.client_id: client}
     )
-    row, _train_loss = train_grouped([(client.model, [job])])[unit.client_id]
-    result = _finalize_unit(client, prep, row, context.config)
-    if context.capture_state:
-        result.state = _capture_state_delta(client, cache_mark)
+    if cache_mark is not None and _off_coordinator(context):
+        result.state = _state_delta_since(client, cache_mark)
     return result
 
 
-def _apply_state_delta(client: "Client", delta: ClientStateDelta) -> None:
-    """Transfer a worker copy's advanced state onto the canonical client."""
+def apply_result(client: "Client", result: "ClientRoundResult | ClientPrepResult") -> None:
+    """Fold a unit's (or prep's) state delta back into the canonical client.
+
+    A no-op for a result produced in the coordinator (it carries no
+    delta); for one produced in a worker it transfers the worker copy's
+    advanced rng stream, warmed evaluation cache, evaluation count, and
+    personal tail.
+    """
+    delta = result.state
+    if delta is None:
+        return
     client.rng.bit_generator.state = delta.rng_state
     if delta.cache_replace:
         client.restore_tx_accuracy_cache(delta.cache_entries)
@@ -315,34 +332,6 @@ def _apply_state_delta(client: "Client", delta: ClientStateDelta) -> None:
         client.merge_tx_accuracy_cache(delta.cache_entries)
     client.evaluations = delta.evaluations
     client.personal_tail = delta.personal_tail
-
-
-def apply_result(client: "Client", result: ClientRoundResult) -> None:
-    """Fold a unit's state delta back into the canonical client.
-
-    Idempotent for serial execution (the client already holds this
-    state); for parallel execution it transfers the worker copy's
-    advanced rng stream, warmed evaluation cache, evaluation count, and
-    personal tail.
-    """
-    if result.state is not None:
-        _apply_state_delta(client, result.state)
-
-
-def probe_in_process(executor, payloads: list) -> bool:
-    """Whether mapping ``payloads`` will stay in the calling process.
-
-    Prefers the payload-aware probe (mirrors an
-    :class:`~repro.substrate.executor.AutoExecutor`'s byte-cost routing
-    exactly), falls back to the static ``shares_memory`` flag.
-    Coordinators use the answer to decide ``RoundContext.capture_state``:
-    the only unsafe mistake is claiming in-process for a round that
-    crosses a boundary, and the fallback errs the other way.
-    """
-    payload_probe = getattr(executor, "will_run_in_process_payloads", None)
-    if payload_probe is not None:
-        return payload_probe(payloads)
-    return getattr(executor, "shares_memory", False)
 
 
 def execute_round(
@@ -369,22 +358,19 @@ def execute_round(
     otherwise an unshared tangle prices every round out of the pool and
     the segments would never pay off.
 
-    The executor is then probed (:func:`probe_in_process`), and the
-    answer routes the round: **in-process** rounds skip the state
-    snapshot/capture round-trip and train in lockstep
+    The executor's one query, ``runs_in_process``, then routes the
+    round: **in-process** rounds train in lockstep
     (:func:`run_training_plane_round`); rounds that **cross to the
     pool** map whole :func:`execute_unit`s, so training parallelizes
     with the walks — unless a model draws dropout masks (that generator
     lives on the model and a worker's copy never comes back, so only
     the coordinator-side lockstep pass keeps such rounds identical to
     serial ones).  The routes are bit-identical.  The caller folds
-    results back (:func:`apply_result`) and commits publications;
+    worker deltas back (:func:`apply_result`) and commits publications;
     results arrive in unit order either way.
     """
-    if getattr(executor, "parallelism", 1) > 1:
-        share = getattr(tangle, "share_memory", None)
-        if share is not None:
-            share()
+    if executor.parallelism > 1:
+        tangle.share_memory()
         for unit in units:
             if unit.attack is None:
                 clients[unit.client_id].data.share_memory()
@@ -394,11 +380,7 @@ def execute_round(
         (context, None if unit.attack is not None else clients[unit.client_id], unit)
         for unit in units
     ]
-    in_process = probe_in_process(executor, payloads)
-    if in_process:
-        context = replace(context, capture_state=False)
-        payloads = [(context, client, unit) for _, client, unit in payloads]
-    if in_process or any(
+    if executor.runs_in_process(payloads) or any(
         draws_dropout_masks(client.model) for _, client, _ in payloads if client
     ):
         return run_training_plane_round(executor, payloads, clients)
@@ -417,8 +399,8 @@ class ClientPrepResult:
     Every unit splits at the training boundary: walks, the reference
     and its evaluation stay per-client (and keep parallelizing across
     workers); local training then runs through the lockstep plane —
-    one job in :func:`execute_unit`, the whole round's or superstep's
-    stacked references in :func:`run_training_plane_round`.
+    one job for an :func:`execute_unit`, the whole round's or
+    superstep's stacked references otherwise.
     ``reference_flat`` is the client's post-personalization starting
     point as one float64 vector — the row the lockstep ``(K, P)`` stack
     is assembled from.
@@ -485,8 +467,8 @@ def execute_prep_unit(
     reference_accuracy = client.accuracy_of_flat(reference)
 
     state = None
-    if context.capture_state:
-        state = _capture_state_delta(client, cache_mark)
+    if _off_coordinator(context):
+        state = _state_delta_since(client, cache_mark)
     return ClientPrepResult(
         client_id=unit.client_id,
         tips=tuple(tips),
@@ -506,10 +488,11 @@ def run_training_plane_round(
     """One round or superstep with lockstep local training; drop-in for
     the ``executor.map(execute_unit, payloads)`` call.
 
-    Called by :func:`execute_round` for in-process rounds and by the
-    event engine for every superstep (a sequential cycle is a superstep
-    of one), with a :class:`~repro.substrate.executor.SerialExecutor`
-    and contexts that skip state capture.  Three phases:
+    The one pipeline every unit runs: :func:`execute_round` calls it for
+    in-process rounds, the event engine for every superstep (a
+    sequential cycle is a superstep of one) on a
+    :class:`~repro.substrate.executor.SerialExecutor`, and
+    :func:`execute_unit` for a single pooled unit.  Three phases:
 
     1. **Prep** — :func:`execute_prep_unit` per unit through the given
        executor (walks and reference evaluations parallelize exactly as
@@ -522,8 +505,7 @@ def run_training_plane_round(
        supersteps.  Mixed-architecture rounds simply form one group per
        model; unfused models fall back per model inside the trainer.
     3. **Finalize** — per unit in order: personal-tail update, test
-       evaluation of the trained row, publish gate — the same code
-       :func:`execute_unit` finalizes its one client with.
+       evaluation of the trained row, publish gate.
 
     Because lockstep training is bit-identical to the per-client loop,
     the results are identical to mapping :func:`execute_unit` no matter
@@ -531,9 +513,9 @@ def run_training_plane_round(
     deltas (phases 2-3 already ran on the canonical clients).
     """
     preps = executor.map(execute_prep_unit, payloads)
-    for (_, _, unit), prep in zip(payloads, preps):
-        if unit.attack is None and prep.state is not None:
-            _apply_state_delta(clients[prep.client_id], prep.state)
+    for prep in preps:
+        if prep.state is not None:  # a prep that ran in a worker
+            apply_result(clients[prep.client_id], prep)
 
     # Plan jobs in unit order; group by model so mixed-architecture
     # rounds fuse what they can, per model.  Dropout stream order is

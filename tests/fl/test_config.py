@@ -81,3 +81,11 @@ def test_dag_config_walk_engine_and_auto_parallelism():
         DagConfig(parallelism="turbo")
     with pytest.raises(ValueError):
         DagConfig(parallelism=-2)
+
+
+@pytest.mark.parametrize("parallelism", [2.5, 2.0, True, False, "2", None])
+def test_dag_config_rejects_non_integer_parallelism(parallelism):
+    # A float would fail only in the first pool round, inside
+    # ProcessPoolExecutor; True would silently mean serial.
+    with pytest.raises(ValueError, match="parallelism"):
+        DagConfig(parallelism=parallelism)

@@ -7,8 +7,11 @@ from repro.substrate import (
     ParallelExecutor,
     SerialExecutor,
     available_cores,
+    check_parallelism,
+    executor,
     make_executor,
 )
+from repro.substrate.executor import IPC_BUDGET, MIN_UNITS, MIN_WORK_BYTES
 
 
 def square(x):
@@ -54,6 +57,49 @@ def test_parallel_rejects_bad_worker_count():
         ParallelExecutor(workers=0)
 
 
+@pytest.mark.parametrize("parallelism", [2.5, 1.0, True, False, "2", None, -1])
+def test_make_executor_rejects_non_integer_parallelism(parallelism):
+    # A float would fail only in the first pool round, inside
+    # ProcessPoolExecutor; True would silently mean serial.
+    with pytest.raises(ValueError, match="parallelism"):
+        check_parallelism(parallelism)
+    with pytest.raises(ValueError, match="parallelism"):
+        make_executor(parallelism)
+
+
+@pytest.mark.parametrize("mask", [{0}, {0, 1, 2}])
+def test_machine_sized_settings_follow_the_affinity_mask(monkeypatch, mask):
+    # parallelism=0 and "auto" both size from the cores this process
+    # may run on, not from the host's CPU count.
+    monkeypatch.setattr(executor.os, "sched_getaffinity", lambda pid: mask, raising=False)
+    monkeypatch.setattr(executor.os, "cpu_count", lambda: 64)
+    assert available_cores() == len(mask)
+    for parallelism in (0, "auto"):
+        with make_executor(parallelism) as ex:
+            assert ex.parallelism == len(mask)
+    with AutoExecutor() as ex:
+        big = [FakePayload(10, MIN_WORK_BYTES) for _ in range(MIN_UNITS)]
+        assert ex.runs_in_process(big) == (len(mask) == 1)
+
+
+def test_parallel_runs_single_items_in_process():
+    with ParallelExecutor(workers=2) as ex:
+        assert ex.runs_in_process([]) and ex.runs_in_process([5])
+        assert not ex.runs_in_process([1, 2])
+        assert ex.map(square, [5]) == [25]
+        assert ex.last_mode == "serial"
+        assert ex.mode_counts == {"serial": 1, "parallel": 0, "fallback": 0}
+        assert ex._pool is None  # never built for a single item
+
+
+@pytest.mark.parametrize("knob", ["min_units", "ipc_budget", "min_work_bytes", "chunksize"])
+@pytest.mark.parametrize("cls", [ParallelExecutor, AutoExecutor])
+def test_executor_constructors_take_only_workers(cls, knob):
+    # The routing thresholds are module constants, not per-executor knobs.
+    with pytest.raises(TypeError):
+        cls(workers=2, **{knob: 1})
+
+
 # ------------------------------------------------------------------ auto
 def test_make_executor_auto_and_rejects_unknown_strings():
     auto = make_executor("auto")
@@ -64,32 +110,38 @@ def test_make_executor_auto_and_rejects_unknown_strings():
         make_executor("turbo")
 
 
-def test_auto_small_batches_route_serial():
-    # Byte thresholds zeroed: only the unit count decides the route.
-    with AutoExecutor(workers=2, min_units=4, min_work_bytes=0) as ex:
-        assert ex.will_run_in_process_payloads([1, 2, 3])
-        assert not ex.will_run_in_process_payloads([1, 2, 3, 4])
+@pytest.fixture
+def count_routing(monkeypatch):
+    """Byte thresholds zeroed: only the unit count decides the route."""
+    monkeypatch.setattr(executor, "MIN_WORK_BYTES", 0)
+
+
+def test_auto_small_batches_route_serial(count_routing):
+    with AutoExecutor(workers=2) as ex:
+        assert ex.runs_in_process([1, 2, 3])
+        assert not ex.runs_in_process([1, 2, 3, 4])
         assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
         assert ex.last_mode == "serial"
         assert ex.mode_counts == {"serial": 1, "parallel": 0, "fallback": 0}
         # small batches never pay for a pool
-        assert ex._parallel is None
+        assert ex._pool is None
 
 
-def test_auto_large_batches_route_parallel_when_multicore():
+def test_auto_large_batches_route_parallel_when_multicore(count_routing):
     # Bare ints carry no dense work, so the byte thresholds are zeroed
     # to expose the count-based leg of the routing on its own.
-    with AutoExecutor(workers=2, min_units=4, min_work_bytes=0) as ex:
+    with AutoExecutor(workers=2) as ex:
         result = ex.map(square, list(range(8)))
         assert result == [square(x) for x in range(8)]
         assert ex.last_mode == "parallel"
         assert ex.mode_counts["parallel"] == 1
-        assert not ex.shares_memory  # rounds may cross a process boundary
+        assert not ex.runs_in_process(list(range(8)))  # crosses a boundary
 
 
-def test_auto_single_core_always_serial():
-    ex = AutoExecutor(workers=1, min_units=1)
-    assert ex.shares_memory  # parallel routing impossible: in-process
+def test_auto_single_core_always_serial(monkeypatch):
+    monkeypatch.setattr(executor, "MIN_UNITS", 1)
+    ex = AutoExecutor(workers=1)
+    assert ex.runs_in_process(list(range(10)))  # parallel routing impossible
     assert ex.map(square, list(range(10))) == [square(x) for x in range(10)]
     assert ex.mode_counts == {"serial": 1, "parallel": 0, "fallback": 0}
     ex.close()
@@ -99,26 +151,15 @@ def test_auto_defaults_track_machine_size():
     ex = AutoExecutor()
     cores = available_cores()
     assert ex.parallelism == (cores if cores >= 2 else 1)
-    assert ex.shares_memory == (ex.parallelism == 1)
+    big = [FakePayload(10, MIN_WORK_BYTES) for _ in range(MIN_UNITS)]
+    assert ex.runs_in_process(big) == (ex.parallelism == 1)
     ex.close()
-
-
-def test_auto_rejects_bad_min_units():
-    with pytest.raises(ValueError):
-        AutoExecutor(min_units=0)
 
 
 def test_auto_rejects_bad_worker_count():
     for workers in (0, -3):
         with pytest.raises(ValueError):
             AutoExecutor(workers=workers)
-
-
-def test_auto_rejects_negative_byte_thresholds():
-    with pytest.raises(ValueError):
-        AutoExecutor(ipc_budget=-1)
-    with pytest.raises(ValueError):
-        AutoExecutor(min_work_bytes=-1)
 
 
 # ------------------------------------------------- cost-model routing
@@ -137,32 +178,32 @@ def identity(x):
     return x
 
 
-# The pinned decision table for AutoExecutor(workers=2, min_units=4,
-# ipc_budget=1000, min_work_bytes=100) over 4 synthetic items:
+# The pinned decision table for AutoExecutor(workers=2) over MIN_UNITS
+# synthetic items, scaled to the module's IPC_BUDGET / MIN_WORK_BYTES:
 # (per-item ipc, per-item dense) -> expected route.
 ROUTING_TABLE = [
     # cheap to ship, plenty of work: the pool pays off
-    ((10, 1000), "parallel"),
+    ((10, MIN_WORK_BYTES), "parallel"),
     # shipping alone blows the budget: pickling eats the speedup
-    ((500, 100000), "serial"),
+    ((IPC_BUDGET // 2, 100 * MIN_WORK_BYTES), "serial"),
     # nothing to compute: coordination cannot amortize
     ((10, 10), "serial"),
     # boundary: ipc exactly at budget still ships, dense exactly at
     # the work floor still runs
-    ((250, 25), "parallel"),
+    ((IPC_BUDGET // MIN_UNITS, MIN_WORK_BYTES // MIN_UNITS), "parallel"),
 ]
 
 
 @pytest.mark.parametrize("footprint,expected", ROUTING_TABLE)
 def test_auto_routing_decision_table(footprint, expected):
-    items = [FakePayload(*footprint) for _ in range(4)]
-    ex = AutoExecutor(workers=2, min_units=4, ipc_budget=1000, min_work_bytes=100)
+    items = [FakePayload(*footprint) for _ in range(MIN_UNITS)]
+    ex = AutoExecutor(workers=2)
     try:
-        # the probe mirrors map's routing exactly
-        assert ex.will_run_in_process_payloads(items) == (expected == "serial")
+        # the query is the routing map itself performs
+        assert ex.runs_in_process(items) == (expected == "serial")
         ex.map(identity, items)
         assert ex.last_mode == expected
-        assert ex.last_estimate == (footprint[0] * 4, footprint[1] * 4)
+        assert ex.last_estimate == (footprint[0] * MIN_UNITS, footprint[1] * MIN_UNITS)
     finally:
         ex.close()
 
@@ -197,11 +238,12 @@ def test_parallel_broken_pool_degrades_to_serial_and_recovers():
         assert ex.last_mode == "parallel"
 
 
-def test_auto_records_fallback_rounds():
+def test_auto_records_fallback_rounds(count_routing, monkeypatch):
     import os
 
+    monkeypatch.setattr(executor, "MIN_UNITS", 2)
     _boom.main_pid = os.getpid()
-    with AutoExecutor(workers=2, min_units=2, min_work_bytes=0) as ex:
+    with AutoExecutor(workers=2) as ex:
         assert ex.map(_boom, [1, 2, 3, 4]) == [1, 4, 9, 16]
         assert ex.mode_counts == {"serial": 0, "parallel": 0, "fallback": 1}
         assert ex.last_mode == "fallback"
@@ -230,7 +272,7 @@ def test_discard_broken_pool_counts_and_logs_concrete_failures(caplog):
         ex._discard_broken_pool()
     assert ex._pool is None  # the pool is discarded despite the failure
     assert fake.calls == 1
-    assert ex.mode_counts["shutdown_error"] == 1
+    assert ex.shutdown_errors == 1
     assert "OSError" in caplog.text  # the swallowed type is named
 
 
@@ -250,7 +292,7 @@ def test_del_counts_swallowed_close_failure(caplog):
     ex._pool = _ShutdownRaises(RuntimeError("cannot schedule new futures"))
     with caplog.at_level("WARNING", logger="repro.substrate.executor"):
         ex.__del__()  # must not raise
-    assert ex.mode_counts["shutdown_error"] == 1
+    assert ex.shutdown_errors == 1
     assert "RuntimeError" in caplog.text
 
 
@@ -258,4 +300,4 @@ def test_del_without_pool_is_inert():
     ex = ParallelExecutor(workers=2)
     assert ex._pool is None
     ex.__del__()  # no pool, nothing to count
-    assert ex.mode_counts["shutdown_error"] == 0
+    assert ex.shutdown_errors == 0

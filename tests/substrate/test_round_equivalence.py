@@ -130,15 +130,15 @@ def test_explicit_executor_override(tiny_fmnist, mlp_builder, fast_train_config)
 
 
 def test_auto_executor_rounds_identical_to_serial(
-    tiny_fmnist, mlp_builder, fast_train_config
+    tiny_fmnist, mlp_builder, fast_train_config, monkeypatch
 ):
     """AutoExecutor-driven rounds — both routings — match the serial
-    reference bit for bit.  min_units=1 / min_work_bytes=0 force the
+    reference bit for bit.  MIN_UNITS=1 / MIN_WORK_BYTES=0 force the
     parallel route even for this small plan (and exercise the
-    execute_round capture_state probe); the plain "auto" config on this
-    plan routes serial."""
+    execute_round runs_in_process query); the plain "auto" config on
+    this plan routes serial."""
     from repro.fl.dag_learning import TangleLearning
-    from repro.substrate import AutoExecutor
+    from repro.substrate import AutoExecutor, executor
 
     serial = make_sim(tiny_fmnist, mlp_builder, fast_train_config)
     forced_parallel = TangleLearning(
@@ -148,20 +148,24 @@ def test_auto_executor_rounds_identical_to_serial(
         DagConfig(alpha=10.0, depth_range=(2, 5)),
         clients_per_round=4,
         seed=0,
-        executor=AutoExecutor(workers=2, min_units=1, min_work_bytes=0),
+        executor=AutoExecutor(workers=2),
     )
     auto_serial = make_sim(
         tiny_fmnist, mlp_builder, fast_train_config, parallelism="auto"
     )
     try:
         serial.run(3)
-        forced_parallel.run(3)
+        with monkeypatch.context() as forced:
+            forced.setattr(executor, "MIN_UNITS", 1)
+            forced.setattr(executor, "MIN_WORK_BYTES", 0)
+            forced_parallel.run(3)
         auto_serial.run(3)
     finally:
         serial.close()
         forced_parallel.close()
         auto_serial.close()
     assert forced_parallel.executor.mode_counts["parallel"] == 3
+    assert auto_serial.executor.mode_counts["parallel"] == 0
     assert_records_identical(serial.history, forced_parallel.history)
     assert_records_identical(serial.history, auto_serial.history)
     assert_tangles_identical(serial.tangle, forced_parallel.tangle)
