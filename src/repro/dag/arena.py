@@ -141,10 +141,10 @@ class WeightArena:
         self._mmap_path: Path | None = None  # spill file backing the slab
         self._attached = False  # True in worker processes (read-only)
         self.uid: str | None = None
-        # Bumped whenever the slab moves (growth or shared migration):
-        # holders of cached row views use it to notice their base buffer
-        # is a superseded generation and rebuild, so old slabs are not
-        # kept alive indefinitely through stale views.
+        # Bumped whenever the slab moves (growth, shared or spill
+        # migration, close): views taken before a bump alias a
+        # superseded buffer, so readers take fresh views instead of
+        # keeping old ones.
         self.generation = 0
         if shared:
             self.uid = shm_registry.new_uid()
@@ -297,8 +297,7 @@ class WeightArena:
         """Migrate the slab into a shared-memory segment (idempotent).
 
         One bit-exact copy of the live rows plus the growth headroom;
-        bumps ``generation`` so cached row views rebuild against the new
-        buffer.  Returns ``self`` for chaining.
+        bumps ``generation``.  Returns ``self`` for chaining.
         """
         if self._shm is not None:
             return self
@@ -325,8 +324,8 @@ class WeightArena:
         the kernel pages rows in on demand.  The growth headroom is
         trimmed — spilled arenas are frozen archives (:meth:`intern`
         raises) — and a shared-memory segment, if any, is unlinked once
-        its contents land in the file.  Bumps ``generation`` so cached
-        row views rebuild.  Returns ``self`` for chaining.
+        its contents land in the file.  Bumps ``generation``.  Returns
+        ``self`` for chaining.
         """
         if self._mmap_path is not None:
             return self

@@ -1,38 +1,39 @@
 """Saving and loading tangles.
 
-A tangle is stored as one ``.npz`` holding every transaction's weights
-plus a JSON ``meta`` entry describing structure (parents, issuers,
-rounds, tags).  This makes long experiments resumable and lets analysis
-tooling load a DAG without re-running the simulation.
+A checkpoint is the tangle's arena slab plus one metadata record: an
+uncompressed ``.npz`` with exactly two members,
 
-Since the flat-weight plane, each model is stored as **one** flat array
-(keyed ``<tx_id>/flat``) with its per-layer shapes recorded in the
-metadata — one npz member per transaction instead of one per layer,
-which is both smaller and much faster to write and read.  Files written
-by the original per-layer format (``<tx_id>/<index>`` members and a
-``num_arrays`` meta field) still load.
+- ``rows`` — the arena's live ``(N, P)`` rows in the arena dtype, where
+  row ``i`` is the model of the transaction at insertion position ``i``;
+- ``__tangle_meta__`` — one JSON object holding the layer shapes, the
+  store dtype, the publish counter and the compaction epoch, plus each
+  transaction's id, parents, issuer, round and tags in insertion order.
 
-Loading **validates** every checkpoint up front: missing weight
-members, rows whose dtype is not a real floating type, shapes that
-don't match the recorded spec, and non-finite weight values all raise
-:class:`CorruptTangleError` naming the offending transaction — a
-truncated or bit-rotted file fails at the load site with a clear
-message instead of deep inside a later merge or walk.
+This makes long experiments resumable and lets analysis tooling load a
+DAG without re-running the simulation.  The write is **atomic**: the
+file is written to a temporary name in the target directory, flushed,
+fsynced and renamed over ``path``, so a failed or interrupted save
+leaves the previous checkpoint in place and no stray file behind.
+
+Loading **validates** the slab once, up front: its dtype must be a
+floating type equal to the recorded store dtype, its shape must be one
+row of the recorded layout per transaction, and every row must be
+finite — :class:`CorruptTangleError` names the first transaction that
+is not.  A file in any other layout (including a torn one) raises the
+same error naming the file, so a truncated or bit-rotted checkpoint
+fails at the load site instead of deep inside a later merge or walk.
 
 Checkpoints round-trip **compaction state** (see ``docs/scaling.md``):
-the genesis meta entry records the publish counter and the
-:attr:`~repro.dag.tangle.Tangle.compaction_epoch`, so a tangle saved
-after a :meth:`~repro.dag.tangle.Tangle.compact` reloads with burned
-transaction ids still burned (``next_tx_id`` never re-issues an id
-that was truncated away) and with its epoch intact.  Files written before these fields existed still
-load; the counter is then recovered from the largest ``tx<N>-...`` id
-present.
+a tangle saved after a :meth:`~repro.dag.tangle.Tangle.compact`
+reloads with burned transaction ids still burned (``next_tx_id`` never
+re-issues an id that was truncated away) and with its epoch intact.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import os
+import uuid
 import zipfile
 from pathlib import Path
 
@@ -44,17 +45,18 @@ from repro.nn.serialization import FlatSpec
 
 __all__ = ["save_tangle", "load_tangle", "CorruptTangleError"]
 
+_ROWS_KEY = "rows"
 _META_KEY = "__tangle_meta__"
 
 
 class CorruptTangleError(ValueError):
     """A saved tangle failed validation on load.
 
-    Raised by :func:`load_tangle` for structural damage (missing
-    metadata or weight members, no genesis) and for payload damage
-    (wrong dtype, shape mismatch against the recorded spec, non-finite
-    weight values).  Subclasses ``ValueError`` so pre-existing callers
-    catching the old bare errors keep working.
+    Raised by :func:`load_tangle` for structural damage (a torn file,
+    missing or unexpected members, unreadable metadata, no genesis) and
+    for slab damage (wrong dtype, a shape unlike the recorded layout,
+    non-finite weight values).  Subclasses ``ValueError`` so callers
+    catching bare ``ValueError`` keep working.
     """
 
 
@@ -65,147 +67,118 @@ def save_tangle(tangle: Tangle, path: str | Path) -> Path:
         path = path.with_suffix(path.suffix + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
 
-    arrays: dict[str, np.ndarray] = {}
-    meta: list[dict] = []
-    # The arena dtype is a property of the whole tangle; record it on the
-    # genesis entry so a resumed run keeps the operator's float32/float64
-    # storage choice.
-    store_dtype = tangle.arena.dtype.str
-    shapes = [list(shape) for shape in tangle.spec.shapes]
-    for tx in tangle.transactions():
-        entry = {
-            "tx_id": tx.tx_id,
-            "parents": list(tx.parents),
-            "issuer": tx.issuer,
-            "round_index": tx.round_index,
-            "tags": tx.tags,
-            "shapes": shapes,
-        }
-        if not meta:
-            # Genesis carries tangle-wide state: the storage dtype, the
-            # publish counter (so reloaded tangles never re-issue ids
-            # burned before a compaction), and the compaction epoch (so
-            # the reloaded tangle reports the compactions it has had).
-            entry["store_dtype"] = store_dtype
-            entry["counter"] = tangle._counter
-            entry["compaction_epoch"] = tangle.compaction_epoch
-        meta.append(entry)
-        arrays[f"{tx.tx_id}/flat"] = tx.flat_vector(tangle.spec)
-    arrays[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(path, **arrays)
+    meta = {
+        "shapes": [list(shape) for shape in tangle.spec.shapes],
+        "store_dtype": tangle.arena.dtype.str,
+        "counter": tangle._counter,
+        "compaction_epoch": tangle.compaction_epoch,
+        "transactions": [
+            {
+                "tx_id": tx.tx_id,
+                "parents": list(tx.parents),
+                "issuer": tx.issuer,
+                "round_index": tx.round_index,
+                "tags": tx.tags,
+            }
+            for tx in tangle.transactions()
+        ],
+    }
+    members = {
+        _ROWS_KEY: tangle.arena.rows(np.arange(len(tangle))),
+        _META_KEY: np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+    }
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, **members)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
-
-
-def _checked(tx_id: str, member: str, array: np.ndarray, shape: tuple) -> np.ndarray:
-    """Validate one stored weight array; raise :class:`CorruptTangleError`."""
-    if not np.issubdtype(array.dtype, np.floating):
-        raise CorruptTangleError(
-            f"transaction {tx_id!r}: member {member!r} has dtype "
-            f"{array.dtype}, expected a floating type"
-        )
-    if array.shape != shape:
-        raise CorruptTangleError(
-            f"transaction {tx_id!r}: member {member!r} has shape "
-            f"{array.shape}, expected {shape}"
-        )
-    if not np.isfinite(array).all():
-        bad = int(array.size - np.isfinite(array).sum())
-        raise CorruptTangleError(
-            f"transaction {tx_id!r}: member {member!r} carries {bad} "
-            f"non-finite value{'s' if bad != 1 else ''}"
-        )
-    return array
 
 
 def load_tangle(path: str | Path) -> Tangle:
     """Load a tangle previously written by :func:`save_tangle`.
 
-    Raises :class:`CorruptTangleError` when the file fails validation
-    (see the module docstring for what is checked) — including when the
-    file itself is torn: an npz cut mid-array surfaces the raw zip or
-    numpy error only when the damaged member is decompressed, so the
-    whole load is normalized to one error type naming the file.  A
-    missing file stays a plain ``FileNotFoundError``.
+    Raises :class:`CorruptTangleError` naming the file when it fails
+    validation (see the module docstring for what is checked) or is in
+    any other layout — a torn file surfaces a raw zip or numpy error,
+    and foreign metadata a raw lookup error, so the whole load is
+    normalized to one error type.  A missing file stays a plain
+    ``FileNotFoundError``.
     """
     path = Path(path)
     try:
         return _load_validated(path)
-    except CorruptTangleError:
+    except (CorruptTangleError, FileNotFoundError):
         raise
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as exc:
-        # Everything a torn file produces across numpy/zipfile versions:
-        # BadZipFile (mangled directory), EOFError/OSError (member cut
-        # mid-stream), ValueError ("Failed to interpret..." / a clipped
-        # header), KeyError (meta fields lost with the tail).
+    except (
+        zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError, TypeError
+    ) as exc:
+        # Everything a torn or foreign file produces: BadZipFile (mangled
+        # directory), EOFError/OSError (cut mid-stream), ValueError (a
+        # clipped header, undecodable metadata, an invalid DAG),
+        # KeyError/TypeError (metadata of another layout).
         raise CorruptTangleError(
-            f"{path} is corrupt or truncated "
-            f"({type(exc).__name__}: {exc})"
+            f"{path} is corrupt or truncated ({type(exc).__name__}: {exc})"
         ) from exc
 
 
 def _load_validated(path: Path) -> Tangle:
     with np.load(path, allow_pickle=False) as data:
-        if _META_KEY not in data:
-            raise CorruptTangleError(
-                f"{path} is not a saved tangle (missing metadata)"
-            )
-        meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
-
-        def weights_of(entry: dict) -> list[np.ndarray]:
-            tx_id = entry["tx_id"]
-            if "shapes" in entry:  # flat format: one member per transaction
-                spec = FlatSpec(tuple(tuple(s) for s in entry["shapes"]))
-                member = f"{tx_id}/flat"
-                if member not in data:
-                    raise CorruptTangleError(
-                        f"transaction {tx_id!r}: member {member!r} is missing"
-                    )
-                flat = _checked(tx_id, member, data[member], (spec.total,))
-                return [np.array(w) for w in spec.unflatten(flat)]
-            # legacy per-layer format
-            arrays = []
-            for i in range(entry["num_arrays"]):
-                member = f"{tx_id}/{i}"
-                if member not in data:
-                    raise CorruptTangleError(
-                        f"transaction {tx_id!r}: member {member!r} is missing"
-                    )
-                array = np.array(data[member])
-                arrays.append(_checked(tx_id, member, array, array.shape))
-            return arrays
-
-        if not meta or meta[0]["tx_id"] != GENESIS_ID:
-            raise CorruptTangleError("saved tangle does not start with genesis")
-        # Legacy files carry no dtype marker; they were float64 tangles.
-        store_dtype = np.dtype(meta[0].get("store_dtype", "<f8"))
-        tangle = Tangle(weights_of(meta[0]), store_dtype=store_dtype)
-        for entry in meta[1:]:
-            tangle.add(
-                Transaction(
-                    tx_id=entry["tx_id"],
-                    parents=tuple(entry["parents"]),
-                    model_weights=weights_of(entry),
-                    issuer=entry["issuer"],
-                    round_index=entry["round_index"],
-                    tags=entry["tags"],
+        for member in (_ROWS_KEY, _META_KEY):
+            if member not in data.files:
+                raise CorruptTangleError(
+                    f"{path} is not a saved tangle (member {member!r} is missing)"
                 )
+        if len(data.files) != 2:
+            raise CorruptTangleError(
+                f"{path} is not a saved tangle (members {sorted(data.files)})"
             )
-        if "counter" in meta[0]:
-            tangle._counter = int(meta[0]["counter"])
-        else:
-            # Legacy file: recover the publish counter from the ids
-            # actually present, so next_tx_id cannot collide with them.
-            tangle._counter = max(
-                (
-                    int(m.group(1))
-                    for entry in meta
-                    if (m := re.match(r"tx(\d+)-", entry["tx_id"]))
-                ),
-                default=0,
+        meta = json.loads(data[_META_KEY].tobytes().decode("utf-8"))
+        rows = data[_ROWS_KEY]
+
+    spec = FlatSpec(tuple(tuple(shape) for shape in meta["shapes"]))
+    store_dtype = np.dtype(meta["store_dtype"])
+    entries = meta["transactions"]
+    if not np.issubdtype(rows.dtype, np.floating) or rows.dtype != store_dtype:
+        raise CorruptTangleError(
+            f"{path}: member 'rows' has dtype {rows.dtype}, expected the "
+            f"floating store dtype {store_dtype}"
+        )
+    if rows.shape != (len(entries), spec.total):
+        raise CorruptTangleError(
+            f"{path}: member 'rows' has shape {rows.shape}, expected "
+            f"{(len(entries), spec.total)}"
+        )
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        first = int(finite.argmin())
+        bad = int(spec.total - np.count_nonzero(np.isfinite(rows[first])))
+        raise CorruptTangleError(
+            f"{path}: transaction {entries[first]['tx_id']!r} (row {first}) "
+            f"carries {bad} non-finite value{'s' if bad != 1 else ''}"
+        )
+    if not entries or entries[0]["tx_id"] != GENESIS_ID:
+        raise CorruptTangleError(f"{path}: saved tangle does not start with genesis")
+
+    tangle = Tangle(spec.unflatten(rows[0]), store_dtype=store_dtype)
+    tangle.genesis.tags.update(entries[0]["tags"])
+    for entry, row in zip(entries[1:], rows[1:]):
+        tangle.add(
+            Transaction.from_flat(
+                entry["tx_id"],
+                tuple(entry["parents"]),
+                row,
+                spec,
+                entry["issuer"],
+                entry["round_index"],
+                entry["tags"],
             )
-        tangle._compaction_epoch = int(meta[0].get("compaction_epoch", 0))
+        )
+    tangle._counter = int(meta["counter"])
+    tangle._compaction_epoch = int(meta["compaction_epoch"])
     return tangle

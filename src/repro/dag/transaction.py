@@ -1,4 +1,10 @@
-"""Transactions: nodes of the model-update DAG."""
+"""Transactions: nodes of the model-update DAG.
+
+A transaction's model is one flat weight row from publish to checkpoint:
+the vector it is built with, then the row of its tangle's
+:class:`~repro.dag.arena.WeightArena` at its insertion position, then
+that row of the checkpoint slab (:mod:`repro.dag.persistence`).
+"""
 
 from __future__ import annotations
 
@@ -49,20 +55,18 @@ class Transaction:
     annotations (e.g. whether the issuer was poisoned) that the *protocol
     never reads* — they exist for evaluation only.
 
-    Model storage has two regimes:
+    The model is one flat row in :class:`~repro.nn.serialization.FlatSpec`
+    order, held one of two ways:
 
-    - **Unbound** (just constructed): the transaction owns its weights,
-      either as the list-of-arrays form of
-      :mod:`repro.nn.serialization` or as one flat vector plus its
-      :class:`~repro.nn.serialization.FlatSpec`
-      (:meth:`from_flat` — how the substrate ships models between
-      processes).
-    - **Arena-bound** (after :meth:`~repro.dag.tangle.Tangle.add`): the
-      tangle interned the weights into its contiguous
+    - **Unbound** (just constructed): ``(flat, spec)``.  The constructor
+      flattens a per-layer list once; :meth:`from_flat` adopts a flat
+      vector as is (how the substrate ships models between processes).
+    - **Bound** (after :meth:`~repro.dag.tangle.Tangle.add`): ``(arena,
+      row)`` — the tangle interned the row into its contiguous
       :class:`~repro.dag.arena.WeightArena` and the transaction keeps
-      only ``(arena, row)``.  ``model_weights`` stays available as a
-      lazy compatibility view — a cached list of zero-copy per-layer
-      views into the arena row — so every existing reader keeps working.
+      only where it lives.
+
+    ``model_weights`` returns fresh zero-copy per-layer views of that row.
     """
 
     __slots__ = (
@@ -71,13 +75,10 @@ class Transaction:
         "issuer",
         "round_index",
         "tags",
-        "_list",
         "_flat",
         "_spec",
         "_arena",
         "_row",
-        "_views",
-        "_views_generation",
     )
 
     def __init__(
@@ -89,23 +90,21 @@ class Transaction:
         round_index: int,
         tags: dict | None = None,
     ):
+        spec = FlatSpec.from_weights(model_weights)
+        self._init(
+            tx_id, parents, spec.flatten(model_weights), spec, issuer, round_index, tags
+        )
+
+    def _init(self, tx_id, parents, flat, spec, issuer, round_index, tags) -> None:
         self.tx_id = tx_id
         self.parents = tuple(parents)
         self.issuer = issuer
         self.round_index = round_index
         self.tags = {} if tags is None else tags
-        self._list: list[np.ndarray] | None = (
-            list(model_weights) if model_weights is not None else None
-        )
-        self._flat: np.ndarray | None = None
-        self._spec: FlatSpec | None = None
+        self._flat: np.ndarray | None = flat
+        self._spec: FlatSpec | None = spec
         self._arena = None
         self._row: int | None = None
-        self._views: list[np.ndarray] | None = None
-        self._views_generation = -1
-        self._validate()
-
-    def _validate(self) -> None:
         if len(set(self.parents)) != len(self.parents):
             raise ValueError(f"duplicate parents in {self.tx_id}: {self.parents}")
         if self.tx_id in self.parents:
@@ -128,37 +127,22 @@ class Transaction:
             raise ValueError(
                 f"expected a ({spec.total},) vector for {tx_id!r}, got {flat.shape}"
             )
-        tx = cls(tx_id, parents, None, issuer, round_index, tags)  # type: ignore[arg-type]
-        tx._flat = flat
-        tx._spec = spec
+        tx = cls.__new__(cls)
+        tx._init(tx_id, parents, flat, spec, issuer, round_index, tags)
         return tx
 
     # ------------------------------------------------------------- weights
+    def _located(self) -> tuple[np.ndarray, FlatSpec]:
+        """The row (read-only once bound) and the spec laying it out."""
+        if self._arena is None:
+            return self._flat, self._spec
+        return self._arena.row(self._row), self._arena.spec
+
     @property
     def model_weights(self) -> list[np.ndarray]:
-        """Per-layer weight arrays (the historical read surface).
-
-        For arena-bound transactions this is a lazily built, cached list
-        of read-only views into the arena row — no copy.  The cache is
-        rebuilt when the arena has reallocated its slab since the views
-        were taken, so superseded slab generations are not pinned in
-        memory by old views.
-        """
-        if self._arena is not None:
-            if (
-                self._views is None
-                or self._views_generation != self._arena.generation
-            ):
-                self._views = self._arena.spec.unflatten(self._arena.row(self._row))
-                self._views_generation = self._arena.generation
-            return self._views
-        if self._views is not None:
-            return self._views
-        if self._list is not None:
-            return self._list
-        assert self._flat is not None and self._spec is not None
-        self._views = self._spec.unflatten(self._flat)
-        return self._views
+        """Per-layer weight arrays: fresh zero-copy views of the row."""
+        flat, spec = self._located()
+        return spec.unflatten(flat)
 
     def arena_location(self) -> tuple[object, int] | None:
         """``(arena, row_index)`` when arena-bound, else ``None`` —
@@ -172,52 +156,28 @@ class Transaction:
         return self._arena is not None
 
     def flat_vector(self, spec: FlatSpec) -> np.ndarray:
-        """This model as one flat vector in ``spec`` order.
+        """This model as one flat vector in ``spec`` order, zero-copy.
 
-        Zero-copy when already flat (arena row or :meth:`from_flat`
-        payload with a matching spec); a pre-bound list is flattened.
-        Raises ``ValueError`` when the model's shapes don't match the
-        spec — how :meth:`~repro.dag.tangle.Tangle.add` rejects a model
-        laid out unlike its tangle's genesis.
+        Raises ``ValueError`` when the model is laid out by another spec
+        — how :meth:`~repro.dag.tangle.Tangle.add` rejects a model laid
+        out unlike its tangle's genesis.
         """
-        if self._arena is not None:
-            if self._arena.spec != spec:
-                raise ValueError(f"{self.tx_id!r} is bound to a different spec")
-            return self._arena.row(self._row)
-        if self._flat is not None:
-            if self._spec != spec:
-                raise ValueError(f"{self.tx_id!r} carries a different spec")
-            return self._flat
-        assert self._list is not None
-        return spec.flatten(self._list)
+        flat, own = self._located()
+        if own != spec:
+            raise ValueError(f"{self.tx_id!r} is laid out by a different spec")
+        return flat
 
     def bind_arena(self, arena, row: int) -> None:
-        """Adopt arena storage; drops any privately held weights."""
+        """Adopt arena storage; drops the privately held row."""
         self._arena = arena
         self._row = row
-        self._list = None
         self._flat = None
         self._spec = None
-        self._views = None
-        self._views_generation = -1
 
     # ------------------------------------------------------------- dunder
     @property
     def is_genesis(self) -> bool:
         return not self.parents
-
-    def __getstate__(self) -> dict:
-        # The cached per-layer views would serialize as full copies of the
-        # row data; drop them and rebuild lazily after unpickling.  The
-        # arena reference pickles via the memo, so a pickled tangle ships
-        # its slab exactly once.
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_views"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

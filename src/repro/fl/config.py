@@ -34,6 +34,10 @@ class TrainingConfig:
         check_positive("local_epochs", self.local_epochs)
         check_positive("batch_size", self.batch_size)
         check_positive("learning_rate", self.learning_rate)
+        # SGD's rule, applied here so every training path rejects the
+        # same values (the fused plane never builds an SGD).
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
         if self.local_batches is not None:
             check_positive("local_batches", self.local_batches)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sim.faults import FaultModel
+from repro.utils.validation import check_positive
 
 __all__ = [
     "LatencyModel",
@@ -53,10 +54,8 @@ class LatencyModel:
                 f"unknown latency kind {self.kind!r}; expected one of "
                 f"{_LATENCY_KINDS}"
             )
-        if self.mean < 0:
-            raise ValueError("latency mean must be >= 0")
-        if self.sigma < 0:
-            raise ValueError("latency sigma must be >= 0")
+        check_positive("latency mean", self.mean, strict=False)
+        check_positive("latency sigma", self.sigma, strict=False)
 
     def sample(self, rng: np.random.Generator) -> float:
         """One duration; consumes the generator only when stochastic."""
@@ -113,10 +112,8 @@ class StalenessPolicy:
                 f"unknown staleness mode {self.mode!r}; expected one of "
                 f"{_STALENESS_MODES}"
             )
-        if self.alpha < 0:
-            raise ValueError("staleness alpha must be >= 0")
-        if self.beta < 0:
-            raise ValueError("staleness beta must be >= 0")
+        check_positive("staleness alpha", self.alpha, strict=False)
+        check_positive("staleness beta", self.beta, strict=False)
 
     def weights(self, staleness: np.ndarray) -> np.ndarray:
         """Normalized parent weights for a staleness vector (>= 0)."""
@@ -148,8 +145,7 @@ class ChurnEvent:
     def __post_init__(self) -> None:
         if self.action not in ("join", "leave"):
             raise ValueError(f"unknown churn action {self.action!r}")
-        if self.time < 0:
-            raise ValueError("churn time must be >= 0")
+        check_positive("churn time", self.time, strict=False)
 
 
 @dataclass(frozen=True)
@@ -205,19 +201,19 @@ class SimConfig:
     attackers: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.quantum < 0:
-            raise ValueError("quantum must be >= 0")
+        check_positive("quantum", self.quantum, strict=False)
         if self.think.mean <= 0 and self.train.mean <= 0:
             raise ValueError(
                 "think and train latencies cannot both be zero-mean "
                 "(cycles would complete instantly forever)"
             )
-        if self.rate_spread < 0:
-            raise ValueError("rate_spread must be >= 0")
+        check_positive("rate_spread", self.rate_spread, strict=False)
         if not 0.0 <= self.straggler_fraction <= 1.0:
             raise ValueError("straggler_fraction must be in [0, 1]")
-        if self.straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be >= 1")
+        if not self.straggler_slowdown >= 1.0:
+            raise ValueError(
+                f"straggler_slowdown must be >= 1, got {self.straggler_slowdown!r}"
+            )
         # Normalize churn to a tuple of ChurnEvents (accepts any iterable).
         object.__setattr__(self, "churn", tuple(self.churn))
         if self.initially_active is not None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_probability
+from repro.utils.validation import check_positive, check_probability
 
 __all__ = ["FaultModel", "Partition", "apply_corruption"]
 
@@ -148,10 +148,8 @@ class FaultModel:
         check_probability("duplicate_rate", self.duplicate_rate)
         check_probability("crash_rate", self.crash_rate)
         check_probability("corruption_rate", self.corruption_rate)
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter!r}")
-        if self.recovery < 0:
-            raise ValueError(f"recovery must be >= 0, got {self.recovery!r}")
+        check_positive("jitter", self.jitter, strict=False)
+        check_positive("recovery", self.recovery, strict=False)
         if self.corruption_mode not in _CORRUPTION_MODES:
             raise ValueError(
                 f"unknown corruption mode {self.corruption_mode!r}; "

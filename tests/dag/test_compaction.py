@@ -181,25 +181,3 @@ def test_checkpoint_roundtrip_after_compaction(tmp_path):
         np.testing.assert_allclose(
             loaded.flat_weights(tx.tx_id), tangle.flat_weights(tx.tx_id)
         )
-
-
-def test_legacy_checkpoint_recovers_counter(tmp_path):
-    """Files written before the counter field load with the counter
-    recovered from the ids present — no collisions on resume."""
-    import json
-    import zipfile
-
-    tangle, ids = build_tangle(10)
-    path = save_tangle(tangle, tmp_path / "old")
-    # Strip the new fields, simulating a pre-compaction-era file.
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["__tangle_meta__"].tobytes()).decode())
-    meta[0].pop("counter"), meta[0].pop("compaction_epoch")
-    arrays["__tangle_meta__"] = np.frombuffer(
-        json.dumps(meta).encode(), dtype=np.uint8
-    )
-    np.savez_compressed(path, **arrays)
-    loaded = load_tangle(path)
-    assert loaded.compaction_epoch == 0
-    assert loaded.next_tx_id(0) not in ids

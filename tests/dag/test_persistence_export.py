@@ -118,9 +118,9 @@ def test_load_rejects_non_finite_rows(tangle, tmp_path):
 
     path = save_tangle(tangle, tmp_path / "t.npz")
     with np.load(path, allow_pickle=False) as data:
-        bad = np.array(data["a/flat"], copy=True)
-    bad[2] = np.nan
-    tampered = tamper(path, tmp_path, **{"a/flat": bad})
+        bad = np.array(data["rows"], copy=True)
+    bad[1, 2] = np.nan  # row 1 is transaction 'a'
+    tampered = tamper(path, tmp_path, rows=bad)
     with pytest.raises(CorruptTangleError, match="'a'.*non-finite"):
         load_tangle(tampered)
 
@@ -130,9 +130,9 @@ def test_load_rejects_truncated_rows(tangle, tmp_path):
 
     path = save_tangle(tangle, tmp_path / "t.npz")
     with np.load(path, allow_pickle=False) as data:
-        short = np.array(data["b/flat"], copy=True)[:-2]
-    tampered = tamper(path, tmp_path, **{"b/flat": short})
-    with pytest.raises(CorruptTangleError, match="'b'.*shape"):
+        short = np.array(data["rows"], copy=True)[:, :-2]
+    tampered = tamper(path, tmp_path, rows=short)
+    with pytest.raises(CorruptTangleError, match="'rows'.*shape"):
         load_tangle(tampered)
 
 
@@ -141,9 +141,9 @@ def test_load_rejects_wrong_dtype(tangle, tmp_path):
 
     path = save_tangle(tangle, tmp_path / "t.npz")
     with np.load(path, allow_pickle=False) as data:
-        ints = np.array(data["a/flat"], copy=True).astype(np.int64)
-    tampered = tamper(path, tmp_path, **{"a/flat": ints})
-    with pytest.raises(CorruptTangleError, match="'a'.*dtype"):
+        ints = np.array(data["rows"], copy=True).astype(np.int64)
+    tampered = tamper(path, tmp_path, rows=ints)
+    with pytest.raises(CorruptTangleError, match="'rows'.*dtype"):
         load_tangle(tampered)
 
 
@@ -151,8 +151,8 @@ def test_load_rejects_missing_member(tangle, tmp_path):
     from repro.dag import CorruptTangleError
 
     path = save_tangle(tangle, tmp_path / "t.npz")
-    tampered = tamper(path, tmp_path, drop="a/flat")
-    with pytest.raises(CorruptTangleError, match="'a'.*missing"):
+    tampered = tamper(path, tmp_path, drop="rows")
+    with pytest.raises(CorruptTangleError, match="'rows'.*missing"):
         load_tangle(tampered)
 
 
@@ -203,3 +203,93 @@ def test_load_torn_file_chains_the_underlying_error(tangle, tmp_path):
 def test_load_missing_file_stays_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_tangle(tmp_path / "never-written.npz")
+
+
+# ------------------------------------------------ checkpoint layout
+def test_checkpoint_is_the_arena_slab_plus_one_metadata_record(tangle, tmp_path):
+    import zipfile
+
+    path = save_tangle(tangle, tmp_path / "t.npz")
+    with zipfile.ZipFile(path) as archive:
+        assert sorted(archive.namelist()) == ["__tangle_meta__.npy", "rows.npy"]
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+    with np.load(path, allow_pickle=False) as data:
+        np.testing.assert_array_equal(data["rows"], tangle.arena.rows([0, 1, 2]))
+        assert data["rows"].dtype == tangle.arena.dtype
+
+
+def _meta_member(obj) -> np.ndarray:
+    import json
+
+    return np.frombuffer(json.dumps(obj).encode(), np.uint8)
+
+
+def _other_layouts(tangle, rows, meta):
+    """Files a loader must refuse: the one-member-per-transaction layout,
+    and the two members with foreign metadata or company."""
+    per_transaction = {
+        f"{tx.tx_id}/flat": tangle.flat_weights(tx.tx_id)
+        for tx in tangle.transactions()
+    }
+    per_transaction["__tangle_meta__"] = _meta_member(
+        [dict(entry, shapes=meta["shapes"]) for entry in meta["transactions"]]
+    )
+    without_transactions = {k: v for k, v in meta.items() if k != "transactions"}
+    return {
+        "per-transaction": per_transaction,
+        "meta-list": {"rows": rows, "__tangle_meta__": _meta_member(meta["transactions"])},
+        "meta-not-json": {"rows": rows, "__tangle_meta__": np.frombuffer(b"\xff{", np.uint8)},
+        "meta-no-transactions": {
+            "rows": rows, "__tangle_meta__": _meta_member(without_transactions)
+        },
+        "extra-member": {"rows": rows, "__tangle_meta__": _meta_member(meta), "x": rows},
+    }
+
+
+@pytest.mark.parametrize(
+    "layout",
+    ["per-transaction", "meta-list", "meta-not-json", "meta-no-transactions", "extra-member"],
+)
+def test_load_rejects_any_other_layout_naming_the_file(tangle, tmp_path, layout):
+    import json
+    import re
+
+    from repro.dag import CorruptTangleError
+
+    path = save_tangle(tangle, tmp_path / "t.npz")
+    with np.load(path, allow_pickle=False) as data:
+        rows, meta = data["rows"], json.loads(data["__tangle_meta__"].tobytes())
+    other = tmp_path / "other.npz"
+    np.savez(other, **_other_layouts(tangle, rows, meta)[layout])
+    with pytest.raises(CorruptTangleError, match=re.escape(other.name)):
+        load_tangle(other)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tangle, tmp_path, rng, monkeypatch):
+    """The save writes a temp file and renames it: a write that fails
+    midway leaves the old checkpoint loadable and no stray file."""
+    path = save_tangle(tangle, tmp_path / "t.npz")
+    with np.load(path, allow_pickle=False) as data:
+        before = {name: np.array(data[name]) for name in data.files}
+    tangle.add(
+        Transaction("c", ("b",), [rng.normal(size=(3, 2)), rng.normal(size=2)], 2, 2)
+    )
+    write_array = np.lib.format.write_array
+    calls = []
+
+    def fail_second_member(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_second_member)
+    with pytest.raises(OSError, match="disk full"):
+        save_tangle(tangle, path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.npz"]
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == sorted(before)
+        for name, array in before.items():
+            np.testing.assert_array_equal(data[name], array)
+    assert [tx.tx_id for tx in load_tangle(path).transactions()] == ["genesis", "a", "b"]

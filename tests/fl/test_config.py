@@ -39,6 +39,15 @@ def test_training_config_validation():
         TrainingConfig(local_batches=0)
 
 
+@pytest.mark.parametrize("momentum", [1.5, -0.5, float("nan")])
+def test_training_config_rejects_momentum_outside_sgd_range(momentum):
+    # SGD's [0, 1) rule holds at construction, so a bad momentum fails
+    # the same way whether a round trains through the fused plane or
+    # builds an SGD.
+    with pytest.raises(ValueError, match="momentum"):
+        TrainingConfig(momentum=momentum)
+
+
 def test_training_config_scaled_copy():
     base = TrainingConfig(learning_rate=0.05)
     scaled = base.scaled(local_batches=3)

@@ -6,7 +6,9 @@ import pytest
 from repro.fl import DagConfig
 from repro.fl.aggregation import REFERENCE_AGGREGATORS
 from repro.sim import (
+    ChurnEvent,
     EventDrivenTangleLearning,
+    FaultModel,
     LatencyModel,
     SimConfig,
     SimEvent,
@@ -352,11 +354,36 @@ def test_config_validation():
         StalenessPolicy("linear")
 
 
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (LatencyModel, {"mean": NAN}),
+        (LatencyModel, {"sigma": NAN}),
+        (StalenessPolicy, {"alpha": NAN}),
+        (StalenessPolicy, {"beta": NAN}),
+        (ChurnEvent, {"time": NAN, "action": "join", "client_id": 0}),
+        (SimConfig, {"quantum": NAN}),
+        (SimConfig, {"rate_spread": NAN}),
+        (SimConfig, {"straggler_slowdown": NAN}),
+        (FaultModel, {"jitter": NAN}),
+        (FaultModel, {"recovery": NAN}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else next(iter(v)),
+)
+def test_nan_settings_are_rejected(cls, kwargs):
+    """NaN fails every ``x < 0`` comparison; each field rejects it at
+    construction instead of deep inside a run (or not at all)."""
+    field = next(iter(kwargs))
+    with pytest.raises(ValueError, match=field):
+        cls(**kwargs)
+
 def test_engine_validates_unknown_clients(
     sim_dataset, logistic_builder, sim_train_config, sim_dag_config
 ):
-    from repro.sim import ChurnEvent
-
     with pytest.raises(ValueError):
         make_engine(
             sim_dataset, logistic_builder, sim_train_config, sim_dag_config,
