@@ -41,10 +41,13 @@ def _snapshot_tips(view) -> list[str]:
 
 
 def _column(times, ids: list[str], missing: float) -> np.ndarray:
-    """Per-node times for ``ids`` (the whole tangle in insertion order)
-    from an insertion-order column or an id-keyed map."""
+    """Per-node values for ``ids`` (the whole tangle in insertion order)
+    from an insertion-order column, a reader of a column's first ``n``
+    rows, or an id-keyed map."""
     if isinstance(times, np.ndarray):
         return times[: len(ids)]
+    if callable(times):
+        return times(len(ids))
     return np.fromiter(
         (times.get(tx_id, missing) for tx_id in ids), dtype=np.float64, count=len(ids)
     )
@@ -166,11 +169,14 @@ class TimedTangleView:
 
     Both time maps are either keyed by transaction id (a missing id is
     never visible, never published) or insertion-order columns — row
-    ``i`` describes the tangle's ``i``-th transaction, the form the
-    event engine keeps, alongside an ``issuers`` column (read from the
-    tangle when omitted).  Either way visibility is one vectorized
-    :meth:`mask`, and every query below reads through it.  Times are
-    written once, when a transaction is published, and never changed.
+    ``i`` describes the tangle's ``i``-th transaction — alongside an
+    ``issuers`` column (read from the tangle when omitted).  A column is
+    an array or a reader ``n -> first n rows``, the form the event
+    engine passes: its block store grows without moving a row, so a
+    view holding a reader stays valid as the tangle grows.  Either way
+    visibility is one vectorized :meth:`mask`, and every query below
+    reads through it.  Times are written once, when a transaction is
+    published, and never changed.
     """
 
     def __init__(
@@ -181,7 +187,7 @@ class TimedTangleView:
         *,
         observer: int | None = None,
         published_at=None,
-        issuers: np.ndarray | None = None,
+        issuers=None,
     ):
         self.tangle = tangle
         self._visible_from = visible_from
@@ -200,7 +206,7 @@ class TimedTangleView:
         visible = _column(self._visible_from, ids, np.inf) <= self.now
         if self._observer is not None:
             if self._issuers is not None:
-                issuers = self._issuers[: len(ids)]
+                issuers = _column(self._issuers, ids, -1)
             else:
                 issuers = np.fromiter(
                     (self.tangle.get(tx_id).issuer for tx_id in ids),

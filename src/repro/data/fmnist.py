@@ -13,7 +13,6 @@ learnable, and per-writer style variation exists for the writer-split
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.base import ClientData, FederatedDataset, train_test_split
 from repro.utils.rng import ensure_rng
@@ -80,6 +79,10 @@ def render_digit(digit: int, image_size: int, *, margin: int = 2) -> np.ndarray:
         raise ValueError(f"unknown digit {digit}")
     if image_size < 8:
         raise ValueError("image_size must be >= 8")
+    # scipy loads on the first render, not with the package: only the
+    # glyph renderer uses it.
+    from scipy import ndimage
+
     bitmap = GLYPH_BITMAPS[digit]
     inner = image_size - 2 * margin
     zoomed = ndimage.zoom(
@@ -113,6 +116,8 @@ class WriterStyle:
         cached = self._prototypes.get(digit)
         if cached is not None:
             return cached
+        from scipy import ndimage
+
         canvas = render_digit(digit, self.image_size)
         rotated = ndimage.rotate(canvas, self.angle, reshape=False, order=1)
         blurred = ndimage.gaussian_filter(rotated, self.blur_sigma)
@@ -122,6 +127,8 @@ class WriterStyle:
 
     def sample(self, digit: int, rng: np.random.Generator) -> np.ndarray:
         """One noisy sample of ``digit`` in this writer's style."""
+        from scipy import ndimage
+
         proto = self.prototype(digit)
         shift = self.shift_bias + rng.uniform(-1.0, 1.0, size=2)
         shifted = ndimage.shift(proto, shift, order=1, mode="constant")

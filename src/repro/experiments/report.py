@@ -39,6 +39,14 @@ def _scalar(maybe_aggregated) -> float:
     return float(maybe_aggregated)
 
 
+def _per_seed(maybe_aggregated) -> list:
+    """A non-numeric leaf per seed: multiseed aggregation keeps one that
+    differs across seeds as ``{values: [...]}``, one seed's is itself."""
+    if isinstance(maybe_aggregated, dict) and set(maybe_aggregated) == {"values"}:
+        return maybe_aggregated["values"]
+    return [maybe_aggregated]
+
+
 def _summarize_table2(result: dict) -> list[str]:
     lines = ["| dataset | base | pureness | late pureness |", "|---|---|---|---|"]
     for name, row in sorted(result["rows"].items()):
@@ -81,12 +89,14 @@ def _summarize_fig9(result: dict) -> list[str]:
         "|---|---|---|",
     ]
     for name, data in sorted(result["datasets"].items()):
-        fed = data["fedavg"][-1]
-        dag = data["dag"][-1]
-        lines.append(
-            f"| {name} | {_scalar(fed['mean']):.3f} ± {_scalar(fed['std']):.3f} "
-            f"| {_scalar(dag['mean']):.3f} ± {_scalar(dag['std']):.3f} |"
-        )
+        cells = []
+        for algo in ("fedavg", "dag"):
+            # The last accuracy group of every seed, averaged over seeds.
+            last = [groups[-1] for groups in _per_seed(data[algo])]
+            mean = np.mean([_scalar(group["mean"]) for group in last])
+            std = np.mean([_scalar(group["std"]) for group in last])
+            cells.append(f"{mean:.3f} ± {std:.3f}")
+        lines.append(f"| {name} | {cells[0]} | {cells[1]} |")
     return lines
 
 
@@ -174,13 +184,13 @@ def _summarize_service_demo(result: dict) -> list[str]:
     for phase in ("calm", "chaos"):
         data = result[phase]
         lines.append(
-            f"| {phase} | {data['requests_per_s']:.1f} "
-            f"| {data['outcomes'].get('ok', 0)} "
-            f"| {data['ladder']['degraded']} "
-            f"| {data.get('quarantined', 0)} "
-            f"| {data['coalescer']['restarts']} |"
+            f"| {phase} | {_scalar(data['requests_per_s']):.1f} "
+            f"| {_scalar(data['outcomes'].get('ok', 0)):.0f} "
+            f"| {_scalar(data['ladder']['degraded']):.0f} "
+            f"| {_scalar(data.get('quarantined', 0)):.0f} "
+            f"| {_scalar(data['coalescer']['restarts']):.0f} |"
         )
-    lines.append(f"\nfinal tangle size: {result['tangle_size']}")
+    lines.append(f"\nfinal tangle size: {_scalar(result['tangle_size']):.0f}")
     return lines
 
 

@@ -51,6 +51,10 @@ from repro.utils.rng import RngFactory
 
 __all__ = ["run"]
 
+# The closed outcome taxonomy.  Every phase reports all four counts, so
+# per-seed results share one structure and aggregate across seeds.
+_OUTCOMES = ("ok", "shed", "rejected", "degraded")
+
 
 def _drive(gateway, caller, client: Client, cycles: int, outcomes: dict, lock):
     """One service caller: tips -> average parents -> train -> publish."""
@@ -76,7 +80,7 @@ def _drive(gateway, caller, client: Client, cycles: int, outcomes: dict, lock):
 
 def _load_phase(gateway, clients, cycles, *, retry_seed=0, wrap_client=True):
     """Run every client concurrently against the gateway; return stats."""
-    outcomes: dict[str, int] = {}
+    outcomes = dict.fromkeys(_OUTCOMES, 0)
     lock = threading.Lock()
     threads = []
     for client in clients.values():
@@ -97,7 +101,7 @@ def _load_phase(gateway, clients, cycles, *, retry_seed=0, wrap_client=True):
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - start
-    total = sum(outcomes.get(k, 0) for k in ("ok", "shed", "rejected"))
+    total = sum(outcomes[k] for k in ("ok", "shed", "rejected"))
     return {
         "outcomes": outcomes,
         "elapsed_s": round(elapsed, 3),
@@ -166,12 +170,7 @@ def run(scale: Scale | None = None, *, seed: int = 0, cycles: int = 3) -> dict:
         result["chaos"]["coalescer"] = dict(gateway.coalescer.stats)
         result["chaos"]["injected"] = dict(chaos.stats)
         result["chaos"]["quarantined"] = gateway.counts["quarantined"]
-        unknown = set(result["chaos"]["outcomes"]) - {
-            "ok",
-            "shed",
-            "rejected",
-            "degraded",
-        }
+        unknown = set(result["chaos"]["outcomes"]) - set(_OUTCOMES)
         if unknown:  # the closed-taxonomy contract, asserted live
             raise AssertionError(f"unexpected outcome statuses: {unknown}")
 

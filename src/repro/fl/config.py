@@ -139,8 +139,8 @@ class DagConfig:
                 "executor; the sequential walk is the test reference "
                 "repro.dag.random_walk.sequential_select_tips"
             )
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        check_positive("alpha", self.alpha, strict=False, finite=True)
+        check_positive("weighted_alpha", self.weighted_alpha, strict=False, finite=True)
         if self.selector not in ("accuracy", "random", "weighted"):
             raise ValueError(f"unknown selector {self.selector!r}")
         check_positive("num_tips", self.num_tips)

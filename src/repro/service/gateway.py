@@ -31,7 +31,6 @@ front onto the same object.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ from repro.fl.aggregation import mean_flat
 from repro.service.coalescer import TipCoalescer, TipsOutcome
 from repro.service.degradation import DegradationLadder
 from repro.service.resilience import AdmissionGate, CircuitBreaker, Deadline
+from repro.utils.validation import check_positive
 
 __all__ = ["GatewayConfig", "ServiceResponse", "TangleGateway"]
 
@@ -76,9 +76,8 @@ class GatewayConfig:
 
     def __post_init__(self) -> None:
         # Walk settings reach no component before the first tips request.
-        budget = self.deadline_budget
-        if not (math.isfinite(budget) and budget > 0):
-            raise ValueError(f"deadline_budget must be finite and > 0, got {budget}")
+        check_positive("deadline_budget", self.deadline_budget, finite=True)
+        check_positive("alpha", self.alpha, strict=False, finite=True)
         check_walk_settings(self.normalization, self.depth_range)
 
 

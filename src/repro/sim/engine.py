@@ -103,19 +103,54 @@ ModelBuilder = Callable[[np.random.Generator], Classifier]
 # plane's ungraceful twins of leave/join and share their ranks.
 _RANK = {"join": 0, "recover": 0, "leave": 1, "crash": 1, "cycle": 2}
 
-# Initial row capacity of the visibility columns (doubled when full).
-_INITIAL_ROWS = 64
+# Transaction rows per block of the visibility columns: a 1000-client
+# arrival block is 2 MB, the most a column ever holds beyond its rows.
+_BLOCK_ROWS = 256
 
 # Supersteps run in the calling process, on the canonical clients.
 _IN_PROCESS = SerialExecutor()
 
 
-def _doubled(column: np.ndarray, fill: float) -> np.ndarray:
-    """``column`` with its last (row) axis doubled, new rows ``fill``."""
-    rows = column.shape[-1]
-    grown = np.full(column.shape[:-1] + (2 * rows,), fill, dtype=column.dtype)
-    grown[..., :rows] = column
-    return grown
+class _BlockColumn:
+    """An append-only insertion-order column of per-transaction values —
+    or, with ``lanes``, a lanes × rows table — held as fixed blocks of
+    ``_BLOCK_ROWS`` rows.
+
+    Growth appends one block preset to ``fill`` (unwritten rows read
+    as ``fill``); a written row is never copied or moved, so a reader
+    from :meth:`head` stays valid however far the column grows, and the
+    slack beyond the last row is at most one block.
+    """
+
+    def __init__(self, fill, dtype=np.float64, lanes: int | None = None):
+        self._fill = fill
+        self._dtype = dtype
+        self._shape = (_BLOCK_ROWS,) if lanes is None else (lanes, _BLOCK_ROWS)
+        self.blocks: list[np.ndarray] = []
+
+    def _locate(self, row: int) -> tuple[np.ndarray, int]:
+        """(block, offset) of ``row``, appending its block if new."""
+        index, offset = divmod(row, self._shape[-1])
+        if index == len(self.blocks):
+            self.blocks.append(np.full(self._shape, self._fill, dtype=self._dtype))
+        return self.blocks[index], offset
+
+    def __setitem__(self, row: int, value) -> None:
+        """Write ``row`` (one column store across the lanes of a table)."""
+        block, offset = self._locate(row)
+        block[..., offset] = value
+
+    def reserve(self, row: int) -> None:
+        """Make ``row`` readable (as ``fill``) without writing it."""
+        self._locate(row)
+
+    def head(self, n: int, lane: int | None = None) -> np.ndarray:
+        """The first ``n`` rows of the column (of one lane of a table):
+        one concatenate over the blocks they span."""
+        blocks = self.blocks[: -(-n // self._shape[-1])]
+        if lane is not None:
+            blocks = [block[lane] for block in blocks]
+        return np.concatenate(blocks)[:n]
 
 
 @dataclass(order=True)
@@ -259,21 +294,22 @@ class EventDrivenTangleLearning:
         }
         self._client_order: list[int] = sorted(self.clients)
         self._slot = {cid: slot for slot, cid in enumerate(self._client_order)}
-        # Visibility state as insertion-order columns — row i is the
-        # tangle's i-th transaction, row 0 genesis — written once per
+        # Visibility state as insertion-order block columns — row i is
+        # the tangle's i-th transaction, row 0 genesis — written once per
         # publication and read by every view as a vectorized mask:
         # network visibility time, publication time, issuer, and with
         # per-link faults one arrival time per (client slot, row) in
         # place of the shared network column (inf: never delivered).
         self._row: dict[str, int] = {}
-        self._visible_at = np.full(_INITIAL_ROWS, np.inf)
-        self._published_at = np.full(_INITIAL_ROWS, np.nan)
-        self._issuer = np.full(_INITIAL_ROWS, -1, dtype=np.int64)
-        self._arrival: np.ndarray | None = None
+        self._visible_at = _BlockColumn(np.inf)
+        self._published_at = _BlockColumn(np.nan)
+        self._issuer = _BlockColumn(-1, dtype=np.int64)
+        self._arrival: _BlockColumn | None = None
         if self._faults.link_faults:
-            self._arrival = np.full((len(self._client_order), _INITIAL_ROWS), np.inf)
-            self._arrival[:, 0] = 0.0
+            self._arrival = _BlockColumn(np.inf, lanes=len(self._client_order))
         self._append_row(self.tangle.genesis.tx_id, -1, 0.0, 0.0)
+        if self._arrival is not None:
+            self._arrival[0] = 0.0
         # Partition membership per client, aligned with _client_order
         # (-1 = unlisted, unaffected); precomputed so the per-publish
         # delivery fan-out stays vectorized.
@@ -556,7 +592,8 @@ class EventDrivenTangleLearning:
         if policy.mode == "none":
             return None
         return policy.weights(
-            at_time - self._published_at[[self._row[t] for t in tips]]
+            at_time
+            - self._published_at.head(len(self._row))[[self._row[t] for t in tips]]
         )
 
     def _corrupt(self, flat: np.ndarray) -> np.ndarray:
@@ -571,16 +608,12 @@ class EventDrivenTangleLearning:
         """Record a transaction just added to the tangle as the next
         visibility row; returns the row."""
         row = len(self._row)
-        if row == self._issuer.size:
-            self._visible_at = _doubled(self._visible_at, np.inf)
-            self._published_at = _doubled(self._published_at, np.nan)
-            self._issuer = _doubled(self._issuer, -1)
-            if self._arrival is not None:
-                self._arrival = _doubled(self._arrival, np.inf)
         self._row[tx_id] = row
         self._visible_at[row] = visible
         self._published_at[row] = published
         self._issuer[row] = issuer
+        if self._arrival is not None:
+            self._arrival.reserve(row)
         return row
 
     def _deliver(self, row: int, issuer: int, base_visible: float) -> None:
@@ -636,7 +669,7 @@ class EventDrivenTangleLearning:
         # through the same observer/exemption mechanism as clean mode,
         # keeping always_on traces bit-identical at every quantum.
         arrival[self._slot[issuer]] = base_visible
-        self._arrival[:, row] = arrival
+        self._arrival[row] = arrival
 
     def _publish(self, client_id: int, result: ClientRoundResult) -> str | None:
         """A cycle's publication at ``self.now``: the payload is (maybe)
@@ -722,7 +755,7 @@ class EventDrivenTangleLearning:
         self, client_id: int, at_time: float, *, exempt: bool = True
     ) -> TimedTangleView:
         """The tangle as ``client_id`` sees it at ``at_time``: the
-        client's row of the arrival table under link faults, the shared
+        client's lane of the arrival table under link faults, the shared
         network column otherwise — plus, unless ``exempt`` is off, the
         issuer exemption for its own publications."""
         if len(self._row) != len(self.tangle):
@@ -731,17 +764,17 @@ class EventDrivenTangleLearning:
                 "compacted): its visibility rows no longer line up"
             )
         visible_from = (
-            self._visible_at
+            self._visible_at.head
             if self._arrival is None
-            else self._arrival[self._slot[client_id]]
+            else partial(self._arrival.head, lane=self._slot[client_id])
         )
         return TimedTangleView(
             self.tangle,
             visible_from,
             at_time,
             observer=client_id if exempt else None,
-            published_at=self._published_at,
-            issuers=self._issuer,
+            published_at=self._published_at.head,
+            issuers=self._issuer.head,
         )
 
     # ------------------------------------------------------------ supersteps

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["check_positive", "check_probability"]
 
 
-def check_positive(name: str, value: float, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (or non-negative when not strict)."""
+def check_positive(
+    name: str, value: float, *, strict: bool = True, finite: bool = False
+) -> float:
+    """Validate that ``value`` is positive (or non-negative when not
+    strict) and, with ``finite``, not infinite.  NaN always fails."""
     if strict and not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

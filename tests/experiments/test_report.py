@@ -40,6 +40,59 @@ def test_summarize_handles_multiseed_aggregates():
     assert any("dag" in line and "0.350" in line for line in lines)
 
 
+def _fig9_seed(shift: float) -> dict:
+    def groups(mean):
+        return [
+            {"rounds": [0, 4], "mean": 0.1, "std": 0.05, "median": 0.1},
+            {"rounds": [5, 9], "mean": mean + shift, "std": 0.1 + shift, "median": mean},
+        ]
+
+    return {
+        "experiment": "fig9",
+        "datasets": {"poets": {"fedavg": groups(0.3), "dag": groups(0.6)}},
+    }
+
+
+def test_summarize_fig9_reads_a_multiseed_aggregate():
+    from repro.experiments.multiseed import aggregate_results
+
+    result = aggregate_results([_fig9_seed(s) for s in (0.0, 0.01, 0.02)])
+    lines = summarize_result(result)
+    assert "| poets | 0.310 ± 0.110 | 0.610 ± 0.110 |" in lines
+    # One seed renders exactly as before aggregation existed.
+    assert "| poets | 0.300 ± 0.100 | 0.600 ± 0.100 |" in summarize_result(_fig9_seed(0.0))
+
+
+def _service_demo_seed(ok: int, restarts: int) -> dict:
+    def phase(rps):
+        return {
+            "outcomes": {"ok": ok, "shed": 0, "rejected": 2, "degraded": 0},
+            "elapsed_s": 0.5,
+            "requests_per_s": rps,
+            "ladder": {"accuracy": ok, "degraded": 1},
+            "coalescer": {"batches": 4, "restarts": restarts},
+        }
+
+    return {
+        "experiment": "service-demo",
+        "calm": phase(100.0),
+        "chaos": dict(phase(80.0), quarantined=3),
+        "tangle_size": 40 + ok,
+    }
+
+
+def test_summarize_service_demo_reads_a_multiseed_aggregate():
+    from repro.experiments.multiseed import aggregate_results
+
+    result = aggregate_results(
+        [_service_demo_seed(ok, restarts) for ok, restarts in ((10, 0), (12, 2), (14, 4))]
+    )
+    lines = summarize_result(result)
+    assert "| calm | 100.0 | 12 | 1 | 0 | 2 |" in lines
+    assert "| chaos | 80.0 | 12 | 1 | 3 | 2 |" in lines
+    assert lines[-1] == "\nfinal tangle size: 52"
+
+
 def test_summarize_unknown_experiment():
     assert "no summarizer" in summarize_result({"experiment": "fig99"})[0]
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fl.config import DagConfig, TABLE1_CONFIGS, TrainingConfig, table1_config
+from repro.service import GatewayConfig
 
 
 def test_table1_values_match_paper():
@@ -98,3 +99,20 @@ def test_dag_config_rejects_non_integer_parallelism(parallelism):
     # ProcessPoolExecutor; True would silently mean serial.
     with pytest.raises(ValueError, match="parallelism"):
         DagConfig(parallelism=parallelism)
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [(DagConfig, "alpha"), (DagConfig, "weighted_alpha"), (GatewayConfig, "alpha")],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_walk_alphas_must_be_finite_and_non_negative(config, field, value):
+    # A NaN alpha would serve every walk NaN weights and a negative one
+    # fail only deep inside a selector: both are refused at construction.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        config(**{field: value})
+
+
+def test_zero_walk_alphas_are_uniform_walks_and_allowed():
+    assert DagConfig(alpha=0.0, weighted_alpha=0.0).alpha == 0.0
+    assert GatewayConfig(alpha=0.0).alpha == 0.0

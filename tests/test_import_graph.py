@@ -47,3 +47,19 @@ def test_every_entry_point_imports_first_and_dag_stays_below():
     for script in scripts:
         result = run(script)
         assert result.returncode == 0, f"{script}\n{result.stderr}"
+
+
+def test_scipy_loads_only_when_glyphs_render():
+    """scipy renders the FMNIST glyphs and nothing else: importing the
+    package leaves it unloaded, and datasets that render no glyph build
+    with scipy blocked."""
+    result = run(
+        "import sys\n"
+        "import repro\n"
+        "assert 'scipy' not in sys.modules, 'import repro loaded scipy'\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises\n"
+        "from repro.data import make_fedprox_synthetic\n"
+        "dataset = make_fedprox_synthetic(num_clients=3, seed=0)\n"
+        "assert len(dataset.clients) == 3\n"
+    )
+    assert result.returncode == 0, result.stderr
