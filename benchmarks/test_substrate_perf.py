@@ -187,14 +187,16 @@ def _run_workload(dataset, builder, train_config, *, rounds, clients_per_round, 
 
 
 def test_round_throughput_serial_vs_parallel_emits_json():
-    """Measure rounds/sec under both executors on two workloads and write
-    the trajectory file CI tracks (``BENCH_substrate.json``).
+    """Measure rounds/sec at ``parallelism`` 1 (serial), 2 (a 2-worker
+    pool) and 0 (a machine-sized pool) on two workloads and write the
+    trajectory file CI tracks (``BENCH_substrate.json``).
 
-    The **small** workload (tiny model, microsecond training steps) is
-    the documented crossover counter-example: per-round coordination —
-    even with the flat-weight plane shipping the tangle as one arena
-    slab — outweighs the parallelized compute, and parallel loses.  It
-    is recorded, never asserted on.
+    Both pools route each round with the payload cost model.  The
+    **small** workload (tiny model, microsecond training steps) is the
+    documented crossover: per-round coordination would outweigh the
+    parallelized compute, so the router keeps rounds in process and
+    ``parallel_speedup`` records that routed time.  It is recorded,
+    never asserted on.
 
     The **large** workload trains a bigger model for more batches per
     client, so per-unit compute dominates coordination and parallel
@@ -220,7 +222,7 @@ def test_round_throughput_serial_vs_parallel_emits_json():
             "describe": "fmnist-clustered mlp-100-16-10, 8 clients x 30 samples, "
             "6/round, 3 batches of 10, 6 rounds",
             "note": "crossover counter-example: coordination dominates, "
-            "parallel expected to lose at this scale",
+            "so the router keeps rounds in process at this scale",
         },
         "large": {
             "dataset": dict(num_clients=8, samples_per_client=120, image_size=14, seed=3),
@@ -242,7 +244,7 @@ def test_round_throughput_serial_vs_parallel_emits_json():
         times = {}
         histories = {}
         infos = {}
-        for parallelism in (1, 2, "auto"):
+        for parallelism in (1, 2, 0):
             # Best of two, like every other floored timing here: one
             # noisy-neighbour stall must not decide a floor.
             times[parallelism], histories[parallelism], infos[parallelism] = min(
@@ -255,13 +257,13 @@ def test_round_throughput_serial_vs_parallel_emits_json():
                 ),
                 key=lambda run: run[0],
             )
-        # equivalence at bench scale, across all three routings
-        for other in (2, "auto"):
+        # equivalence at bench scale, across all three settings
+        for other in (2, 0):
             for a, b in zip(histories[1], histories[other]):
                 assert a.client_accuracy == b.client_accuracy
                 assert a.published == b.published
         speedup = times[1] / times[2]
-        auto_modes = infos["auto"]["mode_counts"]
+        machine_modes = infos[0]["mode_counts"]
         entry = {
             "workload": wl["describe"],
             "rounds": rounds,
@@ -270,16 +272,17 @@ def test_round_throughput_serial_vs_parallel_emits_json():
             "serial_rounds_per_sec": rounds / times[1],
             "parallel_rounds_per_sec": rounds / times[2],
             "parallel_speedup": speedup,
-            # parallelism="auto": which mode it actually routed each round
-            # to, and whether that choice beat the forced-parallel run.
-            "auto_seconds": times["auto"],
-            "auto_mode_counts": auto_modes,
-            "auto_workers": infos["auto"]["workers"],
-            "auto_picked": (
-                "serial" if auto_modes.get("parallel", 0) == 0 else "parallel"
+            "parallel_mode_counts": infos[2]["mode_counts"],
+            # parallelism=0: which mode the machine-sized pool routed
+            # each round to, and how it compared with serial.
+            "machine_seconds": times[0],
+            "machine_mode_counts": machine_modes,
+            "machine_workers": infos[0]["workers"],
+            "machine_picked": (
+                "serial" if machine_modes.get("parallel", 0) == 0 else "parallel"
             ),
-            "auto_speedup_vs_serial": times[1] / times["auto"],
-            "auto_ipc_estimate": infos["auto"]["last_estimate"],
+            "machine_speedup_vs_serial": times[1] / times[0],
+            "machine_ipc_estimate": infos[0]["last_estimate"],
         }
         if wl["assert_speedup"]:
             entry["speedup_asserted"] = cores >= 2
@@ -293,21 +296,21 @@ def test_round_throughput_serial_vs_parallel_emits_json():
                 entry["floor"] = 1.5
                 # the payload-size router must actually pick the pool on
                 # a workload this large — pin the parallel path in CI
-                assert auto_modes.get("parallel", 0) > 0, (
-                    f"auto never routed parallel on the large workload "
-                    f"with {cores} cores: {auto_modes}"
+                assert machine_modes.get("parallel", 0) > 0, (
+                    f"the machine-sized pool never routed parallel on the "
+                    f"large workload with {cores} cores: {machine_modes}"
                 )
         else:
             entry["note"] = wl["note"]
         payload["workloads"][name] = entry
-        # The regression this knob fixes: on a single-core machine (or a
-        # round plan too small to amortize coordination) auto must not
-        # route to the process pool and must therefore not reproduce the
-        # recorded parallel slowdown (0.80x large / 0.35x small).
+        # On a single-core machine the machine-sized pool has one worker,
+        # so it must keep every round in process and therefore not
+        # reproduce the recorded parallel slowdown (0.80x large / 0.35x
+        # small) of a forced 2-worker pool.
         if cores < 2:
-            assert auto_modes.get("parallel", 0) == 0
-            assert times["auto"] <= times[2] * 1.10, (
-                f"auto ({times['auto']:.3f}s) should avoid the parallel "
+            assert machine_modes.get("parallel", 0) == 0
+            assert times[0] <= times[2] * 1.10, (
+                f"parallelism=0 ({times[0]:.3f}s) should avoid the parallel "
                 f"penalty ({times[2]:.3f}s) on a single-core machine"
             )
 

@@ -127,7 +127,6 @@ class WeightArena:
         *,
         dtype: np.dtype | type = np.float64,
         initial_capacity: int = 16,
-        shared: bool = False,
     ):
         dtype = np.dtype(dtype)
         if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
@@ -146,14 +145,7 @@ class WeightArena:
         # superseded buffer, so readers take fresh views instead of
         # keeping old ones.
         self.generation = 0
-        if shared:
-            self.uid = shm_registry.new_uid()
-            self._shm = shm_registry.create_segment(
-                initial_capacity * spec.total * dtype.itemsize
-            )
-            self._slab = self._segment_slab(self._shm, initial_capacity)
-        else:
-            self._slab = np.empty((initial_capacity, spec.total), dtype=dtype)
+        self._slab = np.empty((initial_capacity, spec.total), dtype=dtype)
 
     def _segment_slab(self, segment, capacity: int) -> np.ndarray:
         """Numpy view of ``capacity`` rows over a segment's buffer."""

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.dag import walk_engine
 from repro.dag.tangle import Tangle
+from repro.utils.validation import check_count
 
 __all__ = [
     "TipSelector",
@@ -71,12 +72,12 @@ _NORMALIZATIONS = {
 
 def check_walk_settings(normalization: str, depth_range: tuple[int, int]) -> None:
     """Raise ``ValueError`` unless ``normalization`` is a known one and
-    ``depth_range`` is ``(low, high)`` with ``0 <= low <= high``."""
+    ``depth_range`` is ``(low, high)`` with integers ``0 <= low <= high``."""
     if normalization not in _NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     low, high = depth_range
-    if low < 0 or high < low:
-        raise ValueError(f"invalid depth_range {depth_range}")
+    check_count("depth_range low", low, 0)
+    check_count("depth_range high", high, low)
 
 
 def accuracy_walk_weights(

@@ -166,7 +166,7 @@ def run_dag_with_metrics(
     clients_per_round: int,
     measure_every: int = 1,
     seed: int = 0,
-    parallelism: int | str | None = None,
+    parallelism: int | None = None,
 ) -> dict:
     """Run the DAG simulator, tracking specialization metrics over time.
 
@@ -175,7 +175,8 @@ def run_dag_with_metrics(
 
     ``parallelism`` (when given) overrides ``dag_config.parallelism`` —
     the round-execution substrate knob: 1 serial, n > 1 a pool of n
-    worker processes, 0 machine-sized, ``"auto"`` decided per round.
+    worker processes, 0 a machine-sized pool; the pool keeps a round
+    in-process when its payload cost model says shipping it cannot pay.
     Results are identical across settings for a fixed seed.
     """
     if parallelism is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.dag.tip_selection import check_walk_settings
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 __all__ = ["TrainingConfig", "DagConfig", "TABLE1_CONFIGS", "table1_config"]
 
@@ -31,15 +31,15 @@ class TrainingConfig:
     momentum: float = 0.0
 
     def __post_init__(self) -> None:
-        check_positive("local_epochs", self.local_epochs)
-        check_positive("batch_size", self.batch_size)
-        check_positive("learning_rate", self.learning_rate)
+        check_count("local_epochs", self.local_epochs, 1)
+        check_count("batch_size", self.batch_size, 1)
+        check_positive("learning_rate", self.learning_rate, finite=True)
         # SGD's rule, applied here so every training path rejects the
         # same values (the fused plane never builds an SGD).
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
         if self.local_batches is not None:
-            check_positive("local_batches", self.local_batches)
+            check_count("local_batches", self.local_batches, 1)
 
     def scaled(self, **overrides) -> "TrainingConfig":
         """A copy with some fields replaced (for scaled-down profiles)."""
@@ -102,17 +102,16 @@ class DagConfig:
       pair with ``num_tips > 2``).
     - ``parallelism`` selects the round-execution substrate
       (:mod:`repro.substrate`): ``1`` (default) runs each round's
-      per-client work serially, ``n > 1`` fans it out over ``n`` worker
-      processes, ``0`` sizes the pool to the cores this process may use
-      (:func:`repro.substrate.executor.available_cores`, affinity-mask
-      aware), and ``"auto"`` decides per round with a payload cost model
-      (:func:`repro.substrate.cost.estimate_payload`) over the round's
-      actual post-export payloads: serial whenever the machine has
-      fewer than two usable cores, the bytes that would cross the pipe
-      exceed the ipc budget, or the dense working set those payloads
-      stand for is too small to amortize the pool — a machine-sized
-      pool otherwise.  Results are bit-identical across all settings
-      for a fixed seed.
+      per-client work serially, ``n > 1`` on a pool of ``n`` worker
+      processes, ``0`` on a pool sized to the cores this process may
+      use (:func:`repro.substrate.executor.available_cores`,
+      affinity-mask aware).  The pool routes each round with a payload
+      cost model (:func:`repro.substrate.cost.estimate_payload`) over
+      the round's actual post-export payloads: in-process whenever the
+      pool has one worker, the round has too few units, the bytes that
+      would cross the pipe exceed the ipc budget, or the dense working
+      set those payloads stand for is too small to amortize the pool.
+      Results are bit-identical across all settings for a fixed seed.
     - ``walk_engine`` / ``training_plane`` are inert leftovers, ``True``
       only, kept until the frozen benchmark stops passing them (ISSUE 16).
     """
@@ -127,7 +126,7 @@ class DagConfig:
     personal_params: int = 0
     visibility_delay: int = 0
     aggregator: str = "mean"
-    parallelism: int | str = 1
+    parallelism: int = 1
     walk_engine: bool = True
     training_plane: bool = True
 
@@ -143,12 +142,10 @@ class DagConfig:
         check_positive("weighted_alpha", self.weighted_alpha, strict=False, finite=True)
         if self.selector not in ("accuracy", "random", "weighted"):
             raise ValueError(f"unknown selector {self.selector!r}")
-        check_positive("num_tips", self.num_tips)
+        check_count("num_tips", self.num_tips, 1)
         check_walk_settings(self.normalization, self.depth_range)
-        if self.personal_params < 0:
-            raise ValueError("personal_params must be >= 0")
-        if self.visibility_delay < 0:
-            raise ValueError("visibility_delay must be >= 0")
+        check_count("personal_params", self.personal_params, 0)
+        check_count("visibility_delay", self.visibility_delay, 0)
         from repro.fl.aggregation import AGGREGATORS
         from repro.substrate.executor import check_parallelism
 

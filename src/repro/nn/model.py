@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn.losses import softmax_cross_entropy, softmax_probabilities
 from repro.nn.module import Sequential
 from repro.nn.optimizers import SGD
-from repro.nn.serialization import FlatSpec, Weights, clone_weights
+from repro.nn.serialization import FlatSpec, Weights
 
 __all__ = ["Classifier", "plan_local_batches"]
 
@@ -298,7 +298,3 @@ class Classifier:
         )
         losses = [self.train_batch(x[idx], y[idx], optimizer) for idx in batches]
         return float(np.mean(losses))
-
-    def clone_initial_weights(self) -> Weights:
-        """Alias of :meth:`get_weights` kept for API clarity at call sites."""
-        return clone_weights(self.get_weights())

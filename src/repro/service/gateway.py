@@ -45,7 +45,7 @@ from repro.fl.aggregation import mean_flat
 from repro.service.coalescer import TipCoalescer, TipsOutcome
 from repro.service.degradation import DegradationLadder
 from repro.service.resilience import AdmissionGate, CircuitBreaker, Deadline
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 __all__ = ["GatewayConfig", "ServiceResponse", "TangleGateway"]
 
@@ -79,6 +79,10 @@ class GatewayConfig:
         check_positive("deadline_budget", self.deadline_budget, finite=True)
         check_positive("alpha", self.alpha, strict=False, finite=True)
         check_walk_settings(self.normalization, self.depth_range)
+        check_count("admission_capacity", self.admission_capacity, 1)
+        check_count("max_pending", self.max_pending, 1)
+        check_count("max_batch", self.max_batch, 1)
+        check_count("breaker_failure_threshold", self.breaker_failure_threshold, 1)
 
 
 @dataclass

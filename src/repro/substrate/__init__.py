@@ -10,14 +10,14 @@ results for a fixed seed.
 
 - :mod:`repro.substrate.executor` — :class:`Executor` strategies
   (:class:`SerialExecutor`, :class:`ParallelExecutor`,
-  :class:`AutoExecutor`, :func:`make_executor`); selected through the
-  ``parallelism`` setting of :class:`repro.fl.config.DagConfig`
-  (validated by :func:`check_parallelism`).  A coordinator asks an
-  executor one question, ``runs_in_process(items)``, and its ``map``
-  routes by the same answer: always yes for the serial executor, yes
-  for a batch of at most one on a pool, and for ``"auto"`` the answer
-  of a payload cost model against the module constants ``MIN_UNITS``,
-  ``IPC_BUDGET`` and ``MIN_WORK_BYTES``.
+  :func:`make_executor`); selected through the ``parallelism`` setting
+  of :class:`repro.fl.config.DagConfig` (validated by
+  :func:`check_parallelism`).  A coordinator asks an executor one
+  question, ``runs_in_process(items)``, and its ``map`` routes by the
+  same answer: always yes for the serial executor; on the pool, yes
+  for a one-worker pool and otherwise the answer of a payload cost
+  model against the module constants ``MIN_UNITS``, ``IPC_BUDGET`` and
+  ``MIN_WORK_BYTES``.
 - :mod:`repro.substrate.round_plan` — picklable work units, the shared
   :class:`RoundContext`, and the state-delta machinery that folds
   worker results back into coordinator clients.
@@ -37,7 +37,6 @@ round through this substrate.
 
 from repro.substrate.cost import estimate_payload
 from repro.substrate.executor import (
-    AutoExecutor,
     Executor,
     ParallelExecutor,
     SerialExecutor,
@@ -64,7 +63,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "AutoExecutor",
     "available_cores",
     "check_parallelism",
     "estimate_payload",

@@ -3,12 +3,12 @@
 The simulators describe *what* each active client does in a round
 (:mod:`repro.substrate.round_plan`); an executor decides *how* those
 descriptions are evaluated — in-process one after another
-(:class:`SerialExecutor`) or fanned out over worker processes
-(:class:`ParallelExecutor`, and :class:`AutoExecutor`, which routes each
-batch by a payload cost model).  Both produce the same results for the
-same inputs: work units are pure functions of a frozen tangle view plus
-per-client state, and every random draw comes from a stream keyed by
-``(round, client)``, so evaluation order cannot leak into the outcome.
+(:class:`SerialExecutor`) or over a process pool that routes each batch
+by a payload cost model (:class:`ParallelExecutor`).  Both produce the
+same results for the same inputs: work units are pure functions of a
+frozen tangle view plus per-client state, and every random draw comes
+from a stream keyed by ``(round, client)``, so evaluation order cannot
+leak into the outcome.
 
 The caller asks an executor one question, :meth:`Executor.runs_in_process`
 — will mapping these items stay in this process? — and ``map`` routes by
@@ -23,10 +23,10 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from numbers import Integral
 from typing import Callable, Protocol, Sequence, TypeVar
 
 from repro.substrate.cost import estimate_payload
+from repro.utils.validation import check_count
 
 _LOG = logging.getLogger(__name__)
 
@@ -34,13 +34,12 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "AutoExecutor",
     "available_cores",
     "check_parallelism",
     "make_executor",
 ]
 
-#: :class:`AutoExecutor` runs batches smaller than this in-process.
+#: :class:`ParallelExecutor` runs batches smaller than this in-process.
 MIN_UNITS = 4
 #: ... and batches whose pickled payload would exceed this many bytes.
 IPC_BUDGET = 8 << 20
@@ -56,22 +55,10 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def check_parallelism(parallelism: int | str) -> None:
-    """Reject a ``parallelism`` setting that is not an int >= 0 or ``"auto"``.
-
-    ``bool`` is an ``int`` subclass, so ``True`` would silently mean a
-    serial run; it is rejected with floats and every other non-integer.
-    """
-    if parallelism == "auto":
-        return
-    if isinstance(parallelism, bool) or not isinstance(parallelism, Integral):
-        raise ValueError(
-            f"parallelism must be an int >= 0 or 'auto', got {parallelism!r}"
-        )
-    if parallelism < 0:
-        raise ValueError(
-            f"parallelism must be >= 0 (0 = machine-sized), got {parallelism}"
-        )
+def check_parallelism(parallelism: int) -> None:
+    """Reject a ``parallelism`` setting that is not an int >= 0
+    (``0`` = machine-sized; a ``bool``, a float or a string fails)."""
+    check_count("parallelism", parallelism, 0)
 
 
 T = TypeVar("T")
@@ -124,7 +111,7 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Evaluate work units concurrently in a process pool.
+    """Evaluate work units in a process pool when it measurably pays.
 
     Uses :class:`concurrent.futures.ProcessPoolExecutor` with the
     ``fork`` start method where available (cheap workers sharing the
@@ -145,10 +132,30 @@ class ParallelExecutor:
     returns at most one model vector.
 
     :meth:`map` is the one place that routes: items for which
-    :meth:`runs_in_process` answers yes (here, a batch of at most one —
-    pool overhead buys nothing) run in the calling process, the rest go
-    to the pool.  ``mode_counts`` / ``last_mode`` record every decision
-    as ``"serial"``, ``"parallel"`` or ``"fallback"``.
+    :meth:`runs_in_process` answers yes run in the calling process, the
+    rest go to the pool.  The pool only pays off when the bytes work
+    out: what crosses the process boundary must be small relative to
+    the work the units represent.  So :meth:`runs_in_process` runs the
+    :func:`repro.substrate.cost.estimate_payload` cost model over the
+    actual payloads, producing ``(ipc, dense)`` — bytes that would
+    pickle vs. the dense working set the units touch — and answers yes
+    when
+
+    - the pool has one worker (on a single-core machine time-slicing
+      makes a parallel win physically impossible), or
+    - the batch has fewer than :data:`MIN_UNITS` items (too few to
+      amortize pool coordination), or
+    - ``ipc`` exceeds :data:`IPC_BUDGET` (shipping the payload would
+      cost more than the pool saves; an *unshared* tangle or dataset
+      lands here, which is why coordinators export to shared memory
+      before routing), or
+    - ``dense`` is below :data:`MIN_WORK_BYTES` (the working set is too
+      small for per-unit compute to amortize coordination).
+
+    Because work units draw from keyed rng streams, the route cannot
+    affect results, only wall-clock.  ``last_estimate`` keeps the most
+    recent ``(ipc, dense)`` pair; ``mode_counts`` / ``last_mode`` record
+    every decision as ``"serial"``, ``"parallel"`` or ``"fallback"``.
 
     **Worker-crash resilience.**  A worker dying mid-round (OOM killer,
     segfault, ``os._exit``) breaks the whole pool —
@@ -167,10 +174,14 @@ class ParallelExecutor:
         self._pool: ProcessPoolExecutor | None = None
         self.mode_counts = {"serial": 0, "parallel": 0, "fallback": 0}
         self.last_mode: str | None = None
+        self.last_estimate: tuple[int, int] | None = None
         self.shutdown_errors = 0
 
     def runs_in_process(self, items: Sequence) -> bool:
-        return len(items) <= 1
+        if self.parallelism == 1 or len(items) < MIN_UNITS:
+            return True
+        ipc, dense = self.last_estimate = estimate_payload(items)
+        return ipc > IPC_BUDGET or dense < MIN_WORK_BYTES
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -246,62 +257,15 @@ class ParallelExecutor:
             self._note_swallowed_shutdown("__del__", exc)
 
 
-class AutoExecutor(ParallelExecutor):
-    """A pool that keeps each batch in-process unless it measurably pays.
-
-    The process pool only pays off when (a) the machine has at least two
-    usable cores — on a single-core box time-slicing makes a parallel
-    win physically impossible — (b) the batch has enough units to
-    amortize pool coordination, and (c) the *bytes* work out: what
-    crosses the process boundary must be small relative to the work the
-    units represent.  :meth:`runs_in_process` runs the
-    :func:`repro.substrate.cost.estimate_payload` cost model over the
-    actual payloads, producing ``(ipc, dense)`` — bytes that would
-    pickle vs. the dense working set the units touch — and answers yes
-    when
-
-    - the pool has one worker (a single-core machine), or
-    - the batch has fewer than :data:`MIN_UNITS` items, or
-    - ``ipc`` exceeds :data:`IPC_BUDGET` (shipping the payload would
-      cost more than the pool saves; an *unshared* tangle or dataset
-      lands here, which is why coordinators export to shared memory
-      before routing), or
-    - ``dense`` is below :data:`MIN_WORK_BYTES` (the working set is too
-      small for per-unit compute to amortize coordination).
-
-    Everything else — the pool, routing, mode counts, the crash
-    fallback — is :class:`ParallelExecutor`'s.  Because work units draw
-    from keyed rng streams, the route cannot affect results, only
-    wall-clock.  ``last_estimate`` keeps the most recent ``(ipc, dense)``
-    pair.
-
-    Passing ``workers`` explicitly overrides the machine sizing,
-    *including* the single-core guard: ``AutoExecutor(workers=2)`` will
-    route large batches to a 2-worker pool even on a one-core machine.
-    """
-
-    last_estimate: tuple[int, int] | None = None
-
-    def runs_in_process(self, items: Sequence) -> bool:
-        if self.parallelism == 1 or len(items) < MIN_UNITS:
-            return True
-        ipc, dense = self.last_estimate = estimate_payload(items)
-        return ipc > IPC_BUDGET or dense < MIN_WORK_BYTES
-
-
-def make_executor(parallelism: int | str) -> Executor:
+def make_executor(parallelism: int) -> Executor:
     """Executor for a ``parallelism`` setting (see :func:`check_parallelism`).
 
     ``1`` (the default everywhere) is the serial reference path, ``n > 1``
-    a process pool with ``n`` workers, ``0`` a process pool sized to
-    the cores this process may use (:func:`available_cores`), and
-    ``"auto"`` an :class:`AutoExecutor` of that size that keeps batches
-    in-process on single-core machines and for rounds too small to
-    amortize pool coordination.
+    a routed process pool with ``n`` workers, and ``0`` one sized to the
+    cores this process may use (:func:`available_cores`) — which on a
+    single-core machine keeps every batch in-process.
     """
     check_parallelism(parallelism)
-    if parallelism == "auto":
-        return AutoExecutor()
     if parallelism == 1:
         return SerialExecutor()
     return ParallelExecutor(workers=parallelism or None)

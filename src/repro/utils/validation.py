@@ -3,8 +3,23 @@
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
-__all__ = ["check_positive", "check_probability"]
+__all__ = ["check_count", "check_positive", "check_probability"]
+
+
+def check_count(name: str, value: int, minimum: int) -> int:
+    """Validate that ``value`` is an integer ``>= minimum``.
+
+    ``bool`` is an ``int`` subclass, so ``True`` would silently count as
+    one; it is rejected with floats and every other non-integer.  Numpy
+    integers pass.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
 
 
 def check_positive(

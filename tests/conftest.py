@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import sys
 import threading
 from pathlib import Path
 
@@ -106,6 +107,19 @@ def sequential_walks(monkeypatch):
     the walker every legacy digest was recorded with."""
     for selector in (AccuracyTipSelector, WeightedTipSelector):
         monkeypatch.setattr(selector, "select_tips", sequential_select_tips)
+
+
+@pytest.fixture
+def pool_route(monkeypatch):
+    """Pool executors ship every batch of two or more items to their
+    workers: the routing thresholds are opened all the way, so a test on
+    a tiny payload still runs the pool route instead of silently turning
+    serial.  Pair it with an assertion on ``mode_counts["parallel"]``."""
+    from repro.substrate import executor
+
+    monkeypatch.setattr(executor, "MIN_UNITS", 2)
+    monkeypatch.setattr(executor, "MIN_WORK_BYTES", 0)
+    monkeypatch.setattr(executor, "IPC_BUDGET", sys.maxsize)
 
 
 @pytest.fixture

@@ -49,7 +49,7 @@ def test_to_shared_is_idempotent_and_bit_exact(spec, rng):
 
 
 def test_close_unlinks_and_reverts_to_heap(spec, rng):
-    arena = WeightArena(spec, shared=True)
+    arena = WeightArena(spec).to_shared()
     flat = spec.flatten(weight_list(rng))
     arena.intern(flat)
     name = arena.segment_name
@@ -67,7 +67,7 @@ def test_close_unlinks_and_reverts_to_heap(spec, rng):
 
 
 def test_shared_growth_republishes_segment(spec, rng):
-    with WeightArena(spec, initial_capacity=2, shared=True) as arena:
+    with WeightArena(spec, initial_capacity=2).to_shared() as arena:
         first_name = arena.segment_name
         uid = arena.uid
         flats = [spec.flatten(weight_list(rng)) for _ in range(5)]
@@ -85,7 +85,7 @@ def test_shared_growth_republishes_segment(spec, rng):
 # ------------------------------------------------------------- pickling
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_shared_pickle_is_attach_by_name_handle(spec, rng, dtype):
-    with WeightArena(spec, dtype=dtype, shared=True) as arena:
+    with WeightArena(spec, dtype=dtype).to_shared() as arena:
         flats = [spec.flatten(weight_list(rng)) for _ in range(3)]
         for f in flats:
             arena.intern(f)
@@ -113,7 +113,7 @@ def test_heap_pickle_form_unchanged_by_shm_plane(spec, rng):
 
 
 def test_stale_generation_reattaches_after_growth(spec, rng):
-    with WeightArena(spec, initial_capacity=2, shared=True) as arena:
+    with WeightArena(spec, initial_capacity=2).to_shared() as arena:
         flats = [spec.flatten(weight_list(rng)) for _ in range(2)]
         for f in flats:
             arena.intern(f)
@@ -158,7 +158,7 @@ def fork_pool():
 
 
 def test_rows_visible_across_processes_after_intern(spec, rng, fork_pool):
-    with WeightArena(spec, initial_capacity=8, shared=True) as arena:
+    with WeightArena(spec, initial_capacity=8).to_shared() as arena:
         flats = [spec.flatten(weight_list(rng)) for _ in range(2)]
         for f in flats:
             arena.intern(f)
@@ -192,7 +192,7 @@ def test_shared_tangle_ships_handle_to_workers(rng, fork_pool):
 
 
 def test_attachments_never_unlink_owner_segments(spec, rng):
-    with WeightArena(spec, shared=True) as arena:
+    with WeightArena(spec).to_shared() as arena:
         arena.intern(spec.flatten(weight_list(rng)))
         attached = pickle.loads(pickle.dumps(arena))
         attached.close()  # attached side: must be a no-op
@@ -201,7 +201,7 @@ def test_attachments_never_unlink_owner_segments(spec, rng):
 
 
 def test_registry_release_all_reaps_owned_segments(spec, rng):
-    arena = WeightArena(spec, shared=True)  # deliberately never closed
+    arena = WeightArena(spec).to_shared()  # deliberately never closed
     name = arena.segment_name
     assert name in shm_registry.owned_segment_names()
     shm_registry.release_all()  # the atexit safety net

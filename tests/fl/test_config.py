@@ -1,5 +1,6 @@
 """Training and DAG configuration."""
 
+import numpy as np
 import pytest
 
 from repro.fl.config import DagConfig, TABLE1_CONFIGS, TrainingConfig, table1_config
@@ -36,6 +37,8 @@ def test_training_config_validation():
         TrainingConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainingConfig(learning_rate=0.0)
+    with pytest.raises(ValueError, match="^learning_rate must be finite"):
+        TrainingConfig(learning_rate=float("inf"))
     with pytest.raises(ValueError):
         TrainingConfig(local_batches=0)
 
@@ -79,8 +82,9 @@ def test_dag_config_validation():
 
 
 def test_dag_config_walk_engine_and_auto_parallelism():
-    cfg = DagConfig(parallelism="auto")
-    assert cfg.parallelism == "auto"
+    # Every pool routes itself: "auto" is no setting.
+    with pytest.raises(ValueError, match="parallelism"):
+        DagConfig(parallelism="auto")
     # The two retired knobs are inert: True only, and True by default, so
     # passing them (as the frozen e2e benchmark does) changes nothing.
     assert DagConfig(walk_engine=True, training_plane=True) == DagConfig()
@@ -116,3 +120,68 @@ def test_walk_alphas_must_be_finite_and_non_negative(config, field, value):
 def test_zero_walk_alphas_are_uniform_walks_and_allowed():
     assert DagConfig(alpha=0.0, weighted_alpha=0.0).alpha == 0.0
     assert GatewayConfig(alpha=0.0).alpha == 0.0
+
+
+# A count that is not an integer must fail when the config is built:
+# otherwise a float epoch or tip count raises TypeError only inside the
+# first round, a fractional visibility delay or walk depth runs without
+# error, and a fractional gateway batch kills the coalescer worker on
+# every respawn.
+BAD_COUNT = [1.5, 2.0, True]
+
+
+@pytest.mark.parametrize("value", BAD_COUNT)
+@pytest.mark.parametrize("field", ["local_epochs", "batch_size", "local_batches"])
+def test_training_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainingConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        *[(field, value, field) for field in ("num_tips", "personal_params")
+          for value in BAD_COUNT],
+        *[("visibility_delay", value, "visibility_delay") for value in (0.5, 1.0, True)],
+        ("depth_range", (2.5, 4), "depth_range low"),
+        ("depth_range", (2, 4.0), "depth_range high"),
+        ("depth_range", (-1, 4), "depth_range low"),
+    ],
+)
+def test_dag_config_rejects_non_integer_counts(field, value, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        DagConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        *[
+            (field, value, field)
+            for field in (
+                "admission_capacity",
+                "max_pending",
+                "max_batch",
+                "breaker_failure_threshold",
+            )
+            for value in (*BAD_COUNT, 0)
+        ],
+        ("depth_range", (2.5, 4), "depth_range low"),
+    ],
+)
+def test_gateway_config_rejects_non_integer_counts(field, value, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        GatewayConfig(**{field: value})
+
+
+def test_numpy_integer_counts_are_accepted():
+    n = np.int64
+    assert TrainingConfig(local_epochs=n(2), batch_size=n(8), local_batches=n(3))
+    assert DagConfig(
+        num_tips=n(3),
+        depth_range=(n(2), n(5)),
+        personal_params=n(2),
+        visibility_delay=n(1),
+        parallelism=n(1),
+    )
+    assert GatewayConfig(max_batch=n(4), depth_range=(n(1), n(3)))

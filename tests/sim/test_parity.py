@@ -129,7 +129,11 @@ def zero_propagation_digest(dataset, builder, train_config):
     return digest(trace, tangle_ids(engine.tangle))
 
 
-def rounds_digest(dataset, builder, train_config, dag_config, sim_config=SimConfig()):
+def rounds_digest(
+    dataset, builder, train_config, dag_config, sim_config=SimConfig(), modes=None
+):
+    """Digest of four rounds; ``modes``, when given, receives the pool
+    executor's ``mode_counts``."""
     engine = EventDrivenTangleLearning(
         dataset, builder, train_config, dag_config, sim_config=sim_config, seed=7
     )
@@ -137,6 +141,8 @@ def rounds_digest(dataset, builder, train_config, dag_config, sim_config=SimConf
         records = engine.run_rounds(4, clients_per_round=5)
     finally:
         engine.close()
+    if modes is not None:
+        modes.update(engine.executor.mode_counts)
     assert engine.round_history == records
     return digest([record_key(r) for r in records], tangle_ids(engine.tangle))
 
@@ -196,12 +202,22 @@ def test_round_mode_matches_round_simulator(
 ):
     if scenario != "weighted-engine":  # that one was recorded on the engine
         request.getfixturevalue("sequential_walks")
+    modes = None
+    if scenario == "accuracy":  # tiny payloads: force the pool route
+        request.getfixturevalue("pool_route")
+        modes = {}
     assert (
         rounds_digest(
-            sim_dataset, logistic_builder, sim_train_config, ROUND_SCENARIOS[scenario]
+            sim_dataset,
+            logistic_builder,
+            sim_train_config,
+            ROUND_SCENARIOS[scenario],
+            modes=modes,
         )
         == LEGACY_DIGESTS[scenario]
     )
+    if modes is not None:
+        assert modes["parallel"] == 4
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))

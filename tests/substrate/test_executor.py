@@ -3,7 +3,6 @@
 import pytest
 
 from repro.substrate import (
-    AutoExecutor,
     ParallelExecutor,
     SerialExecutor,
     available_cores,
@@ -36,25 +35,28 @@ def test_make_executor_selects_strategy():
         make_executor(-1)
 
 
-def test_parallel_map_matches_serial():
+def test_parallel_map_matches_serial(pool_route):
     with ParallelExecutor(workers=2) as ex:
         assert ex.map(square, list(range(10))) == [square(x) for x in range(10)]
-        # empty and singleton fast paths
+        assert ex.mode_counts["parallel"] == 1
+        # empty and singleton batches
         assert ex.map(square, []) == []
         assert ex.map(square, [5]) == [25]
 
 
-def test_parallel_pool_survives_close_and_reuse():
+def test_parallel_pool_survives_close_and_reuse(pool_route):
     ex = ParallelExecutor(workers=2)
     assert ex.map(square, [1, 2]) == [1, 4]
     ex.close()
     assert ex.map(square, [3, 4]) == [9, 16]
+    assert ex.mode_counts["parallel"] == 2
     ex.close()
 
 
 def test_parallel_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        ParallelExecutor(workers=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            ParallelExecutor(workers=workers)
 
 
 @pytest.mark.parametrize("parallelism", [2.5, 1.0, True, False, "2", None, -1])
@@ -69,15 +71,14 @@ def test_make_executor_rejects_non_integer_parallelism(parallelism):
 
 @pytest.mark.parametrize("mask", [{0}, {0, 1, 2}])
 def test_machine_sized_settings_follow_the_affinity_mask(monkeypatch, mask):
-    # parallelism=0 and "auto" both size from the cores this process
-    # may run on, not from the host's CPU count.
+    # parallelism=0 sizes the pool from the cores this process may run
+    # on, not from the host's CPU count; a one-core mask keeps even a
+    # batch the cost model would ship in process.
     monkeypatch.setattr(executor.os, "sched_getaffinity", lambda pid: mask, raising=False)
     monkeypatch.setattr(executor.os, "cpu_count", lambda: 64)
     assert available_cores() == len(mask)
-    for parallelism in (0, "auto"):
-        with make_executor(parallelism) as ex:
-            assert ex.parallelism == len(mask)
-    with AutoExecutor() as ex:
+    with make_executor(0) as ex:
+        assert ex.parallelism == len(mask)
         big = [FakePayload(10, MIN_WORK_BYTES) for _ in range(MIN_UNITS)]
         assert ex.runs_in_process(big) == (len(mask) == 1)
 
@@ -85,29 +86,33 @@ def test_machine_sized_settings_follow_the_affinity_mask(monkeypatch, mask):
 def test_parallel_runs_single_items_in_process():
     with ParallelExecutor(workers=2) as ex:
         assert ex.runs_in_process([]) and ex.runs_in_process([5])
-        assert not ex.runs_in_process([1, 2])
+        # a pair is below MIN_UNITS; a full batch of cheap items has
+        # too little dense work to pay for the pool
+        assert ex.runs_in_process([1, 2])
+        assert ex.runs_in_process([FakePayload(10, 10) for _ in range(MIN_UNITS)])
         assert ex.map(square, [5]) == [25]
         assert ex.last_mode == "serial"
         assert ex.mode_counts == {"serial": 1, "parallel": 0, "fallback": 0}
-        assert ex._pool is None  # never built for a single item
+        assert ex._pool is None  # never built for an in-process batch
 
 
 @pytest.mark.parametrize("knob", ["min_units", "ipc_budget", "min_work_bytes", "chunksize"])
-@pytest.mark.parametrize("cls", [ParallelExecutor, AutoExecutor])
+@pytest.mark.parametrize("cls", [ParallelExecutor])
 def test_executor_constructors_take_only_workers(cls, knob):
     # The routing thresholds are module constants, not per-executor knobs.
     with pytest.raises(TypeError):
         cls(workers=2, **{knob: 1})
 
 
-# ------------------------------------------------------------------ auto
+# ------------------------------------------------------------- routing
 def test_make_executor_auto_and_rejects_unknown_strings():
-    auto = make_executor("auto")
-    assert isinstance(auto, AutoExecutor)
-    assert auto.parallelism >= 1
-    auto.close()
-    with pytest.raises(ValueError):
-        make_executor("turbo")
+    # Only integers select an executor: every pool routes itself, so
+    # there is no "auto" setting left to ask for.
+    for setting in ("auto", "turbo"):
+        with pytest.raises(ValueError, match="parallelism"):
+            check_parallelism(setting)
+        with pytest.raises(ValueError, match="parallelism"):
+            make_executor(setting)
 
 
 @pytest.fixture
@@ -117,7 +122,7 @@ def count_routing(monkeypatch):
 
 
 def test_auto_small_batches_route_serial(count_routing):
-    with AutoExecutor(workers=2) as ex:
+    with ParallelExecutor(workers=2) as ex:
         assert ex.runs_in_process([1, 2, 3])
         assert not ex.runs_in_process([1, 2, 3, 4])
         assert ex.map(square, [1, 2, 3]) == [1, 4, 9]
@@ -130,7 +135,7 @@ def test_auto_small_batches_route_serial(count_routing):
 def test_auto_large_batches_route_parallel_when_multicore(count_routing):
     # Bare ints carry no dense work, so the byte thresholds are zeroed
     # to expose the count-based leg of the routing on its own.
-    with AutoExecutor(workers=2) as ex:
+    with ParallelExecutor(workers=2) as ex:
         result = ex.map(square, list(range(8)))
         assert result == [square(x) for x in range(8)]
         assert ex.last_mode == "parallel"
@@ -140,7 +145,7 @@ def test_auto_large_batches_route_parallel_when_multicore(count_routing):
 
 def test_auto_single_core_always_serial(monkeypatch):
     monkeypatch.setattr(executor, "MIN_UNITS", 1)
-    ex = AutoExecutor(workers=1)
+    ex = ParallelExecutor(workers=1)
     assert ex.runs_in_process(list(range(10)))  # parallel routing impossible
     assert ex.map(square, list(range(10))) == [square(x) for x in range(10)]
     assert ex.mode_counts == {"serial": 1, "parallel": 0, "fallback": 0}
@@ -148,18 +153,11 @@ def test_auto_single_core_always_serial(monkeypatch):
 
 
 def test_auto_defaults_track_machine_size():
-    ex = AutoExecutor()
-    cores = available_cores()
-    assert ex.parallelism == (cores if cores >= 2 else 1)
+    ex = ParallelExecutor()
+    assert ex.parallelism == available_cores()
     big = [FakePayload(10, MIN_WORK_BYTES) for _ in range(MIN_UNITS)]
     assert ex.runs_in_process(big) == (ex.parallelism == 1)
     ex.close()
-
-
-def test_auto_rejects_bad_worker_count():
-    for workers in (0, -3):
-        with pytest.raises(ValueError):
-            AutoExecutor(workers=workers)
 
 
 # ------------------------------------------------- cost-model routing
@@ -178,7 +176,7 @@ def identity(x):
     return x
 
 
-# The pinned decision table for AutoExecutor(workers=2) over MIN_UNITS
+# The pinned decision table for ParallelExecutor(workers=2) over MIN_UNITS
 # synthetic items, scaled to the module's IPC_BUDGET / MIN_WORK_BYTES:
 # (per-item ipc, per-item dense) -> expected route.
 ROUTING_TABLE = [
@@ -197,7 +195,7 @@ ROUTING_TABLE = [
 @pytest.mark.parametrize("footprint,expected", ROUTING_TABLE)
 def test_auto_routing_decision_table(footprint, expected):
     items = [FakePayload(*footprint) for _ in range(MIN_UNITS)]
-    ex = AutoExecutor(workers=2)
+    ex = ParallelExecutor(workers=2)
     try:
         # the query is the routing map itself performs
         assert ex.runs_in_process(items) == (expected == "serial")
@@ -222,7 +220,7 @@ def _boom(x):
 _boom.main_pid = None
 
 
-def test_parallel_broken_pool_degrades_to_serial_and_recovers():
+def test_parallel_broken_pool_degrades_to_serial_and_recovers(pool_route):
     import os
 
     _boom.main_pid = os.getpid()
@@ -238,12 +236,11 @@ def test_parallel_broken_pool_degrades_to_serial_and_recovers():
         assert ex.last_mode == "parallel"
 
 
-def test_auto_records_fallback_rounds(count_routing, monkeypatch):
+def test_auto_records_fallback_rounds(pool_route):
     import os
 
-    monkeypatch.setattr(executor, "MIN_UNITS", 2)
     _boom.main_pid = os.getpid()
-    with AutoExecutor(workers=2) as ex:
+    with ParallelExecutor(workers=2) as ex:
         assert ex.map(_boom, [1, 2, 3, 4]) == [1, 4, 9, 16]
         assert ex.mode_counts == {"serial": 0, "parallel": 0, "fallback": 1}
         assert ex.last_mode == "fallback"

@@ -76,7 +76,7 @@ def assert_tangles_identical(t1, t2):
     ],
 )
 def test_serial_and_parallel_rounds_identical(
-    tiny_fmnist, mlp_builder, fast_train_config, dag_overrides
+    tiny_fmnist, mlp_builder, fast_train_config, dag_overrides, pool_route
 ):
     serial = make_sim(
         tiny_fmnist, mlp_builder, fast_train_config, parallelism=1, **dag_overrides
@@ -91,6 +91,7 @@ def test_serial_and_parallel_rounds_identical(
         parallel.close()
         serial.close()
 
+    assert parallel.executor.mode_counts["parallel"] == 3
     assert_records_identical(serial.history, parallel.history)
     assert_tangles_identical(serial.tangle, parallel.tangle)
     # client-side state carried across rounds must have converged too
@@ -129,51 +130,28 @@ def test_explicit_executor_override(tiny_fmnist, mlp_builder, fast_train_config)
     assert sim.executor is executor
 
 
-def test_auto_executor_rounds_identical_to_serial(
-    tiny_fmnist, mlp_builder, fast_train_config, monkeypatch
+def test_routed_pool_rounds_identical_to_serial(
+    tiny_fmnist, mlp_builder, fast_train_config
 ):
-    """AutoExecutor-driven rounds — both routings — match the serial
-    reference bit for bit.  MIN_UNITS=1 / MIN_WORK_BYTES=0 force the
-    parallel route even for this small plan (and exercise the
-    execute_round runs_in_process query); the plain "auto" config on
-    this plan routes serial."""
-    from repro.fl.dag_learning import TangleLearning
-    from repro.substrate import AutoExecutor, executor
-
+    """With the default routing thresholds a 2-worker pool keeps this
+    small plan in process (the execute_round runs_in_process query),
+    and those rounds match the serial reference bit for bit too; the
+    pool route itself is test_serial_and_parallel_rounds_identical's."""
     serial = make_sim(tiny_fmnist, mlp_builder, fast_train_config)
-    forced_parallel = TangleLearning(
-        tiny_fmnist,
-        mlp_builder,
-        fast_train_config,
-        DagConfig(alpha=10.0, depth_range=(2, 5)),
-        clients_per_round=4,
-        seed=0,
-        executor=AutoExecutor(workers=2),
-    )
-    auto_serial = make_sim(
-        tiny_fmnist, mlp_builder, fast_train_config, parallelism="auto"
-    )
+    routed = make_sim(tiny_fmnist, mlp_builder, fast_train_config, parallelism=2)
     try:
         serial.run(3)
-        with monkeypatch.context() as forced:
-            forced.setattr(executor, "MIN_UNITS", 1)
-            forced.setattr(executor, "MIN_WORK_BYTES", 0)
-            forced_parallel.run(3)
-        auto_serial.run(3)
+        routed.run(3)
     finally:
         serial.close()
-        forced_parallel.close()
-        auto_serial.close()
-    assert forced_parallel.executor.mode_counts["parallel"] == 3
-    assert auto_serial.executor.mode_counts["parallel"] == 0
-    assert_records_identical(serial.history, forced_parallel.history)
-    assert_records_identical(serial.history, auto_serial.history)
-    assert_tangles_identical(serial.tangle, forced_parallel.tangle)
-    assert_tangles_identical(serial.tangle, auto_serial.tangle)
+        routed.close()
+    assert routed.executor.mode_counts == {"serial": 3, "parallel": 0, "fallback": 0}
+    assert_records_identical(serial.history, routed.history)
+    assert_tangles_identical(serial.tangle, routed.tangle)
 
 
 def test_worker_crash_mid_round_degrades_to_serial_bit_identical(
-    tiny_fmnist, mlp_builder, fast_train_config
+    tiny_fmnist, mlp_builder, fast_train_config, pool_route
 ):
     """Killing a pool worker mid-run must not change a single bit.
 
@@ -205,6 +183,7 @@ def test_worker_crash_mid_round_degrades_to_serial_bit_identical(
         crashed.close()
         serial.close()
     assert crashed.executor.mode_counts["fallback"] >= 1
+    assert crashed.executor.mode_counts["parallel"] >= 1
     assert_records_identical(serial.history, crashed.history)
     assert_tangles_identical(serial.tangle, crashed.tangle)
     for client_id in serial.clients:

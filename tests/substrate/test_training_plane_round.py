@@ -25,6 +25,10 @@ from repro.nn.model import Classifier
 from repro.nn.module import Sequential
 from repro.substrate import SerialExecutor
 
+# Every pool here runs tiny payloads that the cost model would keep in
+# process; open its thresholds so the pool route is the one under test.
+pytestmark = pytest.mark.usefixtures("pool_route")
+
 
 def make_sim(dataset, builder, train_config, **dag_overrides):
     dag_overrides.setdefault("alpha", 10.0)
@@ -65,7 +69,7 @@ def mapped_functions(executor):
     return seen
 
 
-def run_both(plane, pool, rounds, *, pool_route="execute_unit"):
+def run_both(plane, pool, rounds, *, pool_route="execute_unit", pooled=True):
     plane_route = mapped_functions(plane.executor)
     pooled_route = mapped_functions(pool.executor)
     try:
@@ -76,6 +80,7 @@ def run_both(plane, pool, rounds, *, pool_route="execute_unit"):
         pool.close()
     assert plane_route == ["execute_prep_unit"] * rounds
     assert pooled_route == [pool_route] * rounds
+    assert (pool.executor.mode_counts["parallel"] == rounds) == pooled
     assert_histories_identical(plane, pool)
 
 
@@ -161,6 +166,7 @@ def test_training_plane_rounds_identical_to_per_client_loop(
         *make_pair(tiny_fmnist, mlp_builder, fast_train_config, **dag_overrides),
         3,
         pool_route="execute_prep_unit" if single else "execute_unit",
+        pooled=not single,
     )
 
 
@@ -212,6 +218,7 @@ def test_training_plane_parallel_identical_to_serial(
         finally:
             sim.close()
     assert routes == [["execute_prep_unit"], ["execute_unit"]]
+    assert executor.mode_counts["parallel"] == 1
     # sim.run's own rounds are in-process too; the pool never enters.
     assert set(plane_rounds) == {"SerialExecutor"}
     for serial, pooled in zip(*results):

@@ -133,7 +133,7 @@ def test_units_in_the_coordinator_ship_no_state(round_payloads):
     assert result.state is None
 
 
-def test_broken_pool_rerun_ships_no_state(round_payloads):
+def test_broken_pool_rerun_ships_no_state(round_payloads, pool_route):
     with ParallelExecutor(workers=2) as ex:
         doomed = ex._ensure_pool().submit(os._exit, 1)
         with contextlib.suppress(Exception):
@@ -143,7 +143,7 @@ def test_broken_pool_rerun_ships_no_state(round_payloads):
     assert all(r.state is None for r in results)
 
 
-def test_units_in_a_pool_worker_ship_state(round_payloads):
+def test_units_in_a_pool_worker_ship_state(round_payloads, pool_route):
     with ParallelExecutor(workers=2) as ex:
         results = ex.map(execute_unit, round_payloads)
         preps = ex.map(execute_prep_unit, round_payloads)
