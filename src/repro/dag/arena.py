@@ -1,4 +1,4 @@
-"""The per-tangle weight arena: contiguous row-per-transaction storage.
+"""The per-tangle weight arena: one flat row per transaction.
 
 Every transaction of a tangle carries a model with the same architecture
 (the genesis model's).  Storing each model as its own list of per-layer
@@ -6,15 +6,16 @@ arrays scatters the hottest data in the system across thousands of small
 allocations and makes every boundary crossing — aggregation, walk
 evaluation, process-pool pickling, persistence — pay per-array overhead.
 
-The :class:`WeightArena` instead keeps all models in one 2-D slab, one
-row per transaction, in flat (:class:`~repro.nn.serialization.FlatSpec`)
-order.  A tangle's arena holds every one of its models and nothing else:
-row ``i`` is the transaction at insertion position ``i``
-(:meth:`~repro.dag.tangle.Tangle.add` rejects any model it cannot store
-so).  Rows are immutable once written and exposed as read-only views,
-so transactions can hand out zero-copy per-layer views; stacked
-aggregation over arena-resident models is a row-slice away; and pickling
-a tangle ships one contiguous buffer instead of re-pickling every model.
+The :class:`WeightArena` instead keeps all models as flat
+(:class:`~repro.nn.serialization.FlatSpec`) rows of one
+:class:`~repro.utils.blocks.BlockStore`.  Row ``i`` is the transaction
+at insertion position ``i`` (:meth:`~repro.dag.tangle.Tangle.add`
+rejects any model it cannot store so).  Like the DAG itself the arena
+is append-only: growth appends a block and never moves a written row,
+so a row view stays valid for the arena's lifetime, transactions hand
+out zero-copy per-layer views, stacked aggregation over rows of one
+block is a slice away, and pickling a tangle ships one contiguous
+buffer instead of re-pickling every model.
 
 ``dtype`` defaults to ``float64`` (bit-identical to the historical
 list-of-arrays path).  ``float32`` halves memory and IPC volume at the
@@ -22,35 +23,31 @@ cost of rounding every stored model to single precision — evaluation
 accuracy is unaffected in practice, but results are no longer
 bit-comparable with float64 runs.
 
-**Shared-memory backing.**  :meth:`to_shared` migrates the slab into a
-named ``multiprocessing.shared_memory`` segment (one copy, bit-exact).
-From then on the arena's pickle form is an **attach-by-name handle** —
-uid, segment name, generation, row count — instead of the slab bytes,
-so shipping a round context to a pool worker costs a few hundred bytes
-no matter how many models the tangle holds.  Workers attach once per
-``(uid, segment)`` through :func:`repro.utils.shm.attach_cached` and
-reuse the mapping across rounds; capacity growth allocates a fresh,
-larger segment, copies the live rows, unlinks the old name and bumps
-``generation`` — a worker holding the superseded mapping keeps reading
-it safely (POSIX keeps unlinked mappings alive) and re-attaches when the
-next round's handle names the new segment.  Attached arenas are
-read-only: only the owning process interns.  :meth:`close` unlinks the
-owner's segment (idempotent; live views stay valid), and the
-:mod:`repro.utils.shm` registry unlinks anything left at interpreter
-exit.
+**Shared-memory backing.**  :meth:`to_shared` moves each block into its
+own named ``multiprocessing.shared_memory`` segment (one bit-exact copy),
+and every later block is a new segment.  The pickle form is then an
+**attach-by-name handle** (segment names, row count): a few hundred
+bytes however many models the tangle holds.  Workers attach each
+segment once through :func:`repro.utils.shm.attach_cached` and reuse
+the mapping across rounds; a segment never grows or moves, so a handle
+pickled before growth keeps reading its rows while the next names one
+more segment.  Attached arenas are read-only: only the owner interns.
+:meth:`close` unlinks every block's segment (idempotent; live views
+stay valid), and the :mod:`repro.utils.shm` registry unlinks anything
+left at interpreter exit.
 
-**Spill backing.**  :meth:`to_spilled` migrates the slab into a
-memory-mapped file (``numpy.memmap``) instead of a shared-memory
-segment: the rows leave RAM — :attr:`resident_nbytes` drops to 0, the
+**Spill backing.**  :meth:`to_spilled` copies the rows, block by block,
+into one memory-mapped file (``numpy.memmap``) whose block views become
+the store: the rows leave RAM — :attr:`resident_nbytes` drops to 0, the
 kernel pages them in on demand and may evict them at will — while every
 read keeps working unchanged.  This is the cold end of the storage
 ladder (heap → shm → mmap): :meth:`~repro.dag.tangle.Tangle.compact`
 uses it to archive the model rows of truncated history without holding
-them resident.  Spilled arenas are **archival**: :meth:`intern` raises,
-pickling ships an open-by-path handle (the receiver maps the file
-read-only), and :meth:`close` copies the rows back to heap and deletes
-the file.  Unnamed spills go to temp files that are removed at
-interpreter exit.
+them resident.  Spilled arenas are **archival**: :meth:`intern` and
+:meth:`to_shared` raise, pickling ships an open-by-path handle (the
+receiver maps the file read-only), and :meth:`close` copies the rows
+back to heap and deletes the file.  Unnamed spills go to temp files
+that are removed at interpreter exit.
 """
 
 from __future__ import annotations
@@ -64,6 +61,7 @@ import numpy as np
 
 from repro.nn.serialization import FlatSpec
 from repro.utils import shm as shm_registry
+from repro.utils.blocks import BlockStore, heap_block
 
 __all__ = ["WeightArena", "locate_rows", "shared_rows"]
 
@@ -83,8 +81,8 @@ def _purge_temp_spills() -> None:
 
 atexit.register(_purge_temp_spills)
 
-#: Estimated pickle size of an attach-by-name handle (name, uid, shape
-#: metadata) — what a shared arena costs on the wire instead of its slab.
+#: Estimated pickle size of an attach-by-name handle (segment names,
+#: shape metadata) — what a shared arena costs on the wire instead of its rows.
 HANDLE_NBYTES = 256
 
 
@@ -119,47 +117,30 @@ def shared_rows(transactions, spec: FlatSpec) -> np.ndarray:
 
 
 class WeightArena:
-    """Append-only 2-D slab of flat model-weight rows."""
+    """Append-only store of flat model-weight rows."""
 
-    def __init__(
-        self,
-        spec: FlatSpec,
-        *,
-        dtype: np.dtype | type = np.float64,
-        initial_capacity: int = 16,
-    ):
+    def __init__(self, spec: FlatSpec, *, dtype: np.dtype | type = np.float64):
         dtype = np.dtype(dtype)
         if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"arena dtype must be float64 or float32, got {dtype}")
-        if initial_capacity < 1:
-            raise ValueError("initial_capacity must be >= 1")
         self.spec = spec
         self.dtype = dtype
         self._rows = 0
-        self._shm = None  # SharedMemory backing the slab (None = heap)
-        self._mmap_path: Path | None = None  # spill file backing the slab
+        self._store = BlockStore((spec.total,), dtype)
+        # One SharedMemory per block while shared (None = not shared).
+        self._segments: list | None = None
+        self._mmap_path: Path | None = None  # spill file backing the rows
         self._attached = False  # True in worker processes (read-only)
-        self.uid: str | None = None
-        # Bumped whenever the slab moves (growth, shared or spill
-        # migration, close): views taken before a bump alias a
-        # superseded buffer, so readers take fresh views instead of
-        # keeping old ones.
-        self.generation = 0
-        self._slab = np.empty((initial_capacity, spec.total), dtype=dtype)
 
-    def _segment_slab(self, segment, capacity: int) -> np.ndarray:
-        """Numpy view of ``capacity`` rows over a segment's buffer."""
-        return np.ndarray(
-            (capacity, self.spec.total), dtype=self.dtype, buffer=segment.buf
-        )
+    def _segment_block(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """The store's allocator while shared: one new segment per block."""
+        segment = shm_registry.create_segment(int(np.prod(shape)) * dtype.itemsize)
+        self._segments.append(segment)
+        return np.ndarray(shape, dtype=dtype, buffer=segment.buf)
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:
         return self._rows
-
-    @property
-    def capacity(self) -> int:
-        return self._slab.shape[0]
 
     @property
     def nbytes(self) -> int:
@@ -178,12 +159,12 @@ class WeightArena:
 
     @property
     def is_shared(self) -> bool:
-        """True when the slab lives in a named shared-memory segment."""
-        return self._shm is not None
+        """True when the rows live in named shared-memory segments."""
+        return self._segments is not None
 
     @property
     def is_spilled(self) -> bool:
-        """True when the slab lives in a memory-mapped spill file."""
+        """True when the rows live in a memory-mapped spill file."""
         return self._mmap_path is not None
 
     @property
@@ -193,55 +174,38 @@ class WeightArena:
 
     @property
     def is_attached(self) -> bool:
-        """True for read-only worker-side attachments to another
-        process's segment."""
+        """True for read-only attachments to another process's
+        segments or spill file."""
         return self._attached
 
     @property
-    def segment_name(self) -> str | None:
-        """Name of the backing segment (None for heap arenas)."""
-        return self._shm.name if self._shm is not None else None
+    def segment_names(self) -> tuple[str, ...]:
+        """Names of the block segments, in block order (empty unless
+        shared)."""
+        return tuple(segment.name for segment in self._segments or ())
 
     def row(self, index: int) -> np.ndarray:
         """Read-only 1-D view of one stored model."""
         if not 0 <= index < self._rows:
             raise IndexError(f"arena row {index} out of range (have {self._rows})")
-        view = self._slab[index]
+        block, offset = divmod(index, self._store.block_rows)
+        view = self._store.blocks[block][offset]
         view.flags.writeable = False
         return view
 
     def rows(self, indices) -> np.ndarray:
         """Stacked ``(k, total)`` matrix of the given rows.
 
-        ``indices`` is an int array (or any sequence of ints).  A
-        contiguous ascending range comes back as a zero-copy slice of
-        the slab; arbitrary indices pay one gather.  Bounds and
-        contiguity are checked vectorized.
+        ``indices`` is an int array (or any sequence of ints).  An
+        ascending run inside one block comes back as a read-only
+        zero-copy slice; any other index set pays one gather inside one
+        block, or one copy per row across blocks.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return self._slab[:0]
-        first, last = int(indices[0]), int(indices[-1])
-        if last - first == indices.size - 1 and (
-            indices.size < 3 or (np.diff(indices) == 1).all()
-        ):
-            if first < 0 or last >= self._rows:
-                raise IndexError(
-                    f"arena row {first if first < 0 else last} out of range "
-                    f"(have {self._rows})"
-                )
-            view = self._slab[first : last + 1]
-            view.flags.writeable = False
-            return view
-        out_of_range = (indices < 0) | (indices >= self._rows)
-        if out_of_range.any():
-            bad = int(indices[out_of_range.argmax()])
-            raise IndexError(f"arena row {bad} out of range (have {self._rows})")
-        return self._slab[indices]
+        return self._store.take(np.asarray(indices, dtype=np.int64), self._rows)
 
     # ------------------------------------------------------------ mutation
     def intern(self, flat: np.ndarray) -> int:
-        """Copy a flat vector into the slab; returns its row index."""
+        """Copy a flat vector into the next row; returns its index."""
         if self._attached:
             raise RuntimeError(
                 "cannot intern into a read-only attached arena; only the "
@@ -257,67 +221,42 @@ class WeightArena:
             raise ValueError(
                 f"expected a ({self.spec.total},) vector, got shape {flat.shape}"
             )
-        if self._rows == self._slab.shape[0]:
-            self._grow(max(2 * self._slab.shape[0], 1))
-        self._slab[self._rows] = flat
+        self._store[self._rows] = flat
         self._rows += 1
         return self._rows - 1
 
-    def _grow(self, capacity: int) -> None:
-        """Reallocate the slab to ``capacity`` rows (generation bump)."""
-        if self._shm is not None:
-            old = self._shm
-            grown_shm = shm_registry.create_segment(
-                capacity * self.spec.total * self.dtype.itemsize
-            )
-            grown = self._segment_slab(grown_shm, capacity)
-            grown[: self._rows] = self._slab[: self._rows]
-            self._slab = grown
-            self._shm = grown_shm
-            # The old name disappears from /dev/shm immediately; workers
-            # still mapping it keep reading valid memory and re-attach to
-            # the new name when the next handle arrives.
-            shm_registry.unlink_segment(old.name)
-        else:
-            grown = np.empty((capacity, self.spec.total), dtype=self.dtype)
-            grown[: self._rows] = self._slab[: self._rows]
-            self._slab = grown
-        self.generation += 1
-
     # ------------------------------------------- shared-memory lifecycle
     def to_shared(self) -> "WeightArena":
-        """Migrate the slab into a shared-memory segment (idempotent).
+        """Move every block into its own shared-memory segment
+        (idempotent); later blocks are allocated as segments too.
 
-        One bit-exact copy of the live rows plus the growth headroom;
-        bumps ``generation``.  Returns ``self`` for chaining.
+        One bit-exact copy of the live rows.  Returns ``self`` for
+        chaining.
         """
-        if self._shm is not None:
+        if self._segments is not None:
             return self
         if self._attached:
             raise RuntimeError("attached arenas are already shared")
-        self.uid = shm_registry.new_uid()
-        segment = shm_registry.create_segment(
-            self.capacity * self.spec.total * self.dtype.itemsize
-        )
-        slab = self._segment_slab(segment, self.capacity)
-        slab[: self._rows] = self._slab[: self._rows]
-        self._slab = slab
-        self._shm = segment
-        self.generation += 1
+        if self._mmap_path is not None:
+            raise RuntimeError(
+                "spilled arenas are archival (read-only); close() restores "
+                "heap backing before sharing"
+            )
+        self._segments = []
+        self._store.reback(self._segment_block, self._rows)
         return self
 
     # ------------------------------------------------ spill (mmap) backing
     def to_spilled(self, path=None) -> "WeightArena":
-        """Migrate the slab into a memory-mapped file (idempotent).
+        """Move the rows into a memory-mapped file (idempotent).
 
-        One bit-exact copy of the live rows into ``path`` (a temp file
-        when omitted, removed at interpreter exit), after which the
-        arena's rows are file-backed: :attr:`resident_nbytes` is 0 and
-        the kernel pages rows in on demand.  The growth headroom is
-        trimmed — spilled arenas are frozen archives (:meth:`intern`
-        raises) — and a shared-memory segment, if any, is unlinked once
-        its contents land in the file.  Bumps ``generation``.  Returns
-        ``self`` for chaining.
+        One bit-exact copy of the live rows, block by block, into
+        ``path`` (a temp file when omitted, removed at interpreter
+        exit), after which the arena's rows are file-backed:
+        :attr:`resident_nbytes` is 0 and the kernel pages rows in on
+        demand.  Spilled arenas are frozen archives (:meth:`intern`
+        raises), and shared-memory segments, if any, are unlinked once
+        their contents land in the file.  Returns ``self`` for chaining.
         """
         if self._mmap_path is not None:
             return self
@@ -335,57 +274,46 @@ class WeightArena:
             path = Path(path)
             if path.parent != Path("."):
                 path.parent.mkdir(parents=True, exist_ok=True)
-        slab = np.memmap(
+        spilled = np.memmap(
             path,
             dtype=self.dtype,
             mode="w+",
             shape=(max(1, self._rows), self.spec.total),
         )
-        slab[: self._rows] = self._slab[: self._rows]
-        slab.flush()
-        if self._shm is not None:
-            old_name = self._shm.name
-            self._shm = None
-            self.uid = None
-            shm_registry.unlink_segment(old_name)
-        self._slab = slab
+        for start, rows in self._store.runs(self._rows):
+            spilled[start : start + len(rows)] = rows
+        spilled.flush()
+        self._store.adopt(spilled, self._rows)
+        self._release_segments()
         self._mmap_path = path
-        self.generation += 1
         return self
+
+    def _release_segments(self) -> None:
+        """Unlink the block segments of a shared owner (if any)."""
+        segments, self._segments = self._segments or (), None
+        for segment in segments:
+            shm_registry.unlink_segment(segment.name)
 
     def close(self) -> None:
         """Release any non-heap backing and revert to heap (idempotent).
 
         The inverse of :meth:`to_shared` / :meth:`to_spilled`: live rows
-        are copied back to a heap slab (so the arena stays fully usable
+        are copied back to heap blocks (so the arena stays fully usable
         — and re-shareable or re-spillable — afterwards, never pickling
-        a handle to a name that no longer exists), then the
-        shared-memory segment is unlinked or the spill file deleted.
-        Mappings held by attached workers stay valid; the memory is
-        reclaimed when the last one is collected.  Attached arenas never
-        unlink or delete: the owner does.
+        a handle to a name that no longer exists), then every block
+        segment is unlinked or the spill file deleted.  Mappings held by
+        attached workers stay valid; the memory is reclaimed when the
+        last one is collected.  Attached arenas never unlink or delete:
+        the owner does.
         """
-        if self._attached:
+        if self._attached or (
+            self._segments is None and self._mmap_path is None
+        ):
             return
-        if self._shm is not None:
-            heap = np.empty((self.capacity, self.spec.total), dtype=self.dtype)
-            heap[: self._rows] = self._slab[: self._rows]
-            old_name = self._shm.name
-            self._slab = heap
-            self._shm = None
-            self.uid = None
-            self.generation += 1
-            shm_registry.unlink_segment(old_name)
-            return
-        if self._mmap_path is not None:
-            heap = np.empty(
-                (max(1, self._rows), self.spec.total), dtype=self.dtype
-            )
-            heap[: self._rows] = self._slab[: self._rows]
-            path = self._mmap_path
-            self._slab = heap
-            self._mmap_path = None
-            self.generation += 1
+        self._store.reback(heap_block, self._rows)
+        self._release_segments()
+        path, self._mmap_path = self._mmap_path, None
+        if path is not None:
             try:
                 os.unlink(path)
             except OSError:
@@ -402,79 +330,61 @@ class WeightArena:
     def _cost_footprint(self, walk) -> tuple[int, int]:
         """(bytes actually shipped, dense working-set bytes) — the
         :mod:`repro.substrate.cost` hook.  Shared and spilled arenas
-        ship a few-hundred-byte attach handle instead of the slab."""
-        handle = self._shm is not None or self._mmap_path is not None
+        ship a few-hundred-byte attach handle instead of the rows."""
+        handle = self._segments is not None or self._mmap_path is not None
         return (HANDLE_NBYTES if handle else self.nbytes, self.nbytes)
 
     # ------------------------------------------------------------ pickling
     def __getstate__(self) -> dict:
-        if self._shm is not None:
-            # Attach-by-name handle: the receiver maps the segment, it
-            # never receives the bytes.
-            return {
-                "mode": "shm",
-                "uid": self.uid,
-                "name": self._shm.name,
-                "generation": self.generation,
-                "rows": self._rows,
-                "capacity": self.capacity,
-                "spec_shapes": self.spec.shapes,
-                "dtype": self.dtype.str,
-            }
-        if self._mmap_path is not None:
-            # Attach-by-path handle: the receiver maps the spill file
-            # read-only; the bytes stay on disk.
-            return {
-                "mode": "mmap",
-                "path": str(self._mmap_path),
-                "generation": self.generation,
-                "rows": self._rows,
-                "spec_shapes": self.spec.shapes,
-                "dtype": self.dtype.str,
-            }
-        # Ship only the written rows, never the growth headroom: a pickled
-        # arena is exactly one contiguous buffer of live models.
-        return {
+        state = {
             "spec_shapes": self.spec.shapes,
             "dtype": self.dtype.str,
-            "slab": np.ascontiguousarray(self._slab[: self._rows]),
+            "rows": self._rows,
         }
+        if self._segments is not None:
+            # Attach-by-name handle: the receiver maps the block
+            # segments, it never receives the bytes.
+            state["segments"] = self.segment_names
+            state["block_rows"] = self._store.block_rows
+        elif self._mmap_path is not None:
+            # Attach-by-path handle: the receiver maps the spill file
+            # read-only; the bytes stay on disk.
+            state["path"] = str(self._mmap_path)
+        else:
+            # One contiguous buffer of the live rows, never the slack of
+            # the last block.
+            state["slab"] = np.ascontiguousarray(
+                self.rows(np.arange(self._rows))
+            )
+        return state
 
     def __setstate__(self, state: dict) -> None:
-        self.spec = FlatSpec(state["spec_shapes"])
-        self.dtype = np.dtype(state["dtype"])
-        self._mmap_path = None
-        if state.get("mode") == "shm":
-            self.uid = state["uid"]
-            segment = shm_registry.attach_cached(self.uid, state["name"])
-            self._shm = segment
+        self.__init__(
+            FlatSpec(state["spec_shapes"]), dtype=np.dtype(state["dtype"])
+        )
+        self._rows = state["rows"]
+        if "segments" in state:
             self._attached = True
-            capacity = min(
-                state["capacity"],
-                segment.size // (self.spec.total * self.dtype.itemsize),
-            )
-            self._slab = self._segment_slab(segment, capacity)
-            self._rows = state["rows"]
-            self.generation = state["generation"]
-            return
-        if state.get("mode") == "mmap":
+            self._segments = [shm_registry.attach_cached(n) for n in state["segments"]]
+            self._store.block_rows = state["block_rows"]
+            self._store.blocks = [
+                np.ndarray(
+                    (self._store.block_rows, self.spec.total),
+                    dtype=self.dtype,
+                    buffer=segment.buf,
+                )
+                for segment in self._segments
+            ]
+        elif "path" in state:
+            self._attached = True
             self._mmap_path = Path(state["path"])
-            self._rows = state["rows"]
-            self._slab = np.memmap(
+            spilled = np.memmap(
                 self._mmap_path,
                 dtype=self.dtype,
                 mode="r",
                 shape=(max(1, self._rows), self.spec.total),
             )
-            self._shm = None
-            self._attached = True
-            self.uid = None
-            self.generation = state["generation"]
-            return
-        slab = state["slab"]
-        self._slab = np.array(slab, dtype=self.dtype, copy=True)
-        self._rows = slab.shape[0]
-        self._shm = None
-        self._attached = False
-        self.uid = None
-        self.generation = 0
+            self._store.adopt(spilled, self._rows)
+        else:
+            self._store.adopt(state["slab"], self._rows)
+            self._store.reback(heap_block, self._rows)

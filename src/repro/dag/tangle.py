@@ -117,15 +117,15 @@ class Tangle:
 
     @property
     def arena(self) -> WeightArena:
-        """The contiguous model-weight store."""
+        """The append-only model-weight store."""
         return self._arena
 
     # ------------------------------------------------- shared-memory plane
     def share_memory(self) -> "Tangle":
-        """Move the model store into a shared-memory segment (idempotent).
+        """Move the model store into shared-memory segments (idempotent).
 
         After this, pickling the tangle ships transaction metadata plus an
-        attach-by-name arena handle instead of the slab bytes — the IPC
+        attach-by-name arena handle instead of the row bytes — the IPC
         form the parallel substrate uses.  Values are bit-identical; only
         the storage location changes.  Returns ``self`` for chaining.
         """
@@ -341,22 +341,14 @@ class Tangle:
         spill = None
         spill_rows: dict[str, int] | None = None
         if spill_path is not None:
-            spill = WeightArena(
-                self._spec,
-                dtype=self._arena.dtype,
-                initial_capacity=max(1, len(dropped_ids)),
-            )
+            spill = WeightArena(self._spec, dtype=self._arena.dtype)
             spill_rows = {
                 tx_id: spill.intern(self.flat_weights(tx_id)) for tx_id in dropped_ids
             }
             spill.to_spilled(spill_path)
 
         old_arena = self._arena
-        fresh = WeightArena(
-            self._spec,
-            dtype=old_arena.dtype,
-            initial_capacity=max(16, len(kept_ids)),
-        )
+        fresh = WeightArena(self._spec, dtype=old_arena.dtype)
         for tx_id in kept_ids:
             tx = self._transactions[tx_id]
             if tx.parents:

@@ -146,7 +146,7 @@ class Transaction:
 
     def arena_location(self) -> tuple[object, int] | None:
         """``(arena, row_index)`` when arena-bound, else ``None`` —
-        lets bulk readers stack many models straight off the slab."""
+        lets bulk readers stack many models straight off the arena."""
         if self._arena is None:
             return None
         return self._arena, self._row

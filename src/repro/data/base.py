@@ -90,7 +90,7 @@ class ClientData:
         The arrays are copied once (bit-exact) into a named
         ``multiprocessing.shared_memory`` segment and the fields replaced
         by views into it; from then on pickling this object ships an
-        attach-by-name handle — ``(uid, segment, offsets)`` — instead of
+        attach-by-name handle — ``(segment, offsets)`` — instead of
         the tensor bytes, so a persistent pool worker maps the data once
         and reuses the mapping across rounds.  Idempotent; returns
         ``self`` for chaining.  :meth:`close_shared` (or interpreter
@@ -113,7 +113,6 @@ class ClientData:
             setattr(self, name, view)
             entries.append((name, start, shape, dtype))
         self._shm_handle = {
-            "uid": shm_registry.new_uid(),
             "name": segment.name,
             "entries": entries,
         }
@@ -152,7 +151,7 @@ class ClientData:
         handle = state.get("_shm_handle")
         self.__dict__.update(state)
         if handle is not None:
-            segment = shm_registry.attach_cached(handle["uid"], handle["name"])
+            segment = shm_registry.attach_cached(handle["name"])
             for name, start, shape, dtype in handle["entries"]:
                 view = np.ndarray(
                     shape, dtype=dtype, buffer=segment.buf, offset=start

@@ -91,6 +91,7 @@ from repro.substrate import (
     make_executor,
     round_plan,
 )
+from repro.utils.blocks import BlockStore
 from repro.utils.rng import RngFactory
 
 __all__ = ["EventDrivenTangleLearning", "SimEvent"]
@@ -103,54 +104,8 @@ ModelBuilder = Callable[[np.random.Generator], Classifier]
 # plane's ungraceful twins of leave/join and share their ranks.
 _RANK = {"join": 0, "recover": 0, "leave": 1, "crash": 1, "cycle": 2}
 
-# Transaction rows per block of the visibility columns: a 1000-client
-# arrival block is 2 MB, the most a column ever holds beyond its rows.
-_BLOCK_ROWS = 256
-
 # Supersteps run in the calling process, on the canonical clients.
 _IN_PROCESS = SerialExecutor()
-
-
-class _BlockColumn:
-    """An append-only insertion-order column of per-transaction values —
-    or, with ``lanes``, a lanes × rows table — held as fixed blocks of
-    ``_BLOCK_ROWS`` rows.
-
-    Growth appends one block preset to ``fill`` (unwritten rows read
-    as ``fill``); a written row is never copied or moved, so a reader
-    from :meth:`head` stays valid however far the column grows, and the
-    slack beyond the last row is at most one block.
-    """
-
-    def __init__(self, fill, dtype=np.float64, lanes: int | None = None):
-        self._fill = fill
-        self._dtype = dtype
-        self._shape = (_BLOCK_ROWS,) if lanes is None else (lanes, _BLOCK_ROWS)
-        self.blocks: list[np.ndarray] = []
-
-    def _locate(self, row: int) -> tuple[np.ndarray, int]:
-        """(block, offset) of ``row``, appending its block if new."""
-        index, offset = divmod(row, self._shape[-1])
-        if index == len(self.blocks):
-            self.blocks.append(np.full(self._shape, self._fill, dtype=self._dtype))
-        return self.blocks[index], offset
-
-    def __setitem__(self, row: int, value) -> None:
-        """Write ``row`` (one column store across the lanes of a table)."""
-        block, offset = self._locate(row)
-        block[..., offset] = value
-
-    def reserve(self, row: int) -> None:
-        """Make ``row`` readable (as ``fill``) without writing it."""
-        self._locate(row)
-
-    def head(self, n: int, lane: int | None = None) -> np.ndarray:
-        """The first ``n`` rows of the column (of one lane of a table):
-        one concatenate over the blocks they span."""
-        blocks = self.blocks[: -(-n // self._shape[-1])]
-        if lane is not None:
-            blocks = [block[lane] for block in blocks]
-        return np.concatenate(blocks)[:n]
 
 
 @dataclass(order=True)
@@ -294,19 +249,20 @@ class EventDrivenTangleLearning:
         }
         self._client_order: list[int] = sorted(self.clients)
         self._slot = {cid: slot for slot, cid in enumerate(self._client_order)}
-        # Visibility state as insertion-order block columns — row i is
-        # the tangle's i-th transaction, row 0 genesis — written once per
-        # publication and read by every view as a vectorized mask:
-        # network visibility time, publication time, issuer, and with
-        # per-link faults one arrival time per (client slot, row) in
-        # place of the shared network column (inf: never delivered).
+        # Visibility state as insertion-order block stores
+        # (repro.utils.blocks) — row i is the tangle's i-th transaction,
+        # row 0 genesis — written once per publication, never moved, and
+        # read by every view as a vectorized mask: network visibility
+        # time, publication time, issuer, and with per-link faults an
+        # arrival table whose row holds one arrival time per client slot,
+        # in place of the shared network column (inf: never delivered).
         self._row: dict[str, int] = {}
-        self._visible_at = _BlockColumn(np.inf)
-        self._published_at = _BlockColumn(np.nan)
-        self._issuer = _BlockColumn(-1, dtype=np.int64)
-        self._arrival: _BlockColumn | None = None
+        self._visible_at = BlockStore(fill=np.inf)
+        self._published_at = BlockStore(fill=np.nan)
+        self._issuer = BlockStore(dtype=np.int64, fill=-1)
+        self._arrival: BlockStore | None = None
         if self._faults.link_faults:
-            self._arrival = _BlockColumn(np.inf, lanes=len(self._client_order))
+            self._arrival = BlockStore((len(self._client_order),), fill=np.inf)
         self._append_row(self.tangle.genesis.tx_id, -1, 0.0, 0.0)
         if self._arrival is not None:
             self._arrival[0] = 0.0
@@ -618,7 +574,7 @@ class EventDrivenTangleLearning:
 
     def _deliver(self, row: int, issuer: int, base_visible: float) -> None:
         """Per-link delivery fan-out (link faults active): one arrival
-        time per client, written as one column of the arrival table.
+        time per client, written as one row of the arrival table.
 
         One vectorized block of fault draws per publication, in a fixed
         knob order (jitter, drop, duplicate) — publications commit in

@@ -1,10 +1,10 @@
 """Process-shared memory segments with explicit, leak-proof lifecycle.
 
-The parallel substrate's zero-copy plane: the :class:`~repro.dag.arena.
-WeightArena` slab and every client's dataset tensors live in named
-``multiprocessing.shared_memory`` segments, so crossing a process
-boundary ships a **name**, not the bytes.  This module owns the two
-sides of that protocol:
+The parallel substrate's zero-copy plane: the blocks of the
+:class:`~repro.dag.arena.WeightArena` and every client's dataset tensors
+live in named ``multiprocessing.shared_memory`` segments, so crossing a
+process boundary ships a **name**, not the bytes.  This module owns the
+two sides of that protocol:
 
 - the **owner** side (the coordinator): :func:`create_segment` allocates
   a named segment and records it in a per-process registry;
@@ -12,10 +12,11 @@ sides of that protocol:
   :func:`release_all` — registered with :mod:`atexit` — guarantees no
   segment this process created outlives the interpreter;
 - the **attach** side (pool workers): :func:`attach_cached` maps a
-  segment by name once and caches the mapping keyed by the owning
-  object's ``uid``, so a persistent worker re-attaches only when the
-  owner republished a new segment (capacity growth) — per-round cost is
-  a dictionary lookup, not an ``mmap``.
+  segment by name once and caches the mapping under that name.  A
+  segment is written in place and never resized or republished (a
+  growing arena adds segments, it does not replace one), so a cached
+  mapping never goes stale and per-round cost is a dictionary lookup,
+  not an ``mmap``.
 
 Names carry a recognizable prefix plus the creating pid
 (``repro-shm-<pid>-<seq>-<nonce>``), so test harnesses and CI can
@@ -25,8 +26,8 @@ assert that a run left nothing behind in ``/dev/shm``
 Unlinking never invalidates live mappings (POSIX semantics): readers
 holding numpy views into an unlinked segment keep working, and the
 memory is returned when the last mapping is garbage-collected.  That is
-why stale attachments are simply *dropped*, never force-closed — an
-explicit ``close()`` under live numpy views raises ``BufferError``.
+why attachments are never force-closed — an explicit ``close()`` under
+live numpy views raises ``BufferError``.
 
 The registry records the creating pid so that ``fork``-spawned workers,
 which inherit the parent's module state, can never unlink segments the
@@ -44,13 +45,11 @@ from multiprocessing import resource_tracker, shared_memory
 
 __all__ = [
     "create_segment",
-    "attach_segment",
     "attach_cached",
     "unlink_segment",
     "release_all",
     "owned_segment_names",
     "segment_prefix",
-    "new_uid",
 ]
 
 _PREFIX = "repro-shm"
@@ -58,8 +57,8 @@ _PREFIX = "repro-shm"
 #: Segments created by THIS process: name -> (creating pid, SharedMemory).
 _owned: dict[str, tuple[int, shared_memory.SharedMemory]] = {}
 
-#: Attachments made by this process: owner uid -> (segment name, SharedMemory).
-_attached: dict[str, tuple[str, shared_memory.SharedMemory]] = {}
+#: Attachments made by this process: segment name -> SharedMemory.
+_attached: dict[str, shared_memory.SharedMemory] = {}
 
 _counter = 0
 
@@ -67,15 +66,6 @@ _counter = 0
 def segment_prefix() -> str:
     """The name prefix of every segment this library creates."""
     return _PREFIX
-
-
-def new_uid() -> str:
-    """A stable identity for an object that republishes segments over time.
-
-    Attach caches key on the uid, so a new *generation* (new segment
-    name, same uid) replaces the old mapping instead of piling up.
-    """
-    return f"{os.getpid()}-{secrets.token_hex(6)}"
 
 
 def _untrack(name: str) -> None:
@@ -173,25 +163,13 @@ def create_segment(nbytes: int) -> shared_memory.SharedMemory:
     return shm
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Map an existing segment by name (untracked; see :func:`_untrack`)."""
-    shm = shared_memory.SharedMemory(name=name)
-    _untrack(name)
-    return shm
-
-
-def attach_cached(uid: str, name: str) -> shared_memory.SharedMemory:
-    """Attach once per ``(uid, name)``; later calls are dictionary lookups.
-
-    When ``uid`` was previously attached under a *different* name (the
-    owner grew and republished), the stale mapping is dropped from the
-    cache — garbage collection unmaps it once the last view dies.
-    """
-    cached = _attached.get(uid)
-    if cached is not None and cached[0] == name:
-        return cached[1]
-    shm = attach_segment(name)
-    _attached[uid] = (name, shm)
+def attach_cached(name: str) -> shared_memory.SharedMemory:
+    """Map an existing segment by name once per process (untracked; see
+    :func:`_untrack`); later calls are dictionary lookups."""
+    shm = _attached.get(name)
+    if shm is None:
+        shm = _attached[name] = shared_memory.SharedMemory(name=name)
+        _untrack(name)
     return shm
 
 

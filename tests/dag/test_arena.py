@@ -1,14 +1,18 @@
 """Weight arena: interning, views, growth, pickling, tangle integration."""
 
+import io
 import pickle
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.dag.arena import WeightArena, shared_rows
+from repro.dag.persistence import save_tangle
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
 from repro.nn.serialization import FlatSpec
+from repro.utils import blocks
 
 SHAPES = ((3, 2), (2,))
 
@@ -40,25 +44,51 @@ def test_rows_are_read_only_views(spec, rng):
         row[0] = 1.0
 
 
-def test_growth_preserves_existing_rows(spec, rng):
-    arena = WeightArena(spec, initial_capacity=2)
+def test_growth_preserves_existing_rows(spec, rng, monkeypatch):
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 2)
+    arena = WeightArena(spec)
     flats = [spec.flatten(weight_list(rng)) for _ in range(9)]
     for f in flats:
         arena.intern(f)
-    assert arena.capacity >= 9
     for i, f in enumerate(flats):
         np.testing.assert_array_equal(arena.row(i), f)
 
 
-def test_contiguous_rows_slice_is_zero_copy(spec, rng):
+@pytest.mark.parametrize("shared", [False, True], ids=["heap", "shared"])
+def test_row_views_survive_growth_past_a_block(spec, rng, monkeypatch, shared):
+    """A written row never moves: a view taken before the arena grows
+    past its first block still aliases the row afterwards."""
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 4)
+    with WeightArena(spec) as arena:
+        if shared:
+            arena.to_shared()
+        arena.intern(spec.flatten(weight_list(rng)))
+        before = arena.row(0)
+        run = arena.rows([0])
+        for _ in range(9):
+            arena.intern(spec.flatten(weight_list(rng)))
+        assert np.shares_memory(before, arena.row(0))
+        assert np.shares_memory(run, arena.row(0))
+
+
+def test_contiguous_rows_slice_is_zero_copy(spec, rng, monkeypatch):
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 8)
     arena = WeightArena(spec)
-    for _ in range(6):
+    for _ in range(12):
         arena.intern(spec.flatten(weight_list(rng)))
     block = arena.rows(range(2, 5))
     assert block.shape == (3, spec.total)
     assert np.shares_memory(block, arena.row(2))
+    assert not block.flags.writeable
     gathered = arena.rows([0, 4, 2])  # arbitrary order pays one gather
     np.testing.assert_array_equal(gathered[1], arena.row(4))
+    # Across blocks every row is copied once, runs included.
+    for indices in ([6, 7, 8, 9], [11, 0, 9, 3]):
+        stacked = arena.rows(indices)
+        np.testing.assert_array_equal(
+            stacked, np.stack([arena.row(i) for i in indices])
+        )
+        assert not np.shares_memory(stacked, arena.row(indices[0]))
 
 
 def test_row_bounds_checked(spec):
@@ -79,12 +109,13 @@ def test_float32_storage_rounds(spec, rng):
         WeightArena(spec, dtype=np.int32)
 
 
-def test_pickle_ships_only_live_rows(spec, rng):
-    arena = WeightArena(spec, initial_capacity=64)
+def test_pickle_ships_only_live_rows(spec, rng, monkeypatch):
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 64)
+    arena = WeightArena(spec)
     arena.intern(spec.flatten(weight_list(rng)))
     payload = pickle.dumps(arena)
-    # 1 live row of float64s (plus pickle framing), not 64 rows of
-    # capacity headroom
+    # 1 live row of float64s (plus pickle framing), not the 64 rows of
+    # its block
     assert len(payload) < 64 * spec.total * 8 // 2
     restored = pickle.loads(payload)
     assert len(restored) == 1
@@ -111,21 +142,21 @@ def test_tangle_interns_transactions(rng):
     assert not np.allclose(tx.model_weights[0], 123.0)
 
 
-def test_cached_views_refresh_after_slab_growth(rng):
-    """Growth reallocates the slab; cached compatibility views must
-    rebuild against the new buffer instead of pinning the old one."""
+def test_model_views_survive_arena_growth(rng, monkeypatch):
+    """Per-layer views taken before the arena grows past a block still
+    alias the transaction's row afterwards."""
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 4)
     genesis = weight_list(rng)
     tangle = Tangle(genesis)
     before = tangle.genesis.model_weights
-    assert np.shares_memory(before[0], tangle.arena._slab)
-    generation = tangle.arena.generation
-    while tangle.arena.generation == generation:  # force at least one growth
+    for _ in range(9):
         tangle.add(
             Transaction(f"g{len(tangle)}", (GENESIS_ID,), weight_list(rng), 0, 0)
         )
     after = tangle.genesis.model_weights
-    assert np.shares_memory(after[0], tangle.arena._slab)
-    for a, g in zip(after, genesis):
+    for b, a, g in zip(before, after, genesis):
+        assert np.shares_memory(b, tangle.arena.row(0))
+        assert np.shares_memory(a, tangle.arena.row(0))
         np.testing.assert_array_equal(a, g)
 
 
@@ -233,11 +264,10 @@ def test_float32_tangle_stores_rounded_models(rng):
         np.testing.assert_array_equal(s, g.astype(np.float32))
 
 
-def test_pickled_tangle_roundtrips_and_rebuilds_views(rng):
+def test_pickled_tangle_roundtrips_models(rng):
     tangle = Tangle(weight_list(rng))
     for i in range(4):
         tangle.add(Transaction(f"t{i}", (GENESIS_ID,), weight_list(rng), i, 0))
-    _ = tangle.get("t2").model_weights  # populate a lazy view cache
     restored = pickle.loads(pickle.dumps(tangle))
     assert len(restored) == len(tangle)
     for tx_id in ["genesis", "t0", "t3"]:
@@ -246,3 +276,42 @@ def test_pickled_tangle_roundtrips_and_rebuilds_views(rng):
         ):
             np.testing.assert_array_equal(a, b)
     assert restored.get("t1").arena_bound
+
+
+# ------------------------------------------------------------ block size
+def _arena_observables(block_rows, monkeypatch, tmp_path):
+    """Rows, pickles, checkpoint members and a compaction of one fixed
+    tangle built with ``block_rows``-row blocks."""
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(11)
+    tangle = Tangle(weight_list(rng))
+    for i in range(23):
+        tangle.add(
+            Transaction(f"t{i}", (tangle.tips()[0],), weight_list(rng), 0, i)
+        )
+    arena = tangle.arena
+    index_sets = [np.arange(len(arena)), [3, 4, 5, 6, 7, 8], [20, 1, 13, 1], [9]]
+    stacks = [arena.rows(indices).tobytes() for indices in index_sets]
+    pickles = (pickle.dumps(arena), pickle.dumps(tangle))
+    path = save_tangle(tangle, tmp_path / f"blocks{block_rows}")
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    tangle.compact(keep_last=10, spill_path=tmp_path / f"spill{block_rows}.bin")
+    compacted = (
+        tangle.arena.rows(np.arange(len(tangle))).tobytes(),
+        pickle.dumps(tangle.arena),
+    )
+    return stacks, pickles, members, compacted
+
+
+def test_block_size_changes_nothing_observable(monkeypatch, tmp_path):
+    runs = [
+        _arena_observables(block_rows, monkeypatch, tmp_path)
+        for block_rows in (blocks.BLOCK_ROWS, 4, 7)
+    ]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    members = runs[0][2]
+    assert sorted(members) == ["__tangle_meta__.npy", "rows.npy"]
+    rows = np.load(io.BytesIO(members["rows.npy"]))
+    assert rows.shape == (24, FlatSpec(SHAPES).total)

@@ -12,6 +12,7 @@ from repro.dag.arena import HANDLE_NBYTES, WeightArena
 from repro.dag.tangle import Tangle
 from repro.dag.transaction import GENESIS_ID, Transaction
 from repro.nn.serialization import FlatSpec
+from repro.utils import blocks
 from repro.utils import shm as shm_registry
 
 SHAPES = ((3, 2), (2,))
@@ -36,12 +37,11 @@ def test_to_shared_is_idempotent_and_bit_exact(spec, rng):
         flats = [spec.flatten(weight_list(rng)) for _ in range(3)]
         for f in flats:
             arena.intern(f)
-        generation = arena.generation
         assert arena.to_shared() is arena
         assert arena.is_shared and not arena.is_attached
-        assert arena.generation == generation + 1  # views must rebuild
+        names = arena.segment_names
         assert arena.to_shared() is arena  # second call: no-op
-        assert arena.generation == generation + 1
+        assert arena.segment_names == names
         for i, f in enumerate(flats):
             np.testing.assert_array_equal(arena.row(i), f)
         arena.intern(flats[0])  # owners still append after migration
@@ -52,34 +52,50 @@ def test_close_unlinks_and_reverts_to_heap(spec, rng):
     arena = WeightArena(spec).to_shared()
     flat = spec.flatten(weight_list(rng))
     arena.intern(flat)
-    name = arena.segment_name
+    (name,) = arena.segment_names
     assert segment_exists(name)
     arena.close()
     assert not segment_exists(name)
-    assert not arena.is_shared and arena.segment_name is None
+    assert not arena.is_shared and arena.segment_names == ()
     # still fully usable — and re-shareable under a fresh name
     np.testing.assert_array_equal(arena.row(0), flat)
     arena.intern(flat)
     arena.to_shared()
-    assert arena.segment_name != name
+    assert arena.segment_names != (name,)
     arena.close()
     arena.close()  # idempotent
 
 
-def test_shared_growth_republishes_segment(spec, rng):
-    with WeightArena(spec, initial_capacity=2).to_shared() as arena:
-        first_name = arena.segment_name
-        uid = arena.uid
-        flats = [spec.flatten(weight_list(rng)) for _ in range(5)]
-        for f in flats:
-            arena.intern(f)
-        assert arena.capacity >= 5
-        assert arena.segment_name != first_name  # grown into a new segment
-        assert arena.uid == uid  # same identity across generations
-        assert not segment_exists(first_name)  # old name unlinked eagerly
-        assert segment_exists(arena.segment_name)
-        for i, f in enumerate(flats):
-            np.testing.assert_array_equal(arena.row(i), f)
+def test_shared_growth_appends_segments(spec, rng, monkeypatch):
+    """Growth past a block adds a segment and unlinks none; a handle
+    pickled before growth keeps reading its rows, a later one reads
+    them all; close() unlinks every block's segment."""
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 2)
+    arena = WeightArena(spec).to_shared()
+    flats = [spec.flatten(weight_list(rng)) for _ in range(7)]
+    for f in flats[:2]:
+        arena.intern(f)
+    first = arena.segment_names
+    early = pickle.loads(pickle.dumps(arena))
+    for f in flats[2:]:
+        arena.intern(f)
+    names = arena.segment_names
+    assert len(first) == 1 and len(names) == 4
+    assert names[:1] == first  # appended, never republished
+    assert all(segment_exists(name) for name in names)
+
+    assert len(early) == 2
+    for i, f in enumerate(flats[:2]):
+        np.testing.assert_array_equal(early.row(i), f)
+    late = pickle.loads(pickle.dumps(arena))
+    assert late.segment_names == names and len(late) == 7
+    for i, f in enumerate(flats):
+        np.testing.assert_array_equal(late.row(i), f)
+
+    arena.close()
+    assert not any(segment_exists(name) for name in names)
+    for i, f in enumerate(flats):  # attached mappings stay valid
+        np.testing.assert_array_equal(late.row(i), f)
 
 
 # ------------------------------------------------------------- pickling
@@ -99,7 +115,7 @@ def test_shared_pickle_is_attach_by_name_handle(spec, rng, dtype):
         for i, f in enumerate(flats):
             np.testing.assert_array_equal(restored.row(i), f.astype(dtype))
         # same bytes, not a copy: attachments view the owner's memory
-        assert restored.segment_name == arena.segment_name
+        assert restored.segment_names == arena.segment_names
         with pytest.raises(RuntimeError, match="read-only attached"):
             restored.intern(flats[0])
 
@@ -110,34 +126,6 @@ def test_heap_pickle_form_unchanged_by_shm_plane(spec, rng):
     restored = pickle.loads(pickle.dumps(arena))
     assert not restored.is_shared and not restored.is_attached
     np.testing.assert_array_equal(restored.row(0), arena.row(0))
-
-
-def test_stale_generation_reattaches_after_growth(spec, rng):
-    with WeightArena(spec, initial_capacity=2).to_shared() as arena:
-        flats = [spec.flatten(weight_list(rng)) for _ in range(2)]
-        for f in flats:
-            arena.intern(f)
-        worker_side = pickle.loads(pickle.dumps(arena))  # round 1 attach
-        old_name = worker_side.segment_name
-
-        grown = [spec.flatten(weight_list(rng)) for _ in range(4)]
-        for f in grown:
-            arena.intern(f)  # forces growth: new segment, old unlinked
-        assert arena.segment_name != old_name
-
-        # A holder of the superseded mapping keeps reading valid memory
-        # (POSIX: unlink removes the name, not live mappings).
-        for i, f in enumerate(flats):
-            np.testing.assert_array_equal(worker_side.row(i), f)
-
-        # The next round's handle names the new segment; attach_cached
-        # swaps the mapping for the same uid.
-        worker_side2 = pickle.loads(pickle.dumps(arena))
-        assert worker_side2.segment_name == arena.segment_name
-        assert worker_side2.generation == arena.generation
-        assert len(worker_side2) == 6
-        for i, f in enumerate(flats + grown):
-            np.testing.assert_array_equal(worker_side2.row(i), f)
 
 
 # ------------------------------------------------------- cross-process
@@ -158,7 +146,7 @@ def fork_pool():
 
 
 def test_rows_visible_across_processes_after_intern(spec, rng, fork_pool):
-    with WeightArena(spec, initial_capacity=8).to_shared() as arena:
+    with WeightArena(spec).to_shared() as arena:
         flats = [spec.flatten(weight_list(rng)) for _ in range(2)]
         for f in flats:
             arena.intern(f)
@@ -170,7 +158,7 @@ def test_rows_visible_across_processes_after_intern(spec, rng, fork_pool):
         # rows interned between rounds become visible through the *same*
         # segment — the persistent worker re-reads, nothing re-ships
         late = spec.flatten(weight_list(rng))
-        arena.intern(late)  # capacity 8: no growth, same segment
+        arena.intern(late)  # same block: no new segment
         count, rows = fork_pool.submit(_read_rows, pickle.dumps(arena)).result()
         assert count == 3
         np.testing.assert_array_equal(rows[2], late)
@@ -197,12 +185,13 @@ def test_attachments_never_unlink_owner_segments(spec, rng):
         attached = pickle.loads(pickle.dumps(arena))
         attached.close()  # attached side: must be a no-op
         assert attached.is_attached and attached.is_shared
-        assert segment_exists(arena.segment_name)
+        assert all(segment_exists(name) for name in arena.segment_names)
 
 
 def test_registry_release_all_reaps_owned_segments(spec, rng):
     arena = WeightArena(spec).to_shared()  # deliberately never closed
-    name = arena.segment_name
+    arena.intern(spec.flatten(weight_list(rng)))
+    (name,) = arena.segment_names
     assert name in shm_registry.owned_segment_names()
     shm_registry.release_all()  # the atexit safety net
     assert not segment_exists(name)

@@ -56,6 +56,19 @@ def test_spilled_arena_refuses_intern(arena, tmp_path):
     arena.close()
 
 
+def test_spilled_arena_refuses_to_share(arena, tmp_path):
+    """Sharing an archive would leave it both spilled and shared, with
+    resident bytes misreported as 0 and the file surviving one close."""
+    path = tmp_path / "arena.bin"
+    arena.to_spilled(path)
+    with pytest.raises(RuntimeError, match="archival"):
+        arena.to_shared()
+    assert arena.is_spilled and not arena.is_shared
+    arena.close()  # one close restores heap and deletes the file
+    assert not arena.is_spilled and not path.exists()
+    assert arena.resident_nbytes == arena.nbytes > 0
+
+
 def test_close_restores_heap_and_deletes_file(arena, tmp_path):
     rows_before = [np.array(arena.row(i)) for i in range(5)]
     path = tmp_path / "arena.bin"

@@ -1,7 +1,8 @@
-"""The engine's visibility block store.
+"""The engine's visibility block stores.
 
-Visibility columns and the per-link arrival table grow by fixed blocks
-of transaction rows.  Pinned here: the block size changes nothing
+Visibility columns and the per-link arrival table are
+:class:`~repro.utils.blocks.BlockStore` s that grow by fixed blocks of
+transaction rows.  Pinned here: the block size changes nothing
 observable (trace and tangle are identical with tiny blocks), every
 series read through the store equals a dense table built from the
 writes, a view made early reads rows written after it, and the store
@@ -15,7 +16,7 @@ import pytest
 
 from repro.dag.walk_engine import snapshot_for
 from repro.sim import EventDrivenTangleLearning, FaultModel, SimConfig, StalenessPolicy
-from repro.sim import engine as engine_module
+from repro.utils import blocks
 
 LINK_FAULTS = SimConfig(
     quantum=0.5,
@@ -52,8 +53,8 @@ def test_block_size_changes_nothing_observable(
     monkeypatch, sim_dataset, logistic_builder, sim_train_config, sim_dag_config
 ):
     runs = []
-    for block in (engine_module._BLOCK_ROWS, 4):
-        monkeypatch.setattr(engine_module, "_BLOCK_ROWS", block)
+    for block in (blocks.BLOCK_ROWS, 4):
+        monkeypatch.setattr(blocks, "BLOCK_ROWS", block)
         engine = make_engine(
             sim_dataset, logistic_builder, sim_train_config, sim_dag_config
         )
@@ -68,15 +69,15 @@ def test_block_size_changes_nothing_observable(
 def test_series_match_a_dense_table_of_the_writes(
     monkeypatch, sim_dataset, logistic_builder, sim_train_config, sim_dag_config
 ):
-    monkeypatch.setattr(engine_module, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 4)
     writes: dict[int, dict[int, np.ndarray]] = {}
-    store_write = engine_module._BlockColumn.__setitem__
+    store_write = blocks.BlockStore.__setitem__
 
     def recording_write(column, row, value):
         writes.setdefault(id(column), {})[row] = np.array(value, copy=True)
         store_write(column, row, value)
 
-    monkeypatch.setattr(engine_module._BlockColumn, "__setitem__", recording_write)
+    monkeypatch.setattr(blocks.BlockStore, "__setitem__", recording_write)
     engine = make_engine(sim_dataset, logistic_builder, sim_train_config, sim_dag_config)
     engine.run_until(2.0)
     slot = engine._slot[0]
@@ -87,8 +88,8 @@ def test_series_match_a_dense_table_of_the_writes(
 
     lanes = len(engine._client_order)
     dense = np.full((lanes, rows), np.inf)
-    for row, column in writes[id(engine._arrival)].items():
-        dense[:, row] = column
+    for row, arrivals in writes[id(engine._arrival)].items():
+        dense[:, row] = arrivals
     for lane in range(lanes):
         np.testing.assert_array_equal(engine._arrival.head(rows, lane=lane), dense[lane])
     for store, fill in (
@@ -110,7 +111,7 @@ def test_series_match_a_dense_table_of_the_writes(
 def test_store_slack_is_at_most_one_block(
     monkeypatch, block, sim_dataset, logistic_builder, sim_train_config, sim_dag_config
 ):
-    monkeypatch.setattr(engine_module, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", block)
     engine = make_engine(sim_dataset, logistic_builder, sim_train_config, sim_dag_config)
     lanes = len(engine._client_order)
     seen_rows = set()
@@ -130,7 +131,7 @@ def test_undelivered_rows_read_as_never_arrived(
 ):
     """Round barriers publish without per-link delivery: their arrival
     rows exist as soon as the transaction does, reading ``inf``."""
-    monkeypatch.setattr(engine_module, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 4)
     engine = make_engine(sim_dataset, logistic_builder, sim_train_config, sim_dag_config)
     engine.run_rounds(2, clients_per_round=4)
     rows = len(engine.tangle)
