@@ -66,36 +66,54 @@ def test_close_unlinks_and_reverts_to_heap(spec, rng):
     arena.close()  # idempotent
 
 
-def test_shared_growth_appends_segments(spec, rng, monkeypatch):
-    """Growth past a block adds a segment and unlinks none; a handle
-    pickled before growth keeps reading its rows, a later one reads
-    them all; close() unlinks every block's segment."""
+def test_shared_growth_republishes_segment(spec, rng, monkeypatch):
+    """Shared growth publishes each new block as its own segment: the
+    segments already published keep their names and are never unlinked
+    or republished, and close() unlinks every block's segment."""
     monkeypatch.setattr(blocks, "BLOCK_ROWS", 2)
     arena = WeightArena(spec).to_shared()
     flats = [spec.flatten(weight_list(rng)) for _ in range(7)]
     for f in flats[:2]:
         arena.intern(f)
     first = arena.segment_names
-    early = pickle.loads(pickle.dumps(arena))
     for f in flats[2:]:
         arena.intern(f)
     names = arena.segment_names
     assert len(first) == 1 and len(names) == 4
     assert names[:1] == first  # appended, never republished
     assert all(segment_exists(name) for name in names)
+    for i, f in enumerate(flats):
+        np.testing.assert_array_equal(arena.row(i), f)
+    arena.close()
+    assert not any(segment_exists(name) for name in names)
+
+
+def test_stale_generation_reattaches_after_growth(spec, rng, monkeypatch):
+    """A handle pickled before growth keeps reading its rows; a handle
+    pickled after growth attaches the new segments and reads them all;
+    attached mappings stay valid after the owner unlinks."""
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 2)
+    arena = WeightArena(spec).to_shared()
+    flats = [spec.flatten(weight_list(rng)) for _ in range(7)]
+    for f in flats[:2]:
+        arena.intern(f)
+    early = pickle.loads(pickle.dumps(arena))  # round 1 attach
+    for f in flats[2:]:
+        arena.intern(f)
 
     assert len(early) == 2
     for i, f in enumerate(flats[:2]):
         np.testing.assert_array_equal(early.row(i), f)
-    late = pickle.loads(pickle.dumps(arena))
-    assert late.segment_names == names and len(late) == 7
+    late = pickle.loads(pickle.dumps(arena))  # next round's handle
+    assert late.segment_names == arena.segment_names and len(late) == 7
     for i, f in enumerate(flats):
         np.testing.assert_array_equal(late.row(i), f)
 
     arena.close()
-    assert not any(segment_exists(name) for name in names)
     for i, f in enumerate(flats):  # attached mappings stay valid
         np.testing.assert_array_equal(late.row(i), f)
+    for i, f in enumerate(flats[:2]):
+        np.testing.assert_array_equal(early.row(i), f)
 
 
 # ------------------------------------------------------------- pickling
