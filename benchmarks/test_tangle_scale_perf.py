@@ -20,12 +20,15 @@ the scaling story to ``BENCH_tangle_scale.json`` for CI:
   checkpoint where the cold bitset comparator is affordable).
 - **Compaction bounds residency**: compacting to the newest 10% must
   leave < 50% (here ~10%) of the uncompacted resident arena bytes,
-  with the tangle still serving selections afterwards.
+  with the tangle still serving selections afterwards.  The process's
+  VmRSS before and after the cut is recorded beside it on Linux, for
+  information only (no floor).
 
 Timings are medians (p50) or best-of-N so a noisy CI neighbor cannot
 flake the comparison.
 """
 
+import gc
 import json
 import os
 import time
@@ -224,12 +227,27 @@ def test_extend_weights_bit_identical_at_checkpoint():
 
 
 # ------------------------------------------------- compaction residency
+def _vm_rss_bytes() -> int | None:
+    """This process's resident set size (``None`` without Linux /proc)."""
+    gc.collect()
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
 def test_compaction_bounds_resident_arena_bytes():
     tangle, rng = _STATE["tangle"], _STATE["rng"]
     cache: dict = {}
+    rss_before = _vm_rss_bytes()
     compact_s, report = _best_of(
         lambda: tangle.compact(keep_last=LARGE // 10), repeats=1
     )
+    rss_after = _vm_rss_bytes()
     assert report.dropped > 0
     ratio = report.resident_before / report.resident_after
     # The compacted tangle still serves selections.
@@ -245,6 +263,10 @@ def test_compaction_bounds_resident_arena_bytes():
         "speedup": ratio,  # >= 2 means < 50% of bytes stay resident
         "floor": COMPACT_FLOOR,
     }
+    if rss_before is not None and rss_after is not None:
+        _RESULTS["arena_compaction"].update(
+            process_rss_before_bytes=rss_before, process_rss_after_bytes=rss_after
+        )
     assert ratio >= COMPACT_FLOOR, (
         f"compaction kept {report.resident_after}/{report.resident_before} "
         f"bytes resident ({100 / ratio:.0f}%), floor is < 50%"

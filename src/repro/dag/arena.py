@@ -48,20 +48,33 @@ them resident.  Spilled arenas are **archival**: :meth:`intern` and
 receiver maps the file read-only), and :meth:`close` copies the rows
 back to heap and deletes the file.  Unnamed spills go to temp files
 that are removed at interpreter exit.
+
+**Drain.**  Every block is its own mapping
+(:func:`~repro.utils.blocks.mapped_block`, or a shared segment's), so
+memory follows references: :meth:`drain` empties the arena block by
+block — copying a block's kept rows into another arena, and the rest
+into a :meth:`spill_target` archive, before it lets go of the block —
+and a block returns to the operating system once no reader holds it.
+Readers that must outlive a drain pin what they read: a :meth:`pin`
+(the blocks of the current rows, read back through :meth:`pinned`) or
+a row view.  This is how :meth:`~repro.dag.tangle.Tangle.compact`
+shrinks the process.
 """
 
 from __future__ import annotations
 
 import atexit
+import operator
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from repro.nn.serialization import FlatSpec
 from repro.utils import shm as shm_registry
-from repro.utils.blocks import BlockStore, heap_block
+from repro.utils.blocks import BlockStore, mapped_block
 
 __all__ = ["WeightArena", "locate_rows", "shared_rows"]
 
@@ -127,16 +140,17 @@ class WeightArena:
         self.dtype = dtype
         self._rows = 0
         self._store = BlockStore((spec.total,), dtype)
-        # One SharedMemory per block while shared (None = not shared).
-        self._segments: list | None = None
+        # One segment name per block while shared (None = not shared).
+        self._segments: list[str] | None = None
         self._mmap_path: Path | None = None  # spill file backing the rows
         self._attached = False  # True in worker processes (read-only)
 
     def _segment_block(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
         """The store's allocator while shared: one new segment per block."""
-        segment = shm_registry.create_segment(int(np.prod(shape)) * dtype.itemsize)
-        self._segments.append(segment)
-        return np.ndarray(shape, dtype=dtype, buffer=segment.buf)
+        count = int(np.prod(shape))
+        name, mapping = shm_registry.create_mapped_segment(count * dtype.itemsize)
+        self._segments.append(name)
+        return np.frombuffer(mapping, dtype, count=count).reshape(shape)
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -182,7 +196,7 @@ class WeightArena:
     def segment_names(self) -> tuple[str, ...]:
         """Names of the block segments, in block order (empty unless
         shared)."""
-        return tuple(segment.name for segment in self._segments or ())
+        return tuple(self._segments or ())
 
     def row(self, index: int) -> np.ndarray:
         """Read-only 1-D view of one stored model."""
@@ -265,6 +279,18 @@ class WeightArena:
                 "attached arenas cannot be spilled; only the owner "
                 "chooses the backing"
             )
+        spilled = self._open_spill(path, self._rows)
+        for start, rows in self._store.runs(self._rows):
+            spilled[start : start + len(rows)] = rows
+        spilled.flush()
+        self._store.adopt(spilled, self._rows)
+        self._release_segments()
+        return self
+
+    def _open_spill(self, path, rows: int) -> np.memmap:
+        """A new writable spill file for ``rows`` rows at ``path`` (a
+        tracked temp file when ``None``), recorded as this arena's
+        backing."""
         if path is None:
             fd, name = tempfile.mkstemp(prefix="repro-spill-", suffix=".bin")
             os.close(fd)
@@ -274,25 +300,91 @@ class WeightArena:
             path = Path(path)
             if path.parent != Path("."):
                 path.parent.mkdir(parents=True, exist_ok=True)
-        spilled = np.memmap(
-            path,
-            dtype=self.dtype,
-            mode="w+",
-            shape=(max(1, self._rows), self.spec.total),
-        )
-        for start, rows in self._store.runs(self._rows):
-            spilled[start : start + len(rows)] = rows
-        spilled.flush()
-        self._store.adopt(spilled, self._rows)
-        self._release_segments()
         self._mmap_path = path
-        return self
+        return np.memmap(
+            path, dtype=self.dtype, mode="w+", shape=(max(1, rows), self.spec.total)
+        )
+
+    def spill_target(self, rows: int, path=None) -> "WeightArena":
+        """An empty spilled arena laid out like this one, its file at
+        ``path`` (a tracked temp file when omitted) sized for ``rows``
+        rows: the archive a :meth:`drain` writes dropped rows into."""
+        archive = WeightArena(self.spec, dtype=self.dtype)
+        archive._store.adopt(archive._open_spill(path, rows), rows)
+        return archive
+
+    # ------------------------------------------------------------ drain
+    def pin(self) -> tuple:
+        """``(blocks, rows)``: the blocks holding the current rows, and
+        how many rows there are.  Holding a pin keeps those blocks'
+        memory alive whatever this arena does later (a :meth:`drain`
+        lets go of its own references, a backing change swaps its
+        blocks); :meth:`pinned` reads the rows back."""
+        return tuple(self._store.blocks), self._rows
+
+    def pinned(self, pin: tuple) -> "WeightArena":
+        """An arena that reads a :meth:`pin`'s rows: this one while it
+        still holds the pinned blocks, else a read-only one over them."""
+        blocks, mine = pin[0], self._store.blocks
+        if len(mine) >= len(blocks) and all(map(operator.is_, blocks, mine)):
+            return self
+        reader = WeightArena(self.spec, dtype=self.dtype)
+        reader._attached = True
+        reader._store.block_rows = self._store.block_rows
+        reader._store.blocks, reader._rows = list(blocks), pin[1]
+        return reader
+
+    def drain(
+        self, keep, into: "WeightArena", spill: "WeightArena | None" = None
+    ) -> Iterator[tuple[int, int]]:
+        """Move every row out, block by block in row order, and leave
+        this arena empty.
+
+        Row ``i`` is interned into ``into`` when ``keep[i]`` is true and
+        otherwise appended to ``spill`` (a :meth:`spill_target`), or let
+        go when no spill is given.  Once a block's rows are copied the
+        generator yields its row range ``(start, stop)`` — the caller
+        rebinds the readers of those rows — and, when resumed, drops its
+        own reference to the block, unlinking the block's segment when
+        shared.  The block's memory returns to the operating system when
+        no reader pins it any more (a :meth:`pin`, a row view), so the
+        kept copy and the whole old arena are never resident together.
+        A spill file backing this arena is deleted at the end.  Iterate
+        the generator to its end.
+        """
+        if self._attached:
+            raise RuntimeError("only the owning process drains an arena")
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (self._rows,):
+            raise ValueError(f"keep must have shape ({self._rows},), got {keep.shape}")
+        blocks, block_rows = self._store.blocks, self._store.block_rows
+        for index in range(len(blocks)):
+            start = index * block_rows
+            stop = min(start + block_rows, self._rows)
+            block = blocks[index]
+            for row in range(start, stop):
+                if keep[row]:
+                    into.intern(block[row - start])
+                elif spill is not None:
+                    spill._store[spill._rows] = block[row - start]
+                    spill._rows += 1
+            del block
+            yield start, stop
+            blocks[index] = None
+            if self._segments:
+                shm_registry.unlink_segment(self._segments[index])
+        if spill is not None and spill._rows:
+            spill._store.blocks[0].flush()  # a view of the whole file's map
+        self._rows = 0
+        self._store.allocate, self._store.blocks = mapped_block, []
+        self._segments = None
+        self._delete_spill()
 
     def _release_segments(self) -> None:
         """Unlink the block segments of a shared owner (if any)."""
         segments, self._segments = self._segments or (), None
-        for segment in segments:
-            shm_registry.unlink_segment(segment.name)
+        for name in segments:
+            shm_registry.unlink_segment(name)
 
     def close(self) -> None:
         """Release any non-heap backing and revert to heap (idempotent).
@@ -310,8 +402,12 @@ class WeightArena:
             self._segments is None and self._mmap_path is None
         ):
             return
-        self._store.reback(heap_block, self._rows)
+        self._store.reback(mapped_block, self._rows)
         self._release_segments()
+        self._delete_spill()
+
+    def _delete_spill(self) -> None:
+        """Delete the spill file backing the rows, if any."""
         path, self._mmap_path = self._mmap_path, None
         if path is not None:
             try:
@@ -365,15 +461,15 @@ class WeightArena:
         self._rows = state["rows"]
         if "segments" in state:
             self._attached = True
-            self._segments = [shm_registry.attach_cached(n) for n in state["segments"]]
+            self._segments = list(state["segments"])
             self._store.block_rows = state["block_rows"]
             self._store.blocks = [
                 np.ndarray(
                     (self._store.block_rows, self.spec.total),
                     dtype=self.dtype,
-                    buffer=segment.buf,
+                    buffer=shm_registry.attach_cached(name).buf,
                 )
-                for segment in self._segments
+                for name in self._segments
             ]
         elif "path" in state:
             self._attached = True
@@ -387,4 +483,4 @@ class WeightArena:
             self._store.adopt(spilled, self._rows)
         else:
             self._store.adopt(state["slab"], self._rows)
-            self._store.reback(heap_block, self._rows)
+            self._store.reback(mapped_block, self._rows)

@@ -2,11 +2,12 @@
 checkpoint compaction.
 
 The store is append-only *between compactions*: :meth:`Tangle.compact`
-truncates confirmed history below a cut — dropped models are freed (or
-spilled to a memory-mapped archive) and surviving parents below the cut
-remap to genesis — bumps :attr:`Tangle.compaction_epoch`, and drops the
-tangle's walk snapshot, so no reader is served pre-compaction state
-(see ``docs/scaling.md``).
+truncates confirmed history below a cut — the old arena is drained
+block by block into a kept arena (dropped models go back to the
+operating system once no reader pins them, or to a memory-mapped
+archive) and surviving parents below the cut remap to genesis — bumps
+:attr:`Tangle.compaction_epoch`, and drops the tangle's walk snapshot,
+so no reader is served pre-compaction state (see ``docs/scaling.md``).
 """
 
 from __future__ import annotations
@@ -129,7 +130,9 @@ class Tangle:
         form the parallel substrate uses.  Values are bit-identical; only
         the storage location changes.  Returns ``self`` for chaining.
         """
-        self._arena.to_shared()
+        if not self._arena.is_shared:
+            self._arena.to_shared()
+            self._rebind()
         return self
 
     def close(self) -> None:
@@ -139,7 +142,15 @@ class Tangle:
         the segment's name is removed so nothing leaks in ``/dev/shm``.
         Heap-backed tangles have nothing to release.
         """
-        self._arena.close()
+        if self._arena.is_shared or self._arena.is_spilled:
+            self._arena.close()
+            self._rebind()
+
+    def _rebind(self) -> None:
+        """Point every transaction's row view at the arena's current
+        blocks, so none keeps a replaced block alive."""
+        for row, tx_id in enumerate(self._order):
+            self._transactions[tx_id].bind_arena(self._arena, row)
 
     def __enter__(self) -> "Tangle":
         return self
@@ -299,14 +310,21 @@ class Tangle:
         - kept transactions whose parents fell below the cut re-parent
           onto genesis (duplicates collapsed, approval order kept) —
           the DAG stays rooted and walkable;
-        - the :class:`WeightArena` is rebuilt with only the kept rows
-          (shared-memory backing is preserved); the dropped rows are
-          freed, or — when ``spill_path`` names a file — archived first
-          into a memory-mapped spill arena returned on the report;
+        - the old :class:`WeightArena` is drained block by block in
+          insertion order (:meth:`WeightArena.drain`): a block's kept
+          rows are copied into a fresh arena of the same tier (shared
+          memory stays shared), its transactions rebound, and the block
+          let go before the next is read — so the kept copy and the
+          whole old arena are never resident together.  Dropped rows are
+          written straight into the spill file when ``spill_path`` names
+          one (the archive arena is returned on the report);
         - :attr:`compaction_epoch` bumps and the tangle drops its walk
-          snapshot (the next :meth:`snapshot` is a cold build); live
-          readers holding old snapshots or old :class:`Transaction`
-          objects keep working off the state they captured.
+          snapshot (the next :meth:`snapshot` is a cold build).  Readers
+          pin what they read: a snapshot cut before the cut holds the
+          old blocks its rows live in and a held :class:`Transaction`
+          its row, so both keep reading bit-identical rows, and a
+          drained block returns to the operating system when its last
+          reader lets go.
 
         No-op (epoch unchanged) when nothing falls below the cut.
         """
@@ -337,45 +355,50 @@ class Tangle:
             )
         kept_ids = [GENESIS_ID] + order[cut:]
         kept_set = set(kept_ids)
-
-        spill = None
-        spill_rows: dict[str, int] | None = None
-        if spill_path is not None:
-            spill = WeightArena(self._spec, dtype=self._arena.dtype)
-            spill_rows = {
-                tx_id: spill.intern(self.flat_weights(tx_id)) for tx_id in dropped_ids
-            }
-            spill.to_spilled(spill_path)
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:cut] = False  # kept row p lands at p - cut + 1, genesis at 0
 
         old_arena = self._arena
         fresh = WeightArena(self._spec, dtype=old_arena.dtype)
-        for tx_id in kept_ids:
-            tx = self._transactions[tx_id]
-            if tx.parents:
-                remapped = tuple(
-                    dict.fromkeys(
-                        p if p in kept_set else GENESIS_ID for p in tx.parents
-                    )
-                )
-                if remapped != tx.parents:
-                    tx.parents = remapped
-            tx.bind_arena(fresh, fresh.intern(tx.flat_vector(self._spec)))
         if old_arena.is_shared:
-            fresh.to_shared()
+            fresh.to_shared()  # kept rows go straight into new segments
+        spill = spill_rows = None
+        if spill_path is not None:
+            spill = old_arena.spill_target(len(dropped_ids), spill_path)
+            spill_rows = {tx_id: row for row, tx_id in enumerate(dropped_ids)}
+        # The tangle's own snapshot pins every old block; readers that
+        # captured one keep theirs.  A drained block is let go once its
+        # kept transactions read the fresh arena and its dropped ones
+        # are forgotten (deleted in place, which leaves the kept ones in
+        # order).
+        self._snapshot = None
         self._arena = fresh
-        old_arena.close()
-
-        self._transactions = {t: self._transactions[t] for t in kept_ids}
+        transactions = self._transactions
+        for start, stop in old_arena.drain(keep, fresh, spill):
+            for position in range(start, stop):
+                tx_id = order[position]
+                if not keep[position]:
+                    del transactions[tx_id]
+                    continue
+                tx = transactions[tx_id]
+                tx.bind_arena(fresh, max(0, position - cut + 1))
+                if tx.parents:
+                    remapped = tuple(
+                        dict.fromkeys(
+                            p if p in kept_set else GENESIS_ID for p in tx.parents
+                        )
+                    )
+                    if remapped != tx.parents:
+                        tx.parents = remapped
         approvers: dict[str, list[str]] = {t: [] for t in kept_ids}
         for tx_id in kept_ids[1:]:
-            for parent in self._transactions[tx_id].parents:
+            for parent in transactions[tx_id].parents:
                 approvers[parent].append(tx_id)
         self._approvers = approvers
         # The oldest kept transaction always re-parents onto genesis, so
         # genesis is a tip only when it is alone.
         self._tips = {t for t in kept_ids if not approvers[t]}
         self._order = kept_ids
-        self._snapshot = None
         self._compaction_epoch += 1
         return CompactionReport(
             dropped=len(dropped_ids),

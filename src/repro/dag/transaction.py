@@ -62,9 +62,11 @@ class Transaction:
       flattens a per-layer list once; :meth:`from_flat` adopts a flat
       vector as is (how the substrate ships models between processes).
     - **Bound** (after :meth:`~repro.dag.tangle.Tangle.add`): ``(arena,
-      row)`` — the tangle interned the row into its contiguous
-      :class:`~repro.dag.arena.WeightArena` and the transaction keeps
-      only where it lives.
+      row)`` — the tangle interned the row into its
+      :class:`~repro.dag.arena.WeightArena` — plus a read-only view of
+      that row, which is what the transaction reads and what keeps the
+      row's block alive: a transaction dropped by a compaction, or held
+      by a caller across one, still returns its weights.
 
     ``model_weights`` returns fresh zero-copy per-layer views of that row.
     """
@@ -132,17 +134,10 @@ class Transaction:
         return tx
 
     # ------------------------------------------------------------- weights
-    def _located(self) -> tuple[np.ndarray, FlatSpec]:
-        """The row (read-only once bound) and the spec laying it out."""
-        if self._arena is None:
-            return self._flat, self._spec
-        return self._arena.row(self._row), self._arena.spec
-
     @property
     def model_weights(self) -> list[np.ndarray]:
         """Per-layer weight arrays: fresh zero-copy views of the row."""
-        flat, spec = self._located()
-        return spec.unflatten(flat)
+        return self._spec.unflatten(self._flat)
 
     def arena_location(self) -> tuple[object, int] | None:
         """``(arena, row_index)`` when arena-bound, else ``None`` —
@@ -162,17 +157,34 @@ class Transaction:
         — how :meth:`~repro.dag.tangle.Tangle.add` rejects a model laid
         out unlike its tangle's genesis.
         """
-        flat, own = self._located()
-        if own != spec:
+        if self._spec != spec:
             raise ValueError(f"{self.tx_id!r} is laid out by a different spec")
-        return flat
+        return self._flat
 
     def bind_arena(self, arena, row: int) -> None:
-        """Adopt arena storage; drops the privately held row."""
+        """Adopt arena storage: read the arena's ``row`` (a read-only
+        view) from now on instead of the row held before."""
         self._arena = arena
         self._row = row
-        self._flat = None
-        self._spec = None
+        self._flat = arena.row(row)
+        self._spec = arena.spec
+
+    def __reduce__(self):
+        """Pickle a bound transaction as ``(arena, row)`` only: the arena
+        ships its rows (or a handle to them) once for all, and the row
+        view is taken again on load."""
+        bound = self._arena is not None
+        return _restore, (
+            self.tx_id,
+            self.parents,
+            self.issuer,
+            self.round_index,
+            self.tags,
+            None if bound else self._flat,
+            None if bound else self._spec,
+            self._arena,
+            self._row,
+        )
 
     # ------------------------------------------------------------- dunder
     @property
@@ -184,3 +196,14 @@ class Transaction:
             f"Transaction({self.tx_id}, issuer={self.issuer}, "
             f"round={self.round_index}, parents={list(self.parents)})"
         )
+
+
+def _restore(tx_id, parents, issuer, round_index, tags, flat, spec, arena, row):
+    """Unpickle a :class:`Transaction` (see ``Transaction.__reduce__``)."""
+    tx = Transaction.__new__(Transaction)
+    tx.tx_id, tx.parents, tx.issuer = tx_id, parents, issuer
+    tx.round_index, tx.tags = round_index, tags
+    tx._flat, tx._spec, tx._arena, tx._row = flat, spec, None, None
+    if arena is not None:
+        tx.bind_arena(arena, row)
+    return tx

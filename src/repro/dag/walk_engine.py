@@ -199,10 +199,7 @@ class TangleSnapshot:
         """Set every field from the two CSR adjacencies and the arena
         rows, lazy planes unmaterialized."""
         self.ids = ids
-        # ``(arena, rows)``: the tangle's arena and each node's row in
-        # it, or ``None`` off a tangle.  Rows move only under compaction,
-        # which retires the tangle's snapshot.
-        self.arena_rows = arena_rows
+        self._locate(arena_rows)
         self.index = index
         self.parent_indptr, self.parent_indices = parent_indptr, parent_indices
         self.approver_indptr, self.approver_indices = (
@@ -232,6 +229,42 @@ class TangleSnapshot:
         self._restrictions: dict[bytes, TangleSnapshot] = {}
         self._parent_lists: tuple[list[int], list[int]] | None = None
         self._approver_lists: tuple[list[int], list[int]] | None = None
+
+    def _locate(self, arena_rows: tuple | None) -> None:
+        """Record ``(arena, rows)`` — the tangle's arena and each node's
+        row in it, or ``None`` off a tangle — and pin the arena blocks
+        those rows live in (:meth:`~repro.dag.arena.WeightArena.pin`)."""
+        self._arena_rows = arena_rows
+        self._arena_pin = None if arena_rows is None else arena_rows[0].pin()
+
+    @property
+    def arena_rows(self) -> tuple | None:
+        """``(arena, rows)``: each node's row in its tangle's weight
+        arena, or ``None`` off a tangle.
+
+        The arena is the tangle's own while it still holds the blocks
+        this snapshot pinned.  Rows move only under compaction, which
+        drains those blocks out of it; from then on the arena is a
+        read-only one over the pinned blocks, so a walk in flight
+        across the cut scores the very rows it was cut over.
+        """
+        located = self._arena_rows
+        if located is not None:
+            arena = located[0].pinned(self._arena_pin)
+            if arena is not located[0]:
+                located = self._arena_rows = (arena, located[1])
+        return located
+
+    def __getstate__(self) -> dict:
+        """Pickle the arena, not the pinned blocks: the arena ships its
+        rows (or a handle to them), and is pinned again on load."""
+        state = self.__dict__.copy()
+        del state["_arena_pin"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._locate(self._arena_rows)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -263,7 +296,7 @@ class TangleSnapshot:
         snapshot = cls(ids, parent_lists, approver_lists)
         arena = getattr(view, "arena", None)
         if arena is not None:
-            snapshot.arena_rows = (arena, np.arange(len(ids), dtype=np.int64))
+            snapshot._locate((arena, np.arange(len(ids), dtype=np.int64)))
         return snapshot
 
     def extend(self, tangle) -> "TangleSnapshot":

@@ -8,13 +8,21 @@ of block ``i // block_rows``.  Growth appends one block and copies
 nothing, so a view of a written row stays valid however far the store
 grows, and the slack beyond the last row is at most one block.
 
-A new block comes from the store's ``allocate`` hook (heap memory by
-default; a shared arena hands out one shared-memory segment per block)
-and is preset to ``fill`` when one is given, so unwritten rows read as
-``fill``.  :meth:`BlockStore.reback` moves the written rows under
-another allocator (heap to shared memory and back) and
+A new block comes from the store's ``allocate`` hook (by default
+:func:`mapped_block`: an anonymous mapping of its own; a shared arena
+hands out one shared-memory segment per block) and is preset to
+``fill`` when one is given, so unwritten rows read as ``fill``.
+:meth:`BlockStore.reback` moves the written rows under another
+allocator (mapped memory to shared memory and back) and
 :meth:`BlockStore.adopt` makes the blocks views of one existing array (a
 spill file, a received pickle).
+
+A block is only memory while something reads it: the store holds one
+reference, and every view of its rows (a row handed out, a reader that
+pinned the store's blocks) holds another.  A block that is its own
+mapping goes back to the operating system the moment the last of them
+lets go, which is what lets :meth:`repro.dag.tangle.Tangle.compact`
+shrink the process, not only the arena's accounting.
 
 ``BLOCK_ROWS`` is read when a store is built, so a test may shrink it
 for the stores it builds next.
@@ -22,11 +30,12 @@ for the stores it builds next.
 
 from __future__ import annotations
 
+import mmap
 from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "BlockStore", "heap_block"]
+__all__ = ["BLOCK_ROWS", "BlockStore", "mapped_block", "warm_malloc"]
 
 #: Rows per block: a 1000-client arrival block is 2 MB, a block of
 #: 53 k-parameter float64 models 108 MB of address space that is only
@@ -36,15 +45,40 @@ BLOCK_ROWS = 256
 Allocator = Callable[[tuple, np.dtype], np.ndarray]
 
 
-def heap_block(shape: tuple, dtype: np.dtype) -> np.ndarray:
-    """``np.empty(shape, dtype)`` after freeing one untouched buffer of
-    that size: glibc sets its mmap and heap-trim thresholds from the
-    largest mapping it has freed (up to 32 MB), and a store that never
-    frees would leave them at 128 KB, making every larger temporary
-    elsewhere a fresh page-faulting mapping (217 k minor faults per e2e
-    ``rounds_mlp`` run instead of 6 k)."""
-    np.empty(shape, dtype)
-    return np.empty(shape, dtype)
+def warm_malloc(nbytes: int) -> None:
+    """Allocate and free one untouched ``nbytes`` buffer on the malloc
+    heap.
+
+    glibc serves a request of at least its mmap threshold (128 KB at
+    start) with a fresh mapping, and raises that threshold — and its
+    heap-trim threshold to twice it — to the size of the largest mapped
+    chunk it frees (up to 32 MB).  Blocks are mappings malloc never
+    sees, so without this step nothing large is ever freed, the
+    thresholds stay at 128 KB, and every training and scoring temporary
+    of 128 KB or more becomes a fresh page-faulting mapping: 217 k minor
+    faults per e2e ``rounds_mlp`` run instead of 6 k.  Freeing one
+    block-sized buffer per block keeps those temporaries on the reused
+    heap.
+    """
+    np.empty(nbytes, np.uint8)
+
+
+def mapped_block(shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """A writable zeroed block that is its own anonymous mapping, so
+    dropping its last view unmaps it and returns its pages to the
+    operating system (a malloc-heap block would stay in the heap).
+
+    Preceded by :func:`warm_malloc` of the block's size; a block of 4 MB
+    or more asks for transparent huge pages as numpy's own allocator
+    does for arrays that large."""
+    count = int(np.prod(shape))
+    nbytes = max(1, count * dtype.itemsize)
+    warm_malloc(nbytes)
+    # Private, like heap memory: a forked worker's copy is copy-on-write.
+    mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if nbytes >= 4 << 20 and hasattr(mmap, "MADV_HUGEPAGE"):
+        mapping.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(mapping, dtype, count=count).reshape(shape)
 
 
 class BlockStore:
@@ -56,7 +90,7 @@ class BlockStore:
         self.row_shape = tuple(row_shape)
         self.dtype = np.dtype(dtype)
         self.fill = fill
-        self.allocate: Allocator = heap_block
+        self.allocate: Allocator = mapped_block
         self.blocks: list[np.ndarray] = []
 
     def reserve(self, row: int) -> tuple[np.ndarray, int]:
@@ -143,7 +177,7 @@ class BlockStore:
         """Make the blocks views of the first ``n`` rows of ``array``
         (no copy; the last block may be short, so this store is then
         read-only until a :meth:`reback`)."""
-        self.allocate = heap_block
+        self.allocate = mapped_block
         self.blocks = [
             array[start : start + self.block_rows]
             for start in range(0, n, self.block_rows)

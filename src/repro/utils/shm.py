@@ -37,6 +37,7 @@ parent still owns.
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import secrets
 import signal
@@ -45,6 +46,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 __all__ = [
     "create_segment",
+    "create_mapped_segment",
     "attach_cached",
     "unlink_segment",
     "release_all",
@@ -161,6 +163,23 @@ def create_segment(nbytes: int) -> shared_memory.SharedMemory:
     shm = shared_memory.SharedMemory(name=name, create=True, size=max(1, nbytes))
     _owned[name] = (os.getpid(), shm)
     return shm
+
+
+def create_mapped_segment(nbytes: int) -> tuple[str, mmap.mmap]:
+    """A new named segment (:func:`create_segment`) and a mapping of it
+    that lives exactly as long as the views of it do.
+
+    The segment's own mapping is closed at once: ``SharedMemory`` unmaps
+    on ``close()`` or collection even under live numpy views, which would
+    leave them dangling.  ``mmap`` keeps its own duplicate of the
+    descriptor, so this mapping outlives both that close and
+    :func:`unlink_segment`; its pages are freed when the name is
+    unlinked and the last view (here or in a worker) is gone.
+    """
+    segment = create_segment(nbytes)
+    mapping = mmap.mmap(segment._fd, segment.size)
+    segment.close()
+    return segment.name, mapping
 
 
 def attach_cached(name: str) -> shared_memory.SharedMemory:

@@ -3,8 +3,8 @@
 A ``RuleBasedStateMachine`` drives one :class:`WeightArena` through
 random interleavings of intern, row, rows (contiguous runs and index
 sets, inside one block and across blocks), to_shared, to_spilled,
-close and a pickle round trip, on tiny blocks so every run crosses
-several.  After every step the arena must agree with a plain list of
+close, drain and a pickle round trip, on tiny blocks so every run
+crosses several.  After every step the arena must agree with a plain list of
 the rows it was given:
 
 - every row and every stacked read equals the list;
@@ -13,12 +13,19 @@ the rows it was given:
 - a row view taken while the backing stays the same still aliases the
   row, however far the arena grew since;
 - a spilled arena refuses ``intern`` and ``to_shared``;
-- ``close`` unlinks every block segment or deletes the spill file.
+- ``close`` unlinks every block segment or deletes the spill file;
+- ``drain`` moves the kept rows, in order, into a fresh arena of the
+  same tier and the others into an archive, leaves the old arena empty
+  with its segments unlinked and its spill file deleted, while row
+  views and a pin taken before it still read the old rows — and every
+  old block's buffer is released once those readers let go.
 """
 
+import gc
 import os
 import pickle
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -130,6 +137,51 @@ class ArenaMachine(RuleBasedStateMachine):
         assert not set(names) & shm_registry.owned_segment_names()
         assert path is None or not path.exists()
 
+    @rule(data=st.data(), archive=st.booleans())
+    def drain(self, data, archive):
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=len(self.rows), max_size=len(self.rows))
+        )
+        old, fresh = self.arena, WeightArena(SPEC)
+        if old.is_shared:
+            fresh.to_shared()
+        dropped = [row for row, kept in zip(self.rows, keep) if not kept]
+        spill = None
+        if archive:
+            spill = old.spill_target(len(dropped), Path(self.tmp.name, "archive.bin"))
+        pin = old.pin()
+        released = watch_release(pin[0])
+        names, path, shared = old.segment_names, old.spill_path, old.is_shared
+
+        ranges = list(old.drain(keep, fresh, spill))
+        assert [start for start, _ in ranges] == list(
+            range(0, len(self.rows), BLOCK_ROWS)
+        )
+        assert len(old) == 0 and not old.is_shared and not old.is_spilled
+        assert not set(names) & shm_registry.owned_segment_names()
+        assert path is None or not path.exists()
+        assert fresh.is_shared == shared
+        everything = range(len(self.rows))
+        assert (old.pinned(pin) is old) == (not self.rows)  # only an empty pin
+        np.testing.assert_array_equal(
+            old.pinned(pin).rows(everything), self.expected(everything)
+        )
+        assert all((view == self.rows[index]).all() for index, view in self.views)
+        if spill is not None:
+            assert len(spill) == len(dropped) and spill.is_spilled
+            np.testing.assert_array_equal(
+                spill.rows(range(len(dropped))),
+                np.array(dropped).reshape(-1, SPEC.total),
+            )
+            spill.close()
+
+        self.arena = fresh
+        self.rows = [row for row, kept in zip(self.rows, keep) if kept]
+        self.views.clear()
+        del pin
+        gc.collect()
+        assert all(released.values())
+
     @rule()
     def pickle_round_trip(self):
         clone = pickle.loads(pickle.dumps(self.arena))
@@ -158,6 +210,24 @@ class ArenaMachine(RuleBasedStateMachine):
     def teardown(self):
         self.arena.close()
         self.tmp.cleanup()
+
+
+def buffer_of(array):
+    """The object that owns an array's memory: a block's mapping."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array
+
+
+def watch_release(arrays) -> dict[int, bool]:
+    """``{id: released}`` for the buffers of ``arrays``, each flipped to
+    True by ``weakref.finalize`` when its buffer is freed."""
+    released: dict[int, bool] = {}
+    for buffer in map(buffer_of, arrays):
+        if id(buffer) not in released:
+            released[id(buffer)] = False
+            weakref.finalize(buffer, released.__setitem__, id(buffer), True)
+    return released
 
 
 def test_arena_agrees_with_a_list_of_rows():
