@@ -34,7 +34,12 @@ def train_test_split(
     *,
     test_fraction: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffle and split into train/test with at least one test sample."""
+    """Shuffle and split into train/test with at least one test sample.
+
+    ``test_fraction`` must be finite and strictly between 0 and 1.
+    """
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples to split")

@@ -8,12 +8,19 @@ contrast) with per-sample jitter (shift, pixel noise).  This preserves the
 two properties the experiments rely on: images of the same class are
 learnable, and per-writer style variation exists for the writer-split
 (poisoning) experiments.
+
+The image operations are the numpy kernels of :mod:`repro.data.imaging`,
+which reproduce ``scipy.ndimage`` bit for bit, so the generated bytes
+depend on numpy alone.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from repro.data import imaging
 from repro.data.base import ClientData, FederatedDataset, train_test_split
 from repro.utils.rng import ensure_rng
 
@@ -70,27 +77,25 @@ GLYPH_BITMAPS: dict[int, np.ndarray] = {
 DEFAULT_CLUSTERS: tuple[tuple[int, ...], ...] = ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9))
 
 
+@lru_cache(maxsize=512)
 def render_digit(digit: int, image_size: int, *, margin: int = 2) -> np.ndarray:
     """Upscale the canonical bitmap of a glyph to ``image_size`` square.
 
-    Accepts digit classes 0-9 and letter classes 10-15.
+    Accepts digit classes 0-9 and letter classes 10-15.  The canvas is
+    cached per ``(digit, image_size, margin)`` and returned read-only.
     """
     if digit not in GLYPH_BITMAPS:
         raise ValueError(f"unknown digit {digit}")
     if image_size < 8:
         raise ValueError("image_size must be >= 8")
-    # scipy loads on the first render, not with the package: only the
-    # glyph renderer uses it.
-    from scipy import ndimage
-
     bitmap = GLYPH_BITMAPS[digit]
     inner = image_size - 2 * margin
-    zoomed = ndimage.zoom(
-        bitmap, (inner / bitmap.shape[0], inner / bitmap.shape[1]), order=1
-    )
+    # Bilinear upscale with the bitmap's corners on the inner square's.
+    zoomed = imaging.zoom(bitmap, (inner / bitmap.shape[0], inner / bitmap.shape[1]))
     zoomed = np.clip(zoomed, 0.0, 1.0)
     canvas = np.zeros((image_size, image_size))
     canvas[margin : margin + zoomed.shape[0], margin : margin + zoomed.shape[1]] = zoomed
+    canvas.setflags(write=False)
     return canvas
 
 
@@ -113,38 +118,44 @@ class WriterStyle:
 
     def prototype(self, digit: int) -> np.ndarray:
         """Writer-specific canonical image of ``digit``."""
-        cached = self._prototypes.get(digit)
-        if cached is not None:
-            return cached
-        from scipy import ndimage
+        self._render_prototypes([digit])
+        return self._prototypes[digit]
 
-        canvas = render_digit(digit, self.image_size)
-        rotated = ndimage.rotate(canvas, self.angle, reshape=False, order=1)
-        blurred = ndimage.gaussian_filter(rotated, self.blur_sigma)
-        proto = np.clip(blurred * self.contrast, 0.0, 1.0)
-        self._prototypes[digit] = proto
-        return proto
+    def _render_prototypes(self, digits: list[int]) -> None:
+        """Render the missing prototypes of ``digits`` in one pass."""
+        missing = sorted({d for d in digits if d not in self._prototypes})
+        if not missing:
+            return
+        canvases = np.stack([render_digit(d, self.image_size) for d in missing])
+        rotated = imaging.rotate(canvases, self.angle)
+        blurred = imaging.gaussian_filter(rotated, self.blur_sigma)
+        for digit, proto in zip(missing, np.clip(blurred * self.contrast, 0.0, 1.0)):
+            self._prototypes[digit] = proto
+
+    def samples(self, digits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Noisy samples of ``digits`` in this writer's style, stacked.
+
+        The jitter is drawn per sample, in sample order (a shift, then the
+        pixel noise), so one call consumes ``rng`` exactly as one
+        :meth:`sample` per digit would; the shifts then run as one batch.
+        """
+        digits = [int(d) for d in digits]
+        size = self.image_size
+        shifts = np.empty((len(digits), 2))
+        noise = np.empty((len(digits), size, size))
+        for i in range(len(digits)):
+            shifts[i] = self.shift_bias + rng.uniform(-1.0, 1.0, size=2)
+            noise[i] = rng.normal(0.0, self.noise_level, size=(size, size))
+        if not digits:
+            return noise
+        self._render_prototypes(digits)
+        protos = np.stack([self._prototypes[d] for d in digits])
+        shifted = imaging.shift(protos, shifts)
+        return np.clip(shifted + noise, 0.0, 1.0)
 
     def sample(self, digit: int, rng: np.random.Generator) -> np.ndarray:
         """One noisy sample of ``digit`` in this writer's style."""
-        from scipy import ndimage
-
-        proto = self.prototype(digit)
-        shift = self.shift_bias + rng.uniform(-1.0, 1.0, size=2)
-        shifted = ndimage.shift(proto, shift, order=1, mode="constant")
-        noisy = shifted + rng.normal(0.0, self.noise_level, size=proto.shape)
-        return np.clip(noisy, 0.0, 1.0)
-
-
-def _generate_client_images(
-    classes: np.ndarray,
-    style: WriterStyle,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    images = np.empty((classes.shape[0], 1, style.image_size, style.image_size))
-    for i, digit in enumerate(classes):
-        images[i, 0] = style.sample(int(digit), rng)
-    return images
+        return self.samples([digit], rng)[0]
 
 
 def _cluster_of_class(clusters: tuple[tuple[int, ...], ...]) -> dict[int, int]:
@@ -176,9 +187,15 @@ def make_fmnist_clustered(
     balanced, exactly as the paper assigns "an equal number of clients to
     each cluster".
     """
-    rng = ensure_rng(seed)
     if num_clients < len(clusters):
         raise ValueError("need at least one client per cluster")
+    if foreign_fraction is not None:
+        low, high = foreign_fraction
+        if not 0.0 <= low <= high <= 1.0:
+            raise ValueError(
+                f"foreign_fraction must satisfy 0 <= low <= high <= 1, got {foreign_fraction}"
+            )
+    rng = ensure_rng(seed)
     class_cluster = _cluster_of_class(clusters)
     all_classes = sorted(class_cluster)
     clients: list[ClientData] = []
@@ -190,7 +207,6 @@ def make_fmnist_clustered(
         style = WriterStyle(client_rng, image_size)
 
         if foreign_fraction is not None:
-            low, high = foreign_fraction
             frac = client_rng.uniform(low, high)
             n_foreign = int(round(samples_per_client * frac))
         else:
@@ -205,7 +221,7 @@ def make_fmnist_clustered(
             ]
         ).astype(int)
         client_rng.shuffle(labels)
-        images = _generate_client_images(labels, style, client_rng)
+        images = style.samples(labels, client_rng)[:, None]
         x_tr, y_tr, x_te, y_te = train_test_split(
             images, labels, client_rng, test_fraction=test_fraction
         )
@@ -257,7 +273,7 @@ def make_fmnist_by_writer(
         client_rng = ensure_rng(int(rng.integers(0, 2**62)))
         style = WriterStyle(client_rng, image_size)
         labels = client_rng.integers(0, num_classes, size=samples_per_client)
-        images = _generate_client_images(labels, style, client_rng)
+        images = style.samples(labels, client_rng)[:, None]
         x_tr, y_tr, x_te, y_te = train_test_split(
             images, labels, client_rng, test_fraction=test_fraction
         )

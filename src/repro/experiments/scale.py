@@ -1,10 +1,13 @@
 """Scale profiles for the experiment suite.
 
 The paper's configuration (Table 1 plus Section 5.1 dataset sizes) is the
-``paper`` profile.  Full-fidelity runs are CPU-days in pure numpy, so two
-reduced profiles shrink rounds, client counts, sample counts, and model
-widths while keeping every structural knob (cluster layout, class counts,
-protocol parameters) intact.  Select via the ``REPRO_SCALE`` environment
+``paper`` profile.  Full-fidelity runs are long in pure numpy: measured
+from 2-round runs on a 2-core machine, one seed takes at least about
+14 min for FMNIST, 2.9 h for Poets and 6.3 h for CIFAR-100 (lower bounds:
+later rounds walk a deeper tangle).  So two reduced profiles shrink
+rounds, client counts, sample counts, and model widths while keeping
+every structural knob (cluster layout, class counts, protocol
+parameters) intact.  Select via the ``REPRO_SCALE`` environment
 variable or an explicit argument; the default is ``smoke``.
 """
 

@@ -43,6 +43,16 @@ def test_split_never_empties_train(rng):
     assert len(x_tr) >= 1 and len(x_te) >= 1
 
 
+@pytest.mark.parametrize(
+    "fraction", [float("nan"), float("inf"), -0.1, 0.0, 1.0, 1.5]
+)
+def test_split_rejects_fraction_outside_open_unit_interval(rng, fraction):
+    x = rng.normal(size=(10, 2))
+    y = np.zeros(10, dtype=int)
+    with pytest.raises(ValueError, match="test_fraction"):
+        train_test_split(x, y, rng, test_fraction=fraction)
+
+
 def test_split_partitions_disjointly(rng):
     x = np.arange(20, dtype=np.float64).reshape(20, 1)
     y = np.zeros(20, dtype=int)

@@ -1,5 +1,7 @@
 """Procedural FMNIST generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,94 @@ def test_by_writer_num_classes_validation():
         make_fmnist_by_writer(num_clients=2, samples_per_client=10, num_classes=1)
     with _pytest.raises(ValueError):
         make_fmnist_by_writer(num_clients=2, samples_per_client=10, num_classes=17)
+
+
+def dataset_digest(dataset):
+    """sha256 over every client's tensors, with their dtypes and shapes."""
+    digest = hashlib.sha256()
+    for client in dataset.clients:
+        for array in (client.x_train, client.y_train, client.x_test, client.y_test):
+            array = np.ascontiguousarray(array)
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+#: Generated-dataset digests recorded with the scipy.ndimage renderer; the
+#: numpy kernels must reproduce its bytes.  ``e2e-rounds`` is the dataset
+#: of the end-to-end rounds workloads at seed 0.
+DATASET_DIGESTS = {
+    "clustered-8": (
+        lambda: make_fmnist_clustered(num_clients=6, samples_per_client=20, image_size=8, seed=0),
+        "49a0688d550d528ead6eabdb93266f750f114afc9c94e74e2e5c0d08de3d87d8",
+    ),
+    "clustered-10": (
+        lambda: make_fmnist_clustered(num_clients=6, samples_per_client=20, image_size=10, seed=1),
+        "8e936db0f82cd0dfc3464d4ae48f0baebef88c08542412491a85a3fa3e8fd6e5",
+    ),
+    "clustered-14": (
+        lambda: make_fmnist_clustered(num_clients=6, samples_per_client=20, image_size=14, seed=2),
+        "e4e666691a3c02da75a0f8f68327c5171e77ca2a5e47043fd112f82cb4e46773",
+    ),
+    "clustered-28": (
+        lambda: make_fmnist_clustered(num_clients=6, samples_per_client=20, image_size=28, seed=3),
+        "ef674359350025ffc3bc20ed0807cd5db58acb5aad472c70f36d7b257af7d3af",
+    ),
+    "relaxed-14": (
+        lambda: make_fmnist_clustered(
+            num_clients=6,
+            samples_per_client=40,
+            image_size=14,
+            foreign_fraction=(0.15, 0.20),
+            seed=4,
+        ),
+        "b318de2cf1ff3e13548a92e45548ee8bb2936f9a8bcd1f71e73971abe39f729d",
+    ),
+    "by-writer-16": (
+        lambda: make_fmnist_by_writer(
+            num_clients=4, samples_per_client=40, image_size=14, num_classes=16, seed=5
+        ),
+        "36c3d1b63a5a97d323eb4607d15d9bf94aea37ac7d3eaf28f544b6fa30e3f56e",
+    ),
+    "e2e-rounds": (
+        lambda: make_fmnist_clustered(
+            num_clients=100, samples_per_client=80, image_size=14, seed=0
+        ),
+        "dc183971c0d0c737b077ceddcada064287c3171d33d75de24a315aebf62cdc7c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_DIGESTS))
+def test_dataset_bytes_are_pinned(name):
+    build, expected = DATASET_DIGESTS[name]
+    assert dataset_digest(build()) == expected
+
+
+def test_render_digit_is_cached_and_read_only():
+    assert render_digit(4, 14) is render_digit(4, 14)
+    assert not render_digit(4, 14).flags.writeable
+
+
+def test_sample_is_the_one_sample_batch(rng):
+    style = WriterStyle(rng, 14)
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    np.testing.assert_array_equal(style.sample(7, a), style.samples([7], b)[0])
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize(
+    "fraction", [(0.5, 1.5), (-0.5, -0.2), (0.3, 0.2), (float("nan"), 0.2)]
+)
+def test_foreign_fraction_validated_at_entry(fraction):
+    with pytest.raises(ValueError, match="foreign_fraction"):
+        make_fmnist_clustered(
+            num_clients=3, samples_per_client=10, foreign_fraction=fraction, seed=0
+        )
+
+
+@pytest.mark.parametrize("build", [make_fmnist_clustered, make_fmnist_by_writer])
+@pytest.mark.parametrize("fraction", [float("nan"), 1.5, 1.0, 0.0])
+def test_test_fraction_validated(build, fraction):
+    with pytest.raises(ValueError, match="test_fraction"):
+        build(num_clients=3, samples_per_client=10, test_fraction=fraction, seed=0)

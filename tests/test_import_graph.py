@@ -63,3 +63,21 @@ def test_scipy_loads_only_when_glyphs_render():
         "assert len(dataset.clients) == 3\n"
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_fmnist_datasets_build_without_scipy():
+    """The glyph kernels are numpy: every FMNIST variant builds with scipy
+    blocked."""
+    result = run(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises\n"
+        "from repro.data import make_fmnist_by_writer, make_fmnist_clustered\n"
+        "clustered = make_fmnist_clustered(num_clients=3, samples_per_client=10)\n"
+        "relaxed = make_fmnist_clustered(\n"
+        "    num_clients=3, samples_per_client=20, foreign_fraction=(0.15, 0.2)\n"
+        ")\n"
+        "by_writer = make_fmnist_by_writer(num_clients=2, samples_per_client=20, num_classes=16)\n"
+        "assert relaxed.name == 'fmnist-clustered-relaxed'\n"
+        "assert len(clustered.clients) == 3 and len(by_writer.clients) == 2\n"
+    )
+    assert result.returncode == 0, result.stderr
