@@ -28,6 +28,12 @@ Enforced floors, recorded to ``BENCH_training.json`` for CI:
   reference), with bit-identical outputs and input gradients.  The
   end-to-end effect is the ``rounds_cnn`` row of ``benchmarks/e2e``.
 
+Enforced ceiling: one lockstep superstep of the paper CIFAR CNN at
+32x32 (10 clients x a batch of 10) must peak under 250 MiB of traced
+heap (617 MiB while every conv layer cached its ``(K, N, F, P)`` patch stack
+for the whole backward pass), its trained rows bit-identical to the
+per-client loop; its wall time is recorded.
+
 Also recorded (no floor): the same comparison at the round level — full
 ``TangleLearning`` rounds on each route of ``execute_round`` (in-process
 rounds train in lockstep; an executor that does not advertise being
@@ -42,6 +48,7 @@ cannot flake the comparison.
 import json
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +65,7 @@ from repro.substrate import SerialExecutor
 TRAINING_FLOOR = 2.0
 CONV_TRAINING_FLOOR = 1.0
 CNN_KERNELS_FLOOR = 2.0
+PAPER_SUPERSTEP_CEILING_MB = 250.0
 CLIENTS = 10
 BATCHES = 10
 BATCH_SIZE = 10
@@ -328,6 +336,55 @@ def test_cnn_kernels_speedup_and_equivalence():
     assert speedup >= CNN_KERNELS_FLOOR, (
         f"CNN kernels only {speedup:.2f}x over the np.where/window "
         f"reference (floor {CNN_KERNELS_FLOOR}x)"
+    )
+
+
+def test_paper_cnn_superstep_time_and_peak_memory():
+    """One superstep of the paper CIFAR CNN (5x5 convs of 32/64/128
+    filters on 32x32 RGB inputs, 829k parameters): 10 clients x one
+    batch of 10.  Records its wall time and tracemalloc heap peak; the
+    peak (MiB) must stay under ``PAPER_SUPERSTEP_CEILING_MB`` — 126 of it
+    are the ``(K, P)`` weight and gradient stacks themselves, the rest
+    one K-chunk of conv patches at a time plus the activations.  The
+    trained rows must equal the per-client loop bit for bit."""
+    model = zoo.build_cifar_cnn(
+        np.random.default_rng(0), image_size=32, num_classes=100, size="paper"
+    )
+    rng = np.random.default_rng(1)
+    start = model.get_flat()
+    jobs = [
+        TrainJob(
+            x=rng.normal(size=(BATCH_SIZE, 3, 32, 32)),
+            y=rng.integers(0, 100, size=BATCH_SIZE),
+            batches=[np.random.default_rng(client).permutation(BATCH_SIZE)],
+            start_flat=start,
+        )
+        for client in range(CLIENTS)
+    ]
+    trainer = LockstepTrainer(lr=0.05)
+    wall, trained = _best_of(lambda: trainer.train(model, jobs), repeats=3)
+    tracemalloc.start()
+    try:
+        trainer.train(model, jobs)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    for job, (row, loss) in zip(jobs, trained):
+        model.load_flat(job.start_flat)
+        idx = job.batches[0]
+        assert model.train_batch(job.x[idx], job.y[idx], SGD(0.05)) == loss
+        np.testing.assert_array_equal(model.get_flat(), row)
+    _RESULTS["paper_cnn_superstep"] = {
+        "workload": f"{CLIENTS} clients x 1 batch of {BATCH_SIZE}, cifar-cnn-paper "
+        f"32x32 ({model.flat_spec.total} params), one lockstep superstep",
+        "wall_ms": wall * 1e3,
+        "peak_mb": peak_mb,
+        "ceiling_mb": PAPER_SUPERSTEP_CEILING_MB,
+        "bit_identical_float64": True,
+    }
+    assert peak_mb <= PAPER_SUPERSTEP_CEILING_MB, (
+        f"paper CNN superstep peaked at {peak_mb:.1f} MB "
+        f"(ceiling {PAPER_SUPERSTEP_CEILING_MB} MB)"
     )
 
 

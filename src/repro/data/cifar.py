@@ -16,6 +16,7 @@ import numpy as np
 from repro.data.base import ClientData, FederatedDataset, train_test_split
 from repro.data.pachinko import pachinko_allocation
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_positive
 
 __all__ = ["ClassTemplate", "make_cifar100_like", "default_hierarchy"]
 
@@ -97,8 +98,11 @@ def make_cifar100_like(
 
     Clients receive mixtures over superclasses; the ground-truth cluster of
     a client is its *modal* superclass (ties broken at random), exactly the
-    paper's analysis rule for CIFAR-100.
+    paper's analysis rule for CIFAR-100.  The Dirichlet concentrations
+    must be finite and > 0; they are checked before anything is drawn.
     """
+    check_positive("alpha_super", alpha_super, finite=True)
+    check_positive("alpha_sub", alpha_sub, finite=True)
     rng = ensure_rng(seed)
     hierarchy = default_hierarchy(num_superclasses, classes_per_superclass)
     templates = _build_templates(hierarchy, image_size, rng)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_positive
 
 __all__ = ["pachinko_allocation"]
 
@@ -35,8 +36,11 @@ def pachinko_allocation(
     superclasses (the non-IID knob); ``alpha_sub`` spreads samples within a
     superclass.
 
-    Raises ``ValueError`` if the total pool is too small for the request.
+    Raises ``ValueError`` if the total pool is too small for the request,
+    or if a concentration is not a finite value > 0.
     """
+    check_positive("alpha_super", alpha_super, finite=True)
+    check_positive("alpha_sub", alpha_sub, finite=True)
     rng = ensure_rng(seed)
     total_pool = sum(class_pool_sizes.values())
     needed = num_clients * samples_per_client

@@ -21,10 +21,32 @@ from repro.nn.parameter import Parameter
 
 __all__ = ["Conv2D", "im2col", "col2im"]
 
-#: Largest patch matrix one fused evaluation pass materializes; a wider
-#: ``(K, N, F, P)`` stack is evaluated in K-chunks (the same per-model
-#: gemms, so the logits do not change — only peak memory does).
-_PATCH_BYTES = 32 << 20
+#: Largest patch stack one fused conv pass materializes at a time.  Every
+#: fused pass — evaluation, training forward, training backward — walks
+#: a ``(K, N, F, P)`` patch stack in K-chunks under this cap (a model
+#: whose patches alone exceed it is a chunk of one), so a chunk's patches
+#: stay in one core's L2 cache instead of streaming the whole stack
+#: through memory.  Each chunk runs the same per-(model, sample) gemms,
+#: so no result changes — only peak memory and cache traffic do.
+_PATCH_BYTES = 1 << 20
+
+
+def _by_model(k: int, step: int, run) -> np.ndarray | None:
+    """``run(models)`` over consecutive slices of at most ``step`` of ``k``
+    models, its results stacked along the model axis (``None`` when
+    ``run`` returns ``None``).  One slice returns ``run``'s array as is."""
+    if step >= k:
+        return run(slice(0, k))
+    out = None
+    for start in range(0, k, step):
+        models = slice(start, start + step)
+        chunk = run(models)
+        if chunk is None:
+            continue
+        if out is None:
+            out = np.empty((k,) + chunk.shape[1:], dtype=chunk.dtype)
+        out[models] = chunk
+    return out
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -139,50 +161,54 @@ class Conv2D(Layer):
             )
 
     # ------------------------------------------------------ shared kernels
-    # Both take the kernel as ``(..., O, F)``: plain ``(O, F)`` for one
-    # model, ``(K, 1, O, F)`` for a stack — the extra axes broadcast over
-    # the batch axis of the patches, so each (model, sample) pair runs the
+    # The kernel comes as ``(..., O, F)``: plain ``(O, F)`` for one model,
+    # ``(K, 1, O, F)`` for a stack — the extra axes broadcast over the
+    # batch axis of the patches, so each (model, sample) pair runs the
     # same gemm either way.
+    def _unfold(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+        """``(..., N, C, H, W)`` -> its ``(..., N, F, P)`` patch matrices
+        and the output size ``(out_h, out_w)``."""
+        k = self.kernel_size
+        cols = im2col(x, k, k, self.stride, self.padding)
+        out_hw = cols.shape[-2:]
+        return cols.reshape(cols.shape[:-5] + (-1, out_hw[0] * out_hw[1])), out_hw
+
     def _convolve(
         self, x: np.ndarray, kernel2: np.ndarray, bias: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(..., N, C, H, W) -> (..., N, O, out_h, out_w)`` plus the
         ``(..., N, F, P)`` patch matrices the backward pass needs."""
-        k = self.kernel_size
-        cols = im2col(x, k, k, self.stride, self.padding)
-        out_h, out_w = cols.shape[-2:]
-        cols2 = cols.reshape(cols.shape[:-5] + (-1, out_h * out_w))
+        cols2, out_hw = self._unfold(x)
         out = np.matmul(kernel2, cols2)  # (O, F) @ (..., F, P)
-        out = out.reshape(out.shape[:-1] + (out_h, out_w))
+        out = out.reshape(out.shape[:-1] + out_hw)
         out += bias
         return out, cols2
 
-    def _gradients(
-        self,
-        grad_out: np.ndarray,
-        cols2: np.ndarray,
-        kernel2: np.ndarray,
-        hw: tuple[int, int],
-        need_input_grad: bool,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Kernel grad ``(..., O, F)``, bias grad ``(..., O)`` and the
-        input grad (``None`` when not needed) for ``grad_out`` of shape
-        ``(..., N, O, out_h, out_w)``."""
-        out_h, out_w = grad_out.shape[-2:]
-        g2 = grad_out.reshape(grad_out.shape[:-2] + (out_h * out_w,))
+    @staticmethod
+    def _param_gradients(
+        g2: np.ndarray, cols2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel grad ``(..., O, F)`` and bias grad ``(..., O)`` for the
+        output gradient ``g2`` of shape ``(..., N, O, P)``."""
         # Per sample (O, P) @ (P, F), then summed over the batch axis.
         grad_kernel = np.matmul(g2, cols2.swapaxes(-1, -2)).sum(axis=-3)
-        grad_bias = g2.sum(axis=-1).sum(axis=-2)
-        if not need_input_grad:
-            return grad_kernel, grad_bias, None
+        return grad_kernel, g2.sum(axis=-1).sum(axis=-2)
+
+    def _input_gradient(
+        self,
+        g2: np.ndarray,
+        kernel2: np.ndarray,
+        hw: tuple[int, int],
+        out_hw: tuple[int, int],
+    ) -> np.ndarray:
+        """``(F, O) @ (..., O, P)`` folded back to ``(..., N, C, *hw)``."""
         k = self.kernel_size
-        grad_cols = np.matmul(kernel2.swapaxes(-1, -2), g2)  # (F, O) @ (..., O, P)
+        grad_cols = np.matmul(kernel2.swapaxes(-1, -2), g2)
         grad_cols = grad_cols.reshape(
-            grad_cols.shape[:-2] + (self.in_channels, k, k, out_h, out_w)
+            grad_cols.shape[:-2] + (self.in_channels, k, k) + out_hw
         )
         x_shape = grad_cols.shape[:-4] + hw
-        grad_in = col2im(grad_cols, x_shape, k, k, self.stride, self.padding)
-        return grad_kernel, grad_bias, grad_in
+        return col2im(grad_cols, x_shape, k, k, self.stride, self.padding)
 
     # ---------------------------------------------------------- one model
     def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
@@ -198,16 +224,16 @@ class Conv2D(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cols is None or self._hw is None:
             raise RuntimeError("backward called before forward")
-        grad_kernel, grad_bias, grad_in = self._gradients(
-            grad_out,
-            self._cols,
-            self.weight.value.reshape(self.out_channels, -1),
-            self._hw,
-            True,
-        )
+        # Owned by this frame, so the patches are freed before the input
+        # gradient allocates its own patch-sized product.
+        cols2, self._cols = self._cols, None
+        g2 = grad_out.reshape(grad_out.shape[:-2] + (-1,))
+        grad_kernel, grad_bias = self._param_gradients(g2, cols2)
+        del cols2
         self.weight.grad += grad_kernel.reshape(self.weight.value.shape)
         self.bias.grad += grad_bias
-        self._cols = None
+        kernel2 = self.weight.value.reshape(self.out_channels, -1)
+        grad_in = self._input_gradient(g2, kernel2, self._hw, grad_out.shape[-2:])
         self._hw = None
         return grad_in
 
@@ -220,37 +246,76 @@ class Conv2D(Layer):
             bias.reshape(k, 1, self.out_channels, 1, 1),
         )
 
+    def _models_per_chunk(self, x: np.ndarray, batched: bool) -> int:
+        """How many models' ``(N, F, P)`` patch matrices (about
+        ``kernel_size**2 / stride**2`` times one model's input) fit in
+        ``_PATCH_BYTES`` together; at least one."""
+        per_model = x[0] if batched else x
+        patch_bytes = per_model.nbytes * self.kernel_size**2 // self.stride**2
+        return max(1, _PATCH_BYTES // max(patch_bytes, 1))
+
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
     ) -> tuple[np.ndarray, bool]:
-        """``k`` kernels in one matmul.
+        """``k`` kernels in one matmul per K-chunk.
 
         A shared input (no model axis yet) is unfolded **once** and the
         ``(k, 1, O, F)`` kernel stack broadcasts over it.  A batched
-        input needs a ``(k, N, F, P)`` patch stack — about
-        ``kernel_size**2 / stride**2`` times the input — which is built
-        and consumed in K-chunks of at most ``_PATCH_BYTES``.
+        input's ``(k, N, F, P)`` patch stack is built and consumed in
+        K-chunks of at most ``_PATCH_BYTES``.
         """
         self._check_input(x, batched=batched)
         kernel2, bias = self._stacked(params)
         if not batched:
             return self._convolve(x, kernel2, bias)[0], True
-        patch_bytes = x[0].nbytes * self.kernel_size**2 // self.stride**2
-        step = max(1, _PATCH_BYTES // max(patch_bytes, 1))
-        chunks = [
-            self._convolve(x[s : s + step], kernel2[s : s + step], bias[s : s + step])[0]
-            for s in range(0, x.shape[0], step)
-        ]
-        return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)), True
+        out = _by_model(
+            x.shape[0],
+            self._models_per_chunk(x, batched),
+            lambda m: self._convolve(x[m], kernel2[m], bias[m])[0],
+        )
+        return out, True
 
     def forward_many_train(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
     ) -> tuple[np.ndarray, bool]:
-        """Same batched convolution as :meth:`forward_many`, patches cached."""
-        self._check_input(x, batched=batched)
-        out, cache["cols"] = self._convolve(x, *self._stacked(params))
-        cache["hw"] = x.shape[-2:]
-        return out, True
+        """Same convolution as :meth:`forward_many`, the *input* cached.
+
+        The patches are not kept: :meth:`backward_many` unfolds them
+        again chunk by chunk, so a training pass never holds more than
+        one K-chunk of them (a ``(K, N, F, P)`` stack is ~``kernel**2``
+        times the input it was unfolded from).
+        """
+        out = self.forward_many(x, params, batched=batched)
+        cache["x"] = x
+        cache["batched"] = batched
+        return out
+
+    def _chunk_gradients(
+        self,
+        grad_out: np.ndarray,
+        x: np.ndarray,
+        kernel2: np.ndarray,
+        grad_weight: np.ndarray,
+        grad_bias: np.ndarray,
+        need_input_grad: bool,
+    ) -> np.ndarray | None:
+        """One K-chunk: accumulate its kernel/bias grads, return its
+        input grad (``None`` when not needed).
+
+        The patches are unfolded from the cached input here, in the frame
+        that drops them: they die right after the kernel-gradient product,
+        before the input-gradient product allocates its own patch-sized
+        stack.  Passed in as an argument, the caller would keep them alive.
+        """
+        g2 = grad_out.reshape(grad_out.shape[:-2] + (-1,))
+        cols2, out_hw = self._unfold(x)
+        grad_kernel, bias_grad = self._param_gradients(g2, cols2)
+        del cols2
+        grad_weight += grad_kernel.reshape(grad_weight.shape)
+        grad_bias += bias_grad
+        if not need_input_grad:
+            return None
+        return self._input_gradient(g2, kernel2, x.shape[-2:], out_hw)
 
     def backward_many(
         self,
@@ -261,7 +326,8 @@ class Conv2D(Layer):
         *,
         need_input_grad: bool = True,
     ) -> np.ndarray | None:
-        """``k`` models' kernel/bias/input grads in one matmul each.
+        """``k`` models' kernel/bias/input grads, one matmul each per
+        K-chunk of at most ``_PATCH_BYTES`` of patches.
 
         With ``need_input_grad=False`` (this is the lowest parametered
         layer) the ``W.T @ grad`` product and the col2im fold are
@@ -269,12 +335,19 @@ class Conv2D(Layer):
         """
         grad_weight, grad_bias = grads
         kernel2, _bias = self._stacked(params)
-        grad_kernel, bias_grad, grad_in = self._gradients(
-            grad_out, cache["cols"], kernel2, cache["hw"], need_input_grad
+        x, batched = cache["x"], cache["batched"]
+        return _by_model(
+            grad_out.shape[0],
+            self._models_per_chunk(x, batched),
+            lambda m: self._chunk_gradients(
+                grad_out[m],
+                x[m] if batched else x,
+                kernel2[m],
+                grad_weight[m],
+                grad_bias[m],
+                need_input_grad,
+            ),
         )
-        grad_weight += grad_kernel.reshape(grad_weight.shape)
-        grad_bias += bias_grad
-        return grad_in
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]

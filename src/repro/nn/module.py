@@ -195,7 +195,9 @@ class Sequential(Layer):
         stop layer itself is told ``need_input_grad=False`` and skips
         that product entirely (the sequential loop always pays it).
         Returns the last computed input gradient (``None`` when it was
-        skipped or the whole stack was).
+        skipped or the whole stack was).  Each layer's cache is cleared
+        as soon as its backward has run, so the pass holds only what the
+        layers still below it cached.
         """
         counts = [len(layer.parameters()) for layer in self.layers]
         offsets = [0]
@@ -211,6 +213,7 @@ class Sequential(Layer):
                 caches[i],
                 need_input_grad=i > stop_at,
             )
+            caches[i].clear()  # consumed: free its activations now
         return result
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -332,13 +332,16 @@ class LockstepTrainer:
             if start_stack is not None:
                 # Mirrors ProximalSGD.step: grad += mu * (w - w_ref).
                 grad_stack += mu * (stack - start_stack)
+            # The step ``lr * direction`` lands in ``grad_stack``, which
+            # the next superstep zeroes anyway: no (K, P) temporary.
             if velocity is None:
-                stack -= lr * grad_stack
+                grad_stack *= lr
             else:
                 # Mirrors SGD._direction: v = momentum * v + grad.
                 velocity *= momentum
                 velocity += grad_stack
-                stack -= lr * velocity
+                np.multiply(velocity, lr, out=grad_stack)
+            stack -= grad_stack
             for row_index, loss in enumerate(batch_losses.tolist()):
                 losses[row_index].append(loss)
         return stack, [float(np.mean(job_losses)) for job_losses in losses]

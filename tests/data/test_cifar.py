@@ -100,3 +100,18 @@ def test_same_superclass_shares_palette():
         other = hierarchy[(sid + 1) % 6][0]
         across.append(float(np.linalg.norm(templates[other].base_color - base)))
     assert np.mean(within) < np.mean(across)
+
+
+@pytest.mark.parametrize("name", ["alpha_super", "alpha_sub"])
+@pytest.mark.parametrize("value", [0.0, float("nan"), -1.0, float("inf")], ids=repr)
+def test_rejects_bad_concentration_before_drawing(name, value):
+    """Checked at entry, not deep in numpy's Dirichlet draw or as an
+    exhausted class pool; the caller's generator is left untouched."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=name):
+        make_cifar100_like(
+            num_clients=4, samples_per_client=10, num_superclasses=3,
+            seed=rng, **{name: value},
+        )
+    assert rng.bit_generator.state == state

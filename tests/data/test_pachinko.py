@@ -96,3 +96,19 @@ def test_deterministic():
     a = pachinko_allocation(HIERARCHY, pools(), num_clients=3, samples_per_client=10, seed=5)
     b = pachinko_allocation(HIERARCHY, pools(), num_clients=3, samples_per_client=10, seed=5)
     assert a == b
+
+
+BAD_CONCENTRATIONS = [0.0, float("nan"), -1.0, float("inf")]
+
+
+@pytest.mark.parametrize("name", ["alpha_super", "alpha_sub"])
+@pytest.mark.parametrize("value", BAD_CONCENTRATIONS, ids=repr)
+def test_rejects_bad_concentration_before_drawing(name, value):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=name):
+        pachinko_allocation(
+            HIERARCHY, pools(), num_clients=2, samples_per_client=5,
+            seed=rng, **{name: value},
+        )
+    assert rng.bit_generator.state == state

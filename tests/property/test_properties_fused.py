@@ -8,14 +8,17 @@ float64 — through the fused kernels where every layer supports them
 per-model fallback everywhere else (LSTM).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import zoo
-from repro.nn.layers import Dense, Dropout, LastTimeStep, ReLU, Sigmoid, Tanh
-from repro.nn.model import Classifier
+from repro.nn import SGD, zoo
+from repro.nn.layers import Dense, Dropout, LastTimeStep, ReLU, Sigmoid, Tanh, conv
+from repro.nn.model import Classifier, plan_local_batches
 from repro.nn.module import Sequential
+from repro.nn.training_plane import LockstepTrainer, TrainJob
 
 
 def _image_data(rng, batch, channels, size, classes):
@@ -104,6 +107,53 @@ def test_cnn_logits_bit_identical_from_float32_rows(name, seed, k):
     for i in range(k):
         model.load_flat(rows[i])
         np.testing.assert_array_equal(logits[i], model.logits(x))
+
+
+@pytest.mark.parametrize("name", ["cifar_cnn", "fmnist_cnn"])
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    k=st.integers(2, 5),
+    cap=st.integers(1, 60_000),
+    momentum=st.sampled_from([0.0, 0.9]),
+)
+def test_chunked_cnn_passes_equal_sequential_loop(name, seed, k, cap, momentum):
+    """With the patch cap shrunk to ``cap`` bytes every conv layer walks
+    its stacks in K-chunks of its own size (one model at the smallest
+    caps): lockstep training — trained rows and mean losses, under plain
+    and momentum SGD — and the fused logits still equal the per-model
+    loop bit for bit."""
+    builder, make_data, _ = BUILDERS[name]
+    rng = np.random.default_rng(seed)
+    model = builder(rng)
+    x, y = make_data(rng)
+    n = len(x)
+    rows = rng.normal(size=(k, model.flat_spec.total)) * 0.3
+    jobs = [
+        TrainJob(
+            x=x,
+            y=y,
+            batches=plan_local_batches(
+                n, np.random.default_rng(seed + i), epochs=2, batch_size=2
+            ),
+            start_flat=rows[i],
+            lr=0.05,
+            momentum=momentum,
+        )
+        for i in range(k)
+    ]
+    with mock.patch.object(conv, "_PATCH_BYTES", cap):
+        trained = LockstepTrainer(lr=0.05, momentum=momentum).train(model, jobs)
+        logits, _ = model.net.forward_many(x, model.flat_spec.unflatten_many(rows))
+    for i, (row, loss) in enumerate(trained):
+        model.load_flat(rows[i])
+        np.testing.assert_array_equal(logits[i], model.logits(x))
+        optimizer = SGD(0.05, momentum=momentum)
+        losses = [
+            model.train_batch(x[idx], y[idx], optimizer) for idx in jobs[i].batches
+        ]
+        np.testing.assert_array_equal(row, model.get_flat())
+        assert loss == float(np.mean(losses))
 
 
 @settings(max_examples=6, deadline=None)

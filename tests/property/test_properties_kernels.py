@@ -6,20 +6,22 @@ window planes, one gather over a cached patch index).  The references
 below are the earlier formulations, kept here as oracles: ``np.where``
 selects for ReLU, pooling over ``im2col`` windows routed back through
 ``np.where`` + ``col2im``, the slice-loop ``im2col``, and the
-boolean-index sigmoid.  Every output, one-hot mask and input gradient
-must match them in raw bits (viewed as unsigned ints) — over NaN (with
-payloads and either sign), ±inf, ±0.0, all-zero and equal-max windows,
+boolean-index sigmoid.  The fused conv passes, walked in K-chunks of
+any size, are pinned to each model's own ``forward`` / ``backward``.
+Every output, one-hot mask and gradient must match them in raw bits
+(viewed as unsigned ints) — over NaN (with payloads and either sign), ±inf, ±0.0, all-zero and equal-max windows,
 odd image sizes, strided and overlapping pools, shared and batched model
 stacks, and float32 as well as float64.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.nn.layers import MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, MaxPool2D, ReLU, conv
 from repro.nn.layers.activations import sigmoid
 from repro.nn.layers.conv import col2im, conv_output_size, im2col
 
@@ -102,6 +104,16 @@ def assert_bits_equal(actual, expected):
     assert actual.dtype == expected.dtype
     assert actual.shape == expected.shape
     np.testing.assert_array_equal(bits(actual), bits(expected))
+
+
+def assert_bits_equal_but_nan_payloads(actual, expected):
+    """Raw bits equal, except that a NaN may carry another input NaN's
+    payload or sign: which NaN a sum keeps depends on the order a BLAS
+    kernel accumulates in, and the per-model and stacked input-gradient
+    matmuls do not share it, chunked or not."""
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    assert_bits_equal(np.where(nan, 0.0, actual), np.where(nan, 0.0, expected))
 
 
 def _specials(dtype):
@@ -290,6 +302,71 @@ def test_im2col_matches_slice_loop(seed, dtype, kernel, stride, padding, h, w, l
             im2col(x, kernel, kernel, stride, padding)
         return
     assert_bits_equal(im2col(x, kernel, kernel, stride, padding), expected)
+
+
+# ------------------------------------------------------------ fused conv
+@settings(deadline=None, max_examples=CHAOS_EXAMPLES or 25)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    mode=MODES,
+    k=st.integers(1, 5),
+    chunk=st.integers(1, 3),
+    kernel=st.sampled_from([1, 3, 5]),
+    stride=st.integers(1, 2),
+    padding=st.integers(0, 2),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    batched=st.booleans(),
+)
+# K not a multiple of the chunk, K = 1, padding 0 and 2, stride 2, both
+# input forms — always, whatever the random draws cover.
+@example(0, "normal", 5, 2, 3, 2, 0, 7, 6, True)
+@example(1, "specials", 5, 3, 5, 1, 2, 4, 5, False)
+@example(2, "ties", 1, 1, 3, 2, 2, 3, 3, True)
+@example(3, "zeros", 1, 2, 1, 1, 0, 2, 2, False)
+def test_chunked_fused_conv_matches_per_model_path(
+    seed, mode, k, chunk, kernel, stride, padding, h, w, batched
+):
+    """Fused conv forward (eval and train) and backward, walked in
+    K-chunks of ``chunk`` models — ``k`` need not be a multiple of it —
+    equal each model's own ``forward`` / ``backward`` in raw bits:
+    outputs, input gradients and kernel/bias gradients, for a batched
+    ``(k, N, C, H, W)`` stack and a shared ``(N, C, H, W)`` input."""
+    assume(2 * padding + min(h, w) >= kernel)  # at least one output pixel
+    rng = np.random.default_rng(seed)
+    layers = [
+        Conv2D(2, 3, kernel, np.random.default_rng(seed + i), stride=stride, padding=padding)
+        for i in range(k)
+    ]
+    params = [
+        np.stack([layer.weight.value for layer in layers]),
+        np.stack([layer.bias.value for layer in layers]),
+    ]
+    x = sample(rng, ((k,) if batched else ()) + (3, 2, h, w), np.float64, mode)
+    per_model = (x[0] if batched else x).nbytes * kernel**2 // stride**2
+    grads = [np.zeros_like(p) for p in params]
+    skipped = [np.zeros_like(p) for p in params]
+    cache: dict = {}
+    with mock.patch.object(conv, "_PATCH_BYTES", chunk * per_model):
+        assert layers[0]._models_per_chunk(x, batched) == chunk
+        evaluated, _ = layers[0].forward_many(x, params, batched=batched)
+        out, _ = layers[0].forward_many_train(x, params, batched=batched, cache=cache)
+        grad_out = sample(rng, out.shape, np.float64, mode)
+        grad_in = layers[0].backward_many(grad_out, params, grads, cache)
+        assert (
+            layers[0].backward_many(
+                grad_out, params, skipped, cache, need_input_grad=False
+            )
+            is None
+        )
+    for i, layer in enumerate(layers):
+        expected = layer.forward(x[i] if batched else x, train=True)
+        assert_bits_equal(evaluated[i], expected)
+        assert_bits_equal(out[i], expected)
+        assert_bits_equal_but_nan_payloads(grad_in[i], layer.backward(grad_out[i]))
+        for got in (grads, skipped):
+            assert_bits_equal(got[0][i], layer.weight.grad)
+            assert_bits_equal(got[1][i], layer.bias.grad)
 
 
 # --------------------------------------------------------------- sigmoid
