@@ -39,22 +39,11 @@ Quickstart::
     records = sim.run(10)
 """
 
-from repro import (
-    dag,
-    data,
-    experiments,
-    fl,
-    metrics,
-    nn,
-    poisoning,
-    sim,
-    substrate,
-    utils,
-)
+import importlib
 
 __version__ = "1.1.0"
 
-__all__ = [
+_SUBPACKAGES = (
     "dag",
     "data",
     "experiments",
@@ -65,5 +54,14 @@ __all__ = [
     "sim",
     "substrate",
     "utils",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first access, so ``import repro`` alone
+    loads none of them (``from repro import *`` loads all)."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -32,7 +32,7 @@ from repro.fl.config import DagConfig, TrainingConfig
 from repro.fl.records import RoundRecord
 from repro.sim.config import SimConfig
 from repro.sim.engine import EventDrivenTangleLearning, ModelBuilder
-from repro.substrate import Executor
+from repro.substrate.executor import Executor
 
 __all__ = ["TangleLearning"]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.fl.fedavg import FedAvgServer
-from repro.substrate import ClientWorkUnit
+from repro.substrate.round_plan import ClientWorkUnit
 from repro.utils.validation import check_positive, check_probability
 
 __all__ = ["FedProxServer"]

@@ -16,7 +16,7 @@ from repro.fl.dag_learning import TangleLearning
 from repro.fl.records import RoundRecord
 from repro.nn.serialization import Weights
 from repro.sim.engine import ModelBuilder
-from repro.substrate import ClientRoundResult, ClientWorkUnit
+from repro.substrate.round_plan import ClientRoundResult, ClientWorkUnit
 
 __all__ = ["GossipLearning"]
 

@@ -68,8 +68,7 @@ class ReLU(Layer):
     stacked gradient.
     """
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
@@ -79,14 +78,10 @@ class ReLU(Layer):
         return relu(x)
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
-        return relu(x), batched
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
-    ) -> tuple[np.ndarray, bool]:
-        cache["mask"] = x > 0
+        if cache is not None:
+            cache["mask"] = x > 0
         return relu(x), batched
 
     def backward_many(
@@ -111,8 +106,7 @@ class ReLU(Layer):
 class Tanh(Layer):
     """Hyperbolic tangent."""
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def __init__(self) -> None:
         self._out: np.ndarray | None = None
@@ -122,15 +116,11 @@ class Tanh(Layer):
         return self._out
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
-    ) -> tuple[np.ndarray, bool]:
-        return np.tanh(x), batched
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
         out = np.tanh(x)
-        cache["out"] = out
+        if cache is not None:
+            cache["out"] = out
         return out, batched
 
     def backward_many(
@@ -155,8 +145,7 @@ class Tanh(Layer):
 class Sigmoid(Layer):
     """Logistic sigmoid."""
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def __init__(self) -> None:
         self._out: np.ndarray | None = None
@@ -166,15 +155,11 @@ class Sigmoid(Layer):
         return self._out
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
-    ) -> tuple[np.ndarray, bool]:
-        return sigmoid(x), batched
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
         out = sigmoid(x)
-        cache["out"] = out
+        if cache is not None:
+            cache["out"] = out
         return out, batched
 
     def backward_many(

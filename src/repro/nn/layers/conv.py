@@ -129,8 +129,7 @@ def col2im(
 class Conv2D(Layer):
     """2-D convolution layer (cross-correlation, as in all DL frameworks)."""
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def __init__(
         self,
@@ -255,7 +254,7 @@ class Conv2D(Layer):
         return max(1, _PATCH_BYTES // max(patch_bytes, 1))
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
         """``k`` kernels in one matmul per K-chunk.
 
@@ -263,8 +262,17 @@ class Conv2D(Layer):
         ``(k, 1, O, F)`` kernel stack broadcasts over it.  A batched
         input's ``(k, N, F, P)`` patch stack is built and consumed in
         K-chunks of at most ``_PATCH_BYTES``.
+
+        Training (a ``cache``) keeps the *input*, not the patches:
+        :meth:`backward_many` unfolds them again chunk by chunk, so a
+        training pass never holds more than one K-chunk of them (a
+        ``(K, N, F, P)`` stack is ~``kernel**2`` times the input it was
+        unfolded from).
         """
         self._check_input(x, batched=batched)
+        if cache is not None:
+            cache["x"] = x
+            cache["batched"] = batched
         kernel2, bias = self._stacked(params)
         if not batched:
             return self._convolve(x, kernel2, bias)[0], True
@@ -274,21 +282,6 @@ class Conv2D(Layer):
             lambda m: self._convolve(x[m], kernel2[m], bias[m])[0],
         )
         return out, True
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
-    ) -> tuple[np.ndarray, bool]:
-        """Same convolution as :meth:`forward_many`, the *input* cached.
-
-        The patches are not kept: :meth:`backward_many` unfolds them
-        again chunk by chunk, so a training pass never holds more than
-        one K-chunk of them (a ``(K, N, F, P)`` stack is ~``kernel**2``
-        times the input it was unfolded from).
-        """
-        out = self.forward_many(x, params, batched=batched)
-        cache["x"] = x
-        cache["batched"] = batched
-        return out
 
     def _chunk_gradients(
         self,

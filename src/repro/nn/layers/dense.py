@@ -40,8 +40,7 @@ class Dense(Layer):
         self.out_features = out_features
         self._x: np.ndarray | None = None
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
         if x.shape[-1] != self.in_features:
@@ -52,7 +51,7 @@ class Dense(Layer):
         return x @ self.weight.value + self.bias.value
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
         """Batched-parameter affine map: ``k`` kernels in one matmul.
 
@@ -60,12 +59,16 @@ class Dense(Layer):
         stack dimensions, so numpy performs the same ``(..., in) @
         (in, out)`` product per model that :meth:`forward` performs —
         bit-identical in float64, without reloading weights between
-        models.
+        models.  Training (a ``cache``) keeps the input for
+        :meth:`backward_many`.
         """
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"Dense expected last dim {self.in_features}, got shape {x.shape}"
             )
+        if cache is not None:
+            cache["x"] = x
+            cache["batched"] = batched
         kernel, bias = params
         k = kernel.shape[0]
         stacked = x if batched else x[None]
@@ -77,14 +80,6 @@ class Dense(Layer):
         out = np.matmul(stacked, kernel)
         out += bias.reshape((k,) + (1,) * (out.ndim - 2) + (self.out_features,))
         return out, True
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
-    ) -> tuple[np.ndarray, bool]:
-        """Same batched affine map as :meth:`forward_many`, input cached."""
-        cache["x"] = x
-        cache["batched"] = batched
-        return self.forward_many(x, params, batched=batched)
 
     def backward_many(
         self,

@@ -27,8 +27,7 @@ class Dropout(Layer):
     round leaves the stream exactly where the per-client loop would.
     """
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def __init__(self, rate: float, rng: np.random.Generator | int | None = None):
         if not 0.0 <= rate < 1.0:
@@ -59,14 +58,11 @@ class Dropout(Layer):
         advance_rng(self._rng, count)
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
-        # Evaluation semantics: dropout is the identity outside training.
-        return x, batched
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
-    ) -> tuple[np.ndarray, bool]:
+        if cache is None:
+            # Evaluation semantics: dropout is the identity outside training.
+            return x, batched
         if self.rate == 0.0:
             cache["mask"] = None
             return x, batched

@@ -25,8 +25,7 @@ class MaxPool2D(Layer):
     are the same code over one more leading axis.
     """
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def __init__(self, pool_size: int = 2, stride: int | None = None):
         self.pool_size = pool_size
@@ -118,15 +117,13 @@ class MaxPool2D(Layer):
 
     # ------------------------------------------------------- model stacks
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
+        """Evaluation takes the window maxima only; training also keeps
+        the routing masks :meth:`backward_many` needs."""
         self._check_input(x, batched=batched)
-        return self._max(self._planes(x)), batched
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
-    ) -> tuple[np.ndarray, bool]:
-        self._check_input(x, batched=batched)
+        if cache is None:
+            return self._max(self._planes(x)), batched
         out, cache["masks"] = self._pool(x)
         cache["hw"] = x.shape[-2:]
         return out, batched

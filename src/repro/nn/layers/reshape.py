@@ -12,8 +12,7 @@ __all__ = ["Flatten", "LastTimeStep"]
 class Flatten(Layer):
     """Flatten all non-batch dimensions: ``(N, ...) -> (N, prod(...))``."""
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def __init__(self) -> None:
         self._shape: tuple[int, ...] | None = None
@@ -23,18 +22,14 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
+        if cache is not None:
+            cache["shape"] = x.shape
+            cache["batched"] = batched
         if batched:
             return x.reshape(x.shape[0], x.shape[1], -1), True
         return x.reshape(x.shape[0], -1), False
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
-    ) -> tuple[np.ndarray, bool]:
-        cache["shape"] = x.shape
-        cache["batched"] = batched
-        return self.forward_many(x, params, batched=batched)
 
     def backward_many(
         self,
@@ -65,8 +60,7 @@ class LastTimeStep(Layer):
     prediction.
     """
 
-    fused_eval = True
-    fused_train = True
+    fused = True
 
     def __init__(self) -> None:
         self._shape: tuple[int, ...] | None = None
@@ -78,18 +72,14 @@ class LastTimeStep(Layer):
         return x[:, -1, :]
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
         if x.ndim != (4 if batched else 3):
             raise ValueError(f"LastTimeStep expects (N, T, H) per model, got {x.shape}")
+        if cache is not None:
+            cache["shape"] = x.shape
+            cache["batched"] = batched
         return x[..., -1, :], batched
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
-    ) -> tuple[np.ndarray, bool]:
-        cache["shape"] = x.shape
-        cache["batched"] = batched
-        return self.forward_many(x, params, batched=batched)
 
     def backward_many(
         self,

@@ -174,17 +174,20 @@ class Classifier:
 
     @property
     def supports_fused_eval(self) -> bool:
-        """True when every layer has a fused multi-model kernel.
+        """True when every layer has fused multi-model kernels
+        (``net.fused``).
 
         When False, :meth:`accuracy_many` still works — it falls back to
         the sequential per-model loop (:meth:`load_flat` +
         :meth:`accuracy`) — it just cannot fuse the models' forwards.
         """
-        return self.net.fused_eval
+        return self.net.fused
 
     @property
     def supports_fused_train(self) -> bool:
-        """True when every layer has a fused multi-model *training* kernel.
+        """True when every layer has fused multi-model kernels
+        (``net.fused``): one ``forward_many`` serves evaluation and
+        training, so the two gates cannot differ.
 
         The gate for the lockstep training plane
         (:mod:`repro.nn.training_plane`): Dense/conv/pooling/
@@ -192,7 +195,7 @@ class Classifier:
         layers do not, and models containing them train through the
         automatic per-model fallback instead.
         """
-        return self.net.fused_train
+        return self.net.fused
 
     def accuracy_many(
         self, flat_rows: np.ndarray, x: np.ndarray, y: np.ndarray, *, batch_size: int = 256

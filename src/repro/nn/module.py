@@ -20,9 +20,9 @@ class Layer:
     calls, so a forward/backward pair must not be interleaved with another
     forward on the same layer instance.
 
-    **Fused multi-model evaluation.**  Layers that can evaluate ``k``
-    models' parameters in one vectorized pass set ``fused_eval = True``
-    and implement :meth:`forward_many`.  The contract:
+    **Fused multi-model planes.**  Layers that can run ``k`` models'
+    parameters in one vectorized pass set ``fused = True`` and implement
+    :meth:`forward_many` and :meth:`backward_many`.  The contract:
 
     - ``params`` holds this layer's parameters as ``(k, *shape)`` stacks
       (one per entry of :meth:`parameters`, in the same order), sliced
@@ -33,58 +33,40 @@ class Layer:
       ``(batch, ...)``, no model axis) and the first parametered layer
       introduces the axis — parameterless layers before it operate on
       the shared input once instead of ``k`` times;
-    - the return value is ``(output, batched)``.
-
-    :meth:`forward_many` is evaluation-only (``train=False`` semantics,
-    no caching for backward) and must produce, model for model, exactly
-    what :meth:`forward` produces — the fused walk path relies on that
-    equivalence bit for bit in float64.
-
-    **Fused multi-model training.**  Layers that can additionally run
-    the *training* pass for ``k`` models at once set ``fused_train =
-    True`` and implement :meth:`forward_many_train` /
-    :meth:`backward_many`.  The training contract extends the
-    evaluation one:
-
-    - :meth:`forward_many_train` has ``train=True`` semantics (dropout
-      active) and stores whatever the backward pass needs in ``cache``,
-      a per-layer dict owned by the caller for exactly one
-      forward/backward pair — the *layer instance* stays stateless
-      across fused training, so one shared model can serve many
-      lockstep groups;
+    - ``cache=None`` is evaluation (``train=False``): nothing is kept
+      and dropout is the identity.  A dict is training (``train=True``):
+      the layer stores in it whatever :meth:`backward_many` needs.  The
+      dict is owned by the caller for exactly one forward/backward pair,
+      so the *layer instance* stays stateless and one shared model can
+      serve many lockstep groups;
+    - :meth:`forward_many` returns ``(output, batched)``;
     - :meth:`backward_many` receives the loss gradient w.r.t. the
       layer's output as a ``(k, batch, ...)`` stack, **accumulates**
       parameter gradients into ``grads`` (``(k, *shape)`` stacks
-      aligned with ``params``), and returns the gradient w.r.t. its
-      input;
-    - both must reproduce, model for model, exactly what
-      :meth:`forward` (``train=True``) and :meth:`backward` compute —
-      the lockstep training plane relies on that equivalence bit for
-      bit in float64.
+      aligned with ``params``) and returns the gradient w.r.t. its
+      input, or ``None`` when told ``need_input_grad=False``.
+
+    Model for model, both must produce exactly what :meth:`forward` and
+    :meth:`backward` produce — the walk's evaluation plane and the
+    lockstep training plane rely on that bit for bit in float64.  One
+    exception: where an input gradient sums over inputs holding more
+    than one NaN (``Conv2D``'s), the result is NaN in the same places
+    but may carry another input NaN's payload or sign, because the
+    stacked and the per-model matmul accumulate in different orders.
     """
 
-    #: True when the layer implements :meth:`forward_many`.
-    fused_eval = False
-
-    #: True when the layer implements the fused training kernels
-    #: (:meth:`forward_many_train` / :meth:`backward_many`).
-    fused_train = False
+    #: True when the layer implements :meth:`forward_many` and
+    #: :meth:`backward_many`.
+    fused = False
 
     def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
         raise NotImplementedError(
             f"{type(self).__name__} has no fused multi-model kernel"
-        )
-
-    def forward_many_train(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict
-    ) -> tuple[np.ndarray, bool]:
-        raise NotImplementedError(
-            f"{type(self).__name__} has no fused training kernel"
         )
 
     def backward_many(
@@ -97,7 +79,7 @@ class Layer:
         need_input_grad: bool = True,
     ) -> np.ndarray | None:
         raise NotImplementedError(
-            f"{type(self).__name__} has no fused training kernel"
+            f"{type(self).__name__} has no fused multi-model kernel"
         )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -122,14 +104,9 @@ class Sequential(Layer):
         self.layers = list(layers)
 
     @property
-    def fused_eval(self) -> bool:  # type: ignore[override]
-        """True when every layer has a fused multi-model kernel."""
-        return all(layer.fused_eval for layer in self.layers)
-
-    @property
-    def fused_train(self) -> bool:  # type: ignore[override]
-        """True when every layer has a fused multi-model training kernel."""
-        return all(layer.fused_train for layer in self.layers)
+    def fused(self) -> bool:  # type: ignore[override]
+        """True when every layer has fused multi-model kernels."""
+        return all(layer.fused for layer in self.layers)
 
     def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
         for layer in self.layers:
@@ -137,43 +114,32 @@ class Sequential(Layer):
         return x
 
     def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool = False
+        self,
+        x: np.ndarray,
+        params: list[np.ndarray],
+        caches: list[dict] | None = None,
+        *,
+        batched: bool = False,
     ) -> tuple[np.ndarray, bool]:
-        """Evaluate ``k`` models' stacks in one pass through the stack.
+        """Run ``k`` models' stacks in one pass through the stack.
 
         ``params`` is the batched form of :meth:`parameters` — one
         ``(k, *shape)`` array per parameter, in parameter order — and is
         sliced per layer exactly as :meth:`parameters` concatenates.
-        """
-        index = 0
-        for layer in self.layers:
-            count = len(layer.parameters())
-            x, batched = layer.forward_many(
-                x, params[index : index + count], batched=batched
-            )
-            index += count
-        return x, batched
-
-    def forward_many_train(
-        self,
-        x: np.ndarray,
-        params: list[np.ndarray],
-        caches: list[dict],
-        *,
-        batched: bool = True,
-    ) -> tuple[np.ndarray, bool]:
-        """Training-mode fused forward; ``caches`` holds one dict per layer.
-
-        The lockstep trainer pre-populates cache slots that need outside
+        ``caches=None`` evaluates; a list of one dict per layer trains.
+        The lockstep trainer pre-populates the slots that need outside
         state (dropout's per-model rng streams) and hands the same list
-        to :meth:`backward_many_train` so every layer finds what it
+        to :meth:`backward_many_train`, so every layer finds what it
         cached.
         """
         index = 0
-        for layer, cache in zip(self.layers, caches):
+        for i, layer in enumerate(self.layers):
             count = len(layer.parameters())
-            x, batched = layer.forward_many_train(
-                x, params[index : index + count], batched=batched, cache=cache
+            x, batched = layer.forward_many(
+                x,
+                params[index : index + count],
+                batched=batched,
+                cache=None if caches is None else caches[i],
             )
             index += count
         return x, batched

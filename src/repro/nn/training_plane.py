@@ -324,7 +324,7 @@ class LockstepTrainer:
             caches: list[dict] = [{} for _ in net.layers]
             for layer_index, streams in layer_streams.items():
                 caches[layer_index]["streams"] = streams
-            logits, _ = net.forward_many_train(xb, params, caches, batched=True)
+            logits, _ = net.forward_many(xb, params, caches, batched=True)
             batch_losses, grad = softmax_cross_entropy_many(logits, yb)
             net.backward_many_train(
                 grad, params, grads, caches, stop_at=lowest_param_layer

@@ -79,17 +79,15 @@ from repro.fl.records import RoundRecord
 from repro.nn.model import Classifier
 from repro.sim.config import SimConfig
 from repro.sim.faults import apply_corruption
-from repro.substrate import (
+from repro.substrate import round_plan
+from repro.substrate.executor import Executor, SerialExecutor, make_executor
+from repro.substrate.round_plan import (
     ClientRoundResult,
     ClientWorkUnit,
-    Executor,
     RoundContext,
-    SerialExecutor,
     apply_result,
     build_selector,
     execute_round,
-    make_executor,
-    round_plan,
 )
 from repro.utils.blocks import BlockStore
 from repro.utils.rng import RngFactory

@@ -35,6 +35,12 @@ See ``docs/architecture.md`` for the layer map and a walkthrough of one
 round through this substrate.
 """
 
+# ``round_plan`` imports ``repro.fl`` submodules, and ``repro.fl`` loads
+# the event engine, which imports this package's submodules: loading
+# ``repro.fl`` first enters that chain from the one side that resolves,
+# whatever the caller imported first.
+import repro.fl  # noqa: F401  (import order, see above)
+
 from repro.substrate.cost import estimate_payload
 from repro.substrate.executor import (
     Executor,

@@ -177,7 +177,7 @@ def test_backward_many_bit_identical(batched):
     x = rng.normal(size=(3, 4, 2, 7, 7) if batched else (4, 2, 7, 7))
     grads = [np.zeros_like(p) for p in params]
     cache: dict = {}
-    out, _ = layers[0].forward_many_train(x, params, batched=batched, cache=cache)
+    out, _ = layers[0].forward_many(x, params, batched=batched, cache=cache)
     grad_out = rng.normal(size=out.shape)
     grad_in = layers[0].backward_many(grad_out, params, grads, cache)
     for k, layer in enumerate(layers):
@@ -190,7 +190,7 @@ def test_backward_many_bit_identical(batched):
         np.testing.assert_array_equal(grads[1][k], layer.bias.grad)
     # The lowest parametered layer skips the input gradient only.
     skipped = [np.zeros_like(p) for p in params]
-    layers[0].forward_many_train(x, params, batched=batched, cache=cache)
+    layers[0].forward_many(x, params, batched=batched, cache=cache)
     assert (
         layers[0].backward_many(grad_out, params, skipped, cache, need_input_grad=False)
         is None
@@ -212,4 +212,4 @@ def test_fused_paths_reject_what_forward_rejects(rng):
         with pytest.raises(ValueError, match="Conv2D expected"):
             layer.forward_many(x, params, batched=batched)
         with pytest.raises(ValueError, match="Conv2D expected"):
-            layer.forward_many_train(x, params, batched=batched, cache={})
+            layer.forward_many(x, params, batched=batched, cache={})

@@ -79,7 +79,7 @@ def test_backward_releases_each_layer_cache():
     params = model.flat_spec.unflatten_many(rows)
     grads = model.flat_spec.unflatten_many(np.zeros_like(rows))
     caches = [{} for _ in net.layers]
-    logits, _ = net.forward_many_train(
+    logits, _ = net.forward_many(
         rng.normal(size=(3, 4, 1, 14, 14)), params, caches, batched=True
     )
     assert all(caches)

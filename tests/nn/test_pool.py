@@ -69,7 +69,7 @@ def test_ties_route_to_first_window_index():
     )
     # The fused kernels share the rule.
     cache: dict = {}
-    layer.forward_many_train(x[None], [], batched=True, cache=cache)
+    layer.forward_many(x[None], [], batched=True, cache=cache)
     fused = layer.backward_many(np.array([[[[[3.0, 7.0]]]]]), [], [], cache)
     np.testing.assert_array_equal(fused[0], grad_in)
 
@@ -88,7 +88,7 @@ def test_nan_window_pools_to_nan_and_routes_no_gradient():
     np.testing.assert_array_equal(layer.backward(grad_out), expected_grad)
 
     cache: dict = {}
-    fused, _ = layer.forward_many_train(x[None], [], batched=True, cache=cache)
+    fused, _ = layer.forward_many(x[None], [], batched=True, cache=cache)
     np.testing.assert_array_equal(fused[0], out)
     np.testing.assert_array_equal(
         layer.forward_many(x[None], [], batched=True)[0][0], out
@@ -104,7 +104,7 @@ def test_fused_kernels_bit_identical(rng, pool, stride):
     out, batched = layer.forward_many(stack, [], batched=True)
     assert batched
     cache: dict = {}
-    trained, _ = layer.forward_many_train(stack, [], batched=True, cache=cache)
+    trained, _ = layer.forward_many(stack, [], batched=True, cache=cache)
     grad_out = rng.normal(size=out.shape)
     grad_in = layer.backward_many(grad_out, [], [], cache)
     for k in range(3):
@@ -128,4 +128,4 @@ def test_fused_paths_reject_what_forward_rejects(rng):
         with pytest.raises(ValueError, match="MaxPool2D expects"):
             layer.forward_many(x, [], batched=batched)
         with pytest.raises(ValueError, match="MaxPool2D expects"):
-            layer.forward_many_train(x, [], batched=batched, cache={})
+            layer.forward_many(x, [], batched=batched, cache={})

@@ -167,14 +167,14 @@ def test_relu_matches_where_reference(seed, dtype, mode, shape, k):
     assert_bits_equal(layer.forward_many(stack, [], batched=True)[0], expected)
     cache: dict = {}
     assert_bits_equal(
-        layer.forward_many_train(stack, [], batched=True, cache=cache)[0], expected
+        layer.forward_many(stack, [], batched=True, cache=cache)[0], expected
     )
     assert_bits_equal(
         layer.backward_many(grads, [], [], cache), np.where(mask, grads, 0.0)
     )
     # A pre-model-axis mask broadcasts over the stacked gradient.
     cache = {}
-    layer.forward_many_train(x, [], batched=False, cache=cache)
+    layer.forward_many(x, [], batched=False, cache=cache)
     assert_bits_equal(
         layer.backward_many(grads, [], [], cache),
         np.where(x > 0, grads, 0.0),
@@ -228,7 +228,7 @@ def test_pool_matches_window_reference(case, seed, dtype, mode, k):
         else:
             assert_bits_equal(layer.forward_many(x, [], batched=batched)[0], expected)
             cache: dict = {}
-            out, _ = layer.forward_many_train(x, [], batched=batched, cache=cache)
+            out, _ = layer.forward_many(x, [], batched=batched, cache=cache)
             assert_bits_equal(out, expected)
             masks = cache["masks"]
             assert_bits_equal(layer.backward_many(grad, [], [], cache), expected_grad)
@@ -274,7 +274,7 @@ def test_pool_window_larger_than_input_raises_like_reference(size, stride):
     for run in (
         lambda: layer.forward(x),
         lambda: layer.forward_many(x[None], [], batched=True),
-        lambda: layer.forward_many_train(x, [], batched=False, cache={}),
+        lambda: layer.forward_many(x, [], batched=False, cache={}),
     ):
         with pytest.raises(ValueError) as raised:
             run()
@@ -350,7 +350,7 @@ def test_chunked_fused_conv_matches_per_model_path(
     with mock.patch.object(conv, "_PATCH_BYTES", chunk * per_model):
         assert layers[0]._models_per_chunk(x, batched) == chunk
         evaluated, _ = layers[0].forward_many(x, params, batched=batched)
-        out, _ = layers[0].forward_many_train(x, params, batched=batched, cache=cache)
+        out, _ = layers[0].forward_many(x, params, batched=batched, cache=cache)
         grad_out = sample(rng, out.shape, np.float64, mode)
         grad_in = layers[0].backward_many(grad_out, params, grads, cache)
         assert (

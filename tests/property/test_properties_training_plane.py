@@ -8,6 +8,8 @@ terms, lockstep training equals the sequential ``load_flat`` +
 the layer generators' end states.
 """
 
+import os
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,10 @@ from repro.nn.layers import Dense, Dropout, Flatten, ReLU, Sigmoid, Tanh
 from repro.nn.model import Classifier, plan_local_batches
 from repro.nn.module import Sequential
 from repro.nn.training_plane import LockstepTrainer, TrainJob
+
+# Tier-1 keeps the example budget small; the CI chaos job widens the
+# sweep by exporting CHAOS_MAX_EXAMPLES.
+CHAOS_EXAMPLES = int(os.environ.get("CHAOS_MAX_EXAMPLES", "0"))
 
 
 def build_model(seed, *, dropout):
@@ -34,7 +40,7 @@ def build_model(seed, *, dropout):
     return Classifier(Sequential(layers))
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=CHAOS_EXAMPLES or 10, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
     k=st.integers(1, 5),
