@@ -35,19 +35,12 @@ from repro.fl import DagConfig, TrainingConfig
 from repro.nn import zoo
 from repro.sim import EventDrivenTangleLearning, SimConfig, random_churn
 
+from benchmarks_shared import best_of
+
 BATCHING_FLOOR_100 = 1.5
 BATCHING_FLOOR_1000 = 2.0
 
 _RESULTS: dict = {}
-
-
-def _best_of(fn, repeats):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _build_engine(num_clients, *, quantum, horizon, churned=False, seed=0):
@@ -94,8 +87,8 @@ def _batching_speedup(num_clients, *, horizon, repeats):
         engine.run_until(horizon)
         return engine
 
-    sequential_time, sequential = _best_of(lambda: run(0.0), repeats)
-    batched_time, batched = _best_of(lambda: run(0.5), repeats)
+    sequential_time, sequential = best_of(lambda: run(0.0), repeats)
+    batched_time, batched = best_of(lambda: run(0.5), repeats)
     # Batching changes tip visibility, not the latency laws: both modes
     # must have processed essentially the same amount of work.
     assert abs(sequential.completed_cycles - batched.completed_cycles) <= max(

@@ -21,7 +21,6 @@ Two claims are recorded to ``BENCH_robustness.json`` for CI:
 
 import json
 import os
-import time
 from pathlib import Path
 
 from repro.data import make_fedprox_synthetic
@@ -29,18 +28,11 @@ from repro.fl import DagConfig, TrainingConfig
 from repro.nn import zoo
 from repro.sim import EventDrivenTangleLearning, FaultModel, SimConfig
 
+from benchmarks_shared import best_of, interleaved_best_of
+
 OVERHEAD_FLOOR = 0.95
 
 _RESULTS: dict = {}
-
-
-def _best_of(fn, repeats):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _build_engine(sim_config, *, num_clients=50, seed=0):
@@ -68,17 +60,21 @@ def test_fault_plane_disabled_overhead_floor():
     behavior and build the same walk snapshots, so the wall-clock ratio
     isolates the plane's pure bookkeeping (per-link arrival fan-out
     into the arrival table, and views reading its rows).  A ``FaultModel()`` at its defaults
-    skips even that, taking the exact pre-plane code path."""
-    horizon, repeats = 4.0, 3
+    skips even that, taking the exact pre-plane code path.
+
+    The legs alternate, one run per window, so a slow stretch of the box
+    lands on both alike instead of on whichever leg it falls in."""
+    horizon, windows = 4.0, 8
 
     def run(faults):
         engine = _build_engine(SimConfig(faults=faults))
         engine.run_until(horizon)
         return engine
 
-    clean_time, clean = _best_of(lambda: run(FaultModel()), repeats)
-    plane_time, plane = _best_of(
-        lambda: run(FaultModel(always_on=True)), repeats
+    (clean_time, clean), (plane_time, plane) = interleaved_best_of(
+        [lambda: run(FaultModel()), lambda: run(FaultModel(always_on=True))],
+        windows=windows,
+        calls=1,
     )
     assert clean.completed_cycles == plane.completed_cycles
     assert [e.tx_id for e in clean.events] == [e.tx_id for e in plane.events]
@@ -112,8 +108,8 @@ def test_batched_link_fidelity_cost_recorded():
         engine.run_until(horizon)
         return engine
 
-    clean_time, clean = _best_of(lambda: run(FaultModel()), 2)
-    link_time, link = _best_of(lambda: run(FaultModel(always_on=True)), 2)
+    clean_time, clean = best_of(lambda: run(FaultModel()), 2)
+    link_time, link = best_of(lambda: run(FaultModel(always_on=True)), 2)
     assert [e.tx_id for e in clean.events] == [e.tx_id for e in link.events]
     _RESULTS["batched_link_fidelity"] = {
         "workload": f"50 clients to t={horizon}, quantum 0.5: shared "

@@ -43,6 +43,8 @@ from repro.dag.tip_selection import AccuracyTipSelector
 from repro.dag.transaction import GENESIS_ID, Transaction
 from repro.dag.walk_engine import TangleSnapshot, snapshot_for
 
+from benchmarks_shared import best_of
+
 SMALL = 1_000
 LARGE = 100_000
 DELTA = 200  # one publish epoch's worth of growth at the large scale
@@ -148,15 +150,6 @@ def _interleaved_p50s(legs):
     return [float(np.median(leg_times)) for leg_times in times]
 
 
-def _best_of(fn, repeats=3):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 # -------------------------------------------------- flat select latency
 def test_select_tips_p50_stays_flat_100x():
     # Two tangles from one seed: the small one is the large one's first
@@ -207,8 +200,8 @@ def test_snapshot_extend_beats_cold_rebuild_at_scale():
             getattr(snapshot, name)()
         return snapshot
 
-    extend_s, extended = _best_of(extend, repeats=5)
-    rebuild_s, cold = _best_of(rebuild, repeats=3)
+    extend_s, extended = best_of(extend, 5)
+    rebuild_s, cold = best_of(rebuild, 3)
 
     # Bit-identity at full scale: the extended snapshot IS the rebuild.
     assert extended.ids == cold.ids
@@ -277,9 +270,7 @@ def test_compaction_bounds_resident_arena_bytes():
     tangle, rng = _STATE["tangle"], _STATE["rng"]
     cache: dict = {}
     rss_before = _vm_rss_bytes()
-    compact_s, report = _best_of(
-        lambda: tangle.compact(keep_last=LARGE // 10), repeats=1
-    )
+    compact_s, report = best_of(lambda: tangle.compact(keep_last=LARGE // 10), 1)
     rss_after = _vm_rss_bytes()
     assert report.dropped > 0
     ratio = report.resident_before / report.resident_after

@@ -47,7 +47,6 @@ cannot flake the comparison.
 
 import json
 import os
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -63,6 +62,8 @@ from repro.nn.training_plane import LockstepTrainer, TrainJob
 from repro.substrate import SerialExecutor
 from repro.utils.blocks import warm_malloc
 
+from benchmarks_shared import best_of, interleaved_best_of
+
 TRAINING_FLOOR = 2.0
 CONV_TRAINING_FLOOR = 1.0
 CNN_KERNELS_FLOOR = 2.0
@@ -72,32 +73,6 @@ BATCHES = 10
 BATCH_SIZE = 10
 
 _RESULTS: dict = {}
-
-
-def _best_of(fn, repeats=5):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def _interleaved_best_of(fns, windows, calls=5):
-    """Best time and last result of each of ``fns``, timed in alternating
-    windows of ``calls`` consecutive calls (``windows`` per leg), so a
-    noisy stretch of the box lands on every leg alike.  Calls stay
-    consecutive within a window: the kernels called right after the
-    reference find their memory evicted and ran 1.3-1.7 times slower,
-    which one call per turn would time on every call."""
-    best, results = [float("inf")] * len(fns), [None] * len(fns)
-    for _ in range(windows):
-        for i, fn in enumerate(fns):
-            for _ in range(calls):
-                start = time.perf_counter()
-                results[i] = fn()
-                best[i] = min(best[i], time.perf_counter() - start)
-    return list(zip(best, results))
 
 
 def _make_jobs(model, *, clients=CLIENTS, n=100, feature_shape=(100,), classes=10):
@@ -141,8 +116,8 @@ def _measure(model_builder, *, feature_shape=(100,), classes=10, repeats=5):
     def lockstep():
         return LockstepTrainer(lr=0.05).train(fused_model, jobs)
 
-    loop_time, loop_out = _best_of(per_client_loop, repeats)
-    fused_time, fused_out = _best_of(lockstep, repeats)
+    loop_time, loop_out = best_of(per_client_loop, repeats)
+    fused_time, fused_out = best_of(lockstep, repeats)
     for (row_a, loss_a), (row_b, loss_b) in zip(loop_out, fused_out):
         np.testing.assert_array_equal(row_a, row_b)
         assert row_a.dtype == row_b.dtype == np.float64
@@ -223,8 +198,8 @@ def test_round_level_training_plane_recorded():
             sim.close()
         return sim
 
-    baseline_time, baseline = _best_of(lambda: run(False), repeats=3)
-    plane_time, plane = _best_of(lambda: run(True), repeats=3)
+    baseline_time, baseline = best_of(lambda: run(False), 3)
+    plane_time, plane = best_of(lambda: run(True), 3)
     assert len(baseline.tangle) == len(plane.tangle)
     for t1, t2 in zip(baseline.tangle.transactions(), plane.tangle.transactions()):
         assert t1.tx_id == t2.tx_id
@@ -331,12 +306,17 @@ def test_cnn_kernels_speedup_and_equivalence():
         x = rng.normal(size=shape)
         grad_relu = rng.normal(size=shape)
         grad_pool = rng.normal(size=shape[:-2] + (size // 2, size // 2))
-        (reference_time, expected), (kernel_time, actual) = _interleaved_best_of(
+        # Calls stay consecutive within a window: the kernels called
+        # right after the reference find their memory evicted and ran
+        # 1.3-1.7 times slower, which one call per turn would time on
+        # every call.
+        (reference_time, expected), (kernel_time, actual) = interleaved_best_of(
             [
                 lambda: _reference(x, grad_relu, grad_pool),
                 lambda: _kernels(x, grad_relu, grad_pool),
             ],
             windows=10,
+            calls=5,
         )
         for a, b in zip(actual, expected):
             assert a.dtype == b.dtype == np.float64
@@ -388,7 +368,7 @@ def test_paper_cnn_superstep_time_and_peak_memory():
         for client in range(CLIENTS)
     ]
     trainer = LockstepTrainer(lr=0.05)
-    wall, trained = _best_of(lambda: trainer.train(model, jobs), repeats=3)
+    wall, trained = best_of(lambda: trainer.train(model, jobs), 3)
     tracemalloc.start()
     try:
         trainer.train(model, jobs)

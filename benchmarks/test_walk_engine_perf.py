@@ -55,6 +55,8 @@ from repro.dag.walk_engine import batched_walk_starts, lockstep_walks, snapshot_
 from repro.fl import Client, TrainingConfig
 from repro.nn import zoo
 
+from benchmarks_shared import best_of
+
 KERNEL_FLOOR = 3.0
 NARROW_FLOOR = 2.75
 COUNT = 5  # particles per selection
@@ -75,15 +77,6 @@ class _Data:
         self.y_train = rng.integers(0, 10, size=16)
         self.x_test = rng.normal(size=(8, 100))
         self.y_test = rng.integers(0, 10, size=8)
-
-
-def _best_of(fn, repeats=7):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _round_grown_tangle(model, rounds, per_round, sigma=0.05, seed=2):
@@ -163,8 +156,8 @@ def _measure_selection(rounds, per_round, count=COUNT):
             tips.extend(walker(selector, tangle, count, rng))
         return tips
 
-    sequential_s, _ = _best_of(lambda: run(SEQUENTIAL, 3))
-    engine_s, _ = _best_of(lambda: run(ENGINE, 3))
+    sequential_s, _ = best_of(lambda: run(SEQUENTIAL, 3), 7)
+    engine_s, _ = best_of(lambda: run(ENGINE, 3), 7)
     # The same number of tips per walker whatever the count.
     selections = DISTRIBUTION_SELECTIONS * COUNT // count
     tv = _total_variation(
@@ -315,8 +308,8 @@ def test_cold_cache_selection_recorded():
             tips.extend(walker(_selector(client, tangle), tangle, COUNT, rng))
         return tips
 
-    sequential_s, _ = _best_of(lambda: run(SEQUENTIAL, 3), repeats=3)
-    engine_s, _ = _best_of(lambda: run(ENGINE, 3), repeats=3)
+    sequential_s, _ = best_of(lambda: run(SEQUENTIAL, 3), 3)
+    engine_s, _ = best_of(lambda: run(ENGINE, 3), 3)
     _RESULTS["cold_cache"] = {
         "workload": f"select_tips(count={COUNT}) x 5, cache cleared per "
         "selection (every candidate evaluated)",

@@ -33,7 +33,6 @@ cannot flake the comparison.
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -43,21 +42,14 @@ from repro.dag.transaction import GENESIS_ID, Transaction
 from repro.fl import Client, TrainingConfig
 from repro.nn import zoo
 
+from benchmarks_shared import best_of
+
 WALK_STEP_FLOOR = 2.0
 CONV_STEP_FLOOR = 1.5
 CANDIDATES = 8
 STEPS = 30
 
 _RESULTS: dict = {}
-
-
-def _best_of(fn, repeats=5):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _grown_tangle(model, n=64, sigma=0.05, seed=2):
@@ -113,8 +105,8 @@ def _measure_walk(model, *, sample_shape, batch):
             accuracies.append(model.accuracy_many(rows, x, y))
         return np.concatenate(accuracies)
 
-    loop_time, loop_accs = _best_of(per_model_loop)
-    fused_time, fused_accs = _best_of(fused)
+    loop_time, loop_accs = best_of(per_model_loop, 5)
+    fused_time, fused_accs = best_of(fused, 5)
     # Equivalence oracle: bit-identical float64 accuracies.
     np.testing.assert_array_equal(loop_accs, fused_accs)
     assert loop_accs.dtype == fused_accs.dtype == np.float64
@@ -239,8 +231,8 @@ def test_client_walk_step_end_to_end_recorded():
             )
         return np.concatenate(accuracies)
 
-    sequential_time, sequential_accs = _best_of(sequential_steps)
-    fused_time, fused_accs = _best_of(fused_steps)
+    sequential_time, sequential_accs = best_of(sequential_steps, 5)
+    fused_time, fused_accs = best_of(fused_steps, 5)
     np.testing.assert_array_equal(sequential_accs, fused_accs)
     _RESULTS["client_walk_step"] = {
         "workload": "10 all-miss steps x 8 candidates via Client.tx_accuracies",

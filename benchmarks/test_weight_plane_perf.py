@@ -21,7 +21,6 @@ cannot flake the comparison.
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +30,12 @@ from repro.dag.transaction import GENESIS_ID, Transaction
 from repro.fl.aggregation import FLAT_AGGREGATORS, REFERENCE_AGGREGATORS
 from repro.nn import zoo
 
+from benchmarks_shared import best_of
+
 AGGREGATION_FLOOR = 3.0
 ROUND_LOOP_FLOOR = 1.3
 
 _RESULTS: dict = {}
-
-
-def _best_of(fn, repeats=5):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _legacy_set_weights(model, weights):
@@ -69,8 +61,8 @@ def test_vectorized_aggregation_speedup_on_32_model_merge():
 
     report = {}
     for name in ["mean", "median", "trimmed_mean"]:
-        legacy_time, legacy = _best_of(lambda: REFERENCE_AGGREGATORS[name](weight_sets))
-        flat_time, flat = _best_of(lambda: spec.unflatten(FLAT_AGGREGATORS[name](slab)))
+        legacy_time, legacy = best_of(lambda: REFERENCE_AGGREGATORS[name](weight_sets), 5)
+        flat_time, flat = best_of(lambda: spec.unflatten(FLAT_AGGREGATORS[name](slab)), 5)
         for a, b in zip(legacy, flat):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
         report[name] = {
@@ -152,8 +144,8 @@ def test_flat_round_loop_speedup_and_equivalence():
             published.append(FLAT_AGGREGATORS["mean"](parent_rows))
         return accuracies, published
 
-    legacy_time, (legacy_accs, legacy_models) = _best_of(legacy_loop)
-    flat_time, (flat_accs, flat_models) = _best_of(flat_loop)
+    legacy_time, (legacy_accs, legacy_models) = best_of(legacy_loop, 5)
+    flat_time, (flat_accs, flat_models) = best_of(flat_loop, 5)
 
     # Equivalence: same walks, bit-identical accuracies and merged models.
     assert legacy_accs == flat_accs

@@ -54,6 +54,10 @@ def check_layer_gradients(
     when ``labels`` is given (output must be ``(N, K)``), otherwise through
     a fixed random-weighted sum, which exercises arbitrary output shapes.
 
+    The analytic pass is a training pass (a ``cache``) and the numeric one
+    evaluates, so the layer's training forward must be deterministic:
+    a dropout layer with ``rate > 0`` cannot be checked this way.
+
     Returns a map of max relative errors: one entry per parameter plus
     ``"input"`` when ``input_differentiable``.
     """
@@ -70,17 +74,18 @@ def check_layer_gradients(
         return float(np.sum(out * out_probe))
 
     def forward_loss() -> float:
-        return loss_from_output(layer.forward(x, train=False))
+        return loss_from_output(layer.forward(x))
 
     # Analytic pass.
     layer.zero_grad()
-    out = layer.forward(x, train=False)
+    cache: dict = {}
+    out = layer.forward(x, cache=cache)
     if labels is not None:
         _, grad_out = softmax_cross_entropy(out, labels)
     else:
         loss_from_output(out)  # initialize probe
         grad_out = out_probe
-    grad_in = layer.backward(np.asarray(grad_out))
+    grad_in = layer.backward(np.asarray(grad_out), cache)
 
     errors: dict[str, float] = {}
     for param in layer.parameters():

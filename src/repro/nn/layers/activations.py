@@ -62,20 +62,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class ReLU(Layer):
     """Rectified linear unit.
 
-    The forward pass caches ``x > 0``; the backward pass ANDs the
+    A training forward caches ``x > 0``; the backward pass ANDs the
     gradient's bits with it (:func:`keep_where`).  A mask taken below the
     first per-model layer has no model axis and broadcasts over the
     stacked gradient.
     """
 
     fused = True
-
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return relu(x)
 
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
@@ -95,25 +88,11 @@ class ReLU(Layer):
     ) -> np.ndarray | None:
         return keep_where(cache["mask"], grad_out)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        grad_in = keep_where(self._mask, grad_out)
-        self._mask = None
-        return grad_in
-
 
 class Tanh(Layer):
     """Hyperbolic tangent."""
 
     fused = True
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
 
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
@@ -134,25 +113,11 @@ class Tanh(Layer):
     ) -> np.ndarray | None:
         return grad_out * (1.0 - cache["out"] ** 2)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        grad_in = grad_out * (1.0 - self._out**2)
-        self._out = None
-        return grad_in
-
 
 class Sigmoid(Layer):
     """Logistic sigmoid."""
 
     fused = True
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        self._out = sigmoid(x)
-        return self._out
 
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
@@ -173,10 +138,3 @@ class Sigmoid(Layer):
     ) -> np.ndarray | None:
         out = cache["out"]
         return grad_out * out * (1.0 - out)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        grad_in = grad_out * self._out * (1.0 - self._out)
-        self._out = None
-        return grad_in

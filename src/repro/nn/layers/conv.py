@@ -150,8 +150,6 @@ class Conv2D(Layer):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self._cols: np.ndarray | None = None
-        self._hw: tuple[int, int] | None = None
 
     def _check_input(self, x: np.ndarray, *, batched: bool = False) -> None:
         if x.ndim != (5 if batched else 4) or x.shape[-3] != self.in_channels:
@@ -210,31 +208,29 @@ class Conv2D(Layer):
         return col2im(grad_cols, x_shape, k, k, self.stride, self.padding)
 
     # ---------------------------------------------------------- one model
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
         self._check_input(x)
-        out, self._cols = self._convolve(
+        out, cols2 = self._convolve(
             x,
             self.weight.value.reshape(self.out_channels, -1),
             self.bias.value[:, None, None],
         )
-        self._hw = x.shape[-2:]
+        if cache is not None:
+            cache["cols"] = cols2
+            cache["hw"] = x.shape[-2:]
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._hw is None:
-            raise RuntimeError("backward called before forward")
-        # Owned by this frame, so the patches are freed before the input
-        # gradient allocates its own patch-sized product.
-        cols2, self._cols = self._cols, None
+    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
+        # Popped into this frame, so the patches are freed before the
+        # input gradient allocates its own patch-sized product.
+        cols2 = cache.pop("cols")
         g2 = grad_out.reshape(grad_out.shape[:-2] + (-1,))
         grad_kernel, grad_bias = self._param_gradients(g2, cols2)
         del cols2
         self.weight.grad += grad_kernel.reshape(self.weight.value.shape)
         self.bias.grad += grad_bias
         kernel2 = self.weight.value.reshape(self.out_channels, -1)
-        grad_in = self._input_gradient(g2, kernel2, self._hw, grad_out.shape[-2:])
-        self._hw = None
-        return grad_in
+        return self._input_gradient(g2, kernel2, cache["hw"], grad_out.shape[-2:])
 
     # ------------------------------------------------------- model stacks
     def _stacked(self, params: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

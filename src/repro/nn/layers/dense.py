@@ -38,16 +38,16 @@ class Dense(Layer):
         self.bias = Parameter(zeros((out_features,)), name=f"{name}.bias")
         self.in_features = in_features
         self.out_features = out_features
-        self._x: np.ndarray | None = None
 
     fused = True
 
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"Dense expected last dim {self.in_features}, got shape {x.shape}"
             )
-        self._x = x
+        if cache is not None:
+            cache["x"] = x
         return x @ self.weight.value + self.bias.value
 
     def forward_many(
@@ -119,15 +119,11 @@ class Dense(Layer):
         )
         return np.matmul(grad_out, kernel_t)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._x
-        if x is None:
-            raise RuntimeError("backward called before forward")
-        x2 = x.reshape(-1, self.in_features)
+    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
+        x2 = cache["x"].reshape(-1, self.in_features)
         g2 = grad_out.reshape(-1, self.out_features)
         self.weight.grad += x2.T @ g2
         self.bias.grad += g2.sum(axis=0)
-        self._x = None
         return grad_out @ self.weight.value.T
 
     def parameters(self) -> list[Parameter]:

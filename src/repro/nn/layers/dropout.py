@@ -11,11 +11,13 @@ __all__ = ["Dropout"]
 
 
 class Dropout(Layer):
-    """Inverted dropout: active only when ``train=True``.
+    """Inverted dropout: active only on a training pass (one given a
+    ``cache``); an evaluation pass is the identity and draws nothing.
 
-    The dropout mask is drawn from the layer's own generator, seeded at
-    construction, so training remains deterministic under the experiment
-    seed.
+    A one-model pass draws its mask from the layer's own generator,
+    seeded at construction, so training remains deterministic under the
+    experiment seed; the mask lives in the caller's cache, and
+    :meth:`backward` is the fused kernel's.
 
     **Lockstep training.**  Under the fused training plane ``k`` models
     train at once, but the sequential reference consumes this layer's
@@ -34,7 +36,6 @@ class Dropout(Layer):
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = ensure_rng(rng)
-        self._mask: np.ndarray | None = None
 
     @property
     def train_active(self) -> bool:
@@ -92,17 +93,12 @@ class Dropout(Layer):
             return grad_out
         return grad_out * mask
 
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        if not train or self.rate == 0.0:
-            self._mask = None
+    def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
+        if cache is None:
+            return x
+        if self.rate == 0.0:
+            cache["mask"] = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        grad_in = grad_out * self._mask
-        self._mask = None
-        return grad_in
+        cache["mask"] = mask = (self._rng.random(x.shape) < keep) / keep
+        return x * mask

@@ -22,24 +22,21 @@ class Embedding(Layer):
         self.table = Parameter(table, name=f"{name}.table")
         self.vocab_size = vocab_size
         self.dim = dim
-        self._indices: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
         indices = np.asarray(x)
         if not np.issubdtype(indices.dtype, np.integer):
             raise TypeError(f"Embedding expects integer tokens, got dtype {indices.dtype}")
         if indices.min(initial=0) < 0 or indices.max(initial=0) >= self.vocab_size:
             raise ValueError("token index out of range")
-        self._indices = indices
+        if cache is not None:
+            cache["indices"] = indices
         return self.table.value[indices]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._indices is None:
-            raise RuntimeError("backward called before forward")
-        flat_idx = self._indices.reshape(-1)
+    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
+        flat_idx = cache["indices"].reshape(-1)
         flat_grad = grad_out.reshape(-1, self.dim)
         np.add.at(self.table.grad, flat_idx, flat_grad)
-        self._indices = None
         # Tokens are not differentiable; return zeros of the input shape.
         return np.zeros_like(flat_idx, dtype=np.float64).reshape(grad_out.shape[:-1])
 

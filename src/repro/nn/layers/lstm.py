@@ -42,9 +42,8 @@ class LSTM(Layer):
         bias = zeros((4 * hidden,))
         bias[hidden : 2 * hidden] = 1.0  # forget gate
         self.bias = Parameter(bias, name=f"{name}.bias")
-        self._cache: dict[str, np.ndarray] | None = None
 
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ValueError(
                 f"LSTM expected (N, T, {self.input_dim}), got {x.shape}"
@@ -72,16 +71,12 @@ class LSTM(Layer):
             gates[:, step, 3 * hdim :] = o
             hs[:, step, :] = h
             cs[:, step, :] = c
-        self._cache = {"x": x, "hs": hs, "cs": cs, "gates": gates}
+        if cache is not None:
+            cache.update(x=x, hs=hs, cs=cs, gates=gates)
         return hs
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x = self._cache["x"]
-        hs = self._cache["hs"]
-        cs = self._cache["cs"]
-        gates = self._cache["gates"]
+    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
+        x, hs, cs, gates = cache["x"], cache["hs"], cache["cs"], cache["gates"]
         n, t, _ = x.shape
         hdim = self.hidden
 
@@ -127,7 +122,6 @@ class LSTM(Layer):
             [np.zeros((n, 1, hdim)), hs[:, :-1, :]], axis=1
         ).reshape(n * t, hdim)
         self.w_h.grad += h_prev.T @ gz2
-        self._cache = None
         return grad_x
 
     def parameters(self) -> list[Parameter]:

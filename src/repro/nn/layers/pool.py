@@ -21,8 +21,9 @@ class MaxPool2D(Layer):
     holding NaN pools to NaN.  The gradient goes to the *first* plane
     equal to the maximum — an all-zero post-ReLU window routes its
     gradient to the window's top-left input — and a NaN window routes
-    none, since NaN equals nothing.  Parameterless, so the fused kernels
-    are the same code over one more leading axis.
+    none, since NaN equals nothing.  Parameterless, so one kernel serves
+    one model and a model stack: the inherited one-model pass is
+    :meth:`forward_many` on a shared input.
     """
 
     fused = True
@@ -30,10 +31,7 @@ class MaxPool2D(Layer):
     def __init__(self, pool_size: int = 2, stride: int | None = None):
         self.pool_size = pool_size
         self.stride = stride if stride is not None else pool_size
-        self._masks: list[np.ndarray] | None = None
-        self._hw: tuple[int, int] | None = None
 
-    # ------------------------------------------------------ shared kernels
     def _check_input(self, x: np.ndarray, *, batched: bool = False) -> None:
         if x.ndim != (5 if batched else 4):
             raise ValueError(f"MaxPool2D expects (N, C, H, W), got {x.shape}")
@@ -100,22 +98,6 @@ class MaxPool2D(Layer):
                 grad_in[..., rows, cols] += part
         return grad_in
 
-    # ---------------------------------------------------------- one model
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        self._check_input(x)
-        out, self._masks = self._pool(x)
-        self._hw = x.shape[-2:]
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._masks is None or self._hw is None:
-            raise RuntimeError("backward called before forward")
-        grad_in = self._route(grad_out, self._masks, self._hw)
-        self._masks = None
-        self._hw = None
-        return grad_in
-
-    # ------------------------------------------------------- model stacks
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:

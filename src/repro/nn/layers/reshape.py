@@ -14,22 +14,13 @@ class Flatten(Layer):
 
     fused = True
 
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
+        lead = x.shape[: 2 if batched else 1]
         if cache is not None:
-            cache["shape"] = x.shape
-            cache["batched"] = batched
-        if batched:
-            return x.reshape(x.shape[0], x.shape[1], -1), True
-        return x.reshape(x.shape[0], -1), False
+            cache["sample_shape"] = x.shape[len(lead) :]
+        return x.reshape(lead + (-1,)), batched
 
     def backward_many(
         self,
@@ -40,17 +31,9 @@ class Flatten(Layer):
         *,
         need_input_grad: bool = True,
     ) -> np.ndarray | None:
-        if cache["batched"]:
-            return grad_out.reshape(cache["shape"])
-        # Input was shared (no model axis); the gradient carries one.
-        return grad_out.reshape((grad_out.shape[0],) + cache["shape"])
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        grad_in = grad_out.reshape(self._shape)
-        self._shape = None
-        return grad_in
+        # The gradient's leading axes are the output's, plus the model
+        # axis when the input was shared: one form for every case.
+        return grad_out.reshape(grad_out.shape[:-1] + cache["sample_shape"])
 
 
 class LastTimeStep(Layer):
@@ -62,23 +45,13 @@ class LastTimeStep(Layer):
 
     fused = True
 
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        if x.ndim != 3:
-            raise ValueError(f"LastTimeStep expects (N, T, H), got {x.shape}")
-        self._shape = x.shape
-        return x[:, -1, :]
-
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
         if x.ndim != (4 if batched else 3):
             raise ValueError(f"LastTimeStep expects (N, T, H) per model, got {x.shape}")
         if cache is not None:
-            cache["shape"] = x.shape
-            cache["batched"] = batched
+            cache["steps"] = x.shape[-2]
         return x[..., -1, :], batched
 
     def backward_many(
@@ -90,17 +63,7 @@ class LastTimeStep(Layer):
         *,
         need_input_grad: bool = True,
     ) -> np.ndarray | None:
-        shape = cache["shape"]
-        if not cache["batched"]:
-            shape = (grad_out.shape[0],) + shape
+        shape = grad_out.shape[:-1] + (cache["steps"], grad_out.shape[-1])
         grad_in = np.zeros(shape, dtype=grad_out.dtype)
         grad_in[..., -1, :] = grad_out
-        return grad_in
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        grad_in = np.zeros(self._shape, dtype=grad_out.dtype)
-        grad_in[:, -1, :] = grad_out
-        self._shape = None
         return grad_in

@@ -123,7 +123,7 @@ class Classifier:
 
     # ---------------------------------------------------------- inference
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x, train=False)
+        return self.net.forward(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted class indices."""
@@ -145,7 +145,7 @@ class Classifier:
         for start in range(0, n, batch_size):
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]
-            logits = self.net.forward(xb, train=False)
+            logits = self.net.forward(xb)
             loss, _ = softmax_cross_entropy(logits, yb)
             total_loss += loss * xb.shape[0]
             correct += int((logits.argmax(axis=1) == yb).sum())
@@ -168,7 +168,7 @@ class Classifier:
         for start in range(0, n, batch_size):
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]
-            logits = self.net.forward(xb, train=False)
+            logits = self.net.forward(xb)
             correct += int((logits.argmax(axis=1) == yb).sum())
         return correct / n
 
@@ -261,9 +261,10 @@ class Classifier:
         # optimizer steps pay a redundant O(P) clearing pass.
         for param in self._params:
             param.zero_grad()
-        logits = self.net.forward(x, train=True)
+        caches: list[dict] = [{} for _ in self.net.layers]
+        logits = self.net.forward(x, caches)
         loss, grad = softmax_cross_entropy(logits, y)
-        self.net.backward(grad)
+        self.net.backward(grad, caches)
         optimizer.step(self._params)
         return loss
 

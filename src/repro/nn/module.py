@@ -12,17 +12,24 @@ __all__ = ["Layer", "Sequential"]
 class Layer:
     """Base class for all layers.
 
-    A layer transforms an input array in :meth:`forward` and propagates
-    gradients in :meth:`backward`.  ``backward`` must be called with the
-    gradient of the loss w.r.t. the layer's *output* and returns the
-    gradient w.r.t. its *input*; parameter gradients are *accumulated* into
-    ``Parameter.grad``.  Layers cache whatever they need between the two
-    calls, so a forward/backward pair must not be interleaved with another
-    forward on the same layer instance.
+    One protocol serves both planes, and a layer keeps no per-call state:
+    whatever a backward pass needs lives in a ``cache`` dict the caller
+    owns for exactly one forward/backward pair, so one shared model can
+    evaluate and train for every client of a simulation.
+
+    - :meth:`forward` runs the layer's own parameters.  ``cache=None``
+      is evaluation: nothing is kept and dropout is the identity.  A dict
+      is training: the layer stores in it what :meth:`backward` needs.
+    - :meth:`backward` receives the gradient of the loss w.r.t. the
+      layer's *output* and that cache, **accumulates** parameter
+      gradients into ``Parameter.grad`` and returns the gradient w.r.t.
+      its *input*.  A cache the forward pass did not fill raises
+      ``KeyError``.
 
     **Fused multi-model planes.**  Layers that can run ``k`` models'
     parameters in one vectorized pass set ``fused = True`` and implement
-    :meth:`forward_many` and :meth:`backward_many`.  The contract:
+    :meth:`forward_many` and :meth:`backward_many`, with the same
+    ``cache`` contract:
 
     - ``params`` holds this layer's parameters as ``(k, *shape)`` stacks
       (one per entry of :meth:`parameters`, in the same order), sliced
@@ -33,12 +40,6 @@ class Layer:
       ``(batch, ...)``, no model axis) and the first parametered layer
       introduces the axis — parameterless layers before it operate on
       the shared input once instead of ``k`` times;
-    - ``cache=None`` is evaluation (``train=False``): nothing is kept
-      and dropout is the identity.  A dict is training (``train=True``):
-      the layer stores in it whatever :meth:`backward_many` needs.  The
-      dict is owned by the caller for exactly one forward/backward pair,
-      so the *layer instance* stays stateless and one shared model can
-      serve many lockstep groups;
     - :meth:`forward_many` returns ``(output, batched)``;
     - :meth:`backward_many` receives the loss gradient w.r.t. the
       layer's output as a ``(k, batch, ...)`` stack, **accumulates**
@@ -46,21 +47,30 @@ class Layer:
       aligned with ``params``) and returns the gradient w.r.t. its
       input, or ``None`` when told ``need_input_grad=False``.
 
-    Model for model, both must produce exactly what :meth:`forward` and
-    :meth:`backward` produce — the walk's evaluation plane and the
-    lockstep training plane rely on that bit for bit in float64.  One
-    exception: where an input gradient sums over inputs holding more
-    than one NaN (``Conv2D``'s), the result is NaN in the same places
-    but may carry another input NaN's payload or sign, because the
-    stacked and the per-model matmul accumulate in different orders.
+    A parameterless layer's one-model pass *is* its fused kernel on a
+    shared input: :meth:`forward` and :meth:`backward` default to
+    ``forward_many(x, [], batched=False, ...)`` and
+    ``backward_many(grad_out, [], [], cache)``.
+
+    Model for model, the fused kernels must produce exactly what
+    :meth:`forward` and :meth:`backward` produce — the walk's evaluation
+    plane and the lockstep training plane rely on that bit for bit in
+    float64.  One exception: where an input gradient sums over inputs
+    holding more than one NaN (``Conv2D``'s), the result is NaN in the
+    same places but may carry another input NaN's payload or sign,
+    because the stacked and the per-model matmul accumulate in different
+    orders.
     """
 
     #: True when the layer implements :meth:`forward_many` and
     #: :meth:`backward_many`.
     fused = False
 
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        raise NotImplementedError
+    def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
+        return self.forward_many(x, [], batched=False, cache=cache)[0]
+
+    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
+        return self.backward_many(grad_out, [], [], cache)
 
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
@@ -82,9 +92,6 @@ class Layer:
             f"{type(self).__name__} has no fused multi-model kernel"
         )
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def parameters(self) -> list[Parameter]:
         """Trainable parameters of this layer (default: none)."""
         return []
@@ -92,9 +99,6 @@ class Layer:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def __call__(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        return self.forward(x, train=train)
 
 
 class Sequential(Layer):
@@ -108,9 +112,12 @@ class Sequential(Layer):
         """True when every layer has fused multi-model kernels."""
         return all(layer.fused for layer in self.layers)
 
-    def forward(self, x: np.ndarray, *, train: bool = False) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
+    def forward(self, x: np.ndarray, caches: list[dict] | None = None) -> np.ndarray:
+        """One model through the stack: ``caches=None`` evaluates, a list
+        of one dict per layer trains (hand the same list to
+        :meth:`backward`)."""
+        for i, layer in enumerate(self.layers):
+            x = layer.forward(x, cache=None if caches is None else caches[i])
         return x
 
     def forward_many(
@@ -182,9 +189,12 @@ class Sequential(Layer):
             caches[i].clear()  # consumed: free its activations now
         return result
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
+    def backward(self, grad_out: np.ndarray, caches: list[dict]) -> np.ndarray:
+        """Backward through every layer, each cache cleared as soon as its
+        layer's backward has run (as :meth:`backward_many_train` does)."""
+        for i in range(len(self.layers) - 1, -1, -1):
+            grad_out = self.layers[i].backward(grad_out, caches[i])
+            caches[i].clear()
         return grad_out
 
     def parameters(self) -> list[Parameter]:

@@ -252,7 +252,7 @@ class LockstepTrainer:
         for index, layer in enumerate(model.net.layers):
             if isinstance(layer, Dropout) and layer.train_active:
                 shapes[index] = x.shape[1:]
-            x = layer.forward(x, train=False)
+            x = layer.forward(x)
         return shapes
 
     def _fork_dropout_streams(

@@ -1,11 +1,26 @@
-"""Activation layers: values, gradients, stability."""
+"""Activation layers: values, gradients, stability; and the
+backward-before-forward rule every layer shares."""
 
 import numpy as np
 import pytest
 
+import repro.nn  # noqa: F401  (loads every layer module)
 from repro.nn.gradcheck import check_layer_gradients
-from repro.nn.layers import ReLU, Sigmoid, Tanh
+from repro.nn.layers import (
+    LSTM,
+    Conv2D,
+    Dense,
+    Dropout,
+    Embedding,
+    Flatten,
+    LastTimeStep,
+    MaxPool2D,
+    ReLU,
+    Sigmoid,
+    Tanh,
+)
 from repro.nn.layers.activations import sigmoid
+from repro.nn.module import Layer
 
 
 @pytest.mark.parametrize("layer_cls", [ReLU, Tanh, Sigmoid])
@@ -23,8 +38,9 @@ def test_relu_zeroes_negatives(rng):
 
 def test_relu_gradient_blocked_at_negatives():
     layer = ReLU()
-    layer.forward(np.array([[-1.0, 3.0]]))
-    grad = layer.backward(np.array([[5.0, 5.0]]))
+    cache: dict = {}
+    layer.forward(np.array([[-1.0, 3.0]]), cache=cache)
+    grad = layer.backward(np.array([[5.0, 5.0]]), cache)
     np.testing.assert_array_equal(grad, [[0.0, 5.0]])
 
 
@@ -45,7 +61,41 @@ def test_sigmoid_symmetry(rng):
     np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("layer_cls", [ReLU, Tanh, Sigmoid])
+# Every ``repro.nn`` layer, built small: layers keep no per-call state,
+# so the backward-before-forward check is one rule for all of them.
+EVERY_LAYER = {
+    ReLU: lambda rng: ReLU(),
+    Tanh: lambda rng: Tanh(),
+    Sigmoid: lambda rng: Sigmoid(),
+    Dense: lambda rng: Dense(2, 2, rng),
+    Conv2D: lambda rng: Conv2D(1, 2, 3, rng),
+    MaxPool2D: lambda rng: MaxPool2D(),
+    Flatten: lambda rng: Flatten(),
+    LastTimeStep: lambda rng: LastTimeStep(),
+    Dropout: lambda rng: Dropout(0.5, rng=rng),
+    Embedding: lambda rng: Embedding(4, 2, rng),
+    LSTM: lambda rng: LSTM(2, 2, rng),
+}
+
+
+def _layer_classes():
+    pending, found = [Layer], set()
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro.nn.layers."):
+            found.add(cls)
+    return found
+
+
+def test_backward_before_forward_covers_every_layer():
+    assert set(EVERY_LAYER) == _layer_classes()
+
+
+@pytest.mark.parametrize("layer_cls", list(EVERY_LAYER))
 def test_backward_before_forward_raises(layer_cls, rng):
-    with pytest.raises(RuntimeError):
-        layer_cls().backward(rng.normal(size=(2, 2)))
+    """A backward pass reads what a training forward stored in the
+    caller's cache; given a cache no forward filled, every layer raises."""
+    layer = EVERY_LAYER[layer_cls](rng)
+    with pytest.raises(KeyError):
+        layer.backward(rng.normal(size=(2, 2)), {})

@@ -182,10 +182,11 @@ def test_backward_many_bit_identical(batched):
     grad_in = layers[0].backward_many(grad_out, params, grads, cache)
     for k, layer in enumerate(layers):
         layer.zero_grad()
+        one: dict = {}
         np.testing.assert_array_equal(
-            out[k], layer.forward(x[k] if batched else x, train=True)
+            out[k], layer.forward(x[k] if batched else x, cache=one)
         )
-        np.testing.assert_array_equal(grad_in[k], layer.backward(grad_out[k]))
+        np.testing.assert_array_equal(grad_in[k], layer.backward(grad_out[k], one))
         np.testing.assert_array_equal(grads[0][k], layer.weight.grad)
         np.testing.assert_array_equal(grads[1][k], layer.bias.grad)
     # The lowest parametered layer skips the input gradient only.

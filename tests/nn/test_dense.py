@@ -56,18 +56,13 @@ def test_gradients_accumulate_across_backward_calls(rng):
     layer = Dense(3, 2, rng)
     x = rng.normal(size=(4, 3))
     grad = rng.normal(size=(4, 2))
-    layer.forward(x)
-    layer.backward(grad)
+    cache: dict = {}
+    layer.forward(x, cache=cache)
+    layer.backward(grad, cache)
     first = layer.weight.grad.copy()
-    layer.forward(x)
-    layer.backward(grad)
+    layer.forward(x, cache=cache)
+    layer.backward(grad, cache)
     np.testing.assert_allclose(layer.weight.grad, 2 * first)
-
-
-def test_backward_before_forward_raises(rng):
-    layer = Dense(3, 2, rng)
-    with pytest.raises(RuntimeError, match="backward called before forward"):
-        layer.backward(rng.normal(size=(4, 2)))
 
 
 def test_he_init_differs_from_glorot(rng):

@@ -35,9 +35,10 @@ def test_rejects_out_of_range(rng):
 
 def test_gradient_scatters_to_used_rows(rng):
     layer = Embedding(6, 2, rng)
-    layer.forward(np.array([[1, 1, 3]]))
+    cache: dict = {}
+    layer.forward(np.array([[1, 1, 3]]), cache=cache)
     grad_out = np.ones((1, 3, 2))
-    layer.backward(grad_out)
+    layer.backward(grad_out, cache)
     np.testing.assert_allclose(layer.table.grad[1], [2.0, 2.0])  # used twice
     np.testing.assert_allclose(layer.table.grad[3], [1.0, 1.0])
     np.testing.assert_allclose(layer.table.grad[0], 0.0)
@@ -45,6 +46,7 @@ def test_gradient_scatters_to_used_rows(rng):
 
 def test_repeated_token_accumulates(rng):
     layer = Embedding(4, 3, rng)
-    layer.forward(np.full((2, 5), 2))
-    layer.backward(np.ones((2, 5, 3)))
+    cache: dict = {}
+    layer.forward(np.full((2, 5), 2), cache=cache)
+    layer.backward(np.ones((2, 5, 3)), cache)
     np.testing.assert_allclose(layer.table.grad[2], 10.0)

@@ -1,6 +1,7 @@
-"""The fused-layer protocol: one ``forward_many`` per layer serves both
-planes, ``cache=None`` evaluating and a dict training, and ``fused``
-says which layers implement it."""
+"""The layer protocol: one ``forward_many`` per layer serves both fused
+planes, ``cache=None`` evaluating and a dict training, ``fused`` says
+which layers implement it, and the one-model ``forward`` / ``backward``
+keep their state in the same caller-owned cache."""
 
 import numpy as np
 import pytest
@@ -85,13 +86,18 @@ def test_evaluation_and_training_forward_are_one_pass(name, batched):
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_evaluation_dropout_is_the_identity_and_draws_nothing(batched):
+    """Fused or one-model, an evaluation pass returns its input and
+    touches neither the layer nor its generator."""
     layer = Dropout(0.5, rng=7)
     before = layer._rng.bit_generator.state
+    state = dict(vars(layer))
     x = _input(np.random.default_rng(1), ((K,) if batched else ()) + (5, 4))
     out, out_batched = layer.forward_many(x, [], batched=batched)
     assert out is x and out_batched is batched
+    assert layer.forward(x) is x
     assert layer._rng.bit_generator.state == before
-    assert layer._mask is None
+    assert vars(layer).keys() == state.keys()
+    assert all(vars(layer)[key] is value for key, value in state.items())
 
 
 def _layer_classes():
@@ -121,3 +127,30 @@ def test_fused_flag_matches_the_kernels():
         assert cls.fused is False
         assert cls.forward_many is Layer.forward_many
         assert cls.backward_many is Layer.backward_many
+
+
+def test_parameterless_layers_keep_one_kernel():
+    """A parameterless layer's one-model pass is its fused kernel on a
+    shared input: it inherits ``Layer.forward`` / ``Layer.backward``."""
+    for cls in (ReLU, Tanh, Sigmoid, MaxPool2D, Flatten, LastTimeStep):
+        assert cls.forward is Layer.forward, cls
+        assert cls.backward is Layer.backward, cls
+    assert Dropout.backward is Layer.backward  # only the draw is its own
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_one_model_pass_keeps_nothing_on_the_layer(name):
+    """``forward`` / ``backward`` keep what they need in the caller's
+    cache, so evaluation and training leave the layer's attributes bound
+    to the objects they held before."""
+    factory, shape = LAYERS[name]
+    layer = factory()
+    x = _input(np.random.default_rng(1), shape)
+    state = dict(vars(layer))
+    layer.forward(x)
+    cache: dict = {}
+    out = layer.forward(x, cache=cache)
+    layer.backward(np.ones_like(out), cache)
+    assert vars(layer).keys() == state.keys()
+    assert all(vars(layer)[key] is value for key, value in state.items())

@@ -21,9 +21,11 @@ def test_sequential_collects_parameters(rng):
 def test_sequential_backward_reverses(rng):
     net = Sequential([Dense(4, 8, rng), ReLU(), Dense(8, 3, rng)])
     x = rng.normal(size=(5, 4))
-    net.forward(x)
-    grad_in = net.backward(rng.normal(size=(5, 3)))
+    caches: list[dict] = [{} for _ in net.layers]
+    net.forward(x, caches)
+    grad_in = net.backward(rng.normal(size=(5, 3)), caches)
     assert grad_in.shape == x.shape
+    assert caches == [{}, {}, {}]  # each cleared once consumed
 
 
 def test_sequential_indexing(rng):
@@ -36,8 +38,9 @@ def test_sequential_indexing(rng):
 def test_zero_grad_clears_all(rng):
     net = Sequential([Dense(4, 4, rng), ReLU(), Dense(4, 2, rng)])
     x = rng.normal(size=(3, 4))
-    net.forward(x)
-    net.backward(rng.normal(size=(3, 2)))
+    caches: list[dict] = [{} for _ in net.layers]
+    net.forward(x, caches)
+    net.backward(rng.normal(size=(3, 2)), caches)
     assert any(np.any(p.grad != 0) for p in net.parameters())
     net.zero_grad()
     assert all(np.all(p.grad == 0) for p in net.parameters())

@@ -23,8 +23,9 @@ def test_output_shape(rng):
 def test_gradient_routes_to_argmax():
     layer = MaxPool2D(2, 2)
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    layer.forward(x)
-    grad_in = layer.backward(np.array([[[[10.0]]]]))
+    cache: dict = {}
+    layer.forward(x, cache=cache)
+    grad_in = layer.backward(np.array([[[[10.0]]]]), cache)
     np.testing.assert_allclose(grad_in, [[[[0.0, 0.0], [0.0, 10.0]]]])
 
 
@@ -62,13 +63,14 @@ def test_ties_route_to_first_window_index():
     layer = MaxPool2D(2, 2)
     x = np.zeros((1, 1, 2, 4))
     x[0, 0, :, 2:] = [[1.0, 5.0], [5.0, 5.0]]
-    layer.forward(x)
-    grad_in = layer.backward(np.array([[[[3.0, 7.0]]]]))
+    cache: dict = {}
+    layer.forward(x, cache=cache)
+    grad_in = layer.backward(np.array([[[[3.0, 7.0]]]]), cache)
     np.testing.assert_array_equal(
         grad_in, [[[[3.0, 0.0, 0.0, 7.0], [0.0, 0.0, 0.0, 0.0]]]]
     )
     # The fused kernels share the rule.
-    cache: dict = {}
+    cache = {}
     layer.forward_many(x[None], [], batched=True, cache=cache)
     fused = layer.backward_many(np.array([[[[[3.0, 7.0]]]]]), [], [], cache)
     np.testing.assert_array_equal(fused[0], grad_in)
@@ -83,11 +85,12 @@ def test_nan_window_pools_to_nan_and_routes_no_gradient():
     grad_out = np.array([[[[3.0, 7.0]]]])
     expected_grad = [[[[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 7.0]]]]
 
-    out = layer.forward(x, train=True)
-    assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 8.0
-    np.testing.assert_array_equal(layer.backward(grad_out), expected_grad)
-
     cache: dict = {}
+    out = layer.forward(x, cache=cache)
+    assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 8.0
+    np.testing.assert_array_equal(layer.backward(grad_out, cache), expected_grad)
+
+    cache = {}
     fused, _ = layer.forward_many(x[None], [], batched=True, cache=cache)
     np.testing.assert_array_equal(fused[0], out)
     np.testing.assert_array_equal(
@@ -108,10 +111,11 @@ def test_fused_kernels_bit_identical(rng, pool, stride):
     grad_out = rng.normal(size=out.shape)
     grad_in = layer.backward_many(grad_out, [], [], cache)
     for k in range(3):
-        expected = layer.forward(stack[k], train=True)
+        one: dict = {}
+        expected = layer.forward(stack[k], cache=one)
         np.testing.assert_array_equal(out[k], expected)
         np.testing.assert_array_equal(trained[k], expected)
-        np.testing.assert_array_equal(grad_in[k], layer.backward(grad_out[k]))
+        np.testing.assert_array_equal(grad_in[k], layer.backward(grad_out[k], one))
     # A shared input stays shared: pooled once for every model.
     shared, batched = layer.forward_many(stack[0], [], batched=False)
     assert not batched

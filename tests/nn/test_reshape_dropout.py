@@ -15,8 +15,9 @@ def test_flatten_shape(rng):
 def test_flatten_roundtrip_gradient(rng):
     layer = Flatten()
     x = rng.normal(size=(2, 3, 4))
-    layer.forward(x)
-    grad_in = layer.backward(np.ones((2, 12)))
+    cache: dict = {}
+    layer.forward(x, cache=cache)
+    grad_in = layer.backward(np.ones((2, 12)), cache)
     assert grad_in.shape == x.shape
 
 
@@ -33,8 +34,9 @@ def test_last_timestep_selects_final(rng):
 
 def test_last_timestep_gradient_zero_elsewhere(rng):
     layer = LastTimeStep()
-    layer.forward(rng.normal(size=(2, 4, 3)))
-    grad_in = layer.backward(np.ones((2, 3)))
+    cache: dict = {}
+    layer.forward(rng.normal(size=(2, 4, 3)), cache=cache)
+    grad_in = layer.backward(np.ones((2, 3)), cache)
     assert np.all(grad_in[:, :-1, :] == 0.0)
     assert np.all(grad_in[:, -1, :] == 1.0)
 
@@ -47,13 +49,13 @@ def test_last_timestep_rejects_2d(rng):
 def test_dropout_inactive_at_inference(rng):
     layer = Dropout(0.5, rng=0)
     x = rng.normal(size=(4, 4))
-    np.testing.assert_array_equal(layer.forward(x, train=False), x)
+    np.testing.assert_array_equal(layer.forward(x), x)
 
 
 def test_dropout_scales_at_train():
     layer = Dropout(0.5, rng=0)
     x = np.ones((1000, 10))
-    out = layer.forward(x, train=True)
+    out = layer.forward(x, cache={})
     kept = out[out != 0]
     np.testing.assert_allclose(kept, 2.0)  # inverted dropout scaling
     assert 0.35 < (out != 0).mean() < 0.65
@@ -62,8 +64,9 @@ def test_dropout_scales_at_train():
 def test_dropout_backward_uses_same_mask():
     layer = Dropout(0.5, rng=1)
     x = np.ones((50, 50))
-    out = layer.forward(x, train=True)
-    grad = layer.backward(np.ones_like(x))
+    cache: dict = {}
+    out = layer.forward(x, cache=cache)
+    grad = layer.backward(np.ones_like(x), cache)
     np.testing.assert_array_equal(grad != 0, out != 0)
 
 

@@ -158,8 +158,9 @@ def test_relu_matches_where_reference(seed, dtype, mode, shape, k):
     x = sample(rng, shape, dtype, mode)
     grad = sample(rng, shape, dtype, "specials")
     expected, mask = reference_relu(x)
-    assert_bits_equal(layer.forward(x, train=True), expected)
-    assert_bits_equal(layer.backward(grad), np.where(mask, grad, 0.0))
+    one: dict = {}
+    assert_bits_equal(layer.forward(x, cache=one), expected)
+    assert_bits_equal(layer.backward(grad, one), np.where(mask, grad, 0.0))
     # Fused path on a model stack.
     stack = sample(rng, (k,) + shape, dtype, mode)
     grads = sample(rng, (k,) + shape, dtype, "specials")
@@ -187,11 +188,12 @@ def test_relu_gradient_wider_than_activation():
     x = np.array([[-1.0, 0.0, -0.0, 2.0, np.nan, np.inf]], dtype=np.float32)
     grad = np.array([[1.0, -0.0, 3.0, -4.0, 5.0, np.nan]])
     layer = ReLU()
-    layer.forward(x)
-    assert_bits_equal(layer.backward(grad), np.where(x > 0, grad, 0.0))
-    layer.forward(grad)
+    cache: dict = {}
+    layer.forward(x, cache=cache)
+    assert_bits_equal(layer.backward(grad, cache), np.where(x > 0, grad, 0.0))
+    layer.forward(grad, cache=cache)
     narrow = grad.astype(np.float32)
-    assert_bits_equal(layer.backward(narrow), np.where(grad > 0, narrow, 0.0))
+    assert_bits_equal(layer.backward(narrow, cache), np.where(grad > 0, narrow, 0.0))
 
 
 # ----------------------------------------------------------- max-pooling
@@ -222,12 +224,14 @@ def test_pool_matches_window_reference(case, seed, dtype, mode, k):
         grad = grad_fn(expected.shape)
         expected_grad = reference_route(grad, chosen, x.shape[-2:], size, stride)
         if batched is None:  # sequential
-            assert_bits_equal(layer.forward(x, train=True), expected)
-            masks = layer._masks
-            assert_bits_equal(layer.backward(grad), expected_grad)
+            assert_bits_equal(layer.forward(x), expected)
+            cache: dict = {}
+            assert_bits_equal(layer.forward(x, cache=cache), expected)
+            masks = cache["masks"]
+            assert_bits_equal(layer.backward(grad, cache), expected_grad)
         else:
             assert_bits_equal(layer.forward_many(x, [], batched=batched)[0], expected)
-            cache: dict = {}
+            cache = {}
             out, _ = layer.forward_many(x, [], batched=batched, cache=cache)
             assert_bits_equal(out, expected)
             masks = cache["masks"]
@@ -258,9 +262,10 @@ def test_pool_every_2x2_window_over_signed_zeros_and_nans(dtype):
     for x in (tiled, single):
         expected, chosen = reference_pool(x, 2, 2)
         grad = np.arange(1, expected.size + 1, dtype=dtype).reshape(expected.shape)
-        assert_bits_equal(layer.forward(x, train=True), expected)
+        cache: dict = {}
+        assert_bits_equal(layer.forward(x, cache=cache), expected)
         assert_bits_equal(
-            layer.backward(grad), reference_route(grad, chosen, x.shape[-2:], 2, 2)
+            layer.backward(grad, cache), reference_route(grad, chosen, x.shape[-2:], 2, 2)
         )
         assert_bits_equal(layer.forward_many(x[None], [], batched=True)[0][0], expected)
 
@@ -360,10 +365,11 @@ def test_chunked_fused_conv_matches_per_model_path(
             is None
         )
     for i, layer in enumerate(layers):
-        expected = layer.forward(x[i] if batched else x, train=True)
+        one: dict = {}
+        expected = layer.forward(x[i] if batched else x, cache=one)
         assert_bits_equal(evaluated[i], expected)
         assert_bits_equal(out[i], expected)
-        assert_bits_equal_but_nan_payloads(grad_in[i], layer.backward(grad_out[i]))
+        assert_bits_equal_but_nan_payloads(grad_in[i], layer.backward(grad_out[i], one))
         for got in (grads, skipped):
             assert_bits_equal(got[0][i], layer.weight.grad)
             assert_bits_equal(got[1][i], layer.bias.grad)
