@@ -206,8 +206,7 @@ class AccuracyTipSelector:
       the per-candidate call overhead, this is the entry point of the
       **fused evaluation plane**: the candidates are evaluated in one
       vectorized forward pass over a ``(k, P)`` stack of their arena rows
-      (:meth:`repro.nn.model.Classifier.accuracy_many`), falling back
-      per model for architectures without fused kernels.
+      (:meth:`repro.nn.model.Classifier.accuracy_many`).
     - ``row_accuracy_fn``, when given, replaces ``batch_accuracy_fn``
       on snapshots of a tangle or of its views, whose nodes are rows of
       the tangle's arena

@@ -161,7 +161,7 @@ class Client:
         through ``tangle.get`` (:func:`~repro.dag.arena.locate_rows`),
         with the same values, cache entries and evaluation count — and
         scored by **one** :meth:`Classifier.accuracy_many` (one fused
-        pass, or its per-model loop for layers without fused kernels).
+        pass).
         Raises ``ValueError``, before evaluating anything, when the arena
         is not laid out like this client's model.
 

@@ -68,8 +68,6 @@ class ReLU(Layer):
     stacked gradient.
     """
 
-    fused = True
-
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
@@ -91,8 +89,6 @@ class ReLU(Layer):
 
 class Tanh(Layer):
     """Hyperbolic tangent."""
-
-    fused = True
 
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
@@ -116,8 +112,6 @@ class Tanh(Layer):
 
 class Sigmoid(Layer):
     """Logistic sigmoid."""
-
-    fused = True
 
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None

@@ -21,20 +21,22 @@ from repro.nn.parameter import Parameter
 
 __all__ = ["Conv2D", "im2col", "col2im"]
 
-#: Largest patch stack one fused conv pass materializes at a time.  Every
-#: fused pass — evaluation, training forward, training backward — walks
-#: a ``(K, N, F, P)`` patch stack in K-chunks under this cap (a model
-#: whose patches alone exceed it is a chunk of one), so a chunk's patches
-#: stay in one core's L2 cache instead of streaming the whole stack
-#: through memory.  Each chunk runs the same per-(model, sample) gemms,
-#: so no result changes — only peak memory and cache traffic do.
+#: Largest patch stack one conv pass materializes at a time.  Every fused
+#: pass — evaluation, training forward, training backward — walks a
+#: ``(K, N, F, P)`` patch stack in K-chunks under this cap (a model whose
+#: patches alone exceed it is a chunk of one), and a one-model evaluation
+#: walks its batch's ``(N, F, P)`` patches in sample chunks, so a chunk's
+#: patches stay in one core's L2 cache instead of streaming the whole
+#: stack through memory.  Each chunk runs the same per-(model, sample)
+#: gemms, so no result changes — only peak memory and cache traffic do.
 _PATCH_BYTES = 1 << 20
 
 
 def _by_model(k: int, step: int, run) -> np.ndarray | None:
     """``run(models)`` over consecutive slices of at most ``step`` of ``k``
-    models, its results stacked along the model axis (``None`` when
-    ``run`` returns ``None``).  One slice returns ``run``'s array as is."""
+    models (or of a batch's samples), its results stacked along the
+    leading axis (``None`` when ``run`` returns ``None``).  One slice
+    returns ``run``'s array as is."""
     if step >= k:
         return run(slice(0, k))
     out = None
@@ -129,8 +131,6 @@ def col2im(
 class Conv2D(Layer):
     """2-D convolution layer (cross-correlation, as in all DL frameworks)."""
 
-    fused = True
-
     def __init__(
         self,
         in_channels: int,
@@ -209,15 +209,17 @@ class Conv2D(Layer):
 
     # ---------------------------------------------------------- one model
     def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
+        """Evaluation walks the batch in chunks of at most ``_PATCH_BYTES``
+        of patches; training keeps the whole batch's for :meth:`backward`."""
         self._check_input(x)
-        out, cols2 = self._convolve(
-            x,
-            self.weight.value.reshape(self.out_channels, -1),
-            self.bias.value[:, None, None],
-        )
-        if cache is not None:
-            cache["cols"] = cols2
-            cache["hw"] = x.shape[-2:]
+        kernel2 = self.weight.value.reshape(self.out_channels, -1)
+        bias = self.bias.value[:, None, None]
+        if cache is None:
+            return _by_model(
+                len(x), self._per_chunk(x[:1]), lambda s: self._convolve(x[s], kernel2, bias)[0]
+            )
+        out, cache["cols"] = self._convolve(x, kernel2, bias)
+        cache["hw"] = x.shape[-2:]
         return out
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
@@ -241,12 +243,12 @@ class Conv2D(Layer):
             bias.reshape(k, 1, self.out_channels, 1, 1),
         )
 
-    def _models_per_chunk(self, x: np.ndarray, batched: bool) -> int:
-        """How many models' ``(N, F, P)`` patch matrices (about
-        ``kernel_size**2 / stride**2`` times one model's input) fit in
+    def _per_chunk(self, entry: np.ndarray) -> int:
+        """How many entries like ``entry`` (one model's input, or one
+        sample) have ``(..., F, P)`` patch matrices — about
+        ``kernel_size**2 / stride**2`` times the entry — that fit in
         ``_PATCH_BYTES`` together; at least one."""
-        per_model = x[0] if batched else x
-        patch_bytes = per_model.nbytes * self.kernel_size**2 // self.stride**2
+        patch_bytes = entry.nbytes * self.kernel_size**2 // self.stride**2
         return max(1, _PATCH_BYTES // max(patch_bytes, 1))
 
     def forward_many(
@@ -274,7 +276,7 @@ class Conv2D(Layer):
             return self._convolve(x, kernel2, bias)[0], True
         out = _by_model(
             x.shape[0],
-            self._models_per_chunk(x, batched),
+            self._per_chunk(x[:1] if batched else x),
             lambda m: self._convolve(x[m], kernel2[m], bias[m])[0],
         )
         return out, True
@@ -327,7 +329,7 @@ class Conv2D(Layer):
         x, batched = cache["x"], cache["batched"]
         return _by_model(
             grad_out.shape[0],
-            self._models_per_chunk(x, batched),
+            self._per_chunk(x[:1] if batched else x),
             lambda m: self._chunk_gradients(
                 grad_out[m],
                 x[m] if batched else x,

@@ -39,8 +39,6 @@ class Dense(Layer):
         self.in_features = in_features
         self.out_features = out_features
 
-    fused = True
-
     def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
         if x.shape[-1] != self.in_features:
             raise ValueError(

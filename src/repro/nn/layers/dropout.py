@@ -14,10 +14,10 @@ class Dropout(Layer):
     """Inverted dropout: active only on a training pass (one given a
     ``cache``); an evaluation pass is the identity and draws nothing.
 
-    A one-model pass draws its mask from the layer's own generator,
-    seeded at construction, so training remains deterministic under the
-    experiment seed; the mask lives in the caller's cache, and
-    :meth:`backward` is the fused kernel's.
+    A one-model pass is the fused kernel with the layer's own generator,
+    seeded at construction, as its one stream, so training remains
+    deterministic under the experiment seed; the mask lives in the
+    caller's cache.
 
     **Lockstep training.**  Under the fused training plane ``k`` models
     train at once, but the sequential reference consumes this layer's
@@ -28,8 +28,6 @@ class Dropout(Layer):
     layer's own generator with :meth:`consume_draws`, so a lockstep
     round leaves the stream exactly where the per-client loop would.
     """
-
-    fused = True
 
     def __init__(self, rate: float, rng: np.random.Generator | int | None = None):
         if not 0.0 <= rate < 1.0:
@@ -94,11 +92,6 @@ class Dropout(Layer):
         return grad_out * mask
 
     def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
-        if cache is None:
-            return x
-        if self.rate == 0.0:
-            cache["mask"] = None
-            return x
-        keep = 1.0 - self.rate
-        cache["mask"] = mask = (self._rng.random(x.shape) < keep) / keep
-        return x * mask
+        if cache is not None:
+            cache["streams"] = [self._rng]
+        return super().forward(x, cache=cache)

@@ -11,6 +11,13 @@ from repro.nn.parameter import Parameter
 
 __all__ = ["LSTM"]
 
+#: Largest ``(k, N, 4 * hidden)`` gate slab one time step works on.  Every
+#: pass walks a model stack in K-chunks under it (a model over it is a
+#: chunk of one), so a step's element-wise work stays in one core's L2
+#: cache and an evaluation holds one chunk's pre-activations at a time.
+#: Each chunk runs the same per-model products, so no result changes.
+_STEP_BYTES = 1 << 18
+
 
 class LSTM(Layer):
     """LSTM over full sequences.
@@ -43,86 +50,118 @@ class LSTM(Layer):
         bias[hidden : 2 * hidden] = 1.0  # forget gate
         self.bias = Parameter(bias, name=f"{name}.bias")
 
-    def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
-            raise ValueError(
-                f"LSTM expected (N, T, {self.input_dim}), got {x.shape}"
-            )
-        n, t, _ = x.shape
-        hdim = self.hidden
-        h = np.zeros((n, hdim))
-        c = np.zeros((n, hdim))
-        hs = np.empty((n, t, hdim))
-        cs = np.empty((n, t, hdim))
-        gates = np.empty((n, t, 4 * hdim))
-        x2 = x.reshape(n * t, self.input_dim)
-        pre_x = (x2 @ self.w_x.value).reshape(n, t, 4 * hdim)
+    def forward_many(
+        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
+    ) -> tuple[np.ndarray, bool]:
+        """``k`` models' recurrences stepped together, K-chunk by K-chunk:
+        each product is one stacked matmul running the per-model gemm of
+        the one-model pass.  Training keeps each chunk's input, cell
+        states and gates for :meth:`backward_many`; evaluation keeps
+        nothing."""
+        if x.ndim != (4 if batched else 3) or x.shape[-1] != self.input_dim:
+            raise ValueError(f"LSTM expected (N, T, {self.input_dim}), got {x.shape}")
+        k, (n, t) = params[0].shape[0], x.shape[-3:-1]
+        # Hidden states are written straight into the stacked output.
+        hs = np.empty((k, n, t, self.hidden))
+        step = max(1, _STEP_BYTES // max(n * 4 * self.hidden * 8, 1))
+        if cache is not None:
+            cache["hs"], cache["tapes"] = hs, []
+        for start in range(0, k, step):
+            m = slice(start, start + step)
+            x_m = x[m] if batched else x
+            tape = self._recur(x_m, [p[m] for p in params], hs[m], tape=cache is not None)
+            if tape is not None:
+                cache["tapes"].append((m, x_m, *tape))
+        return hs, True
+
+    def _recur(
+        self, x: np.ndarray, params: list[np.ndarray], hs: np.ndarray, *, tape: bool
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Fill ``hs`` with one K-chunk's hidden states; return its cell
+        states and gates when ``tape``."""
+        w_x, w_h, bias = params
+        k, n, t, hdim = hs.shape
+        # Gate pre-activations; a training pass overwrites each step's
+        # with that step's gates.
+        gates = np.matmul(x.reshape(-1, n * t, self.input_dim), w_x).reshape(k, n, t, 4 * hdim)
+        h = c = np.zeros((k, n, hdim))
+        cs = np.empty_like(hs) if tape else None
         for step in range(t):
-            z = pre_x[:, step, :] + h @ self.w_h.value + self.bias.value
-            i = sigmoid(z[:, :hdim])
-            f = sigmoid(z[:, hdim : 2 * hdim])
-            g = np.tanh(z[:, 2 * hdim : 3 * hdim])
-            o = sigmoid(z[:, 3 * hdim :])
+            z = gates[:, :, step] + np.matmul(h, w_h) + bias[:, None]
+            z_i, z_f, z_g, z_o = np.split(z, 4, axis=-1)
+            i, f, g, o = sigmoid(z_i), sigmoid(z_f), np.tanh(z_g), sigmoid(z_o)
             c = f * c + i * g
             h = o * np.tanh(c)
-            gates[:, step, :hdim] = i
-            gates[:, step, hdim : 2 * hdim] = f
-            gates[:, step, 2 * hdim : 3 * hdim] = g
-            gates[:, step, 3 * hdim :] = o
-            hs[:, step, :] = h
-            cs[:, step, :] = c
-        if cache is not None:
-            cache.update(x=x, hs=hs, cs=cs, gates=gates)
-        return hs
+            hs[:, :, step] = h
+            if tape:
+                gates[:, :, step] = np.concatenate((i, f, g, o), axis=-1)
+                cs[:, :, step] = c
+        return (cs, gates) if tape else None
 
-    def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
-        x, hs, cs, gates = cache["x"], cache["hs"], cache["cs"], cache["gates"]
-        n, t, _ = x.shape
-        hdim = self.hidden
+    def backward_many(
+        self,
+        grad_out: np.ndarray,
+        params: list[np.ndarray],
+        grads: list[np.ndarray],
+        cache: dict,
+        *,
+        need_input_grad: bool = True,
+    ) -> np.ndarray | None:
+        """Back-propagation through time over the forward pass's K-chunks.
+        ``need_input_grad=False`` skips the per-step ``grad_z @ w_x.T``."""
+        hs = cache["hs"]
+        grad_x = np.empty(hs.shape[:-1] + (self.input_dim,)) if need_input_grad else None
+        for m, x, cs, gates in cache["tapes"]:
+            self._bptt(
+                grad_out[m], x, hs[m], cs, gates, [p[m] for p in params],
+                [g[m] for g in grads], None if grad_x is None else grad_x[m],
+            )
+        return grad_x
 
-        grad_x = np.zeros_like(x, dtype=np.float64)
-        grad_h_next = np.zeros((n, hdim))
-        grad_c_next = np.zeros((n, hdim))
-        grad_z_all = np.empty((n, t, 4 * hdim))
-
+    def _bptt(
+        self, grad_out: np.ndarray, x: np.ndarray, hs: np.ndarray, cs: np.ndarray,
+        gates: np.ndarray, params: list[np.ndarray], grads: list[np.ndarray],
+        grad_x: np.ndarray | None,
+    ) -> None:
+        """One K-chunk: each step's products one stacked matmul, the
+        parameter gradients one product (or sum) over every (sample,
+        step) row, as in the one-model pass; the input gradient (unless
+        ``grad_x`` is ``None``) is written into ``grad_x``."""
+        w_x_t, w_h_t = (w.transpose(0, 2, 1) for w in params[:2])
+        grad_w_x, grad_w_h, grad_bias = grads
+        k, n, t, hdim = hs.shape
+        grad_h_next = np.zeros((k, n, hdim))
+        grad_c_next = np.zeros((k, n, hdim))
+        grad_z_all = np.empty((k, n, t, 4 * hdim))
         for step in range(t - 1, -1, -1):
-            i = gates[:, step, :hdim]
-            f = gates[:, step, hdim : 2 * hdim]
-            g = gates[:, step, 2 * hdim : 3 * hdim]
-            o = gates[:, step, 3 * hdim :]
-            c = cs[:, step, :]
-            c_prev = cs[:, step - 1, :] if step > 0 else np.zeros((n, hdim))
-            tanh_c = np.tanh(c)
-
-            grad_h = grad_out[:, step, :] + grad_h_next
+            i, f, g, o = np.split(gates[:, :, step], 4, axis=-1)
+            c_prev = cs[:, :, step - 1] if step > 0 else np.zeros((k, n, hdim))
+            tanh_c = np.tanh(cs[:, :, step])
+            grad_h = grad_out[:, :, step] + grad_h_next
             grad_o = grad_h * tanh_c
             grad_c = grad_h * o * (1.0 - tanh_c**2) + grad_c_next
-            grad_f = grad_c * c_prev
-            grad_i = grad_c * g
-            grad_g = grad_c * i
             grad_c_next = grad_c * f
-
-            grad_z = np.empty((n, 4 * hdim))
-            grad_z[:, :hdim] = grad_i * i * (1.0 - i)
-            grad_z[:, hdim : 2 * hdim] = grad_f * f * (1.0 - f)
-            grad_z[:, 2 * hdim : 3 * hdim] = grad_g * (1.0 - g**2)
-            grad_z[:, 3 * hdim :] = grad_o * o * (1.0 - o)
-            grad_z_all[:, step, :] = grad_z
-
-            grad_h_next = grad_z @ self.w_h.value.T
-            grad_x[:, step, :] = grad_z @ self.w_x.value.T
-
-        # Parameter gradients, vectorized over (batch, time).
-        x2 = x.reshape(n * t, self.input_dim)
-        gz2 = grad_z_all.reshape(n * t, 4 * hdim)
-        self.w_x.grad += x2.T @ gz2
-        self.bias.grad += gz2.sum(axis=0)
-        # h_prev for each step: zeros at t=0, hs shifted by one otherwise.
-        h_prev = np.concatenate(
-            [np.zeros((n, 1, hdim)), hs[:, :-1, :]], axis=1
-        ).reshape(n * t, hdim)
-        self.w_h.grad += h_prev.T @ gz2
-        return grad_x
+            grad_z = np.concatenate(
+                (
+                    grad_c * g * i * (1.0 - i),
+                    grad_c * c_prev * f * (1.0 - f),
+                    grad_c * i * (1.0 - g**2),
+                    grad_o * o * (1.0 - o),
+                ),
+                axis=-1,
+            )
+            grad_z_all[:, :, step] = grad_z
+            grad_h_next = np.matmul(grad_z, w_h_t)
+            if grad_x is not None:
+                grad_x[:, :, step] = np.matmul(grad_z, w_x_t)
+        # Parameter gradients over every (sample, step) row; the previous
+        # hidden state is zeros at t=0 and hs shifted by one step after.
+        gz2 = grad_z_all.reshape(k, n * t, 4 * hdim)
+        x2 = x.reshape(-1, n * t, self.input_dim)
+        grad_w_x += np.matmul(x2.transpose(0, 2, 1), gz2)
+        grad_bias += gz2.sum(axis=1)
+        h_prev = np.concatenate([np.zeros((k, n, 1, hdim)), hs[:, :, :-1]], axis=2)
+        grad_w_h += np.matmul(h_prev.reshape(k, n * t, hdim).transpose(0, 2, 1), gz2)
 
     def parameters(self) -> list[Parameter]:
         return [self.w_x, self.w_h, self.bias]

@@ -26,8 +26,6 @@ class MaxPool2D(Layer):
     :meth:`forward_many` on a shared input.
     """
 
-    fused = True
-
     def __init__(self, pool_size: int = 2, stride: int | None = None):
         self.pool_size = pool_size
         self.stride = stride if stride is not None else pool_size
@@ -86,10 +84,15 @@ class MaxPool2D(Layer):
     ) -> np.ndarray:
         """Send each output gradient to its window's chosen input: plane
         by plane, assigned where windows are disjoint, accumulated in
-        row-major plane order where they overlap."""
+        row-major plane order where they overlap.  Windows that tile the
+        input exactly assign every element (``keep_where`` writes +0.0
+        where nothing routes), so only an untiled input is zero-filled
+        first."""
         lead = np.broadcast_shapes(masks[0].shape, grad_out.shape)[:-2]
-        grad_in = np.zeros(lead + tuple(hw), dtype=grad_out.dtype)
-        disjoint = self.stride >= self.pool_size
+        p, s = self.pool_size, self.stride
+        tiled = s == p and hw[0] % p == 0 and hw[1] % p == 0
+        grad_in = (np.empty if tiled else np.zeros)(lead + tuple(hw), dtype=grad_out.dtype)
+        disjoint = s >= p
         for (rows, cols), mask in zip(self._plane_slices(*grad_out.shape[-2:]), masks):
             part = keep_where(mask, grad_out)
             if disjoint:

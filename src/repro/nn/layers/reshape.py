@@ -12,8 +12,6 @@ __all__ = ["Flatten", "LastTimeStep"]
 class Flatten(Layer):
     """Flatten all non-batch dimensions: ``(N, ...) -> (N, prod(...))``."""
 
-    fused = True
-
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
     ) -> tuple[np.ndarray, bool]:
@@ -42,8 +40,6 @@ class LastTimeStep(Layer):
     Used to connect the LSTM to the classification head for next-character
     prediction.
     """
-
-    fused = True
 
     def forward_many(
         self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None

@@ -174,28 +174,13 @@ class Classifier:
 
     @property
     def supports_fused_eval(self) -> bool:
-        """True when every layer has fused multi-model kernels
-        (``net.fused``).
-
-        When False, :meth:`accuracy_many` still works — it falls back to
-        the sequential per-model loop (:meth:`load_flat` +
-        :meth:`accuracy`) — it just cannot fuse the models' forwards.
-        """
-        return self.net.fused
+        """Every model's layers run model stacks: always True."""
+        return True
 
     @property
     def supports_fused_train(self) -> bool:
-        """True when every layer has fused multi-model kernels
-        (``net.fused``): one ``forward_many`` serves evaluation and
-        training, so the two gates cannot differ.
-
-        The gate for the lockstep training plane
-        (:mod:`repro.nn.training_plane`): Dense/conv/pooling/
-        activation/reshape/dropout stacks qualify; LSTM and embedding
-        layers do not, and models containing them train through the
-        automatic per-model fallback instead.
-        """
-        return self.net.fused
+        """Every model's layers train model stacks: always True."""
+        return True
 
     def accuracy_many(
         self, flat_rows: np.ndarray, x: np.ndarray, y: np.ndarray, *, batch_size: int = 256
@@ -212,13 +197,8 @@ class Classifier:
         selection, the widest batches this entry point receives.  The batched kernels perform
         the same per-model numpy products as the sequential path, so in
         float64 the result is bit-identical to calling :meth:`load_flat`
-        + :meth:`accuracy` per row — which remains the automatic
-        fallback whenever a layer lacks a fused kernel (LSTM,
-        embedding).
-
-        Note the fused path never touches the model's own parameter
-        buffers; the fallback (like any :meth:`load_flat`) leaves the
-        last row's weights loaded.
+        + :meth:`accuracy` per row.  The model's own parameter buffers
+        are never touched.
         """
         rows = np.asarray(flat_rows)
         if rows.ndim != 2 or rows.shape[1] != self._spec.total:
@@ -228,12 +208,6 @@ class Classifier:
         k = rows.shape[0]
         if k == 0:
             return np.empty(0, dtype=np.float64)
-        if not self.supports_fused_eval:
-            out = np.empty(k, dtype=np.float64)
-            for i in range(k):
-                self.load_flat(rows[i])
-                out[i] = self.accuracy(x, y, batch_size=batch_size)
-            return out
         n = x.shape[0]
         if n == 0:
             raise ValueError("cannot evaluate on an empty dataset")

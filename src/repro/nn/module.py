@@ -26,10 +26,9 @@ class Layer:
       its *input*.  A cache the forward pass did not fill raises
       ``KeyError``.
 
-    **Fused multi-model planes.**  Layers that can run ``k`` models'
-    parameters in one vectorized pass set ``fused = True`` and implement
-    :meth:`forward_many` and :meth:`backward_many`, with the same
-    ``cache`` contract:
+    **Model stacks.**  Every layer runs ``k`` models' parameters in one
+    vectorized pass, :meth:`forward_many` and :meth:`backward_many`,
+    with the same ``cache`` contract:
 
     - ``params`` holds this layer's parameters as ``(k, *shape)`` stacks
       (one per entry of :meth:`parameters`, in the same order), sliced
@@ -47,50 +46,31 @@ class Layer:
       aligned with ``params``) and returns the gradient w.r.t. its
       input, or ``None`` when told ``need_input_grad=False``.
 
-    A parameterless layer's one-model pass *is* its fused kernel on a
-    shared input: :meth:`forward` and :meth:`backward` default to
-    ``forward_many(x, [], batched=False, ...)`` and
-    ``backward_many(grad_out, [], [], cache)``.
+    The one-model pass defaults to that kernel on ``(1, ...)`` views of
+    the layer's own parameters and gradients (:meth:`forward`,
+    :meth:`backward`); ``Dense`` and ``Conv2D`` keep their own, which
+    are faster for one model.
 
-    Model for model, the fused kernels must produce exactly what
+    Model for model, the kernels on a stack must produce exactly what
     :meth:`forward` and :meth:`backward` produce — the walk's evaluation
     plane and the lockstep training plane rely on that bit for bit in
-    float64.  One exception: where an input gradient sums over inputs
-    holding more than one NaN (``Conv2D``'s), the result is NaN in the
-    same places but may carry another input NaN's payload or sign,
-    because the stacked and the per-model matmul accumulate in different
-    orders.
+    float64.  One exception: where two NaNs meet — in a sum of
+    ``Conv2D``'s input gradient, in a product of ``LSTM``'s gates — the
+    result is NaN in the same places but may carry the other NaN's
+    payload or sign: the stacked and the per-model matmul accumulate in
+    different orders, and numpy's element-wise loops pick by where an
+    element falls in their vector loop.
     """
 
-    #: True when the layer implements :meth:`forward_many` and
-    #: :meth:`backward_many`.
-    fused = False
-
     def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:
-        return self.forward_many(x, [], batched=False, cache=cache)[0]
+        params = [param.value[None] for param in self.parameters()]
+        out, batched = self.forward_many(x, params, batched=False, cache=cache)
+        return out[0] if batched else out
 
     def backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
-        return self.backward_many(grad_out, [], [], cache)
-
-    def forward_many(
-        self, x: np.ndarray, params: list[np.ndarray], *, batched: bool, cache: dict | None = None
-    ) -> tuple[np.ndarray, bool]:
-        raise NotImplementedError(
-            f"{type(self).__name__} has no fused multi-model kernel"
-        )
-
-    def backward_many(
-        self,
-        grad_out: np.ndarray,
-        params: list[np.ndarray],
-        grads: list[np.ndarray],
-        cache: dict,
-        *,
-        need_input_grad: bool = True,
-    ) -> np.ndarray | None:
-        raise NotImplementedError(
-            f"{type(self).__name__} has no fused multi-model kernel"
-        )
+        params = self.parameters()
+        values, grads = [p.value[None] for p in params], [p.grad[None] for p in params]
+        return self.backward_many(grad_out[None], values, grads, cache)[0]
 
     def parameters(self) -> list[Parameter]:
         """Trainable parameters of this layer (default: none)."""
@@ -106,11 +86,6 @@ class Sequential(Layer):
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
-
-    @property
-    def fused(self) -> bool:  # type: ignore[override]
-        """True when every layer has fused multi-model kernels."""
-        return all(layer.fused for layer in self.layers)
 
     def forward(self, x: np.ndarray, caches: list[dict] | None = None) -> np.ndarray:
         """One model through the stack: ``caches=None`` evaluates, a list

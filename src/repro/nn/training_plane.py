@@ -24,10 +24,10 @@ shared layer stream would have been when that model's training began
 own stream is advanced past all of them afterwards, so subsequent
 rounds continue from the same state either way.
 
-Models whose layers lack fused training kernels (LSTM, embedding), and
-single jobs, fall back to the sequential per-model loop automatically —
-same entry point, same results, no fusion; jobs whose batch schedules
-disagree train in separate fused groups.
+A single job, or a model without parameters, trains through the
+sequential per-model loop — same entry point, same results, nothing to
+fuse; jobs whose batch schedules disagree train in separate fused
+groups.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ class LockstepTrainer:
     uses); individual jobs may override it.  :meth:`train` takes the
     jobs of **one** model in the caller's sequential order, groups them
     by batch-schedule/optimizer signature, and runs each group's
-    supersteps fused — or falls back to the sequential per-model loop
-    when the model has unfused layers or there is a single job.
+    supersteps fused — or runs the sequential per-model loop when there
+    is a single job.
     Results come back in job order either way, bit-identical between
     the two paths.  Dropout streams are forked once across the *whole*
     job list (client-major, the sequential interleaving), so a model's
@@ -184,11 +184,7 @@ class LockstepTrainer:
         # One job has nothing to fuse with: a stacked pass of one
         # equals the reference loop bit for bit and, wherever Python
         # dispatch matters, costs more per batch.
-        if (
-            len(jobs) == 1
-            or not model.supports_fused_train
-            or not any(layer.parameters() for layer in model.net.layers)
-        ):
+        if len(jobs) == 1 or not any(layer.parameters() for layer in model.net.layers):
             return [self._train_sequential(model, job) for job in jobs]
 
         groups: dict[tuple, _Group] = {}
@@ -211,7 +207,7 @@ class LockstepTrainer:
                 results[job_index] = (stack[row_index], losses[row_index])
         return results  # type: ignore[return-value]
 
-    # ---------------------------------------------------------- fallback
+    # ------------------------------------------------------------ one job
     def _train_sequential(
         self, model: "Classifier", job: TrainJob
     ) -> tuple[np.ndarray, float]:

@@ -503,7 +503,7 @@ def run_training_plane_round(
        would), grouped by shared model, and advanced by
        :class:`~repro.nn.training_plane.LockstepTrainer` in fused
        supersteps.  Mixed-architecture rounds simply form one group per
-       model; unfused models fall back per model inside the trainer.
+       model.
     3. **Finalize** — per unit in order: personal-tail update, test
        evaluation of the trained row, publish gate.
 

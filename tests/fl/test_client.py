@@ -1,5 +1,7 @@
 """Client: training, evaluation, caching."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -258,12 +260,13 @@ def test_tx_accuracies_conv_model_is_fused(tiny_fmnist):
 
 
 def test_tx_accuracies_unfused_model_falls_back(tiny_fmnist):
-    """An LSTM model has no fused kernels; the batched entry point must
-    route through the per-model loop with identical results."""
+    """An LSTM model no longer falls back: its candidates are scored in
+    one fused ``forward_many`` per batch, equal to the per-model
+    ``load_flat`` + ``accuracy`` loop."""
     model = zoo.build_poets_lstm(
         np.random.default_rng(0), vocab_size=10, embedding_dim=4
     )
-    assert not model.supports_fused_eval
+    assert model.supports_fused_eval
     data = tiny_fmnist.clients[0]
     # Token sequences over the label alphabet stand in for text.
     rng = np.random.default_rng(5)
@@ -273,6 +276,19 @@ def test_tx_accuracies_unfused_model_falls_back(tiny_fmnist):
         rng.integers(0, 10, size=(len(data.y_test), 6)),
     )
     _assert_batched_matches_sequential(token_data, model)
+    client = Client(token_data, model, TrainingConfig(batch_size=8), rng=1)
+    tangle, ids = _grown_tangle(client, n=3)
+    with mock.patch.object(
+        model.net, "forward_many", wraps=model.net.forward_many
+    ) as fused:
+        batched = client.tx_accuracies(tangle, ids)
+    batches = -(-len(token_data.y_test) // 256)
+    assert fused.call_count == batches
+    expected = []
+    for tx_id in ids:
+        model.set_weights(tangle.get(tx_id).model_weights)
+        expected.append(model.accuracy(token_data.x_test, token_data.y_test))
+    np.testing.assert_array_equal(batched, expected)
 
 
 def test_tx_accuracies_personalization_falls_back(client):

@@ -1,5 +1,7 @@
 """Conv2D: shapes, im2col/col2im adjointness, gradients, known values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,31 @@ def test_forward_many_chunks_wide_stacks_identically(monkeypatch):
     monkeypatch.setattr(conv, "_PATCH_BYTES", 2 * stack[0].nbytes * 9)
     chunked, _ = layers[0].forward_many(stack, params, batched=True)
     np.testing.assert_array_equal(whole, chunked)
+
+
+def test_evaluation_forward_chunks_the_batch(monkeypatch):
+    """A one-model evaluation walks its batch in sample chunks under the
+    patch budget: the same bits as the whole-batch pass, at a lower
+    traced heap peak (the training pass keeps every sample's patches)."""
+    from repro.nn.layers import conv
+
+    layer = Conv2D(3, 4, 5, np.random.default_rng(0), padding=2)
+    x = np.random.default_rng(1).normal(size=(24, 3, 12, 12))
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = traced(lambda: layer.forward(x, cache={}))
+    monkeypatch.setattr(conv, "_PATCH_BYTES", 3 * x[0].nbytes * 25)
+    assert layer._per_chunk(x[:1]) == 3
+    chunked, chunked_peak = traced(lambda: layer.forward(x))
+    np.testing.assert_array_equal(chunked.view(np.uint64), whole.view(np.uint64))
+    assert chunked_peak < whole_peak / 2
 
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "shared"])

@@ -1,7 +1,7 @@
 """The layer protocol: one ``forward_many`` per layer serves both fused
-planes, ``cache=None`` evaluating and a dict training, ``fused`` says
-which layers implement it, and the one-model ``forward`` / ``backward``
-keep their state in the same caller-owned cache."""
+planes, ``cache=None`` evaluating and a dict training, every layer
+implements it, and the one-model ``forward`` / ``backward`` keep their
+state in the same caller-owned cache."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.module import Layer
+from repro.nn.module import Layer, Sequential
 
 K = 3
 SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
@@ -55,6 +55,7 @@ LAYERS = {
     "dropout": (lambda: Dropout(0.0, rng=0), (5, 4)),
     "flatten": (Flatten, (5, 2, 3)),
     "last_time_step": (LastTimeStep, (5, 4, 3)),
+    "lstm": (lambda: LSTM(4, 3, np.random.default_rng(0)), (5, 2, 4)),
 }
 
 
@@ -112,27 +113,27 @@ def _layer_classes():
 
 
 def test_fused_flag_matches_the_kernels():
-    """A layer that says ``fused`` overrides both fused kernels; the
-    layers without them keep the base class's ``False``.  (``Sequential``
-    derives its flag from its layers.)"""
-    fused = [cls for cls in _layer_classes() if cls.fused is True]
-    assert {cls.__name__ for cls in fused} == {
-        "Conv2D", "Dense", "Dropout", "Flatten", "LastTimeStep", "MaxPool2D",
-        "ReLU", "Sigmoid", "Tanh",
+    """Every layer under ``repro.nn`` overrides both kernels on model
+    stacks, and no layer (nor ``Sequential``) carries a ``fused`` flag.
+    (``Sequential`` is the container: its stack pass is
+    ``forward_many`` / ``backward_many_train`` over its layers.)"""
+    classes = [cls for cls in _layer_classes() if cls is not Sequential]
+    assert {cls.__name__ for cls in classes} == {
+        "Conv2D", "Dense", "Dropout", "Embedding", "Flatten", "LSTM",
+        "LastTimeStep", "MaxPool2D", "ReLU", "Sigmoid", "Tanh",
     }
-    for cls in fused:
-        assert cls.forward_many is not Layer.forward_many, cls
-        assert cls.backward_many is not Layer.backward_many, cls
-    for cls in (LSTM, Embedding):
-        assert cls.fused is False
-        assert cls.forward_many is Layer.forward_many
-        assert cls.backward_many is Layer.backward_many
+    for cls in classes:
+        assert "forward_many" in vars(cls), cls
+        assert "backward_many" in vars(cls), cls
+    for cls in classes + [Layer, Sequential]:
+        assert not hasattr(cls, "fused"), cls
 
 
 def test_parameterless_layers_keep_one_kernel():
     """A parameterless layer's one-model pass is its fused kernel on a
-    shared input: it inherits ``Layer.forward`` / ``Layer.backward``."""
-    for cls in (ReLU, Tanh, Sigmoid, MaxPool2D, Flatten, LastTimeStep):
+    shared input: it inherits ``Layer.forward`` / ``Layer.backward``, as
+    ``LSTM`` and ``Embedding`` do on ``(1, ...)`` parameter views."""
+    for cls in (ReLU, Tanh, Sigmoid, MaxPool2D, Flatten, LastTimeStep, LSTM, Embedding):
         assert cls.forward is Layer.forward, cls
         assert cls.backward is Layer.backward, cls
     assert Dropout.backward is Layer.backward  # only the draw is its own

@@ -3,14 +3,15 @@
 The plane's contract is exact: for any jobs, ``LockstepTrainer.train``
 produces the same float64 weights and the same mean batch losses as
 loading each job's start weights and running ``Classifier.train_local``
-over the same schedule — through the fused superstep kernels where every
-layer supports them (MLP, CNN), and through the automatic per-model
-fallback everywhere else (LSTM).  Dropout must agree too: the fused pass
-draws each model's masks from a forked stream, and afterwards the
-layer's own generator must sit exactly where the sequential run would
-have left it.  A job carrying ``mu`` must equal the same loop under
+over the same schedule — through the fused superstep kernels, which
+every layer implements (MLP, CNN, LSTM).  Dropout must agree too: the
+fused pass draws each model's masks from a forked stream, and afterwards
+the layer's own generator must sit exactly where the sequential run
+would have left it.  A job carrying ``mu`` must equal the same loop under
 ``ProximalSGD`` anchored at its start weights.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -323,36 +324,66 @@ def test_conv_float32_start_rows_match_sequential_cast():
     assert_float32_start_rows_match(builder, feature_shape, 10)
 
 
-@pytest.mark.parametrize(
-    "builder",
-    [
-        lambda: zoo.build_poets_lstm(
-            np.random.default_rng(2), vocab_size=11, embedding_dim=4
-        ),
-    ],
-    ids=["lstm"],
-)
-def test_unfused_zoo_models_fall_back_per_model(builder):
+POETS_BUILDERS = {
+    "small": lambda: zoo.build_poets_lstm(
+        np.random.default_rng(2), vocab_size=11, embedding_dim=4
+    ),
+    "paper": lambda: zoo.build_poets_lstm(
+        np.random.default_rng(2), vocab_size=11, embedding_dim=4, size="paper"
+    ),
+}
+
+
+def assert_poets_lockstep_matches(builder, *, momentum=0.0, mu=None, length=6):
+    """Two token datasets through the lockstep plane — on its fused
+    supersteps, never the per-model loop — against the per-client loop."""
     reference_model = builder()
-    assert not reference_model.supports_fused_train
+    assert reference_model.supports_fused_train
     lockstep_model = builder()
     rng = np.random.default_rng(5)
     datasets = [
-        (rng.integers(0, 11, size=(10, 6)), rng.integers(0, 11, size=10))
+        (rng.integers(0, 11, size=(10, length)), rng.integers(0, 11, size=10))
         for _ in range(2)
     ]
     start = reference_model.get_flat()
     seeds = [400, 401]
     sched = dict(epochs=1, batch_size=5, max_batches=2)
     rows, losses = sequential_reference(
-        reference_model, datasets, start, lr=0.05, momentum=0.0, seeds=seeds, **sched
+        reference_model, datasets, start, lr=0.05, momentum=momentum, seeds=seeds,
+        mus=[mu, mu], **sched
     )
-    outcomes = lockstep_result(
-        lockstep_model, datasets, start, lr=0.05, momentum=0.0, seeds=seeds, **sched
-    )
+    with mock.patch.object(
+        LockstepTrainer, "_train_sequential", side_effect=AssertionError("per-model loop")
+    ):
+        outcomes = lockstep_result(
+            lockstep_model, datasets, start, lr=0.05, momentum=momentum, seeds=seeds,
+            mus=[mu, mu], **sched
+        )
     for (row, loss), expected_row, expected_loss in zip(outcomes, rows, losses):
-        np.testing.assert_array_equal(row, expected_row)
+        assert row.tobytes() == expected_row.tobytes()
         assert loss == expected_loss
+
+
+@pytest.mark.parametrize(
+    "builder", [POETS_BUILDERS["small"]], ids=["lstm"],
+)
+def test_unfused_zoo_models_fall_back_per_model(builder):
+    """The Poets LSTM no longer falls back: its embedding and LSTM
+    layers train K models in one superstep, still equal to the
+    per-client loop bit for bit."""
+    assert_poets_lockstep_matches(builder)
+
+
+@pytest.mark.parametrize("size", sorted(POETS_BUILDERS))
+@pytest.mark.parametrize(
+    "momentum, mu", [(0.0, None), (0.9, None), (0.0, 0.3), (0.9, 0.3)]
+)
+def test_poets_lockstep_bit_identical(size, momentum, mu):
+    """Plain SGD, momentum and FedProx's proximal pull, on the small and
+    the paper-width (two 256-unit layers) Poets models."""
+    assert_poets_lockstep_matches(
+        POETS_BUILDERS[size], momentum=momentum, mu=mu, length=4 if size == "paper" else 6
+    )
 
 
 def test_supports_fused_train_flags():
@@ -366,7 +397,7 @@ def test_supports_fused_train_flags():
     assert zoo.build_cifar_cnn(
         np.random.default_rng(0), image_size=8, size="small"
     ).supports_fused_train
-    assert not zoo.build_poets_lstm(
+    assert zoo.build_poets_lstm(
         np.random.default_rng(0), vocab_size=7
     ).supports_fused_train
 

@@ -3,9 +3,8 @@
 The plane's core contract: for any model the zoo can build,
 ``Classifier.accuracy_many`` over a ``(k, P)`` stack of flat rows equals
 the sequential ``load_flat`` + ``accuracy`` loop **bit for bit** in
-float64 — through the fused kernels where every layer supports them
-(MLP, logistic regression, both CNNs) and through the automatic
-per-model fallback everywhere else (LSTM).
+float64 — through the fused kernels every layer implements (MLP,
+logistic regression, both CNNs, the Poets LSTM).
 """
 
 import os
@@ -45,29 +44,24 @@ BUILDERS = {
     "mlp": (
         lambda rng: zoo.build_mlp(rng, in_features=36, hidden=(12,), num_classes=5),
         lambda rng: _flat_data(rng, 7, 36, 5),
-        True,
     ),
     "logistic_regression": (
         lambda rng: zoo.build_logistic_regression(rng, in_features=12, num_classes=4),
         lambda rng: _flat_data(rng, 6, 12, 4),
-        True,
     ),
     "fmnist_cnn": (
         lambda rng: zoo.build_fmnist_cnn(rng, image_size=8, size="small"),
         lambda rng: _image_data(rng, 4, 1, 8, 10),
-        True,
     ),
     "cifar_cnn": (
         lambda rng: zoo.build_cifar_cnn(
             rng, image_size=8, num_classes=10, size="small"
         ),
         lambda rng: _image_data(rng, 3, 3, 8, 10),
-        True,
     ),
     "poets_lstm": (
         lambda rng: zoo.build_poets_lstm(rng, vocab_size=11, embedding_dim=4),
         lambda rng: _token_data(rng, 5, 6, 11),
-        False,
     ),
 }
 
@@ -76,10 +70,10 @@ BUILDERS = {
 @settings(max_examples=CHAOS_EXAMPLES or 6, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 5))
 def test_accuracy_many_equals_sequential_loop_bit_for_bit(name, seed, k):
-    builder, make_data, fused = BUILDERS[name]
+    builder, make_data = BUILDERS[name]
     rng = np.random.default_rng(seed)
     model = builder(rng)
-    assert model.supports_fused_eval is fused
+    assert model.supports_fused_eval
     x, y = make_data(rng)
     rows = rng.normal(size=(k, model.flat_spec.total))
 
@@ -101,7 +95,7 @@ def test_cnn_logits_bit_identical_from_float32_rows(name, seed, k):
     """Stronger than accuracies: the conv/pool kernels reproduce every
     logit of the per-model forward, from float32 rows widened the way
     ``load_flat`` widens them."""
-    builder, make_data, _ = BUILDERS[name]
+    builder, make_data = BUILDERS[name]
     rng = np.random.default_rng(seed)
     model = builder(rng)
     x, _ = make_data(rng)
@@ -128,7 +122,7 @@ def test_chunked_cnn_passes_equal_sequential_loop(name, seed, k, cap, momentum):
     caps): lockstep training — trained rows and mean losses, under plain
     and momentum SGD — and the fused logits still equal the per-model
     loop bit for bit."""
-    builder, make_data, _ = BUILDERS[name]
+    builder, make_data = BUILDERS[name]
     rng = np.random.default_rng(seed)
     model = builder(rng)
     x, y = make_data(rng)

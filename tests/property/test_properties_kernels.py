@@ -6,8 +6,9 @@ window planes, one gather over a cached patch index).  The references
 below are the earlier formulations, kept here as oracles: ``np.where``
 selects for ReLU, pooling over ``im2col`` windows routed back through
 ``np.where`` + ``col2im``, the slice-loop ``im2col``, and the
-boolean-index sigmoid.  The fused conv passes, walked in K-chunks of
-any size, are pinned to each model's own ``forward`` / ``backward``.
+boolean-index sigmoid.  The fused conv and LSTM passes, walked in
+K-chunks of any size, and the embedding's stacked gather and scatter
+are pinned to each model's own ``forward`` / ``backward``.
 Every output, one-hot mask and gradient must match them in raw bits
 (viewed as unsigned ints) — over NaN (with payloads and either sign), ±inf, ±0.0, all-zero and equal-max windows,
 odd image sizes, strided and overlapping pools, shared and batched model
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.nn.layers import Conv2D, MaxPool2D, ReLU, conv
+from repro.nn.layers import LSTM, Conv2D, Embedding, MaxPool2D, ReLU, conv, lstm
 from repro.nn.layers.activations import sigmoid
 from repro.nn.layers.conv import col2im, conv_output_size, im2col
 
@@ -110,7 +111,9 @@ def assert_bits_equal_but_nan_payloads(actual, expected):
     """Raw bits equal, except that a NaN may carry another input NaN's
     payload or sign: which NaN a sum keeps depends on the order a BLAS
     kernel accumulates in, and the per-model and stacked input-gradient
-    matmuls do not share it, chunked or not."""
+    matmuls do not share it, chunked or not; which NaN an element-wise
+    product of two NaNs keeps depends on where the element falls in
+    numpy's vector loop, so on the array's length."""
     nan = np.isnan(expected)
     np.testing.assert_array_equal(np.isnan(actual), nan)
     assert_bits_equal(np.where(nan, 0.0, actual), np.where(nan, 0.0, expected))
@@ -214,6 +217,12 @@ def pool_cases(draw):
     mode=MODES,
     k=st.integers(1, 3),
 )
+# Windows tiling the input exactly (every input element assigned, none
+# zero-filled first) and the same pools over a remainder row and column.
+@example((2, 2, (2, 3, 4, 6)), 0, np.float64, "specials", 2)
+@example((3, 3, (1, 2, 6, 9)), 1, np.float32, "zeros", 1)
+@example((2, 2, (1, 2, 5, 7)), 2, np.float64, "specials", 3)
+@example((3, 3, (2, 1, 7, 8)), 3, np.float64, "ties", 2)
 def test_pool_matches_window_reference(case, seed, dtype, mode, k):
     size, stride, shape = case
     rng = np.random.default_rng(seed)
@@ -353,7 +362,7 @@ def test_chunked_fused_conv_matches_per_model_path(
     skipped = [np.zeros_like(p) for p in params]
     cache: dict = {}
     with mock.patch.object(conv, "_PATCH_BYTES", chunk * per_model):
-        assert layers[0]._models_per_chunk(x, batched) == chunk
+        assert layers[0]._per_chunk(x[:1] if batched else x) == chunk
         evaluated, _ = layers[0].forward_many(x, params, batched=batched)
         out, _ = layers[0].forward_many(x, params, batched=batched, cache=cache)
         grad_out = sample(rng, out.shape, np.float64, mode)
@@ -373,6 +382,99 @@ def test_chunked_fused_conv_matches_per_model_path(
         for got in (grads, skipped):
             assert_bits_equal(got[0][i], layer.weight.grad)
             assert_bits_equal(got[1][i], layer.bias.grad)
+
+
+# ------------------------------------------------- LSTM and embedding
+@settings(deadline=None, max_examples=CHAOS_EXAMPLES or 20)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    mode=MODES,
+    k=st.integers(2, 4),
+    chunk=st.integers(1, 3),
+    n=st.integers(1, 3),
+    t=st.integers(1, 4),
+    batched=st.booleans(),
+)
+@example(0, "specials", 3, 2, 2, 3, True)
+@example(1, "zeros", 2, 1, 1, 1, False)
+def test_lstm_stack_matches_one_model_loop(seed, mode, k, chunk, n, t, batched):
+    """The K-model LSTM, walked in K-chunks of ``chunk`` models — ``k``
+    need not be a multiple of it — equals each model's own ``forward`` /
+    ``backward`` in raw bits: hidden states, input gradients and all
+    three parameter gradients, for a shared and a batched input.  Where
+    two NaNs meet in one gate product, which one's sign survives
+    depends on where the element falls in numpy's vector loop, so NaN
+    payloads and signs are exempt (as for conv's input gradient)."""
+    rng = np.random.default_rng(seed)
+    layers = [LSTM(3, 2, np.random.default_rng(seed + i)) for i in range(k)]
+    for layer in layers:
+        for param in layer.parameters():
+            param.value[...] = sample(rng, param.value.shape, np.float64, mode)
+    params = [np.stack(group) for group in zip(*(
+        [param.value for param in layer.parameters()] for layer in layers
+    ))]
+    x = sample(rng, ((k,) if batched else ()) + (n, t, 3), np.float64, mode)
+    grads = [np.zeros_like(p) for p in params]
+    skipped = [np.zeros_like(p) for p in params]
+    cache: dict = {}
+    with mock.patch.object(lstm, "_STEP_BYTES", chunk * n * 8 * 8):
+        evaluated, _ = layers[0].forward_many(x, params, batched=batched)
+        out, _ = layers[0].forward_many(x, params, batched=batched, cache=cache)
+        assert len(cache["tapes"]) == -(-k // chunk)
+        grad_out = sample(rng, out.shape, np.float64, "specials")
+        grad_in = layers[0].backward_many(grad_out, params, grads, cache)
+        assert (
+            layers[0].backward_many(grad_out, params, skipped, cache, need_input_grad=False)
+            is None
+        )
+    for i, layer in enumerate(layers):
+        one: dict = {}
+        expected = layer.forward(x[i] if batched else x, cache=one)
+        assert_bits_equal_but_nan_payloads(evaluated[i], expected)
+        assert_bits_equal_but_nan_payloads(out[i], expected)
+        assert_bits_equal_but_nan_payloads(grad_in[i], layer.backward(grad_out[i], one))
+        for got in (grads, skipped):
+            for stack, param in zip(got, layer.parameters()):
+                assert_bits_equal_but_nan_payloads(stack[i], param.grad)
+
+
+@settings(deadline=None, max_examples=CHAOS_EXAMPLES or 20)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    k=st.integers(2, 4),
+    vocab=st.integers(1, 5),
+    n=st.integers(1, 3),
+    t=st.integers(1, 6),
+    batched=st.booleans(),
+)
+def test_embedding_stack_matches_one_model_loop(seed, k, vocab, n, t, batched):
+    """``k`` tables gathered and scattered at once equal each model's own
+    lookup and scatter-add in raw bits, over tables, gradients and
+    already-accumulated table gradients holding NaN of both signs, ±inf
+    and -0.0 (repeated tokens add in the same order)."""
+    rng = np.random.default_rng(seed)
+    layers = [Embedding(vocab, 2, np.random.default_rng(seed + i)) for i in range(k)]
+    for layer in layers:
+        layer.table.value[...] = sample(rng, (vocab, 2), np.float64, "specials")
+        layer.table.grad[...] = sample(rng, (vocab, 2), np.float64, "specials")
+    params = [np.stack([layer.table.value for layer in layers])]
+    grads = [np.stack([layer.table.grad for layer in layers])]
+    tokens = rng.integers(0, vocab, size=((k,) if batched else ()) + (n, t))
+    cache: dict = {}
+    evaluated, _ = layers[0].forward_many(tokens, params, batched=batched)
+    out, _ = layers[0].forward_many(tokens, params, batched=batched, cache=cache)
+    grad_out = sample(rng, out.shape, np.float64, "specials")
+    grad_in = layers[0].backward_many(grad_out, params, grads, cache)
+    assert layers[0].backward_many(
+        grad_out, params, [grads[0].copy()], cache, need_input_grad=False
+    ) is None
+    for i, layer in enumerate(layers):
+        one: dict = {}
+        expected = layer.forward(tokens[i] if batched else tokens, cache=one)
+        assert_bits_equal(evaluated[i], expected)
+        assert_bits_equal(out[i], expected)
+        assert_bits_equal(grad_in[i], layer.backward(grad_out[i], one))
+        assert_bits_equal(grads[0][i], layer.table.grad)
 
 
 # --------------------------------------------------------------- sigmoid
