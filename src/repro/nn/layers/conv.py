@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from repro.nn.initializers import he_uniform, zeros
-from repro.nn.module import Layer
+from repro.nn.module import Layer, accumulate
 from repro.nn.parameter import Parameter
 
 __all__ = ["Conv2D", "im2col", "col2im"]
@@ -302,7 +302,7 @@ class Conv2D(Layer):
         cols2, out_hw = self._unfold(x)
         grad_kernel, bias_grad = self._param_gradients(g2, cols2)
         del cols2
-        grad_weight += grad_kernel.reshape(grad_weight.shape)
+        accumulate(grad_weight, grad_kernel)
         grad_bias += bias_grad
         if not need_input_grad:
             return None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.initializers import glorot_uniform, he_uniform, zeros
-from repro.nn.module import Layer
+from repro.nn.module import Layer, accumulate
 from repro.nn.parameter import Parameter
 
 __all__ = ["Dense"]
@@ -108,7 +108,7 @@ class Dense(Layer):
         else:
             # Shared input: one model-axis-free copy broadcasts over k.
             x2 = x.reshape(-1, self.in_features)[None]
-        grad_weight += np.matmul(x2.transpose(0, 2, 1), g2)
+        accumulate(grad_weight, np.matmul(x2.transpose(0, 2, 1), g2))
         grad_bias += g2.sum(axis=1)
         if not need_input_grad:
             return None

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.layers.activations import sigmoid
-from repro.nn.module import Layer
+from repro.nn.module import Layer, accumulate
 from repro.nn.parameter import Parameter
 
 __all__ = ["LSTM"]
@@ -158,10 +158,12 @@ class LSTM(Layer):
         # hidden state is zeros at t=0 and hs shifted by one step after.
         gz2 = grad_z_all.reshape(k, n * t, 4 * hdim)
         x2 = x.reshape(-1, n * t, self.input_dim)
-        grad_w_x += np.matmul(x2.transpose(0, 2, 1), gz2)
+        accumulate(grad_w_x, np.matmul(x2.transpose(0, 2, 1), gz2))
         grad_bias += gz2.sum(axis=1)
         h_prev = np.concatenate([np.zeros((k, n, 1, hdim)), hs[:, :, :-1]], axis=2)
-        grad_w_h += np.matmul(h_prev.reshape(k, n * t, hdim).transpose(0, 2, 1), gz2)
+        accumulate(
+            grad_w_h, np.matmul(h_prev.reshape(k, n * t, hdim).transpose(0, 2, 1), gz2)
+        )
 
     def parameters(self) -> list[Parameter]:
         return [self.w_x, self.w_h, self.bias]

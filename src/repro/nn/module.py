@@ -9,6 +9,22 @@ from repro.nn.parameter import Parameter
 __all__ = ["Layer", "Sequential"]
 
 
+def accumulate(stack: np.ndarray, delta: np.ndarray) -> None:
+    """``stack += delta`` for a ``(k, *shape)`` gradient stack, run on
+    ``(k, size)`` aliases of both.
+
+    A stack sliced from a ``(K, P)`` gradient matrix has a row stride of
+    ``P``, which keeps numpy from merging its inner axes: the same add on
+    the flat alias visits the same elements in the same order (so the
+    result is bit-identical) several times faster.  Assigning ``shape``
+    on a view raises where a reshape would silently copy, so the add can
+    never land in a temporary.
+    """
+    flat = stack.view()
+    flat.shape = (stack.shape[0], -1)
+    flat += delta.reshape(flat.shape)
+
+
 class Layer:
     """Base class for all layers.
 
@@ -55,11 +71,12 @@ class Layer:
     :meth:`forward` and :meth:`backward` produce — the walk's evaluation
     plane and the lockstep training plane rely on that bit for bit in
     float64.  One exception: where two NaNs meet — in a sum of
-    ``Conv2D``'s input gradient, in a product of ``LSTM``'s gates — the
-    result is NaN in the same places but may carry the other NaN's
-    payload or sign: the stacked and the per-model matmul accumulate in
-    different orders, and numpy's element-wise loops pick by where an
-    element falls in their vector loop.
+    ``Conv2D``'s input gradient or of overlapping ``MaxPool2D`` windows'
+    input gradient, in a product of ``LSTM``'s gates — the result is NaN
+    in the same places but may carry the other NaN's payload or sign: the
+    stacked and the per-model matmul accumulate in different orders, and
+    numpy's element-wise loops pick by where an element falls in their
+    vector loop, which depends on the operands' strides.
     """
 
     def forward(self, x: np.ndarray, *, cache: dict | None = None) -> np.ndarray:

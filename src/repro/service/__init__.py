@@ -13,7 +13,10 @@ The gateway (:class:`TangleGateway`) exposes a live tangle as
 - :class:`ServiceChaos` — the simulator's :class:`FaultModel` injected
   at the service boundary;
 - :class:`GatewayClient` — retry with capped backoff + jitter;
-- :mod:`repro.service.http` — a stdlib HTTP front over the same object.
+- :mod:`repro.service.http` — a stdlib HTTP front over the same object,
+  imported on first access to :class:`GatewayHTTPServer` or
+  :func:`serve_background` (so an in-process gateway never loads
+  ``http.server`` and what it pulls in).
 
 Every request resolves inside a closed taxonomy — ``ok`` (possibly
 degraded), ``shed`` (retryable), ``rejected`` (invalid payload) — so
@@ -30,7 +33,6 @@ from repro.service.client import GatewayClient
 from repro.service.coalescer import TipCoalescer, TipsOutcome
 from repro.service.degradation import LADDER_MODES, DegradationLadder
 from repro.service.gateway import GatewayConfig, ServiceResponse, TangleGateway
-from repro.service.http import GatewayHTTPServer, serve_background
 from repro.service.resilience import (
     AdmissionGate,
     CircuitBreaker,
@@ -57,3 +59,13 @@ __all__ = [
     "TransportDropped",
     "serve_background",
 ]
+
+
+def __getattr__(name: str):
+    """Import the HTTP front (and with it ``http.server``) on first
+    access to one of its names."""
+    if name in ("GatewayHTTPServer", "serve_background"):
+        from repro.service import http
+
+        return getattr(http, name)
+    raise AttributeError(f"module 'repro.service' has no attribute {name!r}")

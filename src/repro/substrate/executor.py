@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
 from repro.substrate.cost import estimate_payload
 from repro.utils.validation import check_count
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _LOG = logging.getLogger(__name__)
 
@@ -116,7 +116,9 @@ class ParallelExecutor:
     Uses :class:`concurrent.futures.ProcessPoolExecutor` with the
     ``fork`` start method where available (cheap workers sharing the
     parent's loaded modules) and the platform default elsewhere.  The
-    pool is created lazily on first use and reused across rounds; call
+    pool — and with it ``multiprocessing`` and :mod:`concurrent.futures`,
+    which this module does not import at load time — is created lazily
+    on first use and reused across rounds; call
     :meth:`close` (or use the executor as a context manager) to shut the
     workers down.  ``workers`` defaults to the cores this process may
     use (:func:`available_cores`).
@@ -185,6 +187,9 @@ class ParallelExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             try:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # platform without fork
@@ -199,6 +204,8 @@ class ParallelExecutor:
         if self.runs_in_process(items):
             mode, results = "serial", [fn(item) for item in items]
         else:
+            from concurrent.futures.process import BrokenProcessPool
+
             chunksize = math.ceil(len(items) / self.parallelism)
             try:
                 results = list(self._ensure_pool().map(fn, items, chunksize=chunksize))

@@ -29,6 +29,11 @@ memory is returned when the last mapping is garbage-collected.  That is
 why attachments are never force-closed — an explicit ``close()`` under
 live numpy views raises ``BufferError``.
 
+The ``multiprocessing`` machinery (``shared_memory`` and the resource
+tracker) is imported by the functions that create, attach, track and
+untrack segments, on first use: a process that never shares memory
+never loads it.
+
 The registry records the creating pid so that ``fork``-spawned workers,
 which inherit the parent's module state, can never unlink segments the
 parent still owns.
@@ -42,7 +47,10 @@ import os
 import secrets
 import signal
 import threading
-from multiprocessing import resource_tracker, shared_memory
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from multiprocessing.shared_memory import SharedMemory
 
 __all__ = [
     "create_segment",
@@ -57,10 +65,10 @@ __all__ = [
 _PREFIX = "repro-shm"
 
 #: Segments created by THIS process: name -> (creating pid, SharedMemory).
-_owned: dict[str, tuple[int, shared_memory.SharedMemory]] = {}
+_owned: dict[str, tuple[int, SharedMemory]] = {}
 
 #: Attachments made by this process: segment name -> SharedMemory.
-_attached: dict[str, shared_memory.SharedMemory] = {}
+_attached: dict[str, SharedMemory] = {}
 
 _counter = 0
 
@@ -80,6 +88,8 @@ def _untrack(name: str) -> None:
     Owner-side registrations are *kept* so a hard-killed coordinator
     still gets its segments reaped by the tracker.
     """
+    from multiprocessing import resource_tracker
+
     try:
         resource_tracker.unregister(f"/{name}", "shared_memory")
     except Exception:  # tracker layouts differ across versions; best-effort
@@ -96,6 +106,8 @@ def _retrack(name: str) -> None:
     ``KeyError`` traceback.  Registering is idempotent; doing it just
     before unlink keeps the pair balanced and the tracker silent.
     """
+    from multiprocessing import resource_tracker
+
     try:
         resource_tracker.register(f"/{name}", "shared_memory")
     except Exception:  # best-effort, mirroring _untrack
@@ -154,9 +166,11 @@ def _install_signal_reapers() -> None:
     _reapers_installed = True
 
 
-def create_segment(nbytes: int) -> shared_memory.SharedMemory:
+def create_segment(nbytes: int) -> SharedMemory:
     """Allocate a new named segment of at least ``nbytes`` bytes."""
     global _counter
+    from multiprocessing import shared_memory
+
     _install_signal_reapers()
     _counter += 1
     name = f"{_PREFIX}-{os.getpid()}-{_counter}-{secrets.token_hex(4)}"
@@ -182,11 +196,13 @@ def create_mapped_segment(nbytes: int) -> tuple[str, mmap.mmap]:
     return segment.name, mapping
 
 
-def attach_cached(name: str) -> shared_memory.SharedMemory:
+def attach_cached(name: str) -> SharedMemory:
     """Map an existing segment by name once per process (untracked; see
     :func:`_untrack`); later calls are dictionary lookups."""
     shm = _attached.get(name)
     if shm is None:
+        from multiprocessing import shared_memory
+
         shm = _attached[name] = shared_memory.SharedMemory(name=name)
         _untrack(name)
     return shm
