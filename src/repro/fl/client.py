@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping
 
@@ -17,6 +18,15 @@ from repro.fl.config import TrainingConfig
 from repro.utils.rng import ensure_rng
 
 __all__ = ["Client"]
+
+#: Largest stack of candidate rows one scoring pass gathers, in float64
+#: bytes (the dtype :meth:`Classifier.accuracy_many` and
+#: :meth:`Client.graft_tail` work in).  :meth:`Client.tx_accuracies`
+#: scores its misses in consecutive chunks under this cap (a model larger
+#: than the cap is a chunk of one), so a walk start at a wide genesis fan
+#: holds one chunk's stack instead of every candidate's.  Each model's
+#: accuracy comes from its own forward pass, so no value changes.
+_SCORE_BYTES = 1 << 20
 
 
 class Client:
@@ -42,6 +52,10 @@ class Client:
         self.config = config
         self.rng = ensure_rng(rng)
         self._tx_accuracy_cache: dict[str, float] = {}
+        # One float object per distinct accuracy: over n test samples an
+        # accuracy takes at most n + 1 values, so every cache entry points
+        # into this table instead of holding a float of its own.
+        self._accuracy_values: dict[float, float] = {}
         # Bumped whenever the cache is cleared or replaced wholesale;
         # mirrors of the cache (the walk engine's score memo) compare it
         # to notice their copy went stale.
@@ -160,8 +174,8 @@ class Client:
         :attr:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`) or
         through ``tangle.get`` (:func:`~repro.dag.arena.locate_rows`),
         with the same values, cache entries and evaluation count — and
-        scored by **one** :meth:`Classifier.accuracy_many` (one fused
-        pass).
+        scored by :meth:`Classifier.accuracy_many` (one fused pass) in
+        consecutive chunks of at most ``_SCORE_BYTES`` of float64 rows.
         Raises ``ValueError``, before evaluating anything, when the arena
         is not laid out like this client's model.
 
@@ -189,22 +203,34 @@ class Client:
             rows = arena_rows[1][[positions[0] for positions in pending.values()]]
         if arena.spec != self.model.flat_spec:
             raise ValueError("the arena is not laid out like this client's model")
-        x, y = self.data.x_test, self.data.y_test
-        # The gathered stack goes straight in: bound to a name, it outlived
-        # accuracy_many and raised the event engine's peak RSS by ~5 MB.
-        if self.personal_params:
-            stacked = self.graft_tail(arena.rows(rows))
-            finite = np.isfinite(stacked).all(axis=1)
-            values = np.zeros(len(pending))
-            values[finite] = self.model.accuracy_many(stacked[finite], x, y)
-        else:
-            values = self.model.accuracy_many(arena.rows(rows), x, y)
+        # Each chunk's stack is gathered, scored and dropped before the
+        # next one: a walk start at a wide fan holds one chunk, not every
+        # missing row (up to 8.5 MB in the 1,000-client event engine).
+        step = max(1, _SCORE_BYTES // (8 * arena.spec.total))
+        values: list[float] = []
+        for start in range(0, len(rows), step):
+            values += self._score_rows(arena.rows(rows[start : start + step])).tolist()
         self.evaluations += len(pending)
-        for (tx_id, positions), accuracy in zip(pending.items(), values.tolist()):
+        shared = self._accuracy_values
+        for (tx_id, positions), accuracy in zip(pending.items(), values):
+            accuracy = shared.setdefault(accuracy, accuracy)
             cache[tx_id] = accuracy
             for position in positions:
                 out[position] = accuracy
         return out
+
+    def _score_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Accuracies of a ``(k, P)`` stack on local test data: one
+        :meth:`Classifier.accuracy_many`, with this client's tail grafted
+        on under personalization (a non-finite grafted row scores 0.0)."""
+        x, y = self.data.x_test, self.data.y_test
+        if not self.personal_params:
+            return self.model.accuracy_many(rows, x, y)
+        grafted = self.graft_tail(rows)
+        finite = np.isfinite(grafted).all(axis=1)
+        values = np.zeros(len(grafted))
+        values[finite] = self.model.accuracy_many(grafted[finite], x, y)
+        return values
 
     def tx_accuracy_cache(self) -> dict[str, float]:
         """Snapshot of the cached transaction evaluations.
@@ -223,7 +249,7 @@ class Client:
 
     def restore_tx_accuracy_cache(self, entries: dict[str, float]) -> None:
         """Replace the evaluation cache with ``entries`` (copied)."""
-        self._tx_accuracy_cache = dict(entries)
+        self._tx_accuracy_cache = self._shared_entries(entries)
         self.cache_epoch += 1
 
     def cache_mark(self) -> tuple[int, int]:
@@ -249,14 +275,22 @@ class Client:
         epoch, count = mark
         if self.cache_epoch != epoch:
             return None
-        items = list(self._tx_accuracy_cache.items())
-        return dict(items[count:])
+        return dict(islice(self._tx_accuracy_cache.items(), count, None))
 
     def merge_tx_accuracy_cache(self, entries: dict[str, float]) -> None:
         """Fold a worker's delta entries into the cache **without** an
         epoch bump — the in-process equivalent is plain cache warming,
         which mirrors (the walk engine's score memo) survive."""
-        self._tx_accuracy_cache.update(entries)
+        self._tx_accuracy_cache.update(self._shared_entries(entries))
+
+    def _shared_entries(self, entries: dict[str, float]) -> dict[str, float]:
+        """A copy of ``entries`` whose values are this client's shared
+        accuracy objects (as :meth:`tx_accuracies` stores them)."""
+        shared = self._accuracy_values
+        return {
+            tx_id: shared.setdefault(accuracy, accuracy)
+            for tx_id, accuracy in entries.items()
+        }
 
     def reset_cache(self) -> None:
         """Drop cached transaction evaluations (e.g. when data changes)."""

@@ -125,6 +125,38 @@ def test_tx_accuracies_fused_matches_sequential_loop(client):
     )
 
 
+def test_cache_entries_since_is_the_suffix_past_the_mark(client):
+    """Each delta equals ``dict(list(items)[count:])`` of the cache, and
+    is None once the epoch moved (a reset or a restore)."""
+    tangle, ids = _grown_tangle(client)
+
+    def whole_list_suffix(mark):
+        epoch, count = mark
+        if client.cache_epoch != epoch:
+            return None
+        return dict(list(client.tx_accuracy_cache().items())[count:])
+
+    marks = [client.cache_mark()]
+    for batch in (ids[:2], ids[1:5], ids[5:], ids):
+        client.tx_accuracies(tangle, batch)
+        marks.append(client.cache_mark())
+    client.merge_tx_accuracy_cache({"merged": 0.5})
+    marks.append(client.cache_mark())
+    for mark in marks:
+        assert list(client.cache_entries_since(mark).items()) == list(
+            whole_list_suffix(mark).items()
+        )
+    assert list(client.cache_entries_since(marks[0])) == ids + ["merged"]
+    assert client.cache_entries_since(marks[-2]) == {"merged": 0.5}
+    assert client.cache_entries_since(marks[-1]) == {}
+    client.reset_cache()
+    restored = client.cache_mark()
+    client.restore_tx_accuracy_cache({"a": 0.25})
+    for mark in marks + [restored]:
+        assert client.cache_entries_since(mark) is None
+        assert whole_list_suffix(mark) is None
+
+
 def test_tx_accuracies_k1_and_duplicates(client):
     tangle, ids = _grown_tangle(client)
     single = client.tx_accuracies(tangle, [ids[1]])
