@@ -78,7 +78,9 @@ def test_biased_random_walk(benchmark):
         tangle.add(tx)
         ids.append(tx.tx_id)
     accuracies = {tx_id: float(rng.random()) for tx_id in ids}
-    selector = AccuracyTipSelector(accuracies.__getitem__, alpha=10.0)
+    selector = AccuracyTipSelector(
+        lambda tx_ids, _arena_rows: [accuracies[t] for t in tx_ids], alpha=10.0
+    )
 
     def walk():
         return sequential_select_tips(selector, tangle, 2, rng)

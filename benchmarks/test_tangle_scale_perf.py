@@ -12,8 +12,8 @@ the scaling story to ``BENCH_tangle_scale.json`` for CI:
 - **Flat selection latency**: accuracy-mode ``select_tips`` p50 at
   10^5 transactions must stay within 1.5x of its 10^3-transaction
   value — the walk touches a depth-bounded neighborhood plus O(1)
-  snapshot work, never the whole history.  Both legs run with every
-  score already memoized and are timed in alternating windows.
+  snapshot work, never the whole history.  Both legs score with the
+  same O(1) synthetic scorer and are timed in alternating windows.
 - **Extend beats rebuild**: applying a publish-epoch delta to the
   cached snapshot must be >= 5x cheaper than a cold rebuild at 10^5
   transactions — and **bit-identical** to it (CSR arrays, parent
@@ -100,36 +100,27 @@ def _score(tx_id):
     return (zlib.crc32(tx_id.encode()) % 997) / 997.0
 
 
-def _selector(cache):
-    def batch_scores(tx_ids):
+def _selector():
+    def scores(tx_ids, _arena_rows):
         return np.array([_score(t) for t in tx_ids])
 
-    return AccuracyTipSelector(
-        batch_accuracy_fn=batch_scores,
-        alpha=5.0,
-        depth_range=(15, 25),
-        score_cache_fn=lambda: cache,
-        cache_epoch_fn=lambda: 0,
-    )
+    return AccuracyTipSelector(scores, alpha=5.0, depth_range=(15, 25))
 
 
 def _warm_leg(tangle, seed):
-    """A selector over ``tangle`` with every transaction's score already
-    in its memo, and the rng its timed selects draw from.
+    """A selector over ``tangle``, warmed, and the rng its timed selects
+    draw from.
 
     ``_grow`` leaves about 13% of all transactions unapproved (each sits
     among the newest ``WINDOW`` for 64 arrivals of 2 draws: e^-2), so
-    walks start from tips spread over the whole history.  Scored on
-    demand, the memo of a 10^5-transaction tangle keeps missing for
-    thousands of selects (~2.7k new nodes per 21-select window), while a
-    10^3 one is warm after a few windows: a large leg timed right after
-    growth read that warm-up (1.5-1.8 ms instead of ~1.0 ms), not the
-    walk.  Mirroring every score into the cache the memo is built from —
-    what a client's accuracy cache holds in steady state — puts the leg
-    past it before its first timed select.
+    walks start from tips spread over the whole history.  A select keeps
+    no scores, and the synthetic scorer costs the same for every id, so
+    both legs pay one equal per-node cost from their first timed select:
+    no leg times a cache filling up (on a 10^5-transaction tangle a
+    cache filled on demand keeps missing for thousands of selects, ~2.7k
+    new ids per 21-select window, while a 10^3 one fills in a few).
     """
-    cache = {tx.tx_id: _score(tx.tx_id) for tx in tangle.transactions()}
-    selector = _selector(cache)
+    selector = _selector()
     rng = np.random.default_rng(seed)
     for _ in range(3):  # warm: snapshot cached, planes materialized
         selector.select_tips(tangle, COUNT, rng)
@@ -268,14 +259,13 @@ def _vm_rss_bytes() -> int | None:
 
 def test_compaction_bounds_resident_arena_bytes():
     tangle, rng = _STATE["tangle"], _STATE["rng"]
-    cache: dict = {}
     rss_before = _vm_rss_bytes()
     compact_s, report = best_of(lambda: tangle.compact(keep_last=LARGE // 10), 1)
     rss_after = _vm_rss_bytes()
     assert report.dropped > 0
     ratio = report.resident_before / report.resident_after
     # The compacted tangle still serves selections.
-    selector = _selector(cache)
+    selector = _selector()
     tips = selector.select_tips(tangle, COUNT, np.random.default_rng(17))
     assert len(tips) == COUNT and all(t in tangle for t in tips)
     _RESULTS["arena_compaction"] = {

@@ -3,10 +3,10 @@
 The fused walk step batches a single step's candidate evaluations; the
 engine (`repro.dag.walk_engine`) batches across a whole selection:
 every particle advances in lockstep supersteps over a per-epoch CSR
-snapshot, scores come from a memo (NaN = not yet scored at entry, an
-explicit scored-mask after) prefilled from the client cache, and each
-particle's next node is drawn by row-wise Gumbel-max — no per-step
-Python dict walking, no ``rng.choice``.
+snapshot, scores come from a per-selection memo (NaN = not yet scored
+at entry, an explicit scored-mask after) prefilled from a copy of the
+client cache, and each particle's next node is drawn by row-wise
+Gumbel-max — no per-step Python dict walking, no ``rng.choice``.
 
 Enforced floors, recorded to ``BENCH_walk_engine.json`` for CI:
 
@@ -41,6 +41,7 @@ import gc
 import json
 import os
 import time
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -112,14 +113,10 @@ def _round_grown_tangle(model, rounds, per_round, sigma=0.05, seed=2):
 def _selector(client, tangle):
     """Wired like ``repro.substrate.build_selector`` wires a client."""
     return AccuracyTipSelector(
-        batch_accuracy_fn=lambda tx_ids: client.tx_accuracies(tangle, tx_ids),
-        row_accuracy_fn=lambda tx_ids, arena_rows: client.tx_accuracies(
-            tangle, tx_ids, arena_rows
-        ),
+        partial(client.tx_accuracies, tangle),
         alpha=10.0,
         depth_range=(15, 25),
-        score_cache_fn=client.tx_accuracy_map,
-        cache_epoch_fn=lambda: client.cache_epoch,
+        cached=client.tx_accuracy_cache(),
     )
 
 
@@ -302,8 +299,7 @@ def test_cold_cache_selection_recorded():
         rng = np.random.default_rng(seed)
         tips = []
         for _ in range(5):
-            # fresh cache AND fresh selector: the engine's epoch memo
-            # must not carry scores past the reset
+            # the reset empties the only cache that outlives a selection
             client.reset_cache()
             tips.extend(walker(_selector(client, tangle), tangle, COUNT, rng))
         return tips

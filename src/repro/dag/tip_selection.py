@@ -9,7 +9,9 @@ Three selectors are provided:
 - :class:`AccuracyTipSelector` — the paper's contribution: the walk is
   biased by each candidate model's accuracy *on the selecting client's
   local test data* (Algorithm 1), with either the standard (Eq. 1-2) or
-  the dynamic-spread (Eq. 3) normalization.
+  the dynamic-spread (Eq. 3) normalization.  It takes one callable,
+  ``scores(tx_ids, arena_rows)``, that evaluates candidate models on
+  the client's data.
 
 Both walking selectors run on the lockstep engine
 (:mod:`repro.dag.walk_engine`): ``select_tips(view, ...)`` is
@@ -21,13 +23,14 @@ each one's single-step law, which the test reference
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Protocol, Sequence
+from itertools import repeat
+from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
 from repro.dag import walk_engine
 from repro.dag.tangle import Tangle
-from repro.utils.validation import check_count
+from repro.utils.validation import check_count, check_positive
 
 __all__ = [
     "TipSelector",
@@ -39,10 +42,6 @@ __all__ = [
     "accuracy_walk_weights",
     "check_walk_settings",
 ]
-
-AccuracyFn = Callable[[str], float]
-BatchAccuracyFn = Callable[[Sequence[str]], np.ndarray]
-RowAccuracyFn = Callable[[Sequence[str], tuple], np.ndarray]
 
 
 def normalize_standard(accuracies: np.ndarray) -> np.ndarray:
@@ -97,8 +96,7 @@ def accuracy_walk_weights(
         ) from None
     if accuracies.ndim != 1 or accuracies.size == 0:
         raise ValueError("accuracies must be a non-empty 1-D array")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    check_positive("alpha", alpha, strict=False, finite=True)
     weights = np.exp(alpha * normalize(np.asarray(accuracies, dtype=np.float64)))
     return weights / weights.sum()
 
@@ -140,8 +138,9 @@ class WeightedTipSelector:
     """
 
     def __init__(self, alpha: float = 0.5, *, depth_range: tuple[int, int] = (15, 25)):
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        check_positive("alpha", alpha, strict=False, finite=True)
+        # The weight walk normalizes the standard way (Eq. 1).
+        check_walk_settings("standard", depth_range)
         self.alpha = alpha
         self.depth_range = depth_range
 
@@ -191,107 +190,68 @@ class WeightedTipSelector:
 class AccuracyTipSelector:
     """The paper's accuracy-biased tip selection (Algorithm 1).
 
-    Evaluation contract (the walk's hot path):
+    Evaluation contract (the walk's hot path): ``scores(tx_ids,
+    arena_rows)`` returns the accuracies of the transactions' models on
+    the *selecting client's* local test data, one float64 per id, in
+    order.  ``arena_rows`` is ``(arena, rows)``, each id's row in the
+    walked snapshot's arena
+    (:attr:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`), so the
+    scorer stacks the candidates without resolving any id; it is
+    ``None`` on a snapshot with no arena and in :meth:`transition`.
+    :func:`repro.substrate.build_selector` passes
+    ``partial(client.tx_accuracies, store)``, which scores a call's
+    misses in one fused forward pass
+    (:meth:`repro.nn.model.Classifier.accuracy_many`).  A scorer
+    **must** cache per transaction id, as ``Client.tx_accuracies``
+    does: a transaction's model never changes, and that cache is the
+    only dedup across selections.
 
-    - ``accuracy_fn`` evaluates one transaction's model on the *selecting
-      client's* local test data.  Implementations **must** cache per
-      transaction id (as :meth:`repro.fl.client.Client.tx_accuracy`
-      does): walks revisit candidates constantly, a transaction's model
-      never changes, and an uncached function turns every walk step into
-      a full model evaluation.
-    - ``batch_accuracy_fn``, when given, is preferred over
-      ``accuracy_fn``: it receives all not-yet-scored candidate ids of a
-      superstep at once and returns their accuracies as one array
-      (:meth:`repro.fl.client.Client.tx_accuracies`).  Beyond collapsing
-      the per-candidate call overhead, this is the entry point of the
-      **fused evaluation plane**: the candidates are evaluated in one
-      vectorized forward pass over a ``(k, P)`` stack of their arena rows
-      (:meth:`repro.nn.model.Classifier.accuracy_many`).
-    - ``row_accuracy_fn``, when given, replaces ``batch_accuracy_fn``
-      on snapshots of a tangle or of its views, whose nodes are rows of
-      the tangle's arena
-      (:attr:`~repro.dag.walk_engine.TangleSnapshot.arena_rows`): it
-      receives the ids plus ``(arena, rows)``, their rows in that arena,
-      so the scorer stacks them without resolving any id
-      (``Client.tx_accuracies(store, ids, arena_rows)``).
-    - ``evaluation_counter`` (optional) is called once per particle per
-      superstep with that particle's candidate count — the scalability
-      experiment (Figure 15) uses it to account walk cost independently
-      of caching and batching.
+    ``cached`` (optional) maps ids to the scores ``scores`` would return
+    for them; :func:`~repro.substrate.build_selector` passes a copy of
+    the client's cache, taken as it builds the selector for one
+    selection.  Every selection reads it once into its fresh score
+    memo, so on a warm cache the walk asks ``scores`` only for the ids
+    it lacks instead of once per superstep.
+
+    ``evaluation_counter`` (optional) is called once per particle per
+    superstep with that particle's candidate count — the scalability
+    experiment (Figure 15) uses it to account walk cost independently
+    of caching and batching.
 
     All ``count`` particles advance in supersteps over a cached CSR
     snapshot of the visible tangle, each superstep scoring the **union**
-    of the live particles' frontiers with one ``batch_accuracy_fn``
-    call.  The engine samples by Gumbel-max over the softmax weights
-    :meth:`transition` feeds to ``rng.choice``: distribution-identical
-    to the sequential reference, not draw-for-draw identical.
-
-    At least one of ``accuracy_fn`` / ``batch_accuracy_fn`` is required;
-    both may be supplied (the batch function wins).
+    of the live particles' not-yet-scored frontiers with one ``scores``
+    call; no id is asked twice within a selection, and the selector
+    keeps nothing between selections.  The engine samples by Gumbel-max
+    over the softmax weights :meth:`transition` feeds to ``rng.choice``:
+    distribution-identical to the sequential reference, not
+    draw-for-draw identical.
     """
 
     def __init__(
         self,
-        accuracy_fn: AccuracyFn | None = None,
+        scores: Callable[[list[str], tuple | None], np.ndarray],
         *,
-        batch_accuracy_fn: BatchAccuracyFn | None = None,
-        row_accuracy_fn: RowAccuracyFn | None = None,
         alpha: float = 10.0,
         normalization: str = "standard",
         depth_range: tuple[int, int] = (15, 25),
         evaluation_counter: Callable[[int], None] | None = None,
-        score_cache_fn: Callable[[], Mapping[str, float]] | None = None,
-        cache_epoch_fn: Callable[[], int] | None = None,
+        cached: Mapping[str, float] | None = None,
     ):
-        if normalization not in _NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {normalization!r}")
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if accuracy_fn is None and batch_accuracy_fn is None:
-            raise ValueError(
-                "one of accuracy_fn / batch_accuracy_fn is required"
-            )
-        self.accuracy_fn = accuracy_fn
-        self.batch_accuracy_fn = batch_accuracy_fn
-        self.row_accuracy_fn = row_accuracy_fn
+        check_positive("alpha", alpha, strict=False, finite=True)
+        check_walk_settings(normalization, depth_range)
+        self.scores = scores
+        self.cached = cached
         self.alpha = alpha
         self.normalization = normalization
         self.depth_range = depth_range
         self.evaluation_counter = evaluation_counter
-        # ``score_cache_fn``: returns the caller's
-        # transaction-accuracy cache (a tx id -> accuracy mapping, only
-        # read), used to prefill the engine's score memo so supersteps
-        # only round-trip through the scorer for genuinely unevaluated
-        # models.  :func:`repro.substrate.build_selector` wires it to
-        # :meth:`repro.fl.client.Client.tx_accuracy_map`, a read-only
-        # view of the live cache.
-        # ``cache_epoch_fn`` reports that cache's generation
-        # (:attr:`Client.cache_epoch`): a bump — reset, wholesale
-        # restore, personalization-tail change — invalidates the memo.
-        self.score_cache_fn = score_cache_fn
-        self.cache_epoch_fn = cache_epoch_fn
-        # Per-snapshot engine score memo (node -> accuracy, NaN =
-        # unknown).  Sound for the lifetime of a snapshot: a
-        # transaction's model never changes and the selector is bound to
-        # one client's accuracy function.  Replaced whenever the walk
-        # runs against a different snapshot (new epoch or view) or the
-        # mirrored cache's epoch changes.
-        self._engine_snapshot = None
-        self._engine_memo: np.ndarray | None = None
-        self._engine_memo_epoch: object = None
-
-    def _candidate_accuracies(self, approvers: list[str]) -> np.ndarray:
-        if self.batch_accuracy_fn is not None:
-            return np.asarray(self.batch_accuracy_fn(approvers), dtype=np.float64)
-        return np.array(
-            [self.accuracy_fn(a) for a in approvers], dtype=np.float64
-        )
 
     def transition(self, _tangle: Tangle, approvers: list[str], rng: np.random.Generator) -> str:
         """One sequential walk step (the reference single-step law)."""
         if self.evaluation_counter is not None:
             self.evaluation_counter(len(approvers))
-        accuracies = self._candidate_accuracies(approvers)
+        accuracies = np.asarray(self.scores(approvers, None), dtype=np.float64)
         probs = accuracy_walk_weights(
             accuracies, self.alpha, normalization=self.normalization
         )
@@ -307,35 +267,21 @@ class AccuracyTipSelector:
     ) -> list[str]:
         """``count`` lockstep walks over ``snapshot`` (Algorithm 1); the
         ``deadline`` as in :meth:`WeightedTipSelector.select_on_snapshot`."""
-        # Without an epoch probe, freshness of mirrored scores can't be
-        # proven across calls — rebuild the memo every selection.  With
-        # the probe (how build_selector wires clients), the memo
-        # persists until the cache's epoch bumps.
-        epoch = object() if self.cache_epoch_fn is None else self.cache_epoch_fn()
-        if self._engine_snapshot is not snapshot or self._engine_memo_epoch != epoch:
-            self._engine_snapshot = snapshot
-            self._engine_memo_epoch = epoch
-            if self.score_cache_fn is not None and (cache := self.score_cache_fn()):
-                get = cache.get
-                self._engine_memo = np.array(
-                    [get(tx_id, np.nan) for tx_id in snapshot.ids]
-                )
-            else:
-                self._engine_memo = np.full(len(snapshot), np.nan)
         starts = walk_engine.batched_walk_starts(
             snapshot, count, rng, depth_range=self.depth_range, deadline=deadline
         )
         ids = snapshot.ids
-        located = None if self.row_accuracy_fn is None else snapshot.arena_rows
+        located = snapshot.arena_rows
+        memo = None
+        if self.cached:
+            memo = np.fromiter(
+                map(self.cached.get, ids, repeat(np.nan)), np.float64, len(ids)
+            )
 
         def score_fn(nodes: np.ndarray) -> np.ndarray:
             tx_ids = [ids[node] for node in nodes.tolist()]
-            if located is None:
-                return self._candidate_accuracies(tx_ids)
-            arena, rows = located
-            return np.asarray(
-                self.row_accuracy_fn(tx_ids, (arena, rows[nodes])), dtype=np.float64
-            )
+            arena_rows = None if located is None else (located[0], located[1][nodes])
+            return self.scores(tx_ids, arena_rows)
 
         finals = walk_engine.lockstep_walks(
             snapshot,
@@ -345,7 +291,7 @@ class AccuracyTipSelector:
             normalization=self.normalization,
             rng=rng,
             evaluation_counter=self.evaluation_counter,
-            score_memo=self._engine_memo,
+            score_memo=memo,
             deadline=deadline,
         )
         return [snapshot.ids[node] for node in finals]

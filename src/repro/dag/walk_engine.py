@@ -74,6 +74,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.utils.validation import check_positive
+
 __all__ = [
     "TangleSnapshot",
     "snapshot_for",
@@ -964,15 +966,13 @@ def lockstep_walks(
 
     ``score_memo`` is an optional ``len(snapshot)``-sized float64 array
     with NaN marking not-yet-scored nodes; scores are filled in as the
-    walk discovers nodes.  A caller that walks the same snapshot
-    repeatedly (a selection's particles, a round's repeated selections)
-    passes the same memo to skip the dedup-and-score round-trip for
-    every previously seen node — sound because a node's score is fixed
-    for the lifetime of a snapshot (a transaction's model never
-    changes, and cumulative weights are frozen with the visible set).
-    Omitted, a fresh memo still dedups within the call.  NaN marks "not
-    yet scored" only at entry: a node once filled stays known even if
-    its score *is* NaN, so a corrupt model is scored once per call.
+    walk discovers nodes.  A caller passes the scores it already holds
+    — the weighted walk its complete table of cumulative weights, the
+    accuracy walk what its ``cached`` mapping knows — so the walk calls
+    ``score_fn`` only for the other nodes.  Omitted, a fresh memo
+    dedups within the call.  NaN marks "not yet scored" only at entry: a
+    node once filled stays known even if its score *is* NaN, so a
+    corrupt model is scored once per call.
 
     ``trace`` (tests/debugging) appends one dict per superstep with the
     live particle indices, their nodes and candidate counts, each
@@ -990,8 +990,7 @@ def lockstep_walks(
 
     Returns the final node of every particle (all tips of the snapshot).
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    check_positive("alpha", alpha, strict=False, finite=True)
     if normalization not in ("standard", "dynamic"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if score_memo is None:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from itertools import islice
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -57,8 +55,8 @@ class Client:
         # into this table instead of holding a float of its own.
         self._accuracy_values: dict[float, float] = {}
         # Bumped whenever the cache is cleared or replaced wholesale;
-        # mirrors of the cache (the walk engine's score memo) compare it
-        # to notice their copy went stale.
+        # cache_mark / cache_entries_since compare it to tell a delta
+        # from a replaced cache.
         self.cache_epoch = 0
         self.evaluations = 0  # lifetime count of *uncached* model evaluations
         self.personal_params = 0
@@ -241,12 +239,6 @@ class Client:
         """
         return dict(self._tx_accuracy_cache)
 
-    def tx_accuracy_map(self) -> Mapping[str, float]:
-        """Read-only live view of the cached transaction evaluations —
-        what a selector prefills its score memo from, without the copy
-        :meth:`tx_accuracy_cache` makes."""
-        return MappingProxyType(self._tx_accuracy_cache)
-
     def restore_tx_accuracy_cache(self, entries: dict[str, float]) -> None:
         """Replace the evaluation cache with ``entries`` (copied)."""
         self._tx_accuracy_cache = self._shared_entries(entries)
@@ -280,7 +272,7 @@ class Client:
     def merge_tx_accuracy_cache(self, entries: dict[str, float]) -> None:
         """Fold a worker's delta entries into the cache **without** an
         epoch bump — the in-process equivalent is plain cache warming,
-        which mirrors (the walk engine's score memo) survive."""
+        which bumps none either."""
         self._tx_accuracy_cache.update(self._shared_entries(entries))
 
     def _shared_entries(self, entries: dict[str, float]) -> dict[str, float]:

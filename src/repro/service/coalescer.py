@@ -306,8 +306,10 @@ class TipCoalescer:
             scorer = self._score_provider(score_key)
         selector = None
         if scorer is not None:
+            # The provider's scorer takes ids only; the walk's arena
+            # rows are not part of the gateway's contract.
             selector = AccuracyTipSelector(
-                batch_accuracy_fn=scorer,
+                lambda tx_ids, _arena_rows: scorer(tx_ids),
                 alpha=ladder.alpha,
                 normalization=ladder.normalization,
                 depth_range=ladder.depth_range,

@@ -356,18 +356,14 @@ class EventDrivenTangleLearning:
         ]
 
     # ---------------------------------------------- selectors and consensus
-    def make_selector(
-        self, client: Client, evaluation_counter: Callable[[int], None] | None = None
-    ) -> TipSelector:
+    def make_selector(self, client: Client) -> TipSelector:
         """Tip selector for ``client`` according to the protocol config.
 
         Delegates to :func:`repro.substrate.build_selector`, the single
         place that wires the protocol config to a selector (used both
         here and inside executor work units).
         """
-        return build_selector(
-            client, self.tangle, self.dag_config, evaluation_counter
-        )
+        return build_selector(client, self.tangle, self.dag_config)
 
     def _selection_view(self) -> Tangle | TangleView:
         """What a round's clients can see.

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -97,20 +98,22 @@ def build_selector(
 
     ``store`` is any tangle-like object (:class:`~repro.dag.tangle.Tangle`
     or a view) used to resolve transaction models for accuracy
-    evaluation.  The accuracy selector is wired to the client's *batched*
-    cached evaluation (:meth:`~repro.fl.client.Client.tx_accuracies`), the
-    contract :class:`~repro.dag.tip_selection.AccuracyTipSelector`
-    documents — which routes each walk step's cache misses through the
+    evaluation.  The accuracy selector's one scorer is the client's
+    batched cached evaluation, ``partial(client.tx_accuracies, store)``
+    (the contract :class:`~repro.dag.tip_selection.AccuracyTipSelector`
+    documents), which routes each walk step's cache misses through the
     fused multi-model forward pass
     (:meth:`~repro.nn.model.Classifier.accuracy_many`) whenever the
     model's layers support it.  Rounds, event-mode cycles and every
     executor therefore share one evaluation plane, and one walker: both
     walking selectors advance a selection's particles in lockstep
     supersteps over a per-epoch CSR snapshot
-    (:mod:`repro.dag.walk_engine`), each superstep's union frontier
-    reaching ``tx_accuracies`` as **one** batch — with the candidates'
-    arena rows whenever the walked snapshot lives in one arena, so the
-    fused pass resolves no id.
+    (:mod:`repro.dag.walk_engine`).  The selection starts from a copy of
+    the client's cache (``cached``), so only a superstep that reaches
+    ids missing from it calls ``tx_accuracies``, with all of them as
+    **one** batch — and with the candidates' arena rows whenever the
+    walked snapshot lives in one arena, so the fused pass resolves no
+    id.
     """
     if config.selector == "random":
         return RandomTipSelector()
@@ -119,16 +122,12 @@ def build_selector(
             config.weighted_alpha, depth_range=config.depth_range
         )
     return AccuracyTipSelector(
-        batch_accuracy_fn=lambda tx_ids: client.tx_accuracies(store, tx_ids),
-        row_accuracy_fn=lambda tx_ids, arena_rows: client.tx_accuracies(
-            store, tx_ids, arena_rows
-        ),
+        partial(client.tx_accuracies, store),
         alpha=config.alpha,
         normalization=config.normalization,
         depth_range=config.depth_range,
         evaluation_counter=evaluation_counter,
-        score_cache_fn=client.tx_accuracy_map,
-        cache_epoch_fn=lambda: client.cache_epoch,
+        cached=client.tx_accuracy_cache(),
     )
 
 

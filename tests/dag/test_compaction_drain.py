@@ -61,12 +61,12 @@ def row_selector():
     (its first weight), as a client's ``tx_accuracies`` reads it."""
 
     def by_row(tx_ids, located):
+        assert located is not None, "scored by id"
         arena, rows = located
         return arena.rows(rows)[:, 0]
 
     return AccuracyTipSelector(
-        batch_accuracy_fn=lambda tx_ids: pytest.fail("scored by id"),
-        row_accuracy_fn=by_row,
+        by_row,
         alpha=5.0,
         depth_range=(2, 6),
     )

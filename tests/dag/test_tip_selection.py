@@ -13,6 +13,7 @@ from repro.dag.tip_selection import (
     normalize_standard,
 )
 from repro.dag.transaction import GENESIS_ID, Transaction
+from repro.dag.walk_engine import lockstep_walks, snapshot_for
 
 
 def weights():
@@ -112,23 +113,24 @@ def test_random_selector_repeats_when_single_tip(rng):
     assert tips == [GENESIS_ID, GENESIS_ID]
 
 
+def _constant(tx_ids, _arena_rows):
+    return np.full(len(tx_ids), 0.5)
+
+
 def test_accuracy_selector_prefers_high_accuracy_tip(rng):
     tangle = fork_tangle()
     accuracy = {"a": 0.9, "b": 0.1, GENESIS_ID: 0.0}
-    selector = AccuracyTipSelector(
-        lambda tx: accuracy[tx], alpha=100.0, depth_range=(0, 0)
-    )
+    scores = lambda tx_ids, _arena_rows: [accuracy[tx] for tx in tx_ids]
+    selector = AccuracyTipSelector(scores, alpha=100.0, depth_range=(0, 0))
     # depth (0,0) starts at a tip; force start at genesis via many walks
-    selector = AccuracyTipSelector(
-        lambda tx: accuracy[tx], alpha=100.0, depth_range=(5, 10)
-    )
+    selector = AccuracyTipSelector(scores, alpha=100.0, depth_range=(5, 10))
     picks = [selector.select_tips(tangle, 1, rng)[0] for _ in range(30)]
     assert picks.count("a") > 27
 
 
 def test_accuracy_selector_alpha_zero_roughly_uniform(rng):
     tangle = fork_tangle()
-    selector = AccuracyTipSelector(lambda tx: 0.5, alpha=0.0, depth_range=(5, 10))
+    selector = AccuracyTipSelector(_constant, alpha=0.0, depth_range=(5, 10))
     picks = [selector.select_tips(tangle, 1, rng)[0] for _ in range(60)]
     assert 15 < picks.count("a") < 45
 
@@ -137,7 +139,7 @@ def test_accuracy_selector_counts_evaluations(rng):
     tangle = fork_tangle()
     counted = []
     selector = AccuracyTipSelector(
-        lambda tx: 0.5,
+        _constant,
         alpha=1.0,
         depth_range=(5, 10),
         evaluation_counter=counted.append,
@@ -148,9 +150,59 @@ def test_accuracy_selector_counts_evaluations(rng):
 
 def test_accuracy_selector_validation():
     with pytest.raises(ValueError):
-        AccuracyTipSelector(lambda tx: 0.5, alpha=-1.0)
+        AccuracyTipSelector(_constant, alpha=-1.0)
     with pytest.raises(ValueError):
-        AccuracyTipSelector(lambda tx: 0.5, normalization="nope")
+        AccuracyTipSelector(_constant, normalization="nope")
+
+
+def _fan_of_four():
+    """Four approvers of genesis, scored 0, 1/3, 2/3 and 1."""
+    tangle = Tangle(weights())
+    for i in range(4):
+        tangle.add(Transaction(f"a{i}", (GENESIS_ID,), weights(), i, 0))
+    return tangle
+
+
+def _linspace(tx_ids, _arena_rows):
+    return np.linspace(0.0, 1.0, len(tx_ids))
+
+
+_WALKS = {
+    "accuracy": lambda alpha: AccuracyTipSelector(
+        _linspace, alpha=alpha, depth_range=(1, 1)
+    ).select_tips(_fan_of_four(), 8, np.random.default_rng(0)),
+    "weighted": lambda alpha: WeightedTipSelector(
+        alpha, depth_range=(1, 1)
+    ).select_tips(_fan_of_four(), 8, np.random.default_rng(0)),
+    "lockstep_walks": lambda alpha: lockstep_walks(
+        snapshot_for(_fan_of_four()),
+        [0] * 8,
+        lambda nodes: np.linspace(0.0, 1.0, len(nodes)),
+        alpha=alpha,
+        rng=np.random.default_rng(0),
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", [-1.0, np.inf, np.nan])
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_walks_reject_a_negative_or_non_finite_alpha(walk, alpha):
+    """An infinite alpha turns the 0.0-scored candidate's logit into
+    ``0 * inf = NaN``, which would win every argmax."""
+    with pytest.raises(ValueError, match="alpha"):
+        _WALKS[walk](alpha)
+
+
+def test_a_large_finite_alpha_picks_the_best_candidate():
+    assert _WALKS["accuracy"](1e8) == ["a3"] * 8
+
+
+@pytest.mark.parametrize("depth_range", [(5, 2), (-1, 2), (1.5, 2)])
+def test_walking_selectors_reject_a_bad_depth_range(depth_range):
+    with pytest.raises(ValueError, match="depth_range"):
+        AccuracyTipSelector(_linspace, depth_range=depth_range)
+    with pytest.raises(ValueError, match="depth_range"):
+        WeightedTipSelector(depth_range=depth_range)
 
 
 def test_weighted_selector_prefers_heavy_subtangle(rng):

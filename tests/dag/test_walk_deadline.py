@@ -107,7 +107,7 @@ def _selectors():
     return {
         "weighted": WeightedTipSelector(0.5, depth_range=(2, 10)),
         "accuracy": AccuracyTipSelector(
-            batch_accuracy_fn=lambda ids: np.linspace(0.0, 1.0, len(ids)),
+            lambda ids, _arena_rows: np.linspace(0.0, 1.0, len(ids)),
             depth_range=(2, 10),
         ),
     }

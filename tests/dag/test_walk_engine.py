@@ -347,13 +347,14 @@ def test_deterministic_regime_equals_sequential_exactly():
     # depth 100 >> tangle depth: every start descends to genesis, so the
     # (different) start draws of the two walkers cannot matter.
     kwargs = dict(alpha=1e8, depth_range=(100, 100))
+    by_id = lambda tx_ids, _arena_rows: [scores[tx_id] for tx_id in tx_ids]
     seq_calls: list[int] = []
     sequential = AccuracyTipSelector(
-        scores.__getitem__, evaluation_counter=seq_calls.append, **kwargs
+        by_id, evaluation_counter=seq_calls.append, **kwargs
     )
     eng_calls: list[int] = []
     engine = AccuracyTipSelector(
-        scores.__getitem__, evaluation_counter=eng_calls.append, **kwargs
+        by_id, evaluation_counter=eng_calls.append, **kwargs
     )
     seq_tips = sequential_select_tips(sequential, tangle, 5, np.random.default_rng(13))
     eng_tips = engine.select_tips(tangle, 5, np.random.default_rng(14))
@@ -407,26 +408,102 @@ def test_weighted_sequential_uses_batched_weight_query(monkeypatch):
 
 
 def test_engine_memo_invalidated_by_cache_epoch():
-    """The engine memo mirrors the client's accuracy cache; a cache
-    reset (epoch bump) must drop it, or walks keep ranking tips under
-    stale scores.  Deterministic high alpha makes staleness visible."""
+    """The selector keeps no scores between selections: once the
+    scorer's values change (a client's cache reset after its data
+    changed), the very next selection on the same snapshot follows the
+    new values.  Deterministic high alpha makes a stale score visible."""
     tangle = Tangle(weights())
     tangle.add(Transaction("a", (GENESIS_ID,), weights(), 0, 0))
     tangle.add(Transaction("b", (GENESIS_ID,), weights(), 1, 0))
     scores = {GENESIS_ID: 0.1, "a": 0.9, "b": 0.2}
-    epoch = [0]
     selector = AccuracyTipSelector(
-        lambda tx_id: scores[tx_id],
+        lambda tx_ids, _arena_rows: [scores[tx_id] for tx_id in tx_ids],
         alpha=1e8,
         depth_range=(5, 5),
-        cache_epoch_fn=lambda: epoch[0],
     )
     rng = np.random.default_rng(17)
-    assert selector.select_tips(tangle, 10, rng) == ["a"] * 10
-    scores["a"], scores["b"] = 0.2, 0.9  # the client's data changed...
-    assert selector.select_tips(tangle, 10, rng) == ["a"] * 10  # memo: stale
-    epoch[0] += 1  # ...and its cache was reset
-    assert selector.select_tips(tangle, 10, rng) == ["b"] * 10
+    snapshot = snapshot_for(tangle)
+    assert selector.select_on_snapshot(snapshot, 10, rng) == ["a"] * 10
+    scores["a"], scores["b"] = 0.2, 0.9  # the client's data changed
+    assert snapshot_for(tangle) is snapshot
+    assert selector.select_on_snapshot(snapshot, 10, rng) == ["b"] * 10
+
+
+def _valued_tangle(size=40, seed=21):
+    """A random tangle whose ``t{i}`` holds the one-weight model
+    ``[i + 1]``, and each id's value (genesis: 0.0)."""
+    rng = np.random.default_rng(seed)
+    tangle = Tangle(weights())
+    ids, value = [GENESIS_ID], {GENESIS_ID: 0.0}
+    for i in range(size):
+        parents = tuple(
+            dict.fromkeys(ids[int(rng.integers(0, len(ids)))] for _ in range(2))
+        )
+        value[f"t{i}"] = float(i + 1)
+        tangle.add(Transaction(f"t{i}", parents, [np.array([i + 1.0])], i % 5, i // 5))
+        ids.append(f"t{i}")
+    return tangle, value
+
+
+def test_scorer_gets_the_walked_arena_rows_and_each_id_once():
+    """On a whole-tangle snapshot and on a view's restriction the scorer
+    receives each candidate's exact row in the tangle's arena, and the
+    sequential step receives ``None``.  Within one selection no id is
+    asked for twice."""
+    tangle, value = _valued_tangle()
+    calls: list[tuple[list[str], tuple | None]] = []
+
+    def scores(tx_ids, arena_rows):
+        calls.append((list(tx_ids), arena_rows))
+        return np.array([value[tx_id] for tx_id in tx_ids]) / len(value)
+
+    selector = AccuracyTipSelector(scores, alpha=2.0, depth_range=(3, 8))
+    full = tangle.snapshot()
+    view = TangleView(tangle, 4)
+    assert 1 < len(snapshot_for(view)) < len(full)
+    for walked in (tangle, view):
+        calls.clear()
+        selector.select_tips(walked, 30, np.random.default_rng(22))
+        asked = [tx_id for tx_ids, _ in calls for tx_id in tx_ids]
+        assert asked and len(asked) == len(set(asked))
+        for tx_ids, (arena, rows) in calls:
+            assert arena is tangle.arena
+            assert rows.tolist() == [full.index[tx_id] for tx_id in tx_ids]
+            assert arena.rows(rows)[:, 0].tolist() == [value[t] for t in tx_ids]
+    calls.clear()
+    sequential_select_tips(selector, tangle, 3, np.random.default_rng(23))
+    assert calls and all(arena_rows is None for _, arena_rows in calls)
+
+
+def test_cached_scores_prefill_each_selection_without_changing_a_draw():
+    """``cached`` is read once per selection: the scorer is asked only
+    for ids it lacks (each once), never when it holds every id, and the
+    walk draws exactly what it draws with no ``cached`` at all."""
+    tangle, value = _valued_tangle()
+    asked: list[str] = []
+
+    def scores(tx_ids, _arena_rows):
+        asked.extend(tx_ids)
+        return [value[tx_id] / len(value) for tx_id in tx_ids]
+
+    def select(cached):
+        asked.clear()
+        selector = AccuracyTipSelector(
+            scores, alpha=2.0, depth_range=(3, 8), cached=cached
+        )
+        rng = np.random.default_rng(24)
+        return selector.select_tips(tangle, 30, rng), rng.bit_generator.state
+
+    plain = select(None)
+    unaided = set(asked)
+    half = {tx_id: v / len(value) for tx_id, v in list(value.items())[::2]}
+    assert unaided & set(half) and unaided - set(half)
+    assert select(half) == plain
+    assert len(asked) == len(set(asked))
+    assert set(asked) == unaided - set(half)
+    whole = {tx_id: v / len(value) for tx_id, v in value.items()}
+    assert select(whole) == plain
+    assert asked == []
 
 
 def test_client_cache_epoch_bumps_on_reset_and_restore():

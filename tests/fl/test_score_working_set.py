@@ -170,4 +170,4 @@ def test_cache_holds_one_float_per_accuracy_value():
     merged.merge_tx_accuracy_cache({k: v for k, v in fresh.items() if k not in ids[:50]})
     for other in (restored, merged):
         assert other.tx_accuracy_cache() == cache
-        assert _distinct_objects(other.tx_accuracy_map()) <= n + 1
+        assert _distinct_objects(other.tx_accuracy_cache()) <= n + 1

@@ -60,6 +60,11 @@ def weights():
     return [np.zeros(1)]
 
 
+def by_id(table):
+    """A selector scorer that reads each id's score off ``table``."""
+    return lambda tx_ids, _arena_rows: [table[tx_id] for tx_id in tx_ids]
+
+
 def grow_tangle(n=60, seed=4):
     rng = np.random.default_rng(seed)
     tangle = Tangle(weights())
@@ -156,7 +161,7 @@ def test_engine_tip_distribution_matches_sequential():
     }
     for normalization in ("standard", "dynamic"):
         selector = AccuracyTipSelector(
-            accuracies.__getitem__,
+            by_id(accuracies),
             alpha=5.0,
             normalization=normalization,
             depth_range=(15, 25),
@@ -190,7 +195,7 @@ def test_engine_matches_sequential_on_timed_view():
         for tx_id, v in zip(ids, np.random.default_rng(10).random(len(ids)))
     }
     selector = AccuracyTipSelector(
-        accuracies.__getitem__, alpha=5.0, depth_range=(10, 20)
+        by_id(accuracies), alpha=5.0, depth_range=(10, 20)
     )
     n = 1500
     seq_tips = sequential_select_tips(selector, view, n, np.random.default_rng(11))
@@ -215,7 +220,7 @@ def test_both_walkers_survive_visible_child_invisible_parent():
     assert "fast-child" in view and "slow" not in view
     accuracies = {GENESIS_ID: 0.1, "slow": 0.5, "fast-child": 0.9}
     selector = AccuracyTipSelector(
-        accuracies.__getitem__, alpha=5.0, depth_range=(5, 10)
+        by_id(accuracies), alpha=5.0, depth_range=(5, 10)
     )
     for select in (sequential_select_tips, AccuracyTipSelector.select_tips):
         tips = select(selector, view, 20, np.random.default_rng(14))
@@ -251,7 +256,7 @@ def test_engine_honours_own_publication_exemption():
             tangle, visible_from, 2.0, observer=observer, published_at=published_at
         )
         selector = AccuracyTipSelector(
-            accuracies.__getitem__, alpha=1e8, depth_range=(10, 10)
+            by_id(accuracies), alpha=1e8, depth_range=(10, 10)
         )
         return view, selector.select_tips(view, 20, np.random.default_rng(13))
 

@@ -21,9 +21,9 @@ def _score(tx_ids):
     return np.linspace(0.0, 1.0, len(tx_ids))
 
 
-def _selector(batch_accuracy_fn):
+def _selector(score):
     return AccuracyTipSelector(
-        batch_accuracy_fn=batch_accuracy_fn, depth_range=(2, 10)
+        lambda tx_ids, _arena_rows: score(tx_ids), depth_range=(2, 10)
     )
 
 

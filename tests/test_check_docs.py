@@ -1,6 +1,8 @@
 """``tools/check_docs.py``'s knob-table check: a docs "Knobs" row that
 names a ``*Config`` knob (``DagConfig``, ``GatewayConfig``,
-``SimConfig``, ...) must state the default the code has."""
+``SimConfig``, ...) must state the default the code has; and its
+constructor-keyword check: a backticked ``Name(kw=…)`` must pass a
+keyword class ``Name`` accepts."""
 
 import importlib.util
 from pathlib import Path
@@ -103,3 +105,52 @@ def test_knob_tables_are_checked_against_dag_config_source():
     assert len(where) == 1 and "`aggregator`" in where[0]
     assert check_docs.knob_table_failures("x.md", "no table here", defaults) == []
     assert check_docs.check_knob_tables() == []  # the repo's own docs
+
+
+# A line the service docs carried while the accuracy selector still took
+# a batch callback by keyword.
+STALE_CONSTRUCTOR_LINE = """\
+  slices the tip ids back per request. A group whose key has a scorer
+  walks with an `AccuracyTipSelector(batch_accuracy_fn=scorer, …)`
+  built with the gateway's walk parameters — the simulator's own
+"""
+
+CONSTRUCTOR_SPANS = """\
+`SimConfig(faults=FaultModel(drop_rate=0.1, drop=0.2), quantum=0.5)`,
+`Tangle(genesis, store_dtype=np.float32)`, `np.zeros(3, dtype=float)`,
+`DagConfig(alpha=1.0) == DagConfig(alpha=1.0)`, and
+
+```python
+AccuracyTipSelector(batch_accuracy_fn=scorer)  # fenced: not checked
+```
+"""
+
+
+def test_constructor_keywords_are_checked_against_src_classes():
+    check_docs = load_check_docs()
+    parameters = check_docs.class_parameters(
+        path.read_text() for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+    )
+    assert {"scores", "alpha", "depth_range"} <= parameters["AccuracyTipSelector"]
+    assert "drop_rate" in parameters["FaultModel"]  # a dataclass's fields
+    stale = check_docs.keyword_failures(
+        "service.md", STALE_CONSTRUCTOR_LINE, parameters
+    )
+    assert stale == [
+        "service.md: `AccuracyTipSelector(batch_accuracy_fn=scorer, …)` "
+        "passes `batch_accuracy_fn`, which AccuracyTipSelector does not take"
+    ]
+    # A nested keyword is credited to the innermost call; other calls
+    # and fenced code are skipped.
+    nested = check_docs.keyword_failures("x.md", CONSTRUCTOR_SPANS, parameters)
+    assert len(nested) == 1 and "passes `drop`, which FaultModel" in nested[0]
+    # **kwargs, or any base but object, accepts any keyword.
+    loose = check_docs.class_parameters(
+        [
+            "class Open:\n    def __init__(self, **kwargs): ...\n",
+            "class Server(socketserver.TCPServer):\n    timeout: float\n",
+            "class Plain(object):\n    def __init__(self, a): ...\n",
+        ]
+    )
+    assert loose == {"Open": None, "Server": None, "Plain": {"a"}}
+    assert check_docs.check_constructor_keywords() == []  # the repo's own docs

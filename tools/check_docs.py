@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency guard for CI.
 
-Three checks, all cheap and dependency-free:
+Four checks, all cheap and dependency-free:
 
 1. **Dead relative links.** Every markdown link in ``README.md`` and
    ``docs/*.md`` whose target is a relative path must resolve to a file
@@ -24,6 +24,13 @@ Three checks, all cheap and dependency-free:
    ``field(default_factory=...)``) only has its field name checked.  A
    "Where" row finds its class's module through any docs introduction
    that names both.
+4. **Constructor keywords.** Every backticked ``Name(kw=…)`` in
+   ``README.md`` and ``docs/*.md`` whose ``Name`` is a class under
+   ``src/repro`` must pass only keywords that class accepts: the
+   parameters of its own ``__init__``, or its fields when it is a
+   dataclass, read with ``ast``.  A class that takes ``**kwargs`` or has
+   a base other than ``object`` is skipped, and so is a name
+   ``src/repro`` does not define.
 
 Usage::
 
@@ -204,8 +211,99 @@ def check_knob_tables() -> list[str]:
     return failures
 
 
+#: A class whose constructor may take any keyword (``**kwargs``, or a base).
+ANY_KEYWORD = None
+
+CODE_SPAN = re.compile(r"`([^`]+)`")
+FENCE = re.compile(r"```.*?```", re.S)
+# An opening call paren (with the callee's name), a closing paren, or a
+# keyword argument.
+CALL_TOKEN = re.compile(r"(\w+)?\(|\)|(\w+)\s*=(?!=)")
+
+
+def _accepted(node: ast.ClassDef) -> set[str] | None:
+    """The keywords one class's constructor accepts: its ``__init__``'s
+    parameters, else its annotated fields; ``ANY_KEYWORD`` when it takes
+    ``**kwargs`` or derives from anything but ``object``."""
+    if any(ast.unparse(base) != "object" for base in node.bases):
+        return ANY_KEYWORD
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            args = item.args
+            if args.kwarg is not None:
+                return ANY_KEYWORD
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            return set(names[1:])
+    return {
+        item.target.id
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def class_parameters(sources) -> dict[str, set[str] | None]:
+    """Class name -> the keywords its constructor accepts, over every
+    class ``sources`` (module texts) define."""
+    return {
+        node.name: _accepted(node)
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def call_keywords(code: str):
+    """``(callee, keyword)`` for every keyword argument in ``code``,
+    each credited to the innermost call it is passed to."""
+    callees: list[str | None] = []
+    for match in CALL_TOKEN.finditer(code):
+        callee, keyword = match.groups()
+        if match.group() == ")":
+            if callees:
+                callees.pop()
+        elif keyword is not None:
+            if callees and callees[-1] is not None:
+                yield callees[-1], keyword
+        else:
+            callees.append(callee)
+
+
+def keyword_failures(
+    name: str, text: str, parameters: dict[str, set[str] | None]
+) -> list[str]:
+    """Keywords ``text``'s backticked calls pass to a class of
+    ``parameters`` that its constructor does not accept."""
+    failures = []
+    for span in CODE_SPAN.finditer(FENCE.sub("", text)):
+        for callee, keyword in call_keywords(span.group(1)):
+            accepted = parameters.get(callee, ANY_KEYWORD)
+            if accepted is not ANY_KEYWORD and keyword not in accepted:
+                failures.append(
+                    f"{name}: `{span.group(1)}` passes `{keyword}`, which "
+                    f"{callee} does not take"
+                )
+    return failures
+
+
+def check_constructor_keywords() -> list[str]:
+    parameters = class_parameters(
+        path.read_text() for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+    )
+    failures = []
+    for doc in iter_doc_files():
+        failures += keyword_failures(
+            str(doc.relative_to(ROOT)), doc.read_text(), parameters
+        )
+    return failures
+
+
 def main() -> int:
-    failures = check_links() + check_tier1_command() + check_knob_tables()
+    failures = (
+        check_links()
+        + check_tier1_command()
+        + check_knob_tables()
+        + check_constructor_keywords()
+    )
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if failures:
@@ -214,7 +312,8 @@ def main() -> int:
     docs = list(iter_doc_files())
     print(
         f"docs ok: {len(docs)} files, links resolve, tier-1 command "
-        "consistent, knob tables match their config classes"
+        "consistent, knob tables match their config classes, constructor "
+        "keywords exist"
     )
     return 0
 
